@@ -262,10 +262,12 @@ type execution struct {
 	trap *interp.Trap
 	rt   *interp.Runtime
 	ds   *dangsan.Detector
-	dn   *dangnull.Detector
-	fs   *freesentry.Detector
-	xt   *xtag.Detector
-	cp   *camp.Detector
+	// audit is ds's audit-mode view; the regression test scripts its own.
+	audit auditSource
+	dn    *dangnull.Detector
+	fs    *freesentry.Detector
+	xt    *xtag.Detector
+	cp    *camp.Detector
 }
 
 // run parses the program source fresh (instrumentation mutates the module,
@@ -290,6 +292,7 @@ func run(prog *irgen.Program, sp Spec) (*execution, error) {
 	switch sp.Det {
 	case DetDangSan:
 		ex.ds = dangsan.NewWithOptions(dangsan.Options{Config: sp.Cfg, Audit: true})
+		ex.audit = ex.ds.Logger()
 		det = ex.ds
 	case DetDangNull:
 		ex.dn = dangnull.New()
@@ -391,7 +394,7 @@ func checkCell(prog *irgen.Program, sp Spec) []string {
 	// Counters first: checkCells' latent-detection probes (xtag's CheckDeref
 	// on dangling cells) bump the detector's check/mismatch stats, so the
 	// benign-run accounting must be read before probing.
-	msgs = append(msgs, checkCounters(o, sp, ex)...)
+	msgs = append(msgs, checkCounters(o, sp, ex, prog.Multithreaded)...)
 	msgs = append(msgs, checkCells(prog, sp, ex)...)
 	return msgs
 }
@@ -565,10 +568,37 @@ func checkDangling(sp Spec, ex *execution, cell irgen.Cell, v uint64, fail func(
 	}
 }
 
+// auditSource is what the audit clause reads of dangsan's audit mode
+// (*pointerlog.Logger).
+type auditSource interface {
+	AuditCheck() error
+	AuditViolations() []string
+}
+
+// auditClause asserts dangsan's log-byte identity for one finished run. The
+// logger re-checks it at every ReleaseMeta and accumulates the failures, but
+// the identity is exact only while no Register races the walk (see
+// pointerlog/audit.go) — so while a program's threads run, a drift entry is
+// expected noise, on a different seed each time. A threaded run is therefore
+// held to the identity once, here, at the quiescent end (threads joined,
+// quarantine drained); a single-threaded run to every check it ever made.
+func auditClause(a auditSource, threaded bool) string {
+	if threaded {
+		if err := a.AuditCheck(); err != nil {
+			return fmt.Sprintf("audit violation at the quiescent end: %v", err)
+		}
+		return ""
+	}
+	if aud := a.AuditViolations(); len(aud) > 0 {
+		return fmt.Sprintf("audit violations: %v", aud)
+	}
+	return ""
+}
+
 // checkCounters verifies the detector-side accounting against the oracle:
 // exact invalidation counts per detector class, object tracking bounds, and
 // dangsan's audit-mode log-byte identity.
-func checkCounters(o *irgen.Oracle, sp Spec, ex *execution) []string {
+func checkCounters(o *irgen.Oracle, sp Spec, ex *execution, threaded bool) []string {
 	var msgs []string
 	fail := func(format string, a ...any) {
 		msgs = append(msgs, fmt.Sprintf(format, a...))
@@ -598,8 +628,8 @@ func checkCounters(o *irgen.Oracle, sp Spec, ex *execution) []string {
 			fail("dangsan degraded=%d dropped=%d without fault injection",
 				snap.DegradedObjects, snap.DroppedRegistrations)
 		}
-		if aud := ex.ds.AuditViolations(); len(aud) > 0 {
-			fail("audit violations: %v", aud)
+		if msg := auditClause(ex.audit, threaded); msg != "" {
+			fail("%s", msg)
 		}
 	case DetDangNull:
 		_, inv := ex.dn.Stats()

@@ -4,8 +4,9 @@ import "time"
 
 // Transport names for Config.Transport.
 const (
-	// TransportChan (also the "" default) keeps shard workers as
-	// goroutines in this process, reached over channels.
+	// TransportChan (also the "" default) keeps shard workers in this
+	// process; an op runs on its caller's goroutine under the worker's turn
+	// token.
 	TransportChan = "chan"
 	// TransportUnix runs each shard worker as its own OS process reached
 	// over a unix-domain socket.
@@ -38,24 +39,17 @@ func wireNetwork(name string) string {
 }
 
 // endpoint is the coordinator's handle on one shard worker, abstracting
-// over where the worker lives: a goroutine in this process reached over
-// channels (*worker) or a separate OS process reached over the wire codec
-// (*wireEndpoint). The supervision machinery — heartbeats, breakers,
-// retry, journal replay, failover — is written against this interface
-// only, so it cannot behave differently per transport.
+// over where the worker lives: in this process, run under its turn token on
+// the caller's goroutine (*worker), or a separate OS process reached over
+// the wire codec (*wireEndpoint). The supervision machinery — heartbeats,
+// breakers, retry, journal replay, failover — is written against this
+// interface only, so it cannot behave differently per transport.
 type endpoint interface {
-	// send routes one request under a deadline covering the full exchange.
-	// It never blocks past timeout, and every failure is one of the typed
-	// errors.
+	// send runs one request synchronously on the caller's goroutine under a
+	// deadline; every failure is one of the typed errors. Over the wire the
+	// deadline bounds the whole exchange; in-process it bounds every wait
+	// (the worker's turn, an injected slow/hang) but not the op itself.
 	send(req request, timeout time.Duration) response
-	// replay applies one request synchronously during a failover rebuild,
-	// before the endpoint serves client traffic (the rebuilding flag keeps
-	// clients away until the journal replay finishes).
-	replay(req request) response
-	// start opens the endpoint for traffic. For the in-process worker this
-	// launches the goroutine (replay must run first); process workers
-	// serve from the moment they are spawned, so it is a no-op there.
-	start()
 	// shutdown asks the worker to exit gracefully (close(stop) in-process,
 	// SIGTERM for a process). Idempotent.
 	shutdown()
@@ -65,7 +59,7 @@ type endpoint interface {
 	// close releases the worker's resources (spill file / cold dir /
 	// sockets). Only safe once doneCh has closed.
 	close()
-	// doneCh closes when the worker is dead — goroutine returned, or
+	// doneCh closes when the worker is dead — turn token retired, or
 	// process reaped.
 	doneCh() <-chan struct{}
 	// didPanic reports whether the worker died panicking.

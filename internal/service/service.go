@@ -43,8 +43,8 @@ type Config struct {
 	// Seed drives retry jitter and any other coordinator-side randomness.
 	Seed uint64
 
-	// RequestTimeout is the per-request deadline covering enqueue + reply.
-	// 0 defaults to 20ms.
+	// RequestTimeout is the per-request deadline (see endpoint.send for
+	// what it covers). 0 defaults to 20ms.
 	RequestTimeout time.Duration
 	// Retry bounds the transient-error retry loop (attempts AND wall-time).
 	Retry RetryPolicy
@@ -58,9 +58,9 @@ type Config struct {
 	// breaker (0: 5 failures / 25ms).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// FailoverDrain bounds how long failover waits for the old worker
-	// goroutine to exit before abandoning it (0: 500ms). Workers unblock
-	// on stop even when hung, so abandonment is the exception.
+	// FailoverDrain bounds how long failover waits for the old worker to
+	// die before abandoning it (0: 500ms). Workers unblock on stop even
+	// when hung, so abandonment is the exception.
 	FailoverDrain time.Duration
 	// SlowDelay is the injected per-request latency in shard-slow
 	// disruption mode (0: 25ms — comfortably past RequestTimeout).
@@ -71,15 +71,12 @@ type Config struct {
 	// ScratchSlots sizes each worker's scattered-pointer-store arena
 	// (0: 2048 slots).
 	ScratchSlots int
-	// QueueDepth is each worker's request queue capacity (0: 64).
-	QueueDepth int
 
 	// Transport selects how shard workers are reached: TransportChan ("",
-	// the default) keeps workers as goroutines in this process reached
-	// over channels; TransportUnix and TransportTCP run each worker as its
-	// own OS process reached over the wire codec in service/transport. The
-	// supervision envelope — heartbeats, breakers, retry, failover with
-	// journal replay — is identical either way.
+	// the default) keeps workers in this process; TransportUnix and
+	// TransportTCP run each as its own OS process reached over the wire
+	// codec in service/transport. The supervision envelope — heartbeats,
+	// breakers, retry, failover with journal replay — is identical.
 	Transport string
 	// WorkerCommand is the binary spawned per wire worker. Empty: the
 	// current executable is re-exec'd, which requires main (or TestMain)
@@ -128,9 +125,6 @@ func (c Config) normalized() Config {
 	}
 	if c.ScratchSlots <= 0 {
 		c.ScratchSlots = 2048
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
 	}
 	if c.QuarantineBytes > 0 && c.QuarantineEpoch <= 0 {
 		c.QuarantineEpoch = 16
@@ -230,11 +224,7 @@ func New(cfg Config) (*Service, error) {
 		if err != nil {
 			for _, sh := range s.shards {
 				old := sh.ep.Load().ep
-				old.shutdown()
-				if !waitClosed(old.doneCh(), cfg.FailoverDrain) {
-					old.kill()
-					waitClosed(old.doneCh(), cfg.FailoverDrain)
-				}
+				stopEndpoint(old, cfg.FailoverDrain)
 				old.close()
 			}
 			if s.ownWorkDir {
@@ -249,7 +239,6 @@ func New(cfg Config) (*Service, error) {
 		}
 		sh.lastBeat.Store(now)
 		sh.ep.Store(&epBox{ep: ep})
-		ep.start()
 		s.shards = append(s.shards, sh)
 	}
 	for _, sh := range s.shards {
@@ -367,6 +356,15 @@ func (s *Service) do(req request) (Verdict, error) {
 		time.Sleep(d)
 	}
 	s.degraded.Add(1)
+	if sh.rebuilding.Load() {
+		// Until the rebuild is done every answer for this shard is this
+		// one, and a closed-loop caller that gets it at once comes straight
+		// back, hundreds of thousands of times a second (DESIGN.md §12).
+		// Back off once, as after a transient error, before failing open.
+		if d := pol.delay(0, &s.rng); time.Now().Add(d).Before(deadline) {
+			time.Sleep(d)
+		}
+	}
 	return Verdict{Degraded: true}, nil
 }
 
@@ -644,16 +642,7 @@ func (s *Service) Close() {
 		// Serialize with any in-flight failover so we stop the final
 		// worker, not a mid-swap one.
 		sh.failMu.Lock()
-		ep := sh.ep.Load().ep
-		ep.shutdown()
-		exited := waitClosed(ep.doneCh(), s.cfg.FailoverDrain)
-		if !exited {
-			// Escalate — for process workers this is a real SIGKILL, so a
-			// hung worker process cannot outlive its coordinator.
-			ep.kill()
-			exited = waitClosed(ep.doneCh(), s.cfg.FailoverDrain)
-		}
-		if exited {
+		if ep := sh.ep.Load().ep; stopEndpoint(ep, s.cfg.FailoverDrain) {
 			ep.close()
 		} else {
 			s.abandoned.Add(1)
@@ -663,6 +652,19 @@ func (s *Service) Close() {
 	if s.ownWorkDir {
 		os.RemoveAll(s.workDir)
 	}
+}
+
+// stopEndpoint stops ep gracefully and, when it does not die within drain,
+// escalates to kill (a real SIGKILL for a process worker; the in-process
+// worker has no harder stop, so it just gets a second wait). False means ep
+// survived both.
+func stopEndpoint(ep endpoint, drain time.Duration) bool {
+	ep.shutdown()
+	if waitClosed(ep.doneCh(), drain) {
+		return true
+	}
+	ep.kill()
+	return waitClosed(ep.doneCh(), drain)
 }
 
 // waitClosed waits for ch to close, up to d. Returns false on timeout.

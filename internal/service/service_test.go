@@ -293,3 +293,36 @@ func TestServiceMetricsGauges(t *testing.T) {
 		}
 	}
 }
+
+// TestDegradedDuringRebuildBacksOffOnce: a request that finds its shard
+// mid-rebuild fails open after one backoff delay, not at once (a
+// closed-loop caller would otherwise spin on instant verdicts against the
+// rebuild that ends them); outside a rebuild, and when the wall-time cap
+// leaves no room, fail-open stays immediate.
+func TestDegradedDuringRebuildBacksOffOnce(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.HeartbeatInterval = time.Hour
+	cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: 40 * time.Millisecond, MaxDelay: 40 * time.Millisecond, MaxElapsed: time.Second}
+	s := mustNew(t, cfg)
+	sh := s.shards[0]
+	timeCheck := func() time.Duration {
+		start := time.Now()
+		if v, err := s.Check("t", 1); err != nil || !v.Degraded {
+			t.Fatalf("check: %+v %v, want degraded", v, err)
+		}
+		return time.Since(start)
+	}
+	sh.breaker.ForceOpen()
+	if d := timeCheck(); d >= 20*time.Millisecond {
+		t.Fatalf("open breaker, no rebuild: fail-open took %v, want immediate", d)
+	}
+	sh.rebuilding.Store(true)
+	if d := timeCheck(); d < 20*time.Millisecond || d > 2*time.Second {
+		t.Fatalf("mid-rebuild: fail-open took %v, want one backoff of 20..60ms", d)
+	}
+	s.cfg.Retry.MaxElapsed = 10 * time.Millisecond // no room for a 20ms+ sleep
+	if d := timeCheck(); d >= 20*time.Millisecond {
+		t.Fatalf("mid-rebuild with the wall-time cap exhausted: fail-open took %v, want immediate", d)
+	}
+	sh.rebuilding.Store(false)
+}

@@ -11,8 +11,8 @@ import (
 // probing precisely when requests are being rejected), feeds the results
 // into the breaker, and triggers failover after HeartbeatMisses
 // consecutive misses or as soon as the worker is seen dead. The loop is
-// transport-blind: a dead endpoint is a returned goroutine or a reaped
-// worker process, and a ping is a channel exchange or a wire round trip.
+// transport-blind: a dead endpoint is a retired turn token or a reaped
+// worker process, and a ping is a turn of the worker or a wire round trip.
 func (s *Service) supervise(sh *shardState) {
 	defer s.supWG.Done()
 	ticker := time.NewTicker(s.cfg.HeartbeatInterval)
@@ -68,11 +68,11 @@ func (s *Service) supervise(sh *shardState) {
 //     invalidation uses), counting the locations that survived on disk —
 //     for process workers this reads the per-incarnation cold dir the
 //     dead process left behind (workers never unlink their spill files);
-//  4. spawn a fresh endpoint (next incarnation — a new goroutine, or a
-//     new worker process with its own socket) and replay the journal
+//  4. spawn a fresh endpoint (next incarnation — a new in-process worker,
+//     or a new worker process with its own socket) and replay the journal
 //     synchronously — live keys as allocations, the freed window as
 //     allocation+free so quarantine custody is re-established — before
-//     the endpoint serves client traffic;
+//     the endpoint is published to client traffic;
 //  5. with audit armed, cross-check the rebuilt worker's accounting
 //     identity (LogBytes == live + quarantined + released + spilled); a
 //     violation here is a service-level invariant failure;
@@ -105,15 +105,7 @@ func (s *Service) failover(sh *shardState, reason string) {
 	defer sh.rebuilding.Store(false)
 	sh.breaker.ForceOpen()
 
-	old.shutdown()
-	exited := waitClosed(old.doneCh(), s.cfg.FailoverDrain)
-	if !exited {
-		// Graceful stop refused within the drain budget: escalate. For a
-		// worker process this is a real SIGKILL; the in-process worker has
-		// no harder stop, so this second wait is its last chance.
-		old.kill()
-		exited = waitClosed(old.doneCh(), s.cfg.FailoverDrain)
-	}
+	exited := stopEndpoint(old, s.cfg.FailoverDrain)
 	if old.didPanic() {
 		s.workerPanics.Add(1)
 	}
@@ -148,36 +140,36 @@ func (s *Service) failover(sh *shardState, reason string) {
 		return
 	}
 
-	// Replay the journal against the fresh endpoint before it serves
-	// client traffic (the rebuilding flag keeps them out). In-process this
-	// runs handle directly on this goroutine; over the wire each op is one
-	// round trip against an otherwise idle worker — either way the replay
-	// is strictly ordered and synchronous.
+	// Replay the journal against the fresh endpoint before it is published
+	// (nobody else can reach it yet, so every op finds the worker idle).
+	// In-process each op runs on this goroutine; over the wire each is one
+	// round trip — either way strictly ordered and synchronous, under a
+	// rebuild-sized budget.
 	live, freed := sh.journal.snapshot()
 	replayed := 0
-	for _, e := range live {
-		if resp := nep.replay(request{kind: opAlloc, key: e.key, size: e.size, stores: e.stores}); resp.err != nil {
+	budget := replayBudget(s.cfg.RequestTimeout)
+	replay := func(req request) bool {
+		if resp := nep.send(req, budget); resp.err != nil {
 			s.replayErrors.Add(1)
-		} else {
+			return false
+		}
+		return true
+	}
+	for _, e := range live {
+		if replay(request{kind: opAlloc, key: e.key, size: e.size, stores: e.stores}) {
 			replayed++
 		}
 	}
 	for _, e := range freed {
-		if resp := nep.replay(request{kind: opAlloc, key: e.key, size: e.size, stores: e.stores}); resp.err != nil {
-			s.replayErrors.Add(1)
-			continue
+		if replay(request{kind: opAlloc, key: e.key, size: e.size, stores: e.stores}) && replay(request{kind: opFree, key: e.key}) {
+			replayed++
 		}
-		if resp := nep.replay(request{kind: opFree, key: e.key}); resp.err != nil {
-			s.replayErrors.Add(1)
-			continue
-		}
-		replayed++
 	}
 	if s.cfg.Audit {
 		// A stats op triggers the logger's AuditCheck on the rebuilt
 		// worker; any violation means the rebuilt state broke the
 		// accounting identity.
-		resp := nep.replay(request{kind: opStats})
+		resp := nep.send(request{kind: opStats}, budget)
 		if resp.err != nil {
 			s.recordViolation("shard %d: post-rebuild audit unavailable: %v", sh.idx, resp.err)
 		} else if len(resp.audit) > 0 {
@@ -191,7 +183,6 @@ func (s *Service) failover(sh *shardState, reason string) {
 		old.close()
 	}
 
-	nep.start()
 	sh.ep.Store(&epBox{ep: nep})
 	sh.incarn.Add(1)
 	sh.breaker.Reset()

@@ -76,16 +76,19 @@ type Request struct {
 // reqPayloadBytes is the fixed request payload size.
 const reqPayloadBytes = 30
 
-// EncodeRequest packs a request payload (framing is the caller's job).
+// AppendRequest appends a request payload to dst (framing is the caller's
+// job).
+func AppendRequest(dst []byte, r Request) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, r.ID)
+	dst = append(dst, byte(r.Op), r.Mode)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Key)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Size)
+	return binary.LittleEndian.AppendUint32(dst, r.Stores)
+}
+
+// EncodeRequest packs a request payload into a fresh slice.
 func EncodeRequest(r Request) []byte {
-	b := make([]byte, reqPayloadBytes)
-	binary.LittleEndian.PutUint64(b[0:], r.ID)
-	b[8] = byte(r.Op)
-	b[9] = r.Mode
-	binary.LittleEndian.PutUint64(b[10:], r.Key)
-	binary.LittleEndian.PutUint64(b[18:], r.Size)
-	binary.LittleEndian.PutUint32(b[26:], r.Stores)
-	return b
+	return AppendRequest(make([]byte, 0, reqPayloadBytes), r)
 }
 
 // DecodeRequest parses a request payload, failing closed on any size or
@@ -163,9 +166,7 @@ func appendString(dst []byte, s string) []byte {
 	if len(s) > maxWireString {
 		s = s[:maxWireString]
 	}
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(s)))
-	dst = append(dst, l[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...)
 }
 
@@ -233,12 +234,9 @@ func (r *byteReader) str() string {
 	return string(b)
 }
 
-// EncodeResponse packs a response payload.
-func EncodeResponse(r Response) []byte {
-	b := make([]byte, 0, 64+len(r.StatsJSON))
-	var id [8]byte
-	binary.LittleEndian.PutUint64(id[:], r.ID)
-	b = append(b, id[:]...)
+// AppendResponse appends a response payload to dst.
+func AppendResponse(b []byte, r Response) []byte {
+	b = binary.LittleEndian.AppendUint64(b, r.ID)
 	var flags byte
 	if r.Known {
 		flags |= flagKnown
@@ -254,11 +252,13 @@ func EncodeResponse(r Response) []byte {
 	}
 	b = append(b, flags)
 	b = appendError(b, r.Err)
-	var sl [4]byte
-	binary.LittleEndian.PutUint32(sl[:], uint32(len(r.StatsJSON)))
-	b = append(b, sl[:]...)
-	b = append(b, r.StatsJSON...)
-	return b
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.StatsJSON)))
+	return append(b, r.StatsJSON...)
+}
+
+// EncodeResponse packs a response payload into a fresh slice.
+func EncodeResponse(r Response) []byte {
+	return AppendResponse(make([]byte, 0, 64+len(r.StatsJSON)), r)
 }
 
 // appendError encodes err's kind byte and kind-specific fields.
@@ -266,6 +266,7 @@ func appendError(b []byte, err error) []byte {
 	if err == nil {
 		return append(b, errNone)
 	}
+	le := binary.LittleEndian
 	var down *ShardDownError
 	var dl *DeadlineError
 	var closed *ClosedError
@@ -274,45 +275,25 @@ func appendError(b []byte, err error) []byte {
 	var fault *vmem.Fault
 	switch {
 	case errors.As(err, &down):
-		b = append(b, errShardDown)
-		var s [4]byte
-		binary.LittleEndian.PutUint32(s[:], uint32(down.Shard))
-		b = append(b, s[:]...)
+		b = le.AppendUint32(append(b, errShardDown), uint32(down.Shard))
 		b = appendString(b, down.Reason)
 	case errors.As(err, &dl):
-		b = append(b, errDeadline)
-		var s [4]byte
-		binary.LittleEndian.PutUint32(s[:], uint32(dl.Shard))
-		b = append(b, s[:]...)
+		b = le.AppendUint32(append(b, errDeadline), uint32(dl.Shard))
 		b = appendString(b, dl.Op)
-		var t [8]byte
-		binary.LittleEndian.PutUint64(t[:], uint64(dl.Timeout))
-		b = append(b, t[:]...)
+		b = le.AppendUint64(b, uint64(dl.Timeout))
 	case errors.As(err, &closed):
 		b = append(b, errClosed)
 	case errors.As(err, &oom):
-		b = append(b, errOOM)
-		var s [8]byte
-		binary.LittleEndian.PutUint64(s[:], oom.Size)
-		b = append(b, s[:]...)
+		b = le.AppendUint64(append(b, errOOM), oom.Size)
 	case errors.As(err, &ex):
-		b = append(b, errExhausted)
-		b = appendString(b, ex.Resource)
-		var t [4]byte
-		binary.LittleEndian.PutUint32(t[:], uint32(ex.Tid))
-		b = append(b, t[:]...)
-		var s [8]byte
-		binary.LittleEndian.PutUint64(s[:], ex.Size)
-		b = append(b, s[:]...)
+		b = appendString(append(b, errExhausted), ex.Resource)
+		b = le.AppendUint32(b, uint32(ex.Tid))
+		b = le.AppendUint64(b, ex.Size)
 	case errors.As(err, &fault):
-		b = append(b, errFault)
-		var a [8]byte
-		binary.LittleEndian.PutUint64(a[:], fault.Addr)
-		b = append(b, a[:]...)
+		b = le.AppendUint64(append(b, errFault), fault.Addr)
 		b = append(b, byte(fault.Kind))
 	default:
-		b = append(b, errOpaque)
-		b = appendString(b, err.Error())
+		b = appendString(append(b, errOpaque), err.Error())
 	}
 	return b
 }

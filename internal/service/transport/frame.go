@@ -52,16 +52,27 @@ func fnv1a(b []byte) uint32 {
 	return h
 }
 
+// frameHeaderSpace reserves a header in front of a payload built in place.
+var frameHeaderSpace [FrameHeaderBytes]byte
+
+// sealFrame writes the header of the frame that occupies all of frame —
+// header space first, payload behind it — and returns frame.
+func sealFrame(frame []byte, typ byte) []byte {
+	payload := frame[FrameHeaderBytes:]
+	binary.LittleEndian.PutUint32(frame[0:], FrameMagic)
+	frame[4] = typ
+	binary.LittleEndian.PutUint32(frame[8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[12:], fnv1a(payload))
+	return frame
+}
+
 // AppendFrame appends one framed message to dst and returns the extended
 // slice.
 func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
-	var hdr [FrameHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:], FrameMagic)
-	hdr[4] = typ
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[12:], fnv1a(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	off := len(dst)
+	dst = append(append(dst, frameHeaderSpace[:]...), payload...)
+	sealFrame(dst[off:], typ)
+	return dst
 }
 
 // validateHeader checks the fixed fields of a frame header and returns the
@@ -84,23 +95,41 @@ func validateHeader(hdr []byte) (typ byte, payloadLen int, err error) {
 	return typ, int(n), nil
 }
 
-// ReadFrame reads exactly one frame from r. Validation failures return a
-// *FrameError; I/O failures (including deadline expiry) return the
-// underlying error untouched so the caller can classify them.
+// ReadFrame reads exactly one frame from r into a fresh buffer. Validation
+// failures return a *FrameError; I/O failures (including deadline expiry)
+// return the underlying error untouched so the caller can classify them.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [FrameHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var buf []byte
+	return ReadFrameInto(r, &buf)
+}
+
+// ReadFrameInto is ReadFrame into a caller-owned buffer: *buf holds header
+// and payload, grows when a frame needs more (only after the declared
+// length passed the cap), and is reused by the next call — the returned
+// payload aliases it and is valid only until then.
+func ReadFrameInto(r io.Reader, buf *[]byte) (typ byte, payload []byte, err error) {
+	b := *buf
+	if cap(b) < FrameHeaderBytes {
+		b = make([]byte, FrameHeaderBytes, 128)
+	}
+	b = b[:FrameHeaderBytes]
+	if _, err := io.ReadFull(r, b); err != nil {
 		return 0, nil, err
 	}
-	typ, n, err := validateHeader(hdr[:])
+	typ, n, err := validateHeader(b)
 	if err != nil {
 		return 0, nil, err
 	}
-	payload = make([]byte, n)
+	if cap(b) < FrameHeaderBytes+n {
+		b = append(make([]byte, 0, FrameHeaderBytes+n), b...)
+	}
+	b = b[:FrameHeaderBytes+n]
+	*buf = b
+	payload = b[FrameHeaderBytes:]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	if fnv1a(payload) != binary.LittleEndian.Uint32(hdr[12:]) {
+	if fnv1a(payload) != binary.LittleEndian.Uint32(b[12:]) {
 		return 0, nil, &FrameError{Reason: "checksum mismatch"}
 	}
 	return typ, payload, nil

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"net"
 	"sync"
 )
@@ -12,8 +13,8 @@ type Handler func(Request) Response
 
 // Server accepts connections and serves frames to a Handler. One
 // goroutine per connection; the worker's own single-threaded discipline
-// lives behind the handler (requests funnel into the worker's queue), so
-// concurrent connections cannot break it.
+// lives behind the handler (every request takes the worker's turn token),
+// so concurrent connections cannot break it.
 type Server struct {
 	l net.Listener
 	h Handler
@@ -88,9 +89,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	var scratch []byte
+	// One buffered read per frame, per-connection buffers: no garbage per op.
+	br := bufio.NewReader(conn)
+	var rbuf, wbuf []byte
 	for {
-		typ, payload, err := ReadFrame(conn)
+		typ, payload, err := ReadFrameInto(br, &rbuf)
 		if err != nil {
 			return
 		}
@@ -103,8 +106,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		resp := s.h(req)
 		resp.ID = req.ID
-		scratch = AppendFrame(scratch[:0], FrameResponse, EncodeResponse(resp))
-		if _, err := conn.Write(scratch); err != nil {
+		wbuf = sealFrame(AppendResponse(append(wbuf[:0], frameHeaderSpace[:]...), resp), FrameResponse)
+		if _, err := conn.Write(wbuf); err != nil {
 			return
 		}
 	}

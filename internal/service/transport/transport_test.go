@@ -299,3 +299,57 @@ func TestServerSurvivesGarbageConnections(t *testing.T) {
 		t.Fatalf("server stopped serving after garbage: %v", err)
 	}
 }
+
+// TestAppendCodecMatchesEncodeAndReusesBuffers: the append-style encoders
+// produce the Encode* bytes behind whatever dst already holds, a frame
+// built in place equals AppendFrame over a separate payload, and a
+// ReadFrameInto round trip through reused buffers allocates nothing.
+func TestAppendCodecMatchesEncodeAndReusesBuffers(t *testing.T) {
+	req := Request{ID: 9, Op: OpAlloc, Key: 0xabcdef, Size: 640, Stores: 12}
+	resp := Response{ID: 9, Known: true, Freed: true, Err: &DeadlineError{Shard: 1, Op: "alloc", Timeout: time.Second}}
+	prefix := []byte("prefix")
+	if got := AppendRequest(append([]byte(nil), prefix...), req); !bytes.Equal(got, append(append([]byte(nil), prefix...), EncodeRequest(req)...)) {
+		t.Fatalf("AppendRequest != prefix + EncodeRequest: %x", got)
+	}
+	if got := AppendResponse(append([]byte(nil), prefix...), resp); !bytes.Equal(got, append(append([]byte(nil), prefix...), EncodeResponse(resp)...)) {
+		t.Fatalf("AppendResponse != prefix + EncodeResponse: %x", got)
+	}
+	inPlace := func(r Response) []byte {
+		return sealFrame(AppendResponse(append([]byte(nil), frameHeaderSpace[:]...), r), FrameResponse)
+	}
+	if got, want := inPlace(resp), AppendFrame(nil, FrameResponse, EncodeResponse(resp)); !bytes.Equal(got, want) {
+		t.Fatalf("in-place response frame %x, want %x", got, want)
+	}
+
+	var wbuf, rbuf []byte
+	var rd bytes.Reader
+	ok := Response{ID: 9, Known: true}
+	roundTrip := func() {
+		wbuf = sealFrame(AppendResponse(append(wbuf[:0], frameHeaderSpace[:]...), ok), FrameResponse)
+		rd.Reset(wbuf)
+		typ, payload, err := ReadFrameInto(&rd, &rbuf)
+		if err != nil || typ != FrameResponse {
+			t.Fatalf("ReadFrameInto: typ %d err %v", typ, err)
+		}
+		if got, err := DecodeResponse(payload); err != nil || got.ID != ok.ID || !got.Known || got.Err != nil {
+			t.Fatalf("round trip: %+v %v", got, err)
+		}
+	}
+	roundTrip() // sizes the buffers
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Fatalf("%v allocs per framed round trip through reused buffers, want 0", allocs)
+	}
+
+	// A frame larger than the buffer grows it; the next small frame still
+	// fits and the payload of the big one was intact.
+	big := Response{ID: 1, StatsJSON: bytes.Repeat([]byte("s"), 10000)}
+	rd.Reset(inPlace(big))
+	_, payload, err := ReadFrameInto(&rd, &rbuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeResponse(payload); err != nil || !bytes.Equal(got.StatsJSON, big.StatsJSON) {
+		t.Fatalf("grown-buffer frame: %v", err)
+	}
+	roundTrip()
+}

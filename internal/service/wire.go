@@ -19,12 +19,6 @@ import (
 	"dangsan/internal/service/transport"
 )
 
-// wireClientConns is the per-endpoint connection pool size: enough that
-// concurrent client streams and the supervisor's heartbeat don't all
-// serialize behind one in-flight exchange, small enough to stay
-// negligible per worker.
-const wireClientConns = 4
-
 // readyTimeout bounds the spawn handshake: a worker that cannot print
 // READY within this is broken, not slow.
 const readyTimeout = 10 * time.Second
@@ -40,9 +34,8 @@ type wireEndpoint struct {
 	network     string
 	addr        string
 
-	cmd     *exec.Cmd
-	clients [wireClientConns]*transport.Client
-	next    atomic.Uint64
+	cmd    *exec.Cmd
+	client *transport.Client
 
 	coldDir string
 
@@ -53,7 +46,7 @@ type wireEndpoint struct {
 	killOnce  sync.Once
 	closeOnce sync.Once
 
-	replayTimeout time.Duration
+	disruptTimeout time.Duration
 }
 
 // replayBudget sizes the per-op deadline for failover replay and other
@@ -104,7 +97,6 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 		SlowDelayNS:      int64(cfg.SlowDelay),
 		FreedWindow:      cfg.FreedWindow,
 		ScratchSlots:     cfg.ScratchSlots,
-		QueueDepth:       cfg.QueueDepth,
 	}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
@@ -130,14 +122,14 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 		return nil, fmt.Errorf("service: spawn worker: %w", err)
 	}
 	ep := &wireEndpoint{
-		shard:         shard,
-		incarnation:   incarn,
-		network:       network,
-		addr:          addr,
-		cmd:           cmd,
-		coldDir:       coldDir,
-		done:          make(chan struct{}),
-		replayTimeout: replayBudget(cfg.RequestTimeout),
+		shard:          shard,
+		incarnation:    incarn,
+		network:        network,
+		addr:           addr,
+		cmd:            cmd,
+		coldDir:        coldDir,
+		done:           make(chan struct{}),
+		disruptTimeout: replayBudget(cfg.RequestTimeout),
 	}
 	ep.exitCode.Store(-1)
 
@@ -178,51 +170,19 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 		ep.cleanupFiles()
 		return nil, &ShardDownError{Shard: shard, Reason: "worker READY handshake timed out"}
 	}
-	for i := range ep.clients {
-		ep.clients[i] = transport.NewClient(network, ep.addr, shard)
-	}
+	ep.client = transport.NewClient(network, ep.addr, shard)
 	return ep, nil
 }
 
-// pick round-robins the connection pool.
-func (ep *wireEndpoint) pick() *transport.Client {
-	return ep.clients[ep.next.Add(1)%wireClientConns]
-}
-
-// send maps one request onto one wire exchange. A local timer guards the
-// strict never-block-past-timeout contract: exchanges on one pooled
-// connection serialize, so a request queued behind a hung one must still
-// surface its own DeadlineError on time — the abandoned exchange finishes
-// against its socket deadline in the background and is discarded (the
-// response-ID echo makes a late reply impossible to misattribute).
+// send is one wire exchange on the caller's goroutine. The client's pool
+// gives every exchange a connection of its own, so a request never waits
+// behind a hung one and the socket deadline alone bounds it.
 func (ep *wireEndpoint) send(req request, timeout time.Duration) response {
-	select {
-	case <-ep.done:
-		return response{err: &ShardDownError{Shard: ep.shard, Reason: "worker process exited"}}
-	default:
+	tr, err := ep.client.Do(transport.Request{Op: wireOp(req.kind), Key: req.key, Size: req.size, Stores: uint32(req.stores)}, timeout)
+	if err != nil {
+		return response{err: err}
 	}
-	c := ep.pick()
-	treq := transport.Request{Op: wireOp(req.kind), Key: req.key, Size: req.size, Stores: uint32(req.stores)}
-	type result struct {
-		resp transport.Response
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		r, err := c.Do(treq, timeout)
-		ch <- result{resp: r, err: err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return response{err: r.err}
-		}
-		return ep.decode(req.kind, r.resp)
-	case <-timer.C:
-		return response{err: &DeadlineError{Shard: ep.shard, Op: req.kind.String(), Timeout: timeout}}
-	}
+	return ep.decode(req.kind, tr)
 }
 
 // decode maps a wire response back onto the coordinator's response struct,
@@ -242,16 +202,6 @@ func (ep *wireEndpoint) decode(kind opKind, tr transport.Response) response {
 	}
 	return resp
 }
-
-// replay during failover is an ordinary wire exchange with a rebuild-sized
-// budget; the rebuilding flag keeps client traffic away, so the remote
-// queue is empty and each op is one clean round trip.
-func (ep *wireEndpoint) replay(req request) response {
-	return ep.send(req, ep.replayTimeout)
-}
-
-// start is a no-op: a process worker serves from the moment it is spawned.
-func (ep *wireEndpoint) start() {}
 
 // shutdown asks the worker process to exit gracefully.
 func (ep *wireEndpoint) shutdown() {
@@ -293,33 +243,30 @@ func (ep *wireEndpoint) coldPath() string {
 }
 
 // disrupt injects a failure mode. sigkill is delivered as a real signal;
-// network faults are armed locally on every pooled connection (one-shot
-// each, so the next few exchanges hit a partition/trickle/garbage wire);
-// the queue-observed modes travel as an OpDisrupt exchange, which the
-// worker process applies outside its queue (so it lands even when hung).
+// network faults are armed locally on the client (one-shot: the next
+// exchange hits a partition/trickle/garbage wire); the worker-observed
+// modes travel as an OpDisrupt exchange, which the worker process applies
+// without taking its turn token (so it lands even when hung).
 func (ep *wireEndpoint) disrupt(m disruptMode) error {
 	switch m {
 	case disruptSigKill:
 		ep.kill()
 		return nil
-	case disruptNetPartition, disruptNetTrickle, disruptNetGarbage:
-		f := transport.NetPartition
-		switch m {
-		case disruptNetTrickle:
-			f = transport.NetTrickle
-		case disruptNetGarbage:
-			f = transport.NetGarbage
-		}
-		for _, c := range ep.clients {
-			c.InjectNetFault(f)
-		}
+	case disruptNetPartition:
+		ep.client.InjectNetFault(transport.NetPartition)
+		return nil
+	case disruptNetTrickle:
+		ep.client.InjectNetFault(transport.NetTrickle)
+		return nil
+	case disruptNetGarbage:
+		ep.client.InjectNetFault(transport.NetGarbage)
 		return nil
 	}
 	code, ok := wireDisruptCode(m)
 	if !ok {
 		return fmt.Errorf("service: disruption %d has no wire form", m)
 	}
-	resp, err := ep.pick().Do(transport.Request{Op: transport.OpDisrupt, Mode: code}, ep.replayTimeout)
+	resp, err := ep.client.Do(transport.Request{Op: transport.OpDisrupt, Mode: code}, ep.disruptTimeout)
 	if err != nil {
 		return err
 	}
@@ -338,11 +285,7 @@ func (ep *wireEndpoint) close() {
 			ep.kill()
 			waitClosed(ep.done, 2*time.Second)
 		}
-		for _, c := range ep.clients {
-			if c != nil {
-				c.Close()
-			}
-		}
+		ep.client.Close()
 		ep.cleanupFiles()
 	})
 }

@@ -61,13 +61,12 @@ type Verdict struct {
 	Degraded bool
 }
 
-// request is one message on a worker's queue.
+// request is one op for a worker.
 type request struct {
 	kind   opKind
 	key    uint64
 	size   uint64
 	stores int
-	resp   chan response
 }
 
 // response carries the worker's answer. err is always one of the typed
@@ -88,10 +87,11 @@ type disruptMode int32
 
 const (
 	disruptNone disruptMode = iota
-	// disruptSlow: every request takes SlowDelay before being served.
+	// disruptSlow: every request waits SlowDelay before being served, or
+	// gives up at its deadline, unapplied.
 	disruptSlow
-	// disruptHang: the worker blocks on its next request and never
-	// replies; only the supervisor's stop (failover) releases it.
+	// disruptHang: no request is ever served; each caller holds the turn
+	// until its deadline or the supervisor's stop (failover).
 	disruptHang
 	// disruptKill: the worker exits on its next request without replying —
 	// a crash, from the coordinator's perspective.
@@ -102,7 +102,7 @@ const (
 	disruptKillAfter
 	// disruptSigKill: the worker dies immediately, not on its next
 	// request. For a process worker this is a real SIGKILL; the in-process
-	// analog stops the goroutine on the spot.
+	// analog stops the worker as soon as the turn is free.
 	disruptSigKill
 	// Network faults (wire transports only): one-shot disruptions of the
 	// coordinator→worker connections themselves — the worker is healthy,
@@ -125,11 +125,12 @@ type keyRec struct {
 }
 
 // worker owns one shard: an isolated address space, allocator, shadow
-// table, pointer log, and detector, driven by a single goroutine so the
-// audit identity is exact (all detector work, including synchronous
-// quarantine drains, happens on this goroutine). Clients never touch the
-// worker directly — the coordinator routes requests over reqCh with
-// deadlines, and the supervisor owns stop/done.
+// table, pointer log, and detector. There is no worker goroutine: send
+// takes the 1-slot turn token and runs the op on its caller's goroutine, so
+// whoever holds the token IS the worker and the audit identity stays exact
+// (all detector work, synchronous quarantine drains included, happens under
+// the token). The supervisor owns stop; done closes once the worker is dead
+// — stopped, killed or panicked — and the token is retired with it.
 type worker struct {
 	shard       int
 	incarnation int
@@ -139,7 +140,7 @@ type worker struct {
 	th    *proc.Thread
 	plane *faultinject.Plane
 
-	reqCh    chan request
+	turn     chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
@@ -156,9 +157,8 @@ type worker struct {
 	scratchSlots uint64
 }
 
-// newWorker builds a shard worker with a fresh isolated stack. The worker
-// goroutine is NOT started — failover replays the journal through direct
-// handle calls first, then calls start.
+// newWorker builds a shard worker with a fresh isolated stack, serving at
+// once; failover replays the journal into it before publishing it.
 func newWorker(shard, incarnation int, cfg Config) (*worker, error) {
 	var plane *faultinject.Plane
 	if cfg.FaultRate > 0 {
@@ -191,7 +191,7 @@ func newWorker(shard, incarnation int, cfg Config) (*worker, error) {
 		det:          det,
 		th:           p.NewThread(),
 		plane:        plane,
-		reqCh:        make(chan request, cfg.QueueDepth),
+		turn:         make(chan struct{}, 1),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 		slowDelay:    cfg.SlowDelay,
@@ -208,11 +208,31 @@ func newWorker(shard, incarnation int, cfg Config) (*worker, error) {
 	return w, nil
 }
 
-// start launches the worker loop. Called exactly once, after any replay.
-func (w *worker) start() { go w.run() }
+// shutdown stops the worker: no later request is served, and done closes
+// as soon as the turn is free. Safe to call repeatedly.
+func (w *worker) shutdown() {
+	w.stopOnce.Do(func() {
+		close(w.stop)
+		w.retireIfStopped()
+	})
+}
 
-// shutdown asks the worker loop to exit; safe to call repeatedly.
-func (w *worker) shutdown() { w.stopOnce.Do(func() { close(w.stop) }) }
+// retireIfStopped closes done once the worker is stopped and nobody holds
+// the turn, by taking the token for good. shutdown calls it after closing
+// stop and every holder after giving the token back, so whichever comes
+// last finds the token free; it is never released again, so done closes
+// exactly once and nothing runs in the worker after it.
+func (w *worker) retireIfStopped() {
+	select {
+	case <-w.stop:
+		select {
+		case w.turn <- struct{}{}:
+			close(w.done)
+		default:
+		}
+	default:
+	}
+}
 
 // coldPath returns the worker's spill file location ("" if the cold tier
 // never spilled).
@@ -220,75 +240,81 @@ func (w *worker) coldPath() string {
 	return w.det.Logger().ColdLogStats().Path
 }
 
-func (w *worker) run() {
-	defer close(w.done)
+// send runs one request on the caller's goroutine once the turn token is
+// free. The deadline covers the wait for the token and any injected
+// slow/hang delay, not handle itself; every failure is typed.
+func (w *worker) send(req request, timeout time.Duration) (resp response) {
+	var timer *time.Timer // armed only when something has to be waited for
+	select {
+	case w.turn <- struct{}{}:
+	default:
+		timer = time.NewTimer(timeout)
+		defer timer.Stop()
+		select {
+		case w.turn <- struct{}{}:
+		case <-w.done:
+			return response{err: &ShardDownError{Shard: w.shard, Reason: "worker exited"}}
+		case <-timer.C:
+			return response{err: &DeadlineError{Shard: w.shard, Op: req.kind.String(), Timeout: timeout}}
+		}
+	}
+	died := false
 	defer func() {
 		if r := recover(); r != nil {
 			// A worker panic must never take the process down: record it
-			// and exit; the supervisor notices done and rebuilds the
-			// shard. The panic value is intentionally not re-raised.
+			// and die; the supervisor notices done and rebuilds the shard.
+			// The panic value is intentionally not re-raised.
 			w.panicked.Store(true)
+			died = true
+			resp = response{err: &ShardDownError{Shard: w.shard, Reason: "worker panicked"}}
 		}
-	}()
-	for {
-		select {
-		case <-w.stop:
+		if died {
+			close(w.done) // the token dies with the worker: never released
 			return
-		case req := <-w.reqCh:
-			switch disruptMode(w.mode.Load()) {
-			case disruptSlow:
-				t := time.NewTimer(w.slowDelay)
-				select {
-				case <-t.C:
-				case <-w.stop:
-					t.Stop()
-					return
-				}
-			case disruptHang:
-				// Never reply; hold the goroutine until failover stops us.
-				<-w.stop
-				return
-			case disruptKill:
-				// Crash: exit without replying.
-				return
-			case disruptKillAfter:
-				// Apply, then crash before the reply: the mutation is real
-				// but never confirmed — absent from the journal, invisible
-				// to the client. Crash-consistency tests live here.
-				w.handle(req)
-				return
-			}
-			req.resp <- w.handle(req)
+		}
+		<-w.turn
+		w.retireIfStopped()
+	}()
+
+	mode := disruptMode(w.mode.Load())
+	if mode == disruptSlow || mode == disruptHang {
+		if timer == nil {
+			timer = time.NewTimer(timeout)
+			defer timer.Stop()
+		}
+		var slow <-chan time.Time // nil in hang mode: never fires
+		if mode == disruptSlow {
+			st := time.NewTimer(w.slowDelay)
+			defer st.Stop()
+			slow = st.C
+		}
+		select {
+		case <-slow:
+		case <-timer.C:
+			// The caller gave up first: the op is NOT applied.
+			return response{err: &DeadlineError{Shard: w.shard, Op: req.kind.String(), Timeout: timeout}}
+		case <-w.stop:
 		}
 	}
-}
-
-// send routes one request with a deadline covering both the enqueue and
-// the reply. Every failure is typed; send never blocks past timeout.
-func (w *worker) send(req request, timeout time.Duration) response {
-	req.resp = make(chan response, 1)
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
 	select {
-	case w.reqCh <- req:
-	case <-w.done:
-		return response{err: &ShardDownError{Shard: w.shard, Reason: "worker exited"}}
-	case <-timer.C:
-		return response{err: &DeadlineError{Shard: w.shard, Op: req.kind.String(), Timeout: timeout}}
+	case <-w.stop:
+		return response{err: &ShardDownError{Shard: w.shard, Reason: "worker stopped"}}
+	default:
 	}
-	select {
-	case resp := <-req.resp:
-		return resp
-	case <-w.done:
+	if mode == disruptKill || mode == disruptKillAfter {
+		if mode == disruptKillAfter {
+			// Apply, then crash before the reply: the mutation is real but
+			// never confirmed — absent from the journal, invisible to the
+			// client. Crash-consistency tests live here.
+			w.handle(req)
+		}
+		died = true
 		return response{err: &ShardDownError{Shard: w.shard, Reason: "worker exited mid-request"}}
-	case <-timer.C:
-		return response{err: &DeadlineError{Shard: w.shard, Op: req.kind.String(), Timeout: timeout}}
 	}
+	return w.handle(req)
 }
 
-// handle executes one request on the worker goroutine (or, during replay,
-// on the failover goroutine before the loop starts — the worker is
-// unreachable then, so single-threadedness holds either way).
+// handle executes one request. Only send calls it, holding the turn token.
 func (w *worker) handle(req request) response {
 	switch req.kind {
 	case opAlloc:
@@ -428,19 +454,14 @@ func (w *worker) dropFreed(key uint64) {
 }
 
 // close releases the worker's detector resources (the cold spill file).
-// Only safe after the loop has exited; an abandoned (hung) worker is
-// deliberately never closed.
+// Only safe after done has closed; an abandoned worker (a turn that never
+// came free) is deliberately never closed.
 func (w *worker) close() { w.det.Close() }
 
 // The remaining endpoint methods: the in-process worker IS the channel
 // transport's endpoint.
 
-// replay applies one request on the caller's goroutine — failover runs it
-// before start, when the worker is unreachable, so the single-threaded
-// contract holds.
-func (w *worker) replay(req request) response { return w.handle(req) }
-
-// kill has nothing harder than shutdown for a goroutine.
+// kill has nothing harder than shutdown for an in-process worker.
 func (w *worker) kill() { w.shutdown() }
 
 func (w *worker) doneCh() <-chan struct{} { return w.done }
@@ -450,12 +471,13 @@ func (w *worker) didPanic() bool { return w.panicked.Load() }
 func (w *worker) incarnationID() int { return w.incarnation }
 
 // disrupt injects a failure mode. Mode changes are a bare atomic store —
-// they must land even when the worker is hung or its queue is full.
+// they must land even when the worker is hung or its turn is taken.
 func (w *worker) disrupt(m disruptMode) error {
 	switch m {
 	case disruptSigKill:
-		// Immediate death, the in-process analog of SIGKILL: the goroutine
-		// unblocks on stop and exits now, not on its next request.
+		// The in-process analog of SIGKILL: a holder waiting out a
+		// slow/hang unblocks on stop, and the worker is dead as soon as
+		// the turn is free — not on its next request.
 		w.shutdown()
 		return nil
 	case disruptNetPartition, disruptNetTrickle, disruptNetGarbage:

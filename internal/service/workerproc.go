@@ -26,7 +26,7 @@ const workerReadyPrefix = "DANGSAN-WORKER READY "
 
 // Worker process exit codes. Graceful (SIGTERM-initiated) exit is 0.
 const (
-	workerExitPanic = 3   // the worker goroutine died panicking
+	workerExitPanic = 3   // the worker died panicking
 	workerExitKill  = 137 // kill/killafter disruption (mirrors SIGKILL's shell code)
 )
 
@@ -51,7 +51,6 @@ type WorkerSpec struct {
 	SlowDelayNS      int64   `json:"slow_delay_ns,omitempty"`
 	FreedWindow      int     `json:"freed_window,omitempty"`
 	ScratchSlots     int     `json:"scratch_slots,omitempty"`
-	QueueDepth       int     `json:"queue_depth,omitempty"`
 }
 
 // config converts the spec into the worker-relevant Config subset.
@@ -70,7 +69,6 @@ func (sp WorkerSpec) config() Config {
 		SlowDelay:        time.Duration(sp.SlowDelayNS),
 		FreedWindow:      sp.FreedWindow,
 		ScratchSlots:     sp.ScratchSlots,
-		QueueDepth:       sp.QueueDepth,
 	}.normalized()
 }
 
@@ -104,7 +102,6 @@ func RunWorkerProcess(specJSON string) int {
 		fmt.Fprintf(os.Stderr, "dangsan-worker: shard %d: %v\n", spec.Shard, err)
 		return 2
 	}
-	w.start()
 
 	l, err := net.Listen(spec.Network, spec.Addr)
 	if err != nil {
@@ -135,32 +132,26 @@ func RunWorkerProcess(specJSON string) int {
 	case w.panicked.Load():
 		return workerExitPanic
 	default:
-		// The worker loop exited without being asked: a kill/killafter
-		// disruption (or sigkill raced a request). Die with the crash code
-		// so the coordinator's supervisor sees a dead process, not a
-		// graceful exit.
+		// The worker died without being asked: a kill/killafter
+		// disruption. Die with the crash code so the coordinator's
+		// supervisor sees a dead process, not a graceful exit.
 		return workerExitKill
 	}
 }
 
-// workerHandler adapts the wire vocabulary onto the worker queue. The
-// server runs it from per-connection goroutines, but requests still funnel
-// through the single worker goroutine, so the single-threaded audit
-// discipline is untouched. Deadlines are client-side (mapped onto socket
-// deadlines), so the queue send uses an effectively-infinite budget — a
-// hung worker means an unanswered frame, which is exactly the contract.
+// workerHandler adapts the wire vocabulary onto worker.send. The server
+// runs it from per-connection goroutines, but every request takes the
+// worker's turn token, so the single-threaded audit discipline is
+// untouched. Deadlines are client-side (mapped onto socket deadlines), so
+// send gets an effectively-infinite budget — a hung worker means an
+// unanswered frame, which is exactly the contract.
 func workerHandler(w *worker) transport.Handler {
 	const serverSendBudget = time.Hour
 	return func(treq transport.Request) transport.Response {
 		if treq.Op == transport.OpDisrupt {
-			// Mode changes bypass the queue exactly like the in-process
-			// Disrupt path: a bare atomic store that lands even when the
-			// worker is hung.
-			if treq.Mode == transport.DisruptNone {
-				w.mode.Store(int32(disruptNone))
-			} else {
-				w.mode.Store(int32(wireDisruptMode(treq.Mode)))
-			}
+			// Mode changes bypass the turn token like the in-process
+			// Disrupt path: a bare atomic store, lands even when hung.
+			w.mode.Store(int32(wireDisruptMode(treq.Mode)))
 			return transport.Response{}
 		}
 		kind, ok := serviceOp(treq.Op)
@@ -168,6 +159,13 @@ func workerHandler(w *worker) transport.Handler {
 			return transport.Response{Err: &transport.OpaqueError{Msg: fmt.Sprintf("unserviceable op %d", treq.Op)}}
 		}
 		resp := w.send(request{kind: kind, key: treq.Key, size: treq.Size, stores: int(treq.Stores)}, serverSendBudget)
+		select {
+		case <-w.done:
+			// The worker died under this request: a crashed process never
+			// replies. Park; the exiting process drops the connection.
+			select {}
+		default:
+		}
 		out := transport.Response{
 			Known:    resp.verdict.Known,
 			Freed:    resp.verdict.Freed,
@@ -187,7 +185,7 @@ func workerHandler(w *worker) transport.Handler {
 	}
 }
 
-// serviceOp maps a wire op onto the worker queue vocabulary.
+// serviceOp maps a wire op onto the worker's op vocabulary.
 func serviceOp(op transport.Op) (opKind, bool) {
 	switch op {
 	case transport.OpAlloc:
