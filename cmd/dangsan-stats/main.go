@@ -167,7 +167,9 @@ func printService(path string) {
 	fmt.Printf("  heartbeat miss:  %d\n", g["service.heartbeat_misses"])
 	fmt.Printf("  worker panics:   %d\n", g["service.worker_panics"])
 	fmt.Printf("  breaker trips:   %d\n", g["service.breaker_trips"])
-	fmt.Printf("  %-6s %-10s %-12s %-10s\n", "shard", "breaker", "hb age", "failovers")
+	// turn contended/parked: sends that found the shard's turn taken, and
+	// those of them that outlasted the poll budget (in-process workers).
+	fmt.Printf("  %-6s %-10s %-12s %-10s %-15s %-12s\n", "shard", "breaker", "hb age", "failovers", "turn contended", "turn parked")
 	breakerNames := []string{"closed", "open", "half-open"}
 	for i := 0; ; i++ {
 		state, ok := g[fmt.Sprintf("service.shard%d.breaker_state", i)]
@@ -178,9 +180,11 @@ func printService(path string) {
 		if state >= 0 && int(state) < len(breakerNames) {
 			name = breakerNames[state]
 		}
-		fmt.Printf("  %-6d %-10s %-12s %-10d\n", i, name,
+		fmt.Printf("  %-6d %-10s %-12s %-10d %-15d %-12d\n", i, name,
 			fmt.Sprintf("%dms", g[fmt.Sprintf("service.shard%d.heartbeat_age_ms", i)]),
-			g[fmt.Sprintf("service.shard%d.failovers", i)])
+			g[fmt.Sprintf("service.shard%d.failovers", i)],
+			g[fmt.Sprintf("service.shard%d.turn_contended", i)],
+			g[fmt.Sprintf("service.shard%d.turn_parked", i)])
 	}
 }
 

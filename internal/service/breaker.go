@@ -2,6 +2,7 @@ package service
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -42,7 +43,13 @@ func (s BreakerState) String() string {
 // generation token, and every trip invalidates outstanding tokens — a
 // stale probe's success must NOT close a breaker that tripped after the
 // probe was admitted.
+//
+// healthy mirrors "closed, no failures counted" — every op on a healthy
+// shard: Allow and Record(true) answer from it with one atomic load. All
+// transitions happen under mu and republish it (unlock), so a fast-path call
+// linearizes just before the transition that cleared it.
 type Breaker struct {
+	healthy   atomic.Bool
 	mu        sync.Mutex
 	state     BreakerState
 	failures  int // consecutive failures while closed
@@ -64,15 +71,26 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	if cooldown <= 0 {
 		cooldown = 50 * time.Millisecond
 	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
+	b := &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
+	b.healthy.Store(true)
+	return b
+}
+
+// unlock publishes healthy and releases mu; every mutator leaves through it.
+func (b *Breaker) unlock() {
+	b.healthy.Store(b.state == BreakerClosed && b.failures == 0)
+	b.mu.Unlock()
 }
 
 // Allow reports whether a request may proceed. probe is nonzero when the
 // admitted request is the half-open probe; pass it to RecordProbe with the
 // outcome. Ordinary admitted requests (probe == 0) report through Record.
 func (b *Breaker) Allow() (ok bool, probe uint64) {
+	if b.healthy.Load() {
+		return true, 0
+	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	defer b.unlock()
 	switch b.state {
 	case BreakerClosed:
 		return true, 0
@@ -101,8 +119,11 @@ func (b *Breaker) Allow() (ok bool, probe uint64) {
 // in-flight probe's token is invalidated, so its later success cannot
 // close the breaker.
 func (b *Breaker) Record(success bool) {
+	if success && b.healthy.Load() {
+		return
+	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	defer b.unlock()
 	switch b.state {
 	case BreakerClosed:
 		if success {
@@ -129,7 +150,7 @@ func (b *Breaker) Record(success bool) {
 // admitted) is ignored: the trip already decided the state.
 func (b *Breaker) RecordProbe(token uint64, success bool) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	defer b.unlock()
 	if token == 0 || token != b.probeGen || !b.probeOut {
 		return
 	}
@@ -149,7 +170,7 @@ func (b *Breaker) RecordProbe(token uint64, success bool) {
 // at the start of a failover so no request races the rebuild.
 func (b *Breaker) ForceOpen() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	defer b.unlock()
 	b.trip()
 }
 
@@ -157,7 +178,7 @@ func (b *Breaker) ForceOpen() {
 // worker is serving. Outstanding probe tokens are invalidated.
 func (b *Breaker) Reset() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	defer b.unlock()
 	b.state = BreakerClosed
 	b.failures = 0
 	b.probeGen++

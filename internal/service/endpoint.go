@@ -6,7 +6,7 @@ import "time"
 const (
 	// TransportChan (also the "" default) keeps shard workers in this
 	// process; an op runs on its caller's goroutine under the worker's turn
-	// token.
+	// lock.
 	TransportChan = "chan"
 	// TransportUnix runs each shard worker as its own OS process reached
 	// over a unix-domain socket.
@@ -39,7 +39,7 @@ func wireNetwork(name string) string {
 }
 
 // endpoint is the coordinator's handle on one shard worker, abstracting
-// over where the worker lives: in this process, run under its turn token on
+// over where the worker lives: in this process, run under its turn lock on
 // the caller's goroutine (*worker), or a separate OS process reached over
 // the wire codec (*wireEndpoint). The supervision machinery — heartbeats,
 // breakers, retry, journal replay, failover — is written against this
@@ -59,7 +59,7 @@ type endpoint interface {
 	// close releases the worker's resources (spill file / cold dir /
 	// sockets). Only safe once doneCh has closed.
 	close()
-	// doneCh closes when the worker is dead — turn token retired, or
+	// doneCh closes when the worker is dead — turn retired, or
 	// process reaped.
 	doneCh() <-chan struct{}
 	// didPanic reports whether the worker died panicking.

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +15,7 @@ import (
 //
 //	do-echo        Client.Do to a handler that returns at once (OpDisrupt
 //	               to "none" never takes the worker's turn)
-//	do-ping        Client.Do through the worker's turn token
+//	do-ping        Client.Do through the worker's turn lock
 //	endpoint-ping  the same through wireEndpoint.send
 //	service-check  Service.Check: coordinator + endpoint + detector work,
 //	               over the in-process transport and over a unix socket
@@ -64,5 +66,71 @@ func BenchmarkWireLadder(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkServiceParallel keeps the turn lock's contention visible: b.N
+// ops (a Check of a live key, or an Alloc+Free pair) split over 1, 2 and 4
+// closed-loop goroutines on 2 chan shards, reported as ops/s with the share
+// of sends that found the turn taken and the share that had to park.
+func BenchmarkServiceParallel(b *testing.B) {
+	for _, mix := range []string{"check", "allocfree"} {
+		for _, g := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/goroutines=%d", mix, g), func(b *testing.B) {
+				s, err := New(Config{Shards: 2, RequestTimeout: time.Second, HeartbeatInterval: time.Hour})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer s.Close()
+				const liveKeys = 64 // spread over both shards
+				for c := 0; c < g; c++ {
+					for k := uint64(0); k < liveKeys; k++ {
+						if v, err := s.Alloc(fmt.Sprint("t", c), k, 64, 4); err != nil || v.Degraded {
+							b.Fatal(v, err)
+						}
+					}
+				}
+				before := s.Counters()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for c := 0; c < g; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						tenant := fmt.Sprint("t", c)
+						// Random keys: the shard is the key's low bit, and
+						// counting keys would march the goroutines over the
+						// two shards in step, never meeting.
+						var rng jitterRNG
+						rng.seed(uint64(c) + 1)
+						for i := 0; i < b.N/g; i++ {
+							key := rng.next()
+							if mix == "check" {
+								if v, err := s.Check(tenant, key%liveKeys); err != nil || !v.Known {
+									b.Error(v, err)
+									return
+								}
+								continue
+							}
+							if v, err := s.Alloc(tenant, liveKeys+key, 64, 4); err != nil || v.Degraded {
+								b.Error(v, err)
+								return
+							}
+							if v, err := s.Free(tenant, liveKeys+key); err != nil || v.Degraded {
+								b.Error(v, err)
+								return
+							}
+						}
+					}(c)
+				}
+				wg.Wait()
+				b.StopTimer()
+				c := s.Counters()
+				ops := float64(c.Requests - before.Requests)
+				b.ReportMetric(ops/b.Elapsed().Seconds(), "ops/s")
+				b.ReportMetric(float64(c.TurnContended-before.TurnContended)/ops, "contended/op")
+				b.ReportMetric(float64(c.TurnParked-before.TurnParked)/ops, "parked/op")
+			})
+		}
 	}
 }

@@ -19,8 +19,9 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps a single backoff sleep. 0 defaults to 5ms.
 	MaxDelay time.Duration
-	// MaxElapsed caps the total wall-time spent on the request across
-	// attempts and sleeps; once exceeded the request fails open into a
+	// MaxElapsed caps the wall-time spent retrying: attempts and sleeps
+	// from the first failed attempt on (that attempt has its own
+	// RequestTimeout); once exceeded the request fails open into a
 	// degraded verdict. 0 defaults to 250ms.
 	MaxElapsed time.Duration
 }

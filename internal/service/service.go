@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -148,6 +147,14 @@ type shardState struct {
 	lastBeat   atomic.Int64
 	failovers  atomic.Uint64
 	incarn     atomic.Int64
+	turn       turnCounters // bumped by the shard's workers, contended sends only
+
+	// Bumped by every op routed here: on a line no other shard's state
+	// shares, so clients on different shards do not pass one line around.
+	_        [64]byte
+	requests atomic.Uint64
+	degraded atomic.Uint64
+	_        [48]byte
 }
 
 // Service is the coordinator: it owns the shards, their supervisors, and
@@ -163,8 +170,6 @@ type Service struct {
 	workDir    string
 	ownWorkDir bool
 
-	requests        atomic.Uint64
-	degraded        atomic.Uint64
 	retries         atomic.Uint64
 	timeouts        atomic.Uint64
 	failovers       atomic.Uint64
@@ -211,7 +216,7 @@ func New(cfg Config) (*Service, error) {
 		}
 	} else {
 		s.spawn = func(shard, incarn int) (endpoint, error) {
-			w, err := newWorker(shard, incarn, cfg)
+			w, err := newWorker(shard, incarn, cfg, &s.shards[shard].turn)
 			if err != nil {
 				return nil, err
 			}
@@ -220,9 +225,15 @@ func New(cfg Config) (*Service, error) {
 	}
 	now := time.Now().UnixNano()
 	for i := 0; i < cfg.Shards; i++ {
+		sh := &shardState{
+			idx:     i,
+			breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			journal: newJournal(cfg.FreedWindow),
+		}
+		s.shards = append(s.shards, sh)
 		ep, err := s.spawn(i, 0)
 		if err != nil {
-			for _, sh := range s.shards {
+			for _, sh := range s.shards[:i] {
 				old := sh.ep.Load().ep
 				stopEndpoint(old, cfg.FailoverDrain)
 				old.close()
@@ -232,14 +243,8 @@ func New(cfg Config) (*Service, error) {
 			}
 			return nil, fmt.Errorf("service: shard %d: %w", i, err)
 		}
-		sh := &shardState{
-			idx:     i,
-			breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-			journal: newJournal(cfg.FreedWindow),
-		}
 		sh.lastBeat.Store(now)
 		sh.ep.Store(&epBox{ep: ep})
-		s.shards = append(s.shards, sh)
 	}
 	for _, sh := range s.shards {
 		s.supWG.Add(1)
@@ -256,11 +261,13 @@ func (s *Service) Shards() int { return len(s.shards) }
 func (s *Service) Transport() string { return s.cfg.Transport }
 
 // keyFor folds (tenant, key) into the routing key: FNV-1a over the tenant
-// mixed with the caller key. Routing and worker-side state both use it.
+// (hash/fnv's New64a, inlined: no hasher and no []byte per op) mixed with
+// the caller key. Routing and worker-side state both use it.
 func keyFor(tenant string, key uint64) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(tenant))
-	g := h.Sum64()
+	g := uint64(14695981039346656037)
+	for i := 0; i < len(tenant); i++ {
+		g = (g ^ uint64(tenant[i])) * 1099511628211
+	}
 	g ^= key + 0x9e3779b97f4a7c15 + (g << 6) + (g >> 2)
 	return g
 }
@@ -299,10 +306,18 @@ func (s *Service) do(req request) (Verdict, error) {
 	if s.closed.Load() {
 		return Verdict{Degraded: true}, &ClosedError{}
 	}
-	s.requests.Add(1)
 	sh := s.shards[req.key%uint64(len(s.shards))]
+	sh.requests.Add(1)
 	pol := s.cfg.Retry
-	deadline := time.Now().Add(pol.MaxElapsed)
+	// The wall-time cap runs from the first failure: a healthy op never
+	// reads the clock for it.
+	var deadline time.Time
+	retryUntil := func() time.Time {
+		if deadline.IsZero() {
+			deadline = time.Now().Add(pol.MaxElapsed)
+		}
+		return deadline
+	}
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if s.closed.Load() {
 			break
@@ -350,18 +365,18 @@ func (s *Service) do(req request) (Verdict, error) {
 		d := pol.delay(attempt, &s.rng)
 		// The wall-time cap: stop retrying when the next sleep would
 		// cross the deadline, not merely when attempts run out.
-		if time.Now().Add(d).After(deadline) {
+		if time.Now().Add(d).After(retryUntil()) {
 			break
 		}
 		time.Sleep(d)
 	}
-	s.degraded.Add(1)
+	sh.degraded.Add(1)
 	if sh.rebuilding.Load() {
 		// Until the rebuild is done every answer for this shard is this
 		// one, and a closed-loop caller that gets it at once comes straight
 		// back, hundreds of thousands of times a second (DESIGN.md §12).
 		// Back off once, as after a transient error, before failing open.
-		if d := pol.delay(0, &s.rng); time.Now().Add(d).Before(deadline) {
+		if d := pol.delay(0, &s.rng); time.Now().Add(d).Before(retryUntil()) {
 			time.Sleep(d)
 		}
 	}
@@ -450,7 +465,7 @@ func (s *Service) DetectorStats(shard int) (pointerlog.Snapshot, pointerlog.Cold
 	if resp.err != nil {
 		return pointerlog.Snapshot{}, pointerlog.ColdStats{}, nil, resp.err
 	}
-	return resp.stats, resp.cold, resp.audit, nil
+	return resp.stats.Stats, resp.stats.Cold, resp.stats.Audit, nil
 }
 
 // AggregateStats sums the pointer-log snapshots across shards (transient
@@ -557,17 +572,17 @@ type Counters struct {
 	ReplayedObjects uint64 `json:"replayed_objects"`
 	ReplayErrors    uint64 `json:"replay_errors"`
 	BreakerTrips    uint64 `json:"breaker_trips"`
+	// TurnContended counts sends that found the worker's turn taken,
+	// TurnParked those of them that outlasted the poll budget (in-process
+	// workers only; a worker process keeps its own).
+	TurnContended uint64 `json:"turn_contended"`
+	TurnParked    uint64 `json:"turn_parked"`
 }
 
-// Counters snapshots the service-level counters.
+// Counters snapshots the service-level counters; the per-op ones are kept
+// per shard and summed here.
 func (s *Service) Counters() Counters {
-	var trips uint64
-	for _, sh := range s.shards {
-		trips += sh.breaker.Trips()
-	}
-	return Counters{
-		Requests:        s.requests.Load(),
-		Degraded:        s.degraded.Load(),
+	c := Counters{
 		Retries:         s.retries.Load(),
 		Timeouts:        s.timeouts.Load(),
 		Failovers:       s.failovers.Load(),
@@ -577,8 +592,15 @@ func (s *Service) Counters() Counters {
 		RecoveredLocs:   s.recoveredLocs.Load(),
 		ReplayedObjects: s.replayedObjects.Load(),
 		ReplayErrors:    s.replayErrors.Load(),
-		BreakerTrips:    trips,
 	}
+	for _, sh := range s.shards {
+		c.Requests += sh.requests.Load()
+		c.Degraded += sh.degraded.Load()
+		c.BreakerTrips += sh.breaker.Trips()
+		c.TurnContended += sh.turn.contended.Load()
+		c.TurnParked += sh.turn.parked.Load()
+	}
+	return c
 }
 
 // RecoveryTimes returns the duration of every completed failover.
@@ -600,8 +622,8 @@ func (s *Service) registerMetrics() {
 	u := func(a *atomic.Uint64) func() int64 {
 		return func() int64 { return int64(a.Load()) }
 	}
-	reg.RegisterFunc("service.requests", u(&s.requests))
-	reg.RegisterFunc("service.degraded_requests", u(&s.degraded))
+	reg.RegisterFunc("service.requests", func() int64 { return int64(s.Counters().Requests) })
+	reg.RegisterFunc("service.degraded_requests", func() int64 { return int64(s.Counters().Degraded) })
 	reg.RegisterFunc("service.retries", u(&s.retries))
 	reg.RegisterFunc("service.timeouts", u(&s.timeouts))
 	reg.RegisterFunc("service.failovers", u(&s.failovers))
@@ -609,13 +631,7 @@ func (s *Service) registerMetrics() {
 	reg.RegisterFunc("service.worker_panics", u(&s.workerPanics))
 	reg.RegisterFunc("service.recovered_spilled_locs", u(&s.recoveredLocs))
 	reg.RegisterFunc("service.replayed_objects", u(&s.replayedObjects))
-	reg.RegisterFunc("service.breaker_trips", func() int64 {
-		var t uint64
-		for _, sh := range s.shards {
-			t += sh.breaker.Trips()
-		}
-		return int64(t)
-	})
+	reg.RegisterFunc("service.breaker_trips", func() int64 { return int64(s.Counters().BreakerTrips) })
 	for _, sh := range s.shards {
 		sh := sh
 		reg.RegisterFunc(fmt.Sprintf("service.shard%d.heartbeat_age_ms", sh.idx), func() int64 {
@@ -624,9 +640,9 @@ func (s *Service) registerMetrics() {
 		reg.RegisterFunc(fmt.Sprintf("service.shard%d.breaker_state", sh.idx), func() int64 {
 			return int64(sh.breaker.State())
 		})
-		reg.RegisterFunc(fmt.Sprintf("service.shard%d.failovers", sh.idx), func() int64 {
-			return int64(sh.failovers.Load())
-		})
+		reg.RegisterFunc(fmt.Sprintf("service.shard%d.failovers", sh.idx), u(&sh.failovers))
+		reg.RegisterFunc(fmt.Sprintf("service.shard%d.turn_contended", sh.idx), u(&sh.turn.contended))
+		reg.RegisterFunc(fmt.Sprintf("service.shard%d.turn_parked", sh.idx), u(&sh.turn.parked))
 	}
 }
 

@@ -2,6 +2,8 @@ package service
 
 import (
 	"errors"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -134,6 +136,25 @@ func TestServiceRoutingCoversShards(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if seen[i] == 0 {
 			t.Fatalf("shard %d received no keys: %v", i, seen)
+		}
+	}
+}
+
+// TestKeyForMatchesHashFNV: keyFor inlines FNV-1a; routing, the committed
+// fingerprints and the parity digests all rest on it staying bit-identical
+// to hash/fnv's New64a over the tenant.
+func TestKeyForMatchesHashFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 1000; i++ {
+		tenant := make([]byte, rng.Intn(40)) // includes "", and bytes ≥ 0x80
+		rng.Read(tenant)
+		key := rng.Uint64()
+		h := fnv.New64a()
+		h.Write(tenant)
+		want := h.Sum64()
+		want ^= key + 0x9e3779b97f4a7c15 + (want << 6) + (want >> 2)
+		if got := keyFor(string(tenant), key); got != want {
+			t.Fatalf("keyFor(%q, %d) = %#x, hash/fnv gives %#x", tenant, key, got, want)
 		}
 	}
 }

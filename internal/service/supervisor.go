@@ -11,7 +11,7 @@ import (
 // probing precisely when requests are being rejected), feeds the results
 // into the breaker, and triggers failover after HeartbeatMisses
 // consecutive misses or as soon as the worker is seen dead. The loop is
-// transport-blind: a dead endpoint is a retired turn token or a reaped
+// transport-blind: a dead endpoint is a retired turn or a reaped
 // worker process, and a ping is a turn of the worker or a wire round trip.
 func (s *Service) supervise(sh *shardState) {
 	defer s.supWG.Done()
@@ -172,8 +172,8 @@ func (s *Service) failover(sh *shardState, reason string) {
 		resp := nep.send(request{kind: opStats}, budget)
 		if resp.err != nil {
 			s.recordViolation("shard %d: post-rebuild audit unavailable: %v", sh.idx, resp.err)
-		} else if len(resp.audit) > 0 {
-			s.recordViolation("shard %d: audit identity broken after rebuild: %s", sh.idx, resp.audit[0])
+		} else if len(resp.stats.Audit) > 0 {
+			s.recordViolation("shard %d: audit identity broken after rebuild: %s", sh.idx, resp.stats.Audit[0])
 		}
 	}
 

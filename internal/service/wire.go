@@ -198,7 +198,7 @@ func (ep *wireEndpoint) decode(kind opKind, tr transport.Response) response {
 			resp.err = &ShardDownError{Shard: ep.shard, Reason: "bad stats payload: " + err.Error()}
 			return resp
 		}
-		resp.stats, resp.cold, resp.audit = ws.Stats, ws.Cold, ws.Audit
+		resp.stats = &ws
 	}
 	return resp
 }
@@ -246,7 +246,7 @@ func (ep *wireEndpoint) coldPath() string {
 // network faults are armed locally on the client (one-shot: the next
 // exchange hits a partition/trickle/garbage wire); the worker-observed
 // modes travel as an OpDisrupt exchange, which the worker process applies
-// without taking its turn token (so it lands even when hung).
+// without taking its turn (so it lands even when hung).
 func (ep *wireEndpoint) disrupt(m disruptMode) error {
 	switch m {
 	case disruptSigKill:

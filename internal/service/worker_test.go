@@ -2,16 +2,20 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
+
+	"dangsan/internal/vmem"
 )
 
-// Tests of the worker execution model: no worker goroutine, a 1-slot turn
-// token, every op on its caller's goroutine. All of them are meant to run
-// under -race.
+// Tests of the worker execution model: no worker goroutine, a turn lock,
+// every op on its caller's goroutine. All of them are meant to run under
+// -race.
 
 // handleProbe is a proc.TraceSink: the process calls it synchronously for
 // every malloc, free and pointer store, i.e. from inside worker.handle. It
@@ -25,6 +29,9 @@ type handleProbe struct {
 	entered chan struct{}
 	release chan struct{}
 	once    sync.Once
+	// hold, when nonzero, is slept inside every event: a holder that
+	// outlasts the poll budget, so the callers behind it park.
+	hold time.Duration
 }
 
 func (p *handleProbe) TraceEvent(kind uint8, tid int32, a, b, c uint64) {
@@ -34,6 +41,9 @@ func (p *handleProbe) TraceEvent(kind uint8, tid int32, a, b, c uint64) {
 	}
 	if p.events.Add(1)%16 == 0 {
 		runtime.Gosched() // widen the window a second caller would need
+	}
+	if p.hold > 0 {
+		time.Sleep(p.hold)
 	}
 	if p.entered != nil {
 		p.once.Do(func() {
@@ -46,7 +56,7 @@ func (p *handleProbe) TraceEvent(kind uint8, tid int32, a, b, c uint64) {
 
 func newTestWorker(t *testing.T, cfg Config) *worker {
 	t.Helper()
-	w, err := newWorker(0, 0, cfg.normalized())
+	w, err := newWorker(0, 0, cfg.normalized(), new(turnCounters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +85,27 @@ func isDown(err error) bool {
 // the probe inside handle never sees two of them at once, every op is
 // answered, and the audit identity — exact only if the detector was driven
 // single-threaded — holds afterwards.
-func TestWorkerTurnExcludesConcurrentCallers(t *testing.T) {
+func TestWorkerTurnExcludesConcurrentCallers(t *testing.T) { exerciseTurnExclusion(t, 0) }
+
+// TestWorkerTurnExclusionOnOneP: the same on one P — with a worker built
+// there, whose contended callers park at once, and with one built on several
+// Ps, whose pollers must yield for the holder to run at all.
+func TestWorkerTurnExclusionOnOneP(t *testing.T) {
+	t.Run("polls", func(t *testing.T) { exerciseTurnExclusion(t, 1) })
+	t.Run("parks", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		exerciseTurnExclusion(t, 0)
+	})
+}
+
+// exerciseTurnExclusion builds a worker, drops to procs Ps if procs > 0, and
+// runs the exclusion check.
+func exerciseTurnExclusion(t *testing.T, procs int) {
 	w := newTestWorker(t, testConfig(t, 1))
+	if procs > 0 {
+		w.polls = turnPolls // whatever this machine has
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
 	probe := &handleProbe{}
 	w.proc.SetTracer(probe)
 
@@ -118,8 +147,8 @@ func TestWorkerTurnExcludesConcurrentCallers(t *testing.T) {
 		t.Fatalf("quiesce: %v", resp.err)
 	}
 	resp := w.send(request{kind: opStats}, 10*time.Second)
-	if resp.err != nil || len(resp.audit) != 0 {
-		t.Fatalf("audit identity after %d concurrent callers: err %v, violations %v", callers, resp.err, resp.audit)
+	if resp.err != nil || len(resp.stats.Audit) != 0 {
+		t.Fatalf("audit identity after %d concurrent callers: err %v, violations %v", callers, resp.err, resp.stats)
 	}
 }
 
@@ -167,7 +196,7 @@ func TestWorkerHangHoldsTurnUntilDeadlineOrStop(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func() { patient <- w.send(request{kind: opPing}, time.Minute) }()
 	}
-	waitUntil(t, 5*time.Second, "a hung holder", func() bool { return len(w.turn) == 1 })
+	waitUntil(t, 5*time.Second, "a hung holder", func() bool { return w.turn.Load() == turnHeld })
 
 	const timeout = 20 * time.Millisecond
 	start := time.Now()
@@ -218,7 +247,7 @@ func TestServiceHangCloseAbandonsNobody(t *testing.T) {
 		}(uint64(i))
 	}
 	waitUntil(t, 5*time.Second, "a hung holder", func() bool {
-		return len(s.shards[0].ep.Load().ep.(*worker).turn) == 1
+		return s.shards[0].ep.Load().ep.(*worker).turn.Load() == turnHeld
 	})
 	s.Close()
 	wg.Wait()
@@ -285,4 +314,257 @@ func TestSlowModeGiveUpMeansNotApplied(t *testing.T) {
 		v, err := s.Check("t", 1)
 		return err == nil && !v.Degraded && v.Known
 	})
+}
+
+// hangHolder puts w in hang mode and parks one caller inside send, holding
+// the turn until its (minute-long) deadline or shutdown; its response
+// arrives on the returned channel.
+func hangHolder(t *testing.T, w *worker) <-chan response {
+	t.Helper()
+	if err := w.disrupt(disruptHang); err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan response, 1)
+	go func() { held <- w.send(request{kind: opPing}, time.Minute) }()
+	waitUntil(t, 5*time.Second, "a hung holder", func() bool { return w.turn.Load() == turnHeld })
+	return held
+}
+
+// TestTurnNoLostWakeups: pingers behind a holder that every few
+// milliseconds sleeps inside handle past the poll budget park and depend on
+// release's wake token (or, past turnBypass, its hand-off). A lost wake-up
+// shows as a DeadlineError at the 1 s deadline.
+func TestTurnNoLostWakeups(t *testing.T) {
+	for _, callers := range []int{2, 8} {
+		t.Run(fmt.Sprint(callers), func(t *testing.T) {
+			w := newTestWorker(t, testConfig(t, 1))
+			w.proc.SetTracer(&handleProbe{hold: 2 * time.Millisecond})
+			var holds atomic.Uint64
+			stopSlow := make(chan struct{})
+			slowDone := make(chan struct{})
+			go func() {
+				defer close(slowDone)
+				for key := uint64(1); ; key++ {
+					select {
+					case <-stopSlow:
+						return
+					case <-time.After(3 * time.Millisecond):
+					}
+					// One malloc event: one 2 ms hold.
+					if resp := w.send(request{kind: opAlloc, key: key, size: 64}, 10*time.Second); resp.err != nil {
+						t.Errorf("slow holder: %v", resp.err)
+						return
+					}
+					holds.Add(1)
+				}
+			}()
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 200_000 || holds.Load() < 20; i++ {
+						if resp := w.send(request{kind: opPing}, time.Second); resp.err != nil {
+							t.Errorf("ping %d: %v", i, resp.err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(stopSlow)
+			<-slowDone
+			if w.counts.parked.Load() == 0 {
+				t.Fatal("nobody parked: the test exercised no wake-up")
+			}
+		})
+	}
+}
+
+// TestTurnWaitersTimeOutInParallel: k callers behind a hung holder each give
+// up at their own deadline — together, not one timeout after another.
+func TestTurnWaitersTimeOutInParallel(t *testing.T) {
+	w := newTestWorker(t, testConfig(t, 1))
+	hangHolder(t, w)
+	const k, timeout = 4, 100 * time.Millisecond
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp := w.send(request{kind: opPing}, timeout); !isDeadline(resp.err) {
+				t.Errorf("waiter behind a hung holder: %v, want DeadlineError", resp.err)
+			}
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed < timeout || elapsed > 2*timeout {
+		t.Fatalf("%d waiters gave up after %v, want ~%v each, in parallel", k, elapsed, timeout)
+	}
+}
+
+// TestTurnShutdownReleasesEveryWaiter: shutdown reaches callers that are
+// parked and callers still polling; each gets ShardDownError, done closes
+// (a second close would panic) and no op enters handle.
+func TestTurnShutdownReleasesEveryWaiter(t *testing.T) {
+	w := newTestWorker(t, testConfig(t, 1))
+	probe := &handleProbe{}
+	w.proc.SetTracer(probe)
+	held := hangHolder(t, w)
+	const parked, polling = 3, 3
+	out := make(chan response, parked+polling)
+	waiter := func(key uint64) {
+		out <- w.send(request{kind: opAlloc, key: key, size: 64, stores: 2}, time.Minute)
+	}
+	for i := 0; i < parked; i++ {
+		go waiter(uint64(i))
+	}
+	waitUntil(t, 10*time.Second, "waiters to park", func() bool { return w.parked.Load() == parked })
+	for i := 0; i < polling; i++ {
+		go waiter(uint64(parked + i))
+	}
+	for w.counts.contended.Load() < parked+polling {
+		runtime.Gosched()
+	}
+	w.shutdown()
+	for i := 0; i < parked+polling; i++ {
+		select {
+		case resp := <-out:
+			if !isDown(resp.err) {
+				t.Fatalf("waiter after shutdown: %v, want ShardDownError", resp.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("shutdown left a waiter behind")
+		}
+	}
+	if resp := <-held; !isDown(resp.err) {
+		t.Fatalf("hung holder after shutdown: %v, want ShardDownError", resp.err)
+	}
+	if !waitClosed(w.done, 5*time.Second) || w.turn.Load() != turnRetired {
+		t.Fatalf("worker not dead after shutdown: turn state %d", w.turn.Load())
+	}
+	if resp := w.send(request{kind: opAlloc, key: 99, size: 64}, time.Second); !isDown(resp.err) {
+		t.Fatalf("send to a dead worker: %v, want ShardDownError", resp.err)
+	}
+	if n := probe.events.Load(); n != 0 {
+		t.Fatalf("%d events inside handle on a worker that only ever hung and died", n)
+	}
+}
+
+// hammer runs op from n goroutines in a closed loop until stop closes.
+func hammer(n int, stop <-chan struct{}, op func(caller, i int)) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	for c := 0; c < n; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				op(c, i)
+			}
+		}(c)
+	}
+	return &wg
+}
+
+// TestTurnBoundedBypass: barging callers cannot starve a patient one. A
+// victim with a 50 ms deadline among four callers hammering one worker never
+// times out, and a 1-shard service under four hammering clients misses no
+// heartbeat.
+func TestTurnBoundedBypass(t *testing.T) {
+	t.Run("victim", func(t *testing.T) {
+		w := newTestWorker(t, testConfig(t, 1))
+		stop := make(chan struct{})
+		wg := hammer(4, stop, func(c, i int) {
+			key := uint64(c)<<32 | uint64(i)
+			for _, req := range []request{{kind: opAlloc, key: key, size: 64, stores: 40}, {kind: opFree, key: key}} {
+				if resp := w.send(req, 10*time.Second); resp.err != nil {
+					t.Errorf("hammering caller %d: %v", c, resp.err)
+				}
+			}
+		})
+		for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
+			if resp := w.send(request{kind: opPing}, 50*time.Millisecond); resp.err != nil {
+				t.Errorf("victim: %v", resp.err)
+				break
+			}
+		}
+		close(stop)
+		wg.Wait()
+	})
+	t.Run("heartbeats", func(t *testing.T) {
+		cfg := testConfig(t, 1)
+		cfg.HeartbeatTimeout = 50 * time.Millisecond
+		s := mustNew(t, cfg)
+		stop := make(chan struct{})
+		wg := hammer(4, stop, func(c, i int) {
+			tenant, key := fmt.Sprint("t", c), uint64(i)
+			if _, err := s.Alloc(tenant, key, 64, 40); err != nil {
+				t.Errorf("alloc: %v", err)
+			}
+			if _, err := s.Free(tenant, key); err != nil {
+				t.Errorf("free: %v", err)
+			}
+		})
+		time.Sleep(300 * time.Millisecond)
+		close(stop)
+		wg.Wait()
+		if c := s.Counters(); c.HeartbeatMisses != 0 || c.Failovers != 0 || c.Requests == 0 {
+			t.Fatalf("hammered shard: %d heartbeat misses, %d failovers over %d requests (%d contended, %d parked)",
+				c.HeartbeatMisses, c.Failovers, c.Requests, c.TurnContended, c.TurnParked)
+		}
+	})
+}
+
+// TestResponseStaysSmall: response goes by value through handle → send → do
+// on every op; the stats reply must stay behind its pointer.
+func TestResponseStaysSmall(t *testing.T) {
+	if n := unsafe.Sizeof(response{}); n > 40 {
+		t.Fatalf("response is %d bytes, want ≤ 40 (verdict + stats pointer + error)", n)
+	}
+}
+
+// TestAllocFaultLeaksNothing: an alloc whose pointer stores fault must undo
+// its malloc and give its anchor slot back — there is no keyRec to free
+// them by later.
+func TestAllocFaultLeaksNothing(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.QuarantineBytes, cfg.QuarantineEpoch = 0, 0 // frees return memory at once
+	w := newTestWorker(t, cfg)
+	page := (w.scratch + vmem.PageSize - 1) / vmem.PageSize * vmem.PageSize
+	w.proc.AddressSpace().Globals().UnmapPages(page, 1)
+	failingAlloc := func(key uint64) {
+		t.Helper()
+		var fault *vmem.Fault
+		// 300 stores at stride 97 reach every page of the scratch arena.
+		if resp := w.send(request{kind: opAlloc, key: key, size: 256, stores: 300}, time.Second); !errors.As(resp.err, &fault) {
+			t.Fatalf("alloc storing into an unmapped scratch page: %v, want a vmem.Fault", resp.err)
+		}
+	}
+	failingAlloc(1) // the first failure moves one fresh globals slot into the pool
+	// MemoryFootprint itself counts every log byte ever allocated (the
+	// paper's convention), so the test pins its resident half.
+	mapped, pool := w.proc.AddressSpace().MappedBytes(), len(w.anchorFree)
+	_, globals := w.proc.GlobalsUsed()
+	for key := uint64(2); key < 200; key++ {
+		failingAlloc(key)
+	}
+	if got := w.proc.AddressSpace().MappedBytes(); got != mapped {
+		t.Errorf("mapped bytes %d → %d over 198 failed allocs", mapped, got)
+	}
+	if _, got := w.proc.GlobalsUsed(); got != globals || len(w.anchorFree) != pool {
+		t.Errorf("globals end %d → %d, anchor pool %d → %d over 198 failed allocs", globals, got, pool, len(w.anchorFree))
+	}
+	if st := w.proc.Allocator().Stats(); st.LiveObjects != 0 || len(w.recs) != 0 {
+		t.Errorf("%d live objects and %d key records left by failed allocs", st.LiveObjects, len(w.recs))
+	}
+	resp := w.send(request{kind: opStats}, time.Second)
+	if resp.err != nil || len(resp.stats.Audit) != 0 || resp.stats.Stats.LogBytesLive != 0 {
+		t.Errorf("after failed allocs: err %v, stats %+v", resp.err, resp.stats)
+	}
 }

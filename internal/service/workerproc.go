@@ -97,7 +97,7 @@ func RunWorkerProcess(specJSON string) int {
 		fmt.Fprintf(os.Stderr, "dangsan-worker: bad spec: %v\n", err)
 		return 2
 	}
-	w, err := newWorker(spec.Shard, spec.Incarnation, spec.config())
+	w, err := newWorker(spec.Shard, spec.Incarnation, spec.config(), new(turnCounters))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dangsan-worker: shard %d: %v\n", spec.Shard, err)
 		return 2
@@ -141,7 +141,7 @@ func RunWorkerProcess(specJSON string) int {
 
 // workerHandler adapts the wire vocabulary onto worker.send. The server
 // runs it from per-connection goroutines, but every request takes the
-// worker's turn token, so the single-threaded audit discipline is
+// worker's turn, so the single-threaded audit discipline is
 // untouched. Deadlines are client-side (mapped onto socket deadlines), so
 // send gets an effectively-infinite budget — a hung worker means an
 // unanswered frame, which is exactly the contract.
@@ -149,7 +149,7 @@ func workerHandler(w *worker) transport.Handler {
 	const serverSendBudget = time.Hour
 	return func(treq transport.Request) transport.Response {
 		if treq.Op == transport.OpDisrupt {
-			// Mode changes bypass the turn token like the in-process
+			// Mode changes bypass the turn like the in-process
 			// Disrupt path: a bare atomic store, lands even when hung.
 			w.mode.Store(int32(wireDisruptMode(treq.Mode)))
 			return transport.Response{}
@@ -174,7 +174,7 @@ func workerHandler(w *worker) transport.Handler {
 			Err:      resp.err,
 		}
 		if kind == opStats && resp.err == nil {
-			blob, err := transport.EncodeStats(transport.WireStats{Stats: resp.stats, Cold: resp.cold, Audit: resp.audit})
+			blob, err := transport.EncodeStats(*resp.stats)
 			if err != nil {
 				out.Err = &transport.OpaqueError{Msg: "stats encode: " + err.Error()}
 			} else {
