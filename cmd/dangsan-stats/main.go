@@ -166,6 +166,8 @@ func printService(path string) {
 	fmt.Printf("  recovered locs:  %d\n", g["service.recovered_spilled_locs"])
 	fmt.Printf("  heartbeat miss:  %d\n", g["service.heartbeat_misses"])
 	fmt.Printf("  worker panics:   %d\n", g["service.worker_panics"])
+	fmt.Printf("  abandoned:       %d\n", g["service.abandoned_workers"])
+	fmt.Printf("  replay errors:   %d\n", g["service.replay_errors"])
 	fmt.Printf("  breaker trips:   %d\n", g["service.breaker_trips"])
 	// turn contended/parked: sends that found the shard's turn taken, and
 	// those of them that outlasted the poll budget (in-process workers).

@@ -36,12 +36,10 @@
 package camp
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"dangsan/internal/detectors"
 	"dangsan/internal/faultinject"
-	"dangsan/internal/pointerlog"
 	"dangsan/internal/shadow"
 	"dangsan/internal/vmem"
 )
@@ -58,17 +56,13 @@ const perObjectMeta = 16
 
 // Detector is the CAMP-style checked-dereference detector.
 type Detector struct {
+	detectors.Budget
 	table *shadow.Table
 	seq   atomic.Uint64 // allocation sequence; live meta = seq+1 (never 0)
 
-	maxMetadataBytes uint64
-	faults           *faultinject.Plane
-
-	metadataBytes  atomic.Uint64
 	statTracked    atomic.Uint64
 	statChecks     atomic.Uint64
 	statFaults     atomic.Uint64
-	statDegraded   atomic.Uint64
 	statTombstones atomic.Uint64
 }
 
@@ -77,51 +71,19 @@ var (
 	_ detectors.DerefChecker = (*Detector)(nil)
 )
 
+// Options are the fail-open knobs every backend shares.
+type Options = detectors.BudgetOptions
+
 // New creates the detector with no metadata budget and no fault injection.
-func New() *Detector {
-	return &Detector{table: shadow.NewTable()}
-}
+func New() *Detector { return NewWithOptions(Options{}) }
 
-// Options configures the detector's fail-open knobs, mirroring the other
-// backends.
-type Options struct {
-	// MaxMetadataBytes caps the detector's metadata footprint (shadow table
-	// excluded; its allocations fail through the plane's ShadowPopulate
-	// site); 0 means unlimited.
-	MaxMetadataBytes uint64
-	// Faults, when non-nil, injects failures into the metadata paths.
-	Faults *faultinject.Plane
-}
-
-// NewWithOptions creates the detector with a metadata budget and fault
-// plane attached.
+// NewWithOptions creates the detector with a metadata budget and fault plane
+// attached to it and its shadow table.
 func NewWithOptions(opts Options) *Detector {
-	d := New()
-	d.maxMetadataBytes = opts.MaxMetadataBytes
-	d.InjectFaults(opts.Faults)
+	d := &Detector{table: shadow.NewTable()}
+	d.Init("camp", opts)
+	d.table.InjectFaults(opts.Faults)
 	return d
-}
-
-// InjectFaults attaches a fault-injection plane to the detector and its
-// shadow table. Call before the detector sees traffic; nil disables
-// injection.
-func (d *Detector) InjectFaults(p *faultinject.Plane) {
-	d.faults = p
-	d.table.InjectFaults(p)
-}
-
-// chargeMeta accounts n metadata bytes against the budget, consulting the
-// fault plane at site first. Exhaustion is the same typed error dangsan's
-// logger reports (pointerlog.ErrMetadataExhausted); callers fail open.
-func (d *Detector) chargeMeta(site faultinject.Site, n uint64) error {
-	if d.faults.Fail(site) {
-		return fmt.Errorf("camp: injected metadata failure: %w", pointerlog.ErrMetadataExhausted)
-	}
-	if d.maxMetadataBytes != 0 && d.metadataBytes.Load()+n > d.maxMetadataBytes {
-		return fmt.Errorf("camp: metadata budget exceeded: %w", pointerlog.ErrMetadataExhausted)
-	}
-	d.metadataBytes.Add(n)
-	return nil
 }
 
 // Name implements detectors.Detector.
@@ -137,20 +99,20 @@ func (d *Detector) AllocPad() uint64 { return 1 }
 // object's accesses — fail-open means unchecked, never misjudged.
 func (d *Detector) degrade(base, size, align uint64) {
 	d.table.ClearObject(base, size, align)
-	d.statDegraded.Add(1)
+	d.NoteDegraded()
 }
 
 // OnAlloc implements detectors.Detector: register [base, base+size) as live
 // by writing the allocation's sequence word over its shadow slots,
 // overwriting any tombstone left by the range's previous occupant.
 func (d *Detector) OnAlloc(base, size, align uint64) {
-	if err := d.chargeMeta(faultinject.MetaAlloc, perObjectMeta); err != nil {
+	if err := d.Charge(faultinject.MetaAlloc, perObjectMeta); err != nil {
 		d.degrade(base, size, align)
 		return
 	}
 	meta := d.seq.Add(1) &^ freedBit
 	if err := d.table.CreateObject(base, size, align, meta); err != nil {
-		d.metadataBytes.Add(^uint64(perObjectMeta - 1))
+		d.Refund(perObjectMeta)
 		d.degrade(base, size, align)
 		return
 	}
@@ -207,7 +169,7 @@ func (d *Detector) OnFree(base, size, align uint64) {
 		d.statTombstones.Add(1)
 	}
 	if refund {
-		d.metadataBytes.Add(^uint64(perObjectMeta - 1))
+		d.Refund(perObjectMeta)
 	}
 }
 
@@ -230,19 +192,11 @@ func (d *Detector) CheckDeref(addr uint64) (uint64, *vmem.Fault) {
 
 // MetadataBytes implements detectors.Detector.
 func (d *Detector) MetadataBytes() uint64 {
-	return d.table.Bytes() + d.metadataBytes.Load()
+	return d.table.Bytes() + d.Charged()
 }
 
 // Stats reports (objects tracked, checks performed, faults trapped,
 // tombstones written).
 func (d *Detector) Stats() (tracked, checks, faults, tombstones uint64) {
 	return d.statTracked.Load(), d.statChecks.Load(), d.statFaults.Load(), d.statTombstones.Load()
-}
-
-// Degraded reports the fail-open coverage losses: ranges whose tracking was
-// dropped (at allocation, or converging a failed in-place realloc). The
-// second value is always 0 — there are no per-pointer registrations to
-// drop.
-func (d *Detector) Degraded() (objects, dropped uint64) {
-	return d.statDegraded.Load(), 0
 }

@@ -84,13 +84,14 @@ func TestDoubleFreeTombstone(t *testing.T) {
 // cleared — not left holding the previous occupant's tombstone — or the
 // degraded object's legitimate accesses would fault.
 func TestDegradedAllocClearsStaleTombstone(t *testing.T) {
-	d := New()
+	d := NewWithOptions(Options{MaxMetadataBytes: perObjectMeta})
 	d.OnAlloc(objA, 64, 8)
 	d.OnFree(objA, 64, 8)
 	checkFaults(t, d, objA) // tombstoned
 
-	// Recycle the range under a zero budget: tracking is degraded.
-	d.maxMetadataBytes = 1
+	// Recycle the range with the budget spent on another object: tracking
+	// is degraded.
+	d.OnAlloc(objB, 64, 8)
 	d.OnAlloc(objA, 64, 8)
 	checkOK(t, d, objA) // unchecked, but never misjudged
 	if deg, _ := d.Degraded(); deg != 1 {
@@ -127,7 +128,7 @@ func TestShadowPopulateFailureFailsOpen(t *testing.T) {
 // error dangsan's logger uses for metadata exhaustion.
 func TestChargeMetaTypedError(t *testing.T) {
 	d := NewWithOptions(Options{MaxMetadataBytes: 1})
-	if err := d.chargeMeta(faultinject.MetaAlloc, perObjectMeta); !errors.Is(err, pointerlog.ErrMetadataExhausted) {
+	if err := d.Charge(faultinject.MetaAlloc, perObjectMeta); !errors.Is(err, pointerlog.ErrMetadataExhausted) {
 		t.Fatalf("budget exhaustion: want ErrMetadataExhausted, got %v", err)
 	}
 }

@@ -14,12 +14,10 @@
 package dangnull
 
 import (
-	"fmt"
 	"sync"
 
 	"dangsan/internal/detectors"
 	"dangsan/internal/faultinject"
-	"dangsan/internal/pointerlog"
 	"dangsan/internal/rbtree"
 	"dangsan/internal/vmem"
 )
@@ -38,68 +36,33 @@ type object struct {
 
 // Detector is the DangNULL-style baseline.
 type Detector struct {
+	detectors.Budget
 	mu      sync.Mutex
 	objects rbtree.Tree        // [base,end) -> *object
 	byLoc   map[uint64]*object // reverse index for unregister-on-overwrite
 	mem     detectors.Memory
 
-	maxMetadataBytes uint64
-	faults           *faultinject.Plane
-
 	statRegistered  uint64
 	statInvalidated uint64
-	statDegraded    uint64
-	statDropped     uint64
-	metadataBytes   uint64
 }
 
 var _ detectors.Detector = (*Detector)(nil)
 var _ detectors.Binder = (*Detector)(nil)
 
-// New creates the baseline detector.
-func New() *Detector {
-	return &Detector{byLoc: make(map[uint64]*object)}
-}
+// Options are the fail-open knobs every backend shares, so the baselines can
+// be compared under the same memory-pressure model (the footprint charged
+// here is approximate: that of Go maps is opaque).
+type Options = detectors.BudgetOptions
 
-// Options configures the baseline beyond its defaults: a metadata budget
-// and a fault-injection plane, mirroring dangsan's degraded-mode knobs so
-// the baselines can be compared under the same memory-pressure model.
-type Options struct {
-	// MaxMetadataBytes caps the detector's (approximate) metadata
-	// footprint; 0 means unlimited. Tracking that would exceed the cap is
-	// dropped fail-open, exactly like dangsan's.
-	MaxMetadataBytes uint64
-	// Faults, when non-nil, injects failures into the metadata paths.
-	Faults *faultinject.Plane
-}
+// New creates the baseline detector.
+func New() *Detector { return NewWithOptions(Options{}) }
 
 // NewWithOptions creates the baseline with a metadata budget and fault
 // plane attached.
 func NewWithOptions(opts Options) *Detector {
-	d := New()
-	d.maxMetadataBytes = opts.MaxMetadataBytes
-	d.faults = opts.Faults
+	d := &Detector{byLoc: make(map[uint64]*object)}
+	d.Init("dangnull", opts)
 	return d
-}
-
-// InjectFaults attaches a fault-injection plane. Call before the detector
-// sees traffic; nil disables injection.
-func (d *Detector) InjectFaults(p *faultinject.Plane) { d.faults = p }
-
-// chargeMeta accounts n metadata bytes against the budget, consulting the
-// fault plane at site first. It fails with the same typed error dangsan's
-// logger uses (pointerlog.ErrMetadataExhausted) so callers up the stack
-// can treat all three detectors' exhaustion uniformly. Must be called with
-// d.mu held.
-func (d *Detector) chargeMeta(site faultinject.Site, n uint64) error {
-	if d.faults.Fail(site) {
-		return fmt.Errorf("dangnull: injected metadata failure: %w", pointerlog.ErrMetadataExhausted)
-	}
-	if d.maxMetadataBytes != 0 && d.metadataBytes+n > d.maxMetadataBytes {
-		return fmt.Errorf("dangnull: metadata budget exceeded: %w", pointerlog.ErrMetadataExhausted)
-	}
-	d.metadataBytes += n
-	return nil
 }
 
 // Bind implements detectors.Binder.
@@ -120,8 +83,8 @@ func (d *Detector) AllocPad() uint64 { return 0 }
 func (d *Detector) OnAlloc(base, size, align uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.chargeMeta(faultinject.MetaAlloc, 96); err != nil {
-		d.statDegraded++
+	if err := d.Charge(faultinject.MetaAlloc, 96); err != nil {
+		d.NoteDegraded()
 		return
 	}
 	d.objects.Insert(base, base+size, &object{
@@ -183,8 +146,8 @@ func (d *Detector) OnPtrStore(loc, val uint64, tid int32) {
 	// The two map entries must fit the budget; a dropped registration
 	// loses this location's coverage but keeps the structures consistent
 	// (the old binding above is already gone either way).
-	if err := d.chargeMeta(faultinject.LogBlockAlloc, 32); err != nil {
-		d.statDropped++
+	if err := d.Charge(faultinject.LogBlockAlloc, 32); err != nil {
+		d.NoteDropped(1)
 		return
 	}
 	obj := v.(*object)
@@ -195,25 +158,13 @@ func (d *Detector) OnPtrStore(loc, val uint64, tid int32) {
 
 // MetadataBytes implements detectors.Detector (approximate: the precise
 // footprint of Go maps is opaque, so this tracks logical growth).
-func (d *Detector) MetadataBytes() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.metadataBytes
-}
+func (d *Detector) MetadataBytes() uint64 { return d.Charged() }
 
 // Stats reports (registered, invalidated) counters for Table 1.
 func (d *Detector) Stats() (registered, invalidated uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.statRegistered, d.statInvalidated
-}
-
-// Degraded reports the fail-open coverage losses: objects that were never
-// tracked and pointer registrations that were dropped.
-func (d *Detector) Degraded() (objects, dropped uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.statDegraded, d.statDropped
 }
 
 // LiveObjects reports the number of tracked objects.

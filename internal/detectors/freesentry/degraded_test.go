@@ -32,14 +32,14 @@ const (
 // error dangsan's logger uses for metadata exhaustion.
 func TestChargeMetaTypedError(t *testing.T) {
 	d := NewWithOptions(Options{MaxMetadataBytes: 1})
-	if err := d.chargeMeta(faultinject.MetaAlloc, 48); !errors.Is(err, pointerlog.ErrMetadataExhausted) {
+	if err := d.Charge(faultinject.MetaAlloc, 48); !errors.Is(err, pointerlog.ErrMetadataExhausted) {
 		t.Fatalf("budget exhaustion: want ErrMetadataExhausted, got %v", err)
 	}
 
 	plane := faultinject.New(3)
 	plane.Enable(faultinject.MetaAlloc, 1.0, -1)
 	d2 := NewWithOptions(Options{Faults: plane})
-	if err := d2.chargeMeta(faultinject.MetaAlloc, 48); !errors.Is(err, pointerlog.ErrMetadataExhausted) {
+	if err := d2.Charge(faultinject.MetaAlloc, 48); !errors.Is(err, pointerlog.ErrMetadataExhausted) {
 		t.Fatalf("injected failure: want ErrMetadataExhausted, got %v", err)
 	}
 }

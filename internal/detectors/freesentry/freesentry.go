@@ -13,12 +13,10 @@
 package freesentry
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"dangsan/internal/detectors"
 	"dangsan/internal/faultinject"
-	"dangsan/internal/pointerlog"
 	"dangsan/internal/shadow"
 )
 
@@ -33,72 +31,35 @@ type object struct {
 
 // Detector is the FreeSentry-style baseline.
 type Detector struct {
+	detectors.Budget
 	table *shadow.Table // constant-time value->object mapping (label table)
 	objs  []*object     // index+1 stored in the shadow table
 	free  []uint64
 	mem   detectors.Memory
-
-	maxMetadataBytes uint64
-	faults           *faultinject.Plane
 
 	// Stats are atomic only so that a concurrent observer (the benchmark
 	// harness's memory sampler) can read them; the tracking structures
 	// themselves remain deliberately unsynchronized.
 	statRegistered  atomic.Uint64
 	statInvalidated atomic.Uint64
-	statDegraded    atomic.Uint64
-	statDropped     atomic.Uint64
-	metadataBytes   atomic.Uint64
 }
 
 var _ detectors.Detector = (*Detector)(nil)
 var _ detectors.Binder = (*Detector)(nil)
 
+// Options are the fail-open knobs every backend shares.
+type Options = detectors.BudgetOptions
+
 // New creates the baseline detector.
-func New() *Detector {
-	return &Detector{table: shadow.NewTable()}
-}
+func New() *Detector { return NewWithOptions(Options{}) }
 
-// Options configures the baseline beyond its defaults: a metadata budget
-// and a fault-injection plane, mirroring dangsan's degraded-mode knobs.
-type Options struct {
-	// MaxMetadataBytes caps the detector's metadata footprint (shadow
-	// table excluded; its own allocations fail through the plane's
-	// ShadowPopulate site); 0 means unlimited.
-	MaxMetadataBytes uint64
-	// Faults, when non-nil, injects failures into the metadata paths.
-	Faults *faultinject.Plane
-}
-
-// NewWithOptions creates the baseline with a metadata budget and fault
-// plane attached.
+// NewWithOptions creates the baseline with a metadata budget and fault plane
+// attached to it and its shadow table.
 func NewWithOptions(opts Options) *Detector {
-	d := New()
-	d.maxMetadataBytes = opts.MaxMetadataBytes
-	d.InjectFaults(opts.Faults)
+	d := &Detector{table: shadow.NewTable()}
+	d.Init("freesentry", opts)
+	d.table.InjectFaults(opts.Faults)
 	return d
-}
-
-// InjectFaults attaches a fault-injection plane to the detector and its
-// shadow table. Call before the detector sees traffic; nil disables
-// injection.
-func (d *Detector) InjectFaults(p *faultinject.Plane) {
-	d.faults = p
-	d.table.InjectFaults(p)
-}
-
-// chargeMeta accounts n metadata bytes against the budget, consulting the
-// fault plane at site first. Exhaustion is the same typed error dangsan's
-// logger reports (pointerlog.ErrMetadataExhausted); callers fail open.
-func (d *Detector) chargeMeta(site faultinject.Site, n uint64) error {
-	if d.faults.Fail(site) {
-		return fmt.Errorf("freesentry: injected metadata failure: %w", pointerlog.ErrMetadataExhausted)
-	}
-	if d.maxMetadataBytes != 0 && d.metadataBytes.Load()+n > d.maxMetadataBytes {
-		return fmt.Errorf("freesentry: metadata budget exceeded: %w", pointerlog.ErrMetadataExhausted)
-	}
-	d.metadataBytes.Add(n)
-	return nil
 }
 
 // Bind implements detectors.Binder.
@@ -116,8 +77,8 @@ func (d *Detector) AllocPad() uint64 { return 0 }
 // the label lookup and its free finds no handle. Coverage loss, never a
 // crash or a false report (dangsan's OnAlloc contract).
 func (d *Detector) OnAlloc(base, size, align uint64) {
-	if err := d.chargeMeta(faultinject.MetaAlloc, 48); err != nil {
-		d.statDegraded.Add(1)
+	if err := d.Charge(faultinject.MetaAlloc, 48); err != nil {
+		d.NoteDegraded()
 		return
 	}
 	obj := &object{base: base, end: base + size}
@@ -135,7 +96,7 @@ func (d *Detector) OnAlloc(base, size, align uint64) {
 		// handle so it can never surface half-mapped.
 		d.objs[handle-1] = nil
 		d.free = append(d.free, handle)
-		d.statDegraded.Add(1)
+		d.NoteDegraded()
 	}
 }
 
@@ -160,11 +121,11 @@ func (d *Detector) OnReallocInPlace(base, oldSize, newSize, align uint64) {
 			old = newSize
 		}
 		d.table.ClearObject(base, old, align)
-		d.metadataBytes.Add(^(uint64(len(obj.locs))*8 - 1))
-		d.statDropped.Add(uint64(len(obj.locs)))
+		d.Refund(uint64(len(obj.locs)) * 8)
+		d.NoteDropped(uint64(len(obj.locs)))
 		d.objs[handle-1] = nil
 		d.free = append(d.free, handle)
-		d.statDegraded.Add(1)
+		d.NoteDegraded()
 		return
 	}
 	obj.end = base + newSize
@@ -191,7 +152,7 @@ func (d *Detector) OnFree(base, size, align uint64) {
 		d.mem.StoreWord(loc, w|InvalidBit)
 		d.statInvalidated.Add(1)
 	}
-	d.metadataBytes.Add(^(uint64(len(obj.locs))*8 - 1))
+	d.Refund(uint64(len(obj.locs)) * 8)
 	d.table.ClearObject(base, size, align)
 	d.objs[handle-1] = nil
 	d.free = append(d.free, handle)
@@ -208,8 +169,8 @@ func (d *Detector) OnPtrStore(loc, val uint64, tid int32) {
 	if obj == nil {
 		return
 	}
-	if err := d.chargeMeta(faultinject.LogBlockAlloc, 8); err != nil {
-		d.statDropped.Add(1)
+	if err := d.Charge(faultinject.LogBlockAlloc, 8); err != nil {
+		d.NoteDropped(1)
 		return
 	}
 	obj.locs = append(obj.locs, loc)
@@ -218,16 +179,10 @@ func (d *Detector) OnPtrStore(loc, val uint64, tid int32) {
 
 // MetadataBytes implements detectors.Detector.
 func (d *Detector) MetadataBytes() uint64 {
-	return d.table.Bytes() + d.metadataBytes.Load()
+	return d.table.Bytes() + d.Charged()
 }
 
 // Stats reports (registered, invalidated) counters.
 func (d *Detector) Stats() (registered, invalidated uint64) {
 	return d.statRegistered.Load(), d.statInvalidated.Load()
-}
-
-// Degraded reports the fail-open coverage losses: objects that were never
-// tracked and pointer registrations that were dropped.
-func (d *Detector) Degraded() (objects, dropped uint64) {
-	return d.statDegraded.Load(), d.statDropped.Load()
 }

@@ -27,12 +27,10 @@
 package xtag
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"dangsan/internal/detectors"
 	"dangsan/internal/faultinject"
-	"dangsan/internal/pointerlog"
 	"dangsan/internal/shadow"
 	"dangsan/internal/vmem"
 )
@@ -51,17 +49,13 @@ const perObjectMeta = 16
 
 // Detector is the xTag-style pointer-tagging detector.
 type Detector struct {
+	detectors.Budget
 	table *shadow.Table
 	gen   atomic.Uint64 // monotonic generation counter; tag = gen%MaxTag+1
 
-	maxMetadataBytes uint64
-	faults           *faultinject.Plane
-
-	metadataBytes atomic.Uint64
-	statTagged    atomic.Uint64
-	statChecks    atomic.Uint64
-	statMismatch  atomic.Uint64
-	statDegraded  atomic.Uint64
+	statTagged   atomic.Uint64
+	statChecks   atomic.Uint64
+	statMismatch atomic.Uint64
 }
 
 var (
@@ -69,51 +63,19 @@ var (
 	_ detectors.TagChecker = (*Detector)(nil)
 )
 
+// Options are the fail-open knobs every backend shares.
+type Options = detectors.BudgetOptions
+
 // New creates the detector with no metadata budget and no fault injection.
-func New() *Detector {
-	return &Detector{table: shadow.NewTable()}
-}
+func New() *Detector { return NewWithOptions(Options{}) }
 
-// Options configures the detector's fail-open knobs, mirroring the other
-// backends.
-type Options struct {
-	// MaxMetadataBytes caps the detector's metadata footprint (shadow table
-	// excluded; its allocations fail through the plane's ShadowPopulate
-	// site); 0 means unlimited.
-	MaxMetadataBytes uint64
-	// Faults, when non-nil, injects failures into the metadata paths.
-	Faults *faultinject.Plane
-}
-
-// NewWithOptions creates the detector with a metadata budget and fault
-// plane attached.
+// NewWithOptions creates the detector with a metadata budget and fault plane
+// attached to it and its shadow table.
 func NewWithOptions(opts Options) *Detector {
-	d := New()
-	d.maxMetadataBytes = opts.MaxMetadataBytes
-	d.InjectFaults(opts.Faults)
+	d := &Detector{table: shadow.NewTable()}
+	d.Init("xtag", opts)
+	d.table.InjectFaults(opts.Faults)
 	return d
-}
-
-// InjectFaults attaches a fault-injection plane to the detector and its
-// shadow table. Call before the detector sees traffic; nil disables
-// injection.
-func (d *Detector) InjectFaults(p *faultinject.Plane) {
-	d.faults = p
-	d.table.InjectFaults(p)
-}
-
-// chargeMeta accounts n metadata bytes against the budget, consulting the
-// fault plane at site first. Exhaustion is the same typed error dangsan's
-// logger reports (pointerlog.ErrMetadataExhausted); callers fail open.
-func (d *Detector) chargeMeta(site faultinject.Site, n uint64) error {
-	if d.faults.Fail(site) {
-		return fmt.Errorf("xtag: injected metadata failure: %w", pointerlog.ErrMetadataExhausted)
-	}
-	if d.maxMetadataBytes != 0 && d.metadataBytes.Load()+n > d.maxMetadataBytes {
-		return fmt.Errorf("xtag: metadata budget exceeded: %w", pointerlog.ErrMetadataExhausted)
-	}
-	d.metadataBytes.Add(n)
-	return nil
 }
 
 // nextTag draws the next generation tag, cycling 1..vmem.MaxTag (tag 0 is
@@ -136,14 +98,14 @@ func (d *Detector) AllocPad() uint64 { return 1 }
 // 0 or are rolled back), so TagPointer returns the raw address and every
 // check passes: fail-open.
 func (d *Detector) OnAlloc(base, size, align uint64) {
-	if err := d.chargeMeta(faultinject.MetaAlloc, perObjectMeta); err != nil {
-		d.statDegraded.Add(1)
+	if err := d.Charge(faultinject.MetaAlloc, perObjectMeta); err != nil {
+		d.NoteDegraded()
 		return
 	}
 	tag := d.nextTag()
 	if err := d.table.CreateObject(base, size, align, tag); err != nil {
-		d.metadataBytes.Add(^uint64(perObjectMeta - 1))
-		d.statDegraded.Add(1)
+		d.Refund(perObjectMeta)
+		d.NoteDegraded()
 		return
 	}
 	d.statTagged.Add(1)
@@ -171,7 +133,7 @@ func (d *Detector) OnReallocInPlace(base, oldSize, newSize, align uint64) {
 			old = newSize
 		}
 		d.table.ClearObject(base, old, align)
-		d.statDegraded.Add(1)
+		d.NoteDegraded()
 		return
 	}
 	if newSize < oldSize {
@@ -196,7 +158,7 @@ func (d *Detector) OnFree(base, size, align uint64) {
 	if err := d.table.CreateObject(base, size, align, FreedMark); err != nil {
 		d.table.ClearObject(base, size, align)
 	}
-	d.metadataBytes.Add(^uint64(perObjectMeta - 1))
+	d.Refund(perObjectMeta)
 }
 
 // OnPtrStore implements detectors.Detector: a no-op. Tagging needs no
@@ -236,19 +198,12 @@ func (d *Detector) CheckDeref(addr uint64) (uint64, *vmem.Fault) {
 
 // MetadataBytes implements detectors.Detector.
 func (d *Detector) MetadataBytes() uint64 {
-	return d.table.Bytes() + d.metadataBytes.Load()
+	return d.table.Bytes() + d.Charged()
 }
 
 // Stats reports (objects tagged, checks performed, mismatches trapped).
 func (d *Detector) Stats() (tagged, checks, mismatches uint64) {
 	return d.statTagged.Load(), d.statChecks.Load(), d.statMismatch.Load()
-}
-
-// Degraded reports the fail-open coverage losses: objects that were never
-// tagged (or lost their mapping converging a failed realloc). The second
-// value is always 0 — there are no per-pointer registrations to drop.
-func (d *Detector) Degraded() (objects, dropped uint64) {
-	return d.statDegraded.Load(), 0
 }
 
 // Generations reports how many generation tags have been drawn, for the

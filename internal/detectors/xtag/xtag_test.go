@@ -140,7 +140,7 @@ func TestDegradedAllocFailOpen(t *testing.T) {
 // error dangsan's logger uses for metadata exhaustion.
 func TestChargeMetaTypedError(t *testing.T) {
 	d := NewWithOptions(Options{MaxMetadataBytes: 1})
-	if err := d.chargeMeta(faultinject.MetaAlloc, perObjectMeta); !errors.Is(err, pointerlog.ErrMetadataExhausted) {
+	if err := d.Charge(faultinject.MetaAlloc, perObjectMeta); !errors.Is(err, pointerlog.ErrMetadataExhausted) {
 		t.Fatalf("budget exhaustion: want ErrMetadataExhausted, got %v", err)
 	}
 }

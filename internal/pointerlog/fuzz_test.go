@@ -1,6 +1,11 @@
 package pointerlog
 
-import "testing"
+import (
+	"encoding/binary"
+	"errors"
+	"slices"
+	"testing"
+)
 
 // fuzzLoc masks an arbitrary 64-bit value into a valid pointer location:
 // 8-byte aligned, inside the simulated address range [2^40, 2^48) that the
@@ -80,6 +85,62 @@ func FuzzEntryRoundtrip(f *testing.F) {
 		}
 		if raw := decodeEntry(la, nil); len(raw) != 1 || raw[0] != la {
 			t.Fatalf("raw entry %#x decodes to %#x", la, raw)
+		}
+	})
+}
+
+// FuzzSegmentDecode covers the on-disk reader the way FuzzFrameRoundtrip
+// covers the wire: a spill file is whatever a crash left, so the decoder
+// reads bytes it cannot trust. For arbitrary bytes decodeSegment and
+// readSegments (ReadSegments less the file read) never panic and never look
+// past len(b) (the copy below has no spare capacity, so an over-read is an
+// out-of-range slice), and a segment that does decode consumed exactly its
+// frame and carries its declared count. The same bytes, read as words and masked into valid locations, must
+// survive encodeSegment → decodeSegment as a set, and the encoding with its
+// tail torn or a payload byte flipped must read as truncated.
+func FuzzSegmentDecode(f *testing.F) {
+	intact, _ := encodeSegment([]uint64{fuzzLoc(0), fuzzLoc(8), fuzzLoc(16), fuzzLoc(1 << 20)})
+	f.Add(intact)
+	f.Add(intact[:len(intact)-3]) // torn tail
+	badSum := slices.Clone(intact)
+	badSum[len(badSum)-1] ^= 0xff
+	f.Add(badSum)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := slices.Clip(slices.Clone(data))
+		locs, n, err := decodeSegment(b, nil)
+		if err == nil {
+			count, payloadLen, _ := decodeSegmentHeader(b)
+			if n != segHeaderBytes+payloadLen || n > len(b) || len(locs) != count {
+				t.Fatalf("decoded %d locations from %d of %d bytes; header declares %d locations, %d payload bytes", len(locs), n, len(b), count, payloadLen)
+			}
+		} else if !errors.Is(err, errSegTruncated) && !errors.Is(err, errSegCorrupt) {
+			t.Fatalf("decodeSegment: untyped error %v", err)
+		}
+		// An error is mid-file corruption; the intact prefix still comes back.
+		if all, _ := readSegments(b); err == nil && (len(all) < len(locs) || !slices.Equal(all[:len(locs)], locs)) {
+			t.Fatalf("readSegments returned %#x, the first segment holds %#x", all, locs)
+		}
+
+		var want []uint64
+		for ; len(data) >= 8; data = data[8:] {
+			want = append(want, fuzzLoc(binary.LittleEndian.Uint64(data)))
+		}
+		slices.Sort(want)
+		seg, _ := encodeSegment(slices.Clone(want))
+		got, n, err := decodeSegment(seg, nil)
+		slices.Sort(got)
+		if err != nil || n != len(seg) || !slices.Equal(got, want) {
+			t.Fatalf("round trip of %#x: got %#x, %d of %d bytes, err %v", want, got, n, len(seg), err)
+		}
+		if _, _, err := decodeSegment(seg[:len(seg)-1], nil); !errors.Is(err, errSegTruncated) {
+			t.Fatalf("torn tail: %v, want errSegTruncated", err)
+		}
+		if len(want) > 0 {
+			seg[segHeaderBytes+int(want[0]%uint64(len(seg)-segHeaderBytes))] ^= 0x5a
+			if _, _, err := decodeSegment(seg, nil); !errors.Is(err, errSegTruncated) {
+				t.Fatalf("flipped payload byte: %v, want errSegTruncated", err)
+			}
 		}
 	})
 }

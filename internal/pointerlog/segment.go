@@ -172,6 +172,11 @@ func ReadSegments(path string) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return readSegments(b)
+}
+
+// readSegments is ReadSegments over a spill file's bytes.
+func readSegments(b []byte) ([]uint64, error) {
 	var locs []uint64
 	off := 0
 	for off < len(b) {

@@ -1,6 +1,10 @@
 package service
 
-import "time"
+import (
+	"time"
+
+	"dangsan/internal/service/transport"
+)
 
 // Transport names for Config.Transport.
 const (
@@ -46,10 +50,14 @@ func wireNetwork(name string) string {
 // interface only, so it cannot behave differently per transport.
 type endpoint interface {
 	// send runs one request synchronously on the caller's goroutine under a
-	// deadline; every failure is one of the typed errors. Over the wire the
-	// deadline bounds the whole exchange; in-process it bounds every wait
-	// (the worker's turn, an injected slow/hang) but not the op itself.
-	send(req request, timeout time.Duration) response
+	// deadline. Response.Err is always one of the typed errors
+	// (ShardDownError/DeadlineError from the transport, the allocator's
+	// OutOfMemoryError, proc's ExhaustedError, or a vmem.Fault from a live-key
+	// check) — an untyped error escaping a worker is a contract violation the
+	// chaos harness would flag. Over the wire the deadline bounds the whole
+	// exchange; in-process it bounds every wait (the worker's turn, an
+	// injected slow/hang) but not the op itself.
+	send(req transport.Request, timeout time.Duration) transport.Response
 	// shutdown asks the worker to exit gracefully (close(stop) in-process,
 	// SIGTERM for a process). Idempotent.
 	shutdown()
@@ -67,14 +75,11 @@ type endpoint interface {
 	// coldPath locates the dead worker's cold spill file for failover
 	// recovery ("" if it never spilled).
 	coldPath() string
-	// disrupt injects a failure mode; the chaos stages drive it.
-	disrupt(mode disruptMode) error
-	// incarnationID is the worker's incarnation, for the staleness check
-	// at failover entry.
-	incarnationID() int
 }
 
 // epBox wraps an endpoint for atomic.Pointer storage: the two concrete
 // endpoint types would make atomic.Value panic on inconsistently-typed
-// stores, and atomic.Pointer needs one concrete pointee.
+// stores, and atomic.Pointer needs one concrete pointee. A shard gets a new
+// box with every endpoint, so the box's identity names the incarnation: a
+// failover trigger is stale once the shard holds another box.
 type epBox struct{ ep endpoint }

@@ -105,6 +105,40 @@ func TestFailoverRebuildsStateAndAuditHolds(t *testing.T) {
 	}
 }
 
+// TestFailoverStaleTriggerIsNoOp: a trigger is good for the worker it was
+// observed on. One that reaches failover after that worker was replaced —
+// it waited on failMu behind the failover that did it — must not tear the
+// fresh worker down.
+func TestFailoverStaleTriggerIsNoOp(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.HeartbeatInterval = time.Hour // the test is the only trigger
+	s := mustNew(t, cfg)
+	if v, err := s.Alloc("t", 1, 64, 2); err != nil || v.Degraded {
+		t.Fatalf("alloc: %+v %v", v, err)
+	}
+	sh := s.shards[0]
+	seen := sh.ep.Load()
+	seen.ep.kill()
+	s.failover(sh, seen)
+	fresh := sh.ep.Load()
+	if fresh == seen || s.Counters().Failovers != 1 {
+		t.Fatalf("failover of a dead worker: same box %v, %d failovers", fresh == seen, s.Counters().Failovers)
+	}
+
+	s.failover(sh, seen)
+	if sh.ep.Load() != fresh || s.Counters().Failovers != 1 {
+		t.Fatalf("stale trigger replaced the fresh worker: %d failovers", s.Counters().Failovers)
+	}
+	select {
+	case <-fresh.ep.doneCh():
+		t.Fatal("stale trigger stopped the fresh worker")
+	default:
+	}
+	if v, err := s.Check("t", 1); err != nil || v.Degraded || !v.Known {
+		t.Fatalf("check after a stale trigger: %+v %v, want the replayed key served", v, err)
+	}
+}
+
 // TestFailoverOnHang: a hung worker (never replies) must be detected by
 // heartbeat misses and replaced; the shard serves again afterwards.
 func TestFailoverOnHang(t *testing.T) {

@@ -7,7 +7,7 @@ import "sync"
 // worker during failover.
 type journalRec struct {
 	size   uint64
-	stores int
+	stores uint32
 }
 
 // journal is the coordinator-side per-shard state log. It records only
@@ -36,7 +36,7 @@ func newJournal(window int) *journal {
 	}
 }
 
-func (j *journal) recordAlloc(key, size uint64, stores int) {
+func (j *journal) recordAlloc(key, size uint64, stores uint32) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, ok := j.live[key]; ok {
@@ -81,7 +81,7 @@ func (j *journal) dropFromFIFO(key uint64) {
 type entry struct {
 	key    uint64
 	size   uint64
-	stores int
+	stores uint32
 }
 
 // snapshot returns the live set and the freed window (oldest first) for

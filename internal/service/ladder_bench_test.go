@@ -43,8 +43,8 @@ func BenchmarkWireLadder(b *testing.B) {
 	b.Run("endpoint-ping", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if resp := wep.send(request{kind: opPing}, time.Second); resp.err != nil {
-				b.Fatal(resp.err)
+			if resp := wep.send(transport.Request{Op: transport.OpPing}, time.Second); resp.Err != nil {
+				b.Fatal(resp.Err)
 			}
 		}
 	})

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dangsan/internal/obs"
 	"dangsan/internal/pointerlog"
+	"dangsan/internal/service/transport"
 	"dangsan/internal/tcmalloc"
 	"dangsan/internal/vmem"
 )
@@ -25,19 +27,12 @@ type Config struct {
 	// Per-worker detector stack — see the same-named pointerlog/proc
 	// options. Audit arms the exact cross-tier accounting identity
 	// (workers are single-threaded, so it holds to the byte).
-	HeapBytes        uint64
-	Audit            bool
-	MaxMetadataBytes uint64
-	QuarantineBytes  uint64
-	QuarantineEpoch  int
-	ColdSpillBytes   uint64
-	ColdDir          string
-
-	// FaultRate/FaultSeed/FaultBudget arm a per-worker fault-injection
-	// plane (distinct deterministic stream per shard and incarnation).
-	FaultRate   float64
-	FaultSeed   int64
-	FaultBudget int64
+	HeapBytes       uint64
+	Audit           bool
+	QuarantineBytes uint64
+	QuarantineEpoch int
+	ColdSpillBytes  uint64
+	ColdDir         string
 
 	// Seed drives retry jitter and any other coordinator-side randomness.
 	Seed uint64
@@ -57,19 +52,12 @@ type Config struct {
 	// breaker (0: 5 failures / 25ms).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// FailoverDrain bounds how long failover waits for the old worker to
-	// die before abandoning it (0: 500ms). Workers unblock on stop even
-	// when hung, so abandonment is the exception.
-	FailoverDrain time.Duration
 	// SlowDelay is the injected per-request latency in shard-slow
 	// disruption mode (0: 25ms — comfortably past RequestTimeout).
 	SlowDelay time.Duration
 	// FreedWindow is how many recently-freed keys each shard (and the
 	// journal) remembers for UAF probes and failover replay (0: 512).
 	FreedWindow int
-	// ScratchSlots sizes each worker's scattered-pointer-store arena
-	// (0: 2048 slots).
-	ScratchSlots int
 
 	// Transport selects how shard workers are reached: TransportChan ("",
 	// the default) keeps workers in this process; TransportUnix and
@@ -86,9 +74,15 @@ type Config struct {
 	WorkDir string
 
 	// Metrics, when non-nil, receives the service gauges
-	// (service.* / service.shard<i>.*).
-	Metrics *obs.Registry
+	// (service.* / service.shard<i>.*). It stays with the coordinator: a
+	// worker process's copy of the Config has none.
+	Metrics *obs.Registry `json:"-"`
 }
+
+// failoverDrain bounds how long failover and Close wait for a worker to die
+// before escalating, and again before abandoning it. Workers unblock on stop
+// even when hung, so abandonment is the exception.
+const failoverDrain = 500 * time.Millisecond
 
 func (c Config) normalized() Config {
 	if c.Shards <= 0 {
@@ -113,17 +107,11 @@ func (c Config) normalized() Config {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 25 * time.Millisecond
 	}
-	if c.FailoverDrain <= 0 {
-		c.FailoverDrain = 500 * time.Millisecond
-	}
 	if c.SlowDelay <= 0 {
 		c.SlowDelay = 25 * time.Millisecond
 	}
 	if c.FreedWindow <= 0 {
 		c.FreedWindow = 512
-	}
-	if c.ScratchSlots <= 0 {
-		c.ScratchSlots = 2048
 	}
 	if c.QuarantineBytes > 0 && c.QuarantineEpoch <= 0 {
 		c.QuarantineEpoch = 16
@@ -216,7 +204,7 @@ func New(cfg Config) (*Service, error) {
 		}
 	} else {
 		s.spawn = func(shard, incarn int) (endpoint, error) {
-			w, err := newWorker(shard, incarn, cfg, &s.shards[shard].turn)
+			w, err := newWorker(shard, cfg, &s.shards[shard].turn)
 			if err != nil {
 				return nil, err
 			}
@@ -235,7 +223,7 @@ func New(cfg Config) (*Service, error) {
 		if err != nil {
 			for _, sh := range s.shards[:i] {
 				old := sh.ep.Load().ep
-				stopEndpoint(old, cfg.FailoverDrain)
+				stopEndpoint(old)
 				old.close()
 			}
 			if s.ownWorkDir {
@@ -279,15 +267,16 @@ func (s *Service) ShardOf(tenant string, key uint64) int {
 }
 
 // Alloc registers an object of `size` bytes under (tenant, key) with
-// `stores` scattered pointer stores. Idempotent for live keys.
+// `stores` scattered pointer stores (none if negative). Idempotent for live
+// keys.
 func (s *Service) Alloc(tenant string, key, size uint64, stores int) (Verdict, error) {
-	return s.do(request{kind: opAlloc, key: keyFor(tenant, key), size: size, stores: stores})
+	return s.do(transport.Request{Op: transport.OpAlloc, Key: keyFor(tenant, key), Size: size, Stores: uint32(max(stores, 0))})
 }
 
 // Free frees the object under (tenant, key). Idempotent for absent/freed
 // keys.
 func (s *Service) Free(tenant string, key uint64) (Verdict, error) {
-	return s.do(request{kind: opFree, key: keyFor(tenant, key)})
+	return s.do(transport.Request{Op: transport.OpFree, Key: keyFor(tenant, key)})
 }
 
 // Check dereferences through the key's anchor pointer. For freed keys,
@@ -295,18 +284,18 @@ func (s *Service) Free(tenant string, key uint64) (Verdict, error) {
 // keys a fault is returned as the error (a false UAF — the invariant the
 // chaos harness watches).
 func (s *Service) Check(tenant string, key uint64) (Verdict, error) {
-	return s.do(request{kind: opCheck, key: keyFor(tenant, key)})
+	return s.do(transport.Request{Op: transport.OpCheck, Key: keyFor(tenant, key)})
 }
 
 // do is the supervised request path: breaker gate, per-request deadline,
 // bounded retry with jittered backoff under a wall-time cap, and a
 // degraded (fail-open) verdict when the shard cannot be reached — never a
 // hang, never a made-up answer.
-func (s *Service) do(req request) (Verdict, error) {
+func (s *Service) do(req transport.Request) (Verdict, error) {
 	if s.closed.Load() {
 		return Verdict{Degraded: true}, &ClosedError{}
 	}
-	sh := s.shards[req.key%uint64(len(s.shards))]
+	sh := s.shards[req.Key%uint64(len(s.shards))]
 	sh.requests.Add(1)
 	pol := s.cfg.Retry
 	// The wall-time cap runs from the first failure: a healthy op never
@@ -333,14 +322,15 @@ func (s *Service) do(req request) (Verdict, error) {
 		}
 		ep := sh.ep.Load().ep
 		resp := ep.send(req, s.cfg.RequestTimeout)
-		if resp.err == nil {
+		verdict := Verdict{Known: resp.Known, Freed: resp.Freed, UAF: resp.UAF, Degraded: resp.Degraded}
+		if resp.Err == nil {
 			if probe != 0 {
 				sh.breaker.RecordProbe(probe, true)
 			} else {
 				sh.breaker.Record(true)
 			}
 			s.journalConfirmed(sh, req)
-			return resp.verdict, nil
+			return verdict, nil
 		}
 		if probe != 0 {
 			sh.breaker.RecordProbe(probe, false)
@@ -348,16 +338,16 @@ func (s *Service) do(req request) (Verdict, error) {
 			sh.breaker.Record(false)
 		}
 		var dl *DeadlineError
-		if errors.As(resp.err, &dl) {
+		if errors.As(resp.Err, &dl) {
 			s.timeouts.Add(1)
 		}
-		if !transient(resp.err) {
+		if !transient(resp.Err) {
 			// Non-transient: a live-key fault (false UAF — surfaced for
 			// the harness) or resource exhaustion retries cannot fix.
 			// Exhaustion falls open into degraded; faults surface.
 			var fault *vmem.Fault
-			if errors.As(resp.err, &fault) {
-				return resp.verdict, resp.err
+			if errors.As(resp.Err, &fault) {
+				return verdict, resp.Err
 			}
 			break
 		}
@@ -395,12 +385,12 @@ func transient(err error) bool {
 
 // journalConfirmed records a CONFIRMED mutation — the worker replied ok —
 // so failover replay reconstructs exactly the state clients could observe.
-func (s *Service) journalConfirmed(sh *shardState, req request) {
-	switch req.kind {
-	case opAlloc:
-		sh.journal.recordAlloc(req.key, req.size, req.stores)
-	case opFree:
-		sh.journal.recordFree(req.key)
+func (s *Service) journalConfirmed(sh *shardState, req transport.Request) {
+	switch req.Op {
+	case transport.OpAlloc:
+		sh.journal.recordAlloc(req.Key, req.Size, req.Stores)
+	case transport.OpFree:
+		sh.journal.recordFree(req.Key)
 	}
 }
 
@@ -411,9 +401,9 @@ func (s *Service) Quiesce() error {
 	var firstErr error
 	for _, sh := range s.shards {
 		ep := sh.ep.Load().ep
-		resp := ep.send(request{kind: opQuiesce}, 10*s.cfg.RequestTimeout)
-		if resp.err != nil && firstErr == nil {
-			firstErr = resp.err
+		resp := ep.send(transport.Request{Op: transport.OpQuiesce}, 10*s.cfg.RequestTimeout)
+		if resp.Err != nil && firstErr == nil {
+			firstErr = resp.Err
 		}
 	}
 	return firstErr
@@ -461,11 +451,16 @@ func (s *Service) DetectorStats(shard int) (pointerlog.Snapshot, pointerlog.Cold
 		return pointerlog.Snapshot{}, pointerlog.ColdStats{}, nil, fmt.Errorf("service: no shard %d", shard)
 	}
 	ep := s.shards[shard].ep.Load().ep
-	resp := ep.send(request{kind: opStats}, 10*s.cfg.RequestTimeout)
-	if resp.err != nil {
-		return pointerlog.Snapshot{}, pointerlog.ColdStats{}, nil, resp.err
+	ws, err := statsOf(ep.send(transport.Request{Op: transport.OpStats}, 10*s.cfg.RequestTimeout))
+	return ws.Stats, ws.Cold, ws.Audit, err
+}
+
+// statsOf decodes an OpStats reply.
+func statsOf(resp transport.Response) (transport.WireStats, error) {
+	if resp.Err != nil {
+		return transport.WireStats{}, resp.Err
 	}
-	return resp.stats.Stats, resp.stats.Cold, resp.stats.Audit, nil
+	return transport.DecodeStats(resp.StatsJSON)
 }
 
 // AggregateStats sums the pointer-log snapshots across shards (transient
@@ -507,37 +502,53 @@ func (s *Service) AggregateStats() (pointerlog.Snapshot, error) {
 // (requests crawl), hang (requests never answered), kill (worker exits on
 // next request), killafter (worker applies its next request and dies
 // before replying — the crash-consistency window), sigkill (worker dies
-// NOW; a real SIGKILL under the wire transports). The chaos stages drive
-// this.
+// NOW; a real SIGKILL under the wire transports), partition / trickle /
+// garbage (wire transports only: the next exchange drops mid-request,
+// crawls a byte every few milliseconds, or leads with non-frame bytes),
+// none / heal. The chaos stages drive this.
 func (s *Service) Disrupt(shard int, mode string) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("service: no shard %d", shard)
 	}
 	ep := s.shards[shard].ep.Load().ep
-	var m disruptMode
+	var code uint8
+	var netFault transport.NetFault
 	switch mode {
-	case "slow":
-		m = disruptSlow
-	case "hang":
-		m = disruptHang
-	case "kill":
-		m = disruptKill
-	case "killafter":
-		m = disruptKillAfter
 	case "sigkill":
-		m = disruptSigKill
+		ep.kill()
+		return nil
 	case "partition":
-		m = disruptNetPartition
+		netFault = transport.NetPartition
 	case "trickle":
-		m = disruptNetTrickle
+		netFault = transport.NetTrickle
 	case "garbage":
-		m = disruptNetGarbage
+		netFault = transport.NetGarbage
 	case "none", "heal":
-		m = disruptNone
+		code = transport.DisruptNone
+	case "slow":
+		code = transport.DisruptSlow
+	case "hang":
+		code = transport.DisruptHang
+	case "kill":
+		code = transport.DisruptKill
+	case "killafter":
+		code = transport.DisruptKillAfter
 	default:
 		return fmt.Errorf("service: unknown disruption %q", mode)
 	}
-	return ep.disrupt(m)
+	if netFault != transport.NetNone {
+		// The worker is healthy, the wire is not: armed on the coordinator's
+		// client, one-shot.
+		wep, ok := ep.(*wireEndpoint)
+		if !ok {
+			return fmt.Errorf("service: network fault %q needs a wire transport", mode)
+		}
+		wep.client.InjectNetFault(netFault)
+		return nil
+	}
+	// The worker applies a mode change without taking its turn, so it lands
+	// even on a hung one.
+	return ep.send(transport.Request{Op: transport.OpDisrupt, Mode: code}, replayBudget(s.cfg.RequestTimeout)).Err
 }
 
 // Violations returns invariant violations the service itself observed
@@ -622,16 +633,14 @@ func (s *Service) registerMetrics() {
 	u := func(a *atomic.Uint64) func() int64 {
 		return func() int64 { return int64(a.Load()) }
 	}
-	reg.RegisterFunc("service.requests", func() int64 { return int64(s.Counters().Requests) })
-	reg.RegisterFunc("service.degraded_requests", func() int64 { return int64(s.Counters().Degraded) })
-	reg.RegisterFunc("service.retries", u(&s.retries))
-	reg.RegisterFunc("service.timeouts", u(&s.timeouts))
-	reg.RegisterFunc("service.failovers", u(&s.failovers))
-	reg.RegisterFunc("service.heartbeat_misses", u(&s.heartbeatMisses))
-	reg.RegisterFunc("service.worker_panics", u(&s.workerPanics))
-	reg.RegisterFunc("service.recovered_spilled_locs", u(&s.recoveredLocs))
-	reg.RegisterFunc("service.replayed_objects", u(&s.replayedObjects))
-	reg.RegisterFunc("service.breaker_trips", func() int64 { return int64(s.Counters().BreakerTrips) })
+	// One gauge per Counters field, named by its JSON tag: the two lists
+	// cannot drift.
+	ct := reflect.TypeOf(Counters{})
+	for i := 0; i < ct.NumField(); i++ {
+		reg.RegisterFunc("service."+ct.Field(i).Tag.Get("json"), func() int64 {
+			return int64(reflect.ValueOf(s.Counters()).Field(i).Uint())
+		})
+	}
 	for _, sh := range s.shards {
 		sh := sh
 		reg.RegisterFunc(fmt.Sprintf("service.shard%d.heartbeat_age_ms", sh.idx), func() int64 {
@@ -658,7 +667,7 @@ func (s *Service) Close() {
 		// Serialize with any in-flight failover so we stop the final
 		// worker, not a mid-swap one.
 		sh.failMu.Lock()
-		if ep := sh.ep.Load().ep; stopEndpoint(ep, s.cfg.FailoverDrain) {
+		if ep := sh.ep.Load().ep; stopEndpoint(ep) {
 			ep.close()
 		} else {
 			s.abandoned.Add(1)
@@ -670,17 +679,17 @@ func (s *Service) Close() {
 	}
 }
 
-// stopEndpoint stops ep gracefully and, when it does not die within drain,
-// escalates to kill (a real SIGKILL for a process worker; the in-process
-// worker has no harder stop, so it just gets a second wait). False means ep
-// survived both.
-func stopEndpoint(ep endpoint, drain time.Duration) bool {
+// stopEndpoint stops ep gracefully and, when it does not die within
+// failoverDrain, escalates to kill (a real SIGKILL for a process worker; the
+// in-process worker has no harder stop, so it just gets a second wait). False
+// means ep survived both.
+func stopEndpoint(ep endpoint) bool {
 	ep.shutdown()
-	if waitClosed(ep.doneCh(), drain) {
+	if waitClosed(ep.doneCh(), failoverDrain) {
 		return true
 	}
 	ep.kill()
-	return waitClosed(ep.doneCh(), drain)
+	return waitClosed(ep.doneCh(), failoverDrain)
 }
 
 // waitClosed waits for ch to close, up to d. Returns false on timeout.

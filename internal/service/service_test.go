@@ -4,6 +4,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -294,7 +295,8 @@ func TestServiceLoadGenClean(t *testing.T) {
 	}
 }
 
-// TestServiceMetricsGauges: the service registers its gauges and they
+// TestServiceMetricsGauges: the service registers its gauges — one per
+// Counters field, named by its JSON tag, plus the per-shard ones — and they
 // reflect traffic.
 func TestServiceMetricsGauges(t *testing.T) {
 	cfg := testConfig(t, 2)
@@ -308,7 +310,11 @@ func TestServiceMetricsGauges(t *testing.T) {
 	if snap.Gauges["service.requests"] == 0 {
 		t.Fatalf("service.requests gauge missing or zero: %v", snap.Gauges)
 	}
-	for _, name := range []string{"service.degraded_requests", "service.failovers", "service.shard0.breaker_state", "service.shard0.heartbeat_age_ms", "service.shard1.failovers"} {
+	names := []string{"service.shard0.breaker_state", "service.shard0.heartbeat_age_ms", "service.shard1.failovers"}
+	for ct, i := reflect.TypeOf(Counters{}), 0; i < ct.NumField(); i++ {
+		names = append(names, "service."+ct.Field(i).Tag.Get("json"))
+	}
+	for _, name := range names {
 		if _, ok := snap.Gauges[name]; !ok {
 			t.Fatalf("gauge %s not registered (have %v)", name, snap.Gauges)
 		}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dangsan/internal/pointerlog"
+	"dangsan/internal/service/transport"
 )
 
 // supervise is one shard's supervisor loop: it pings the worker every
@@ -27,17 +28,17 @@ func (s *Service) supervise(sh *shardState) {
 		if sh.rebuilding.Load() {
 			continue
 		}
-		ep := sh.ep.Load().ep
+		box := sh.ep.Load()
 		select {
-		case <-ep.doneCh():
+		case <-box.ep.doneCh():
 			// Dead worker: no point counting misses.
-			s.failover(sh, "worker exited")
+			s.failover(sh, box)
 			misses = 0
 			continue
 		default:
 		}
-		resp := ep.send(request{kind: opPing}, s.cfg.HeartbeatTimeout)
-		if resp.err == nil {
+		resp := box.ep.send(transport.Request{Op: transport.OpPing}, s.cfg.HeartbeatTimeout)
+		if resp.Err == nil {
 			misses = 0
 			sh.lastBeat.Store(time.Now().UnixNano())
 			sh.breaker.Record(true)
@@ -50,13 +51,14 @@ func (s *Service) supervise(sh *shardState) {
 		// racing the probe (the breaker invalidates the probe's token).
 		sh.breaker.Record(false)
 		if misses >= s.cfg.HeartbeatMisses {
-			s.failover(sh, "heartbeat misses")
+			s.failover(sh, box)
 			misses = 0
 		}
 	}
 }
 
-// failover replaces a shard's worker and rebuilds its state:
+// failover replaces the worker in seen — the box the trigger (a dead worker,
+// or heartbeat misses) was observed on — and rebuilds the shard's state:
 //
 //  1. mark the shard rebuilding and force the breaker open, so the request
 //     path fails open into degraded verdicts instead of racing the swap;
@@ -80,32 +82,22 @@ func (s *Service) supervise(sh *shardState) {
 //
 // Concurrent failovers for one shard serialize on failMu; the rebuilding
 // flag keeps the supervisor and request path out during the rebuild.
-func (s *Service) failover(sh *shardState, reason string) {
+func (s *Service) failover(sh *shardState, seen *epBox) {
 	sh.failMu.Lock()
 	defer sh.failMu.Unlock()
-	if s.closed.Load() {
+	// A trigger that waited on failMu behind another failover is stale: the
+	// shard holds a fresh worker in a new box, and the old one's heartbeat
+	// history does not transfer to it.
+	if s.closed.Load() || sh.ep.Load() != seen {
 		return
 	}
-	old := sh.ep.Load().ep
-	// Another failover may have already replaced the worker while this
-	// trigger was waiting on failMu; only proceed if the observed-dead
-	// worker is still current.
-	select {
-	case <-old.doneCh():
-	default:
-		// Worker alive: heartbeat-miss trigger. Proceed — shutdown will
-		// take it down below — unless a concurrent failover just swapped in
-		// a fresh incarnation (its heartbeat history does not transfer).
-		if old.incarnationID() != int(sh.incarn.Load()) {
-			return
-		}
-	}
+	old := seen.ep
 	start := time.Now()
 	sh.rebuilding.Store(true)
 	defer sh.rebuilding.Store(false)
 	sh.breaker.ForceOpen()
 
-	exited := stopEndpoint(old, s.cfg.FailoverDrain)
+	exited := stopEndpoint(old)
 	if old.didPanic() {
 		s.workerPanics.Add(1)
 	}
@@ -148,20 +140,20 @@ func (s *Service) failover(sh *shardState, reason string) {
 	live, freed := sh.journal.snapshot()
 	replayed := 0
 	budget := replayBudget(s.cfg.RequestTimeout)
-	replay := func(req request) bool {
-		if resp := nep.send(req, budget); resp.err != nil {
+	replay := func(req transport.Request) bool {
+		if resp := nep.send(req, budget); resp.Err != nil {
 			s.replayErrors.Add(1)
 			return false
 		}
 		return true
 	}
 	for _, e := range live {
-		if replay(request{kind: opAlloc, key: e.key, size: e.size, stores: e.stores}) {
+		if replay(transport.Request{Op: transport.OpAlloc, Key: e.key, Size: e.size, Stores: e.stores}) {
 			replayed++
 		}
 	}
 	for _, e := range freed {
-		if replay(request{kind: opAlloc, key: e.key, size: e.size, stores: e.stores}) && replay(request{kind: opFree, key: e.key}) {
+		if replay(transport.Request{Op: transport.OpAlloc, Key: e.key, Size: e.size, Stores: e.stores}) && replay(transport.Request{Op: transport.OpFree, Key: e.key}) {
 			replayed++
 		}
 	}
@@ -169,11 +161,11 @@ func (s *Service) failover(sh *shardState, reason string) {
 		// A stats op triggers the logger's AuditCheck on the rebuilt
 		// worker; any violation means the rebuilt state broke the
 		// accounting identity.
-		resp := nep.send(request{kind: opStats}, budget)
-		if resp.err != nil {
-			s.recordViolation("shard %d: post-rebuild audit unavailable: %v", sh.idx, resp.err)
-		} else if len(resp.stats.Audit) > 0 {
-			s.recordViolation("shard %d: audit identity broken after rebuild: %s", sh.idx, resp.stats.Audit[0])
+		ws, err := statsOf(nep.send(transport.Request{Op: transport.OpStats}, budget))
+		if err != nil {
+			s.recordViolation("shard %d: post-rebuild audit unavailable: %v", sh.idx, err)
+		} else if len(ws.Audit) > 0 {
+			s.recordViolation("shard %d: audit identity broken after rebuild: %s", sh.idx, ws.Audit[0])
 		}
 	}
 

@@ -13,8 +13,8 @@ import (
 	"dangsan/internal/vmem"
 )
 
-// Op is the wire request vocabulary — one value per coordinator/worker
-// operation, matching the in-process queue's opKind.
+// Op is the request vocabulary — one value per coordinator/worker operation,
+// on the wire and in-process alike.
 type Op uint8
 
 const (
@@ -50,11 +50,17 @@ func (o Op) String() string {
 	return "unknown"
 }
 
-// Disruption modes carried by OpDisrupt.
+// Disruption modes carried by OpDisrupt: the failure a worker simulates
+// until the next OpDisrupt.
 const (
 	DisruptNone uint8 = iota
+	// DisruptSlow: every request waits the worker's SlowDelay before being
+	// served, or gives up at its deadline, unapplied.
 	DisruptSlow
+	// DisruptHang: no request is ever served; each caller holds the turn
+	// until its deadline or the supervisor's stop (failover).
 	DisruptHang
+	// DisruptKill: the worker exits on its next request without replying.
 	DisruptKill
 	// DisruptKillAfter applies the request and then dies WITHOUT replying —
 	// the crash-consistency window between a worker committing a mutation

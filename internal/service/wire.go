@@ -29,10 +29,8 @@ const readyTimeout = 10 * time.Second
 // into — the worker never unlinks its spill file, so a SIGKILLed worker's
 // cold tier survives for failover to read back.
 type wireEndpoint struct {
-	shard       int
-	incarnation int
-	network     string
-	addr        string
+	network string
+	addr    string
 
 	cmd    *exec.Cmd
 	client *transport.Client
@@ -45,8 +43,6 @@ type wireEndpoint struct {
 	termOnce  sync.Once
 	killOnce  sync.Once
 	closeOnce sync.Once
-
-	disruptTimeout time.Duration
 }
 
 // replayBudget sizes the per-op deadline for failover replay and other
@@ -79,25 +75,8 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 	default:
 		return nil, fmt.Errorf("service: unknown wire network %q", network)
 	}
-	spec := WorkerSpec{
-		Shard:            shard,
-		Incarnation:      incarn,
-		Network:          network,
-		Addr:             addr,
-		HeapBytes:        cfg.HeapBytes,
-		Audit:            cfg.Audit,
-		MaxMetadataBytes: cfg.MaxMetadataBytes,
-		QuarantineBytes:  cfg.QuarantineBytes,
-		QuarantineEpoch:  cfg.QuarantineEpoch,
-		ColdSpillBytes:   cfg.ColdSpillBytes,
-		ColdDir:          coldDir,
-		FaultRate:        cfg.FaultRate,
-		FaultSeed:        cfg.FaultSeed,
-		FaultBudget:      cfg.FaultBudget,
-		SlowDelayNS:      int64(cfg.SlowDelay),
-		FreedWindow:      cfg.FreedWindow,
-		ScratchSlots:     cfg.ScratchSlots,
-	}
+	cfg.ColdDir = coldDir
+	spec := workerSpec{Shard: shard, Incarnation: incarn, Network: network, Addr: addr, Config: cfg}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("service: worker spec: %w", err)
@@ -121,16 +100,7 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("service: spawn worker: %w", err)
 	}
-	ep := &wireEndpoint{
-		shard:          shard,
-		incarnation:    incarn,
-		network:        network,
-		addr:           addr,
-		cmd:            cmd,
-		coldDir:        coldDir,
-		done:           make(chan struct{}),
-		disruptTimeout: replayBudget(cfg.RequestTimeout),
-	}
+	ep := &wireEndpoint{network: network, addr: addr, cmd: cmd, coldDir: coldDir, done: make(chan struct{})}
 	ep.exitCode.Store(-1)
 
 	readyCh := make(chan string, 1)
@@ -177,28 +147,10 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 // send is one wire exchange on the caller's goroutine. The client's pool
 // gives every exchange a connection of its own, so a request never waits
 // behind a hung one and the socket deadline alone bounds it.
-func (ep *wireEndpoint) send(req request, timeout time.Duration) response {
-	tr, err := ep.client.Do(transport.Request{Op: wireOp(req.kind), Key: req.key, Size: req.size, Stores: uint32(req.stores)}, timeout)
+func (ep *wireEndpoint) send(req transport.Request, timeout time.Duration) transport.Response {
+	resp, err := ep.client.Do(req, timeout)
 	if err != nil {
-		return response{err: err}
-	}
-	return ep.decode(req.kind, tr)
-}
-
-// decode maps a wire response back onto the coordinator's response struct,
-// inflating the stats blob for stats ops.
-func (ep *wireEndpoint) decode(kind opKind, tr transport.Response) response {
-	resp := response{
-		verdict: Verdict{Known: tr.Known, Freed: tr.Freed, UAF: tr.UAF, Degraded: tr.Degraded},
-		err:     tr.Err,
-	}
-	if kind == opStats && tr.Err == nil {
-		ws, err := transport.DecodeStats(tr.StatsJSON)
-		if err != nil {
-			resp.err = &ShardDownError{Shard: ep.shard, Reason: "bad stats payload: " + err.Error()}
-			return resp
-		}
-		resp.stats = &ws
+		return transport.Response{Err: err}
 	}
 	return resp
 }
@@ -217,8 +169,6 @@ func (ep *wireEndpoint) kill() {
 func (ep *wireEndpoint) doneCh() <-chan struct{} { return ep.done }
 
 func (ep *wireEndpoint) didPanic() bool { return ep.exitCode.Load() == workerExitPanic }
-
-func (ep *wireEndpoint) incarnationID() int { return ep.incarnation }
 
 // coldPath globs the per-incarnation cold dir for the worker's spill
 // file. Normally at most one exists (compaction unlinks the old file); a
@@ -240,37 +190,6 @@ func (ep *wireEndpoint) coldPath() string {
 		})
 	}
 	return matches[len(matches)-1]
-}
-
-// disrupt injects a failure mode. sigkill is delivered as a real signal;
-// network faults are armed locally on the client (one-shot: the next
-// exchange hits a partition/trickle/garbage wire); the worker-observed
-// modes travel as an OpDisrupt exchange, which the worker process applies
-// without taking its turn (so it lands even when hung).
-func (ep *wireEndpoint) disrupt(m disruptMode) error {
-	switch m {
-	case disruptSigKill:
-		ep.kill()
-		return nil
-	case disruptNetPartition:
-		ep.client.InjectNetFault(transport.NetPartition)
-		return nil
-	case disruptNetTrickle:
-		ep.client.InjectNetFault(transport.NetTrickle)
-		return nil
-	case disruptNetGarbage:
-		ep.client.InjectNetFault(transport.NetGarbage)
-		return nil
-	}
-	code, ok := wireDisruptCode(m)
-	if !ok {
-		return fmt.Errorf("service: disruption %d has no wire form", m)
-	}
-	resp, err := ep.client.Do(transport.Request{Op: transport.OpDisrupt, Mode: code}, ep.disruptTimeout)
-	if err != nil {
-		return err
-	}
-	return resp.Err
 }
 
 // close tears the endpoint down: the process if it is somehow still

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
+	"dangsan/internal/obs"
 	"dangsan/internal/pointerlog"
 )
 
@@ -53,7 +55,14 @@ func runParityScript(t *testing.T, transport string, script []ScriptOp) paritySt
 		t.Fatalf("New(%s): %v", transport, err)
 	}
 	defer s.Close()
-	st := parityState{Outcomes: s.RunScript(script)}
+	var st parityState
+	for i := range script {
+		start := time.Now()
+		st.Outcomes = append(st.Outcomes, s.RunScript(script[i:i+1])...)
+		if d := time.Since(start); d > cfg.RequestTimeout {
+			t.Fatalf("%s: op %d (%+v) took %v, RequestTimeout is %v", transport, i, script[i], d, cfg.RequestTimeout)
+		}
+	}
 	if err := s.Quiesce(); err != nil {
 		t.Fatalf("quiesce(%s): %v", transport, err)
 	}
@@ -79,9 +88,15 @@ func runParityScript(t *testing.T, transport string, script []ScriptOp) paritySt
 // snapshots (the audit identity numbers included), and clean audits.
 // Workers are single-threaded and mutations arrive in script order, so
 // any divergence is a transport bug — a verdict or typed error that did
-// not survive the wire.
+// not survive the wire. The script ends on an alloc with a negative store
+// count — no stores on any transport, not 2³²−1 of them under a worker
+// process's turn — and a check of it. DetectorStats takes one path since
+// every worker answers OpStats with the JSON blob; the snapshot comparison
+// pins that chan, unix and tcp decode it to the same values.
 func TestTransportParityConformance(t *testing.T) {
-	script := BuildScript(42, 500)
+	script := append(BuildScript(42, 500),
+		ScriptOp{Kind: "alloc", Tenant: "parity", Key: 1 << 40, Size: 64, Stores: -1},
+		ScriptOp{Kind: "check", Tenant: "parity", Key: 1 << 40})
 	base := runParityScript(t, TransportChan, script)
 	if base.Degraded != 0 {
 		t.Fatalf("chan baseline degraded %d requests", base.Degraded)
@@ -120,6 +135,55 @@ func TestTransportParityConformance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorkerSpecCarriesConfig: the spec a worker process is spawned with
+// round-trips every Config field through its JSON — the fields are listed
+// once, in Config, and one added there travels without further code — except
+// Metrics, which stays with the coordinator.
+func TestWorkerSpecCarriesConfig(t *testing.T) {
+	var cfg Config
+	fillNonZero(t, reflect.ValueOf(&cfg).Elem())
+	cfg.Metrics = obs.NewRegistry()
+	blob, err := json.Marshal(workerSpec{Shard: 3, Incarnation: 7, Network: "unix", Addr: "/tmp/s3-i7.sock", Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got workerSpec
+	if err := json.Unmarshal(blob, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Config.Metrics != nil {
+		t.Fatal("the spec carried the coordinator's metrics registry")
+	}
+	cfg.Metrics = nil
+	if want := (workerSpec{Shard: 3, Incarnation: 7, Network: "unix", Addr: "/tmp/s3-i7.sock", Config: cfg}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("spec round trip:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// fillNonZero sets every field of the struct v (nested structs included,
+// pointers left alone) to a distinct non-zero value.
+func fillNonZero(t *testing.T, v reflect.Value) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f, n := v.Field(i), int64(i+1)
+		switch f.Kind() {
+		case reflect.Struct:
+			fillNonZero(t, f)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(n)
+		case reflect.Uint64:
+			f.SetUint(uint64(n))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.String:
+			f.SetString(v.Type().Field(i).Name)
+		case reflect.Pointer:
+		default:
+			t.Fatalf("Config.%s: a %s field this test cannot fill", v.Type().Field(i).Name, f.Kind())
+		}
 	}
 }
 

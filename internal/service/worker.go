@@ -9,43 +9,12 @@ import (
 	"time"
 
 	"dangsan/internal/detectors/dangsan"
-	"dangsan/internal/faultinject"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/proc"
 	"dangsan/internal/service/transport"
 	"dangsan/internal/tcmalloc"
 	"dangsan/internal/vmem"
 )
-
-// opKind enumerates the worker's request vocabulary.
-type opKind uint8
-
-const (
-	opAlloc opKind = iota
-	opFree
-	opCheck
-	opPing
-	opStats
-	opQuiesce
-)
-
-func (k opKind) String() string {
-	switch k {
-	case opAlloc:
-		return "alloc"
-	case opFree:
-		return "free"
-	case opCheck:
-		return "check"
-	case opPing:
-		return "ping"
-	case opStats:
-		return "stats"
-	case opQuiesce:
-		return "quiesce"
-	}
-	return "unknown"
-}
 
 // Verdict is the service-level answer to a request. Degraded verdicts are
 // the fail-open outcome: the shard could not answer (breaker open, retries
@@ -64,66 +33,12 @@ type Verdict struct {
 	Degraded bool
 }
 
-// request is one op for a worker.
-type request struct {
-	kind   opKind
-	key    uint64
-	size   uint64
-	stores int
-}
-
-// response carries the worker's answer. err is always one of the typed
-// errors (ShardDownError/DeadlineError from the transport, the allocator's
-// OutOfMemoryError, proc's ExhaustedError, or a vmem.Fault from a live-key
-// check) — an untyped error escaping a worker is a contract violation the
-// chaos harness would flag. It is returned by value through handle → send →
-// do on every op, so the stats reply of the one opStats caller sits behind a
-// pointer.
-type response struct {
-	verdict Verdict
-	stats   *transport.WireStats
-	err     error
-}
-
-// disruptMode is the injected failure a worker is currently simulating.
-type disruptMode int32
-
-const (
-	disruptNone disruptMode = iota
-	// disruptSlow: every request waits SlowDelay before being served, or
-	// gives up at its deadline, unapplied.
-	disruptSlow
-	// disruptHang: no request is ever served; each caller holds the turn
-	// until its deadline or the supervisor's stop (failover).
-	disruptHang
-	// disruptKill: the worker exits on its next request without replying —
-	// a crash, from the coordinator's perspective.
-	disruptKill
-	// disruptKillAfter: the worker APPLIES its next request and then dies
-	// without replying — the crash-consistency window between a worker
-	// committing a mutation and the coordinator journaling it.
-	disruptKillAfter
-	// disruptSigKill: the worker dies immediately, not on its next
-	// request. For a process worker this is a real SIGKILL; the in-process
-	// analog stops the worker as soon as the turn is free.
-	disruptSigKill
-	// Network faults (wire transports only): one-shot disruptions of the
-	// coordinator→worker connections themselves — the worker is healthy,
-	// the wire is not. disruptNetPartition drops connections mid-request,
-	// disruptNetTrickle writes a byte every few milliseconds until the
-	// deadline, disruptNetGarbage injects non-frame bytes ahead of a
-	// request.
-	disruptNetPartition
-	disruptNetTrickle
-	disruptNetGarbage
-)
-
 // keyRec is the worker-side state for one key.
 type keyRec struct {
 	anchor uint64 // globals slot holding the object pointer (deref target)
 	base   uint64
 	size   uint64
-	stores int
+	stores uint32
 	freed  bool
 }
 
@@ -135,28 +50,25 @@ type keyRec struct {
 // turn). The supervisor owns stop; done closes once the worker is dead —
 // stopped, killed or panicked — and the turn is retired with it.
 type worker struct {
-	shard       int
-	incarnation int
+	shard int
 
-	proc  *proc.Process
-	det   *dangsan.Detector
-	th    *proc.Thread
-	plane *faultinject.Plane
+	proc *proc.Process
+	det  *dangsan.Detector
+	th   *proc.Thread
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
-	mode     atomic.Int32
+	mode     atomic.Uint32 // the transport.Disrupt* failure being simulated
 	panicked atomic.Bool
 
 	slowDelay   time.Duration
 	freedWindow int
 
-	recs         map[uint64]*keyRec
-	freedFIFO    []uint64
-	anchorFree   []uint64
-	scratch      uint64
-	scratchSlots uint64
+	recs       map[uint64]*keyRec
+	freedFIFO  []uint64
+	anchorFree []uint64
+	scratch    uint64
 
 	// The turn lock (send, awaitTurn, release), on lines of its own: pollers
 	// read turn while the holder writes the fields above.
@@ -190,22 +102,17 @@ const turnPolls = 16 << 10
 // same 1 ms, far under the 10–50 ms heartbeat deadlines.
 const turnBypass = time.Millisecond
 
+// scratchSlots sizes each worker's scattered-pointer-store arena.
+const scratchSlots = 2048
+
 // turnCounters counts a shard's contended sends, across its incarnations.
 type turnCounters struct{ contended, parked atomic.Uint64 }
 
 // newWorker builds a shard worker with a fresh isolated stack, serving at
 // once; failover replays the journal into it before publishing it.
-func newWorker(shard, incarnation int, cfg Config, counts *turnCounters) (*worker, error) {
-	var plane *faultinject.Plane
-	if cfg.FaultRate > 0 {
-		// Distinct deterministic stream per shard and incarnation so a
-		// rebuilt worker does not replay its predecessor's failures.
-		plane = faultinject.New(cfg.FaultSeed + int64(shard)*1000003 + int64(incarnation)*7919)
-		plane.EnableAll(cfg.FaultRate, cfg.FaultBudget)
-	}
+func newWorker(shard int, cfg Config, counts *turnCounters) (*worker, error) {
 	plCfg := pointerlog.DefaultConfig()
 	plCfg.Audit = cfg.Audit
-	plCfg.MaxMetadataBytes = cfg.MaxMetadataBytes
 	if cfg.QuarantineBytes > 0 {
 		plCfg.QuarantineBytes = cfg.QuarantineBytes
 		plCfg.QuarantineEpoch = cfg.QuarantineEpoch
@@ -218,30 +125,27 @@ func newWorker(shard, incarnation int, cfg Config, counts *turnCounters) (*worke
 		plCfg.ColdSpillBytes = cfg.ColdSpillBytes
 		plCfg.ColdDir = cfg.ColdDir
 	}
-	det := dangsan.NewWithOptions(dangsan.Options{Config: plCfg, Faults: plane})
-	p := proc.NewWithOptions(det, proc.Options{HeapBytes: cfg.HeapBytes, Faults: plane})
+	det := dangsan.NewWithOptions(dangsan.Options{Config: plCfg})
+	p := proc.NewWithOptions(det, proc.Options{HeapBytes: cfg.HeapBytes})
 	w := &worker{
-		shard:        shard,
-		incarnation:  incarnation,
-		proc:         p,
-		det:          det,
-		th:           p.NewThread(),
-		plane:        plane,
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
-		born:         time.Now(),
-		wake:         make(chan struct{}, 1),
-		handoff:      make(chan struct{}),
-		counts:       counts,
-		slowDelay:    cfg.SlowDelay,
-		freedWindow:  cfg.FreedWindow,
-		recs:         make(map[uint64]*keyRec),
-		scratchSlots: uint64(cfg.ScratchSlots),
+		shard:       shard,
+		proc:        p,
+		det:         det,
+		th:          p.NewThread(),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
+		born:        time.Now(),
+		wake:        make(chan struct{}, 1),
+		handoff:     make(chan struct{}),
+		counts:      counts,
+		slowDelay:   cfg.SlowDelay,
+		freedWindow: cfg.FreedWindow,
+		recs:        make(map[uint64]*keyRec),
 	}
 	if runtime.GOMAXPROCS(0) > 1 { // on one P nobody can free the turn while this goroutine polls it
 		w.polls = turnPolls
 	}
-	scratch, err := p.TryAllocGlobal(w.scratchSlots * 8)
+	scratch, err := p.TryAllocGlobal(scratchSlots * 8)
 	if err != nil {
 		det.Close()
 		return nil, err
@@ -280,15 +184,23 @@ func (w *worker) coldPath() string {
 	return w.det.Logger().ColdLogStats().Path
 }
 
-// send runs one request on the caller's goroutine once it holds the turn.
-// The deadline covers the wait for the turn and any injected slow/hang
-// delay, not handle itself; every failure is typed.
-func (w *worker) send(req request, timeout time.Duration) (resp response) {
+// send runs one request on the caller's goroutine once it holds the turn:
+// the one handler behind both transports (the coordinator calls it directly,
+// a worker process from its connection goroutines). The deadline covers the
+// wait for the turn and any injected slow/hang delay, not handle itself;
+// every failure is typed.
+func (w *worker) send(req transport.Request, timeout time.Duration) (resp transport.Response) {
+	if req.Op == transport.OpDisrupt {
+		// A mode change never takes the turn: it must land on a worker that
+		// is hung, and on one whose turn is taken.
+		w.mode.Store(uint32(req.Mode))
+		return transport.Response{}
+	}
 	var start time.Time // read off the clock only when something has to be waited for
 	if !w.turn.CompareAndSwap(turnFree, turnHeld) {
 		start = time.Now()
-		if err := w.awaitTurn(req.kind, timeout, start); err != nil {
-			return response{err: err}
+		if err := w.awaitTurn(req.Op, timeout, start); err != nil {
+			return transport.Response{Err: err}
 		}
 	}
 	died := false
@@ -299,7 +211,7 @@ func (w *worker) send(req request, timeout time.Duration) (resp response) {
 			// The panic value is intentionally not re-raised.
 			w.panicked.Store(true)
 			died = true
-			resp = response{err: &ShardDownError{Shard: w.shard, Reason: "worker panicked"}}
+			resp = transport.Response{Err: &ShardDownError{Shard: w.shard, Reason: "worker panicked"}}
 		}
 		if died {
 			w.turn.Store(turnRetired) // the turn dies with the worker: never freed
@@ -309,15 +221,15 @@ func (w *worker) send(req request, timeout time.Duration) (resp response) {
 		w.release()
 	}()
 
-	mode := disruptMode(w.mode.Load())
-	if mode == disruptSlow || mode == disruptHang {
+	mode := uint8(w.mode.Load())
+	if mode == transport.DisruptSlow || mode == transport.DisruptHang {
 		// Wait out SlowDelay (forever in hang mode), what the wait for the
 		// turn left of the deadline, or stop.
 		wait, gaveUp := timeout, true
 		if !start.IsZero() {
 			wait -= time.Since(start)
 		}
-		if mode == disruptSlow && w.slowDelay < wait {
+		if mode == transport.DisruptSlow && w.slowDelay < wait {
 			wait, gaveUp = w.slowDelay, false
 		}
 		timer := time.NewTimer(wait)
@@ -326,25 +238,25 @@ func (w *worker) send(req request, timeout time.Duration) (resp response) {
 		case <-timer.C:
 			if gaveUp {
 				// The caller gave up first: the op is NOT applied.
-				return response{err: &DeadlineError{Shard: w.shard, Op: req.kind.String(), Timeout: timeout}}
+				return transport.Response{Err: &DeadlineError{Shard: w.shard, Op: req.Op.String(), Timeout: timeout}}
 			}
 		case <-w.stop:
 		}
 	}
 	select {
 	case <-w.stop:
-		return response{err: &ShardDownError{Shard: w.shard, Reason: "worker stopped"}}
+		return transport.Response{Err: &ShardDownError{Shard: w.shard, Reason: "worker stopped"}}
 	default:
 	}
-	if mode == disruptKill || mode == disruptKillAfter {
-		if mode == disruptKillAfter {
+	if mode == transport.DisruptKill || mode == transport.DisruptKillAfter {
+		if mode == transport.DisruptKillAfter {
 			// Apply, then crash before the reply: the mutation is real but
 			// never confirmed — absent from the journal, invisible to the
 			// client. Crash-consistency tests live here.
 			w.handle(req)
 		}
 		died = true
-		return response{err: &ShardDownError{Shard: w.shard, Reason: "worker exited mid-request"}}
+		return transport.Response{Err: &ShardDownError{Shard: w.shard, Reason: "worker exited mid-request"}}
 	}
 	return w.handle(req)
 }
@@ -356,7 +268,7 @@ func (w *worker) send(req request, timeout time.Duration) (resp response) {
 // runnable goroutines is not held by a spinner; past turnPolls it parks, and
 // a release only wakes it to compete again (barging) — until turnBypass.
 // A deadline shorter than the poll phase is overrun by it.
-func (w *worker) awaitTurn(kind opKind, timeout time.Duration, start time.Time) error {
+func (w *worker) awaitTurn(op transport.Op, timeout time.Duration, start time.Time) error {
 	w.counts.contended.Add(1)
 	for i := 1; i <= w.polls; i++ {
 		if w.turn.Load() == turnFree && w.turn.CompareAndSwap(turnFree, turnHeld) {
@@ -392,7 +304,7 @@ func (w *worker) awaitTurn(kind opKind, timeout time.Duration, start time.Time) 
 		case <-w.done:
 			return &ShardDownError{Shard: w.shard, Reason: "worker exited"}
 		case <-timer.C:
-			return &DeadlineError{Shard: w.shard, Op: kind.String(), Timeout: timeout}
+			return &DeadlineError{Shard: w.shard, Op: op.String(), Timeout: timeout}
 		}
 	}
 }
@@ -426,24 +338,34 @@ func (w *worker) release() {
 }
 
 // handle executes one request. Only send calls it, holding the turn.
-func (w *worker) handle(req request) response {
-	switch req.kind {
-	case opAlloc:
-		return response{err: w.handleAlloc(req.key, req.size, req.stores)}
-	case opFree:
-		return response{err: w.handleFree(req.key)}
-	case opCheck:
-		v, err := w.handleCheck(req.key)
-		return response{verdict: v, err: err}
-	case opPing:
-		return response{}
-	case opStats:
-		return response{stats: &transport.WireStats{Stats: w.det.Stats(), Cold: w.det.Logger().ColdLogStats(), Audit: w.det.AuditViolations()}}
-	case opQuiesce:
+func (w *worker) handle(req transport.Request) transport.Response {
+	switch req.Op {
+	case transport.OpAlloc:
+		return transport.Response{Err: w.handleAlloc(req.Key, req.Size, req.Stores)}
+	case transport.OpFree:
+		return transport.Response{Err: w.handleFree(req.Key)}
+	case transport.OpCheck:
+		return w.handleCheck(req.Key)
+	case transport.OpPing:
+		return transport.Response{}
+	case transport.OpStats:
+		return w.handleStats()
+	case transport.OpQuiesce:
 		w.proc.Quiesce()
-		return response{}
+		return transport.Response{}
 	}
-	return response{err: fmt.Errorf("service: unknown op %d", req.kind)}
+	return transport.Response{Err: &transport.OpaqueError{Msg: fmt.Sprintf("unserviceable op %d", req.Op)}}
+}
+
+// handleStats answers with the JSON blob on both transports: stats are an
+// operator path, and in-process callers exercise the codec the parity suite
+// compares.
+func (w *worker) handleStats() transport.Response {
+	blob, err := transport.EncodeStats(transport.WireStats{Stats: w.det.Stats(), Cold: w.det.Logger().ColdLogStats(), Audit: w.det.AuditViolations()})
+	if err != nil {
+		return transport.Response{Err: &transport.OpaqueError{Msg: "stats encode: " + err.Error()}}
+	}
+	return transport.Response{StatsJSON: blob}
 }
 
 // handleAlloc creates the key's object: a malloc, an anchor pointer in the
@@ -452,7 +374,7 @@ func (w *worker) handle(req request) response {
 // log sees realistic fan-out — heavy keys cross the hash fallback and the
 // cold spill threshold. Idempotent: re-allocating a live key is a no-op,
 // so a retry after a lost reply is safe.
-func (w *worker) handleAlloc(key, size uint64, stores int) error {
+func (w *worker) handleAlloc(key, size uint64, stores uint32) error {
 	if rec, ok := w.recs[key]; ok && !rec.freed {
 		return nil
 	}
@@ -489,12 +411,12 @@ func (w *worker) handleAlloc(key, size uint64, stores int) error {
 	if f := w.th.StorePtr(anchor, base); f != nil {
 		return undo(f)
 	}
-	for i := 0; i < stores; i++ {
+	for i := uint64(0); i < uint64(stores); i++ {
 		// Stride 97 scatters consecutive stores across the arena so the
 		// log sees distinct, non-adjacent locations (adjacent ones would
 		// compress 3-into-1 and never reach hash mode).
-		slot := w.scratch + ((key*2654435761 + uint64(i)*97) % w.scratchSlots * 8)
-		val := base + (uint64(i)*8)%size
+		slot := w.scratch + ((key*2654435761 + i*97) % scratchSlots * 8)
+		val := base + (i*8)%size
 		if f := w.th.StorePtr(slot, val); f != nil {
 			return undo(f)
 		}
@@ -538,19 +460,19 @@ func (w *worker) handleFree(key uint64) error {
 // fault is the detector working (the anchor pointer was invalidated); for
 // a live key a fault is a FALSE UAF — surfaced as the error so the caller
 // (and the chaos harness) can flag it.
-func (w *worker) handleCheck(key uint64) (Verdict, error) {
+func (w *worker) handleCheck(key uint64) transport.Response {
 	rec, ok := w.recs[key]
 	if !ok {
-		return Verdict{}, nil
+		return transport.Response{}
 	}
 	_, fault := w.th.Deref(rec.anchor)
 	if rec.freed {
-		return Verdict{Known: true, Freed: true, UAF: fault != nil}, nil
+		return transport.Response{Known: true, Freed: true, UAF: fault != nil}
 	}
 	if fault != nil {
-		return Verdict{Known: true}, fault
+		return transport.Response{Known: true, Err: fault}
 	}
-	return Verdict{Known: true}, nil
+	return transport.Response{Known: true}
 }
 
 func (w *worker) takeAnchor() (uint64, error) {
@@ -579,28 +501,12 @@ func (w *worker) close() { w.det.Close() }
 // The remaining endpoint methods: the in-process worker IS the channel
 // transport's endpoint.
 
-// kill has nothing harder than shutdown for an in-process worker.
+// kill has nothing harder than shutdown for an in-process worker. As the
+// analog of SIGKILL it is still immediate: a holder waiting out a slow/hang
+// unblocks on stop, and the worker is dead as soon as the turn is free — not
+// on its next request.
 func (w *worker) kill() { w.shutdown() }
 
 func (w *worker) doneCh() <-chan struct{} { return w.done }
 
 func (w *worker) didPanic() bool { return w.panicked.Load() }
-
-func (w *worker) incarnationID() int { return w.incarnation }
-
-// disrupt injects a failure mode. Mode changes are a bare atomic store —
-// they must land even when the worker is hung or its turn is taken.
-func (w *worker) disrupt(m disruptMode) error {
-	switch m {
-	case disruptSigKill:
-		// The in-process analog of SIGKILL: a holder waiting out a
-		// slow/hang unblocks on stop, and the worker is dead as soon as
-		// the turn is free — not on its next request.
-		w.shutdown()
-		return nil
-	case disruptNetPartition, disruptNetTrickle, disruptNetGarbage:
-		return fmt.Errorf("service: network fault %d needs a wire transport", m)
-	}
-	w.mode.Store(int32(m))
-	return nil
-}

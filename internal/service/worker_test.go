@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"dangsan/internal/service/transport"
 	"dangsan/internal/vmem"
 )
 
@@ -56,7 +57,7 @@ func (p *handleProbe) TraceEvent(kind uint8, tid int32, a, b, c uint64) {
 
 func newTestWorker(t *testing.T, cfg Config) *worker {
 	t.Helper()
-	w, err := newWorker(0, 0, cfg.normalized(), new(turnCounters))
+	w, err := newWorker(0, cfg.normalized(), new(turnCounters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +119,18 @@ func exerciseTurnExclusion(t *testing.T, procs int) {
 			defer wg.Done()
 			for k := 0; k < keysEach; k++ {
 				key := uint64(c)<<32 | uint64(k)
-				stores := 4
+				stores := uint32(4)
 				if k%16 == 0 {
 					stores = 300 // hash mode and the cold tier take part
 				}
-				for _, req := range []request{
-					{kind: opAlloc, key: key, size: 64 + uint64(k), stores: stores},
-					{kind: opCheck, key: key},
-					{kind: opFree, key: key},
+				for _, req := range []transport.Request{
+					{Op: transport.OpAlloc, Key: key, Size: 64 + uint64(k), Stores: stores},
+					{Op: transport.OpCheck, Key: key},
+					{Op: transport.OpFree, Key: key},
 				} {
-					if resp := w.send(req, 10*time.Second); resp.err != nil {
+					if resp := w.send(req, 10*time.Second); resp.Err != nil {
 						failed.Add(1)
-						t.Errorf("caller %d %s key %d: %v", c, req.kind, k, resp.err)
+						t.Errorf("caller %d %s key %d: %v", c, req.Op, k, resp.Err)
 						return
 					}
 				}
@@ -143,12 +144,12 @@ func exerciseTurnExclusion(t *testing.T, procs int) {
 	if probe.events.Load() == 0 {
 		t.Fatal("probe never ran: the test observed nothing")
 	}
-	if resp := w.send(request{kind: opQuiesce}, 10*time.Second); resp.err != nil {
-		t.Fatalf("quiesce: %v", resp.err)
+	if resp := w.send(transport.Request{Op: transport.OpQuiesce}, 10*time.Second); resp.Err != nil {
+		t.Fatalf("quiesce: %v", resp.Err)
 	}
-	resp := w.send(request{kind: opStats}, 10*time.Second)
-	if resp.err != nil || len(resp.stats.Audit) != 0 {
-		t.Fatalf("audit identity after %d concurrent callers: err %v, violations %v", callers, resp.err, resp.stats)
+	ws, err := statsOf(w.send(transport.Request{Op: transport.OpStats}, 10*time.Second))
+	if err != nil || len(ws.Audit) != 0 {
+		t.Fatalf("audit identity after %d concurrent callers: err %v, violations %v", callers, err, ws.Audit)
 	}
 }
 
@@ -161,24 +162,24 @@ func TestWorkerDeadlineCoversWaitsNotHandle(t *testing.T) {
 	probe := &handleProbe{entered: make(chan struct{}), release: make(chan struct{})}
 	w.proc.SetTracer(probe)
 
-	holder := make(chan response, 1)
+	holder := make(chan transport.Response, 1)
 	go func() {
-		holder <- w.send(request{kind: opAlloc, key: 1, size: 64, stores: 2}, time.Millisecond)
+		holder <- w.send(transport.Request{Op: transport.OpAlloc, Key: 1, Size: 64, Stores: 2}, time.Millisecond)
 	}()
 	<-probe.entered
 
 	const timeout = 20 * time.Millisecond
 	start := time.Now()
-	resp := w.send(request{kind: opPing}, timeout)
-	if elapsed := time.Since(start); !isDeadline(resp.err) || elapsed < timeout || elapsed > timeout+2*time.Second {
-		t.Fatalf("waiter behind a busy turn: err %v after %v, want DeadlineError after ~%v", resp.err, elapsed, timeout)
+	resp := w.send(transport.Request{Op: transport.OpPing}, timeout)
+	if elapsed := time.Since(start); !isDeadline(resp.Err) || elapsed < timeout || elapsed > timeout+2*time.Second {
+		t.Fatalf("waiter behind a busy turn: err %v after %v, want DeadlineError after ~%v", resp.Err, elapsed, timeout)
 	}
 	close(probe.release)
-	if resp := <-holder; resp.err != nil {
-		t.Fatalf("holder, long past its 1ms deadline inside handle: %v, want its answer", resp.err)
+	if resp := <-holder; resp.Err != nil {
+		t.Fatalf("holder, long past its 1ms deadline inside handle: %v, want its answer", resp.Err)
 	}
-	if resp := w.send(request{kind: opCheck, key: 1}, time.Second); resp.err != nil || !resp.verdict.Known {
-		t.Fatalf("the holder's alloc was not applied: %+v %v", resp.verdict, resp.err)
+	if resp := w.send(transport.Request{Op: transport.OpCheck, Key: 1}, time.Second); resp.Err != nil || !resp.Known {
+		t.Fatalf("the holder's alloc was not applied: %+v", resp)
 	}
 }
 
@@ -189,28 +190,26 @@ func TestWorkerDeadlineCoversWaitsNotHandle(t *testing.T) {
 // being abandoned.
 func TestWorkerHangHoldsTurnUntilDeadlineOrStop(t *testing.T) {
 	w := newTestWorker(t, testConfig(t, 1))
-	if err := w.disrupt(disruptHang); err != nil {
-		t.Fatal(err)
-	}
-	patient := make(chan response, 2)
+	setMode(t, w, transport.DisruptHang)
+	patient := make(chan transport.Response, 2)
 	for i := 0; i < 2; i++ {
-		go func() { patient <- w.send(request{kind: opPing}, time.Minute) }()
+		go func() { patient <- w.send(transport.Request{Op: transport.OpPing}, time.Minute) }()
 	}
 	waitUntil(t, 5*time.Second, "a hung holder", func() bool { return w.turn.Load() == turnHeld })
 
 	const timeout = 20 * time.Millisecond
 	start := time.Now()
-	resp := w.send(request{kind: opPing}, timeout)
-	if elapsed := time.Since(start); !isDeadline(resp.err) || elapsed > timeout+2*time.Second {
-		t.Fatalf("caller behind a hung holder: err %v after %v, want DeadlineError within ~%v", resp.err, elapsed, timeout)
+	resp := w.send(transport.Request{Op: transport.OpPing}, timeout)
+	if elapsed := time.Since(start); !isDeadline(resp.Err) || elapsed > timeout+2*time.Second {
+		t.Fatalf("caller behind a hung holder: err %v after %v, want DeadlineError within ~%v", resp.Err, elapsed, timeout)
 	}
 
 	w.shutdown()
 	for i := 0; i < 2; i++ {
 		select {
 		case resp := <-patient:
-			if !isDown(resp.err) {
-				t.Fatalf("patient caller %d after shutdown: %v, want ShardDownError", i, resp.err)
+			if !isDown(resp.Err) {
+				t.Fatalf("patient caller %d after shutdown: %v, want ShardDownError", i, resp.Err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("shutdown did not release a caller held by hang mode")
@@ -219,8 +218,8 @@ func TestWorkerHangHoldsTurnUntilDeadlineOrStop(t *testing.T) {
 	if !waitClosed(w.done, 5*time.Second) {
 		t.Fatal("done never closed after shutdown")
 	}
-	if resp := w.send(request{kind: opPing}, time.Second); !isDown(resp.err) {
-		t.Fatalf("send to a dead worker: %v, want ShardDownError", resp.err)
+	if resp := w.send(transport.Request{Op: transport.OpPing}, time.Second); !isDown(resp.Err) {
+		t.Fatalf("send to a dead worker: %v, want ShardDownError", resp.Err)
 	}
 }
 
@@ -301,8 +300,8 @@ func TestSlowModeGiveUpMeansNotApplied(t *testing.T) {
 	}
 	w := s.shards[0].ep.Load().ep
 	start := time.Now()
-	if resp := w.send(request{kind: opAlloc, key: keyFor("t", 1), size: 64, stores: 2}, 10*time.Second); resp.err != nil {
-		t.Fatalf("patient alloc on a slow worker: %v", resp.err)
+	if resp := w.send(transport.Request{Op: transport.OpAlloc, Key: keyFor("t", 1), Size: 64, Stores: 2}, 10*time.Second); resp.Err != nil {
+		t.Fatalf("patient alloc on a slow worker: %v", resp.Err)
 	}
 	if elapsed := time.Since(start); elapsed < cfg.SlowDelay {
 		t.Fatalf("slow worker answered in %v, SlowDelay is %v", elapsed, cfg.SlowDelay)
@@ -316,18 +315,69 @@ func TestSlowModeGiveUpMeansNotApplied(t *testing.T) {
 	})
 }
 
+// setMode switches the failure w simulates, the way Service.Disrupt does.
+func setMode(t *testing.T, w *worker, mode uint8) {
+	t.Helper()
+	if resp := w.send(transport.Request{Op: transport.OpDisrupt, Mode: mode}, time.Second); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+}
+
 // hangHolder puts w in hang mode and parks one caller inside send, holding
 // the turn until its (minute-long) deadline or shutdown; its response
 // arrives on the returned channel.
-func hangHolder(t *testing.T, w *worker) <-chan response {
+func hangHolder(t *testing.T, w *worker) <-chan transport.Response {
 	t.Helper()
-	if err := w.disrupt(disruptHang); err != nil {
-		t.Fatal(err)
-	}
-	held := make(chan response, 1)
-	go func() { held <- w.send(request{kind: opPing}, time.Minute) }()
+	setMode(t, w, transport.DisruptHang)
+	held := make(chan transport.Response, 1)
+	go func() { held <- w.send(transport.Request{Op: transport.OpPing}, time.Minute) }()
 	waitUntil(t, 5*time.Second, "a hung holder", func() bool { return w.turn.Load() == turnHeld })
 	return held
+}
+
+// TestDisruptLandsOnHungWorker: a mode change goes through send like every
+// op but never waits for the turn — a caller hung inside it holds the turn,
+// and the heal still has to land — whether the coordinator calls send itself
+// or a worker process's connection handler does.
+func TestDisruptLandsOnHungWorker(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		do   func(w *worker) transport.Handler
+	}{
+		{"send", func(w *worker) transport.Handler {
+			return func(req transport.Request) transport.Response { return w.send(req, time.Second) }
+		}},
+		{"workerHandler", workerHandler},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w := newTestWorker(t, testConfig(t, 1))
+			do := row.do(w)
+			if resp := do(transport.Request{Op: transport.OpDisrupt, Mode: transport.DisruptHang}); resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			held := make(chan transport.Response, 1)
+			go func() { held <- w.send(transport.Request{Op: transport.OpPing}, time.Minute) }()
+			waitUntil(t, 5*time.Second, "a hung holder", func() bool { return w.turn.Load() == turnHeld })
+
+			healed := make(chan transport.Response, 1)
+			go func() { healed <- do(transport.Request{Op: transport.OpDisrupt, Mode: transport.DisruptNone}) }()
+			select {
+			case resp := <-healed:
+				if resp.Err != nil {
+					t.Fatal(resp.Err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("OpDisrupt waited behind the hung holder")
+			}
+			if mode := uint8(w.mode.Load()); mode != transport.DisruptNone || w.turn.Load() != turnHeld {
+				t.Fatalf("after the heal: mode %d, turn state %d; want mode 0 landed while the turn was still held", mode, w.turn.Load())
+			}
+			w.shutdown()
+			if resp := <-held; !isDown(resp.Err) {
+				t.Fatalf("hung holder after shutdown: %v, want ShardDownError", resp.Err)
+			}
+		})
+	}
 }
 
 // TestTurnNoLostWakeups: pingers behind a holder that every few
@@ -351,8 +401,8 @@ func TestTurnNoLostWakeups(t *testing.T) {
 					case <-time.After(3 * time.Millisecond):
 					}
 					// One malloc event: one 2 ms hold.
-					if resp := w.send(request{kind: opAlloc, key: key, size: 64}, 10*time.Second); resp.err != nil {
-						t.Errorf("slow holder: %v", resp.err)
+					if resp := w.send(transport.Request{Op: transport.OpAlloc, Key: key, Size: 64}, 10*time.Second); resp.Err != nil {
+						t.Errorf("slow holder: %v", resp.Err)
 						return
 					}
 					holds.Add(1)
@@ -364,8 +414,8 @@ func TestTurnNoLostWakeups(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < 200_000 || holds.Load() < 20; i++ {
-						if resp := w.send(request{kind: opPing}, time.Second); resp.err != nil {
-							t.Errorf("ping %d: %v", i, resp.err)
+						if resp := w.send(transport.Request{Op: transport.OpPing}, time.Second); resp.Err != nil {
+							t.Errorf("ping %d: %v", i, resp.Err)
 							return
 						}
 					}
@@ -393,8 +443,8 @@ func TestTurnWaitersTimeOutInParallel(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if resp := w.send(request{kind: opPing}, timeout); !isDeadline(resp.err) {
-				t.Errorf("waiter behind a hung holder: %v, want DeadlineError", resp.err)
+			if resp := w.send(transport.Request{Op: transport.OpPing}, timeout); !isDeadline(resp.Err) {
+				t.Errorf("waiter behind a hung holder: %v, want DeadlineError", resp.Err)
 			}
 		}()
 	}
@@ -413,9 +463,9 @@ func TestTurnShutdownReleasesEveryWaiter(t *testing.T) {
 	w.proc.SetTracer(probe)
 	held := hangHolder(t, w)
 	const parked, polling = 3, 3
-	out := make(chan response, parked+polling)
+	out := make(chan transport.Response, parked+polling)
 	waiter := func(key uint64) {
-		out <- w.send(request{kind: opAlloc, key: key, size: 64, stores: 2}, time.Minute)
+		out <- w.send(transport.Request{Op: transport.OpAlloc, Key: key, Size: 64, Stores: 2}, time.Minute)
 	}
 	for i := 0; i < parked; i++ {
 		go waiter(uint64(i))
@@ -431,21 +481,21 @@ func TestTurnShutdownReleasesEveryWaiter(t *testing.T) {
 	for i := 0; i < parked+polling; i++ {
 		select {
 		case resp := <-out:
-			if !isDown(resp.err) {
-				t.Fatalf("waiter after shutdown: %v, want ShardDownError", resp.err)
+			if !isDown(resp.Err) {
+				t.Fatalf("waiter after shutdown: %v, want ShardDownError", resp.Err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("shutdown left a waiter behind")
 		}
 	}
-	if resp := <-held; !isDown(resp.err) {
-		t.Fatalf("hung holder after shutdown: %v, want ShardDownError", resp.err)
+	if resp := <-held; !isDown(resp.Err) {
+		t.Fatalf("hung holder after shutdown: %v, want ShardDownError", resp.Err)
 	}
 	if !waitClosed(w.done, 5*time.Second) || w.turn.Load() != turnRetired {
 		t.Fatalf("worker not dead after shutdown: turn state %d", w.turn.Load())
 	}
-	if resp := w.send(request{kind: opAlloc, key: 99, size: 64}, time.Second); !isDown(resp.err) {
-		t.Fatalf("send to a dead worker: %v, want ShardDownError", resp.err)
+	if resp := w.send(transport.Request{Op: transport.OpAlloc, Key: 99, Size: 64}, time.Second); !isDown(resp.Err) {
+		t.Fatalf("send to a dead worker: %v, want ShardDownError", resp.Err)
 	}
 	if n := probe.events.Load(); n != 0 {
 		t.Fatalf("%d events inside handle on a worker that only ever hung and died", n)
@@ -482,15 +532,15 @@ func TestTurnBoundedBypass(t *testing.T) {
 		stop := make(chan struct{})
 		wg := hammer(4, stop, func(c, i int) {
 			key := uint64(c)<<32 | uint64(i)
-			for _, req := range []request{{kind: opAlloc, key: key, size: 64, stores: 40}, {kind: opFree, key: key}} {
-				if resp := w.send(req, 10*time.Second); resp.err != nil {
-					t.Errorf("hammering caller %d: %v", c, resp.err)
+			for _, req := range []transport.Request{{Op: transport.OpAlloc, Key: key, Size: 64, Stores: 40}, {Op: transport.OpFree, Key: key}} {
+				if resp := w.send(req, 10*time.Second); resp.Err != nil {
+					t.Errorf("hammering caller %d: %v", c, resp.Err)
 				}
 			}
 		})
 		for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
-			if resp := w.send(request{kind: opPing}, 50*time.Millisecond); resp.err != nil {
-				t.Errorf("victim: %v", resp.err)
+			if resp := w.send(transport.Request{Op: transport.OpPing}, 50*time.Millisecond); resp.Err != nil {
+				t.Errorf("victim: %v", resp.Err)
 				break
 			}
 		}
@@ -521,11 +571,12 @@ func TestTurnBoundedBypass(t *testing.T) {
 	})
 }
 
-// TestResponseStaysSmall: response goes by value through handle → send → do
-// on every op; the stats reply must stay behind its pointer.
+// TestResponseStaysSmall: the response goes by value through handle → send →
+// do on every op; it must stay within one cache line, the stats reply behind
+// its slice header.
 func TestResponseStaysSmall(t *testing.T) {
-	if n := unsafe.Sizeof(response{}); n > 40 {
-		t.Fatalf("response is %d bytes, want ≤ 40 (verdict + stats pointer + error)", n)
+	if n := unsafe.Sizeof(transport.Response{}); n > 64 {
+		t.Fatalf("transport.Response is %d bytes, want ≤ 64", n)
 	}
 }
 
@@ -542,8 +593,8 @@ func TestAllocFaultLeaksNothing(t *testing.T) {
 		t.Helper()
 		var fault *vmem.Fault
 		// 300 stores at stride 97 reach every page of the scratch arena.
-		if resp := w.send(request{kind: opAlloc, key: key, size: 256, stores: 300}, time.Second); !errors.As(resp.err, &fault) {
-			t.Fatalf("alloc storing into an unmapped scratch page: %v, want a vmem.Fault", resp.err)
+		if resp := w.send(transport.Request{Op: transport.OpAlloc, Key: key, Size: 256, Stores: 300}, time.Second); !errors.As(resp.Err, &fault) {
+			t.Fatalf("alloc storing into an unmapped scratch page: %v, want a vmem.Fault", resp.Err)
 		}
 	}
 	failingAlloc(1) // the first failure moves one fresh globals slot into the pool
@@ -563,8 +614,8 @@ func TestAllocFaultLeaksNothing(t *testing.T) {
 	if st := w.proc.Allocator().Stats(); st.LiveObjects != 0 || len(w.recs) != 0 {
 		t.Errorf("%d live objects and %d key records left by failed allocs", st.LiveObjects, len(w.recs))
 	}
-	resp := w.send(request{kind: opStats}, time.Second)
-	if resp.err != nil || len(resp.stats.Audit) != 0 || resp.stats.Stats.LogBytesLive != 0 {
-		t.Errorf("after failed allocs: err %v, stats %+v", resp.err, resp.stats)
+	ws, err := statsOf(w.send(transport.Request{Op: transport.OpStats}, time.Second))
+	if err != nil || len(ws.Audit) != 0 || ws.Stats.LogBytesLive != 0 {
+		t.Errorf("after failed allocs: err %v, stats %+v", err, ws)
 	}
 }
