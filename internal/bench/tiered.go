@@ -16,7 +16,7 @@ type TieredRow struct {
 	// Config names the threshold ("off", "256KiB", "64KiB", "16KiB").
 	Config string `json:"config"`
 	// SpillBytes is the ColdSpillBytes setting (0 = tiering off).
-	SpillBytes uint64 `json:"spill_bytes"`
+	SpillBytes uint64  `json:"spill_bytes"`
 	Seconds    float64 `json:"seconds"`
 	// ResidentLogBytes is LogBytesLive at peak use — after every store,
 	// before any free. This is the RAM ceiling the threshold buys down.

@@ -1,8 +1,10 @@
 package pointerlog
 
 import (
+	"errors"
 	"os"
 	"sort"
+	"sync"
 	"testing"
 
 	"dangsan/internal/faultinject"
@@ -57,8 +59,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		locs = append(locs, vmem.StacksBase+uint64(i)*4096) // spread: raw
 	}
-	buf, entries := encodeSegment(append([]uint64(nil), locs...))
-	if entries >= len(locs) {
+	buf := appendSegment(nil, append([]uint64(nil), locs...))
+	if entries := (len(buf) - segHeaderBytes) / 8; entries >= len(locs) {
 		t.Fatalf("no compression: %d entries for %d locations", entries, len(locs))
 	}
 	got, n, err := decodeSegment(buf, nil)
@@ -80,14 +82,14 @@ func TestSegmentRoundTrip(t *testing.T) {
 // TestSegmentTruncatedTail: a crash mid-append leaves a partial final
 // segment; recovery returns every intact segment and drops the tail.
 func TestSegmentTruncatedTail(t *testing.T) {
-	seg1, _ := encodeSegment([]uint64{vmem.GlobalsBase, vmem.GlobalsBase + 16})
-	seg2, _ := encodeSegment([]uint64{vmem.StacksBase, vmem.StacksBase + 4096})
-	seg3, _ := encodeSegment([]uint64{vmem.HeapBase + 8})
+	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase, vmem.GlobalsBase + 16})
+	seg2 := appendSegment(nil, []uint64{vmem.StacksBase, vmem.StacksBase + 4096})
+	seg3 := appendSegment(nil, []uint64{vmem.HeapBase + 8})
 	for _, cut := range []int{
-		1,                    // torn magic
-		segHeaderBytes - 1,   // torn header
-		segHeaderBytes + 3,   // torn payload
-		len(seg3) - 1,        // one byte short
+		1,                  // torn magic
+		segHeaderBytes - 1, // torn header
+		segHeaderBytes + 3, // torn payload
+		len(seg3) - 1,      // one byte short
 	} {
 		path := t.TempDir() + "/cold.seg"
 		blob := append(append(append([]byte(nil), seg1...), seg2...), seg3[:cut]...)
@@ -119,8 +121,8 @@ func TestSegmentTruncatedTail(t *testing.T) {
 // TestSegmentMidFileCorruption: a bad frame anywhere but the tail is an
 // error (lost coverage a restart cannot scope), not a silent truncation.
 func TestSegmentMidFileCorruption(t *testing.T) {
-	seg1, _ := encodeSegment([]uint64{vmem.GlobalsBase})
-	seg2, _ := encodeSegment([]uint64{vmem.StacksBase})
+	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase})
+	seg2 := appendSegment(nil, []uint64{vmem.StacksBase})
 	blob := append(append([]byte(nil), seg1...), seg2...)
 	blob[0] ^= 0xff // first segment's magic
 	path := t.TempDir() + "/cold.seg"
@@ -129,6 +131,42 @@ func TestSegmentMidFileCorruption(t *testing.T) {
 	}
 	if _, err := ReadSegments(path); err == nil {
 		t.Fatal("mid-file corruption went unreported")
+	}
+}
+
+// TestSegmentZeroHeaderEndsLog: a spill file is preallocated, so its log
+// ends at the first zero magic word — after an intact prefix, and after a
+// torn segment behind one — and that is the end of the log, not corruption.
+func TestSegmentZeroHeaderEndsLog(t *testing.T) {
+	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase, vmem.GlobalsBase + 16})
+	seg2 := appendSegment(nil, []uint64{vmem.StacksBase, vmem.StacksBase + 4096, vmem.StacksBase + 8192})
+	zeros := make([]byte, 4096)
+	prefix := append(append([]byte(nil), seg1...), seg2...)
+	headerless := append([]byte(nil), seg2...) // writer died before the header went in
+	copy(headerless, zeros[:segHeaderBytes])
+	for name, blob := range map[string][]byte{
+		"prefix+zeros":            append(append([]byte(nil), prefix...), zeros...),
+		"prefix+torn+zeros":       append(append(append([]byte(nil), prefix...), seg2[:len(seg2)-8]...), zeros...),
+		"prefix+headerless+zeros": append(append(append([]byte(nil), prefix...), headerless...), zeros...),
+		"zeros":                   zeros,
+	} {
+		path := t.TempDir() + "/cold.seg"
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := 5
+		if name == "zeros" {
+			want = 0
+		}
+		if locs, err := ReadSegments(path); err != nil || len(locs) != want {
+			t.Errorf("%s: locs=%d err=%v, want %d nil", name, len(locs), err, want)
+		}
+	}
+	// Anything but zero or the magic there is still corruption.
+	bad := append(append([]byte(nil), prefix...), 1, 0, 0, 0)
+	bad = append(bad, zeros...)
+	if _, err := readSegments(bad); !errors.Is(err, errSegCorrupt) {
+		t.Errorf("nonzero non-magic header: err=%v, want errSegCorrupt", err)
 	}
 }
 
@@ -390,27 +428,6 @@ func TestColdCompactionReclaimsGarbage(t *testing.T) {
 	}
 }
 
-// TestColdTriage: the reservoir probe ranks liveness without disk — all
-// pointers live reads all-live, all overwritten reads none.
-func TestColdTriage(t *testing.T) {
-	const nLocs = 1000
-	cfg := tieredConfig(t)
-	lg, as, meta, _, locs := fillTiered(t, cfg, nLocs)
-	defer lg.Close()
-
-	sampled, live := lg.ColdTriage(meta, as)
-	if sampled == 0 || live != sampled {
-		t.Fatalf("triage on fully live object: sampled=%d live=%d", sampled, live)
-	}
-	for _, loc := range locs {
-		as.StoreWord(loc, 7)
-	}
-	sampled, live = lg.ColdTriage(meta, as)
-	if sampled == 0 || live != 0 {
-		t.Fatalf("triage on fully stale object: sampled=%d live=%d", sampled, live)
-	}
-}
-
 // TestColdSpillManyInvalidate: InvalidateMany streams cold segments of
 // every batch member through the shared dedup and lands exact counts.
 func TestColdSpillManyInvalidate(t *testing.T) {
@@ -446,5 +463,154 @@ func TestColdSpillManyInvalidate(t *testing.T) {
 	}
 	if v := lg.AuditViolations(); len(v) != 0 {
 		t.Fatalf("audit violations: %v", v)
+	}
+}
+
+// TestColdMapFaultFailOpen: the spill file truncated under a live logger
+// turns every store to and load from the mapping into a fault. The next
+// spill, the next cold read and a compaction are counted failures — the
+// process lives, the hot tier still invalidates, and no location that was
+// not logged or no longer points into the object is touched.
+func TestColdMapFaultFailOpen(t *testing.T) {
+	const nLocs = 1200
+	cfg := tieredConfig(t)
+	lg, as, meta, _, locs := fillTiered(t, cfg, nLocs)
+	defer lg.Close()
+	cs := lg.ColdLogStats()
+	if cs.Segments == 0 {
+		t.Fatal("fixture never spilled")
+	}
+	if err := os.Truncate(cs.Path, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every spill from here on faults; the tables stay resident.
+	before := lg.Stats().Snapshot()
+	more := make([]uint64, 400)
+	for i := range more {
+		more[i] = vmem.GlobalsBase + uint64(nLocs+i)*8
+		as.StoreWord(more[i], meta.Base()+8)
+		lg.Register(meta, more[i], 0)
+	}
+	snap := lg.Stats().Snapshot()
+	if snap.SpillFailures == before.SpillFailures || snap.Spills != before.Spills {
+		t.Fatalf("spills onto a truncated file: before %+v after %+v", before, snap)
+	}
+	if err := lg.cold.Load().compact(); err == nil {
+		t.Fatal("compaction out of a truncated file reported success")
+	}
+
+	for i := 0; i < len(locs); i += 4 {
+		as.StoreWord(locs[i], 7)
+	}
+	lg.Invalidate(meta, as)
+	snap = lg.Stats().Snapshot()
+	if snap.ColdReadErrors != uint64(cs.Segments) {
+		t.Fatalf("ColdReadErrors=%d want %d (every segment faults)", snap.ColdReadErrors, cs.Segments)
+	}
+	for i, loc := range locs {
+		if w, _ := as.LoadWord(loc); i%4 == 0 && w != 7 {
+			t.Fatalf("overwritten slot %d clobbered: 0x%x", i, w)
+		}
+	}
+	for i, loc := range more {
+		if w, _ := as.LoadWord(loc); w&InvalidBit == 0 {
+			t.Fatalf("resident slot %d not invalidated: 0x%x", i, w)
+		}
+	}
+	if err := lg.AuditCheck(); err != nil {
+		t.Fatalf("audit under mapping faults: %v", err)
+	}
+}
+
+// TestColdGrowthAndCompactionUnderReaders: the mapping is replaced twice —
+// by a compaction and by growth past coldMapBytes — while parallel walks
+// decode the keepers' segments out of it. Run under -race; no read may
+// fail and every keeper location must end up invalidated.
+func TestColdGrowthAndCompactionUnderReaders(t *testing.T) {
+	cfg := tieredConfig(t)
+	cfg.Audit = false // the identity is exact only single-threaded
+	cfg.InvalidateWorkers = 4
+	cfg.ParallelInvalidateMin = 1
+	as := vmem.New()
+	as.Heap().MapPages(vmem.HeapBase, 16)
+	lg := NewLogger(cfg)
+	defer lg.Close()
+
+	next := uint64(0) // slot allocator: every object logs its own slots
+	fill := func(meta *ObjectMeta, tid int32, n int) []uint64 {
+		locs := make([]uint64, n)
+		for i := range locs {
+			locs[i] = vmem.GlobalsBase + (next+uint64(i))*8
+			as.StoreWord(locs[i], meta.Base()+8)
+			lg.Register(meta, locs[i], tid)
+		}
+		return locs
+	}
+	const nKeepers, perKeeper = 3, 600
+	keepers := make([]*ObjectMeta, nKeepers)
+	keepLocs := make([][]uint64, nKeepers)
+	for k := range keepers {
+		keepers[k], _ = lg.MustCreateMeta(vmem.HeapBase+uint64(k)*4096, 4096)
+		keepLocs[k] = fill(keepers[k], int32(k), perKeeper)
+		next += perKeeper
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for k := range keepers {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					lg.Invalidate(keepers[k], as)
+				}
+			}
+		}(k)
+	}
+
+	// Garbage that dominates the file, then its release: a compaction.
+	const nGarbage = 30000
+	garbage, gh := lg.MustCreateMeta(vmem.HeapBase+8*4096, 4096)
+	fill(garbage, nKeepers, nGarbage)
+	next += nGarbage
+	lg.Invalidate(garbage, as)
+	lg.ReleaseMeta(gh)
+	if cs := lg.ColdLogStats(); cs.Compactions == 0 {
+		t.Fatalf("releasing the dominant object did not compact: %+v", cs)
+	}
+	// More than one mapping's worth of segments: growth and a remap. Spread
+	// slots do not fold, so a segment is 16 + 45×8 bytes.
+	writer, _ := lg.MustCreateMeta(vmem.HeapBase+10*4096, 4096)
+	var writerLocs []uint64
+	for i := 0; lg.ColdLogStats().DiskBytes <= coldMapBytes; i++ {
+		loc := vmem.GlobalsBase + (next+uint64(i%4096)*32)%(vmem.GlobalsSize/8)*8
+		as.StoreWord(loc, writer.Base()+8)
+		lg.Register(writer, loc, nKeepers+1)
+		writerLocs = append(writerLocs, loc)
+	}
+	close(stop)
+	wg.Wait()
+
+	lg.Invalidate(writer, as)
+	snap := lg.Stats().Snapshot()
+	if snap.ColdReadErrors != 0 || snap.SpillFailures != 0 {
+		t.Fatalf("cold tier failed under concurrent readers: %+v", snap)
+	}
+	for k := range keepers {
+		for i, loc := range keepLocs[k] {
+			if w, _ := as.LoadWord(loc); w&InvalidBit == 0 {
+				t.Fatalf("keeper %d slot %d not invalidated: 0x%x", k, i, w)
+			}
+		}
+	}
+	for i, loc := range writerLocs {
+		if w, _ := as.LoadWord(loc); w&InvalidBit == 0 {
+			t.Fatalf("writer slot %d (0x%x) not invalidated across the remap: 0x%x", i, loc, w)
+		}
 	}
 }

@@ -1,9 +1,12 @@
 package pointerlog
 
 import (
+	"fmt"
 	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"dangsan/internal/faultinject"
@@ -15,101 +18,65 @@ import (
 // table, so the resident footprint of a long-lived, store-heavy object
 // stays bounded by the spill threshold while the full location history
 // remains reachable for free-time invalidation. The tiering borrows
-// dkdtree's PointLog shape: buffered append-only file log, reservoir
-// sample kept in memory, split (here: compaction) when the dead fraction
-// dominates.
+// dkdtree's PointLog shape — an append-only file log, split (here:
+// compaction) when the dead fraction dominates — with the file mapped
+// shared instead of written through a buffer: a spill encodes into the
+// mapping and a cold read decodes out of it, so neither makes a system
+// call, and what a spill has stored is in the page cache, where a killed
+// process leaves it for ReadSegments exactly as a completed write would be.
 //
 // Concurrency contract, layer by layer:
 //
 //   - coldState is owned by the ThreadLog's owning thread for writes
-//     (spill, reservoir update); invalidating threads read the segment
-//     list and reservoir through atomics. A spill publishes its segment
-//     node BEFORE swapping in the fresh table, so a concurrent
-//     invalidator sees every location in at least one tier (seeing it in
-//     both is the usual benign double visit — the second CAS classifies
-//     it stale).
-//   - coldLog serializes file access with an RWMutex: segment reads
-//     (invalidation) share, appends and compaction exclude. Segment
-//     offsets move only during compaction, under the write lock, so a
-//     reader's offset is stable for the duration of its ReadAt.
-//   - Failure is open in both directions: a spill that cannot reach disk
-//     leaves the table resident (latency + memory cost, no coverage
+//     (spill); invalidating threads read the segment list through atomics.
+//     A spill publishes its segment node BEFORE swapping in the fresh
+//     table, so a concurrent invalidator sees every location in at least
+//     one tier (seeing it in both is the usual benign double visit — the
+//     second CAS classifies it stale).
+//   - coldLog guards the mapping with an RWMutex: segment reads
+//     (invalidation) share, appends, growth and compaction exclude. The
+//     mapping and the segment offsets move only under the write lock, so
+//     both are stable for the duration of a reader's decode.
+//   - Failure is open in both directions: a spill that cannot reach the
+//     file leaves the table resident (latency + memory cost, no coverage
 //     loss); a segment read that fails skips that segment (coverage
-//     loss, counted in ColdReadErrors, never a false report).
+//     loss, counted in ColdReadErrors, never a false report). A fault on
+//     the mapping — the file truncated under it, an I/O error paging it
+//     in — is such a failure, not a crash (endMapFault).
 
-// coldStateBytes is the accounting charge for one coldState: the
-// reservoir plus header fields. Charged to LogBytes when the state is
-// created and released with the rest of the log footprint.
-const coldStateBytes = coldReservoirK*8 + 64
+// coldStateBytes is the accounting charge for one coldState. Charged to
+// LogBytes when the state is created and released with the rest of the
+// log footprint.
+const coldStateBytes = 64
 
-// coldSeg describes one spilled segment. length/count/entries are
-// immutable after publication; off moves only during compaction (under
-// the coldLog write lock); dead flips once, at retirement.
+// coldMapBytes is the size a spill file is created and mapped at; a full
+// one doubles. At the minimum spill threshold a segment is under 400
+// bytes, so the service workloads never grow theirs.
+const coldMapBytes = 1 << 20
+
+// coldSeg describes one spilled segment, a link in its coldState's
+// lock-free (prepend-published) list. length/count/next are immutable after
+// publication; off moves only during compaction (under the coldLog write
+// lock); dead flips once, at retirement.
 type coldSeg struct {
-	off     int64
-	length  int
-	count   int // locations encoded
-	entries int // 8-byte entries on disk
-	dead    atomic.Bool
+	off    int64
+	length int
+	count  int // locations encoded
+	dead   atomic.Bool
+	next   *coldSeg
 }
 
-// coldSegNode is a link in a coldState's lock-free (prepend-published)
-// segment list.
-type coldSegNode struct {
-	seg  *coldSeg
-	next *coldSegNode
-}
-
-// coldState is the per-ThreadLog cold tier: the spilled segments and the
-// in-memory reservoir summary.
+// coldState is the per-ThreadLog cold tier: the spilled segments.
 type coldState struct {
-	segs atomic.Pointer[coldSegNode]
+	segs atomic.Pointer[coldSeg]
 	locs atomic.Uint64 // total locations spilled (invalidation sizing)
-
-	// reservoir is a uniform sample over every location ever spilled
-	// from this log (slot 0 is unused storage for never-filled slots:
-	// locations are nonzero, so 0 means empty). Slots are atomic because
-	// triage reads race owner writes; the sampling state itself is
-	// owner-only.
-	reservoir [coldReservoirK]atomic.Uint64
-	resSeen   uint64
-	rng       uint64
-}
-
-func newColdState(tid int32) *coldState {
-	// Seed the sampler from the tid so reservoirs differ across logs but
-	// every run of a deterministic workload samples identically.
-	return &coldState{rng: uint64(uint32(tid))*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D}
-}
-
-// nextRand is xorshift64*; owner-only.
-func (cs *coldState) nextRand() uint64 {
-	x := cs.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	cs.rng = x
-	return x * 0x2545F4914F6CDD1D
-}
-
-// sample offers locs to the reservoir (Vitter's algorithm R). Owner-only.
-func (cs *coldState) sample(locs []uint64) {
-	for _, loc := range locs {
-		cs.resSeen++
-		if cs.resSeen <= coldReservoirK {
-			cs.reservoir[cs.resSeen-1].Store(loc)
-			continue
-		}
-		if j := cs.nextRand() % cs.resSeen; j < coldReservoirK {
-			cs.reservoir[j].Store(loc)
-		}
-	}
 }
 
 // publish prepends seg to the segment list. Owner-only (one writer); the
-// store publishes the node to concurrent invalidators.
+// store publishes the segment to concurrent invalidators.
 func (cs *coldState) publish(seg *coldSeg) {
-	cs.segs.Store(&coldSegNode{seg: seg, next: cs.segs.Load()})
+	seg.next = cs.segs.Load()
+	cs.segs.Store(seg)
 	cs.locs.Add(uint64(seg.count))
 }
 
@@ -120,9 +87,10 @@ type coldLog struct {
 	mu   sync.RWMutex
 	f    *os.File
 	path string
+	data []byte     // all of f, mapped shared; nil before the first spill and after close
 	segs []*coldSeg // every published segment, live and dead
 
-	size     atomic.Int64 // file append offset
+	size     atomic.Int64 // append offset
 	garbage  atomic.Int64 // bytes held by dead segments
 	liveSegs atomic.Int64
 	compacts atomic.Uint64
@@ -143,49 +111,105 @@ func (lg *Logger) ensureCold() *coldLog {
 	return c
 }
 
-// appendSegment writes one framed segment and registers it. The file is
-// created lazily so a logger that never spills never touches disk.
-func (c *coldLog) appendSegment(buf []byte, faults *faultinject.Plane) (*coldSeg, error) {
+// endMapFault ends an access to a mapped spill file. Deferred with
+// debug.SetPanicOnFault(true) as its first argument, it restores that
+// setting and turns a fault taken in between into *err. Nothing else under
+// it can fault at an address — no other code here holds memory the runtime
+// did not hand out — and any other panic continues.
+func endMapFault(old bool, err *error) {
+	debug.SetPanicOnFault(old)
+	if r := recover(); r != nil {
+		if _, fault := r.(interface{ Addr() uintptr }); !fault {
+			panic(r)
+		}
+		*err = fmt.Errorf("pointerlog: fault on the mapped spill file: %v", r)
+	}
+}
+
+// mapSpill sizes f to the first doubling of coldMapBytes that holds need
+// bytes and maps it. The blocks are allocated, not left sparse, so a full
+// disk fails here and not as a fault on some later store; what was never
+// written reads as zeros, which is how a reader finds the end of the log.
+func mapSpill(f *os.File, need int) ([]byte, error) {
+	size := coldMapBytes
+	for size < need {
+		size *= 2
+	}
+	for {
+		if err := syscall.Fallocate(int(f.Fd()), 0, 0, int64(size)); err == nil {
+			break
+		} else if err != syscall.EINTR {
+			return nil, err
+		}
+	}
+	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+}
+
+// reserve makes the mapping at least need bytes long. The file is created
+// lazily so a logger that never spills never touches disk. Caller holds
+// the write lock.
+func (c *coldLog) reserve(need int) error {
+	if need <= len(c.data) {
+		return nil
+	}
+	f := c.f
+	if f == nil {
+		var err error
+		if f, err = os.CreateTemp(c.dir, "dangsan-coldlog-*.seg"); err != nil {
+			return err
+		}
+	}
+	data, err := mapSpill(f, need)
+	if err != nil {
+		if c.f == nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+		return err
+	}
+	if c.data != nil {
+		syscall.Munmap(c.data)
+	}
+	c.f, c.path, c.data = f, f.Name(), data
+	return nil
+}
+
+// append encodes locs as one segment at the append offset of the mapping
+// and registers it.
+func (c *coldLog) append(locs []uint64, faults *faultinject.Plane) (seg *coldSeg, err error) {
 	if faults.Fail(faultinject.ColdIO) {
 		return nil, errSegTruncated
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
-		f, err := os.CreateTemp(c.dir, "dangsan-coldlog-*.seg")
-		if err != nil {
-			return nil, err
-		}
-		c.f = f
-		c.path = f.Name()
-	}
-	off := c.size.Load()
-	if _, err := c.f.WriteAt(buf, off); err != nil {
+	off := int(c.size.Load())
+	if err := c.reserve(off + segHeaderBytes + 8*len(locs)); err != nil {
 		return nil, err
 	}
-	seg := &coldSeg{off: off, length: len(buf)}
-	c.size.Store(off + int64(len(buf)))
+	defer endMapFault(debug.SetPanicOnFault(true), &err)
+	n := len(appendSegment(c.data[off:off], locs))
+	seg = &coldSeg{off: int64(off), length: n, count: len(locs)}
+	c.size.Store(int64(off + n))
 	c.segs = append(c.segs, seg)
 	c.liveSegs.Add(1)
 	return seg, nil
 }
 
-// readSeg reads seg's framed bytes. Shared-locked so compaction cannot
-// move the segment mid-read.
-func (c *coldLog) readSeg(seg *coldSeg, faults *faultinject.Plane) ([]byte, error) {
+// forEach streams seg's locations to fn, decoded where they lie in the
+// mapping. Shared-locked so that neither compaction nor growth moves the
+// bytes mid-decode; fn runs under that lock and must not register.
+func (c *coldLog) forEach(seg *coldSeg, faults *faultinject.Plane, fn func(loc uint64)) (err error) {
 	if faults.Fail(faultinject.ColdIO) {
-		return nil, errSegTruncated
+		return errSegTruncated
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.f == nil {
-		return nil, os.ErrClosed
+	end := seg.off + int64(seg.length)
+	if end > int64(len(c.data)) {
+		return os.ErrClosed
 	}
-	buf := make([]byte, seg.length)
-	if _, err := c.f.ReadAt(buf, seg.off); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	defer endMapFault(debug.SetPanicOnFault(true), &err)
+	return forEachSegmentLocation(c.data[seg.off:end], fn)
 }
 
 // retire marks seg dead and accounts its bytes as garbage. Idempotent.
@@ -203,7 +227,7 @@ func (c *coldLog) overGarbage() bool {
 	return g > 0 && g*2 >= c.size.Load()
 }
 
-// compact rewrites the spill file with only the live segments, updating
+// compact moves the live segments into a fresh spill file, updating
 // their offsets in place. Runs under the write lock, so invalidating
 // readers wait rather than read through the move; callers gate on
 // overGarbage (epoch boundaries and metadata release), so the rewrite
@@ -211,42 +235,56 @@ func (c *coldLog) overGarbage() bool {
 func (c *coldLog) compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
+	if c.data == nil {
 		return nil
+	}
+	var live []*coldSeg
+	need := 0
+	for _, seg := range c.segs {
+		if !seg.dead.Load() {
+			live = append(live, seg)
+			need += seg.length
+		}
 	}
 	nf, err := os.CreateTemp(c.dir, "dangsan-coldlog-*.seg")
 	if err != nil {
 		return err
 	}
-	live := c.segs[:0]
-	var off int64
-	for _, seg := range c.segs {
-		if seg.dead.Load() {
-			continue
+	nd, err := mapSpill(nf, need)
+	if err == nil {
+		if err = c.moveTo(nd, live); err != nil {
+			syscall.Munmap(nd)
 		}
-		buf := make([]byte, seg.length)
-		if _, err := c.f.ReadAt(buf, seg.off); err != nil {
-			nf.Close()
-			os.Remove(nf.Name())
-			return err
-		}
-		if _, err := nf.WriteAt(buf, off); err != nil {
-			nf.Close()
-			os.Remove(nf.Name())
-			return err
-		}
-		seg.off = off
-		off += int64(seg.length)
-		live = append(live, seg)
 	}
-	old, oldPath := c.f, c.path
-	c.f, c.path = nf, nf.Name()
-	c.segs = live
-	c.size.Store(off)
+	if err != nil {
+		nf.Close()
+		os.Remove(nf.Name())
+		return err
+	}
+	syscall.Munmap(c.data)
+	c.f.Close()
+	os.Remove(c.path)
+	c.f, c.path, c.data, c.segs = nf, nf.Name(), nd, live
+	c.size.Store(int64(need))
 	c.garbage.Store(0)
 	c.compacts.Add(1)
-	old.Close()
-	os.Remove(oldPath)
+	return nil
+}
+
+// moveTo copies the live segments to the front of nd and, once all of
+// them are there, points them at the copies; a fault part-way leaves every
+// offset on the old mapping.
+func (c *coldLog) moveTo(nd []byte, live []*coldSeg) (err error) {
+	defer endMapFault(debug.SetPanicOnFault(true), &err)
+	off := 0
+	for _, seg := range live {
+		off += copy(nd[off:], c.data[seg.off:seg.off+int64(seg.length)])
+	}
+	off = 0
+	for _, seg := range live {
+		seg.off = int64(off)
+		off += seg.length
+	}
 	return nil
 }
 
@@ -258,17 +296,19 @@ func (c *coldLog) close() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f != nil {
+	if c.data != nil {
+		syscall.Munmap(c.data)
 		c.f.Close()
 		os.Remove(c.path)
-		c.f = nil
+		c.f, c.data = nil, nil
 	}
 }
 
 // spill flushes tl's current hash table to the cold tier and swaps in a
-// fresh hot table. Owner-thread only (called from the register path).
-// On any failure the table simply stays resident — fail-open.
-func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) {
+// fresh hot table, reporting whether it did. Owner-thread only (called
+// from the register path). On any failure the table simply stays resident
+// — fail-open.
+func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) bool {
 	var start time.Time
 	met := lg.met
 	if met != nil {
@@ -285,27 +325,23 @@ func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) {
 		}
 	}
 	if len(locs) == 0 {
-		return
+		return false
 	}
-	buf, nEntries := encodeSegment(locs)
-	seg, err := lg.ensureCold().appendSegment(buf, lg.faults.Load())
+	seg, err := lg.ensureCold().append(locs, lg.faults.Load())
 	if err != nil {
 		sh.spillFailures.Add(1)
-		return
+		return false
 	}
-	seg.count = len(locs)
-	seg.entries = nEntries
 
 	cs := tl.cold.Load()
 	if cs == nil {
-		cs = newColdState(tl.tid)
+		cs = new(coldState)
 		sh.logBytes.Add(coldStateBytes)
 		tl.cold.Store(cs)
 	}
 	// Publish the segment before swapping tables: an invalidator racing
 	// the spill must find every location in at least one tier.
 	cs.publish(seg)
-	cs.sample(locs)
 
 	fresh := newLocSet()
 	sh.logBytes.Add(fresh.bytes())
@@ -317,6 +353,7 @@ func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) {
 	if met != nil {
 		met.spillNs.Since(tl.tid, start)
 	}
+	return true
 }
 
 // retireCold marks every cold segment reachable from meta's logs dead, so
@@ -335,8 +372,8 @@ func (lg *Logger) retireCold(meta *ObjectMeta) {
 		if cs == nil {
 			continue
 		}
-		for n := cs.segs.Load(); n != nil; n = n.next {
-			c.retire(n.seg)
+		for seg := cs.segs.Load(); seg != nil; seg = seg.next {
+			c.retire(seg)
 			retired = true
 		}
 	}
@@ -369,46 +406,12 @@ func (lg *Logger) forEachColdLocation(meta *ObjectMeta, sh *statShard, fn func(l
 		if cs == nil {
 			continue
 		}
-		for n := cs.segs.Load(); n != nil; n = n.next {
-			buf, err := c.readSeg(n.seg, faults)
-			if err != nil {
-				sh.coldReadErrs.Add(1)
-				continue
-			}
-			if err := forEachSegmentLocation(buf, fn); err != nil {
+		for seg := cs.segs.Load(); seg != nil; seg = seg.next {
+			if c.forEach(seg, faults, fn) != nil {
 				sh.coldReadErrs.Add(1)
 			}
 		}
 	}
-}
-
-// ColdTriage samples meta's cold-tier reservoirs against memory: of the
-// sampled spilled locations, how many still hold a pointer into the
-// object? This is the fast "probably-stale" probe — O(reservoir) word
-// loads, no disk — that lets a caller rank objects by how much live
-// invalidation work their cold tier probably holds. The full segment
-// walk at free time is unaffected; triage is advisory only.
-func (lg *Logger) ColdTriage(meta *ObjectMeta, mem Memory) (sampled, live int) {
-	base := meta.Base()
-	end := base + meta.Size()
-	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		cs := tl.cold.Load()
-		if cs == nil {
-			continue
-		}
-		for i := range cs.reservoir {
-			loc := cs.reservoir[i].Load()
-			if loc == 0 {
-				continue
-			}
-			sampled++
-			w, fault := mem.LoadWord(loc)
-			if fault == nil && w >= base && w < end {
-				live++
-			}
-		}
-	}
-	return sampled, live
 }
 
 // ColdStats is a point-in-time summary of the cold tier.

@@ -1,9 +1,17 @@
 package pointerlog
 
 import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"dangsan/internal/vmem"
 )
 
 // tornSpill builds a tiered fixture with several cold segments on disk and
@@ -18,7 +26,7 @@ func parseSpill(t *testing.T, blob []byte) []spillSeg {
 	t.Helper()
 	var segs []spillSeg
 	off := 0
-	for off < len(blob) {
+	for off < len(blob) && binary.LittleEndian.Uint32(blob[off:]) != 0 { // zero magic: the preallocated remainder
 		locs, n, err := decodeSegment(blob[off:], nil)
 		if err != nil {
 			t.Fatalf("fixture spill file does not parse at %d: %v", off, err)
@@ -144,4 +152,100 @@ func TestColdCrashRecoveryTornFrame(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestColdKillDurability: what a spill has stored in the mapping is in the
+// page cache, so a worker SIGKILLed without Close leaves it in the file. A
+// re-exec'd helper spills without end and reports every location of each
+// segment once it is published; it is killed mid-stream, and ReadSegments
+// over the file it left must return every location reported.
+func TestColdKillDurability(t *testing.T) {
+	const dirEnv = "DANGSAN_COLD_KILL_DIR"
+	if dir := os.Getenv(dirEnv); dir != "" {
+		cfg := tieredConfig(t)
+		cfg.ColdDir = dir
+		cfg.Audit = false
+		lg := NewLogger(cfg)
+		meta, _ := lg.MustCreateMeta(vmem.HeapBase, 4096)
+		tl := lg.Register(meta, vmem.GlobalsBase, 0)
+		var last *coldSeg
+		for i := uint64(1); ; i++ {
+			lg.RegisterWith(tl, vmem.GlobalsBase+i%(vmem.GlobalsSize/8)*8, 0)
+			cs := tl.cold.Load()
+			if cs == nil || cs.segs.Load() == last {
+				continue
+			}
+			last = cs.segs.Load()
+			line := "seg"
+			if err := lg.cold.Load().forEach(last, nil, func(loc uint64) { line += fmt.Sprintf(" %x", loc) }); err != nil {
+				line = "error " + err.Error()
+			}
+			fmt.Println(line)
+		}
+	}
+
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestColdKillDurability$")
+	cmd.Env = append(os.Environ(), dirEnv+"="+dir)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Past the first mapping too: 45 adjacent locations fold into a segment
+	// of 136 bytes, so after 10,000 of them the helper has grown its file.
+	const killAfter = 10000
+	reported := map[uint64]bool{}
+	segs := 0
+	r := bufio.NewReader(stdout)
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			break // EOF; a line cut short by the kill was never reported
+		}
+		fields := strings.Fields(line)
+		if len(fields) == 0 || fields[0] != "seg" {
+			t.Errorf("helper: %s", line)
+			continue
+		}
+		for _, f := range fields[1:] {
+			loc, err := strconv.ParseUint(f, 16, 64)
+			if err != nil {
+				t.Fatalf("helper line %q: %v", line, err)
+			}
+			reported[loc] = true
+		}
+		if segs++; segs == killAfter {
+			if err := cmd.Process.Kill(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cmd.Wait()
+	if segs < killAfter {
+		t.Fatalf("helper reported %d segments, want at least %d", segs, killAfter)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "dangsan-coldlog-*.seg"))
+	if len(files) != 1 {
+		t.Fatalf("spill files left behind: %v", files)
+	}
+	if st, err := os.Stat(files[0]); err != nil || st.Size() <= coldMapBytes {
+		t.Fatalf("spill file never grew past its first mapping: %v %v", st, err)
+	}
+	recovered, err := ReadSegments(files[0])
+	if err != nil {
+		t.Fatalf("ReadSegments after SIGKILL: %v", err)
+	}
+	got := make(map[uint64]bool, len(recovered))
+	for _, loc := range recovered {
+		got[loc] = true
+	}
+	for loc := range reported {
+		if !got[loc] {
+			t.Fatalf("location 0x%x was published before the kill and is not in the file (%d reported, %d recovered)", loc, len(reported), len(got))
+		}
+	}
+	t.Logf("%d segments reported, %d locations recovered", segs, len(got))
 }

@@ -66,18 +66,14 @@ const MaxQuarantineEpoch = 4096
 // table slots) at which a location set's entries are spilled to the cold
 // tier. Spilling is opt-in (Config.ColdSpillBytes == 0 disables it); there
 // is no implicit default. 64 KiB keeps the hot tier within L2 while each
-// spill segment still amortizes a file write over thousands of locations.
+// spill segment still amortizes its sort and lock over thousands of
+// locations.
 const DefaultColdSpillBytes = 64 << 10
 
 // MinColdSpillBytes floors the configurable spill threshold: below one
 // initial table (locSetInitial slots) the hot tier could never hold even a
 // freshly swapped-in table, and every grow would spill.
 const MinColdSpillBytes = locSetInitial * 8 * 2
-
-// coldReservoirK is the per-thread-log reservoir size backing the
-// "probably-stale" triage: a uniform sample of every location ever spilled,
-// kept in memory so ColdTriage can estimate liveness without touching disk.
-const coldReservoirK = 64
 
 // Config carries the tunables that the paper's design discussion and our
 // ablation benchmarks vary. The zero value is not valid; use
@@ -129,12 +125,11 @@ type Config struct {
 	// invalidation counts are reproducible run to run.
 	QuarantineSync bool
 	// ColdSpillBytes, when nonzero, arms the tiered log: once a hash-mode
-	// location set's table crosses this many resident bytes, its entries
-	// are flushed as a compressed append-only segment to a per-logger
-	// spill file and a fresh (hot) table takes over. Free-time
-	// invalidation streams the segments back through the entry decoder;
-	// a spill that cannot reach disk fails open (the table stays
-	// resident). Values below MinColdSpillBytes are raised to it.
+	// location set's table would grow to this many resident bytes, its
+	// entries are flushed as a compressed append-only segment to a
+	// per-logger memory-mapped spill file and a fresh (hot) table takes
+	// over. Free-time invalidation decodes the segments in place; a spill
+	// that cannot reach the file fails open (the table stays resident). Values below MinColdSpillBytes are raised to it.
 	// 0 keeps every location set fully resident (the pre-tiering
 	// behaviour).
 	ColdSpillBytes uint64

@@ -99,20 +99,24 @@ func FuzzEntryRoundtrip(f *testing.F) {
 // survive encodeSegment → decodeSegment as a set, and the encoding with its
 // tail torn or a payload byte flipped must read as truncated.
 func FuzzSegmentDecode(f *testing.F) {
-	intact, _ := encodeSegment([]uint64{fuzzLoc(0), fuzzLoc(8), fuzzLoc(16), fuzzLoc(1 << 20)})
+	intact := appendSegment(nil, []uint64{fuzzLoc(0), fuzzLoc(8), fuzzLoc(16), fuzzLoc(1 << 20)})
 	f.Add(intact)
 	f.Add(intact[:len(intact)-3]) // torn tail
 	badSum := slices.Clone(intact)
 	badSum[len(badSum)-1] ^= 0xff
 	f.Add(badSum)
+	// A preallocated spill file: the log ends at a zero header.
+	zeros := make([]byte, 64)
+	f.Add(slices.Concat(intact, zeros))
+	f.Add(slices.Concat(intact, intact[:len(intact)-3], zeros))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := slices.Clip(slices.Clone(data))
 		locs, n, err := decodeSegment(b, nil)
 		if err == nil {
-			count, payloadLen, _ := decodeSegmentHeader(b)
-			if n != segHeaderBytes+payloadLen || n > len(b) || len(locs) != count {
-				t.Fatalf("decoded %d locations from %d of %d bytes; header declares %d locations, %d payload bytes", len(locs), n, len(b), count, payloadLen)
+			count, payload, _ := segmentPayload(b)
+			if n != segHeaderBytes+len(payload) || n > len(b) || len(locs) != count {
+				t.Fatalf("decoded %d locations from %d of %d bytes; header declares %d locations, %d payload bytes", len(locs), n, len(b), count, len(payload))
 			}
 		} else if !errors.Is(err, errSegTruncated) && !errors.Is(err, errSegCorrupt) {
 			t.Fatalf("decodeSegment: untyped error %v", err)
@@ -127,7 +131,7 @@ func FuzzSegmentDecode(f *testing.F) {
 			want = append(want, fuzzLoc(binary.LittleEndian.Uint64(data)))
 		}
 		slices.Sort(want)
-		seg, _ := encodeSegment(slices.Clone(want))
+		seg := appendSegment(nil, slices.Clone(want))
 		got, n, err := decodeSegment(seg, nil)
 		slices.Sort(got)
 		if err != nil || n != len(seg) || !slices.Equal(got, want) {

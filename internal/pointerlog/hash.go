@@ -21,6 +21,10 @@ type locTable struct {
 
 const locSetInitial = 64 // slots; must be a power of two
 
+// full reports whether the next insert wants the table doubled first (load
+// factor 0.7). Owner-only.
+func (t *locTable) full() bool { return t.used*10 >= len(t.entries)*7 }
+
 func newLocSet() *locSet {
 	s := &locSet{}
 	s.table.Store(&locTable{
@@ -48,7 +52,7 @@ func hashLoc(loc uint64) uint64 {
 // would turn every miss probe into an infinite loop.
 func (s *locSet) insert(loc uint64, growOK func() bool) (added bool, grown uint64, dropped bool) {
 	t := s.table.Load()
-	if t.used*10 >= len(t.entries)*7 {
+	if t.full() {
 		if growOK == nil || growOK() {
 			old := uint64(len(t.entries)) * 8
 			t = s.grow(t)

@@ -101,22 +101,7 @@ func (lg *Logger) Invalidate(meta *ObjectMeta, mem Memory) {
 	sh := lg.stats.shard(int32(base >> 12))
 	tid := int32(base >> 12)
 
-	// Size the walk. Thread-log inline storage is bounded by
-	// MaxLogEntries; only hash fallbacks (and many-threaded objects) can
-	// push the estimate past the parallel threshold.
-	est := 0
-	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		est += embedEntries
-		for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
-			est += blockEntries
-		}
-		if h := tl.hash.Load(); h != nil {
-			est += len(h.table.Load().entries)
-		}
-		if cs := tl.cold.Load(); cs != nil {
-			est += int(cs.locs.Load())
-		}
-	}
+	est := meta.walkEstimate()
 
 	workers := lg.cfg.InvalidateWorkers
 	if workers <= 1 || est < lg.cfg.ParallelInvalidateMin {
@@ -136,25 +121,7 @@ func (lg *Logger) Invalidate(meta *ObjectMeta, mem Memory) {
 	}
 
 	// Parallel walk: split into units, fan out over a bounded pool.
-	var units []invalUnit
-	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		units = append(units, invalUnit{tl: tl})
-		if h := tl.hash.Load(); h != nil {
-			t := h.table.Load()
-			for lo := 0; lo < len(t.entries); lo += hashSlotsPerUnit {
-				hi := lo + hashSlotsPerUnit
-				if hi > len(t.entries) {
-					hi = len(t.entries)
-				}
-				units = append(units, invalUnit{table: t, lo: lo, hi: hi})
-			}
-		}
-		if cs := tl.cold.Load(); cs != nil {
-			for n := cs.segs.Load(); n != nil; n = n.next {
-				units = append(units, invalUnit{seg: n.seg})
-			}
-		}
-	}
+	units := meta.appendUnits(nil)
 	if workers > len(units) {
 		workers = len(units)
 	}
@@ -165,12 +132,15 @@ func (lg *Logger) Invalidate(meta *ObjectMeta, mem Memory) {
 		go func(w int) {
 			defer wg.Done()
 			var c invalCounts
+			visit := func(loc uint64) {
+				lg.invalidateLocation(loc, base, end, mem, &c)
+			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(units) {
 					break
 				}
-				lg.invalidateUnit(&units[i], base, end, mem, &c)
+				lg.walkUnit(&units[i], &c, visit)
 			}
 			// Each worker flushes to its own shard to keep the flush
 			// contention-free; totals are unaffected by which shard
@@ -186,36 +156,64 @@ func (lg *Logger) Invalidate(meta *ObjectMeta, mem Memory) {
 	}
 }
 
-// invalidateUnit walks one unit. The hash-range walk reads the table
-// published at unit-build time; entries a racing owner adds afterwards
-// may be missed, the same benign race the serial walk tolerates. A
-// segment unit streams its locations back from the spill file; a read
-// failure skips the segment (counted, fail-open).
-func (lg *Logger) invalidateUnit(u *invalUnit, base, end uint64, mem Memory, c *invalCounts) {
+// walkEstimate sizes the walk over meta's logs in entries. Thread-log
+// inline storage is bounded by MaxLogEntries; only hash fallbacks, spilled
+// segments and many-threaded objects can push the estimate past the
+// parallel threshold.
+func (meta *ObjectMeta) walkEstimate() int {
+	est := 0
+	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
+		est += embedEntries
+		for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
+			est += blockEntries
+		}
+		if h := tl.hash.Load(); h != nil {
+			est += len(h.table.Load().entries)
+		}
+		if cs := tl.cold.Load(); cs != nil {
+			est += int(cs.locs.Load())
+		}
+	}
+	return est
+}
+
+// appendUnits splits meta's logs into independently walkable units.
+func (meta *ObjectMeta) appendUnits(units []invalUnit) []invalUnit {
+	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
+		units = append(units, invalUnit{tl: tl})
+		if h := tl.hash.Load(); h != nil {
+			t := h.table.Load()
+			for lo := 0; lo < len(t.entries); lo += hashSlotsPerUnit {
+				units = append(units, invalUnit{table: t, lo: lo, hi: min(lo+hashSlotsPerUnit, len(t.entries))})
+			}
+		}
+		if cs := tl.cold.Load(); cs != nil {
+			for seg := cs.segs.Load(); seg != nil; seg = seg.next {
+				units = append(units, invalUnit{seg: seg})
+			}
+		}
+	}
+	return units
+}
+
+// walkUnit streams one unit's locations to fn. The hash-range walk reads
+// the table published at unit-build time; entries a racing owner adds
+// afterwards may be missed, the same benign race the serial walk
+// tolerates. A segment unit decodes its locations out of the mapped spill
+// file; a read failure skips the segment (counted in c, fail-open).
+func (lg *Logger) walkUnit(u *invalUnit, c *invalCounts, fn func(loc uint64)) {
 	var scratch [3]uint64
 	visit := func(e uint64) {
 		for _, loc := range decodeEntry(e, scratch[:0]) {
-			lg.invalidateLocation(loc, base, end, mem, c)
+			fn(loc)
 		}
 	}
-	if u.seg != nil {
-		cold := lg.cold.Load()
-		if cold == nil {
-			return
-		}
-		buf, err := cold.readSeg(u.seg, lg.faults.Load())
-		if err != nil {
-			c.coldReadErrs++
-			return
-		}
-		if err := forEachSegmentLocation(buf, func(loc uint64) {
-			lg.invalidateLocation(loc, base, end, mem, c)
-		}); err != nil {
+	switch {
+	case u.seg != nil:
+		if lg.cold.Load().forEach(u.seg, lg.faults.Load(), fn) != nil {
 			c.coldReadErrs++
 		}
-		return
-	}
-	if u.tl != nil {
+	case u.tl != nil:
 		for i := 0; i < embedEntries; i++ {
 			visit(atomic.LoadUint64(&u.tl.embed[i]))
 		}
@@ -224,11 +222,11 @@ func (lg *Logger) invalidateUnit(u *invalUnit, base, end uint64, mem Memory, c *
 				visit(atomic.LoadUint64(&b.entries[i]))
 			}
 		}
-		return
-	}
-	for i := u.lo; i < u.hi; i++ {
-		if e := atomic.LoadUint64(&u.table.entries[i]); e != 0 {
-			visit(e)
+	default:
+		for i := u.lo; i < u.hi; i++ {
+			if e := atomic.LoadUint64(&u.table.entries[i]); e != 0 {
+				visit(e)
+			}
 		}
 	}
 }

@@ -81,18 +81,7 @@ func (lg *Logger) InvalidateMany(metas []*ObjectMeta, mem Memory) {
 	for _, meta := range metas {
 		base := meta.Base()
 		ranges = append(ranges, deadRange{lo: base, hi: base + meta.Size()})
-		for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-			est += embedEntries
-			for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
-				est += blockEntries
-			}
-			if h := tl.hash.Load(); h != nil {
-				est += len(h.table.Load().entries)
-			}
-			if cs := tl.cold.Load(); cs != nil {
-				est += int(cs.locs.Load())
-			}
-		}
+		est += meta.walkEstimate()
 	}
 	ranges = mergeDeadRanges(ranges)
 
@@ -135,24 +124,7 @@ func (lg *Logger) InvalidateMany(metas []*ObjectMeta, mem Memory) {
 	// (value already has InvalidBit, so it is outside every dead range).
 	var units []invalUnit
 	for _, meta := range metas {
-		for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-			units = append(units, invalUnit{tl: tl})
-			if h := tl.hash.Load(); h != nil {
-				t := h.table.Load()
-				for lo := 0; lo < len(t.entries); lo += hashSlotsPerUnit {
-					hi := lo + hashSlotsPerUnit
-					if hi > len(t.entries) {
-						hi = len(t.entries)
-					}
-					units = append(units, invalUnit{table: t, lo: lo, hi: hi})
-				}
-			}
-			if cs := tl.cold.Load(); cs != nil {
-				for n := cs.segs.Load(); n != nil; n = n.next {
-					units = append(units, invalUnit{seg: n.seg})
-				}
-			}
-		}
+		units = meta.appendUnits(units)
 	}
 	if workers > len(units) {
 		workers = len(units)
@@ -164,51 +136,15 @@ func (lg *Logger) InvalidateMany(metas []*ObjectMeta, mem Memory) {
 		go func(w int) {
 			defer wg.Done()
 			var c invalCounts
-			var scratch [3]uint64
+			visit := func(loc uint64) {
+				lg.invalidateRanges(loc, ranges, mem, &c)
+			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(units) {
 					break
 				}
-				u := &units[i]
-				visit := func(e uint64) {
-					for _, loc := range decodeEntry(e, scratch[:0]) {
-						lg.invalidateRanges(loc, ranges, mem, &c)
-					}
-				}
-				if u.seg != nil {
-					cold := lg.cold.Load()
-					if cold == nil {
-						continue
-					}
-					buf, err := cold.readSeg(u.seg, lg.faults.Load())
-					if err != nil {
-						c.coldReadErrs++
-						continue
-					}
-					if err := forEachSegmentLocation(buf, func(loc uint64) {
-						lg.invalidateRanges(loc, ranges, mem, &c)
-					}); err != nil {
-						c.coldReadErrs++
-					}
-					continue
-				}
-				if u.tl != nil {
-					for i := 0; i < embedEntries; i++ {
-						visit(atomic.LoadUint64(&u.tl.embed[i]))
-					}
-					for b := u.tl.blocks.Load(); b != nil; b = b.next.Load() {
-						for i := 0; i < blockEntries; i++ {
-							visit(atomic.LoadUint64(&b.entries[i]))
-						}
-					}
-					continue
-				}
-				for i := u.lo; i < u.hi; i++ {
-					if e := atomic.LoadUint64(&u.table.entries[i]); e != 0 {
-						visit(e)
-					}
-				}
+				lg.walkUnit(&units[i], &c, visit)
 			}
 			c.flush(lg.stats.shard(int32(w)))
 		}(w)

@@ -46,9 +46,9 @@ type ThreadLog struct {
 	embed  [embedEntries]uint64 // atomic access
 	blocks atomic.Pointer[logBlock]
 	hash   atomic.Pointer[locSet]
-	// cold is the spilled tier for this log: segments already flushed to
-	// the logger's spill file plus the reservoir summary. Nil until the
-	// first spill (Config.ColdSpillBytes).
+	// cold is the spilled tier for this log: the segments already flushed
+	// to the logger's spill file. Nil until the first spill
+	// (Config.ColdSpillBytes).
 	cold atomic.Pointer[coldState]
 
 	// Owner-only state.
@@ -384,7 +384,7 @@ func (lg *Logger) ReleaseMeta(handle uint64) {
 		// next compaction reclaims their file bytes.
 		lg.retireCold(meta)
 		if fp := meta.logFootprint(); fp != 0 {
-			lg.stats.shard(int32(handle-1)).logBytesReleased.Add(fp)
+			lg.stats.shard(int32(handle - 1)).logBytesReleased.Add(fp)
 		}
 		meta.logs.Store(nil)
 	}
@@ -433,8 +433,8 @@ func (meta *ObjectMeta) logFootprint() uint64 {
 		if h := tl.hash.Load(); h != nil {
 			n += h.bytes()
 		}
-		// The cold state (reservoir + headers) is resident; the segments
-		// themselves are on disk and tracked by the spilled term instead.
+		// The cold state's header is resident; the segments themselves are
+		// on disk and tracked by the spilled term instead.
 		if tl.cold.Load() != nil {
 			n += coldStateBytes
 		}
@@ -522,17 +522,19 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 	// duplicate (same outcome, more work) and refreshing it buys nothing
 	// because the table already deduplicates the full history.
 	if h := tl.hash.Load(); h != nil {
+		// Tiering check where a grow is due: a table whose doubling would
+		// reach the threshold is spilled as it stands and the location
+		// goes into the fresh one — nothing is grown and rehashed only to
+		// be thrown away. A failed spill falls through to the grow.
+		if max := lg.cfg.ColdSpillBytes; max > 0 && 2*h.bytes() >= max && h.table.Load().full() && lg.spill(tl, h, sh) {
+			h = tl.hash.Load()
+		}
 		added, grown, dropped := h.insert(loc, lg.hashGrowOK)
 		// A duplicate insert can still grow the table — the load-factor
 		// check runs before probing — so growth must be charged before the
 		// duplicate return or those bytes vanish from the accounting.
 		if grown > 0 {
 			sh.logBytes.Add(grown)
-			// Tiering check only on the (rare) grow: the common insert
-			// path stays branch-identical to the untiered logger.
-			if max := lg.cfg.ColdSpillBytes; max > 0 && h.bytes() >= max {
-				lg.spill(tl, h, sh)
-			}
 		}
 		if dropped {
 			// Denied grow on a full table: the location goes unlogged.

@@ -72,9 +72,6 @@ type endpoint interface {
 	doneCh() <-chan struct{}
 	// didPanic reports whether the worker died panicking.
 	didPanic() bool
-	// coldPath locates the dead worker's cold spill file for failover
-	// recovery ("" if it never spilled).
-	coldPath() string
 }
 
 // epBox wraps an endpoint for atomic.Pointer storage: the two concrete

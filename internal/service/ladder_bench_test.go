@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dangsan/internal/pointerlog"
 	"dangsan/internal/service/transport"
 )
 
@@ -132,5 +133,45 @@ func BenchmarkServiceParallel(b *testing.B) {
 				b.ReportMetric(float64(c.TurnParked-before.TurnParked)/ops, "parked/op")
 			})
 		}
+	}
+}
+
+// BenchmarkServiceHeavyKey keeps the cost of the cold tier under a worker's
+// turn visible: one client on one chan shard, each iteration an Alloc with
+// 300 scattered stores — past the hash switch, so with the tier at its
+// minimum threshold the key spills three or four segments — and the Free of
+// the key 256 allocs back, which reads them again. cold=off is the same
+// loop with every table resident.
+func BenchmarkServiceHeavyKey(b *testing.B) {
+	for _, cold := range []struct {
+		name  string
+		spill uint64
+	}{{"off", 0}, {"min", pointerlog.MinColdSpillBytes}} {
+		b.Run("cold="+cold.name, func(b *testing.B) {
+			s, err := New(Config{Shards: 1, ColdSpillBytes: cold.spill, ColdDir: b.TempDir(), RequestTimeout: time.Second, HeartbeatInterval: time.Hour})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			const lag = 256
+			op := func(i uint64) {
+				if v, err := s.Alloc("t", i, 64, 300); err != nil || v.Degraded {
+					b.Fatal(v, err)
+				}
+				if i >= lag {
+					if v, err := s.Free("t", i-lag); err != nil || v.Degraded {
+						b.Fatal(v, err)
+					}
+				}
+			}
+			for i := uint64(0); i < lag; i++ {
+				op(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := uint64(0); i < uint64(b.N); i++ {
+				op(lag + i)
+			}
+		})
 	}
 }

@@ -70,7 +70,8 @@ type Config struct {
 	// to call RunWorkerIfSpawned first.
 	WorkerCommand string
 	// WorkDir hosts wire-transport sockets and per-incarnation cold-spill
-	// dirs. Empty: a service-owned temp dir, removed on Close.
+	// dirs. Empty: a service-owned temp dir under ColdDir (the system's, if
+	// that is empty too), removed on Close.
 	WorkDir string
 
 	// Metrics, when non-nil, receives the service gauges
@@ -153,7 +154,8 @@ type Service struct {
 	rng    jitterRNG
 
 	// spawn builds shard endpoints for the configured transport; workDir
-	// hosts wire sockets and cold dirs (service-owned when ownWorkDir).
+	// hosts wire sockets and every incarnation's cold dir (service-owned
+	// when ownWorkDir).
 	spawn      func(shard, incarn int) (endpoint, error)
 	workDir    string
 	ownWorkDir bool
@@ -189,27 +191,32 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{cfg: cfg, supStop: make(chan struct{})}
 	s.rng.seed(cfg.Seed ^ 0x5eed5eed5eed5eed)
-	if network := wireNetwork(cfg.Transport); network != "" {
-		s.workDir = cfg.WorkDir
-		if s.workDir == "" {
-			dir, err := os.MkdirTemp("", "dangsan-wire-*")
-			if err != nil {
-				return nil, fmt.Errorf("service: work dir: %w", err)
-			}
-			s.workDir = dir
-			s.ownWorkDir = true
+	network := wireNetwork(cfg.Transport)
+	if s.workDir = cfg.WorkDir; s.workDir == "" && (network != "" || cfg.ColdSpillBytes > 0) {
+		dir, err := os.MkdirTemp(cfg.ColdDir, "dangsan-svc-*")
+		if err != nil {
+			return nil, fmt.Errorf("service: work dir: %w", err)
 		}
-		s.spawn = func(shard, incarn int) (endpoint, error) {
+		s.workDir = dir
+		s.ownWorkDir = true
+	}
+	s.spawn = func(shard, incarn int) (endpoint, error) {
+		cfg := cfg
+		if cfg.ColdDir = s.coldDir(shard, incarn); cfg.ColdDir != "" {
+			if err := os.MkdirAll(cfg.ColdDir, 0o755); err != nil {
+				return nil, fmt.Errorf("service: cold dir: %w", err)
+			}
+		}
+		if network != "" {
 			return spawnWireWorker(cfg, network, shard, incarn, s.workDir)
 		}
-	} else {
-		s.spawn = func(shard, incarn int) (endpoint, error) {
-			w, err := newWorker(shard, cfg, &s.shards[shard].turn)
-			if err != nil {
-				return nil, err
-			}
-			return w, nil
+		w, err := newWorker(shard, cfg, &s.shards[shard].turn)
+		if err != nil {
+			_ = os.RemoveAll(cfg.ColdDir)
+			return nil, err
 		}
+		w.coldDir = cfg.ColdDir
+		return w, nil
 	}
 	now := time.Now().UnixNano()
 	for i := 0; i < cfg.Shards; i++ {

@@ -1,6 +1,10 @@
 package service
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"time"
 
 	"dangsan/internal/pointerlog"
@@ -57,6 +61,39 @@ func (s *Service) supervise(sh *shardState) {
 	}
 }
 
+// coldDir names the directory the given incarnation of a shard's worker
+// keeps its spill file in ("" with the cold tier off). The coordinator makes
+// it before the spawn and reads it back at failover; the endpoint's close
+// removes it.
+func (s *Service) coldDir(shard, incarn int) string {
+	if s.cfg.ColdSpillBytes == 0 {
+		return ""
+	}
+	return filepath.Join(s.workDir, fmt.Sprintf("cold-s%d-i%d", shard, incarn))
+}
+
+// spillFile finds the spill file a dead worker left in dir ("" if it never
+// spilled). Normally at most one exists (compaction unlinks the old file); a
+// process killed mid-compaction can leave two, in which case the newest
+// wins — ReadSegments recovers its intact prefix either way.
+func spillFile(dir string) string {
+	matches, err := filepath.Glob(filepath.Join(dir, "dangsan-coldlog-*.seg"))
+	if err != nil || len(matches) == 0 {
+		return ""
+	}
+	if len(matches) > 1 {
+		sort.Slice(matches, func(i, j int) bool {
+			fi, ierr := os.Stat(matches[i])
+			fj, jerr := os.Stat(matches[j])
+			if ierr != nil || jerr != nil {
+				return matches[i] < matches[j]
+			}
+			return fi.ModTime().Before(fj.ModTime())
+		})
+	}
+	return matches[len(matches)-1]
+}
+
 // failover replaces the worker in seen — the box the trigger (a dead worker,
 // or heartbeat misses) was observed on — and rebuilds the shard's state:
 //
@@ -108,7 +145,7 @@ func (s *Service) failover(sh *shardState, seen *epBox) {
 	// at the first torn one.
 	var recovered int
 	if exited {
-		if path := old.coldPath(); path != "" {
+		if path := spillFile(s.coldDir(sh.idx, int(sh.incarn.Load()))); path != "" {
 			// An error here means ReadSegments stopped at a torn or
 			// corrupt frame; the intact prefix still counts. Losing the
 			// tail is coverage loss, not a violation (mirrors

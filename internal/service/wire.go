@@ -9,7 +9,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,10 +58,6 @@ func replayBudget(reqTimeout time.Duration) time.Duration {
 // spawnWireWorker launches one worker process and completes the READY
 // handshake. The endpoint serves from the moment this returns.
 func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir string) (endpoint, error) {
-	coldDir := filepath.Join(workDir, fmt.Sprintf("cold-s%d-i%d", shard, incarn))
-	if err := os.MkdirAll(coldDir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: cold dir: %w", err)
-	}
 	var addr string
 	switch network {
 	case "unix":
@@ -75,7 +70,6 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 	default:
 		return nil, fmt.Errorf("service: unknown wire network %q", network)
 	}
-	cfg.ColdDir = coldDir
 	spec := workerSpec{Shard: shard, Incarnation: incarn, Network: network, Addr: addr, Config: cfg}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
@@ -100,7 +94,7 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("service: spawn worker: %w", err)
 	}
-	ep := &wireEndpoint{network: network, addr: addr, cmd: cmd, coldDir: coldDir, done: make(chan struct{})}
+	ep := &wireEndpoint{network: network, addr: addr, cmd: cmd, coldDir: cfg.ColdDir, done: make(chan struct{})}
 	ep.exitCode.Store(-1)
 
 	readyCh := make(chan string, 1)
@@ -169,28 +163,6 @@ func (ep *wireEndpoint) kill() {
 func (ep *wireEndpoint) doneCh() <-chan struct{} { return ep.done }
 
 func (ep *wireEndpoint) didPanic() bool { return ep.exitCode.Load() == workerExitPanic }
-
-// coldPath globs the per-incarnation cold dir for the worker's spill
-// file. Normally at most one exists (compaction unlinks the old file); a
-// process killed mid-compaction can leave two, in which case the newest
-// wins — ReadSegments recovers its intact prefix either way.
-func (ep *wireEndpoint) coldPath() string {
-	matches, err := filepath.Glob(filepath.Join(ep.coldDir, "dangsan-coldlog-*.seg"))
-	if err != nil || len(matches) == 0 {
-		return ""
-	}
-	if len(matches) > 1 {
-		sort.Slice(matches, func(i, j int) bool {
-			fi, ierr := os.Stat(matches[i])
-			fj, jerr := os.Stat(matches[j])
-			if ierr != nil || jerr != nil {
-				return matches[i] < matches[j]
-			}
-			return fi.ModTime().Before(fj.ModTime())
-		})
-	}
-	return matches[len(matches)-1]
-}
 
 // close tears the endpoint down: the process if it is somehow still
 // alive, the client pool, the socket file, and the per-incarnation cold

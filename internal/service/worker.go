@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -55,6 +56,9 @@ type worker struct {
 	proc *proc.Process
 	det  *dangsan.Detector
 	th   *proc.Thread
+	// coldDir is this incarnation's own cold dir, when a coordinator in this
+	// process made one: close removes it.
+	coldDir string
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -176,12 +180,6 @@ func (w *worker) retireIfStopped() {
 		}
 	default:
 	}
-}
-
-// coldPath returns the worker's spill file location ("" if the cold tier
-// never spilled).
-func (w *worker) coldPath() string {
-	return w.det.Logger().ColdLogStats().Path
 }
 
 // send runs one request on the caller's goroutine once it holds the turn:
@@ -493,10 +491,16 @@ func (w *worker) dropFreed(key uint64) {
 	}
 }
 
-// close releases the worker's detector resources (the cold spill file).
+// close releases the worker's detector resources (the cold spill file) and
+// the cold dir the coordinator made for this incarnation.
 // Only safe after done has closed; an abandoned worker (a turn that never
 // came free) is deliberately never closed.
-func (w *worker) close() { w.det.Close() }
+func (w *worker) close() {
+	w.det.Close()
+	if w.coldDir != "" {
+		_ = os.RemoveAll(w.coldDir)
+	}
+}
 
 // The remaining endpoint methods: the in-process worker IS the channel
 // transport's endpoint.
