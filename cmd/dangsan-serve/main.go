@@ -173,9 +173,9 @@ func main() {
 		fmt.Printf("disruptions: %d kills, %d hangs, %d slows, %d sigkills\n",
 			disrupted["kill"], disrupted["hang"], disrupted["slow"], disrupted["sigkill"])
 	}
-	fmt.Printf("service: %d requests, %d retries, %d timeouts, %d failovers (%d objects replayed, %d spilled locs recovered), %d heartbeat misses, %d breaker trips, %d sends found the turn taken (%d parked)\n",
+	fmt.Printf("service: %d requests, %d retries, %d timeouts, %d failovers (%d objects replayed, %d spilled locs recovered), %d heartbeat misses, %d breaker trips, %d sends found the turn taken (%d parked), %d wire exchanges direct and %d polled\n",
 		c.Requests, c.Retries, c.Timeouts, c.Failovers, c.ReplayedObjects, c.RecoveredLocs,
-		c.HeartbeatMisses, c.BreakerTrips, c.TurnContended, c.TurnParked)
+		c.HeartbeatMisses, c.BreakerTrips, c.TurnContended, c.TurnParked, c.WireDirect, c.WirePolled)
 	fmt.Printf("%-6s %-9s %-6s %-10s %-10s %-7s %-6s %-6s\n",
 		"shard", "breaker", "trips", "failovers", "hb age", "incarn", "live", "freed")
 	for _, st := range svc.ShardStats() {

@@ -171,7 +171,9 @@ func printService(path string) {
 	fmt.Printf("  breaker trips:   %d\n", g["service.breaker_trips"])
 	// turn contended/parked: sends that found the shard's turn taken, and
 	// those of them that outlasted the poll budget (in-process workers).
-	fmt.Printf("  %-6s %-10s %-12s %-10s %-15s %-12s\n", "shard", "breaker", "hb age", "failovers", "turn contended", "turn parked")
+	// wire direct/polled: wire exchanges on a blocking socket, and those
+	// that went through the netpoller because callers outnumbered Ps.
+	fmt.Printf("  %-6s %-10s %-12s %-10s %-15s %-12s %-12s %-12s\n", "shard", "breaker", "hb age", "failovers", "turn contended", "turn parked", "wire direct", "wire polled")
 	breakerNames := []string{"closed", "open", "half-open"}
 	for i := 0; ; i++ {
 		state, ok := g[fmt.Sprintf("service.shard%d.breaker_state", i)]
@@ -182,11 +184,13 @@ func printService(path string) {
 		if state >= 0 && int(state) < len(breakerNames) {
 			name = breakerNames[state]
 		}
-		fmt.Printf("  %-6d %-10s %-12s %-10d %-15d %-12d\n", i, name,
+		fmt.Printf("  %-6d %-10s %-12s %-10d %-15d %-12d %-12d %-12d\n", i, name,
 			fmt.Sprintf("%dms", g[fmt.Sprintf("service.shard%d.heartbeat_age_ms", i)]),
 			g[fmt.Sprintf("service.shard%d.failovers", i)],
 			g[fmt.Sprintf("service.shard%d.turn_contended", i)],
-			g[fmt.Sprintf("service.shard%d.turn_parked", i)])
+			g[fmt.Sprintf("service.shard%d.turn_parked", i)],
+			g[fmt.Sprintf("service.shard%d.wire_direct", i)],
+			g[fmt.Sprintf("service.shard%d.wire_polled", i)])
 	}
 }
 

@@ -20,9 +20,13 @@ import (
 //	endpoint-ping  the same through wireEndpoint.send
 //	service-check  Service.Check: coordinator + endpoint + detector work,
 //	               over the in-process transport and over a unix socket
+//	.../callers=N  the unix rung with N closed-loop goroutines on the one
+//	               shard, as ops/s and the share of exchanges that ran on
+//	               a direct connection: both sides of the client's gate
+//	               (direct while callers <= GOMAXPROCS, polled beyond)
 func BenchmarkWireLadder(b *testing.B) {
 	cfg := Config{RequestTimeout: time.Second, HeartbeatInterval: time.Hour}.normalized()
-	ep, err := spawnWireWorker(cfg, "unix", 0, 0, b.TempDir())
+	ep, err := spawnWireWorker(cfg, "unix", 0, 0, b.TempDir(), new(transport.ExchangeCounts))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -51,14 +55,8 @@ func BenchmarkWireLadder(b *testing.B) {
 	})
 	for _, tr := range []string{TransportChan, TransportUnix} {
 		b.Run("service-check/"+tr, func(b *testing.B) {
-			s, err := New(Config{Shards: 1, Transport: tr, WorkDir: b.TempDir(), RequestTimeout: time.Second, HeartbeatInterval: time.Hour})
-			if err != nil {
-				b.Fatal(err)
-			}
+			s := oneLiveKey(b, tr)
 			defer s.Close()
-			if v, err := s.Alloc("t", 1, 64, 4); err != nil || v.Degraded {
-				b.Fatal(v, err)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -68,6 +66,48 @@ func BenchmarkWireLadder(b *testing.B) {
 			}
 		})
 	}
+	for _, callers := range []int{1, 2, 4, 16} {
+		b.Run(fmt.Sprintf("service-check/unix/callers=%d", callers), func(b *testing.B) {
+			s := oneLiveKey(b, TransportUnix)
+			defer s.Close()
+			before := s.Counters()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < b.N/callers; i++ {
+						if v, err := s.Check("t", 1); err != nil || !v.Known {
+							b.Error(v, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			c := s.Counters()
+			ops := float64(c.Requests - before.Requests)
+			b.ReportMetric(ops/b.Elapsed().Seconds(), "ops/s")
+			b.ReportMetric(float64(c.WireDirect-before.WireDirect)/ops, "direct/op")
+		})
+	}
+}
+
+// oneLiveKey is a one-shard service over tr holding the key ("t", 1) the
+// service-check rungs check.
+func oneLiveKey(b *testing.B, tr string) *Service {
+	s, err := New(Config{Shards: 1, Transport: tr, WorkDir: b.TempDir(), RequestTimeout: time.Second, HeartbeatInterval: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if v, err := s.Alloc("t", 1, 64, 4); err != nil || v.Degraded {
+		s.Close()
+		b.Fatal(v, err)
+	}
+	return s
 }
 
 // BenchmarkServiceParallel keeps the turn lock's contention visible: b.N

@@ -143,7 +143,8 @@ type shardState struct {
 	_        [64]byte
 	requests atomic.Uint64
 	degraded atomic.Uint64
-	_        [48]byte
+	wire     transport.ExchangeCounts // by the shard's wire clients, across incarnations
+	_        [32]byte
 }
 
 // Service is the coordinator: it owns the shards, their supervisors, and
@@ -208,7 +209,7 @@ func New(cfg Config) (*Service, error) {
 			}
 		}
 		if network != "" {
-			return spawnWireWorker(cfg, network, shard, incarn, s.workDir)
+			return spawnWireWorker(cfg, network, shard, incarn, s.workDir, &s.shards[shard].wire)
 		}
 		w, err := newWorker(shard, cfg, &s.shards[shard].turn)
 		if err != nil {
@@ -595,6 +596,11 @@ type Counters struct {
 	// workers only; a worker process keeps its own).
 	TurnContended uint64 `json:"turn_contended"`
 	TurnParked    uint64 `json:"turn_parked"`
+	// WireDirect and WirePolled count wire exchanges by the kind of
+	// connection that served them (transport.Client): a blocking socket
+	// while callers in the process are at most its Ps, the netpoller beyond.
+	WireDirect uint64 `json:"wire_direct"`
+	WirePolled uint64 `json:"wire_polled"`
 }
 
 // Counters snapshots the service-level counters; the per-op ones are kept
@@ -617,6 +623,8 @@ func (s *Service) Counters() Counters {
 		c.BreakerTrips += sh.breaker.Trips()
 		c.TurnContended += sh.turn.contended.Load()
 		c.TurnParked += sh.turn.parked.Load()
+		c.WireDirect += sh.wire.Direct.Load()
+		c.WirePolled += sh.wire.Polled.Load()
 	}
 	return c
 }
@@ -659,6 +667,8 @@ func (s *Service) registerMetrics() {
 		reg.RegisterFunc(fmt.Sprintf("service.shard%d.failovers", sh.idx), u(&sh.failovers))
 		reg.RegisterFunc(fmt.Sprintf("service.shard%d.turn_contended", sh.idx), u(&sh.turn.contended))
 		reg.RegisterFunc(fmt.Sprintf("service.shard%d.turn_parked", sh.idx), u(&sh.turn.parked))
+		reg.RegisterFunc(fmt.Sprintf("service.shard%d.wire_direct", sh.idx), u(&sh.wire.Direct))
+		reg.RegisterFunc(fmt.Sprintf("service.shard%d.wire_polled", sh.idx), u(&sh.wire.Polled))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"net"
 	"sync"
+	"time"
 )
 
 // Handler serves one decoded request. A handler that never returns (a
@@ -30,8 +31,11 @@ func NewServer(l net.Listener, h Handler) *Server {
 }
 
 // Serve accepts until the listener closes. It returns the accept error
-// (nil after Close).
+// (nil after Close). A temporary one (EMFILE, ENFILE) is waited out with a
+// capped backoff, as net/http does: a server that stopped accepting over
+// one would go on answering its open connections and never take another.
 func (s *Server) Serve() error {
+	var backoff time.Duration
 	for {
 		conn, err := s.l.Accept()
 		if err != nil {
@@ -41,8 +45,14 @@ func (s *Server) Serve() error {
 			if closed {
 				return nil
 			}
+			if te, ok := err.(interface{ Temporary() bool }); ok && te.Temporary() {
+				backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+				time.Sleep(backoff)
+				continue
+			}
 			return err
 		}
+		backoff = 0
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()

@@ -248,9 +248,11 @@ func TestClientDownServerMapsToShardDown(t *testing.T) {
 	}
 }
 
-func TestNetFaultsFailClosedAndRecover(t *testing.T) {
+func TestNetFaultsFailClosedAndRecover(t *testing.T) { netFaultsFailClosedAndRecover(t, NewClient) }
+
+func netFaultsFailClosedAndRecover(t *testing.T, newClient newClientFn) {
 	addr := echoServer(t, "unix", func(req Request) Response { return Response{Known: true} })
-	c := NewClient("unix", addr, 1)
+	c := newClient("unix", addr, 1)
 	defer c.Close()
 	for _, tc := range []struct {
 		fault NetFault

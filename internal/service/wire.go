@@ -56,8 +56,9 @@ func replayBudget(reqTimeout time.Duration) time.Duration {
 }
 
 // spawnWireWorker launches one worker process and completes the READY
-// handshake. The endpoint serves from the moment this returns.
-func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir string) (endpoint, error) {
+// handshake. The endpoint serves from the moment this returns; its client
+// counts its exchanges into counts, the shard's tally across incarnations.
+func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir string, counts *transport.ExchangeCounts) (endpoint, error) {
 	var addr string
 	switch network {
 	case "unix":
@@ -135,6 +136,7 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 		return nil, &ShardDownError{Shard: shard, Reason: "worker READY handshake timed out"}
 	}
 	ep.client = transport.NewClient(network, ep.addr, shard)
+	ep.client.Counts = counts
 	return ep, nil
 }
 

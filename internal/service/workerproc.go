@@ -80,7 +80,8 @@ func RunWorkerProcess(specJSON string) int {
 		return 2
 	}
 	srv := transport.NewServer(l, workerHandler(w))
-	go srv.Serve()
+	deaf := make(chan error, 1)
+	go func() { deaf <- srv.Serve() }()
 
 	// Handshake: the coordinator reads this line to learn the bound
 	// address before it dials.
@@ -95,7 +96,16 @@ func RunWorkerProcess(specJSON string) int {
 		w.shutdown()
 	}()
 
-	<-w.done
+	select {
+	case <-w.done:
+	case err := <-deaf:
+		// Serve returns before Close only when the listener is lost for
+		// good. A worker nobody can dial again is dead to its supervisor,
+		// whatever its open connections and heartbeats say: die, so that it
+		// is respawned.
+		fmt.Fprintf(os.Stderr, "dangsan-worker: shard %d incarnation %d: accept: %v\n", spec.Shard, spec.Incarnation, err)
+		return 2
+	}
 	srv.Close()
 	switch {
 	case terming.Load():
