@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"dangsan/internal/bench"
+	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/proc"
 	"dangsan/internal/rbtree"
@@ -28,34 +29,10 @@ import (
 
 const benchScale = 0.1
 
-func scaleSpec(p workloads.SPECProfile) workloads.SPECProfile {
-	p.Objects = maxi(int(float64(p.Objects)*benchScale), 16)
-	p.TotalStores = maxi(int(float64(p.TotalStores)*benchScale), 8)
-	p.ComputeOps = maxi(int(float64(p.ComputeOps)*benchScale), 8)
-	p.LiveWindow = maxi(int(float64(p.LiveWindow)*benchScale), 8)
-	return p
-}
-
-func scaleParallel(p workloads.ParallelProfile) workloads.ParallelProfile {
-	p.TotalObjects = maxi(int(float64(p.TotalObjects)*benchScale), 64)
-	p.TotalStores = maxi(int(float64(p.TotalStores)*benchScale), 64)
-	p.TotalCompute = maxi(int(float64(p.TotalCompute)*benchScale), 64)
-	p.LeakPerThread = int(float64(p.LeakPerThread) * benchScale)
-	p.LiveWindowPerThread = maxi(int(float64(p.LiveWindowPerThread)*benchScale), 8)
-	return p
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BenchmarkFig9SPEC measures every SPEC analog under every detector.
 func BenchmarkFig9SPEC(b *testing.B) {
 	for _, prof := range workloads.SPECProfiles() {
-		prof := scaleSpec(prof)
+		prof := bench.ScaleSPEC(prof, benchScale)
 		for _, kind := range bench.AllKinds() {
 			b.Run(fmt.Sprintf("%s/%s", prof.Name, kind), func(b *testing.B) {
 				var footprint uint64
@@ -84,7 +61,7 @@ func BenchmarkFig10Scalability(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		prof = scaleParallel(prof)
+		prof = bench.ScaleParallel(prof, benchScale)
 		for _, threads := range []int{1, 4, 16} {
 			for _, kind := range []bench.Kind{bench.Baseline, bench.DangSan} {
 				b.Run(fmt.Sprintf("%s/t%d/%s", prof.Name, threads, kind), func(b *testing.B) {
@@ -140,14 +117,14 @@ func BenchmarkLookback(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prof = scaleSpec(prof)
+	prof = bench.ScaleSPEC(prof, benchScale)
 	for _, lb := range []int{0, 1, 2, 4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("lookback%d", lb), func(b *testing.B) {
 			var logBytes uint64
 			for i := 0; i < b.N; i++ {
 				cfg := pointerlog.DefaultConfig()
 				cfg.Lookback = lb
-				det := bench.NewDangSanWithConfig(cfg)
+				det := dangsan.NewWithConfig(cfg)
 				p := proc.New(det)
 				if err := workloads.RunSPEC(p, prof, 1); err != nil {
 					b.Fatal(err)
@@ -166,14 +143,14 @@ func BenchmarkCompression(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prof = scaleSpec(prof)
+	prof = bench.ScaleSPEC(prof, benchScale)
 	for _, comp := range []bool{false, true} {
 		b.Run(fmt.Sprintf("compression=%v", comp), func(b *testing.B) {
 			var logBytes uint64
 			for i := 0; i < b.N; i++ {
 				cfg := pointerlog.DefaultConfig()
 				cfg.Compression = comp
-				det := bench.NewDangSanWithConfig(cfg)
+				det := dangsan.NewWithConfig(cfg)
 				p := proc.New(det)
 				if err := workloads.RunSPEC(p, prof, 1); err != nil {
 					b.Fatal(err)

@@ -3,19 +3,21 @@
 //
 // Usage:
 //
-//	dangsan-bench -experiment all|fig9|fig10|fig11|fig12|table1|servers|freelat|tiered|fiveway|service|wire|exploits|ablation|chaos|fuzz
-//	              [-scale 1.0] [-seed 1] [-threads 1,2,4,8,16,32,64] [-v]
-//	              [-metrics out.json] [-metrics-interval 1s] [-audit]
+//	dangsan-bench -experiment all|fig9|fig11|fig10|fig12|table1|servers|fiveway|exploits|ablation|chaos|fuzz
+//	              [-scale 1.0] [-seed 1] [-repeat 1] [-threads 1,2,4,8,16,32,64] [-v]
+//	              [-metrics out.json] [-audit]
 //	              [-faultrate 0] [-faultseed 0] [-faultbudget 256]
 //	              [-max-metadata-bytes 0] [-heap-bytes 0]
-//	              [-quarantine-bytes 0] [-quarantine-epoch 0] [-quarantine-sync]
-//	              [-bench-json BENCH.json] [-cpuprofile prof.out] [-memprofile mem.out]
+//	              [-bench-json out.json] [-cpuprofile prof.out] [-memprofile mem.out]
 //
-// Results go to stdout; progress (with -v) and periodic metric dumps (with
-// -metrics-interval) to stderr. -metrics writes a final JSON snapshot of
-// every instrument to the given file ("-" for stdout); feed it to
-// `dangsan-stats metrics` for a human-readable rendering. -audit turns on
-// DangSan's log-byte accounting cross-check; any drift fails the run.
+// The experiments are the rows of one table in internal/bench; "all" runs
+// every row but the two pass/fail sweeps, chaos and fuzz, which run only
+// when named. Results go to stdout; progress (with -v) to stderr. -metrics
+// writes a final JSON snapshot of every instrument to the given file ("-"
+// for stdout); feed it to `dangsan-stats metrics` for a human-readable
+// rendering. -audit turns on DangSan's log-byte accounting cross-check; any
+// drift fails the run. -bench-json writes the typed rows of every
+// experiment that ran as one JSON document to the path it is given.
 //
 // Fault injection: -faultrate arms every injection site (vmem mapping,
 // tcmalloc spans, pointer-log blocks, shadow pages, ...) at the given
@@ -28,30 +30,21 @@
 // full coverage) and exits nonzero on any violation. The chaos grid is
 // overridden by -faultrate/-faultseed when set.
 //
-// -quarantine-bytes arms DangSan's epoch-based free quarantine (deferred
-// frees, batched invalidation); -quarantine-epoch sets the drain batch
-// width and -quarantine-sync forces drains onto the freeing thread. The
-// freelat experiment measures the free-path latency distribution inline vs
-// quarantined on the apache server analog. -cold-spill-bytes arms the
-// tiered pointer logs (hash-mode location sets spill to disk segments past
-// the threshold); the tiered experiment sweeps that threshold on a
-// hash-fallback workload, trading resident log bytes for free-path tail
-// latency. The fiveway experiment runs the SPEC analogs under the full
-// five-way detector matrix — baseline, the three pointer-invalidation
-// backends, and the checked-dereference xtag and camp backends — and
-// quantifies camp's static dereference-check elision on a sweep of
-// generated programs. -bench-json writes every ran experiment's rows as one
-// machine-readable JSON document; bare BENCH_<n>.json names anchor to the
-// git root and refuse to overwrite an existing artifact.
+// The fiveway experiment runs the SPEC analogs under the full five-way
+// detector matrix — baseline, the three pointer-invalidation backends, and
+// the checked-dereference xtag and camp backends — and quantifies camp's
+// static dereference-check elision on a sweep of generated programs.
 //
 // The fuzz experiment runs the differential-fuzzing oracle: -scale sizes
 // the seed sweep (500 at 1.0), each seed's generated program runs through
 // the full mode x detector x config matrix plus a mutated variant with a
 // known dangling use; any divergence or missed detection exits nonzero.
+//
+// The service and the cold tier are measured by `go run ./benchmark`, the
+// free path by `go test ./internal/detectors/dangsan -bench BenchmarkFree`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -59,43 +52,32 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"dangsan/internal/bench"
-	"dangsan/internal/chaos"
-	"dangsan/internal/detectors"
 	"dangsan/internal/obs"
-	"dangsan/internal/proc"
-	"dangsan/internal/service"
-	"dangsan/internal/workloads"
 )
 
 func main() {
-	// The wire experiments spawn worker processes by re-execing this
-	// binary; a spawned copy must become a shard worker, not a bench run.
-	service.RunWorkerIfSpawned()
-	experiment := flag.String("experiment", "all", "which experiment to run: all, fig9, fig10, fig11, fig12, table1, servers, freelat, tiered, fiveway, service, wire, exploits, ablation, chaos, fuzz")
+	experiment := flag.String("experiment", "all", "which experiment to run: "+strings.Join(bench.Names(), ", "))
 	scale := flag.Float64("scale", 1.0, "workload scale factor (0.1 for a quick run)")
 	seed := flag.Int64("seed", 1, "workload random seed")
 	repeat := flag.Int("repeat", 1, "measurements per data point; the fastest is kept")
 	threadsFlag := flag.String("threads", "", "comma-separated thread counts for fig10/fig12 (default 1,2,4,8,16,32,64)")
 	verbose := flag.Bool("v", false, "print progress to stderr")
 	metricsFile := flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit (\"-\" for stdout)")
-	metricsInterval := flag.Duration("metrics-interval", 0, "also dump one-line JSON snapshots to stderr at this interval (requires -metrics)")
 	audit := flag.Bool("audit", false, "enable DangSan's log-byte accounting cross-check (fails on drift)")
 	faultRate := flag.Float64("faultrate", 0, "arm every fault-injection site at this probability per measured run (0 = off)")
 	faultSeed := flag.Int64("faultseed", 0, "fault-plane seed (0 = reuse -seed)")
 	faultBudget := flag.Int64("faultbudget", 0, "max injections per site per run (0 = 256, negative = unlimited)")
 	maxMetadataBytes := flag.Uint64("max-metadata-bytes", 0, "cap DangSan's metadata footprint; objects past the cap go untracked (0 = unlimited)")
 	heapBytes := flag.Uint64("heap-bytes", 0, "shrink the simulated heap to this many bytes (0 = full layout)")
-	quarantineBytes := flag.Uint64("quarantine-bytes", 0, "arm DangSan's epoch-based free quarantine with this byte budget (0 = inline frees)")
-	quarantineEpoch := flag.Int("quarantine-epoch", 0, "deferred frees retired per epoch batch (0 = default when quarantine armed)")
-	quarantineSync := flag.Bool("quarantine-sync", false, "drain quarantine epochs on the freeing thread instead of a background worker")
-	coldSpillBytes := flag.Uint64("cold-spill-bytes", 0, "spill hash-mode location sets past this many resident bytes to the cold tier's disk segments (0 = tiering off)")
 	benchJSONFile := flag.String("bench-json", "", "write the machine-readable results of every experiment run to this JSON file (\"-\" for stdout)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
+
+	selected, err := bench.Select(*experiment)
+	check(err)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -124,45 +106,19 @@ func main() {
 		Scale: *scale, Seed: *seed, Repeat: *repeat, Audit: *audit,
 		FaultRate: *faultRate, FaultSeed: *faultSeed, FaultBudget: *faultBudget,
 		MaxMetadataBytes: *maxMetadataBytes, HeapBytes: *heapBytes,
-		QuarantineBytes: *quarantineBytes, QuarantineEpoch: *quarantineEpoch,
-		QuarantineSync: *quarantineSync, ColdSpillBytes: *coldSpillBytes,
 	}
 
 	var benchJSON *bench.BenchJSON
 	if *benchJSONFile != "" {
-		// Committed BENCH_<n>.json artifacts anchor to the git root and
-		// refuse to overwrite; fail now, not after the experiments ran.
-		resolved, err := bench.ResolveBenchJSONPath(*benchJSONFile)
-		check(err)
 		benchJSON = bench.NewBenchJSON()
 		defer func() {
-			check(benchJSON.Write(resolved))
+			check(benchJSON.Write(*benchJSONFile))
 		}()
 	}
 
-	var reg *obs.Registry
 	if *metricsFile != "" {
-		reg = obs.NewRegistry()
+		reg := obs.NewRegistry()
 		opts.Metrics = reg
-		if *metricsInterval > 0 {
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				tick := time.NewTicker(*metricsInterval)
-				defer tick.Stop()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-tick.C:
-						line, err := json.Marshal(reg.Snapshot())
-						if err == nil {
-							fmt.Fprintf(os.Stderr, "metrics: %s\n", line)
-						}
-					}
-				}
-			}()
-		}
 		defer func() {
 			data, err := reg.Snapshot().MarshalJSONIndent()
 			check(err)
@@ -172,13 +128,10 @@ func main() {
 			}
 			check(os.WriteFile(*metricsFile, append(data, '\n'), 0o644))
 		}()
-	} else if *metricsInterval > 0 {
-		fatalf("-metrics-interval requires -metrics")
 	}
 
-	threads := bench.DefaultThreadCounts()
+	var threads []int
 	if *threadsFlag != "" {
-		threads = nil
 		for _, tok := range strings.Split(*threadsFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(tok))
 			if err != nil || n < 1 {
@@ -188,222 +141,17 @@ func main() {
 		}
 	}
 
-	want := func(name string) bool { return *experiment == "all" || *experiment == name }
-	ran := false
-
-	// fig9/fig11/table1 share the SPEC runs where possible.
-	if want("fig9") || want("fig11") {
-		ran = true
-		rows, err := bench.RunSPEC(opts, progress)
-		check(err)
-		benchJSON.Add("spec", rows)
-		if want("fig9") {
-			fmt.Println(bench.FormatFig9(rows))
+	// A failing sweep (chaos, fuzz) still returns the table that shows what
+	// failed; print it before exiting nonzero.
+	session := bench.NewSession(opts, threads, progress)
+	for _, e := range selected {
+		res, err := e.Run(session)
+		if res != nil {
+			fmt.Println(res)
+			benchJSON.Add(res.Key, res.Data)
 		}
-		if want("fig11") {
-			fmt.Println(bench.FormatFig11(rows))
-		}
-	}
-	if want("fig10") || want("fig12") {
-		ran = true
-		rows, err := bench.RunScalability(threads, opts, progress)
 		check(err)
-		benchJSON.Add("scalability", rows)
-		if want("fig10") {
-			fmt.Println(bench.FormatFig10(rows))
-		}
-		if want("fig12") {
-			fmt.Println(bench.FormatFig12(rows))
-		}
 	}
-	if want("table1") {
-		ran = true
-		rows, err := bench.RunTable1(opts, progress)
-		check(err)
-		fmt.Println(bench.FormatTable1(rows))
-	}
-	if want("servers") {
-		ran = true
-		rows, err := bench.RunServers(opts, progress)
-		check(err)
-		benchJSON.Add("servers", rows)
-		fmt.Println(bench.FormatServers(rows))
-	}
-	if want("freelat") {
-		ran = true
-		rows, err := bench.RunFreeLatency(opts, progress)
-		check(err)
-		benchJSON.Add("freelat", rows)
-		fmt.Println(bench.FormatFreeLatency(rows))
-	}
-	if want("tiered") {
-		ran = true
-		rows, err := bench.RunTiered(opts, progress)
-		check(err)
-		benchJSON.Add("tiered", rows)
-		fmt.Println(bench.FormatTiered(rows))
-	}
-	if want("fiveway") {
-		ran = true
-		rep, err := bench.RunFiveWay(opts, progress)
-		check(err)
-		benchJSON.Add("fiveway", rep)
-		fmt.Println(bench.FormatFiveWay(rep))
-	}
-	if want("service") {
-		ran = true
-		rep, err := bench.RunService(opts, progress)
-		check(err)
-		benchJSON.Add("service", rep)
-		fmt.Println(bench.FormatService(rep))
-	}
-	if want("wire") {
-		ran = true
-		rep, err := bench.RunWire(opts, progress)
-		check(err)
-		benchJSON.Add("wire", rep)
-		fmt.Println(bench.FormatWire(rep))
-	}
-	if want("exploits") {
-		ran = true
-		runExploits()
-	}
-	if *experiment == "chaos" {
-		ran = true
-		runChaos(opts, benchJSON)
-	}
-	if *experiment == "fuzz" {
-		ran = true
-		runFuzz(opts, progress)
-	}
-	if want("ablation") {
-		ran = true
-		lb, err := bench.RunLookbackSweep(nil, opts, progress)
-		check(err)
-		fmt.Println(bench.FormatLookback(lb))
-		cp, err := bench.RunCompressionAblation(opts, progress)
-		check(err)
-		fmt.Println(bench.FormatCompression(cp))
-		mp, err := bench.RunMapperAblation(nil, opts, progress)
-		check(err)
-		fmt.Println(bench.FormatMapper(mp))
-		sp, err := bench.RunShadowAblation(nil, progress)
-		check(err)
-		fmt.Println(bench.FormatShadow(sp))
-	}
-	if !ran {
-		fatalf("unknown experiment %q", *experiment)
-	}
-}
-
-// runChaos sweeps the fault-injection grid and fails the process on any
-// broken fail-open invariant. -faultrate/-faultseed, when set, replace the
-// default grid with a single cell axis; -scale scales the request count.
-func runChaos(opts bench.Options, benchJSON *bench.BenchJSON) {
-	rates := []float64{0.02, 0.1, 0.3}
-	if opts.FaultRate > 0 {
-		rates = []float64{opts.FaultRate}
-	}
-	seeds := []int64{1, 2, 3}
-	if opts.FaultSeed != 0 {
-		seeds = []int64{opts.FaultSeed}
-	}
-	cfg := chaos.Config{
-		Requests:         maxi(int(300*opts.Scale), 50),
-		HeapBytes:        opts.HeapBytes,
-		MaxMetadataBytes: opts.MaxMetadataBytes,
-		Budget:           opts.FaultBudget,
-		QuarantineBytes:  opts.QuarantineBytes,
-		QuarantineEpoch:  opts.QuarantineEpoch,
-		ColdSpillBytes:   opts.ColdSpillBytes,
-	}
-	results := chaos.Sweep(cfg, rates, seeds)
-	benchJSON.Add("chaos", results)
-	fmt.Println("Chaos sweep: fail-open invariants under injected resource failure")
-	fmt.Printf("%8s %6s %9s %10s %5s %9s %9s %8s %s\n",
-		"rate", "seed", "req/s", "completed", "oom", "injected", "degraded", "dropped", "violations")
-	for _, r := range results {
-		rps := "-"
-		if r.Seconds > 0 && r.Completed {
-			rps = fmt.Sprintf("%.0f", float64(cfg.Requests)/r.Seconds)
-		}
-		fmt.Printf("%8g %6d %9s %10v %5v %9d %9d %8d %d\n",
-			r.Rate, r.Seed, rps, r.Completed, r.OOMAborted, r.Injected, r.Degraded, r.Dropped,
-			len(r.Violations))
-	}
-	if failures := chaos.Failed(results); len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "dangsan-bench: chaos violation: %s\n", f)
-		}
-		os.Exit(1)
-	}
-	fmt.Println("all invariants held")
-}
-
-// runFuzz sweeps generated programs through the differential matrix and
-// fails the process on any divergence or missed mutation. -scale sizes the
-// sweep (500 seeds at 1.0); -seed positions it.
-func runFuzz(opts bench.Options, progress func(string)) {
-	r, err := bench.RunFuzz(opts, progress)
-	check(err)
-	fmt.Println(bench.FormatFuzz(r))
-	if !r.Clean() {
-		fatalf("fuzz: %d divergences, %d/%d mutations detected",
-			len(r.Report.Divergences), r.Report.MutationDetected, r.Report.MutationDetectors)
-	}
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// runExploits reproduces §8.1: each CVE scenario under the baseline (where
-// the attack succeeds) and under DangSan (where it is stopped).
-func runExploits() {
-	type scenario struct {
-		name string
-		run  func(*proc.Process) (workloads.ExploitOutcome, error)
-	}
-	scenarios := []scenario{
-		{"CVE-2010-2939 (OpenSSL double free)", workloads.DoubleFreeOpenSSL},
-		{"CVE-2016-4077 (Wireshark UAF read)", workloads.UAFWireshark},
-		{"Open LiteSpeed (UAF write)", workloads.UAFLitespeed},
-	}
-	fmt.Println("Effectiveness (§8.1): exploit scenarios under baseline vs DangSan")
-	for _, sc := range scenarios {
-		fmt.Printf("\n%s\n", sc.name)
-		base, err := sc.run(proc.New(detectors.None{}))
-		check(err)
-		fmt.Printf("  baseline: prevented=%v  %s\n", base.Prevented, base.Detail)
-		det, err := bench.NewDetector(bench.DangSan)
-		check(err)
-		ds, err := sc.run(proc.New(det))
-		check(err)
-		fmt.Printf("  dangsan:  prevented=%v  %s\n", ds.Prevented, ds.Detail)
-	}
-
-	// The §1/§9 secure-allocator bypass: quarantine vs heap spray vs DangSan.
-	fmt.Printf("\nHeap spray vs quarantine (paper §1/§9)\n")
-	const quarantineBytes = 1 << 20
-	p := proc.New(detectors.None{})
-	p.EnableQuarantine(quarantineBytes)
-	out, err := workloads.HeapSpray(p, 4)
-	check(err)
-	fmt.Printf("  quarantine, naive attack:  prevented=%v  %s\n", out.Prevented, out.Detail)
-	p = proc.New(detectors.None{})
-	p.EnableQuarantine(quarantineBytes)
-	out, err = workloads.HeapSpray(p, 2000)
-	check(err)
-	fmt.Printf("  quarantine, 2000-spray:    prevented=%v  %s\n", out.Prevented, out.Detail)
-	det, err := bench.NewDetector(bench.DangSan)
-	check(err)
-	out, err = workloads.HeapSpray(proc.New(det), 2000)
-	check(err)
-	fmt.Printf("  dangsan, 2000-spray:       prevented=%v  %s\n", out.Prevented, out.Detail)
-	fmt.Println()
 }
 
 func check(err error) {

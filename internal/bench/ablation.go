@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/proc"
 	"dangsan/internal/rbtree"
@@ -22,42 +23,33 @@ type LookbackPoint struct {
 	LogBytes uint64
 }
 
-// DefaultLookbacks is the sweep grid.
-func DefaultLookbacks() []int { return []int{0, 1, 2, 4, 8, 16, 32} }
-
-// RunLookbackSweep measures a duplicate-heavy workload (the perlbench
-// analog) across lookback windows.
-func RunLookbackSweep(lookbacks []int, opts Options, progress func(string)) ([]LookbackPoint, error) {
-	opts = opts.normalized()
-	if len(lookbacks) == 0 {
-		lookbacks = DefaultLookbacks()
+// lookbackSweep measures a duplicate-heavy workload (the perlbench analog)
+// across lookback windows.
+func lookbackSweep(s *Session) ([]LookbackPoint, Table, error) {
+	t := Table{
+		Title: "Ablation: lookback window on the perlbench analog (paper §4.4: flat 1-4, memory grows without lookback)",
+		Head:  []string{"lookback", "seconds", "log bytes"},
 	}
 	prof, err := workloads.SPECProfileByName("perlbench")
 	if err != nil {
-		return nil, err
+		return nil, t, err
 	}
-	prof = scaleSpec(prof, opts.Scale)
+	prof = ScaleSPEC(prof, s.Scale)
 	var points []LookbackPoint
-	for _, lb := range lookbacks {
-		if progress != nil {
-			progress(fmt.Sprintf("lookback %d", lb))
-		}
+	for _, lb := range []int{0, 1, 2, 4, 8, 16, 32} {
+		s.Progress(fmt.Sprintf("lookback %d", lb))
 		cfg := pointerlog.DefaultConfig()
 		cfg.Lookback = lb
-		det := NewDangSanWithConfig(cfg)
-		m, err := Measure(det, func(p *proc.Process) error {
-			return workloads.RunSPEC(p, prof, opts.Seed)
+		m, err := Measure(dangsan.NewWithConfig(cfg), func(p *proc.Process) error {
+			return workloads.RunSPEC(p, prof, s.Seed)
 		})
 		if err != nil {
-			return nil, fmt.Errorf("lookback %d: %w", lb, err)
+			return nil, t, fmt.Errorf("lookback %d: %w", lb, err)
 		}
-		points = append(points, LookbackPoint{
-			Lookback: lb,
-			Seconds:  m.Seconds,
-			LogBytes: m.Stats.LogBytes,
-		})
+		points = append(points, LookbackPoint{Lookback: lb, Seconds: m.Seconds, LogBytes: m.Stats.LogBytes})
+		t.Rows = append(t.Rows, []string{fmt.Sprint(lb), fmt.Sprintf("%.3f", m.Seconds), mib(m.Stats.LogBytes)})
 	}
-	return points, nil
+	return points, t, nil
 }
 
 // CompressionPoint is one compression-ablation measurement (paper §6:
@@ -69,13 +61,16 @@ type CompressionPoint struct {
 	Compressed  uint64
 }
 
-// RunCompressionAblation measures a locality-heavy workload — array-style
+// compressionAblation measures a locality-heavy workload — array-style
 // pointer fills into adjacent slots, the access pattern compression was
 // designed for — with compression on and off. Duplicates are disabled so
 // every store reaches the log and the entry-packing effect is isolated.
-func RunCompressionAblation(opts Options, progress func(string)) ([]CompressionPoint, error) {
-	opts = opts.normalized()
-	prof := workloads.SPECProfile{
+func compressionAblation(s *Session) ([]CompressionPoint, Table, error) {
+	t := Table{
+		Title: "Ablation: pointer compression on an adjacent-slot fill workload (paper §6: up to 3x log-space saving)",
+		Head:  []string{"compression", "seconds", "log bytes", "entries folded"},
+	}
+	prof := ScaleSPEC(workloads.SPECProfile{
 		Name:        "compression-ablation",
 		Objects:     4000,
 		TotalStores: 1_200_000,
@@ -85,21 +80,17 @@ func RunCompressionAblation(opts Options, progress func(string)) ([]CompressionP
 		SizeMin:     64,
 		SizeMax:     1024,
 		ComputeOps:  50_000,
-	}
-	prof = scaleSpec(prof, opts.Scale)
+	}, s.Scale)
 	var points []CompressionPoint
 	for _, comp := range []bool{false, true} {
-		if progress != nil {
-			progress(fmt.Sprintf("compression=%v", comp))
-		}
+		s.Progress(fmt.Sprintf("compression=%v", comp))
 		cfg := pointerlog.DefaultConfig()
 		cfg.Compression = comp
-		det := NewDangSanWithConfig(cfg)
-		m, err := Measure(det, func(p *proc.Process) error {
-			return workloads.RunSPEC(p, prof, opts.Seed)
+		m, err := Measure(dangsan.NewWithConfig(cfg), func(p *proc.Process) error {
+			return workloads.RunSPEC(p, prof, s.Seed)
 		})
 		if err != nil {
-			return nil, fmt.Errorf("compression=%v: %w", comp, err)
+			return nil, t, fmt.Errorf("compression=%v: %w", comp, err)
 		}
 		points = append(points, CompressionPoint{
 			Compression: comp,
@@ -107,8 +98,10 @@ func RunCompressionAblation(opts Options, progress func(string)) ([]CompressionP
 			LogBytes:    m.Stats.LogBytes,
 			Compressed:  m.Stats.Compressed,
 		})
+		t.Rows = append(t.Rows, []string{fmt.Sprint(comp), fmt.Sprintf("%.3f", m.Seconds),
+			mib(m.Stats.LogBytes), fmt.Sprint(m.Stats.Compressed)})
 	}
-	return points, nil
+	return points, t, nil
 }
 
 // ShadowPoint compares the two shadow-memory schemes of the paper's §4.3
@@ -124,25 +117,16 @@ type ShadowPoint struct {
 	VariableNs    float64
 }
 
-// DefaultShadowSizes is the object-size grid.
-func DefaultShadowSizes() []uint64 {
-	return []uint64{4 << 10, 64 << 10, 1 << 20, 4 << 20}
-}
-
-// RunShadowAblation measures both schemes.
-func RunShadowAblation(sizes []uint64, progress func(string)) ([]ShadowPoint, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultShadowSizes()
+// shadowAblation measures both schemes.
+func shadowAblation(s *Session) ([]ShadowPoint, Table) {
+	t := Table{
+		Title: "Ablation: constant vs variable compression-ratio shadow (paper §4.3: constant ratio pays O(size) init and ~1:1 metadata)",
+		Head:  []string{"object size", "fixed-ratio meta", "variable meta", "fixed create", "variable create"},
 	}
 	var points []ShadowPoint
-	for _, size := range sizes {
-		if progress != nil {
-			progress(fmt.Sprintf("shadow ablation %d KiB", size>>10))
-		}
-		iters := int(64 << 20 / size) // bound total work
-		if iters < 8 {
-			iters = 8
-		}
+	for _, size := range []uint64{4 << 10, 64 << 10, 1 << 20, 4 << 20} {
+		s.Progress(fmt.Sprintf("shadow ablation %d KiB", size>>10))
+		iters := max(int(64<<20/size), 8) // bound total work
 
 		ft := shadow.NewFixedTable()
 		before := ft.Bytes()
@@ -169,8 +153,10 @@ func RunShadowAblation(sizes []uint64, progress func(string)) ([]ShadowPoint, er
 			FixedNs:       fixedNs,
 			VariableNs:    variableNs,
 		})
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%dKiB", size>>10), mib(fixedBytes), mib(variableBytes),
+			fmt.Sprintf("%.0fns", fixedNs), fmt.Sprintf("%.0fns", variableNs)})
 	}
-	return points, nil
+	return points, t
 }
 
 // MapperPoint compares pointer-to-object lookup cost at a given live-object
@@ -182,21 +168,16 @@ type MapperPoint struct {
 	TreeNs   float64
 }
 
-// DefaultMapperSizes is the object-count grid.
-func DefaultMapperSizes() []int { return []int{1_000, 10_000, 100_000, 1_000_000} }
-
-// RunMapperAblation measures both mappers' lookup latency.
-func RunMapperAblation(sizes []int, opts Options, progress func(string)) ([]MapperPoint, error) {
-	opts = opts.normalized()
-	if len(sizes) == 0 {
-		sizes = DefaultMapperSizes()
+// mapperAblation measures both mappers' lookup latency.
+func mapperAblation(s *Session) ([]MapperPoint, Table) {
+	t := Table{
+		Title: "Ablation: pointer-to-object mapper (paper §4.3: trees degrade with object count, shadow stays constant)",
+		Head:  []string{"live objects", "shadow ns/lookup", "rbtree ns/lookup", "tree/shadow"},
 	}
 	const lookups = 2_000_000
 	var points []MapperPoint
-	for _, n := range sizes {
-		if progress != nil {
-			progress(fmt.Sprintf("mapper n=%d", n))
-		}
+	for _, n := range []int{1_000, 10_000, 100_000, 1_000_000} {
+		s.Progress(fmt.Sprintf("mapper n=%d", n))
 		// Lay out n 64-byte objects.
 		tbl := shadow.NewTable()
 		var tree rbtree.Tree
@@ -223,6 +204,32 @@ func RunMapperAblation(sizes []int, opts Options, progress func(string)) ([]Mapp
 			return ok
 		})
 		points = append(points, MapperPoint{Objects: n, ShadowNs: shadowNs, TreeNs: treeNs})
+		t.Rows = append(t.Rows, []string{fmt.Sprint(n), fmt.Sprintf("%.1f", shadowNs),
+			fmt.Sprintf("%.1f", treeNs), fmt.Sprintf("%.1fx", treeNs/shadowNs)})
 	}
-	return points, nil
+	return points, t
+}
+
+// AblationReport is the typed data behind the four design-choice tables.
+type AblationReport struct {
+	Lookback    []LookbackPoint
+	Compression []CompressionPoint
+	Mapper      []MapperPoint
+	Shadow      []ShadowPoint
+}
+
+// runAblation runs the four design-choice ablations of §4.3, §4.4 and §6.
+func runAblation(s *Session) (*Result, error) {
+	var rep AblationReport
+	var lb, cp, mp, sp Table
+	var err error
+	if rep.Lookback, lb, err = lookbackSweep(s); err != nil {
+		return nil, err
+	}
+	if rep.Compression, cp, err = compressionAblation(s); err != nil {
+		return nil, err
+	}
+	rep.Mapper, mp = mapperAblation(s)
+	rep.Shadow, sp = shadowAblation(s)
+	return &Result{Tables: []Table{lb, cp, mp, sp}, Key: "ablation", Data: rep}, nil
 }

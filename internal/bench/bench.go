@@ -2,9 +2,12 @@
 // figure of the paper's evaluation (§8): run-time overhead on the SPEC
 // analogs (Fig. 9), scalability and memory on the PARSEC/SPLASH-2X analogs
 // (Figs. 10 and 12), SPEC memory overhead (Fig. 11), web-server throughput
-// and memory (§8.2/§8.3), the Table 1 statistics, and the ablations behind
-// the design choices (lookback size, pointer compression, and the
-// shadow-vs-tree pointer-to-object mapper).
+// and memory (§8.2/§8.3), the Table 1 statistics, the exploit scenarios
+// (§8.1), the five-way comparison against xtag and camp, and the ablations
+// behind the design choices (lookback size, pointer compression, and the
+// shadow-vs-tree pointer-to-object mapper). Every experiment is one row of
+// the table in experiments.go and returns one Result; service and cold-tier
+// numbers are measured by the top-level benchmark/ instead.
 package bench
 
 import (
@@ -69,12 +72,6 @@ func NewDetector(kind Kind) (detectors.Detector, error) {
 	default:
 		return nil, fmt.Errorf("bench: unknown detector %q", kind)
 	}
-}
-
-// NewDangSanWithConfig builds a DangSan detector with explicit pointer-log
-// tunables, for the ablation experiments.
-func NewDangSanWithConfig(cfg pointerlog.Config) detectors.Detector {
-	return dangsan.NewWithConfig(cfg)
 }
 
 // Measurement is one timed run.

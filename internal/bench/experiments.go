@@ -2,9 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"dangsan/internal/detectors"
 	"dangsan/internal/detectors/camp"
+	"dangsan/internal/detectors/dangnull"
 	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/detectors/xtag"
 	"dangsan/internal/faultinject"
@@ -21,8 +23,6 @@ type Options struct {
 	Scale float64
 	// Seed makes runs deterministic.
 	Seed int64
-	// Kinds selects the detectors to compare; nil means all four.
-	Kinds []Kind
 	// Repeat runs each measurement this many times and keeps the fastest
 	// (default 1; use 3 on noisy machines).
 	Repeat int
@@ -50,20 +50,6 @@ type Options struct {
 	// HeapBytes shrinks each measured process's simulated heap (0: the
 	// full 64 GiB layout) so allocator pressure is reachable.
 	HeapBytes uint64
-	// QuarantineBytes arms DangSan's epoch-based free quarantine with this
-	// byte budget: frees defer into epoch batches instead of invalidating
-	// inline. 0 keeps the inline free path.
-	QuarantineBytes uint64
-	// QuarantineEpoch sets the drain batch width (0: the pointerlog
-	// default when quarantine is armed).
-	QuarantineEpoch int
-	// QuarantineSync drains epochs on the freeing thread instead of a
-	// background worker (deterministic mode, used with Audit).
-	QuarantineSync bool
-	// ColdSpillBytes arms DangSan's tiered pointer logs: hash-mode
-	// location sets past this many resident bytes spill older entries to
-	// disk segments. 0 keeps every log fully resident.
-	ColdSpillBytes uint64
 }
 
 // NewPlane builds one run's fault-injection plane; nil when injection is
@@ -97,13 +83,9 @@ func (o Options) NewDetector(kind Kind, plane *faultinject.Plane) (detectors.Det
 	if kind == CAMP && (plane != nil || o.MaxMetadataBytes > 0) {
 		return camp.NewWithOptions(camp.Options{MaxMetadataBytes: o.MaxMetadataBytes, Faults: plane}), nil
 	}
-	if kind == DangSan && (o.Audit || o.Metrics != nil || plane != nil || o.MaxMetadataBytes > 0 || o.QuarantineBytes > 0 || o.ColdSpillBytes > 0) {
+	if kind == DangSan && (o.Audit || o.Metrics != nil || plane != nil || o.MaxMetadataBytes > 0) {
 		cfg := pointerlog.DefaultConfig()
 		cfg.MaxMetadataBytes = o.MaxMetadataBytes
-		cfg.QuarantineBytes = o.QuarantineBytes
-		cfg.QuarantineEpoch = o.QuarantineEpoch
-		cfg.QuarantineSync = o.QuarantineSync
-		cfg.ColdSpillBytes = o.ColdSpillBytes
 		return dangsan.NewWithOptions(dangsan.Options{
 			Config:  cfg,
 			Audit:   o.Audit,
@@ -114,170 +96,358 @@ func (o Options) NewDetector(kind Kind, plane *faultinject.Plane) (detectors.Det
 	return NewDetector(kind)
 }
 
-func (o Options) normalized() Options {
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
-	if len(o.Kinds) == 0 {
-		o.Kinds = AllKinds()
-	}
-	if o.Repeat < 1 {
-		o.Repeat = 1
-	}
-	return o
-}
-
-func scaleSpec(p workloads.SPECProfile, s float64) workloads.SPECProfile {
+// ScaleSPEC shrinks or grows a SPEC analog by s, keeping every dimension
+// large enough to run.
+func ScaleSPEC(p workloads.SPECProfile, s float64) workloads.SPECProfile {
 	if s == 1 {
 		return p
 	}
-	p.Objects = maxi(int(float64(p.Objects)*s), 16)
-	p.TotalStores = maxi(int(float64(p.TotalStores)*s), 8)
-	p.ComputeOps = maxi(int(float64(p.ComputeOps)*s), 8)
-	p.LiveWindow = maxi(int(float64(p.LiveWindow)*s), 8)
+	p.Objects = max(int(float64(p.Objects)*s), 16)
+	p.TotalStores = max(int(float64(p.TotalStores)*s), 8)
+	p.ComputeOps = max(int(float64(p.ComputeOps)*s), 8)
+	p.LiveWindow = max(int(float64(p.LiveWindow)*s), 8)
 	return p
 }
 
-func scaleParallel(p workloads.ParallelProfile, s float64) workloads.ParallelProfile {
+// ScaleParallel is ScaleSPEC for a PARSEC/SPLASH-2X analog.
+func ScaleParallel(p workloads.ParallelProfile, s float64) workloads.ParallelProfile {
 	if s == 1 {
 		return p
 	}
-	p.TotalObjects = maxi(int(float64(p.TotalObjects)*s), 64)
-	p.TotalStores = maxi(int(float64(p.TotalStores)*s), 64)
-	p.TotalCompute = maxi(int(float64(p.TotalCompute)*s), 64)
+	p.TotalObjects = max(int(float64(p.TotalObjects)*s), 64)
+	p.TotalStores = max(int(float64(p.TotalStores)*s), 64)
+	p.TotalCompute = max(int(float64(p.TotalCompute)*s), 64)
 	p.LeakPerThread = int(float64(p.LeakPerThread) * s)
-	p.LiveWindowPerThread = maxi(int(float64(p.LiveWindowPerThread)*s), 8)
+	p.LiveWindowPerThread = max(int(float64(p.LiveWindowPerThread)*s), 8)
 	return p
 }
 
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// Experiment is one row of the experiment table.
+type Experiment struct {
+	Name string
+	// InAll marks the experiments "-experiment all" runs; the pass/fail
+	// sweeps (chaos, fuzz) run only when named.
+	InAll bool
+	Run   func(*Session) (*Result, error)
 }
 
-// SPECRow is one benchmark's measurements across detectors (Figures 9+11
-// and Table 1 share the runs).
-type SPECRow struct {
+// experiments is the one list of what dangsan-bench can run, in the order
+// "all" prints them. Usage strings, the unknown-name error and the
+// documentation check are all derived from it.
+var experiments = []Experiment{
+	{"fig9", true, runFig9},
+	{"fig11", true, runFig11},
+	{"fig10", true, runFig10},
+	{"fig12", true, runFig12},
+	{"table1", true, runTable1},
+	{"servers", true, runServers},
+	{"fiveway", true, runFiveWay},
+	{"exploits", true, runExploits},
+	{"ablation", true, runAblation},
+	{"chaos", false, runChaos},
+	{"fuzz", false, runFuzz},
+}
+
+// Names lists every accepted -experiment value: "all", then the table in
+// order.
+func Names() []string {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.Name)
+	}
+	return names
+}
+
+// Select resolves an -experiment value: one experiment by name, or for
+// "all" every experiment marked InAll. An unknown name is an error that
+// lists the valid ones, returned before anything has run.
+func Select(name string) ([]Experiment, error) {
+	var sel []Experiment
+	for _, e := range experiments {
+		if e.Name == name || (name == "all" && e.InAll) {
+			sel = append(sel, e)
+		}
+	}
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(Names(), ", "))
+	}
+	return sel, nil
+}
+
+// Session is one harness invocation: the options every experiment reads,
+// the thread sweep of fig10/fig12, a progress sink, and the two grids that
+// fig9/fig11 and fig10/fig12 each render a different column of — memoized,
+// so asking for both figures runs the workloads once.
+type Session struct {
+	Options
+	Threads  []int
+	Progress func(string)
+
+	spec, parallel []GridRow
+}
+
+// NewSession fills the defaults: scale 1, the paper's 1..64 thread sweep,
+// silent progress.
+func NewSession(opts Options, threads []int, progress func(string)) *Session {
+	if opts.Scale <= 0 {
+		opts.Scale = 1
+	}
+	if len(threads) == 0 {
+		threads = []int{1, 2, 4, 8, 16, 32, 64}
+	}
+	if progress == nil {
+		progress = func(string) {}
+	}
+	return &Session{Options: opts, Threads: threads, Progress: progress}
+}
+
+// GridRow is one workload's measurements across detectors: a SPEC analog, a
+// parallel analog at one thread count, or a server at one request count.
+type GridRow struct {
 	Benchmark string
+	Threads   int `json:",omitempty"`
+	Requests  int `json:",omitempty"`
 	ByKind    map[Kind]Measurement
 }
 
-// RunSPEC executes the SPEC analogs under every selected detector.
+// gridJob is one row of a profile × detector grid before it is measured.
+type gridJob struct {
+	row   GridRow
+	kinds []Kind
+	run   func(*proc.Process) error
+}
+
+// runGrid measures every job under each of its detectors — the loop the
+// SPEC, scalability, server and five-way experiments share. prefix labels
+// progress and errors; inspect, when non-nil, sees each cell's last-built
+// detector after its run (the workloads are deterministic, so its counters
+// equal those of the fastest repeat MeasureN reports).
+func (s *Session) runGrid(prefix string, jobs []gridJob, inspect func(row int, det detectors.Detector) error) ([]GridRow, error) {
+	rows := make([]GridRow, len(jobs))
+	for i, job := range jobs {
+		label := prefix + job.row.Benchmark
+		if job.row.Threads > 0 {
+			label += fmt.Sprintf(" / %d threads", job.row.Threads)
+		}
+		rows[i] = job.row
+		rows[i].ByKind = make(map[Kind]Measurement)
+		for _, kind := range job.kinds {
+			s.Progress(label + " / " + string(kind))
+			var last detectors.Detector
+			m, err := MeasureN(s.Options,
+				func(pl *faultinject.Plane) (detectors.Detector, error) {
+					d, err := s.NewDetector(kind, pl)
+					last = d
+					return d, err
+				}, job.run)
+			if err == nil && inspect != nil {
+				err = inspect(i, last)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%s / %s: %w", label, kind, err)
+			}
+			rows[i].ByKind[kind] = m
+		}
+	}
+	return rows, nil
+}
+
+// specJobs is the SPEC half of a grid: every analog, scaled, under kinds.
 // FreeSentry runs too: these benchmarks are single-threaded, the only
 // configuration the real FreeSentry supports.
-func RunSPEC(opts Options, progress func(string)) ([]SPECRow, error) {
-	opts = opts.normalized()
-	var rows []SPECRow
+func (s *Session) specJobs(kinds []Kind) []gridJob {
+	var jobs []gridJob
 	for _, prof := range workloads.SPECProfiles() {
-		prof := scaleSpec(prof, opts.Scale)
-		row := SPECRow{Benchmark: prof.Name, ByKind: make(map[Kind]Measurement)}
-		for _, kind := range opts.Kinds {
-			if progress != nil {
-				progress(fmt.Sprintf("%s / %s", prof.Name, kind))
-			}
-			kind := kind
-			m, err := MeasureN(opts,
-				func(pl *faultinject.Plane) (detectors.Detector, error) { return opts.NewDetector(kind, pl) },
-				func(p *proc.Process) error { return workloads.RunSPEC(p, prof, opts.Seed) })
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", prof.Name, kind, err)
-			}
-			row.ByKind[kind] = m
-		}
-		rows = append(rows, row)
+		prof := ScaleSPEC(prof, s.Scale)
+		jobs = append(jobs, gridJob{GridRow{Benchmark: prof.Name}, kinds,
+			func(p *proc.Process) error { return workloads.RunSPEC(p, prof, s.Seed) }})
 	}
-	return rows, nil
+	return jobs
 }
 
-// ScalabilityCell is one (benchmark, threads) measurement pair.
-type ScalabilityCell struct {
-	Threads int
-	ByKind  map[Kind]Measurement
+// specGrid is the run Figures 9 and 11 share.
+func (s *Session) specGrid() ([]GridRow, error) {
+	if s.spec != nil {
+		return s.spec, nil
+	}
+	rows, err := s.runGrid("", s.specJobs(AllKinds()), nil)
+	s.spec = rows
+	return rows, err
 }
 
-// ScalabilityRow is one parallel benchmark's thread sweep.
-type ScalabilityRow struct {
-	Benchmark string
-	Cells     []ScalabilityCell
-}
-
-// DefaultThreadCounts mirrors the paper's 1..64 sweep.
-func DefaultThreadCounts() []int { return []int{1, 2, 4, 8, 16, 32, 64} }
-
-// RunScalability executes the PARSEC/SPLASH-2X analogs across thread
-// counts (Figures 10 and 12). FreeSentry is only run at one thread — its
+// parallelGrid is the run Figures 10 and 12 share: the PARSEC/SPLASH-2X
+// analogs across the thread sweep. FreeSentry only runs at one thread — its
 // data structures are not thread-safe, exactly as in the paper.
-func RunScalability(threadCounts []int, opts Options, progress func(string)) ([]ScalabilityRow, error) {
-	opts = opts.normalized()
-	if len(threadCounts) == 0 {
-		threadCounts = DefaultThreadCounts()
+func (s *Session) parallelGrid() ([]GridRow, error) {
+	if s.parallel != nil {
+		return s.parallel, nil
 	}
-	var rows []ScalabilityRow
+	var jobs []gridJob
 	for _, prof := range workloads.ParallelProfiles() {
-		prof := scaleParallel(prof, opts.Scale)
-		row := ScalabilityRow{Benchmark: prof.Name}
-		for _, threads := range threadCounts {
-			cell := ScalabilityCell{Threads: threads, ByKind: make(map[Kind]Measurement)}
-			for _, kind := range opts.Kinds {
-				if kind == FreeSentry && threads > 1 {
-					continue // thread-unsafe by design
-				}
-				if progress != nil {
-					progress(fmt.Sprintf("%s / %d threads / %s", prof.Name, threads, kind))
-				}
-				kind := kind
-				m, err := MeasureN(opts,
-					func(pl *faultinject.Plane) (detectors.Detector, error) { return opts.NewDetector(kind, pl) },
-					func(p *proc.Process) error { return workloads.RunParallel(p, prof, threads, opts.Seed) })
-				if err != nil {
-					return nil, fmt.Errorf("%s/%d/%s: %w", prof.Name, threads, kind, err)
-				}
-				cell.ByKind[kind] = m
+		prof := ScaleParallel(prof, s.Scale)
+		for _, threads := range s.Threads {
+			kinds := AllKinds()
+			if threads > 1 {
+				kinds = withoutFreeSentry()
 			}
-			row.Cells = append(row.Cells, cell)
+			jobs = append(jobs, gridJob{GridRow{Benchmark: prof.Name, Threads: threads}, kinds,
+				func(p *proc.Process) error { return workloads.RunParallel(p, prof, threads, s.Seed) }})
 		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	rows, err := s.runGrid("", jobs, nil)
+	s.parallel = rows
+	return rows, err
 }
 
-// ServerRow is one server's measurements.
-type ServerRow struct {
-	Server   string
-	Requests int
-	ByKind   map[Kind]Measurement
+func withoutFreeSentry() []Kind { return []Kind{Baseline, DangSan, DangNULL} }
+
+// slowdowns renders one row's run times as its baseline seconds followed by
+// each kind's factor of it, and collects the factors for the geomeans.
+func slowdowns(r GridRow, kinds []Kind, factors map[Kind][]float64) []string {
+	base := r.ByKind[Baseline].Seconds
+	cells := []string{r.Benchmark, fmt.Sprintf("%.3f", base)}
+	for _, k := range kinds {
+		cells = append(cells, ratio(r.ByKind[k].Seconds, base))
+		factors[k] = append(factors[k], r.ByKind[k].Seconds/base)
+	}
+	return cells
 }
 
-// RunServers executes the web-server analogs (§8.2/§8.3) with the paper's
-// 32 workers.
-func RunServers(opts Options, progress func(string)) ([]ServerRow, error) {
-	opts = opts.normalized()
-	requests := maxi(int(20000*opts.Scale), 500)
+// runFig9 renders the SPEC run-time overhead table: per-benchmark slowdown
+// factors normalized to the baseline, plus the geometric means the paper
+// quotes against DangNULL and FreeSentry (here every system runs every
+// analog, so "the same set" is the full set).
+func runFig9(s *Session) (*Result, error) {
+	rows, err := s.specGrid()
+	if err != nil {
+		return nil, err
+	}
+	t := Table{
+		Title: "Figure 9: run-time overhead on SPEC CPU2006 analogs (normalized to baseline)",
+		Head:  []string{"benchmark", "baseline(s)", "dangsan", "dangnull", "freesentry"},
+	}
+	gm := map[Kind][]float64{}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, slowdowns(r, AllKinds()[1:], gm))
+	}
+	ds := Geomean(gm[DangSan])
+	t.Notes = []string{
+		fmt.Sprintf("geomean dangsan    %.2fx  (paper: 1.41x)", ds),
+		fmt.Sprintf("geomean dangnull   %.2fx  vs dangsan %.2fx on same set (paper: 1.55x vs 1.22x)", Geomean(gm[DangNULL]), ds),
+		fmt.Sprintf("geomean freesentry %.2fx  vs dangsan %.2fx on same set (paper: 1.30x vs 1.23x)", Geomean(gm[FreeSentry]), ds),
+	}
+	return &Result{Tables: []Table{t}, Key: "spec", Data: rows}, nil
+}
+
+// runFig11 renders the SPEC memory overhead table from the same runs.
+func runFig11(s *Session) (*Result, error) {
+	rows, err := s.specGrid()
+	if err != nil {
+		return nil, err
+	}
+	t := Table{
+		Title: "Figure 11: memory overhead on SPEC CPU2006 analogs (peak RSS + metadata)",
+		Head:  []string{"benchmark", "baseline", "dangsan", "overhead", "dangnull"},
+	}
+	var gm []float64
+	for _, r := range rows {
+		base, ds := r.ByKind[Baseline].PeakFootprint, r.ByKind[DangSan].PeakFootprint
+		t.Rows = append(t.Rows, []string{r.Benchmark, mib(base), mib(ds),
+			ratio(float64(ds), float64(base)),
+			ratio(float64(r.ByKind[DangNULL].PeakFootprint), float64(base))})
+		gm = append(gm, float64(ds)/float64(base))
+	}
+	t.Notes = []string{fmt.Sprintf("geomean dangsan %.2fx  (paper: 2.4x)", Geomean(gm))}
+	return &Result{Tables: []Table{t}, Key: "spec", Data: rows}, nil
+}
+
+// perThread lays out a parallel grid the way Figures 10 and 12 print it: one
+// table per benchmark with a row per thread count, then the geomean of
+// DangSan's overhead at each thread count. cells returns a row's columns
+// after the label and that row's overhead factor.
+func (s *Session) perThread(title string, head []string, cells func(GridRow) ([]string, float64), sumTitle, sumHead string) (*Result, error) {
+	rows, err := s.parallelGrid()
+	if err != nil {
+		return nil, err
+	}
+	var tables []Table
+	overheads := map[int][]float64{}
+	for _, r := range rows {
+		if n := len(tables); n == 0 || tables[n-1].Head[0] != r.Benchmark {
+			tables = append(tables, Table{Head: append([]string{r.Benchmark}, head...)})
+		}
+		c, over := cells(r)
+		t := &tables[len(tables)-1]
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d threads", r.Threads)}, c...))
+		overheads[r.Threads] = append(overheads[r.Threads], over)
+	}
+	tables[0].Title = title
+	sum := Table{Title: sumTitle, Head: []string{"threads", sumHead}}
+	for _, n := range s.Threads {
+		sum.Rows = append(sum.Rows, []string{fmt.Sprint(n), fmt.Sprintf("%.2fx", Geomean(overheads[n]))})
+	}
+	return &Result{Tables: append(tables, sum), Key: "scalability", Data: rows}, nil
+}
+
+// runFig10 renders the scalability series: run time per thread count, with
+// the DangSan overhead factor per point.
+func runFig10(s *Session) (*Result, error) {
+	return s.perThread(
+		"Figure 10: scalability on PARSEC and SPLASH-2X analogs (seconds; overhead vs baseline)",
+		[]string{"baseline(s)", "dangsan(s)", "overhead", "dangnull(s)"},
+		func(r GridRow) ([]string, float64) {
+			base, ds := r.ByKind[Baseline].Seconds, r.ByKind[DangSan].Seconds
+			return []string{fmt.Sprintf("%.3f", base), fmt.Sprintf("%.3f", ds), ratio(ds, base),
+				fmt.Sprintf("%.3f", r.ByKind[DangNULL].Seconds)}, ds / base
+		},
+		"summary (paper: 1.12x @1T, 1.17-1.21x @2-16T, 1.30x @32T, 1.34x @64T):",
+		"geomean dangsan overhead")
+}
+
+// runFig12 renders the scalability memory series from the same runs.
+func runFig12(s *Session) (*Result, error) {
+	return s.perThread(
+		"Figure 12: memory usage on PARSEC and SPLASH-2X analogs (peak RSS + metadata)",
+		[]string{"baseline", "dangsan", "overhead"},
+		func(r GridRow) ([]string, float64) {
+			base, ds := float64(r.ByKind[Baseline].PeakFootprint), float64(r.ByKind[DangSan].PeakFootprint)
+			return []string{mib(uint64(base)), mib(uint64(ds)), ratio(ds, base)}, ds / base
+		},
+		"summary (paper: 1.56x @1T growing to 1.67x @16T, then level):",
+		"geomean dangsan memory overhead")
+}
+
+// runServers executes the web-server analogs (§8.2/§8.3) with the paper's
+// 32 workers and renders throughput and memory. The servers are
+// multithreaded, so FreeSentry cannot run them.
+func runServers(s *Session) (*Result, error) {
+	requests := max(int(20000*s.Scale), 500)
 	const workers = 32
-	var rows []ServerRow
+	var jobs []gridJob
 	for _, prof := range workloads.ServerProfiles() {
-		row := ServerRow{Server: prof.Name, Requests: requests, ByKind: make(map[Kind]Measurement)}
-		for _, kind := range opts.Kinds {
-			if kind == FreeSentry {
-				continue // servers are multithreaded; FreeSentry cannot run them
-			}
-			if progress != nil {
-				progress(fmt.Sprintf("server %s / %s", prof.Name, kind))
-			}
-			kind := kind
-			m, err := MeasureN(opts,
-				func(pl *faultinject.Plane) (detectors.Detector, error) { return opts.NewDetector(kind, pl) },
-				func(p *proc.Process) error { return workloads.RunServer(p, prof, workers, requests, opts.Seed) })
-			if err != nil {
-				return nil, fmt.Errorf("server %s/%s: %w", prof.Name, kind, err)
-			}
-			row.ByKind[kind] = m
-		}
-		rows = append(rows, row)
+		jobs = append(jobs, gridJob{GridRow{Benchmark: prof.Name, Requests: requests}, withoutFreeSentry(),
+			func(p *proc.Process) error { return workloads.RunServer(p, prof, workers, requests, s.Seed) }})
 	}
-	return rows, nil
+	rows, err := s.runGrid("server ", jobs, nil)
+	if err != nil {
+		return nil, err
+	}
+	t := Table{
+		Title: "Web servers (paper: apache -21% 4.5x mem, nginx -30% 1.8x mem, cherokee ~0% 1.1x mem)",
+		Head:  []string{"server", "baseline req/s", "dangsan req/s", "slowdown", "mem baseline", "mem dangsan", "mem overhead"},
+	}
+	for _, r := range rows {
+		base, ds := r.ByKind[Baseline], r.ByKind[DangSan]
+		baseRPS := float64(r.Requests) / base.Seconds
+		dsRPS := float64(r.Requests) / ds.Seconds
+		t.Rows = append(t.Rows, []string{r.Benchmark,
+			fmt.Sprintf("%.0f", baseRPS),
+			fmt.Sprintf("%.0f", dsRPS),
+			fmt.Sprintf("%.0f%%", (1-dsRPS/baseRPS)*100),
+			mib(base.PeakFootprint), mib(ds.PeakFootprint),
+			ratio(float64(ds.PeakFootprint), float64(base.PeakFootprint))})
+	}
+	return &Result{Tables: []Table{t}, Key: "servers", Data: rows}, nil
 }
 
 // Table1Row mirrors the columns of the paper's Table 1: DangSan's counters
@@ -290,45 +460,39 @@ type Table1Row struct {
 	DangNULLInval uint64
 }
 
-// RunTable1 gathers the statistics table.
-func RunTable1(opts Options, progress func(string)) ([]Table1Row, error) {
-	opts = opts.normalized()
+// runTable1 gathers and renders the statistics table.
+func runTable1(s *Session) (*Result, error) {
+	t := Table{
+		Title: "Table 1: pointer-tracking statistics on the SPEC analogs (scaled counts)",
+		Head:  []string{"benchmark", "#obj", "#hashtable", "#ptrs", "#inval", "#stale", "#dup", "dangnull #ptrs", "dangnull #inval"},
+	}
 	var rows []Table1Row
 	for _, prof := range workloads.SPECProfiles() {
-		prof := scaleSpec(prof, opts.Scale)
-		if progress != nil {
-			progress(prof.Name)
-		}
+		prof := ScaleSPEC(prof, s.Scale)
+		s.Progress(prof.Name)
+		run := func(p *proc.Process) error { return workloads.RunSPEC(p, prof, s.Seed) }
 		// Table 1 is the statistics table; it always runs injection-free so
 		// the counters describe the design, not the chaos configuration.
-		ds, err := opts.NewDetector(DangSan, nil)
+		ds, err := s.NewDetector(DangSan, nil)
 		if err != nil {
 			return nil, err
 		}
-		m, err := MeasureWith(ds, func(p *proc.Process) error {
-			return workloads.RunSPEC(p, prof, opts.Seed)
-		}, opts.Metrics)
+		m, err := MeasureWith(ds, run, s.Metrics)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", prof.Name, err)
 		}
-		dnDet, err := NewDetector(DangNULL)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := Measure(dnDet, func(p *proc.Process) error {
-			return workloads.RunSPEC(p, prof, opts.Seed)
-		}); err != nil {
+		dn := dangnull.New()
+		if _, err := Measure(dn, run); err != nil {
 			return nil, fmt.Errorf("%s dangnull: %w", prof.Name, err)
 		}
-		reg, inv := dnDet.(interface {
-			Stats() (uint64, uint64)
-		}).Stats()
-		rows = append(rows, Table1Row{
-			Benchmark:     prof.Name,
-			DangSan:       m.Stats,
-			DangNULLPtrs:  reg,
-			DangNULLInval: inv,
-		})
+		r := Table1Row{Benchmark: prof.Name, DangSan: m.Stats}
+		r.DangNULLPtrs, r.DangNULLInval = dn.Stats()
+		rows = append(rows, r)
+		c := r.DangSan
+		t.Rows = append(t.Rows, []string{r.Benchmark,
+			fmt.Sprint(c.ObjectsTracked), fmt.Sprint(c.HashTables), fmt.Sprint(c.Registered),
+			fmt.Sprint(c.Invalidated), fmt.Sprint(c.Stale), fmt.Sprint(c.Duplicates),
+			fmt.Sprint(r.DangNULLPtrs), fmt.Sprint(r.DangNULLInval)})
 	}
-	return rows, nil
+	return &Result{Tables: []Table{t}, Key: "table1", Data: rows}, nil
 }

@@ -6,20 +6,17 @@ import (
 	"dangsan/internal/detectors"
 	"dangsan/internal/detectors/camp"
 	"dangsan/internal/detectors/xtag"
-	"dangsan/internal/faultinject"
 	"dangsan/internal/instrument"
 	"dangsan/internal/interp"
 	"dangsan/internal/ir/opt"
 	"dangsan/internal/irgen"
 	"dangsan/internal/irparse"
-	"dangsan/internal/proc"
-	"dangsan/internal/workloads"
 )
 
 // CheckPathStats are the check-path counters of a checked-dereference
 // backend after one benign run. Objects is xtag's tagged / camp's tracked
 // count, Checks the dereference checks actually performed, Faults the traps
-// raised (must be 0 on a benign workload — RunFiveWay fails otherwise), and
+// raised (must be 0 on a benign workload — runFiveWay fails otherwise), and
 // Degraded the fail-open coverage losses.
 type CheckPathStats struct {
 	Objects    uint64 `json:"objects"`
@@ -62,81 +59,93 @@ type FiveWayReport struct {
 	Elision ElisionStats `json:"elision"`
 }
 
-// RunFiveWay executes the five-way detector ablation: every SPEC analog
+// runFiveWay executes the five-way detector ablation: every SPEC analog
 // under baseline, the three pointer-invalidation backends, and the two
 // checked-dereference backends (xtag pointer tagging, camp range checks),
 // then a seed sweep quantifying how many dereference checks camp's
 // instrumentation elision proves away. Benign workloads must not trap:
 // any xtag mismatch or camp fault fails the run.
-func RunFiveWay(opts Options, progress func(string)) (*FiveWayReport, error) {
-	opts = opts.normalized()
-	rep := &FiveWayReport{}
-	for _, prof := range workloads.SPECProfiles() {
-		prof := scaleSpec(prof, opts.Scale)
-		row := FiveWayRow{
-			Benchmark: prof.Name,
-			Seconds:   make(map[Kind]float64),
-			Footprint: make(map[Kind]uint64),
-		}
-		for _, kind := range FiveWayKinds() {
-			if progress != nil {
-				progress(fmt.Sprintf("fiveway %s / %s", prof.Name, kind))
+func runFiveWay(s *Session) (*Result, error) {
+	jobs := s.specJobs(FiveWayKinds())
+	rep := &FiveWayReport{Rows: make([]FiveWayRow, len(jobs))}
+	grid, err := s.runGrid("fiveway ", jobs, func(i int, det detectors.Detector) error {
+		row := &rep.Rows[i]
+		switch d := det.(type) {
+		case *xtag.Detector:
+			tagged, checks, mismatches := d.Stats()
+			deg, _ := d.Degraded()
+			row.XTag = CheckPathStats{Objects: tagged, Checks: checks, Faults: mismatches, Degraded: deg}
+			if mismatches != 0 {
+				return fmt.Errorf("xtag reported %d tag mismatches on a benign workload", mismatches)
 			}
-			kind := kind
-			// The workloads are deterministic, so the counters are identical
-			// across repeats; keeping the last-built detector is enough even
-			// though MeasureN reports the fastest repeat's timing.
-			var last detectors.Detector
-			m, err := MeasureN(opts,
-				func(pl *faultinject.Plane) (detectors.Detector, error) {
-					d, err := opts.NewDetector(kind, pl)
-					last = d
-					return d, err
-				},
-				func(p *proc.Process) error { return workloads.RunSPEC(p, prof, opts.Seed) })
-			if err != nil {
-				return nil, fmt.Errorf("fiveway %s/%s: %w", prof.Name, kind, err)
-			}
-			row.Seconds[kind] = m.Seconds
-			row.Footprint[kind] = m.PeakFootprint
-			switch d := last.(type) {
-			case *xtag.Detector:
-				tagged, checks, mismatches := d.Stats()
-				deg, _ := d.Degraded()
-				row.XTag = CheckPathStats{Objects: tagged, Checks: checks, Faults: mismatches, Degraded: deg}
-				if mismatches != 0 {
-					return nil, fmt.Errorf("fiveway %s: xtag reported %d tag mismatches on a benign workload", prof.Name, mismatches)
-				}
-			case *camp.Detector:
-				tracked, checks, faults, tombstones := d.Stats()
-				deg, _ := d.Degraded()
-				row.CAMP = CheckPathStats{Objects: tracked, Checks: checks, Faults: faults, Tombstones: tombstones, Degraded: deg}
-				if faults != 0 {
-					return nil, fmt.Errorf("fiveway %s: camp reported %d freed-range faults on a benign workload", prof.Name, faults)
-				}
+		case *camp.Detector:
+			tracked, checks, faults, tombstones := d.Stats()
+			deg, _ := d.Degraded()
+			row.CAMP = CheckPathStats{Objects: tracked, Checks: checks, Faults: faults, Tombstones: tombstones, Degraded: deg}
+			if faults != 0 {
+				return fmt.Errorf("camp reported %d freed-range faults on a benign workload", faults)
 			}
 		}
-		rep.Rows = append(rep.Rows, row)
-	}
-
-	el, err := runElisionSweep(opts, progress)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	rep.Elision = el
-	return rep, nil
+	if rep.Elision, err = runElisionSweep(s); err != nil {
+		return nil, err
+	}
+
+	kinds := FiveWayKinds()[1:]
+	t := Table{
+		Title: "Five-way ablation: run-time overhead on SPEC analogs (normalized to baseline)",
+		Head:  []string{"benchmark", "baseline(s)", "dangsan", "dangnull", "freesentry", "xtag", "camp"},
+	}
+	ct := Table{
+		Title: "Checked-dereference backends: dynamic check-path counters (benign runs; 0 faults required)",
+		Head:  []string{"benchmark", "xtag objs", "xtag checks", "camp objs", "camp checks", "camp tombstones", "degraded"},
+	}
+	gm := map[Kind][]float64{}
+	for i, g := range grid {
+		r := &rep.Rows[i]
+		r.Benchmark = g.Benchmark
+		r.Seconds, r.Footprint = make(map[Kind]float64), make(map[Kind]uint64)
+		for k, m := range g.ByKind {
+			r.Seconds[k], r.Footprint[k] = m.Seconds, m.PeakFootprint
+		}
+		t.Rows = append(t.Rows, slowdowns(g, kinds, gm))
+		ct.Rows = append(ct.Rows, []string{r.Benchmark,
+			fmt.Sprint(r.XTag.Objects), fmt.Sprint(r.XTag.Checks),
+			fmt.Sprint(r.CAMP.Objects), fmt.Sprint(r.CAMP.Checks), fmt.Sprint(r.CAMP.Tombstones),
+			fmt.Sprint(r.XTag.Degraded + r.CAMP.Degraded)})
+	}
+	for _, k := range kinds {
+		t.Notes = append(t.Notes, fmt.Sprintf("geomean %-10s %.2fx", k, Geomean(gm[k])))
+	}
+
+	e := rep.Elision
+	total := e.DerefChecks + e.ElidedChecks
+	staticPct, dynPct := 0.0, 0.0
+	if total > 0 {
+		staticPct = 100 * float64(e.ElidedChecks) / float64(total)
+	}
+	if e.DynamicChecks > 0 {
+		dynPct = 100 * float64(e.DynamicChecks-e.DynamicChecksOpt) / float64(e.DynamicChecks)
+	}
+	elision := Table{Title: fmt.Sprintf("CAMP check elision over %d generated programs: %d/%d static checks proved safe (%.1f%%), dynamic checks %d -> %d (-%.1f%%)",
+		e.Seeds, e.ElidedChecks, total, staticPct, e.DynamicChecks, e.DynamicChecksOpt, dynPct)}
+	return &Result{Tables: []Table{t, ct, elision}, Key: "fiveway", Data: rep}, nil
 }
 
 // runElisionSweep runs generated programs under camp twice — once with every
 // load/store checked, once after the ElideDerefChecks proof — and counts the
 // static and dynamic checks the elision removes. Outputs and traps must
 // agree between the two runs (the programs are benign: no traps at all).
-func runElisionSweep(opts Options, progress func(string)) (ElisionStats, error) {
-	stats := ElisionStats{Seeds: maxi(int(50*opts.Scale), 10)}
+func runElisionSweep(s *Session) (ElisionStats, error) {
+	stats := ElisionStats{Seeds: max(int(50*s.Scale), 10)}
 	for i := 0; i < stats.Seeds; i++ {
-		seed := opts.Seed*1000 + int64(i)
-		if progress != nil && i%10 == 0 {
-			progress(fmt.Sprintf("fiveway elision seed %d/%d", i, stats.Seeds))
+		seed := s.Seed*1000 + int64(i)
+		if i%10 == 0 {
+			s.Progress(fmt.Sprintf("fiveway elision seed %d/%d", i, stats.Seeds))
 		}
 		prog := irgen.Generate(seed, irgen.Config{})
 		for _, elide := range []bool{false, true} {
@@ -176,59 +185,4 @@ func runElisionSweep(opts Options, progress func(string)) (ElisionStats, error) 
 		}
 	}
 	return stats, nil
-}
-
-// FormatFiveWay renders the five-way ablation: per-benchmark slowdowns for
-// all five detectors, the checked-dereference backends' dynamic counters,
-// and the camp elision summary.
-func FormatFiveWay(rep *FiveWayReport) string {
-	var t tw
-	t.row("benchmark", "baseline(s)", "dangsan", "dangnull", "freesentry", "xtag", "camp")
-	gm := map[Kind][]float64{}
-	for _, r := range rep.Rows {
-		base := r.Seconds[Baseline]
-		cells := []string{r.Benchmark, fmt.Sprintf("%.3f", base)}
-		for _, k := range []Kind{DangSan, DangNULL, FreeSentry, XTag, CAMP} {
-			s, ok := r.Seconds[k]
-			if !ok {
-				cells = append(cells, "-")
-				continue
-			}
-			cells = append(cells, ratio(s, base))
-			if base > 0 {
-				gm[k] = append(gm[k], s/base)
-			}
-		}
-		t.row(cells...)
-	}
-	out := "Five-way ablation: run-time overhead on SPEC analogs (normalized to baseline)\n" + t.String()
-	for _, k := range []Kind{DangSan, DangNULL, FreeSentry, XTag, CAMP} {
-		out += fmt.Sprintf("geomean %-10s %.2fx\n", k, Geomean(gm[k]))
-	}
-
-	var ct tw
-	ct.row("benchmark", "xtag objs", "xtag checks", "camp objs", "camp checks", "camp tombstones", "degraded")
-	for _, r := range rep.Rows {
-		ct.row(r.Benchmark,
-			fmt.Sprintf("%d", r.XTag.Objects),
-			fmt.Sprintf("%d", r.XTag.Checks),
-			fmt.Sprintf("%d", r.CAMP.Objects),
-			fmt.Sprintf("%d", r.CAMP.Checks),
-			fmt.Sprintf("%d", r.CAMP.Tombstones),
-			fmt.Sprintf("%d", r.XTag.Degraded+r.CAMP.Degraded))
-	}
-	out += "\nChecked-dereference backends: dynamic check-path counters (benign runs; 0 faults required)\n" + ct.String()
-
-	e := rep.Elision
-	total := e.DerefChecks + e.ElidedChecks
-	staticPct, dynPct := 0.0, 0.0
-	if total > 0 {
-		staticPct = 100 * float64(e.ElidedChecks) / float64(total)
-	}
-	if e.DynamicChecks > 0 {
-		dynPct = 100 * float64(e.DynamicChecks-e.DynamicChecksOpt) / float64(e.DynamicChecks)
-	}
-	out += fmt.Sprintf("\nCAMP check elision over %d generated programs: %d/%d static checks proved safe (%.1f%%), dynamic checks %d -> %d (-%.1f%%)\n",
-		e.Seeds, e.ElidedChecks, total, staticPct, e.DynamicChecks, e.DynamicChecksOpt, dynPct)
-	return out
 }

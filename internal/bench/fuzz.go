@@ -22,51 +22,39 @@ func (r FuzzResult) Clean() bool {
 		r.Report.MutationDetected == r.Report.MutationDetectors
 }
 
-// RunFuzz runs the differential-fuzzing experiment: Scale*500 seeds (minimum
+// runFuzz runs the differential-fuzzing experiment: Scale*500 seeds (minimum
 // 50) starting at Seed, each swept through the full mode x detector x config
 // matrix plus its mutated (known-dangling) variant. Options that shape the
 // simulated process (fault injection, metadata caps) do not apply here — the
-// differ owns its configurations so the oracle stays exact.
-func RunFuzz(opts Options, progress func(string)) (FuzzResult, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 1
-	}
-	seeds := int(500 * opts.Scale)
-	if seeds < 50 {
-		seeds = 50
-	}
-	if progress != nil {
-		progress(fmt.Sprintf("fuzz: sweeping %d seeds from %d", seeds, opts.Seed))
-	}
+// differ owns its configurations so the oracle stays exact. The sweep summary
+// lists every divergence (each one is a bug in the toolchain or the oracle,
+// so none are elided); an unclean sweep is also the returned error.
+func runFuzz(s *Session) (*Result, error) {
+	seeds := max(int(500*s.Scale), 50)
+	s.Progress(fmt.Sprintf("fuzz: sweeping %d seeds from %d", seeds, s.Seed))
 	start := time.Now()
-	report := differ.Sweep(differ.SweepOptions{
-		Start:  opts.Seed,
-		Seeds:  seeds,
-		Mutate: true,
-	})
-	return FuzzResult{Report: report, Seconds: time.Since(start).Seconds()}, nil
-}
+	rep := differ.Sweep(differ.SweepOptions{Start: s.Seed, Seeds: seeds, Mutate: true})
+	r := FuzzResult{Report: rep, Seconds: time.Since(start).Seconds()}
 
-// FormatFuzz renders the sweep summary plus every divergence (each one is a
-// bug in the toolchain or the oracle, so none are elided).
-func FormatFuzz(r FuzzResult) string {
-	var t tw
-	t.row("seeds", "matrix runs", "programs/s", "runs/s", "mutation detection", "divergences")
-	progRate, runRate := "-", "-"
-	if r.Seconds > 0 {
-		progRate = fmt.Sprintf("%.1f", float64(r.Report.Seeds)/r.Seconds)
-		runRate = fmt.Sprintf("%.0f", float64(r.Report.Runs)/r.Seconds)
-	}
 	det := "-"
-	if r.Report.MutationDetectors > 0 {
-		det = fmt.Sprintf("%d/%d (%.1f%%)", r.Report.MutationDetected, r.Report.MutationDetectors,
-			100*float64(r.Report.MutationDetected)/float64(r.Report.MutationDetectors))
+	if rep.MutationDetectors > 0 {
+		det = fmt.Sprintf("%d/%d (%.1f%%)", rep.MutationDetected, rep.MutationDetectors,
+			100*float64(rep.MutationDetected)/float64(rep.MutationDetectors))
 	}
-	t.row(fmt.Sprintf("%d", r.Report.Seeds), fmt.Sprintf("%d", r.Report.Runs),
-		progRate, runRate, det, fmt.Sprintf("%d", len(r.Report.Divergences)))
-	s := "Differential fuzzing: generated programs vs cross-detector oracle\n" + t.String()
-	for _, d := range r.Report.Divergences {
-		s += fmt.Sprintf("divergence: seed=%d run=%s: %s\n", d.Seed, d.Run, d.Msg)
+	t := Table{
+		Title: "Differential fuzzing: generated programs vs cross-detector oracle",
+		Head:  []string{"seeds", "matrix runs", "programs/s", "runs/s", "mutation detection", "divergences"},
+		Rows: [][]string{{fmt.Sprint(rep.Seeds), fmt.Sprint(rep.Runs),
+			fmt.Sprintf("%.1f", float64(rep.Seeds)/r.Seconds), fmt.Sprintf("%.0f", float64(rep.Runs)/r.Seconds),
+			det, fmt.Sprint(len(rep.Divergences))}},
 	}
-	return s
+	for _, d := range rep.Divergences {
+		t.Notes = append(t.Notes, fmt.Sprintf("divergence: seed=%d run=%s: %s", d.Seed, d.Run, d.Msg))
+	}
+	res := &Result{Tables: []Table{t}, Key: "fuzz", Data: r}
+	if !r.Clean() {
+		return res, fmt.Errorf("fuzz: %d divergences, %d/%d mutations detected",
+			len(rep.Divergences), rep.MutationDetected, rep.MutationDetectors)
+	}
+	return res, nil
 }

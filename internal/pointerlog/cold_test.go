@@ -193,6 +193,15 @@ func TestColdSpillInvalidateExact(t *testing.T) {
 	if err := lg.AuditCheck(); err != nil {
 		t.Fatalf("audit after spills: %v", err)
 	}
+	// The untiered control — same stores, tier off — never spills, and the
+	// tiered logger's resident bytes sit below its.
+	off := cfg
+	off.ColdSpillBytes = 0
+	offLg, _, _, _, _ := fillTiered(t, off, nLocs)
+	defer offLg.Close()
+	if o := offLg.Stats().Snapshot(); o.Spills != 0 || o.LogBytesSpilled != 0 || snap.LogBytesLive >= o.LogBytesLive {
+		t.Fatalf("tier off: %+v\ntier on:  %+v", o, snap)
+	}
 
 	// Overwrite a deterministic third so the stale path runs across tiers.
 	overwritten := 0
