@@ -22,26 +22,35 @@ const (
 	// WordSize is the size of a machine word (and of a pointer) in bytes.
 	WordSize = 8
 
-	// chunkShift is log2 of the backing-store chunk size in bytes. Segments
-	// allocate physical backing lazily in chunks so that a large virtual
-	// reservation costs nothing until touched, like real mmap.
+	// chunkShift is log2 of the span of one page table in bytes. Segments
+	// allocate page tables lazily so that a large virtual reservation costs
+	// nothing until mapped, like real mmap.
 	chunkShift    = 22 // 4 MiB
 	chunkBytes    = 1 << chunkShift
-	chunkWords    = chunkBytes / WordSize
 	pagesPerChunk = chunkBytes / PageSize
+	pageWords     = PageSize / WordSize
 )
 
-// chunk is one lazily-allocated slab of physical backing plus the mapped
-// state of each of its pages. Words are accessed atomically; the mapped
-// flags are accessed atomically too so that Map/Unmap can race with loads
-// (the loser observes a fault, which is the behaviour being simulated).
-type chunk struct {
-	words  [chunkWords]uint64
-	mapped [pagesPerChunk]atomic.Bool
-}
+// page is the backing of one simulated page. Its words are only ever
+// accessed with sync/atomic operations.
+type page [pageWords]uint64
 
-// Segment is a contiguous virtual address range backed by lazily allocated
-// chunks. Pages within the range fault until mapped with MapPages, and fault
+// zeroPage backs every page that is mapped but has never been written, the
+// way a kernel maps one shared zero frame until the first write fault. It is
+// read-only: loads may read through it, a writer must first replace the slot
+// that points at it with a page of its own (Segment.ownPage).
+var zeroPage page
+
+// chunk is the page table of one chunkBytes-aligned piece of a segment. A
+// slot is nil while its page is unmapped, &zeroPage once it is mapped and
+// until the first write, and the page's own backing after that. Slots change
+// only by compare-and-swap or swap, so that Map/Unmap can race with accesses
+// (the loser observes a fault, which is the behaviour being simulated).
+type chunk [pagesPerChunk]atomic.Pointer[page]
+
+// Segment is a contiguous virtual address range whose pages get backing one
+// at a time, at their first write. Pages within the range fault until mapped
+// with MapPages, read as zero from then until written, and fault
 // again after UnmapPages — simulating memory returned to the OS, which is the
 // case DangSan handles by catching SIGSEGV during pointer invalidation.
 type Segment struct {
@@ -50,7 +59,8 @@ type Segment struct {
 	name string
 	// chunks[i] covers [base + i*chunkBytes, base + (i+1)*chunkBytes).
 	chunks []atomic.Pointer[chunk]
-	// mappedBytes counts currently mapped pages (for RSS-style accounting).
+	// mappedBytes counts currently mapped pages, written or not (for
+	// RSS-style accounting of the simulated process).
 	mappedBytes atomic.Uint64
 	// faults, when set, lets TryMapPages simulate mmap failure.
 	faults atomic.Pointer[faultinject.Plane]
@@ -92,41 +102,47 @@ func (s *Segment) MappedBytes() uint64 { return s.mappedBytes.Load() }
 
 // contains reports whether addr falls inside the reservation.
 func (s *Segment) contains(addr uint64) bool {
-	return addr >= s.base && addr < s.base+s.size
+	return addr-s.base < s.size
 }
 
-// chunkFor returns the chunk covering addr, allocating it if needed and
-// ensure is true. Publication is by compare-and-swap so concurrent callers
-// agree on a single chunk.
-func (s *Segment) chunkFor(addr uint64, ensure bool) *chunk {
-	idx := (addr - s.base) >> chunkShift
-	c := s.chunks[idx].Load()
-	if c == nil && ensure {
-		fresh := new(chunk)
-		if s.chunks[idx].CompareAndSwap(nil, fresh) {
-			c = fresh
-		} else {
-			c = s.chunks[idx].Load()
+// slot returns the page-table slot of the page containing addr, which must
+// lie in the segment, allocating the table when ensure is true. It returns
+// nil when the table does not exist. Publication is by compare-and-swap so
+// concurrent callers agree on a single table.
+func (s *Segment) slot(addr uint64, ensure bool) *atomic.Pointer[page] {
+	off := addr - s.base
+	table := &s.chunks[off>>chunkShift]
+	c := table.Load()
+	if c == nil {
+		if !ensure {
+			return nil
+		}
+		c = new(chunk)
+		if !table.CompareAndSwap(nil, c) {
+			c = table.Load()
 		}
 	}
-	return c
+	return &c[off>>PageShift%pagesPerChunk]
 }
 
-// MapPages marks n pages starting at page-aligned addr as mapped, allocating
-// backing as needed. Re-mapping an already mapped page is a no-op. The
-// newly mapped pages read as zero.
-func (s *Segment) MapPages(addr uint64, n int) {
+// pageRange panics unless [addr, addr + n pages) is page-aligned and inside
+// the segment.
+func (s *Segment) pageRange(op string, addr uint64, n int) {
 	if addr%PageSize != 0 {
-		panic(fmt.Sprintf("vmem: MapPages unaligned addr 0x%x", addr))
+		panic(fmt.Sprintf("vmem: %s unaligned addr 0x%x", op, addr))
 	}
+	if n > 0 && !(s.contains(addr) && s.contains(addr+uint64(n-1)*PageSize)) {
+		panic(fmt.Sprintf("vmem: %s outside segment %q: %d pages at 0x%x", op, s.name, n, addr))
+	}
+}
+
+// MapPages marks n pages starting at page-aligned addr as mapped. Re-mapping
+// an already mapped page is a no-op. The newly mapped pages read as zero and
+// get backing of their own at the first write.
+func (s *Segment) MapPages(addr uint64, n int) {
+	s.pageRange("MapPages", addr, n)
 	for i := 0; i < n; i++ {
-		pa := addr + uint64(i)*PageSize
-		if !s.contains(pa) {
-			panic(fmt.Sprintf("vmem: MapPages outside segment %q: 0x%x", s.name, pa))
-		}
-		c := s.chunkFor(pa, true)
-		pi := (pa - s.base) % chunkBytes / PageSize
-		if !c.mapped[pi].Swap(true) {
+		if s.slot(addr+uint64(i)*PageSize, true).CompareAndSwap(nil, &zeroPage) {
 			s.mappedBytes.Add(PageSize)
 		}
 	}
@@ -153,46 +169,58 @@ func (s *Segment) TryMapPages(addr uint64, n int) error {
 
 // UnmapPages marks n pages starting at page-aligned addr as unmapped,
 // simulating their return to the operating system. Subsequent accesses
-// fault.
+// fault, and the pages' backing is dropped, so a later remap reads as zero.
 func (s *Segment) UnmapPages(addr uint64, n int) {
-	if addr%PageSize != 0 {
-		panic(fmt.Sprintf("vmem: UnmapPages unaligned addr 0x%x", addr))
-	}
+	s.pageRange("UnmapPages", addr, n)
 	for i := 0; i < n; i++ {
-		pa := addr + uint64(i)*PageSize
-		if !s.contains(pa) {
-			panic(fmt.Sprintf("vmem: UnmapPages outside segment %q: 0x%x", s.name, pa))
-		}
-		c := s.chunkFor(pa, false)
-		if c == nil {
-			continue
-		}
-		pi := (pa - s.base) % chunkBytes / PageSize
-		if c.mapped[pi].Swap(false) {
+		if sl := s.slot(addr+uint64(i)*PageSize, false); sl != nil && sl.Swap(nil) != nil {
 			s.mappedBytes.Add(^uint64(PageSize - 1))
-			// Zero the page now so a later remap reads as fresh memory.
-			// Fresh chunks are born zero, so mapping never needs to zero.
-			w := (pa - s.base) % chunkBytes / WordSize
-			for j := uint64(0); j < PageSize/WordSize; j++ {
-				atomic.StoreUint64(&c.words[w+j], 0)
-			}
 		}
 	}
 }
 
-// pageMapped reports whether the page containing addr is mapped, returning
-// the chunk when it is.
-func (s *Segment) pageMapped(addr uint64) (*chunk, bool) {
-	c := s.chunkFor(addr, false)
+// pageOf returns what the slot of the page containing addr holds: nil when
+// the page is unmapped, possibly &zeroPage. addr must lie in the segment.
+// It is small enough to inline into every word accessor; callers must not
+// keep the result across operations, because only a fresh look at the slot
+// turns an access that follows UnmapPages into a fault.
+func (s *Segment) pageOf(addr uint64) *page {
+	off := addr - s.base
+	c := s.chunks[off>>chunkShift].Load()
 	if c == nil {
-		return nil, false
+		return nil
 	}
-	pi := (addr - s.base) % chunkBytes / PageSize
-	if !c.mapped[pi].Load() {
-		return nil, false
-	}
-	return c, true
+	return c[off>>PageShift%pagesPerChunk].Load()
 }
+
+// ownPage returns backing that the page containing addr does not share, for
+// a writer that found &zeroPage in the slot, or nil when the page is (by
+// now) unmapped. It publishes a fresh page with a compare-and-swap from
+// &zeroPage, so of the writers racing for a page's first write one installs
+// the page and the others store into that same page, and a write can never
+// land in zeroPage or resurrect a page that UnmapPages took away.
+func (s *Segment) ownPage(addr uint64) *page {
+	sl := s.slot(addr, false) // not nil: page tables are never freed
+	var fresh *page
+	for {
+		p := sl.Load()
+		if p != &zeroPage {
+			return p
+		}
+		if fresh == nil {
+			fresh = new(page)
+		}
+		if sl.CompareAndSwap(&zeroPage, fresh) {
+			return fresh
+		}
+	}
+}
+
+// wordIndex is the index within its page of the word containing addr.
+func wordIndex(addr uint64) uint64 { return addr / WordSize % pageWords }
+
+// unmapped builds the fault for an access to an unmapped page of a segment.
+func unmapped(addr uint64) *Fault { return &Fault{Addr: addr, Kind: FaultUnmapped} }
 
 // LoadWord reads the aligned word at addr, which must lie in the segment.
 // It skips the canonical-form and segment-lookup checks that
@@ -209,31 +237,34 @@ func (s *Segment) CASWord(addr, old, new uint64) (bool, *Fault) { return s.casWo
 
 // loadWord reads the aligned word at addr.
 func (s *Segment) loadWord(addr uint64) (uint64, *Fault) {
-	c, ok := s.pageMapped(addr)
-	if !ok {
-		return 0, &Fault{Addr: addr, Kind: FaultUnmapped}
+	p := s.pageOf(addr)
+	if p == nil {
+		return 0, unmapped(addr)
 	}
-	w := (addr - s.base) % chunkBytes / WordSize
-	return atomic.LoadUint64(&c.words[w]), nil
+	return atomic.LoadUint64(&p[wordIndex(addr)]), nil
 }
 
 // storeWord writes the aligned word at addr.
 func (s *Segment) storeWord(addr, val uint64) *Fault {
-	c, ok := s.pageMapped(addr)
-	if !ok {
-		return &Fault{Addr: addr, Kind: FaultUnmapped}
+	p := s.pageOf(addr)
+	if p == &zeroPage {
+		p = s.ownPage(addr)
 	}
-	w := (addr - s.base) % chunkBytes / WordSize
-	atomic.StoreUint64(&c.words[w], val)
+	if p == nil {
+		return unmapped(addr)
+	}
+	atomic.StoreUint64(&p[wordIndex(addr)], val)
 	return nil
 }
 
 // casWord performs an atomic compare-and-swap on the aligned word at addr.
 func (s *Segment) casWord(addr, old, new uint64) (bool, *Fault) {
-	c, ok := s.pageMapped(addr)
-	if !ok {
-		return false, &Fault{Addr: addr, Kind: FaultUnmapped}
+	p := s.pageOf(addr)
+	if p == &zeroPage {
+		p = s.ownPage(addr)
 	}
-	w := (addr - s.base) % chunkBytes / WordSize
-	return atomic.CompareAndSwapUint64(&c.words[w], old, new), nil
+	if p == nil {
+		return false, unmapped(addr)
+	}
+	return atomic.CompareAndSwapUint64(&p[wordIndex(addr)], old, new), nil
 }

@@ -1,9 +1,11 @@
 package vmem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Standard layout of the simulated process. Bases are chosen so that every
@@ -51,12 +53,13 @@ func New() *AddressSpace {
 // that want a tiny heap so allocation failure is reachable quickly. heapBytes
 // is rounded up to a page and clamped to [PageSize, HeapMax].
 func NewSized(heapBytes uint64) *AddressSpace {
+	// Clamp before rounding: rounding a value within a page of 2^64 wraps.
+	if heapBytes > HeapMax {
+		heapBytes = HeapMax
+	}
 	heapBytes = (heapBytes + PageSize - 1) &^ (PageSize - 1)
 	if heapBytes == 0 {
 		heapBytes = PageSize
-	}
-	if heapBytes > HeapMax {
-		heapBytes = HeapMax
 	}
 	as := &AddressSpace{
 		heap:    NewSegment(HeapBase, heapBytes, "heap"),
@@ -122,11 +125,18 @@ func (as *AddressSpace) AddSegment(base, size uint64, name string) (*Segment, er
 }
 
 // segmentFor locates the segment containing addr, or nil. The heap is
-// checked first because pointer-tracking traffic is heap-dominated.
+// checked first, and inline, because pointer-tracking traffic is
+// heap-dominated.
 func (as *AddressSpace) segmentFor(addr uint64) *Segment {
-	switch {
-	case as.heap.contains(addr):
+	if as.heap.contains(addr) {
 		return as.heap
+	}
+	return as.segmentBeyondHeap(addr)
+}
+
+// segmentBeyondHeap is segmentFor for an address outside the heap.
+func (as *AddressSpace) segmentBeyondHeap(addr uint64) *Segment {
+	switch {
 	case as.stacks.contains(addr):
 		return as.stacks
 	case as.globals.contains(addr):
@@ -157,33 +167,68 @@ func (as *AddressSpace) check(addr uint64, size uint64, aligned bool) (*Segment,
 	return seg, nil
 }
 
+// The three word accessors share one shape: canonical form and alignment,
+// segmentFor, pageOf, the atomic operation. All of it inlines, so a heap
+// access that succeeds calls nothing; and they build no Fault themselves, so
+// nothing on that path allocates. Every refused access ends in wordFault.
+
+// wordAddr reports whether addr is canonical and 8-byte aligned.
+func wordAddr(addr uint64) bool { return Canonical(addr) && addr%WordSize == 0 }
+
+// wordFault returns the fault of a word access at addr that failed wordAddr
+// or found no segment or no mapped page.
+func (as *AddressSpace) wordFault(addr uint64) *Fault {
+	if _, f := as.check(addr, WordSize, true); f != nil {
+		return f
+	}
+	return unmapped(addr)
+}
+
 // LoadWord atomically reads the 8-byte word at the aligned address addr.
 func (as *AddressSpace) LoadWord(addr uint64) (uint64, *Fault) {
-	seg, f := as.check(addr, WordSize, true)
-	if f != nil {
-		return 0, f
+	if wordAddr(addr) {
+		if seg := as.segmentFor(addr); seg != nil {
+			if p := seg.pageOf(addr); p != nil {
+				return atomic.LoadUint64(&p[wordIndex(addr)]), nil
+			}
+		}
 	}
-	return seg.loadWord(addr)
+	return 0, as.wordFault(addr)
 }
 
 // StoreWord atomically writes the 8-byte word at the aligned address addr.
 func (as *AddressSpace) StoreWord(addr, val uint64) *Fault {
-	seg, f := as.check(addr, WordSize, true)
-	if f != nil {
-		return f
+	if wordAddr(addr) {
+		if seg := as.segmentFor(addr); seg != nil {
+			p := seg.pageOf(addr)
+			if p == &zeroPage {
+				p = seg.ownPage(addr)
+			}
+			if p != nil {
+				atomic.StoreUint64(&p[wordIndex(addr)], val)
+				return nil
+			}
+		}
 	}
-	return seg.storeWord(addr, val)
+	return as.wordFault(addr)
 }
 
 // CASWord atomically compares-and-swaps the word at addr. It returns whether
 // the swap happened. This is the primitive DangSan uses to invalidate a
 // pointer without clobbering a racing store of a fresh pointer.
 func (as *AddressSpace) CASWord(addr, old, new uint64) (bool, *Fault) {
-	seg, f := as.check(addr, WordSize, true)
-	if f != nil {
-		return false, f
+	if wordAddr(addr) {
+		if seg := as.segmentFor(addr); seg != nil {
+			p := seg.pageOf(addr)
+			if p == &zeroPage {
+				p = seg.ownPage(addr)
+			}
+			if p != nil {
+				return atomic.CompareAndSwapUint64(&p[wordIndex(addr)], old, new), nil
+			}
+		}
 	}
-	return seg.casWord(addr, old, new)
+	return false, as.wordFault(addr)
 }
 
 // LoadByte reads one byte at addr.
@@ -227,26 +272,70 @@ func (as *AddressSpace) StoreByte(addr uint64, val byte) *Fault {
 	}
 }
 
+// The bulk operations below move a whole word wherever the simulated
+// addresses involved are 8-byte aligned and at least a word remains, and
+// single bytes at the ragged ends. An aligned word lies within one page, so
+// the fault is the one a byte-at-a-time loop would return at that point,
+// with the same bytes moved before it.
+
 // LoadBytes reads len(dst) bytes starting at addr.
 func (as *AddressSpace) LoadBytes(addr uint64, dst []byte) *Fault {
-	for i := range dst {
-		b, f := as.LoadByte(addr + uint64(i))
+	n := uint64(len(dst))
+	for i := uint64(0); i < n; {
+		if (addr+i)%WordSize == 0 && n-i >= WordSize {
+			w, f := as.LoadWord(addr + i)
+			if f != nil {
+				return f
+			}
+			binary.LittleEndian.PutUint64(dst[i:], w)
+			i += WordSize
+			continue
+		}
+		b, f := as.LoadByte(addr + i)
 		if f != nil {
 			return f
 		}
 		dst[i] = b
+		i++
 	}
 	return nil
 }
 
 // StoreBytes writes src starting at addr.
 func (as *AddressSpace) StoreBytes(addr uint64, src []byte) *Fault {
-	for i, b := range src {
-		if f := as.StoreByte(addr+uint64(i), b); f != nil {
+	n := uint64(len(src))
+	for i := uint64(0); i < n; {
+		if (addr+i)%WordSize == 0 && n-i >= WordSize {
+			if f := as.StoreWord(addr+i, binary.LittleEndian.Uint64(src[i:])); f != nil {
+				return f
+			}
+			i += WordSize
+			continue
+		}
+		if f := as.StoreByte(addr+i, src[i]); f != nil {
 			return f
 		}
+		i++
 	}
 	return nil
+}
+
+// moveWord copies the aligned word at src to dst.
+func (as *AddressSpace) moveWord(dst, src uint64) *Fault {
+	w, f := as.LoadWord(src)
+	if f != nil {
+		return f
+	}
+	return as.StoreWord(dst, w)
+}
+
+// moveByte copies the byte at src to dst.
+func (as *AddressSpace) moveByte(dst, src uint64) *Fault {
+	b, f := as.LoadByte(src)
+	if f != nil {
+		return f
+	}
+	return as.StoreByte(dst, b)
 }
 
 // Memmove copies n bytes from src to dst within the simulated space, used by
@@ -254,27 +343,37 @@ func (as *AddressSpace) StoreBytes(addr uint64, src []byte) *Fault {
 // copy the paper discusses in its limitations section). Overlapping ranges
 // are handled like the C memmove.
 func (as *AddressSpace) Memmove(dst, src, n uint64) *Fault {
-	if n == 0 || dst == src {
+	if dst == src {
 		return nil
 	}
 	if dst < src {
-		for i := uint64(0); i < n; i++ {
-			b, f := as.LoadByte(src + i)
-			if f != nil {
+		for i := uint64(0); i < n; {
+			if ((dst+i)|(src+i))%WordSize == 0 && n-i >= WordSize {
+				if f := as.moveWord(dst+i, src+i); f != nil {
+					return f
+				}
+				i += WordSize
+				continue
+			}
+			if f := as.moveByte(dst+i, src+i); f != nil {
 				return f
 			}
-			if f := as.StoreByte(dst+i, b); f != nil {
-				return f
-			}
+			i++
 		}
 		return nil
 	}
-	for i := n; i > 0; i-- {
-		b, f := as.LoadByte(src + i - 1)
-		if f != nil {
-			return f
+	// Backwards, i counts the bytes still to move: [0, i) of each range.
+	for i := n; i > 0; {
+		if ((dst+i)|(src+i))%WordSize == 0 && i >= WordSize {
+			i -= WordSize
+			if f := as.moveWord(dst+i, src+i); f != nil {
+				f.Addr += WordSize - 1 // the word's last byte is the one a byte loop meets first
+				return f
+			}
+			continue
 		}
-		if f := as.StoreByte(dst+i-1, b); f != nil {
+		i--
+		if f := as.moveByte(dst+i, src+i); f != nil {
 			return f
 		}
 	}
