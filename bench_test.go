@@ -37,7 +37,7 @@ func BenchmarkFig9SPEC(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", prof.Name, kind), func(b *testing.B) {
 				var footprint uint64
 				for i := 0; i < b.N; i++ {
-					det, err := bench.NewDetector(kind)
+					det, err := bench.Options{}.NewDetector(kind, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -67,7 +67,7 @@ func BenchmarkFig10Scalability(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/t%d/%s", prof.Name, threads, kind), func(b *testing.B) {
 					var footprint uint64
 					for i := 0; i < b.N; i++ {
-						det, err := bench.NewDetector(kind)
+						det, err := bench.Options{}.NewDetector(kind, nil)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -93,7 +93,7 @@ func BenchmarkServers(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", prof.Name, kind), func(b *testing.B) {
 				var footprint uint64
 				for i := 0; i < b.N; i++ {
-					det, err := bench.NewDetector(kind)
+					det, err := bench.Options{}.NewDetector(kind, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

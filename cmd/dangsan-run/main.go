@@ -81,8 +81,8 @@ func main() {
 		plane = faultinject.New(*faultSeed)
 		plane.EnableAll(*faultRate, *faultBudget)
 	}
-	// bench.Options wires the budget and plane into whichever backend
-	// supports them (dangsan, xtag, camp).
+	// bench.Options wires the budget and plane into every backend but the
+	// baseline.
 	det, err := bench.Options{MaxMetadataBytes: *maxMetadataBytes}.
 		NewDetector(bench.Kind(*detector), plane)
 	check(err)

@@ -7,16 +7,14 @@
 // Usage:
 //
 //	dangsan-serve [-shards 4] [-clients 8] [-requests 2000] [-seed 1]
-//	              [-transport chan|unix|tcp] [-worker-bin path]
+//	              [-transport chan|unix]
 //	              [-kill-rate 0] [-hang-rate 0] [-slow-rate 0] [-sigkill-rate 0]
-//	              [-heap-bytes N] [-audit] [-cold-spill-bytes N]
-//	              [-quarantine-bytes N] [-metrics out.json]
+//	              [-audit] [-cold-spill-bytes N] [-metrics out.json]
 //
 // -transport selects where the workers live: "chan" (the default) keeps
-// them as in-process goroutines; "unix" and "tcp" spawn one OS process
-// per shard, reached over the wire codec (unix sockets or loopback TCP).
-// Wire workers are spawned by re-execing this binary (or -worker-bin,
-// e.g. a dangsan-worker build) and are supervised exactly like in-process
+// them as in-process goroutines; "unix" spawns one OS process per shard,
+// reached over the wire codec on a unix socket. Wire workers are spawned
+// by re-execing this binary and are supervised exactly like in-process
 // ones: heartbeats, breakers, and failover with journal replay work
 // unchanged across the process boundary.
 //
@@ -53,30 +51,24 @@ func main() {
 	clients := flag.Int("clients", 8, "concurrent load-generator clients")
 	requests := flag.Int("requests", 2000, "operations per client")
 	seed := flag.Int64("seed", 1, "load and disruption seed")
-	transport := flag.String("transport", service.TransportChan, "worker transport: chan (in-process), unix, or tcp (worker processes)")
-	workerBin := flag.String("worker-bin", "", "binary to spawn as wire workers (default: re-exec this binary)")
+	transport := flag.String("transport", service.TransportChan, "worker transport: chan|unix (in-process goroutines | worker processes)")
 	killRate := flag.Float64("kill-rate", 0, "per-tick probability of killing a random shard's worker")
 	hangRate := flag.Float64("hang-rate", 0, "per-tick probability of hanging a random shard's worker")
 	slowRate := flag.Float64("slow-rate", 0, "per-tick probability of slowing a random shard's worker")
 	sigkillRate := flag.Float64("sigkill-rate", 0, "per-tick probability of SIGKILLing a random shard's worker process")
-	heapBytes := flag.Uint64("heap-bytes", 0, "per-worker heap size (0: default)")
 	audit := flag.Bool("audit", false, "enable log-byte accounting cross-checks on every worker")
 	coldSpill := flag.Uint64("cold-spill-bytes", 0, "tiered-log spill threshold per worker (0: off)")
-	quarBytes := flag.Uint64("quarantine-bytes", 0, "epoch-quarantine byte budget per worker (0: inline frees)")
 	metricsFile := flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit (\"-\" for stdout)")
 	flag.Parse()
 
 	reg := obs.NewRegistry()
 	cfg := service.Config{
-		Shards:          *shards,
-		HeapBytes:       *heapBytes,
-		Audit:           *audit,
-		QuarantineBytes: *quarBytes,
-		ColdSpillBytes:  *coldSpill,
-		Seed:            uint64(*seed),
-		Transport:       *transport,
-		WorkerCommand:   *workerBin,
-		Metrics:         reg,
+		Shards:         *shards,
+		Audit:          *audit,
+		ColdSpillBytes: *coldSpill,
+		Seed:           uint64(*seed),
+		Transport:      *transport,
+		Metrics:        reg,
 	}
 	if *coldSpill > 0 {
 		dir, err := os.MkdirTemp("", "dangsan-serve")

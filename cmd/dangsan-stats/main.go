@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	dangsan-stats [-scale 1.0] [-seed 1] [-compare] [-quarantine-bytes N]
-//	              [-cold-spill-bytes N] <benchmark>
+//	dangsan-stats [-scale 1.0] [-seed 1] [-compare] <benchmark>
 //	dangsan-stats metrics <snapshot.json|->
 //	dangsan-stats service <snapshot.json|->
 //
@@ -14,11 +13,6 @@
 // the supervision gauges of a `dangsan-serve -metrics` snapshot — request
 // and degraded counters, failover and replay totals, and a per-shard
 // table of heartbeat age, breaker state, and failovers.
-// With -quarantine-bytes the
-// run uses deferred (epoch-quarantine) frees and additionally reports the
-// epoch depth and drain batch width. With -cold-spill-bytes the run uses
-// tiered pointer logs and additionally reports the spill traffic and the
-// cold tier's disk footprint.
 package main
 
 import (
@@ -30,7 +24,6 @@ import (
 	"dangsan/internal/detectors/dangnull"
 	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/obs"
-	"dangsan/internal/pointerlog"
 	"dangsan/internal/proc"
 	"dangsan/internal/workloads"
 )
@@ -39,9 +32,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	seed := flag.Int64("seed", 1, "workload random seed")
 	compare := flag.Bool("compare", false, "also run DangNULL for coverage comparison")
-	quarBytes := flag.Uint64("quarantine-bytes", 0, "epoch-quarantine byte budget; 0 keeps inline frees")
-	quarEpoch := flag.Int("quarantine-epoch", 0, "quarantine drain batch width (0: default)")
-	coldSpill := flag.Uint64("cold-spill-bytes", 0, "tiered-log spill threshold; 0 keeps logs fully resident")
 	flag.Parse()
 	if flag.NArg() == 2 && flag.Arg(0) == "metrics" {
 		printMetrics(flag.Arg(1))
@@ -71,23 +61,11 @@ func main() {
 		prof.ComputeOps = scaleInt(prof.ComputeOps, *scale)
 		prof.LiveWindow = scaleInt(prof.LiveWindow, *scale)
 
-		var reg *obs.Registry
-		var d *dangsan.Detector
-		if *quarBytes > 0 || *coldSpill > 0 {
-			cfg := pointerlog.DefaultConfig()
-			cfg.QuarantineBytes = *quarBytes
-			cfg.QuarantineEpoch = *quarEpoch
-			cfg.ColdSpillBytes = *coldSpill
-			reg = obs.NewRegistry()
-			d = dangsan.NewWithOptions(dangsan.Options{Config: cfg, Metrics: reg})
-		} else {
-			d = dangsan.New()
-		}
+		d := dangsan.New()
 		p := proc.New(d)
 		check(workloads.RunSPEC(p, prof, *seed))
 		p.Quiesce()
 		s := d.Stats()
-		cold := d.Logger().ColdLogStats()
 		d.Close()
 		fmt.Printf("%s\n", prof.Name)
 		fmt.Printf("  objects tracked:  %d\n", s.ObjectsTracked)
@@ -98,21 +76,6 @@ func main() {
 		fmt.Printf("  duplicates:       %d\n", s.Duplicates)
 		fmt.Printf("  compressed:       %d\n", s.Compressed)
 		fmt.Printf("  log bytes:        %d\n", s.LogBytes)
-		if *quarBytes > 0 && reg != nil {
-			snap := reg.Snapshot()
-			batch := snap.Histograms["dangsan.quarantine_batch_objects"]
-			fmt.Printf("  quarantine epochs: %d\n", snap.Gauges["dangsan.quarantine_epochs"])
-			fmt.Printf("  drain batch mean:  %.1f objects\n", batch.Mean())
-			fmt.Printf("  overflow drains:   %d\n", snap.Counters["dangsan.quarantine_overflow_drains"])
-		}
-		if *coldSpill > 0 {
-			fmt.Printf("  log bytes live:   %d\n", s.LogBytesLive)
-			fmt.Printf("  spilled bytes:    %d (%d spills, %d failures)\n",
-				s.LogBytesSpilled, s.Spills, s.SpillFailures)
-			fmt.Printf("  cold segments:    %d (%d disk bytes, %d compactions)\n",
-				cold.Segments, cold.DiskBytes, cold.Compactions)
-			fmt.Printf("  cold read errors: %d\n", s.ColdReadErrors)
-		}
 
 		if *compare {
 			dn := dangnull.New()

@@ -17,11 +17,7 @@ import (
 	"time"
 
 	"dangsan/internal/detectors"
-	"dangsan/internal/detectors/camp"
-	"dangsan/internal/detectors/dangnull"
 	"dangsan/internal/detectors/dangsan"
-	"dangsan/internal/detectors/freesentry"
-	"dangsan/internal/detectors/xtag"
 	"dangsan/internal/faultinject"
 	"dangsan/internal/obs"
 	"dangsan/internal/pointerlog"
@@ -52,26 +48,6 @@ func AllKinds() []Kind { return []Kind{Baseline, DangSan, DangNULL, FreeSentry} 
 // checked-dereference backends (xtag pointer tagging, camp range checks).
 func FiveWayKinds() []Kind {
 	return []Kind{Baseline, DangSan, DangNULL, FreeSentry, XTag, CAMP}
-}
-
-// NewDetector builds a fresh detector of the given kind.
-func NewDetector(kind Kind) (detectors.Detector, error) {
-	switch kind {
-	case Baseline:
-		return detectors.None{}, nil
-	case DangSan:
-		return dangsan.New(), nil
-	case DangNULL:
-		return dangnull.New(), nil
-	case FreeSentry:
-		return freesentry.New(), nil
-	case XTag:
-		return xtag.New(), nil
-	case CAMP:
-		return camp.New(), nil
-	default:
-		return nil, fmt.Errorf("bench: unknown detector %q", kind)
-	}
 }
 
 // Measurement is one timed run.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dangsan/internal/detectors"
+	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/faultinject"
 	"dangsan/internal/obs"
 	"dangsan/internal/proc"
@@ -48,7 +49,7 @@ func smokeResult(t *testing.T, name string) *Result {
 
 func TestNewDetectorKinds(t *testing.T) {
 	for _, k := range FiveWayKinds() {
-		d, err := NewDetector(k)
+		d, err := Options{}.NewDetector(k, nil)
 		if err != nil || d == nil {
 			t.Fatalf("%s: %v", k, err)
 		}
@@ -56,7 +57,7 @@ func TestNewDetectorKinds(t *testing.T) {
 			t.Errorf("detector name %q != kind %q", d.Name(), k)
 		}
 	}
-	if _, err := NewDetector("bogus"); err == nil {
+	if _, err := (Options{}).NewDetector("bogus", nil); err == nil {
 		t.Fatal("bogus kind accepted")
 	}
 	// The figure experiments stay pinned to the paper's four systems; the
@@ -65,6 +66,36 @@ func TestNewDetectorKinds(t *testing.T) {
 		if FiveWayKinds()[i] != k {
 			t.Fatalf("FiveWayKinds()[%d] = %s, want %s", i, FiveWayKinds()[i], k)
 		}
+	}
+}
+
+// Every backend the factory builds is held to the options' metadata budget:
+// with a cap a handful of objects exceeds, a few mallocs leave some of them
+// untracked (degraded) instead of growing metadata past it.
+func TestNewDetectorHonorsBudget(t *testing.T) {
+	for _, k := range FiveWayKinds()[1:] {
+		t.Run(string(k), func(t *testing.T) {
+			det, err := Options{MaxMetadataBytes: 1}.NewDetector(k, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := proc.New(det).NewThread()
+			for i := 0; i < 8; i++ {
+				if _, err := th.Malloc(64); err != nil {
+					t.Fatalf("malloc %d: %v", i, err)
+				}
+			}
+			var degraded uint64
+			switch d := det.(type) {
+			case *dangsan.Detector:
+				degraded = d.Stats().DegradedObjects
+			case interface{ Degraded() (uint64, uint64) }:
+				degraded, _ = d.Degraded()
+			}
+			if degraded == 0 {
+				t.Fatalf("%s ran 8 mallocs under a 1-byte metadata cap with nothing degraded", k)
+			}
+		})
 	}
 }
 

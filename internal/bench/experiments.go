@@ -8,6 +8,7 @@ import (
 	"dangsan/internal/detectors/camp"
 	"dangsan/internal/detectors/dangnull"
 	"dangsan/internal/detectors/dangsan"
+	"dangsan/internal/detectors/freesentry"
 	"dangsan/internal/detectors/xtag"
 	"dangsan/internal/faultinject"
 	"dangsan/internal/obs"
@@ -42,10 +43,10 @@ type Options struct {
 	// FaultBudget bounds injections per site per run so pressure stays
 	// transient (0: the default 256; negative: unlimited).
 	FaultBudget int64
-	// MaxMetadataBytes caps the detector's metadata footprint (DangSan's
-	// pointer log; xtag/camp object tracking); objects allocated past the
-	// cap go untracked (degraded mode) instead of growing metadata without
-	// bound. 0 means unlimited.
+	// MaxMetadataBytes caps every detector's metadata footprint (DangSan's
+	// pointer log; the other backends' object tracking); objects allocated
+	// past the cap go untracked (degraded mode) instead of growing metadata
+	// without bound. 0 means unlimited.
 	MaxMetadataBytes uint64
 	// HeapBytes shrinks each measured process's simulated heap (0: the
 	// full 64 GiB layout) so allocator pressure is reachable.
@@ -72,28 +73,29 @@ func (o Options) NewPlane() *faultinject.Plane {
 	return p
 }
 
-// NewDetector builds a detector of the given kind honoring the options:
-// DangSan detectors get audit mode, the metadata budget, the fault plane,
-// and the metrics registry wired in; the checked-dereference backends get
-// the metadata budget and the fault plane. plane may be nil.
+// NewDetector builds a fresh detector of the given kind honoring the
+// options: every backend gets the metadata budget and the fault plane (nil:
+// no injection); DangSan additionally gets audit mode and the metrics
+// registry.
 func (o Options) NewDetector(kind Kind, plane *faultinject.Plane) (detectors.Detector, error) {
-	if kind == XTag && (plane != nil || o.MaxMetadataBytes > 0) {
-		return xtag.NewWithOptions(xtag.Options{MaxMetadataBytes: o.MaxMetadataBytes, Faults: plane}), nil
-	}
-	if kind == CAMP && (plane != nil || o.MaxMetadataBytes > 0) {
-		return camp.NewWithOptions(camp.Options{MaxMetadataBytes: o.MaxMetadataBytes, Faults: plane}), nil
-	}
-	if kind == DangSan && (o.Audit || o.Metrics != nil || plane != nil || o.MaxMetadataBytes > 0) {
+	budget := detectors.BudgetOptions{MaxMetadataBytes: o.MaxMetadataBytes, Faults: plane}
+	switch kind {
+	case Baseline:
+		return detectors.None{}, nil
+	case DangSan:
 		cfg := pointerlog.DefaultConfig()
 		cfg.MaxMetadataBytes = o.MaxMetadataBytes
-		return dangsan.NewWithOptions(dangsan.Options{
-			Config:  cfg,
-			Audit:   o.Audit,
-			Metrics: o.Metrics,
-			Faults:  plane,
-		}), nil
+		return dangsan.NewWithOptions(dangsan.Options{Config: cfg, Audit: o.Audit, Metrics: o.Metrics, Faults: plane}), nil
+	case DangNULL:
+		return dangnull.NewWithOptions(budget), nil
+	case FreeSentry:
+		return freesentry.NewWithOptions(budget), nil
+	case XTag:
+		return xtag.NewWithOptions(budget), nil
+	case CAMP:
+		return camp.NewWithOptions(budget), nil
 	}
-	return NewDetector(kind)
+	return nil, fmt.Errorf("bench: unknown detector %q", kind)
 }
 
 // ScaleSPEC shrinks or grows a SPEC analog by s, keeping every dimension

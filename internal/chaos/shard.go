@@ -31,7 +31,7 @@ type ShardConfig struct {
 	// Timeout is the per-cell watchdog (0: 120s).
 	Timeout time.Duration
 	// Transport selects where workers live ("" / "chan": in-process
-	// goroutines; "unix" / "tcp": spawned worker processes over the wire
+	// goroutines; "unix": spawned worker processes over the wire
 	// codec). Wire cells extend the disruption script with sigkill (real
 	// SIGKILL of the worker process) and the network stages — partition,
 	// trickle, garbage — that break the wire rather than the worker.

@@ -34,7 +34,11 @@
 //     memory state must still be exact — the interpreter quiesces the
 //     quarantine before the run result is read. Audit mode is always on, so
 //     the log-byte accounting identity (extended with the quarantined term)
-//     is cross-checked at every free.
+//     is cross-checked at every free. Two more cells run the paper's
+//     default config with one of the process's extensions on — secure
+//     deallocation (zero-on-free) or the §7 memcpy hook — under the same
+//     exact oracle: irgen zeroes pointer fields before a realloc, so the
+//     hook may not add a single invalidation.
 //
 // Mutation mode (CheckMutation) generates the same program with one injected
 // dangling dereference and asserts every detector traps on it (no false
@@ -121,7 +125,18 @@ type Spec struct {
 	Mode Mode
 	Det  DetKind
 	Cfg  pointerlog.Config // dangsan only
+	ext  procExt           // dangsan only
 }
+
+// procExt names a process extension a cell turns on before the program
+// runs.
+type procExt int
+
+const (
+	extNone procExt = iota
+	extZeroOnFree
+	extMemcpyHook
+)
 
 // Name renders a stable human-readable cell label for divergence reports.
 func (s Spec) Name() string {
@@ -144,8 +159,9 @@ func (s Spec) Name() string {
 	if s.Cfg.ColdSpillBytes > 0 {
 		spill = fmt.Sprintf(",spill=%dB", s.Cfg.ColdSpillBytes)
 	}
-	return fmt.Sprintf("%s/dangsan[lb=%d,comp=%s,hash=%s%s%s]",
-		s.Mode, s.Cfg.Lookback, comp, hash, quar, spill)
+	ext := [...]string{extZeroOnFree: ",zero-on-free", extMemcpyHook: ",memcpy-hook"}[s.ext]
+	return fmt.Sprintf("%s/dangsan[lb=%d,comp=%s,hash=%s%s%s%s]",
+		s.Mode, s.Cfg.Lookback, comp, hash, quar, spill, ext)
 }
 
 // DangSanConfigs enumerates the pointer-log configurations the sweep
@@ -224,6 +240,9 @@ func Specs(multithreaded bool) []Spec {
 			Spec{Mode: ModeInstr, Det: DetDangSan, Cfg: cfg},
 			Spec{Mode: ModeInstrOpt, Det: DetDangSan, Cfg: cfg})
 	}
+	specs = append(specs,
+		Spec{Mode: ModeInstr, Det: DetDangSan, Cfg: pointerlog.DefaultConfig(), ext: extZeroOnFree},
+		Spec{Mode: ModeInstr, Det: DetDangSan, Cfg: pointerlog.DefaultConfig(), ext: extMemcpyHook})
 	specs = append(specs,
 		Spec{Mode: ModeInstr, Det: DetDangNull},
 		Spec{Mode: ModeInstrOpt, Det: DetDangNull})
@@ -314,6 +333,14 @@ func run(prog *irgen.Program, sp Spec) (*execution, error) {
 	}
 	var buf bytes.Buffer
 	ex.rt = interp.New(m, det, interp.Options{Output: &buf})
+	switch sp.ext {
+	case extZeroOnFree:
+		ex.rt.Process().EnableZeroOnFree()
+	case extMemcpyHook:
+		if !ex.rt.Process().EnableMemcpyHook() {
+			return nil, fmt.Errorf("memcpy hook unavailable under %s", sp.Det)
+		}
+	}
 	res, err := ex.rt.Run()
 	if err != nil {
 		return nil, fmt.Errorf("run: %w", err)

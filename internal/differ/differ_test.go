@@ -48,19 +48,21 @@ func TestDifferMatrix(t *testing.T) {
 
 // TestMatrixShape pins the matrix dimensions so a silently shrunken sweep
 // cannot pass as a full one: 16 dangsan configs (incl. 2 quarantine cells
-// and 2 tiered cells) × 2 instrumented modes, 3 baseline cells, 2 dangnull
+// and 2 tiered cells) × 2 instrumented modes, 2 dangsan cells with a process
+// extension (zero-on-free, memcpy hook), 3 baseline cells, 2 dangnull
 // cells, 2 xtag cells, 2 camp cells, and 2 freesentry cells that must
 // disappear exactly when the program is multi-threaded.
 func TestMatrixShape(t *testing.T) {
 	if n := len(DangSanConfigs()); n != 16 {
 		t.Fatalf("dangsan configs = %d, want 16", n)
 	}
-	if n := len(Specs(false)); n != 3+32+2+2+2+2 {
-		t.Fatalf("single-threaded specs = %d, want 43", n)
+	if n := len(Specs(false)); n != 3+32+2+2+2+2+2 {
+		t.Fatalf("single-threaded specs = %d, want 45", n)
 	}
-	if n := len(Specs(true)); n != 3+32+2+2+2 {
-		t.Fatalf("multi-threaded specs = %d, want 41", n)
+	if n := len(Specs(true)); n != 3+32+2+2+2+2 {
+		t.Fatalf("multi-threaded specs = %d, want 43", n)
 	}
+	exts := map[procExt]int{}
 	for _, sp := range Specs(true) {
 		if sp.Det == DetFreeSentry {
 			t.Fatalf("freesentry cell %s in a multi-threaded matrix", sp.Name())
@@ -68,6 +70,38 @@ func TestMatrixShape(t *testing.T) {
 		if sp.Mode == ModeRef && sp.Det != DetNone {
 			t.Fatalf("uninstrumented cell %s with a detector", sp.Name())
 		}
+		exts[sp.ext]++
+	}
+	if exts[extZeroOnFree] != 1 || exts[extMemcpyHook] != 1 {
+		t.Fatalf("extension cells %v, want one zero-on-free and one memcpy-hook", exts)
+	}
+}
+
+// TestZeroOnFreeConforms: secure deallocation layered on dangsan keeps every
+// oracle clause exact — zeroing follows the free's invalidation, and no cell
+// the oracle reads lives in freed memory.
+func TestZeroOnFreeConforms(t *testing.T) { checkExtension(t, extZeroOnFree) }
+
+// TestMemcpyHookConforms: the §7 memcpy hook keeps every oracle clause exact,
+// invalidation counts included — irgen zeroes pointer fields before a
+// realloc, so a move copies no pointer for the hook to re-register.
+func TestMemcpyHookConforms(t *testing.T) { checkExtension(t, extMemcpyHook) }
+
+// checkExtension runs one extension cell over the first 30 seeds, which
+// cover zero, one and two extra threads (a zero-on-free that wipes 16 bytes
+// past the object first shows at seed 11).
+func checkExtension(t *testing.T, ext procExt) {
+	sp := Spec{Mode: ModeInstr, Det: DetDangSan, Cfg: pointerlog.DefaultConfig(), ext: ext}
+	threaded := false
+	for seed := int64(0); seed < 30; seed++ {
+		prog := irgen.Generate(seed, seedConfig(seed))
+		threaded = threaded || prog.Multithreaded
+		for _, msg := range checkCell(prog, sp) {
+			t.Errorf("seed %d [%s]: %s", seed, sp.Name(), msg)
+		}
+	}
+	if !threaded {
+		t.Fatal("no threaded program among the seeds")
 	}
 }
 

@@ -56,7 +56,9 @@ func CheckMutation(seed int64, cfg irgen.Config) MutationResult {
 func MutationSpecs(multithreaded bool) []Spec {
 	var out []Spec
 	for _, sp := range Specs(multithreaded) {
-		if sp.Det == DetDangSan && sp.Cfg != pointerlog.DefaultConfig() {
+		// One dangsan cell per mode: the injected bug is caught by the
+		// invalidation every config and extension shares.
+		if sp.Det == DetDangSan && (sp.Cfg != pointerlog.DefaultConfig() || sp.ext != extNone) {
 			continue
 		}
 		out = append(out, sp)

@@ -125,9 +125,8 @@ func BenchmarkInvalidateLargeLog(b *testing.B) {
 func BenchmarkInvalidateLargeLogWorkers4(b *testing.B) {
 	as := vmem.New()
 	as.Heap().MapPages(vmem.HeapBase, 16)
-	cfg := DefaultConfig()
-	cfg.InvalidateWorkers = 4
-	lg := NewLogger(cfg)
+	lg := NewLogger(DefaultConfig())
+	lg.walkers = 4
 	meta, _ := lg.MustCreateMeta(vmem.HeapBase, 4096)
 	locs := make([]uint64, 1<<16)
 	for i := range locs {

@@ -247,10 +247,8 @@ func TestColdSpillInvalidateExact(t *testing.T) {
 func TestColdSpillParallelMatchesSerial(t *testing.T) {
 	const nLocs = 3000
 	run := func(workers int) (Snapshot, []uint64) {
-		cfg := tieredConfig(t)
-		cfg.InvalidateWorkers = workers
-		cfg.ParallelInvalidateMin = 1
-		lg, as, meta, _, locs := fillTiered(t, cfg, nLocs)
+		lg, as, meta, _, locs := fillTiered(t, tieredConfig(t), nLocs)
+		withWalkers(lg, workers)
 		for i := 0; i < len(locs); i += 5 {
 			as.StoreWord(locs[i], 7)
 		}
@@ -539,11 +537,9 @@ func TestColdMapFaultFailOpen(t *testing.T) {
 func TestColdGrowthAndCompactionUnderReaders(t *testing.T) {
 	cfg := tieredConfig(t)
 	cfg.Audit = false // the identity is exact only single-threaded
-	cfg.InvalidateWorkers = 4
-	cfg.ParallelInvalidateMin = 1
 	as := vmem.New()
 	as.Heap().MapPages(vmem.HeapBase, 16)
-	lg := NewLogger(cfg)
+	lg := withWalkers(NewLogger(cfg), 4)
 	defer lg.Close()
 
 	next := uint64(0) // slot allocator: every object logs its own slots

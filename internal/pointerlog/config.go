@@ -22,11 +22,6 @@
 //     cannot catch.
 package pointerlog
 
-import (
-	"math"
-	"runtime"
-)
-
 // DefaultLookback is the paper's chosen lookback window: "we have chosen to
 // use a lookback size of four" — performance is flat between one and four
 // and degrades beyond.
@@ -40,16 +35,16 @@ const DefaultMaxLogEntries = 128
 // MaxLookback bounds the configurable lookback window.
 const MaxLookback = 64
 
-// DefaultParallelInvalidateMin is the estimated log-entry count (inline
-// entries plus hash-table capacity) above which Invalidate fans the walk
-// out over worker goroutines. Thread-log inline storage is bounded by
-// MaxLogEntries, so in the default configuration only objects that
-// overflowed into the hash fallback — or are shared by very many
-// threads — cross it.
-const DefaultParallelInvalidateMin = 4096
+// parallelInvalidateMin is the estimated log-entry count (inline entries
+// plus hash-table capacity) above which Invalidate fans the walk out over
+// worker goroutines. Thread-log inline storage is bounded by MaxLogEntries,
+// so in the default configuration only objects that overflowed into the
+// hash fallback — or are shared by very many threads — cross it.
+const parallelInvalidateMin = 4096
 
-// MaxInvalidateWorkers caps the free-time worker pool.
-const MaxInvalidateWorkers = 8
+// maxWalkers caps the free-time worker pool, which is otherwise
+// GOMAXPROCS wide.
+const maxWalkers = 8
 
 // DefaultQuarantineEpoch is the number of deferred frees drained per epoch
 // batch when quarantine mode is on and no explicit epoch is configured.
@@ -88,14 +83,6 @@ type Config struct {
 	// Compression enables packing up to three nearby locations into one
 	// log entry.
 	Compression bool
-	// InvalidateWorkers bounds the goroutines walking one object's logs
-	// at free time. 0 picks min(GOMAXPROCS, MaxInvalidateWorkers); 1
-	// forces the serial walk.
-	InvalidateWorkers int
-	// ParallelInvalidateMin is the estimated entry count above which the
-	// free-time walk is parallelized. 0 picks
-	// DefaultParallelInvalidateMin; negative disables parallel walks.
-	ParallelInvalidateMin int
 	// Audit enables the accounting cross-check: at every release (and on
 	// demand via AuditCheck) the logger re-measures the live log footprint
 	// by walking the structures and requires it to match the incremental
@@ -157,18 +144,6 @@ func (c Config) validated() Config {
 	}
 	if c.MaxLogEntries < embedEntries {
 		c.MaxLogEntries = embedEntries
-	}
-	if c.InvalidateWorkers <= 0 {
-		c.InvalidateWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.InvalidateWorkers > MaxInvalidateWorkers {
-		c.InvalidateWorkers = MaxInvalidateWorkers
-	}
-	switch {
-	case c.ParallelInvalidateMin == 0:
-		c.ParallelInvalidateMin = DefaultParallelInvalidateMin
-	case c.ParallelInvalidateMin < 0:
-		c.ParallelInvalidateMin = math.MaxInt
 	}
 	if c.QuarantineBytes > 0 {
 		if c.QuarantineEpoch <= 0 {

@@ -80,7 +80,7 @@ const hashSlotsPerUnit = 1 << 13
 //
 // Objects whose logs are large (the hash-table-fallback regime, or wide
 // fan-in across many thread logs) are walked by a bounded pool of worker
-// goroutines (Config.InvalidateWorkers, Config.ParallelInvalidateMin).
+// goroutines (see Logger.walkers).
 // Parallel walks preserve the CAS contract: two workers hitting the same
 // location (recorded by two threads) interleave exactly like two serial
 // visits — the loser of the CAS re-reads and classifies the value as
@@ -103,8 +103,8 @@ func (lg *Logger) Invalidate(meta *ObjectMeta, mem Memory) {
 
 	est := meta.walkEstimate()
 
-	workers := lg.cfg.InvalidateWorkers
-	if workers <= 1 || est < lg.cfg.ParallelInvalidateMin {
+	workers := lg.walkers
+	if workers <= 1 || est < lg.parallelMin {
 		var c invalCounts
 		visit := func(loc uint64) {
 			lg.invalidateLocation(loc, base, end, mem, &c)

@@ -88,8 +88,8 @@ func (lg *Logger) InvalidateMany(metas []*ObjectMeta, mem Memory) {
 	tid := int32(ranges[0].lo >> 12)
 	sh := lg.stats.shard(tid)
 
-	workers := lg.cfg.InvalidateWorkers
-	if workers <= 1 || est < lg.cfg.ParallelInvalidateMin {
+	workers := lg.walkers
+	if workers <= 1 || est < lg.parallelMin {
 		// Serial drain: dedupe locations across the batch so each unique
 		// slot is loaded once no matter how many dying objects logged it.
 		var c invalCounts

@@ -7,11 +7,12 @@ import (
 )
 
 // setupMany builds n one-page objects with locsPer disjoint live locations
-// each, overwriting every third location so the stale path runs too.
-func setupMany(cfg Config, n, locsPer int) (*Logger, *vmem.AddressSpace, []*ObjectMeta, []uint64) {
+// each, overwriting every third location so the stale path runs too; the
+// logger walks on workers goroutines.
+func setupMany(workers, n, locsPer int) (*Logger, *vmem.AddressSpace, []*ObjectMeta, []uint64) {
 	as := vmem.New()
 	as.Heap().MapPages(vmem.HeapBase, n)
-	lg := NewLogger(cfg)
+	lg := withWalkers(NewLogger(DefaultConfig()), workers)
 	metas := make([]*ObjectMeta, n)
 	var locs []uint64
 	for i := range metas {
@@ -35,7 +36,7 @@ func setupMany(cfg Config, n, locsPer int) (*Logger, *vmem.AddressSpace, []*Obje
 func TestInvalidateManyMatchesSerialLoop(t *testing.T) {
 	const n, locsPer = 8, 200
 	run := func(batch bool) (Snapshot, []uint64) {
-		lg, as, metas, locs := setupMany(invalConfig(1), n, locsPer)
+		lg, as, metas, locs := setupMany(1, n, locsPer)
 		if batch {
 			lg.InvalidateMany(metas, as)
 		} else {
@@ -69,7 +70,7 @@ func TestInvalidateManyMatchesSerialLoop(t *testing.T) {
 func TestInvalidateManyParallelMatchesSerial(t *testing.T) {
 	const n, locsPer = 8, 400
 	run := func(workers int) (Snapshot, []uint64) {
-		lg, as, metas, locs := setupMany(invalConfig(workers), n, locsPer)
+		lg, as, metas, locs := setupMany(workers, n, locsPer)
 		lg.InvalidateMany(metas, as)
 		words := make([]uint64, len(locs))
 		for i, loc := range locs {
@@ -96,7 +97,7 @@ func TestInvalidateManyParallelMatchesSerial(t *testing.T) {
 func TestInvalidateManySharedLocation(t *testing.T) {
 	as := vmem.New()
 	as.Heap().MapPages(vmem.HeapBase, 2)
-	lg := NewLogger(invalConfig(1))
+	lg := withWalkers(NewLogger(DefaultConfig()), 1)
 	a, _ := lg.MustCreateMeta(vmem.HeapBase, vmem.PageSize)
 	b, _ := lg.MustCreateMeta(vmem.HeapBase+vmem.PageSize, vmem.PageSize)
 	loc := uint64(vmem.GlobalsBase + 8)

@@ -7,13 +7,11 @@ import (
 	"dangsan/internal/vmem"
 )
 
-// invalConfig returns the default config with an explicit invalidation
-// worker count and a threshold low enough that every walk qualifies.
-func invalConfig(workers int) Config {
-	cfg := DefaultConfig()
-	cfg.InvalidateWorkers = workers
-	cfg.ParallelInvalidateMin = 1
-	return cfg
+// withWalkers forces lg's free-time walks onto exactly workers goroutines
+// (1: the serial walk), whatever an object's log size.
+func withWalkers(lg *Logger, workers int) *Logger {
+	lg.walkers, lg.parallelMin = workers, 1
+	return lg
 }
 
 // fillObject registers nLocs distinct live locations spread over nTids
@@ -45,7 +43,7 @@ func TestParallelInvalidateMatchesSerial(t *testing.T) {
 			run := func(workers int) (Snapshot, []uint64) {
 				as := vmem.New()
 				as.Heap().MapPages(vmem.HeapBase, 4)
-				lg := NewLogger(invalConfig(workers))
+				lg := withWalkers(NewLogger(DefaultConfig()), workers)
 				meta, _ := lg.MustCreateMeta(vmem.HeapBase, 4096)
 				locs := fillObject(lg, as, meta, nLocs, tc.nTids)
 				// Overwrite a deterministic subset so the stale path runs.
@@ -83,7 +81,7 @@ func TestParallelInvalidateMatchesSerial(t *testing.T) {
 func TestParallelInvalidateConcurrentStores(t *testing.T) {
 	as := vmem.New()
 	as.Heap().MapPages(vmem.HeapBase, 4)
-	lg := NewLogger(invalConfig(4))
+	lg := withWalkers(NewLogger(DefaultConfig()), 4)
 	meta, _ := lg.MustCreateMeta(vmem.HeapBase, 4096)
 	locs := fillObject(lg, as, meta, 20000, 2)
 
@@ -167,7 +165,7 @@ func TestThreadLogBytesExactUnderContention(t *testing.T) {
 func TestParallelInvalidateFewUnits(t *testing.T) {
 	as := vmem.New()
 	as.Heap().MapPages(vmem.HeapBase, 1)
-	lg := NewLogger(invalConfig(8))
+	lg := withWalkers(NewLogger(DefaultConfig()), 8)
 	meta, _ := lg.MustCreateMeta(vmem.HeapBase, 64)
 	loc := uint64(vmem.GlobalsBase + 8)
 	as.StoreWord(loc, vmem.HeapBase+8)

@@ -2,6 +2,7 @@ package pointerlog
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,8 +89,13 @@ func (meta *ObjectMeta) SetSize(n uint64) { meta.size.Store(n) }
 
 // Logger owns the pointer-log state for one simulated process.
 type Logger struct {
-	cfg   Config
-	stats Stats
+	cfg Config
+	// walkers bounds the goroutines walking one free's logs
+	// (min(GOMAXPROCS, maxWalkers)); a walk fans out only past
+	// parallelMin estimated entries (parallelInvalidateMin). Tests in this
+	// package lower both to force the fan-out.
+	walkers, parallelMin int
+	stats                Stats
 
 	// gen is the cache-invalidation generation for per-thread store fast
 	// paths (detectors caching a {meta, ThreadLog} pair): it is bumped
@@ -157,8 +163,10 @@ type metaSlab [metaSlabSize]ObjectMeta
 // NewLogger creates a Logger with the given configuration.
 func NewLogger(cfg Config) *Logger {
 	lg := &Logger{
-		cfg:   cfg.validated(),
-		slabs: make([]atomic.Pointer[metaSlab], maxMetaSlabs),
+		cfg:         cfg.validated(),
+		walkers:     min(runtime.GOMAXPROCS(0), maxWalkers),
+		parallelMin: parallelInvalidateMin,
+		slabs:       make([]atomic.Pointer[metaSlab], maxMetaSlabs),
 	}
 	if lg.cfg.Audit {
 		lg.auditLive = make(map[uint64]struct{})

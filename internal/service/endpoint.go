@@ -15,32 +15,7 @@ const (
 	// TransportUnix runs each shard worker as its own OS process reached
 	// over a unix-domain socket.
 	TransportUnix = "unix"
-	// TransportTCP runs each shard worker as its own OS process reached
-	// over loopback TCP.
-	TransportTCP = "tcp"
 )
-
-// validTransport reports whether name names a known transport ("" means
-// the in-process default).
-func validTransport(name string) bool {
-	switch name {
-	case "", TransportChan, TransportUnix, TransportTCP:
-		return true
-	}
-	return false
-}
-
-// wireNetwork maps a transport name onto its net-package network name, or
-// "" for the in-process transport.
-func wireNetwork(name string) string {
-	switch name {
-	case TransportUnix:
-		return "unix"
-	case TransportTCP:
-		return "tcp"
-	}
-	return ""
-}
 
 // endpoint is the coordinator's handle on one shard worker, abstracting
 // over where the worker lives: in this process, run under its turn lock on

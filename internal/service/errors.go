@@ -16,8 +16,8 @@
 // restart.
 //
 // Workers live behind a Transport: the default keeps them as goroutines in
-// this process reached over channels; the "unix" and "tcp" transports run
-// each worker as its own OS process reached over the wire codec in the
+// this process reached over channels; the "unix" transport runs each
+// worker as its own OS process reached over the wire codec in the
 // transport subpackage, so a worker can be killed with SIGKILL, respawned,
 // and rebuilt without the coordinator's address space ever being at risk.
 // The supervision machinery is transport-blind — the same heartbeats,

@@ -26,7 +26,7 @@ import (
 //	               (direct while callers <= GOMAXPROCS, polled beyond)
 func BenchmarkWireLadder(b *testing.B) {
 	cfg := Config{RequestTimeout: time.Second, HeartbeatInterval: time.Hour}.normalized()
-	ep, err := spawnWireWorker(cfg, "unix", 0, 0, b.TempDir(), new(transport.ExchangeCounts))
+	ep, err := spawnWireWorker(cfg, 0, 0, b.TempDir(), new(transport.ExchangeCounts))
 	if err != nil {
 		b.Fatal(err)
 	}

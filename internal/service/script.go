@@ -7,9 +7,9 @@ package service
 // sequence, every outcome recorded. Because each worker is
 // single-threaded and every mutation arrives in script order, the entire
 // verdict stream and the final per-shard detector state are functions of
-// (script, config) alone — so running the same script over the channel,
-// unix, and tcp transports must produce byte-identical outcome streams
-// and snapshots. The transport-parity conformance suite is built on this.
+// (script, config) alone — so running the same script over the channel
+// and unix transports must produce byte-identical outcome streams and
+// snapshots. The transport-parity conformance suite is built on this.
 
 // ScriptOp is one deterministic operation. Kind is one of "alloc",
 // "free", "check", "quiesce".

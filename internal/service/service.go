@@ -60,15 +60,13 @@ type Config struct {
 	FreedWindow int
 
 	// Transport selects how shard workers are reached: TransportChan ("",
-	// the default) keeps workers in this process; TransportUnix and
-	// TransportTCP run each as its own OS process reached over the wire
-	// codec in service/transport. The supervision envelope — heartbeats,
-	// breakers, retry, failover with journal replay — is identical.
+	// the default) keeps workers in this process; TransportUnix runs each
+	// as its own OS process — a re-exec of the current executable, so main
+	// (or TestMain) must call RunWorkerIfSpawned first — reached over the
+	// wire codec in service/transport. The supervision envelope —
+	// heartbeats, breakers, retry, failover with journal replay — is
+	// identical.
 	Transport string
-	// WorkerCommand is the binary spawned per wire worker. Empty: the
-	// current executable is re-exec'd, which requires main (or TestMain)
-	// to call RunWorkerIfSpawned first.
-	WorkerCommand string
 	// WorkDir hosts wire-transport sockets and per-incarnation cold-spill
 	// dirs. Empty: a service-owned temp dir under ColdDir (the system's, if
 	// that is empty too), removed on Close.
@@ -187,13 +185,13 @@ type Service struct {
 // service gauges into cfg.Metrics.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.normalized()
-	if !validTransport(cfg.Transport) {
-		return nil, fmt.Errorf("service: unknown transport %q", cfg.Transport)
+	if cfg.Transport != TransportChan && cfg.Transport != TransportUnix {
+		return nil, fmt.Errorf("service: unknown transport %q (valid: %s, %s)", cfg.Transport, TransportChan, TransportUnix)
 	}
 	s := &Service{cfg: cfg, supStop: make(chan struct{})}
 	s.rng.seed(cfg.Seed ^ 0x5eed5eed5eed5eed)
-	network := wireNetwork(cfg.Transport)
-	if s.workDir = cfg.WorkDir; s.workDir == "" && (network != "" || cfg.ColdSpillBytes > 0) {
+	wire := cfg.Transport == TransportUnix
+	if s.workDir = cfg.WorkDir; s.workDir == "" && (wire || cfg.ColdSpillBytes > 0) {
 		dir, err := os.MkdirTemp(cfg.ColdDir, "dangsan-svc-*")
 		if err != nil {
 			return nil, fmt.Errorf("service: work dir: %w", err)
@@ -208,8 +206,8 @@ func New(cfg Config) (*Service, error) {
 				return nil, fmt.Errorf("service: cold dir: %w", err)
 			}
 		}
-		if network != "" {
-			return spawnWireWorker(cfg, network, shard, incarn, s.workDir, &s.shards[shard].wire)
+		if wire {
+			return spawnWireWorker(cfg, shard, incarn, s.workDir, &s.shards[shard].wire)
 		}
 		w, err := newWorker(shard, cfg, &s.shards[shard].turn)
 		if err != nil {
@@ -253,7 +251,7 @@ func New(cfg Config) (*Service, error) {
 // Shards returns the shard count.
 func (s *Service) Shards() int { return len(s.shards) }
 
-// Transport returns the armed transport name (TransportChan/Unix/TCP).
+// Transport returns the armed transport name (TransportChan/Unix).
 func (s *Service) Transport() string { return s.cfg.Transport }
 
 // keyFor folds (tenant, key) into the routing key: FNV-1a over the tenant

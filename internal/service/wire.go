@@ -9,7 +9,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -28,8 +27,7 @@ const readyTimeout = 10 * time.Second
 // into — the worker never unlinks its spill file, so a SIGKILLed worker's
 // cold tier survives for failover to read back.
 type wireEndpoint struct {
-	network string
-	addr    string
+	addr string // the worker's socket path
 
 	cmd    *exec.Cmd
 	client *transport.Client
@@ -58,32 +56,21 @@ func replayBudget(reqTimeout time.Duration) time.Duration {
 // spawnWireWorker launches one worker process and completes the READY
 // handshake. The endpoint serves from the moment this returns; its client
 // counts its exchanges into counts, the shard's tally across incarnations.
-func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir string, counts *transport.ExchangeCounts) (endpoint, error) {
-	var addr string
-	switch network {
-	case "unix":
-		// Short name: unix socket paths have a ~108-byte limit and workDir
-		// may be deep.
-		addr = filepath.Join(workDir, fmt.Sprintf("s%d-i%d.sock", shard, incarn))
-		_ = os.Remove(addr)
-	case "tcp":
-		addr = "127.0.0.1:0"
-	default:
-		return nil, fmt.Errorf("service: unknown wire network %q", network)
-	}
-	spec := workerSpec{Shard: shard, Incarnation: incarn, Network: network, Addr: addr, Config: cfg}
+func spawnWireWorker(cfg Config, shard, incarn int, workDir string, counts *transport.ExchangeCounts) (endpoint, error) {
+	// Short name: unix socket paths have a ~108-byte limit and workDir may
+	// be deep.
+	addr := filepath.Join(workDir, fmt.Sprintf("s%d-i%d.sock", shard, incarn))
+	_ = os.Remove(addr)
+	spec := workerSpec{Shard: shard, Incarnation: incarn, Addr: addr, Config: cfg}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("service: worker spec: %w", err)
 	}
-	bin := cfg.WorkerCommand
-	if bin == "" {
-		// Re-exec: the embedding binary routes spawned copies of itself
-		// into RunWorkerIfSpawned.
-		bin, err = os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("service: resolve worker binary: %w", err)
-		}
+	// Re-exec: the embedding binary routes spawned copies of itself into
+	// RunWorkerIfSpawned.
+	bin, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("service: resolve worker binary: %w", err)
 	}
 	cmd := exec.Command(bin)
 	cmd.Env = append(os.Environ(), WorkerSpecEnv+"="+string(specJSON))
@@ -95,15 +82,15 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("service: spawn worker: %w", err)
 	}
-	ep := &wireEndpoint{network: network, addr: addr, cmd: cmd, coldDir: cfg.ColdDir, done: make(chan struct{})}
+	ep := &wireEndpoint{addr: addr, cmd: cmd, coldDir: cfg.ColdDir, done: make(chan struct{})}
 	ep.exitCode.Store(-1)
 
-	readyCh := make(chan string, 1)
+	readyCh := make(chan struct{})
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
-			if line := sc.Text(); strings.HasPrefix(line, workerReadyPrefix) {
-				readyCh <- strings.TrimSpace(strings.TrimPrefix(line, workerReadyPrefix))
+			if sc.Text() == workerReady {
+				close(readyCh)
 				break
 			}
 		}
@@ -123,10 +110,7 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 	}()
 
 	select {
-	case got := <-readyCh:
-		if network == "tcp" {
-			ep.addr = got // the worker bound port 0; READY carries the real one
-		}
+	case <-readyCh:
 	case <-ep.done:
 		ep.cleanupFiles()
 		return nil, &ShardDownError{Shard: shard, Reason: fmt.Sprintf("worker exited before READY (code %d)", ep.exitCode.Load())}
@@ -135,7 +119,7 @@ func spawnWireWorker(cfg Config, network string, shard, incarn int, workDir stri
 		ep.cleanupFiles()
 		return nil, &ShardDownError{Shard: shard, Reason: "worker READY handshake timed out"}
 	}
-	ep.client = transport.NewClient(network, ep.addr, shard)
+	ep.client = transport.NewClient("unix", addr, shard)
 	ep.client.Counts = counts
 	return ep, nil
 }
@@ -184,8 +168,6 @@ func (ep *wireEndpoint) close() {
 }
 
 func (ep *wireEndpoint) cleanupFiles() {
-	if ep.network == "unix" {
-		_ = os.Remove(ep.addr)
-	}
+	_ = os.Remove(ep.addr)
 	_ = os.RemoveAll(ep.coldDir)
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,7 +48,7 @@ func runParityScript(t *testing.T, transport string, script []ScriptOp) paritySt
 	cfg.HeartbeatInterval = 10 * time.Millisecond
 	cfg.HeartbeatTimeout = 500 * time.Millisecond
 	cfg.Transport = transport
-	if wireNetwork(transport) != "" {
+	if transport == TransportUnix {
 		cfg.WorkDir = t.TempDir()
 	}
 	s, err := New(cfg)
@@ -83,8 +84,7 @@ func runParityScript(t *testing.T, transport string, script []ScriptOp) paritySt
 
 // TestTransportParityConformance is the wire transport's conformance
 // suite: the same deterministic script through the in-process channel
-// transport, unix sockets, and loopback TCP must produce identical
-// verdict streams, zero degraded requests, identical per-shard detector
+// transport and unix sockets must produce identical verdict streams, zero degraded requests, identical per-shard detector
 // snapshots (the audit identity numbers included), and clean audits.
 // Workers are single-threaded and mutations arrive in script order, so
 // any divergence is a transport bug — a verdict or typed error that did
@@ -92,7 +92,7 @@ func runParityScript(t *testing.T, transport string, script []ScriptOp) paritySt
 // count — no stores on any transport, not 2³²−1 of them under a worker
 // process's turn — and a check of it. DetectorStats takes one path since
 // every worker answers OpStats with the JSON blob; the snapshot comparison
-// pins that chan, unix and tcp decode it to the same values.
+// pins that chan and unix decode it to the same values.
 func TestTransportParityConformance(t *testing.T) {
 	script := append(BuildScript(42, 500),
 		ScriptOp{Kind: "alloc", Tenant: "parity", Key: 1 << 40, Size: 64, Stores: -1},
@@ -111,31 +111,30 @@ func TestTransportParityConformance(t *testing.T) {
 			t.Fatalf("chan baseline audit violations: %v", a)
 		}
 	}
-	for _, transport := range []string{TransportUnix, TransportTCP} {
-		t.Run(transport, func(t *testing.T) {
-			got := runParityScript(t, transport, script)
-			if got.Degraded != 0 {
-				t.Fatalf("%s degraded %d requests", transport, got.Degraded)
+	transport := TransportUnix
+	t.Run(transport, func(t *testing.T) {
+		got := runParityScript(t, transport, script)
+		if got.Degraded != 0 {
+			t.Fatalf("%s degraded %d requests", transport, got.Degraded)
+		}
+		for i := range base.Outcomes {
+			if got.Outcomes[i] != base.Outcomes[i] {
+				t.Fatalf("op %d diverged over %s: chan=%+v wire=%+v (op %+v)",
+					i, transport, base.Outcomes[i], got.Outcomes[i], script[i])
 			}
-			for i := range base.Outcomes {
-				if got.Outcomes[i] != base.Outcomes[i] {
-					t.Fatalf("op %d diverged over %s: chan=%+v wire=%+v (op %+v)",
-						i, transport, base.Outcomes[i], got.Outcomes[i], script[i])
-				}
+		}
+		if !reflect.DeepEqual(got.Snaps, base.Snaps) {
+			t.Fatalf("detector snapshots diverged over %s:\nchan: %+v\nwire: %+v", transport, base.Snaps, got.Snaps)
+		}
+		if !reflect.DeepEqual(got.Colds, base.Colds) {
+			t.Fatalf("cold-tier stats diverged over %s:\nchan: %+v\nwire: %+v", transport, base.Colds, got.Colds)
+		}
+		for i, a := range got.Audits {
+			if len(a) > 0 {
+				t.Fatalf("%s shard %d audit violations: %v", transport, i, a)
 			}
-			if !reflect.DeepEqual(got.Snaps, base.Snaps) {
-				t.Fatalf("detector snapshots diverged over %s:\nchan: %+v\nwire: %+v", transport, base.Snaps, got.Snaps)
-			}
-			if !reflect.DeepEqual(got.Colds, base.Colds) {
-				t.Fatalf("cold-tier stats diverged over %s:\nchan: %+v\nwire: %+v", transport, base.Colds, got.Colds)
-			}
-			for i, a := range got.Audits {
-				if len(a) > 0 {
-					t.Fatalf("%s shard %d audit violations: %v", transport, i, a)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestWorkerSpecCarriesConfig: the spec a worker process is spawned with
@@ -146,7 +145,7 @@ func TestWorkerSpecCarriesConfig(t *testing.T) {
 	var cfg Config
 	fillNonZero(t, reflect.ValueOf(&cfg).Elem())
 	cfg.Metrics = obs.NewRegistry()
-	blob, err := json.Marshal(workerSpec{Shard: 3, Incarnation: 7, Network: "unix", Addr: "/tmp/s3-i7.sock", Config: cfg})
+	blob, err := json.Marshal(workerSpec{Shard: 3, Incarnation: 7, Addr: "/tmp/s3-i7.sock", Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +157,39 @@ func TestWorkerSpecCarriesConfig(t *testing.T) {
 		t.Fatal("the spec carried the coordinator's metrics registry")
 	}
 	cfg.Metrics = nil
-	if want := (workerSpec{Shard: 3, Incarnation: 7, Network: "unix", Addr: "/tmp/s3-i7.sock", Config: cfg}); !reflect.DeepEqual(got, want) {
+	if want := (workerSpec{Shard: 3, Incarnation: 7, Addr: "/tmp/s3-i7.sock", Config: cfg}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("spec round trip:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestNewNamesValidTransports: New accepts the in-process default and the
+// two transport names, and refuses any other name with an error that lists
+// the valid ones.
+func TestNewNamesValidTransports(t *testing.T) {
+	for _, tc := range []struct {
+		transport string
+		ok        bool
+	}{{"", true}, {TransportChan, true}, {TransportUnix, true}, {"tcp", false}, {"bogus", false}} {
+		t.Run(tc.transport, func(t *testing.T) {
+			s, err := New(wireConfig(t, 1, tc.transport))
+			if err == nil {
+				s.Close()
+			}
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("New(%q): %v", tc.transport, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("New(%q) accepted an unknown transport", tc.transport)
+			}
+			for _, valid := range []string{TransportChan, TransportUnix} {
+				if !strings.Contains(err.Error(), valid) {
+					t.Errorf("New(%q): error %q does not name %q", tc.transport, err, valid)
+				}
+			}
+		})
 	}
 }
 
@@ -189,49 +219,48 @@ func fillNonZero(t *testing.T, v reflect.Value) {
 
 // TestWireLifecycleBothNetworks is the wire smoke test: spawn real worker
 // processes, run the basic alloc/check/free/quiesce/UAF cycle, verify the
-// audit identity, and shut down cleanly (graceful SIGTERM path).
+// audit identity, and shut down cleanly (graceful SIGTERM path). Its one
+// subtest is the one wire network, unix.
 func TestWireLifecycleBothNetworks(t *testing.T) {
-	for _, transport := range []string{TransportUnix, TransportTCP} {
-		t.Run(transport, func(t *testing.T) {
-			s := mustNew(t, wireConfig(t, 2, transport))
-			for k := uint64(1); k <= 30; k++ {
-				if v, err := s.Alloc("acme", k, 256, 4); err != nil || v.Degraded {
-					t.Fatalf("alloc %d: v=%+v err=%v", k, v, err)
-				}
+	t.Run(TransportUnix, func(t *testing.T) {
+		s := mustNew(t, wireConfig(t, 2, TransportUnix))
+		for k := uint64(1); k <= 30; k++ {
+			if v, err := s.Alloc("acme", k, 256, 4); err != nil || v.Degraded {
+				t.Fatalf("alloc %d: v=%+v err=%v", k, v, err)
 			}
-			for k := uint64(1); k <= 10; k++ {
-				if v, err := s.Free("acme", k); err != nil || v.Degraded {
-					t.Fatalf("free %d: v=%+v err=%v", k, v, err)
-				}
+		}
+		for k := uint64(1); k <= 10; k++ {
+			if v, err := s.Free("acme", k); err != nil || v.Degraded {
+				t.Fatalf("free %d: v=%+v err=%v", k, v, err)
 			}
-			if err := s.Quiesce(); err != nil {
-				t.Fatal(err)
+		}
+		if err := s.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(1); k <= 10; k++ {
+			v, err := s.Check("acme", k)
+			if err != nil {
+				t.Fatalf("freed probe %d errored: %v", k, err)
 			}
-			for k := uint64(1); k <= 10; k++ {
-				v, err := s.Check("acme", k)
-				if err != nil {
-					t.Fatalf("freed probe %d errored: %v", k, err)
-				}
-				if !v.Known || !v.Freed || !v.UAF {
-					t.Fatalf("freed key %d: %+v, want detected UAF", k, v)
-				}
+			if !v.Known || !v.Freed || !v.UAF {
+				t.Fatalf("freed key %d: %+v, want detected UAF", k, v)
 			}
-			for k := uint64(11); k <= 30; k++ {
-				v, err := s.Check("acme", k)
-				if err != nil {
-					t.Fatalf("live key %d faulted (false UAF): %v", k, err)
-				}
-				if !v.Known || v.Freed {
-					t.Fatalf("live key %d: %+v", k, v)
-				}
+		}
+		for k := uint64(11); k <= 30; k++ {
+			v, err := s.Check("acme", k)
+			if err != nil {
+				t.Fatalf("live key %d faulted (false UAF): %v", k, err)
 			}
-			for i := 0; i < s.Shards(); i++ {
-				if _, _, audit, err := s.DetectorStats(i); err != nil || len(audit) > 0 {
-					t.Fatalf("shard %d audit: %v %v", i, audit, err)
-				}
+			if !v.Known || v.Freed {
+				t.Fatalf("live key %d: %+v", k, v)
 			}
-		})
-	}
+		}
+		for i := 0; i < s.Shards(); i++ {
+			if _, _, audit, err := s.DetectorStats(i); err != nil || len(audit) > 0 {
+				t.Fatalf("shard %d audit: %v %v", i, audit, err)
+			}
+		}
+	})
 }
 
 // TestWireFailoverProcessSigkill is the tentpole's process-death

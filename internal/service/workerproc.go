@@ -14,15 +14,14 @@ import (
 )
 
 // WorkerSpecEnv is the environment variable carrying a spawned worker
-// process's JSON spec. The coordinator re-execs the current binary
-// by default, so every binary that embeds the service must call
-// RunWorkerIfSpawned at the top of main (and TestMain).
+// process's JSON spec. The coordinator re-execs the current binary, so
+// every binary that embeds the service must call RunWorkerIfSpawned at the
+// top of main (and TestMain).
 const WorkerSpecEnv = "DANGSAN_WORKER_SPEC"
 
-// workerReadyPrefix starts the handshake line a worker prints on stdout
-// once it is listening; the rest of the line is the dial address (which
-// the coordinator cannot predict for tcp port 0).
-const workerReadyPrefix = "DANGSAN-WORKER READY "
+// workerReady is the handshake line a worker prints on stdout once it is
+// listening on the socket path its spec names.
+const workerReady = "DANGSAN-WORKER READY"
 
 // Worker process exit codes. Graceful (SIGTERM-initiated) exit is 0.
 const (
@@ -30,16 +29,15 @@ const (
 	workerExitKill  = 137 // kill/killafter disruption (mirrors SIGKILL's shell code)
 )
 
-// workerSpec is everything a worker process needs to build its shard: where
-// to listen, and the coordinator's normalized Config with ColdDir pointing at
-// this incarnation's own directory. Parent and worker are the same binary (a
-// re-exec, or dangsan-worker built from the same tree), so its JSON shape is
-// private to this package.
+// workerSpec is everything a worker process needs to build its shard: the
+// socket path to listen on, and the coordinator's normalized Config with
+// ColdDir pointing at this incarnation's own directory. Parent and worker
+// are the same binary (a re-exec), so its JSON shape is private to this
+// package.
 type workerSpec struct {
 	Shard       int    `json:"shard"`
 	Incarnation int    `json:"incarnation"`
-	Network     string `json:"network"` // "unix" or "tcp"
-	Addr        string `json:"addr"`    // socket path, or host:0 for tcp
+	Addr        string `json:"addr"`
 	Config      Config `json:"config"`
 }
 
@@ -52,17 +50,17 @@ func RunWorkerIfSpawned() {
 	if spec == "" {
 		return
 	}
-	os.Exit(RunWorkerProcess(spec))
+	os.Exit(runWorkerProcess(spec))
 }
 
-// RunWorkerProcess runs this process as one shard worker until the worker
+// runWorkerProcess runs this process as one shard worker until the worker
 // dies or the coordinator signals it, returning the process exit code.
 //
 // The worker process NEVER unlinks its spill file — not even on graceful
 // shutdown. Failover's whole point is reading a dead worker's cold tier
 // back from disk; the coordinator owns the per-incarnation cold directory
 // and removes it when it closes the endpoint.
-func RunWorkerProcess(specJSON string) int {
+func runWorkerProcess(specJSON string) int {
 	var spec workerSpec
 	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
 		fmt.Fprintf(os.Stderr, "dangsan-worker: bad spec: %v\n", err)
@@ -74,18 +72,18 @@ func RunWorkerProcess(specJSON string) int {
 		return 2
 	}
 
-	l, err := net.Listen(spec.Network, spec.Addr)
+	l, err := net.Listen("unix", spec.Addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dangsan-worker: listen %s %s: %v\n", spec.Network, spec.Addr, err)
+		fmt.Fprintf(os.Stderr, "dangsan-worker: listen %s: %v\n", spec.Addr, err)
 		return 2
 	}
 	srv := transport.NewServer(l, workerHandler(w))
 	deaf := make(chan error, 1)
 	go func() { deaf <- srv.Serve() }()
 
-	// Handshake: the coordinator reads this line to learn the bound
-	// address before it dials.
-	fmt.Printf("%s%s\n", workerReadyPrefix, l.Addr().String())
+	// Handshake: the coordinator dials only once this line says the socket
+	// is listening.
+	fmt.Println(workerReady)
 
 	var terming atomic.Bool
 	sigCh := make(chan os.Signal, 2)
