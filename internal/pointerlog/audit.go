@@ -74,11 +74,7 @@ func (lg *Logger) auditLocked(context string) error {
 func (lg *Logger) measureSetLocked(set map[uint64]struct{}) uint64 {
 	var n uint64
 	for idx := range set {
-		slab := lg.slabs[idx>>12].Load()
-		if slab == nil {
-			continue
-		}
-		n += slab[idx&(metaSlabSize-1)].logFootprint()
+		n += lg.MetaAt(idx + 1).logFootprint()
 	}
 	return n
 }

@@ -105,11 +105,13 @@ type Logger struct {
 	gen atomic.Uint64
 
 	// Metadata registry. MetaAt (the pointer-store hot path) is lock-free:
-	// slabs are published with atomic stores and never move; the mutex
-	// only guards allocation and the free list (malloc/free frequency,
-	// which is orders of magnitude rarer than pointer stores).
+	// directories and slabs are published with atomic stores and never
+	// move; the mutex only guards allocation and the free list (malloc/free
+	// frequency, which is orders of magnitude rarer than pointer stores).
+	// Slab si hangs off slabs[si/metaDirSize][si%metaDirSize]; both levels
+	// are allocated on first use.
 	mu    sync.Mutex
-	slabs []atomic.Pointer[metaSlab]
+	slabs [maxMetaSlabs / metaDirSize]atomic.Pointer[metaDir]
 	free  []uint64
 	next  atomic.Uint64
 	// slabCount tracks allocated registry slabs for MetadataBytes.
@@ -158,7 +160,13 @@ const metaSlabSize = 1 << 12
 // (256M), far beyond any workload here.
 const maxMetaSlabs = 1 << 16
 
-type metaSlab [metaSlabSize]ObjectMeta
+// metaDirSize is the number of slabs one second-level directory holds.
+const metaDirSize = 1 << 8
+
+type (
+	metaSlab [metaSlabSize]ObjectMeta
+	metaDir  [metaDirSize]atomic.Pointer[metaSlab]
+)
 
 // NewLogger creates a Logger with the given configuration.
 func NewLogger(cfg Config) *Logger {
@@ -166,7 +174,6 @@ func NewLogger(cfg Config) *Logger {
 		cfg:         cfg.validated(),
 		walkers:     min(runtime.GOMAXPROCS(0), maxWalkers),
 		parallelMin: parallelInvalidateMin,
-		slabs:       make([]atomic.Pointer[metaSlab], maxMetaSlabs),
 	}
 	if lg.cfg.Audit {
 		lg.auditLive = make(map[uint64]struct{})
@@ -321,13 +328,18 @@ func (lg *Logger) CreateMeta(base, size uint64) (*ObjectMeta, uint64, error) {
 		lg.free = lg.free[:n-1]
 	} else {
 		idx = lg.next.Load()
-		si := int(idx >> 12)
+		si := idx >> 12
 		if si >= maxMetaSlabs {
 			lg.mu.Unlock()
 			return nil, 0, ErrMetadataExhausted
 		}
-		if lg.slabs[si].Load() == nil {
-			lg.slabs[si].Store(new(metaSlab))
+		dir := lg.slabs[si/metaDirSize].Load()
+		if dir == nil {
+			dir = new(metaDir)
+			lg.slabs[si/metaDirSize].Store(dir)
+		}
+		if dir[si%metaDirSize].Load() == nil {
+			dir[si%metaDirSize].Store(new(metaSlab))
 			lg.slabCount.Add(1)
 		}
 		lg.next.Store(idx + 1)
@@ -335,7 +347,7 @@ func (lg *Logger) CreateMeta(base, size uint64) (*ObjectMeta, uint64, error) {
 	if lg.auditLive != nil {
 		lg.auditLive[idx] = struct{}{}
 	}
-	m := &lg.slabs[idx>>12].Load()[idx&(metaSlabSize-1)]
+	m := lg.MetaAt(idx + 1)
 	lg.mu.Unlock()
 	m.base.Store(base)
 	m.size.Store(size)
@@ -359,18 +371,13 @@ func (lg *Logger) MustCreateMeta(base, size uint64) (*ObjectMeta, uint64) {
 // the shadow map) back to its ObjectMeta. Handle 0 returns nil. Lock-free:
 // called on every instrumented pointer store.
 func (lg *Logger) MetaAt(handle uint64) *ObjectMeta {
-	if handle == 0 {
-		return nil
-	}
+	// Handle 0 wraps to the largest index. Below next, the directory and
+	// slab were published before next was.
 	idx := handle - 1
 	if idx >= lg.next.Load() {
 		return nil
 	}
-	slab := lg.slabs[idx>>12].Load()
-	if slab == nil {
-		return nil
-	}
-	return &slab[idx&(metaSlabSize-1)]
+	return &lg.slabs[idx/(metaSlabSize*metaDirSize)].Load()[idx/metaSlabSize%metaDirSize].Load()[idx%metaSlabSize]
 }
 
 // ReleaseMeta recycles the meta behind handle. Call only after Invalidate;

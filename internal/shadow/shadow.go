@@ -30,9 +30,9 @@ import (
 )
 
 // ErrShadowExhausted reports that populating a page's metadata mapping
-// failed (in practice, via fault injection simulating metapagetable arena
-// exhaustion). The object's mapping is rolled back; the detector treats the
-// object as untracked.
+// failed: the metadata arena's index space is used up or, in practice, fault
+// injection simulated it. The object's mapping is rolled back; the detector
+// treats the object as untracked.
 var ErrShadowExhausted = errors.New("shadow: metapagetable population failed")
 
 const (
@@ -45,6 +45,17 @@ const (
 	// arenaSlabBits is the size of one metadata-arena slab in words.
 	arenaSlabBits = 18
 	arenaSlabSize = 1 << arenaSlabBits
+
+	// A slab is backed in 4 KiB chunks of arenaChunkSize words, each
+	// allocated the first time an array is carved out of it.
+	arenaChunkBits = 9
+	arenaChunkSize = 1 << arenaChunkBits
+	slabChunks     = arenaSlabSize / arenaChunkSize
+
+	// arenaMaxSlabs caps the arena at 2^29 words: 4 GiB of metadata, the
+	// whole heap at 128-byte alignment, and more than a simulated heap can
+	// back. Past it allocArray fails.
+	arenaMaxSlabs = 1 << 11
 
 	// shiftBits is how many low bits of a table entry hold the shift.
 	shiftBits = 8
@@ -61,26 +72,27 @@ type leaf struct {
 	entries [leafSize]atomic.Uint64
 }
 
+type (
+	arenaChunk [arenaChunkSize]uint64
+	arenaSlab  [slabChunks]atomic.Pointer[arenaChunk]
+)
+
 // arena is an append-only store of metadata words. Indices are stable, and
 // arrays are recycled through per-size free lists when a page is
-// re-initialized for a different size class.
+// re-initialized for a different size class. The index space is reserved
+// up front but backed per chunk on demand, like the paper's lazily mapped
+// metapagetable; slabs and chunks are published atomically and never move,
+// so readers resolve words without the mutex.
 type arena struct {
 	mu    sync.Mutex
-	slabs [][]uint64
+	slabs [arenaMaxSlabs]atomic.Pointer[arenaSlab]
 	next  uint64 // next free index; index 0 is reserved as "no metadata"
 	// freeBySlots[s] holds start indices of released arrays of 1<<s slots.
 	freeBySlots [MaxShift - MinShift + 1][]uint64
 }
 
-func newArena() *arena {
-	a := &arena{}
-	a.slabs = append(a.slabs, make([]uint64, arenaSlabSize))
-	a.next = 1 // burn index 0
-	return a
-}
-
 // allocArray returns the start index of a zeroed array of n words (n a power
-// of two). Never returns 0.
+// of two), or 0 once the index space is exhausted.
 func (a *arena) allocArray(n uint64) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -93,17 +105,31 @@ func (a *arena) allocArray(n uint64) uint64 {
 		}
 		return idx
 	}
-	// Keep arrays inside a single slab so wordAt stays simple.
+	// Keep arrays inside a single slab; one may straddle two chunks.
 	slabOff := a.next % arenaSlabSize
 	if slabOff+n > arenaSlabSize {
 		a.next += arenaSlabSize - slabOff
 	}
-	if a.next+n > uint64(len(a.slabs))*arenaSlabSize {
-		a.slabs = append(a.slabs, make([]uint64, arenaSlabSize))
-	}
 	idx := a.next
+	if idx>>arenaSlabBits >= arenaMaxSlabs {
+		return 0
+	}
 	a.next += n
+	a.back(idx)
+	a.back(idx + n - 1)
 	return idx
+}
+
+// back materialises the chunk holding word i, and its slab. Caller holds mu.
+func (a *arena) back(i uint64) {
+	s := a.slabs[i>>arenaSlabBits].Load()
+	if s == nil {
+		s = new(arenaSlab)
+		a.slabs[i>>arenaSlabBits].Store(s)
+	}
+	if c := &s[i>>arenaChunkBits%slabChunks]; c.Load() == nil {
+		c.Store(new(arenaChunk))
+	}
 }
 
 // freeArray recycles an array for reuse.
@@ -119,15 +145,15 @@ func sizeIdxFor(n uint64) int {
 	return bits.TrailingZeros64(n)
 }
 
-// wordAt returns the address of arena word i.
+// wordAt returns the address of arena word i, which must have been handed
+// out by allocArray (its chunk is backed).
 func (a *arena) wordAt(i uint64) *uint64 {
-	return &a.slabs[i>>arenaSlabBits][i&(arenaSlabSize-1)]
+	s := a.slabs[i>>arenaSlabBits].Load()
+	return &s[i>>arenaChunkBits%slabChunks].Load()[i&(arenaChunkSize-1)]
 }
 
-// load atomically reads arena word i (lock-free fast path: slab slices are
-// never moved once created, and slabs only grows under the mutex — readers
-// racing with append may briefly miss the newest slab, but indices they hold
-// always predate it).
+// load atomically reads arena word i (lock-free fast path: the index was
+// published through a table entry after allocArray backed its chunk).
 func (a *arena) load(i uint64) uint64 {
 	return atomic.LoadUint64(a.wordAt(i))
 }
@@ -136,18 +162,21 @@ func (a *arena) store(i, v uint64) {
 	atomic.StoreUint64(a.wordAt(i), v)
 }
 
-// bytes reports memory consumed by the arena.
+// bytes reports memory consumed by the arena: every slab its index space has
+// reached, in full, as a mapped metapagetable arena would. This counts the
+// reservation rather than the backed chunks on purpose, so memory figures
+// do not depend on how the simulation backs it.
 func (a *arena) bytes() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return uint64(len(a.slabs)) * arenaSlabSize * 8
+	return (a.next + arenaSlabSize - 1) >> arenaSlabBits * arenaSlabSize * 8
 }
 
 // Table is the metapagetable for the heap segment.
 type Table struct {
 	heapBase uint64
 	roots    []atomic.Pointer[leaf]
-	arena    *arena
+	arena    arena
 	leaves   atomic.Uint64 // allocated leaf count, for memory accounting
 
 	// Observability instruments; nil until AttachMetrics.
@@ -161,11 +190,12 @@ type Table struct {
 // NewTable creates a metapagetable covering the standard heap reservation.
 func NewTable() *Table {
 	nPages := uint64(vmem.HeapMax) >> vmem.PageShift
-	return &Table{
+	t := &Table{
 		heapBase: vmem.HeapBase,
 		roots:    make([]atomic.Pointer[leaf], (nPages+leafSize-1)/leafSize),
-		arena:    newArena(),
 	}
+	t.arena.next = 1 // burn index 0
+	return t
 }
 
 // AttachMetrics registers the table's instruments with reg: slot write and
@@ -225,8 +255,8 @@ func unpackEntry(e uint64) (arrayIdx uint64, shift uint) {
 // the given shift, returning the array's arena index. If the page was
 // previously initialized with a different shift (span recycled for another
 // size class), the old array is released and replaced. Returns
-// ErrShadowExhausted when the fault plane fails a needed fresh allocation;
-// pages whose mapping already matches never fail.
+// ErrShadowExhausted when the fault plane or the arena's index space fails a
+// needed fresh allocation; pages whose mapping already matches never fail.
 func (t *Table) ensurePage(pageAddr uint64, shift uint) (uint64, error) {
 	pi, ok := t.pageIndex(pageAddr)
 	if !ok {
@@ -245,6 +275,9 @@ func (t *Table) ensurePage(pageAddr uint64, shift uint) (uint64, error) {
 		}
 		n := uint64(vmem.PageSize) >> shift
 		fresh := t.arena.allocArray(n)
+		if fresh == 0 {
+			return 0, ErrShadowExhausted
+		}
 		if slot.CompareAndSwap(e, packEntry(fresh, shift)) {
 			if e != 0 {
 				t.arena.freeArray(idx, uint64(vmem.PageSize)>>s)

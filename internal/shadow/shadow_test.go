@@ -1,6 +1,7 @@
 package shadow
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -144,6 +145,136 @@ func TestConcurrentCreateLookup(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestArenaGrowsUnderLookups grows the arena past its first slab while
+// another goroutine keeps resolving an early object: the slab directory a
+// lock-free Lookup reads must never be torn by the growth.
+func TestArenaGrowsUnderLookups(t *testing.T) {
+	tbl := NewTable()
+	base := uint64(vmem.HeapBase)
+	tbl.CreateObject(base, 8, 8, 1)
+	const pages = 1200 // 512 words each at 8-byte alignment: past 2^18 words
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for p := uint64(1); p < pages; p++ {
+			tbl.CreateObject(base+p*vmem.PageSize, 8, 8, p+1)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if got := tbl.Lookup(base); got != 1 {
+			t.Fatalf("Lookup during growth = %d, want 1", got)
+		}
+	}
+	for p := uint64(0); p < pages; p++ {
+		if got := tbl.Lookup(base + p*vmem.PageSize + 4); got != p+1 {
+			t.Fatalf("page %d: Lookup = %d, want %d", p, got, p+1)
+		}
+	}
+}
+
+// TestArrayStraddlesChunks: the first 8-byte-aligned page's array starts at
+// index 1, so it runs across the first two backing chunks; every slot must
+// still read, write and clear on its own.
+func TestArrayStraddlesChunks(t *testing.T) {
+	tbl := NewTable()
+	base := uint64(vmem.HeapBase)
+	const slots = vmem.PageSize / 8
+	for s := uint64(0); s < slots; s++ {
+		tbl.CreateObject(base+s*8, 8, 8, s+1)
+	}
+	e := tbl.roots[0].Load().entries[0].Load()
+	if idx, _ := unpackEntry(e); idx>>arenaChunkBits == (idx+slots-1)>>arenaChunkBits {
+		t.Fatalf("array [%d, %d) does not straddle a chunk boundary", idx, idx+slots)
+	}
+	for s := uint64(0); s < slots; s++ {
+		if got := tbl.Lookup(base + s*8 + 3); got != s+1 {
+			t.Fatalf("slot %d = %d, want %d", s, got, s+1)
+		}
+	}
+	tbl.ClearObject(base+8, (slots-2)*8, 8) // all but the first and last
+	for s := uint64(0); s < slots; s++ {
+		want := uint64(0)
+		if s == 0 || s == slots-1 {
+			want = s + 1
+		}
+		if got := tbl.Lookup(base + s*8); got != want {
+			t.Fatalf("after clear, slot %d = %d, want %d", s, got, want)
+		}
+	}
+}
+
+// TestRecycledArrayZeroed: an array handed back to a free list returns
+// zeroed to its next owner.
+func TestRecycledArrayZeroed(t *testing.T) {
+	var a arena
+	a.next = 1
+	const n = 64
+	idx := a.allocArray(n)
+	for i := uint64(0); i < n; i++ {
+		a.store(idx+i, ^uint64(0))
+	}
+	a.freeArray(idx, n)
+	if again := a.allocArray(n); again != idx {
+		t.Fatalf("free list returned %d, want recycled %d", again, idx)
+	}
+	for i := uint64(0); i < n; i++ {
+		if v := a.load(idx + i); v != 0 {
+			t.Fatalf("recycled word %d = 0x%x, want 0", i, v)
+		}
+	}
+}
+
+// TestBytesFollowsReservation pins Bytes to the formula it had when every
+// slab was allocated in full: 2 MiB per slab the index space has reached,
+// 32 KiB per leaf, 8 bytes per root, whatever chunks actually back it.
+func TestBytesFollowsReservation(t *testing.T) {
+	tbl := NewTable()
+	const slab, leafBytes, roots = 2 << 20, 32 << 10, 4096 * 8
+	check := func(step string, leaves, slabs uint64) {
+		t.Helper()
+		if got, want := tbl.Bytes(), slabs*slab+leaves*leafBytes+roots; got != want {
+			t.Fatalf("%s: Bytes = %d, want %d", step, got, want)
+		}
+	}
+	check("fresh", 0, 1)
+	page := func(i uint64) uint64 { return vmem.HeapBase + i*vmem.PageSize }
+	tbl.CreateObject(page(0), 8, 8, 1)
+	check("first page", 1, 1)
+	tbl.CreateObject(page(leafSize), 8, 8, 1)
+	check("second leaf", 2, 1)
+	// 512-word arrays from index 1: 511 of them fit in the first slab.
+	for i := uint64(1); i < 510; i++ {
+		tbl.CreateObject(page(i), 8, 8, 1)
+	}
+	if tbl.arena.next != 1+511*512 {
+		t.Fatalf("after 511 arrays: next = %d", tbl.arena.next)
+	}
+	check("511 arrays", 2, 1)
+	tbl.CreateObject(page(510), 8, 8, 1)
+	check("array past 2^18 words", 2, 2)
+}
+
+// TestArenaIndexSpaceExhausts: past the last slab, page population fails
+// open with ErrShadowExhausted instead of growing.
+func TestArenaIndexSpaceExhausts(t *testing.T) {
+	tbl := NewTable()
+	tbl.arena.next = arenaMaxSlabs*arenaSlabSize - 8
+	if err := tbl.CreateObject(vmem.HeapBase, 8, vmem.PageSize/8, 1); err != nil {
+		t.Fatalf("last 8 words: %v", err)
+	}
+	if got := tbl.Lookup(vmem.HeapBase); got != 1 {
+		t.Fatalf("Lookup in the last slab = %d, want 1", got)
+	}
+	if err := tbl.CreateObject(vmem.HeapBase+vmem.PageSize, 8, 8, 2); !errors.Is(err, ErrShadowExhausted) {
+		t.Fatalf("past the cap: want ErrShadowExhausted, got %v", err)
+	}
 }
 
 func TestPackUnpackEntry(t *testing.T) {
