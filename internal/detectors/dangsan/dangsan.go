@@ -139,15 +139,25 @@ func (d *Detector) AllocPad() uint64 { return 1 }
 func (d *Detector) OnAlloc(base, size, align uint64) {
 	_, handle, err := d.logger.CreateMeta(base, size)
 	if err != nil {
-		d.logger.NoteDegraded(int32(base >> 12))
+		d.untracked(base)
 		return
 	}
 	if err := d.table.CreateObject(base, size, align, handle); err != nil {
 		// Shadow population failed (rolled back internally): release the
 		// metadata again so the handle can never surface half-mapped.
 		d.logger.ReleaseMeta(handle)
-		d.logger.NoteDegraded(int32(base >> 12))
+		d.untracked(base)
 	}
+}
+
+// untracked records that the allocator issued base to an object left
+// untracked. Its free will find no shadow entry, so the quarantine must not
+// still name base: a previous incarnation's custody, kept until its batch
+// finishes retiring, ends here, because the allocator could only re-issue
+// memory that has gone back.
+func (d *Detector) untracked(base uint64) {
+	d.logger.NoteDegraded(int32(base >> 12))
+	d.quar.reissued(base)
 }
 
 // OnReallocInPlace implements detectors.Detector. Growth extends the shadow

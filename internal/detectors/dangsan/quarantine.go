@@ -130,6 +130,20 @@ func (q *quarantine) contains(base uint64) bool {
 	return ok
 }
 
+// reissued ends the custody of a base the allocator has issued again while
+// its previous incarnation's batch is still retiring. A parked base (phase
+// 0) has not gone back, cannot have been re-issued, and keeps its custody.
+func (q *quarantine) reissued(base uint64) {
+	if q == nil {
+		return
+	}
+	q.mu.Lock()
+	if q.bases[base] != 0 {
+		delete(q.bases, base)
+	}
+	q.mu.Unlock()
+}
+
 // enqueue takes custody of one freed object. A base already in custody is
 // normally a double free: the entry is rejected and the error surfaced to
 // the program, while the first free's custody stands. The exception is a

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dangsan/internal/faultinject"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/tcmalloc"
 	"dangsan/internal/vmem"
@@ -169,6 +170,58 @@ func TestDoubleFreeDuringRetirement(t *testing.T) {
 	}
 }
 
+// A reincarnation the detector cannot track — CreateMeta denied, the
+// fail-open case — has no shadow entry, so its free consults the custody
+// set. Its base went back through the release callback and the allocator
+// re-issued it, so that free is a new object's, not a double free; the
+// runtime frees it inline.
+func TestUntrackedReincarnationIsNotADoubleFree(t *testing.T) {
+	d := NewWithConfig(quarCfg(1<<20, 1, true))
+	as := vmem.New()
+	d.Bind(as)
+	as.Heap().MapPages(vmem.HeapBase, 512)
+	plane := faultinject.New(1)
+	d.InjectFaults(plane)
+
+	base, slot := uint64(vmem.HeapBase), uint64(vmem.GlobalsBase)
+	rl := &releaseLog{}
+	var cycled, taken bool
+	var ferr error
+	release := func(bases []uint64) (int, error) {
+		n, err := rl.release(bases)
+		if !cycled {
+			cycled = true
+			plane.Enable(faultinject.MetaAlloc, 1, -1)
+			d.OnAlloc(base, 64, 8)
+			plane.Enable(faultinject.MetaAlloc, 0, 0)
+			taken, ferr = d.OnFreeDeferred(base, 64, 8)
+		}
+		return n, err
+	}
+	if !d.BindRelease(release) {
+		t.Fatal("quarantine not armed")
+	}
+	quarObj(d, as, base, slot)
+
+	within(t, 10*time.Second, func() {
+		if _, err := d.OnFreeDeferred(base, 64, 8); err != nil {
+			t.Errorf("outer free: %v", err)
+		}
+	})
+	if !cycled {
+		t.Fatal("release callback never ran")
+	}
+	if ferr != nil || taken {
+		t.Fatalf("free of the untracked reincarnation: taken=%v err=%v, want an inline free", taken, ferr)
+	}
+	if d.Quarantined(base) {
+		t.Fatal("custody entry outlived the reincarnation")
+	}
+	if v, _ := as.LoadWord(slot); v&pointerlog.InvalidBit == 0 {
+		t.Fatalf("first incarnation's slot not invalidated: 0x%x", v)
+	}
+}
+
 // Reincarnation hammer under -race: goroutines cycle alloc → many logged
 // stores (enough to spill each incarnation's log to the cold tier) → free,
 // with the asynchronous epoch worker retiring batches concurrently. The
@@ -213,15 +266,35 @@ func TestQuarantineReincarnationHammer(t *testing.T) {
 		t.Fatal("quarantine not armed")
 	}
 
+	// idle counts the workers that are finished or waiting for a return.
+	// Once all of them are, no later free can fill the partial epoch the
+	// waiters' frees are parked in, so the last one to go idle drains it.
+	var mu sync.Mutex
+	idle := 0
+	goIdle := func() {
+		mu.Lock()
+		idle++
+		all := idle == workers
+		mu.Unlock()
+		if all {
+			d.DrainQuarantine()
+		}
+	}
+
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			defer goIdle()
 			base := vmem.HeapBase + uint64(g)*vmem.PageSize
 			for r := 0; r < rounds; r++ {
 				if r > 0 {
+					goIdle()
 					<-returned[g] // wait for the allocator to re-issue the span
+					mu.Lock()
+					idle--
+					mu.Unlock()
 				}
 				d.OnAlloc(base, 64, 8)
 				for i := 0; i < stores; i++ {

@@ -102,7 +102,7 @@ func invalidateFixture(b *testing.B, nLocs int, tids int) (*Logger, *ObjectMeta,
 
 // BenchmarkInvalidateLargeLog measures free-time invalidation of an
 // object with 64Ki live pointer locations in a single thread's log (the
-// hash-table-fallback regime where parallel invalidation applies).
+// hash-table-fallback regime).
 func BenchmarkInvalidateLargeLog(b *testing.B) {
 	lg, meta, as, locs := invalidateFixture(b, 1<<16, 1)
 	b.ReportAllocs()
@@ -117,38 +117,8 @@ func BenchmarkInvalidateLargeLog(b *testing.B) {
 	}
 }
 
-// BenchmarkInvalidateLargeLogWorkers4 forces a 4-worker parallel walk
-// regardless of GOMAXPROCS, so the dispatch overhead (unit building,
-// goroutine spawn, shard flushes) is visible even on small machines. On
-// a multi-core host compare against BenchmarkInvalidateLargeLog run
-// with GOMAXPROCS=1 for the speedup.
-func BenchmarkInvalidateLargeLogWorkers4(b *testing.B) {
-	as := vmem.New()
-	as.Heap().MapPages(vmem.HeapBase, 16)
-	lg := NewLogger(DefaultConfig())
-	lg.walkers = 4
-	meta, _ := lg.MustCreateMeta(vmem.HeapBase, 4096)
-	locs := make([]uint64, 1<<16)
-	for i := range locs {
-		loc := vmem.GlobalsBase + uint64(i)*8
-		locs[i] = loc
-		as.StoreWord(loc, vmem.HeapBase+uint64(i)%4096&^7)
-		lg.Register(meta, loc, 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lg.Invalidate(meta, as)
-		b.StopTimer()
-		for j, loc := range locs {
-			as.StoreWord(loc, vmem.HeapBase+uint64(j)%4096&^7)
-		}
-		b.StartTimer()
-	}
-}
-
-// BenchmarkInvalidateManyThreadLogs is the other parallel-invalidation
-// regime: the object's locations are spread over 16 per-thread logs.
+// BenchmarkInvalidateManyThreadLogs is the other large-log regime: the
+// object's locations are spread over 16 per-thread logs.
 func BenchmarkInvalidateManyThreadLogs(b *testing.B) {
 	lg, meta, as, locs := invalidateFixture(b, 1<<16, 16)
 	b.ReportAllocs()

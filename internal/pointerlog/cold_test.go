@@ -241,41 +241,6 @@ func TestColdSpillInvalidateExact(t *testing.T) {
 	}
 }
 
-// TestColdSpillParallelMatchesSerial: the fan-out walk over hot units and
-// cold segments produces exactly the serial walk's counters and memory
-// effects.
-func TestColdSpillParallelMatchesSerial(t *testing.T) {
-	const nLocs = 3000
-	run := func(workers int) (Snapshot, []uint64) {
-		lg, as, meta, _, locs := fillTiered(t, tieredConfig(t), nLocs)
-		withWalkers(lg, workers)
-		for i := 0; i < len(locs); i += 5 {
-			as.StoreWord(locs[i], 7)
-		}
-		lg.Invalidate(meta, as)
-		words := make([]uint64, len(locs))
-		for i, loc := range locs {
-			words[i], _ = as.LoadWord(loc)
-		}
-		defer lg.Close()
-		return lg.Stats().Snapshot(), words
-	}
-	serialSnap, serialWords := run(1)
-	parSnap, parWords := run(4)
-	if serialSnap != parSnap {
-		t.Errorf("counters diverge:\nserial   %+v\nparallel %+v", serialSnap, parSnap)
-	}
-	for i := range serialWords {
-		if serialWords[i] != parWords[i] {
-			t.Fatalf("memory diverges at slot %d: serial 0x%x parallel 0x%x",
-				i, serialWords[i], parWords[i])
-		}
-	}
-	if serialSnap.Spills == 0 {
-		t.Fatalf("fixture never spilled: %+v", serialSnap)
-	}
-}
-
 // TestColdRestartRecovery: the spill file alone (ReadSegments — the
 // process-restart path) plus the resident tiers reconstruct the complete
 // location set.
@@ -531,15 +496,15 @@ func TestColdMapFaultFailOpen(t *testing.T) {
 }
 
 // TestColdGrowthAndCompactionUnderReaders: the mapping is replaced twice —
-// by a compaction and by growth past coldMapBytes — while parallel walks
-// decode the keepers' segments out of it. Run under -race; no read may
-// fail and every keeper location must end up invalidated.
+// by a compaction and by growth past coldMapBytes — while walks on other
+// goroutines decode the keepers' segments out of it. Run under -race; no
+// read may fail and every keeper location must end up invalidated.
 func TestColdGrowthAndCompactionUnderReaders(t *testing.T) {
 	cfg := tieredConfig(t)
 	cfg.Audit = false // the identity is exact only single-threaded
 	as := vmem.New()
 	as.Heap().MapPages(vmem.HeapBase, 16)
-	lg := withWalkers(NewLogger(cfg), 4)
+	lg := NewLogger(cfg)
 	defer lg.Close()
 
 	next := uint64(0) // slot allocator: every object logs its own slots

@@ -35,17 +35,6 @@ const DefaultMaxLogEntries = 128
 // MaxLookback bounds the configurable lookback window.
 const MaxLookback = 64
 
-// parallelInvalidateMin is the estimated log-entry count (inline entries
-// plus hash-table capacity) above which Invalidate fans the walk out over
-// worker goroutines. Thread-log inline storage is bounded by MaxLogEntries,
-// so in the default configuration only objects that overflowed into the
-// hash fallback — or are shared by very many threads — cross it.
-const parallelInvalidateMin = 4096
-
-// maxWalkers caps the free-time worker pool, which is otherwise
-// GOMAXPROCS wide.
-const maxWalkers = 8
-
 // DefaultQuarantineEpoch is the number of deferred frees drained per epoch
 // batch when quarantine mode is on and no explicit epoch is configured.
 // Large enough that the merged walk amortizes the per-batch overhead,

@@ -1,8 +1,6 @@
 package pointerlog
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dangsan/internal/vmem"
@@ -39,7 +37,7 @@ type Memory interface {
 // invalCounts accumulates per-walk counters locally so the walk touches
 // shared (sharded) counters O(1) times per free, not once per location.
 type invalCounts struct {
-	invalidated, stale, faulted, coldReadErrs uint64
+	invalidated, stale, faulted uint64
 }
 
 func (c *invalCounts) flush(sh *statShard) {
@@ -52,25 +50,7 @@ func (c *invalCounts) flush(sh *statShard) {
 	if c.faulted != 0 {
 		sh.faulted.Add(c.faulted)
 	}
-	if c.coldReadErrs != 0 {
-		sh.coldReadErrs.Add(c.coldReadErrs)
-	}
 }
-
-// invalUnit is one independently walkable chunk of an object's logs:
-// a whole thread log's inline storage (embed array plus indirect
-// blocks — bounded by MaxLogEntries), a slot range of a hash-table
-// fallback, or one cold segment streamed back from the spill file.
-type invalUnit struct {
-	tl     *ThreadLog
-	table  *locTable
-	lo, hi int
-	seg    *coldSeg
-}
-
-// hashSlotsPerUnit is the hash-table slot range covered by one parallel
-// work unit.
-const hashSlotsPerUnit = 1 << 13
 
 // Invalidate implements the paper's invalptrs: walk every location recorded
 // for meta's object and overwrite, with compare-and-swap, every value that
@@ -78,15 +58,19 @@ const hashSlotsPerUnit = 1 << 13
 // being logged, or in memory since returned to the OS — are skipped; that
 // deferred reconciliation is what lets Register run without locks.
 //
-// Objects whose logs are large (the hash-table-fallback regime, or wide
-// fan-in across many thread logs) are walked by a bounded pool of worker
-// goroutines (see Logger.walkers).
-// Parallel walks preserve the CAS contract: two workers hitting the same
-// location (recorded by two threads) interleave exactly like two serial
-// visits — the loser of the CAS re-reads and classifies the value as
-// stale, so racing program stores are never clobbered and counter totals
-// match the serial walk.
+// The walk runs on the freeing thread alone, however large the logs. A
+// program store on another thread that races it wins: the lost CAS re-reads
+// the new value and classifies it stale, so it is never clobbered.
 func (lg *Logger) Invalidate(meta *ObjectMeta, mem Memory) {
+	base := meta.Base()
+	lg.walk([]*ObjectMeta{meta}, []deadRange{{lo: base, hi: base + meta.Size()}}, mem, nil)
+}
+
+// walk is the one free-time pass behind Invalidate and InvalidateMany: each
+// object's resident locations, then its cold segments, go through one CAS
+// loop against the sorted, disjoint dead ranges. A non-nil seen set loads
+// each location once per walk however many of the objects logged it.
+func (lg *Logger) walk(metas []*ObjectMeta, ranges []deadRange, mem Memory, seen map[uint64]struct{}) {
 	// Any cached {meta, ThreadLog} fast-path pair is stale from here on.
 	lg.gen.Add(1)
 
@@ -96,142 +80,34 @@ func (lg *Logger) Invalidate(meta *ObjectMeta, mem Memory) {
 		start = time.Now()
 	}
 
-	base := meta.Base()
-	end := base + meta.Size()
-	sh := lg.stats.shard(int32(base >> 12))
-	tid := int32(base >> 12)
-
-	est := meta.walkEstimate()
-
-	workers := lg.walkers
-	if workers <= 1 || est < lg.parallelMin {
-		var c invalCounts
-		visit := func(loc uint64) {
-			lg.invalidateLocation(loc, base, end, mem, &c)
+	tid := int32(ranges[0].lo >> 12)
+	sh := lg.stats.shard(tid)
+	var c invalCounts
+	visit := func(loc uint64) {
+		if seen != nil {
+			if _, dup := seen[loc]; dup {
+				return
+			}
+			seen[loc] = struct{}{}
 		}
+		invalidateLocation(loc, ranges, mem, &c)
+	}
+	for _, meta := range metas {
 		meta.ForEachLocation(visit)
 		lg.forEachColdLocation(meta, sh, visit)
-		c.flush(sh)
-		if met != nil {
-			met.invalidateSerial.Inc(tid)
-			met.invalidateUnits.Observe(tid, 1)
-			met.invalidateNs.Since(tid, start)
-		}
-		return
 	}
-
-	// Parallel walk: split into units, fan out over a bounded pool.
-	units := meta.appendUnits(nil)
-	if workers > len(units) {
-		workers = len(units)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var c invalCounts
-			visit := func(loc uint64) {
-				lg.invalidateLocation(loc, base, end, mem, &c)
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(units) {
-					break
-				}
-				lg.walkUnit(&units[i], &c, visit)
-			}
-			// Each worker flushes to its own shard to keep the flush
-			// contention-free; totals are unaffected by which shard
-			// holds them.
-			c.flush(lg.stats.shard(int32(w)))
-		}(w)
-	}
-	wg.Wait()
+	c.flush(sh)
 	if met != nil {
-		met.invalidateParallel.Inc(tid)
-		met.invalidateUnits.Observe(tid, uint64(len(units)))
+		if len(metas) > 1 {
+			met.invalidateBatch.Observe(tid, uint64(len(metas)))
+		}
 		met.invalidateNs.Since(tid, start)
 	}
 }
 
-// walkEstimate sizes the walk over meta's logs in entries. Thread-log
-// inline storage is bounded by MaxLogEntries; only hash fallbacks, spilled
-// segments and many-threaded objects can push the estimate past the
-// parallel threshold.
-func (meta *ObjectMeta) walkEstimate() int {
-	est := 0
-	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		est += embedEntries
-		for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
-			est += blockEntries
-		}
-		if h := tl.hash.Load(); h != nil {
-			est += len(h.table.Load().entries)
-		}
-		if cs := tl.cold.Load(); cs != nil {
-			est += int(cs.locs.Load())
-		}
-	}
-	return est
-}
-
-// appendUnits splits meta's logs into independently walkable units.
-func (meta *ObjectMeta) appendUnits(units []invalUnit) []invalUnit {
-	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		units = append(units, invalUnit{tl: tl})
-		if h := tl.hash.Load(); h != nil {
-			t := h.table.Load()
-			for lo := 0; lo < len(t.entries); lo += hashSlotsPerUnit {
-				units = append(units, invalUnit{table: t, lo: lo, hi: min(lo+hashSlotsPerUnit, len(t.entries))})
-			}
-		}
-		if cs := tl.cold.Load(); cs != nil {
-			for seg := cs.segs.Load(); seg != nil; seg = seg.next {
-				units = append(units, invalUnit{seg: seg})
-			}
-		}
-	}
-	return units
-}
-
-// walkUnit streams one unit's locations to fn. The hash-range walk reads
-// the table published at unit-build time; entries a racing owner adds
-// afterwards may be missed, the same benign race the serial walk
-// tolerates. A segment unit decodes its locations out of the mapped spill
-// file; a read failure skips the segment (counted in c, fail-open).
-func (lg *Logger) walkUnit(u *invalUnit, c *invalCounts, fn func(loc uint64)) {
-	var scratch [3]uint64
-	visit := func(e uint64) {
-		for _, loc := range decodeEntry(e, scratch[:0]) {
-			fn(loc)
-		}
-	}
-	switch {
-	case u.seg != nil:
-		if lg.cold.Load().forEach(u.seg, lg.faults.Load(), fn) != nil {
-			c.coldReadErrs++
-		}
-	case u.tl != nil:
-		for i := 0; i < embedEntries; i++ {
-			visit(atomic.LoadUint64(&u.tl.embed[i]))
-		}
-		for b := u.tl.blocks.Load(); b != nil; b = b.next.Load() {
-			for i := 0; i < blockEntries; i++ {
-				visit(atomic.LoadUint64(&b.entries[i]))
-			}
-		}
-	default:
-		for i := u.lo; i < u.hi; i++ {
-			if e := atomic.LoadUint64(&u.table.entries[i]); e != 0 {
-				visit(e)
-			}
-		}
-	}
-}
-
-func (lg *Logger) invalidateLocation(loc, base, end uint64, mem Memory, c *invalCounts) {
+// invalidateLocation sets InvalidBit in the word at loc while it still
+// points into one of the dead ranges.
+func invalidateLocation(loc uint64, ranges []deadRange, mem Memory, c *invalCounts) {
 	for {
 		w, fault := mem.LoadWord(loc)
 		if fault != nil {
@@ -240,7 +116,7 @@ func (lg *Logger) invalidateLocation(loc, base, end uint64, mem Memory, c *inval
 			c.faulted++
 			return
 		}
-		if w < base || w >= end {
+		if !rangesContain(ranges, w) {
 			c.stale++
 			return
 		}

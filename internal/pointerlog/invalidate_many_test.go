@@ -7,12 +7,11 @@ import (
 )
 
 // setupMany builds n one-page objects with locsPer disjoint live locations
-// each, overwriting every third location so the stale path runs too; the
-// logger walks on workers goroutines.
-func setupMany(workers, n, locsPer int) (*Logger, *vmem.AddressSpace, []*ObjectMeta, []uint64) {
+// each, overwriting every third location so the stale path runs too.
+func setupMany(n, locsPer int) (*Logger, *vmem.AddressSpace, []*ObjectMeta, []uint64) {
 	as := vmem.New()
 	as.Heap().MapPages(vmem.HeapBase, n)
-	lg := withWalkers(NewLogger(DefaultConfig()), workers)
+	lg := NewLogger(DefaultConfig())
 	metas := make([]*ObjectMeta, n)
 	var locs []uint64
 	for i := range metas {
@@ -36,7 +35,7 @@ func setupMany(workers, n, locsPer int) (*Logger, *vmem.AddressSpace, []*ObjectM
 func TestInvalidateManyMatchesSerialLoop(t *testing.T) {
 	const n, locsPer = 8, 200
 	run := func(batch bool) (Snapshot, []uint64) {
-		lg, as, metas, locs := setupMany(1, n, locsPer)
+		lg, as, metas, locs := setupMany(n, locsPer)
 		if batch {
 			lg.InvalidateMany(metas, as)
 		} else {
@@ -65,39 +64,14 @@ func TestInvalidateManyMatchesSerialLoop(t *testing.T) {
 	}
 }
 
-// The parallel batched walk must match the serial batched walk on disjoint
-// location sets.
-func TestInvalidateManyParallelMatchesSerial(t *testing.T) {
-	const n, locsPer = 8, 400
-	run := func(workers int) (Snapshot, []uint64) {
-		lg, as, metas, locs := setupMany(workers, n, locsPer)
-		lg.InvalidateMany(metas, as)
-		words := make([]uint64, len(locs))
-		for i, loc := range locs {
-			words[i], _ = as.LoadWord(loc)
-		}
-		return lg.Stats().Snapshot(), words
-	}
-	serialSnap, serialWords := run(1)
-	parSnap, parWords := run(4)
-	if serialSnap != parSnap {
-		t.Errorf("counters diverge:\nserial   %+v\nparallel %+v", serialSnap, parSnap)
-	}
-	for i := range serialWords {
-		if serialWords[i] != parWords[i] {
-			t.Fatalf("memory diverges at loc %d: serial 0x%x parallel 0x%x", i, serialWords[i], parWords[i])
-		}
-	}
-}
-
 // One location registered against two batch members (the value moved from
 // object A to object B before either died) is visited once thanks to the
-// serial path's dedup, and counts exactly one invalidation — the value
-// lies in the merged dead range either way.
+// batch's dedup, and counts exactly one invalidation — the value lies in
+// the merged dead range either way.
 func TestInvalidateManySharedLocation(t *testing.T) {
 	as := vmem.New()
 	as.Heap().MapPages(vmem.HeapBase, 2)
-	lg := withWalkers(NewLogger(DefaultConfig()), 1)
+	lg := NewLogger(DefaultConfig())
 	a, _ := lg.MustCreateMeta(vmem.HeapBase, vmem.PageSize)
 	b, _ := lg.MustCreateMeta(vmem.HeapBase+vmem.PageSize, vmem.PageSize)
 	loc := uint64(vmem.GlobalsBase + 8)

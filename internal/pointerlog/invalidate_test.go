@@ -7,13 +7,6 @@ import (
 	"dangsan/internal/vmem"
 )
 
-// withWalkers forces lg's free-time walks onto exactly workers goroutines
-// (1: the serial walk), whatever an object's log size.
-func withWalkers(lg *Logger, workers int) *Logger {
-	lg.walkers, lg.parallelMin = workers, 1
-	return lg
-}
-
 // fillObject registers nLocs distinct live locations spread over nTids
 // thread logs and returns them.
 func fillObject(lg *Logger, as *vmem.AddressSpace, meta *ObjectMeta, nLocs, nTids int) []uint64 {
@@ -27,61 +20,14 @@ func fillObject(lg *Logger, as *vmem.AddressSpace, meta *ObjectMeta, nLocs, nTid
 	return locs
 }
 
-// Parallel invalidation must produce exactly the memory effects and
-// counter totals of the serial walk, in both large-log regimes (hash
-// fallback and many thread logs).
-func TestParallelInvalidateMatchesSerial(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		nTids int
-	}{
-		{"hash-fallback-single-log", 1},
-		{"many-thread-logs", 16},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const nLocs = 20000
-			run := func(workers int) (Snapshot, []uint64) {
-				as := vmem.New()
-				as.Heap().MapPages(vmem.HeapBase, 4)
-				lg := withWalkers(NewLogger(DefaultConfig()), workers)
-				meta, _ := lg.MustCreateMeta(vmem.HeapBase, 4096)
-				locs := fillObject(lg, as, meta, nLocs, tc.nTids)
-				// Overwrite a deterministic subset so the stale path runs.
-				for i := 0; i < len(locs); i += 3 {
-					as.StoreWord(locs[i], 7)
-				}
-				lg.Invalidate(meta, as)
-				words := make([]uint64, len(locs))
-				for i, loc := range locs {
-					words[i], _ = as.LoadWord(loc)
-				}
-				return lg.Stats().Snapshot(), words
-			}
-			serialSnap, serialWords := run(1)
-			parSnap, parWords := run(4)
-			if serialSnap != parSnap {
-				t.Errorf("counters diverge:\nserial   %+v\nparallel %+v", serialSnap, parSnap)
-			}
-			for i := range serialWords {
-				if serialWords[i] != parWords[i] {
-					t.Fatalf("memory diverges at loc %d: serial 0x%x parallel 0x%x", i, serialWords[i], parWords[i])
-				}
-			}
-			if serialSnap.Invalidated == 0 || serialSnap.Stale == 0 {
-				t.Fatalf("fixture did not exercise both paths: %+v", serialSnap)
-			}
-		})
-	}
-}
-
-// Racing program stores must never be clobbered by a parallel
-// invalidation: a location overwritten mid-walk keeps its new value.
-// Run with -race to check the walk is data-race-free against concurrent
-// owner appends and program stores.
+// Racing program stores must never be clobbered by an invalidation: a
+// location overwritten mid-walk, on another goroutine running in parallel
+// with the free, keeps its new value. Run with -race to check the walk is
+// data-race-free against concurrent owner appends and program stores.
 func TestParallelInvalidateConcurrentStores(t *testing.T) {
 	as := vmem.New()
 	as.Heap().MapPages(vmem.HeapBase, 4)
-	lg := withWalkers(NewLogger(DefaultConfig()), 4)
+	lg := NewLogger(DefaultConfig())
 	meta, _ := lg.MustCreateMeta(vmem.HeapBase, 4096)
 	locs := fillObject(lg, as, meta, 20000, 2)
 
@@ -131,6 +77,25 @@ func TestParallelInvalidateConcurrentStores(t *testing.T) {
 	}
 }
 
+// The free-time walk allocates nothing, however large the log: a hash-mode
+// object past 8,192 slots is walked in place on the freeing thread.
+func TestInvalidateLargeLogAllocatesNothing(t *testing.T) {
+	as := vmem.New()
+	as.Heap().MapPages(vmem.HeapBase, 1)
+	lg := NewLogger(DefaultConfig())
+	meta, _ := lg.MustCreateMeta(vmem.HeapBase, 4096)
+	fillObject(lg, as, meta, 8192, 1)
+	if h := meta.logs.Load().hash.Load(); h == nil || len(h.table.Load().entries) < 8192 {
+		t.Fatal("fixture did not reach a hash table of 8,192 slots")
+	}
+	if n := testing.AllocsPerRun(10, func() { lg.Invalidate(meta, as) }); n != 0 {
+		t.Fatalf("Invalidate allocated %.1f times per call", n)
+	}
+	if s := lg.Stats().Snapshot(); s.Invalidated != 8192 {
+		t.Fatalf("Invalidated = %d, want 8192", s.Invalidated)
+	}
+}
+
 // The threadLogFor CAS race must not leak LogBytes: when many threads
 // race to create their logs for one object, the accounting must equal
 // exactly one log's bytes per thread that won a slot (seed bug: the
@@ -157,25 +122,6 @@ func TestThreadLogBytesExactUnderContention(t *testing.T) {
 		if got := lg.Stats().Snapshot().LogBytes; got != nThreads*perLog {
 			t.Fatalf("iter %d: LogBytes = %d, want exactly %d", iter, got, nThreads*perLog)
 		}
-	}
-}
-
-// A forced-parallel walk over an object with a single tiny log (fewer
-// units than workers) degrades gracefully.
-func TestParallelInvalidateFewUnits(t *testing.T) {
-	as := vmem.New()
-	as.Heap().MapPages(vmem.HeapBase, 1)
-	lg := withWalkers(NewLogger(DefaultConfig()), 8)
-	meta, _ := lg.MustCreateMeta(vmem.HeapBase, 64)
-	loc := uint64(vmem.GlobalsBase + 8)
-	as.StoreWord(loc, vmem.HeapBase+8)
-	lg.Register(meta, loc, 0)
-	lg.Invalidate(meta, as)
-	if w, _ := as.LoadWord(loc); w != (vmem.HeapBase+8)|InvalidBit {
-		t.Fatalf("loc = 0x%x", w)
-	}
-	if s := lg.Stats().Snapshot(); s.Invalidated != 1 {
-		t.Fatalf("stats: %+v", s)
 	}
 }
 

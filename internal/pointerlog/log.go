@@ -2,7 +2,6 @@ package pointerlog
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,32 +86,24 @@ func (meta *ObjectMeta) Size() uint64 { return meta.size.Load() }
 // must bump the logger generation so cached extents are refreshed.
 func (meta *ObjectMeta) SetSize(n uint64) { meta.size.Store(n) }
 
+// cacheLine pads the fields every free or malloc writes away from the
+// read-mostly fields every pointer store reads, so threads on different
+// cores do not pull each other's lines back and forth.
+const cacheLine = 64
+
 // Logger owns the pointer-log state for one simulated process.
 type Logger struct {
+	// Read-mostly, up to cold: set at construction, by InjectFaults and
+	// AttachMetrics, or while the registry grows, and read on every store.
 	cfg Config
-	// walkers bounds the goroutines walking one free's logs
-	// (min(GOMAXPROCS, maxWalkers)); a walk fans out only past
-	// parallelMin estimated entries (parallelInvalidateMin). Tests in this
-	// package lower both to force the fan-out.
-	walkers, parallelMin int
-	stats                Stats
-
-	// gen is the cache-invalidation generation for per-thread store fast
-	// paths (detectors caching a {meta, ThreadLog} pair): it is bumped
-	// whenever object metadata becomes stale — every Invalidate and every
-	// in-place realloc — so a cached pair is valid exactly while the
-	// generation it was filled under still matches.
-	gen atomic.Uint64
 
 	// Metadata registry. MetaAt (the pointer-store hot path) is lock-free:
 	// directories and slabs are published with atomic stores and never
-	// move; the mutex only guards allocation and the free list (malloc/free
+	// move; mu below only guards allocation and the free list (malloc/free
 	// frequency, which is orders of magnitude rarer than pointer stores).
 	// Slab si hangs off slabs[si/metaDirSize][si%metaDirSize]; both levels
 	// are allocated on first use.
-	mu    sync.Mutex
 	slabs [maxMetaSlabs / metaDirSize]atomic.Pointer[metaDir]
-	free  []uint64
 	next  atomic.Uint64
 	// slabCount tracks allocated registry slabs for MetadataBytes.
 	slabCount atomic.Uint64
@@ -133,6 +124,24 @@ type Logger struct {
 	// created lazily at the first spill.
 	cold atomic.Pointer[coldLog]
 
+	_ [cacheLine]byte
+	// gen is the cache-invalidation generation for per-thread store fast
+	// paths (detectors caching a {meta, ThreadLog} pair): it is bumped
+	// whenever object metadata becomes stale — every Invalidate and every
+	// in-place realloc — so a cached pair is valid exactly while the
+	// generation it was filled under still matches. Every free writes it
+	// and every store reads it, so it has a line to itself.
+	gen atomic.Uint64
+	_   [cacheLine]byte
+
+	// Written by every malloc and free.
+	mu   sync.Mutex
+	free []uint64
+	_    [cacheLine]byte
+
+	// stats is sharded by tid, one padded shard per writer.
+	stats Stats
+
 	// Audit-mode state (cfg.Audit; guarded by mu): the sets of live and
 	// quarantined meta indices, so the auditor can re-measure every log
 	// structure still charged to the accounting, and the violations it
@@ -145,13 +154,10 @@ type Logger struct {
 
 // loggerMetrics bundles the logger's obs instruments.
 type loggerMetrics struct {
-	registerNs         *obs.Histogram
-	invalidateNs       *obs.Histogram
-	invalidateUnits    *obs.Histogram
-	invalidateBatch    *obs.Histogram
-	invalidateSerial   *obs.Counter
-	invalidateParallel *obs.Counter
-	spillNs            *obs.Histogram
+	registerNs      *obs.Histogram
+	invalidateNs    *obs.Histogram
+	invalidateBatch *obs.Histogram
+	spillNs         *obs.Histogram
 }
 
 const metaSlabSize = 1 << 12
@@ -170,11 +176,7 @@ type (
 
 // NewLogger creates a Logger with the given configuration.
 func NewLogger(cfg Config) *Logger {
-	lg := &Logger{
-		cfg:         cfg.validated(),
-		walkers:     min(runtime.GOMAXPROCS(0), maxWalkers),
-		parallelMin: parallelInvalidateMin,
-	}
+	lg := &Logger{cfg: cfg.validated()}
 	if lg.cfg.Audit {
 		lg.auditLive = make(map[uint64]struct{})
 		lg.auditQuar = make(map[uint64]struct{})
@@ -183,7 +185,7 @@ func NewLogger(cfg Config) *Logger {
 }
 
 // AttachMetrics registers the logger's instruments with reg: Register and
-// Invalidate latency histograms, the free-time fan-out histogram, and
+// Invalidate latency histograms, the epoch-drain batch-size histogram, and
 // gauges over the counters Stats already tracks. Call before the logger
 // sees concurrent traffic.
 func (lg *Logger) AttachMetrics(reg *obs.Registry) {
@@ -191,12 +193,9 @@ func (lg *Logger) AttachMetrics(reg *obs.Registry) {
 		return
 	}
 	lg.met = &loggerMetrics{
-		registerNs:         reg.Histogram("pointerlog.register_ns"),
-		invalidateNs:       reg.Histogram("pointerlog.invalidate_ns"),
-		invalidateUnits:    reg.Histogram("pointerlog.invalidate_units"),
-		invalidateBatch:    reg.Histogram("pointerlog.invalidate_batch_objects"),
-		invalidateSerial:   reg.Counter("pointerlog.invalidate_serial"),
-		invalidateParallel: reg.Counter("pointerlog.invalidate_parallel"),
+		registerNs:      reg.Histogram("pointerlog.register_ns"),
+		invalidateNs:    reg.Histogram("pointerlog.invalidate_ns"),
+		invalidateBatch: reg.Histogram("pointerlog.invalidate_batch_objects"),
 		// The spill histogram lives in the dangsan namespace: tiering is
 		// part of the detector's store/free plane, and the dashboards
 		// group it with dangsan.free_ns rather than the logger internals.

@@ -105,6 +105,42 @@ func TestFailoverRebuildsStateAndAuditHolds(t *testing.T) {
 	}
 }
 
+// TestFailoverOnDeath: the supervisor wakes on a worker's death, not on its
+// next tick. With an hour between ticks, a kill disruption and the one
+// request it crashes the worker on must still see the shard rebuilt within
+// a second.
+func TestFailoverOnDeath(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.HeartbeatInterval = time.Hour
+	s := mustNew(t, cfg)
+	failoverOnDeath(t, s, "kill")
+}
+
+// failoverOnDeath disrupts shard 0 with mode, sends one request, and waits
+// up to a second for the rebuilt shard to serve again.
+func failoverOnDeath(t *testing.T, s *Service, mode string) {
+	t.Helper()
+	if v, err := s.Alloc("t", 1, 64, 2); err != nil || v.Degraded {
+		t.Fatalf("alloc: %+v %v", v, err)
+	}
+	if err := s.Disrupt(0, mode); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Check("t", 1); err != nil {
+		t.Fatalf("check on the disrupted shard: %v", err)
+	}
+	waitUntil(t, time.Second, "failover on worker death", func() bool {
+		return s.Counters().Failovers >= 1
+	})
+	waitUntil(t, time.Second, "shard reopen", func() bool {
+		st := s.ShardStats()[0]
+		return !st.Rebuilding && st.Breaker == BreakerClosed
+	})
+	if v, err := s.Check("t", 1); err != nil || v.Degraded || !v.Known {
+		t.Fatalf("check after failover: %+v %v, want the replayed key served", v, err)
+	}
+}
+
 // TestFailoverStaleTriggerIsNoOp: a trigger is good for the worker it was
 // observed on. One that reaches failover after that worker was replaced —
 // it waited on failMu behind the failover that did it — must not tear the

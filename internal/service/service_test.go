@@ -160,15 +160,23 @@ func TestKeyForMatchesHashFNV(t *testing.T) {
 	}
 }
 
-// TestServiceDegradedFailOpen: with supervision effectively disabled (so
-// nothing rebuilds the shard), killing a worker must turn that shard's
+// stopSupervisors ends s's supervisor loops, so nothing rebuilds a dead
+// shard; Close still works afterwards.
+func stopSupervisors(s *Service) {
+	close(s.supStop)
+	s.supWG.Wait()
+	s.supStop = make(chan struct{})
+}
+
+// TestServiceDegradedFailOpen: with supervision stopped (so nothing
+// rebuilds the shard), killing a worker must turn that shard's
 // requests into degraded verdicts — typed, prompt, never a hang or a
 // false answer — while other shards keep answering.
 func TestServiceDegradedFailOpen(t *testing.T) {
 	cfg := testConfig(t, 2)
-	cfg.HeartbeatInterval = time.Hour // supervisor idle: no failover
 	cfg.Retry.MaxElapsed = 20 * time.Millisecond
 	s := mustNew(t, cfg)
+	stopSupervisors(s)
 
 	// Find keys for both shards.
 	var k0, k1 uint64

@@ -15,7 +15,9 @@ import (
 // HeartbeatInterval (bypassing the breaker — health checking must keep
 // probing precisely when requests are being rejected), feeds the results
 // into the breaker, and triggers failover after HeartbeatMisses
-// consecutive misses or as soon as the worker is seen dead. The loop is
+// consecutive misses or as soon as the worker is seen dead. It wakes on
+// the tick and on the current worker's death, so a killed shard starts
+// its rebuild at once rather than up to a tick later. The loop is
 // transport-blind: a dead endpoint is a retired turn or a reaped
 // worker process, and a ping is a turn of the worker or a wire round trip.
 func (s *Service) supervise(sh *shardState) {
@@ -23,21 +25,33 @@ func (s *Service) supervise(sh *shardState) {
 	ticker := time.NewTicker(s.cfg.HeartbeatInterval)
 	defer ticker.Stop()
 	misses := 0
+	// tickOnly is a box this loop already acted on without replacing it: a
+	// dead worker whose rebuild failed, or one another failover is
+	// rebuilding. Its done channel stays closed, so the loop waits for the
+	// tick instead and retries once per tick rather than spinning.
+	var tickOnly *epBox
 	for {
+		var died <-chan struct{}
+		if box := sh.ep.Load(); box != tickOnly {
+			died = box.ep.doneCh()
+		}
 		select {
 		case <-s.supStop:
 			return
 		case <-ticker.C:
-		}
-		if sh.rebuilding.Load() {
-			continue
+		case <-died:
 		}
 		box := sh.ep.Load()
+		if sh.rebuilding.Load() {
+			tickOnly = box
+			continue
+		}
 		select {
 		case <-box.ep.doneCh():
 			// Dead worker: no point counting misses.
 			s.failover(sh, box)
 			misses = 0
+			tickOnly = box
 			continue
 		default:
 		}

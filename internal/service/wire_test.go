@@ -263,6 +263,15 @@ func TestWireLifecycleBothNetworks(t *testing.T) {
 	})
 }
 
+// TestWireFailoverOnDeath is TestFailoverOnDeath over unix sockets: a
+// SIGKILLed worker process is reaped, and its reaping wakes the supervisor.
+func TestWireFailoverOnDeath(t *testing.T) {
+	cfg := wireConfig(t, 1, TransportUnix)
+	cfg.HeartbeatInterval = time.Hour
+	s := mustNew(t, cfg)
+	failoverOnDeath(t, s, "sigkill")
+}
+
 // TestWireFailoverProcessSigkill is the tentpole's process-death
 // invariant: SIGKILL a real worker process mid-state (live keys,
 // quarantined frees, cold segments on disk), and require the supervisor
