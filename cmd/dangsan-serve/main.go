@@ -139,11 +139,8 @@ func main() {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Settle: drain every quarantine, then collect the full verdict.
+	// Settled: collect the full verdict.
 	violations := append(load.Violations(), svc.Violations()...)
-	if err := svc.Quiesce(); err != nil {
-		violations = append(violations, fmt.Sprintf("quiesce: %v", err))
-	}
 	if *audit {
 		for i := 0; i < svc.Shards(); i++ {
 			_, _, av, err := svc.DetectorStats(i)

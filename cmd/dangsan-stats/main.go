@@ -64,7 +64,6 @@ func main() {
 		d := dangsan.New()
 		p := proc.New(d)
 		check(workloads.RunSPEC(p, prof, *seed))
-		p.Quiesce()
 		s := d.Stats()
 		d.Close()
 		fmt.Printf("%s\n", prof.Name)

@@ -38,12 +38,10 @@ func main() {
 	report(workloads.HeapSpray(p, smallSpray))
 
 	fmt.Printf("\n2. secure allocator (%d KiB quarantine)\n", quarantineBytes>>10)
-	p = proc.New(detectors.None{})
-	p.EnableQuarantine(quarantineBytes)
+	p = proc.New(detectors.NewSecureAllocator(quarantineBytes))
 	fmt.Printf("   naive attack (%d allocations):\n", smallSpray)
 	report(workloads.HeapSpray(p, smallSpray))
-	p = proc.New(detectors.None{})
-	p.EnableQuarantine(quarantineBytes)
+	p = proc.New(detectors.NewSecureAllocator(quarantineBytes))
 	fmt.Printf("   heap spray (%d allocations):\n", bigSpray)
 	report(workloads.HeapSpray(p, bigSpray))
 

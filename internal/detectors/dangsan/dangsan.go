@@ -22,7 +22,6 @@ import (
 	"dangsan/internal/obs"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/shadow"
-	"dangsan/internal/tcmalloc"
 )
 
 // Detector is the DangSan system. Create with New; it must be bound to the
@@ -31,9 +30,6 @@ type Detector struct {
 	table  *shadow.Table
 	logger *pointerlog.Logger
 	mem    detectors.Memory
-	// quar is the epoch quarantine engine; nil unless
-	// Config.QuarantineBytes armed deferred-free mode.
-	quar *quarantine
 	// met holds the detector-level instruments (free-path latency); nil
 	// until AttachMetrics.
 	met *detMetrics
@@ -58,14 +54,10 @@ func New() *Detector {
 // NewWithConfig creates a DangSan detector with explicit pointer-log
 // tunables (used by the ablation benchmarks).
 func NewWithConfig(cfg pointerlog.Config) *Detector {
-	d := &Detector{
+	return &Detector{
 		table:  shadow.NewTable(),
 		logger: pointerlog.NewLogger(cfg),
 	}
-	// Build the quarantine from the validated config so the epoch width
-	// default has been applied.
-	d.quar = newQuarantine(d, d.logger.Config())
-	return d
 }
 
 // Options configures a detector beyond the pointer-log tunables:
@@ -115,9 +107,6 @@ func (d *Detector) AttachMetrics(reg *obs.Registry) {
 	d.logger.AttachMetrics(reg)
 	d.table.AttachMetrics(reg)
 	d.met = &detMetrics{freeNs: reg.Histogram("dangsan.free_ns")}
-	if d.quar != nil {
-		d.quar.attachMetrics(reg)
-	}
 }
 
 // Bind implements detectors.Binder.
@@ -139,25 +128,15 @@ func (d *Detector) AllocPad() uint64 { return 1 }
 func (d *Detector) OnAlloc(base, size, align uint64) {
 	_, handle, err := d.logger.CreateMeta(base, size)
 	if err != nil {
-		d.untracked(base)
+		d.logger.NoteDegraded(int32(base >> 12))
 		return
 	}
 	if err := d.table.CreateObject(base, size, align, handle); err != nil {
 		// Shadow population failed (rolled back internally): release the
 		// metadata again so the handle can never surface half-mapped.
 		d.logger.ReleaseMeta(handle)
-		d.untracked(base)
+		d.logger.NoteDegraded(int32(base >> 12))
 	}
-}
-
-// untracked records that the allocator issued base to an object left
-// untracked. Its free will find no shadow entry, so the quarantine must not
-// still name base: a previous incarnation's custody, kept until its batch
-// finishes retiring, ends here, because the allocator could only re-issue
-// memory that has gone back.
-func (d *Detector) untracked(base uint64) {
-	d.logger.NoteDegraded(int32(base >> 12))
-	d.quar.reissued(base)
 }
 
 // OnReallocInPlace implements detectors.Detector. Growth extends the shadow
@@ -220,64 +199,21 @@ func (d *Detector) OnFree(base, size, align uint64) {
 	}
 }
 
-// BindRelease implements detectors.DeferredFree: the runtime hands over
-// its memory-return callback and learns whether quarantine mode is armed.
-func (d *Detector) BindRelease(release func(bases []uint64) (int, error)) bool {
-	if d.quar == nil {
-		return false
-	}
-	d.quar.release = release
-	return true
-}
+// DangSan frees inline (paper §4.4): its DeferredFree methods are no-ops
+// and BindRelease keeps the runtime on the inline path. They exist only
+// because benchmark/trace_detector.go forwards the interface to them.
 
-// OnFreeDeferred implements detectors.DeferredFree: instead of walking the
-// object's logs inline, clear its shadow mapping, move its metadata into
-// the quarantined accounting set, and enqueue it for the next epoch drain.
-// The free-side cost is a shadow clear plus a short critical section —
-// independent of the object's location-set size, which is the whole point.
-func (d *Detector) OnFreeDeferred(base, size, align uint64) (bool, error) {
-	var start time.Time
-	met := d.met
-	if met != nil {
-		start = time.Now()
-	}
-	handle := d.table.Lookup(base)
-	if handle == 0 {
-		// Untracked — unless it is a quarantined object being freed again:
-		// its shadow entry was cleared at the first free, so the custody
-		// set is the only thing that can still name it.
-		if d.quar.contains(base) {
-			return true, &tcmalloc.DoubleFreeError{Addr: base}
-		}
-		return false, nil
-	}
-	meta := d.logger.MetaAt(handle)
-	if meta == nil || meta.Base() != base {
-		return false, nil
-	}
-	d.table.ClearObject(base, size, align)
-	// Cached store fast paths may hold this object's extent; invalidate
-	// them now (Invalidate would have, at the epoch boundary — too late
-	// for stores racing the free).
-	d.logger.BumpGen()
-	d.logger.QuarantineMeta(handle)
-	err := d.quar.enqueue(quarEntry{handle: handle, base: base, size: size})
-	if met != nil {
-		met.freeNs.Since(int32(base>>12), start)
-	}
-	return true, err
-}
+// BindRelease implements detectors.DeferredFree.
+func (d *Detector) BindRelease(func(bases []uint64) (int, error)) bool { return false }
+
+// OnFreeDeferred implements detectors.DeferredFree.
+func (d *Detector) OnFreeDeferred(base, size, align uint64) (bool, error) { return false, nil }
 
 // Quarantined implements detectors.DeferredFree.
-func (d *Detector) Quarantined(base uint64) bool {
-	return d.quar.contains(base)
-}
+func (d *Detector) Quarantined(base uint64) bool { return false }
 
-// DrainQuarantine implements detectors.DeferredFree: synchronously retire
-// every pending epoch. Safe to call with quarantine unarmed.
-func (d *Detector) DrainQuarantine() {
-	d.quar.Drain()
-}
+// DrainQuarantine implements detectors.DeferredFree.
+func (d *Detector) DrainQuarantine() {}
 
 // OnPtrStore implements detectors.Detector (the pointer tracker's
 // registerptr): look up the object the stored value points into, then log
@@ -382,8 +318,7 @@ func (d *Detector) Logger() *pointerlog.Logger { return d.logger }
 
 // Close releases OS resources the detector holds — today the cold-tier
 // spill file, present only when Config.ColdSpillBytes armed tiering. The
-// detector must be quiescent (drain the quarantine first). Safe to call
-// when nothing was ever spilled.
+// detector must be quiescent. Safe to call when nothing was ever spilled.
 func (d *Detector) Close() {
 	d.logger.Close()
 }

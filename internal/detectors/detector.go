@@ -1,6 +1,7 @@
 // Package detectors defines the interface between the simulated process
 // runtime (internal/proc) and use-after-free detection systems, plus the
-// uninstrumented baseline. Concrete systems live in subpackages:
+// uninstrumented baseline and the §9 secure allocator (SecureAllocator).
+// Concrete systems live in subpackages:
 // detectors/dangsan (the paper's contribution), detectors/dangnull and
 // detectors/freesentry (the baselines it is evaluated against).
 package detectors
@@ -83,37 +84,32 @@ type Memory interface {
 	StoreWord(addr, val uint64) *vmem.Fault
 }
 
-// DeferredFree is implemented by detectors that can take custody of freed
-// objects instead of invalidating them inline: the free enqueues into a
-// bounded quarantine and a later epoch drain invalidates a whole batch with
-// one merged walk, returning the memory to the allocator only once its
-// metadata has been retired (so no address is reused while invalidation is
-// pending).
+// DeferredFree is implemented by detectors that withhold freed objects
+// from the allocator instead of letting the runtime return them at once:
+// the §9 secure allocator (SecureAllocator) parks them in a bounded FIFO
+// and hands them back through the runtime's release callback later.
 type DeferredFree interface {
 	// BindRelease hands the detector the runtime's memory-return callback
-	// (invoked once per drained epoch with the batch's base addresses) and
-	// reports whether deferred-free mode is armed. A false return means the
-	// detector is not configured for quarantine and the runtime must free
-	// inline; BindRelease is called once, before any OnFreeDeferred.
+	// and reports whether withholding is armed. A false return means the
+	// runtime must free inline; BindRelease is called once, before any
+	// OnFreeDeferred.
 	BindRelease(release func(bases []uint64) (int, error)) bool
 
-	// OnFreeDeferred offers the detector custody of a freed object. When it
-	// returns taken=true the detector now owns the memory: the runtime must
-	// NOT free base — it will come back through the release callback when
-	// the object's epoch retires. taken=false means the object is untracked
-	// (degraded mode) and the runtime should free it inline. A non-nil err
-	// (e.g. a double free detected against the quarantine) is returned to
+	// OnFreeDeferred offers the detector custody of a freed object, after
+	// its OnFree ran. When it returns taken=true the detector owns the
+	// memory: the runtime must NOT free base — it comes back through the
+	// release callback. taken=false means the runtime frees it inline. A
+	// non-nil err (e.g. a double free of a withheld object) is returned to
 	// the program either way.
 	OnFreeDeferred(base, size, align uint64) (taken bool, err error)
 
-	// Quarantined reports whether base is currently held in the quarantine
-	// (freed, epoch not yet retired). The runtime consults it on paths that
-	// would otherwise misread quarantined memory as live, e.g. realloc.
+	// Quarantined reports whether base is currently withheld (freed, not
+	// yet released). The runtime consults it on paths that would
+	// otherwise misread withheld memory as live, e.g. realloc.
 	Quarantined(base uint64) bool
 
-	// DrainQuarantine synchronously retires every pending epoch, returning
-	// all quarantined memory. Called under memory pressure and at
-	// end-of-run quiesce points.
+	// DrainQuarantine synchronously releases every withheld object. Called
+	// under memory pressure and at end-of-run quiesce points.
 	DrainQuarantine()
 }
 

@@ -13,7 +13,7 @@ import (
 type withMidRunDrift struct{ auditSource }
 
 func (a withMidRunDrift) AuditViolations() []string {
-	return append([]string{"pointerlog audit (free): LogBytes=8192 but measured live=8128 + quarantined=0 + released=0 + spilled=0 = 8128 (drift +64)"},
+	return append([]string{"pointerlog audit (free): LogBytes=8192 but measured live=8128 + released=0 + spilled=0 = 8128 (drift +64)"},
 		a.auditSource.AuditViolations()...)
 }
 

@@ -23,18 +23,11 @@
 //     its object's tag, so the cell checks also verify tagged pointers
 //     round-trip through stores, loads and gep arithmetic bit-for-bit.
 //   - dangsan pointer-log config: lookback {0,4,8} × compression {on,off} ×
-//     hash fallback {forced, effectively off}, plus two epoch-quarantine
-//     cells (deferred free, one sized to overflow its byte budget). The
-//     invalidation count must be identical across the inline configs —
-//     dedup and representation tuning may never change what gets
-//     invalidated. Quarantine cells invalidate at epoch boundaries instead
-//     of inline, so a cell overwritten before its epoch drains is
-//     legitimately classified stale: their count is only bounded, by
-//     [cells still dangling at exit, dangling-at-free total]. The final
-//     memory state must still be exact — the interpreter quiesces the
-//     quarantine before the run result is read. Audit mode is always on, so
-//     the log-byte accounting identity (extended with the quarantined term)
-//     is cross-checked at every free. Two more cells run the paper's
+//     hash fallback {forced, effectively off}, plus two tiered cells. The
+//     invalidation count must be identical across all of them — dedup,
+//     representation and tiering may never change what gets invalidated.
+//     Audit mode is always on, so the log-byte accounting identity is
+//     cross-checked at every free. Two more cells run the paper's
 //     default config with one of the process's extensions on — secure
 //     deallocation (zero-on-free) or the §7 memcpy hook — under the same
 //     exact oracle: irgen zeroes pointer fields before a realloc, so the
@@ -151,17 +144,13 @@ func (s Spec) Name() string {
 	if s.Cfg.Compression {
 		comp = "on"
 	}
-	quar := ""
-	if s.Cfg.QuarantineBytes > 0 {
-		quar = fmt.Sprintf(",quar=%dB/%d", s.Cfg.QuarantineBytes, s.Cfg.QuarantineEpoch)
-	}
 	spill := ""
 	if s.Cfg.ColdSpillBytes > 0 {
 		spill = fmt.Sprintf(",spill=%dB", s.Cfg.ColdSpillBytes)
 	}
 	ext := [...]string{extZeroOnFree: ",zero-on-free", extMemcpyHook: ",memcpy-hook"}[s.ext]
-	return fmt.Sprintf("%s/dangsan[lb=%d,comp=%s,hash=%s%s%s%s]",
-		s.Mode, s.Cfg.Lookback, comp, hash, quar, spill, ext)
+	return fmt.Sprintf("%s/dangsan[lb=%d,comp=%s,hash=%s%s%s]",
+		s.Mode, s.Cfg.Lookback, comp, hash, spill, ext)
 }
 
 // DangSanConfigs enumerates the pointer-log configurations the sweep
@@ -182,32 +171,11 @@ func DangSanConfigs() []pointerlog.Config {
 			}
 		}
 	}
-	// Epoch-quarantine cells: deferred free with synchronous drains (the
-	// deterministic mode — background workers would race the final-state
-	// check's view of the audit log). The narrow epoch exercises frequent
-	// retirement; the 2 KiB budget overflows almost immediately, exercising
-	// the fail-open synchronous-drain path on every seed.
-	for _, q := range []struct {
-		bytes uint64
-		epoch int
-	}{
-		{1 << 20, 4},
-		{2048, 64},
-	} {
-		out = append(out, pointerlog.Config{
-			Lookback:        4,
-			MaxLogEntries:   128,
-			Compression:     true,
-			QuarantineBytes: q.bytes,
-			QuarantineEpoch: q.epoch,
-			QuarantineSync:  true,
-		})
-	}
 	// Tiered cells: hash fallback forced and the cold tier armed at the
 	// minimum spill threshold, so location sets that outgrow one table
 	// spill to disk segments and free-time invalidation streams them back.
-	// One inline-free cell, and one crossing spills with synchronous epoch
-	// drains so segments retire through the epoch-boundary compaction.
+	// One cell with the lookback and compression off, one with the paper's
+	// lookback 4 and compression on.
 	out = append(out, pointerlog.Config{
 		Lookback:       0,
 		MaxLogEntries:  12,
@@ -215,13 +183,10 @@ func DangSanConfigs() []pointerlog.Config {
 		ColdSpillBytes: pointerlog.MinColdSpillBytes,
 	})
 	out = append(out, pointerlog.Config{
-		Lookback:        4,
-		MaxLogEntries:   12,
-		Compression:     true,
-		ColdSpillBytes:  pointerlog.MinColdSpillBytes,
-		QuarantineBytes: 1 << 20,
-		QuarantineEpoch: 4,
-		QuarantineSync:  true,
+		Lookback:       4,
+		MaxLogEntries:  12,
+		Compression:    true,
+		ColdSpillBytes: pointerlog.MinColdSpillBytes,
 	})
 	return out
 }
@@ -607,8 +572,8 @@ type auditSource interface {
 // the identity is exact only while no Register races the walk (see
 // pointerlog/audit.go) — so while a program's threads run, a drift entry is
 // expected noise, on a different seed each time. A threaded run is therefore
-// held to the identity once, here, at the quiescent end (threads joined,
-// quarantine drained); a single-threaded run to every check it ever made.
+// held to the identity once, here, at the quiescent end (threads joined);
+// a single-threaded run to every check it ever made.
 func auditClause(a auditSource, threaded bool) string {
 	if threaded {
 		if err := a.AuditCheck(); err != nil {
@@ -633,16 +598,7 @@ func checkCounters(o *irgen.Oracle, sp Spec, ex *execution, threaded bool) []str
 	switch sp.Det {
 	case DetDangSan:
 		snap := ex.ds.Stats()
-		if sp.Cfg.QuarantineBytes > 0 {
-			// Deferred invalidation: a cell overwritten between its free and
-			// its epoch drain is correctly classified stale, so only bounds
-			// hold — cells still dangling at exit are guaranteed to be walked
-			// while stale (floor), and nothing beyond the dangling-at-free
-			// total may ever be invalidated (ceiling).
-			if lo, hi := o.DanglingCells(), o.InvalidatedAll; snap.Invalidated < lo || snap.Invalidated > hi {
-				fail("dangsan quarantined invalidated %d, want %d..%d", snap.Invalidated, lo, hi)
-			}
-		} else if snap.Invalidated != o.InvalidatedAll {
+		if snap.Invalidated != o.InvalidatedAll {
 			fail("dangsan invalidated %d, want %d", snap.Invalidated, o.InvalidatedAll)
 		}
 		// Whether a realloc moves (and allocates) depends on size classes

@@ -47,20 +47,20 @@ func TestDifferMatrix(t *testing.T) {
 }
 
 // TestMatrixShape pins the matrix dimensions so a silently shrunken sweep
-// cannot pass as a full one: 16 dangsan configs (incl. 2 quarantine cells
-// and 2 tiered cells) × 2 instrumented modes, 2 dangsan cells with a process
-// extension (zero-on-free, memcpy hook), 3 baseline cells, 2 dangnull
-// cells, 2 xtag cells, 2 camp cells, and 2 freesentry cells that must
-// disappear exactly when the program is multi-threaded.
+// cannot pass as a full one: 14 dangsan configs (incl. 2 tiered cells) × 2
+// instrumented modes, 2 dangsan cells with a process extension
+// (zero-on-free, memcpy hook), 3 baseline cells, 2 dangnull cells, 2 xtag
+// cells, 2 camp cells, and 2 freesentry cells that must disappear exactly
+// when the program is multi-threaded.
 func TestMatrixShape(t *testing.T) {
-	if n := len(DangSanConfigs()); n != 16 {
-		t.Fatalf("dangsan configs = %d, want 16", n)
+	if n := len(DangSanConfigs()); n != 14 {
+		t.Fatalf("dangsan configs = %d, want 14", n)
 	}
-	if n := len(Specs(false)); n != 3+32+2+2+2+2+2 {
-		t.Fatalf("single-threaded specs = %d, want 45", n)
+	if n := len(Specs(false)); n != 3+28+2+2+2+2+2 {
+		t.Fatalf("single-threaded specs = %d, want 41", n)
 	}
-	if n := len(Specs(true)); n != 3+32+2+2+2+2 {
-		t.Fatalf("multi-threaded specs = %d, want 43", n)
+	if n := len(Specs(true)); n != 3+28+2+2+2+2 {
+		t.Fatalf("multi-threaded specs = %d, want 39", n)
 	}
 	exts := map[procExt]int{}
 	for _, sp := range Specs(true) {

@@ -124,9 +124,9 @@ func (rt *Runtime) Run() (*Result, error) {
 	th := rt.p.NewThread()
 	ex := &executor{rt: rt, th: th}
 	ret, trap := ex.callFunc(entry, rt.opts.Args)
-	// Retire any deferred-free quarantine before reporting: post-run
-	// checks (LiveObjects, dangling-pointer state, audit identities) must
-	// see the state an inline-free run would have reached.
+	// Release anything a deferred-free detector withholds before
+	// reporting: post-run checks (LiveObjects) must see the state an
+	// inline-free run would have reached.
 	rt.p.Quiesce()
 	res := &Result{Ret: ret, Trap: trap}
 	if res.Trap == nil {

@@ -129,23 +129,6 @@ type Oracle struct {
 	Cells []Cell
 }
 
-// DanglingCells counts the cells still dangling at exit. Under deferred
-// (quarantine) invalidation a cell that dangled at free time may be
-// overwritten before its epoch drains — the walk then classifies it stale —
-// so the detector's invalidation count is only bounded:
-// DanglingCells() <= invalidated <= InvalidatedAll. Cells dangling at exit
-// are the guaranteed floor: they still hold the stale value when the final
-// drain walks them.
-func (o *Oracle) DanglingCells() uint64 {
-	var n uint64
-	for _, c := range o.Cells {
-		if c.Kind == CellDangling {
-			n++
-		}
-	}
-	return n
-}
-
 // Clone deep-copies the oracle (the slices are shared otherwise), letting
 // harness tests tamper with a copy.
 func (o *Oracle) Clone() *Oracle {

@@ -3,16 +3,13 @@ package pointerlog
 import "fmt"
 
 // Audit mode (Config.Audit) cross-checks the incremental LogBytes
-// accounting against ground truth: it re-measures every live and
-// quarantined object's log structures by walking them and requires
+// accounting against ground truth: it re-measures every live object's log
+// structures by walking them and requires
 //
 //	LogBytes (cumulative charges) ==
-//	    measured live + measured quarantined + LogBytesReleased + LogBytesSpilled
+//	    measured live + LogBytesReleased + LogBytesSpilled
 //
-// to hold exactly. The quarantined term covers objects whose free has been
-// deferred to an epoch drain: their logs are no longer live (the object is
-// dead to the program) but have not yet been released, so their footprint
-// must still balance the charges. The spilled term extends the identity
+// to hold exactly. The spilled term extends the identity
 // across tiers: bytes that were charged while a hash table was resident
 // and then left RAM at a cold-tier spill are no longer measurable by the
 // walk, so they are carried by a cumulative counter exactly like released
@@ -53,27 +50,26 @@ func (lg *Logger) auditNow(context string) {
 // freezes the live-handle set (CreateMeta/ReleaseMeta) but not the logs
 // themselves — see the package comment above for why that is acceptable.
 func (lg *Logger) auditLocked(context string) error {
-	live := lg.measureSetLocked(lg.auditLive)
-	quar := lg.measureSetLocked(lg.auditQuar)
+	live := lg.measureLiveLocked()
 	total := lg.stats.LogBytesTotal()
 	released := lg.stats.ReleasedLogBytesTotal()
 	spilled := lg.stats.SpilledLogBytesTotal()
-	if total == live+quar+released+spilled {
+	if total == live+released+spilled {
 		return nil
 	}
 	err := fmt.Errorf(
-		"pointerlog audit (%s): LogBytes=%d but measured live=%d + quarantined=%d + released=%d + spilled=%d = %d (drift %+d)",
-		context, total, live, quar, released, spilled, live+quar+released+spilled,
-		int64(total)-int64(live+quar+released+spilled))
+		"pointerlog audit (%s): LogBytes=%d but measured live=%d + released=%d + spilled=%d = %d (drift %+d)",
+		context, total, live, released, spilled, live+released+spilled,
+		int64(total)-int64(live+released+spilled))
 	lg.auditErrs = append(lg.auditErrs, err.Error())
 	return err
 }
 
-// measureSetLocked sums the log footprint of every meta index in the set.
-// Caller holds mu.
-func (lg *Logger) measureSetLocked(set map[uint64]struct{}) uint64 {
+// measureLiveLocked sums the log footprint of every live meta. Caller
+// holds mu.
+func (lg *Logger) measureLiveLocked() uint64 {
 	var n uint64
-	for idx := range set {
+	for idx := range lg.auditLive {
 		n += lg.MetaAt(idx + 1).logFootprint()
 	}
 	return n
@@ -95,13 +91,5 @@ func (lg *Logger) AuditViolations() []string {
 func (lg *Logger) MeasureLiveLogBytes() uint64 {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	return lg.measureSetLocked(lg.auditLive)
-}
-
-// MeasureQuarantinedLogBytes is MeasureLiveLogBytes for the quarantined
-// set: freed objects whose epoch has not yet retired.
-func (lg *Logger) MeasureQuarantinedLogBytes() uint64 {
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	return lg.measureSetLocked(lg.auditQuar)
+	return lg.measureLiveLocked()
 }

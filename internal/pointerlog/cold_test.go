@@ -400,8 +400,8 @@ func TestColdCompactionReclaimsGarbage(t *testing.T) {
 	}
 }
 
-// TestColdSpillManyInvalidate: InvalidateMany streams cold segments of
-// every batch member through the shared dedup and lands exact counts.
+// TestColdSpillManyInvalidate: invalidating several spilled objects in a
+// row streams each one's cold segments and lands exact counts.
 func TestColdSpillManyInvalidate(t *testing.T) {
 	cfg := tieredConfig(t)
 	as := vmem.New()
@@ -425,7 +425,9 @@ func TestColdSpillManyInvalidate(t *testing.T) {
 	if lg.Stats().Snapshot().Spills == 0 {
 		t.Fatal("fixture never spilled")
 	}
-	lg.InvalidateMany(metas, as)
+	for _, m := range metas {
+		lg.Invalidate(m, as)
+	}
 	snap := lg.Stats().Snapshot()
 	if snap.Invalidated != uint64(total) {
 		t.Fatalf("Invalidated=%d want %d (stale=%d)", snap.Invalidated, total, snap.Stale)

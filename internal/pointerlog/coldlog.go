@@ -382,17 +382,6 @@ func (lg *Logger) retireCold(meta *ObjectMeta) {
 	}
 }
 
-// CompactCold rewrites the spill file without its dead segments if
-// garbage dominates it. The quarantine engine calls this at epoch
-// boundaries so disk reclamation rides the same amortization as the
-// batched shadow walk; it is also safe (and cheap when below threshold)
-// to call at any quiescent point.
-func (lg *Logger) CompactCold() {
-	if c := lg.cold.Load(); c != nil && c.overGarbage() {
-		c.compact()
-	}
-}
-
 // forEachColdLocation streams every location spilled for meta through fn.
 // Unreadable segments are skipped and counted (coverage loss, fail-open).
 func (lg *Logger) forEachColdLocation(meta *ObjectMeta, sh *statShard, fn func(loc uint64)) {

@@ -35,25 +35,6 @@ const DefaultMaxLogEntries = 128
 // MaxLookback bounds the configurable lookback window.
 const MaxLookback = 64
 
-// DefaultQuarantineEpoch is the number of deferred frees drained per epoch
-// batch when quarantine mode is on and no explicit epoch is configured.
-// Large enough that the merged walk amortizes the per-batch overhead,
-// small enough that memory is not held hostage long after its free.
-const DefaultQuarantineEpoch = 64
-
-// MaxQuarantineEpoch bounds the configurable epoch width: past a few
-// thousand objects per batch the merged-walk win flattens while the
-// drain's stop-the-free-path cost (on overflow) keeps growing.
-const MaxQuarantineEpoch = 4096
-
-// DefaultColdSpillBytes is the recommended hash-table residency (bytes of
-// table slots) at which a location set's entries are spilled to the cold
-// tier. Spilling is opt-in (Config.ColdSpillBytes == 0 disables it); there
-// is no implicit default. 64 KiB keeps the hot tier within L2 while each
-// spill segment still amortizes its sort and lock over thousands of
-// locations.
-const DefaultColdSpillBytes = 64 << 10
-
 // MinColdSpillBytes floors the configurable spill threshold: below one
 // initial table (locSetInitial slots) the hot tier could never hold even a
 // freshly swapped-in table, and every grow would spill.
@@ -84,30 +65,14 @@ type Config struct {
 	// no further objects until pressure subsides — explicit degraded mode
 	// in place of unbounded growth. 0 means unlimited.
 	MaxMetadataBytes uint64
-	// QuarantineBytes, when nonzero, arms the detector-level free
-	// quarantine: freed objects keep their memory and metadata until an
-	// epoch batch invalidates them together (InvalidateMany), bounded by
-	// this many quarantined object bytes. Exceeding the bound forces a
-	// synchronous drain on the freeing thread — the same fail-open shape
-	// as MaxMetadataBytes, never a panic. 0 disables quarantine.
-	QuarantineBytes uint64
-	// QuarantineEpoch is the number of deferred frees retired per epoch
-	// batch (0 picks DefaultQuarantineEpoch when quarantine is armed).
-	QuarantineEpoch int
-	// QuarantineSync drains epochs synchronously on the freeing thread at
-	// each epoch boundary instead of handing batches to a background
-	// worker. Deterministic-by-construction: the differ's quarantine cells
-	// and the audited chaos stage use it so the accounting identity and
-	// invalidation counts are reproducible run to run.
-	QuarantineSync bool
 	// ColdSpillBytes, when nonzero, arms the tiered log: once a hash-mode
 	// location set's table would grow to this many resident bytes, its
 	// entries are flushed as a compressed append-only segment to a
 	// per-logger memory-mapped spill file and a fresh (hot) table takes
 	// over. Free-time invalidation decodes the segments in place; a spill
-	// that cannot reach the file fails open (the table stays resident). Values below MinColdSpillBytes are raised to it.
-	// 0 keeps every location set fully resident (the pre-tiering
-	// behaviour).
+	// that cannot reach the file fails open (the table stays resident).
+	// Values below MinColdSpillBytes are raised to it. 0 keeps every
+	// location set fully resident (the pre-tiering behaviour).
 	ColdSpillBytes uint64
 	// ColdDir is the directory for the spill file (os.CreateTemp
 	// semantics: "" means the system temp dir). The file is unlinked on
@@ -133,14 +98,6 @@ func (c Config) validated() Config {
 	}
 	if c.MaxLogEntries < embedEntries {
 		c.MaxLogEntries = embedEntries
-	}
-	if c.QuarantineBytes > 0 {
-		if c.QuarantineEpoch <= 0 {
-			c.QuarantineEpoch = DefaultQuarantineEpoch
-		}
-		if c.QuarantineEpoch > MaxQuarantineEpoch {
-			c.QuarantineEpoch = MaxQuarantineEpoch
-		}
 	}
 	if c.ColdSpillBytes > 0 && c.ColdSpillBytes < MinColdSpillBytes {
 		c.ColdSpillBytes = MinColdSpillBytes

@@ -62,15 +62,6 @@ func (c *invalCounts) flush(sh *statShard) {
 // program store on another thread that races it wins: the lost CAS re-reads
 // the new value and classifies it stale, so it is never clobbered.
 func (lg *Logger) Invalidate(meta *ObjectMeta, mem Memory) {
-	base := meta.Base()
-	lg.walk([]*ObjectMeta{meta}, []deadRange{{lo: base, hi: base + meta.Size()}}, mem, nil)
-}
-
-// walk is the one free-time pass behind Invalidate and InvalidateMany: each
-// object's resident locations, then its cold segments, go through one CAS
-// loop against the sorted, disjoint dead ranges. A non-nil seen set loads
-// each location once per walk however many of the objects logged it.
-func (lg *Logger) walk(metas []*ObjectMeta, ranges []deadRange, mem Memory, seen map[uint64]struct{}) {
 	// Any cached {meta, ThreadLog} fast-path pair is stale from here on.
 	lg.gen.Add(1)
 
@@ -80,34 +71,23 @@ func (lg *Logger) walk(metas []*ObjectMeta, ranges []deadRange, mem Memory, seen
 		start = time.Now()
 	}
 
-	tid := int32(ranges[0].lo >> 12)
+	lo := meta.Base()
+	hi := lo + meta.Size()
+	tid := int32(lo >> 12)
 	sh := lg.stats.shard(tid)
 	var c invalCounts
-	visit := func(loc uint64) {
-		if seen != nil {
-			if _, dup := seen[loc]; dup {
-				return
-			}
-			seen[loc] = struct{}{}
-		}
-		invalidateLocation(loc, ranges, mem, &c)
-	}
-	for _, meta := range metas {
-		meta.ForEachLocation(visit)
-		lg.forEachColdLocation(meta, sh, visit)
-	}
+	visit := func(loc uint64) { invalidateLocation(loc, lo, hi, mem, &c) }
+	meta.ForEachLocation(visit)
+	lg.forEachColdLocation(meta, sh, visit)
 	c.flush(sh)
 	if met != nil {
-		if len(metas) > 1 {
-			met.invalidateBatch.Observe(tid, uint64(len(metas)))
-		}
 		met.invalidateNs.Since(tid, start)
 	}
 }
 
 // invalidateLocation sets InvalidBit in the word at loc while it still
-// points into one of the dead ranges.
-func invalidateLocation(loc uint64, ranges []deadRange, mem Memory, c *invalCounts) {
+// points into the dead object [lo, hi).
+func invalidateLocation(loc, lo, hi uint64, mem Memory, c *invalCounts) {
 	for {
 		w, fault := mem.LoadWord(loc)
 		if fault != nil {
@@ -116,7 +96,7 @@ func invalidateLocation(loc uint64, ranges []deadRange, mem Memory, c *invalCoun
 			c.faulted++
 			return
 		}
-		if !rangesContain(ranges, w) {
+		if w < lo || w >= hi {
 			c.stale++
 			return
 		}

@@ -142,22 +142,19 @@ type Logger struct {
 	// stats is sharded by tid, one padded shard per writer.
 	stats Stats
 
-	// Audit-mode state (cfg.Audit; guarded by mu): the sets of live and
-	// quarantined meta indices, so the auditor can re-measure every log
-	// structure still charged to the accounting, and the violations it
-	// found. A meta moves live → quarantined at QuarantineMeta (deferred
-	// free) and out of both at ReleaseMeta (epoch retirement).
+	// Audit-mode state (cfg.Audit; guarded by mu): the set of live meta
+	// indices, so the auditor can re-measure every log structure still
+	// charged to the accounting, and the violations it found. A meta
+	// leaves the set at ReleaseMeta.
 	auditLive map[uint64]struct{}
-	auditQuar map[uint64]struct{}
 	auditErrs []string
 }
 
 // loggerMetrics bundles the logger's obs instruments.
 type loggerMetrics struct {
-	registerNs      *obs.Histogram
-	invalidateNs    *obs.Histogram
-	invalidateBatch *obs.Histogram
-	spillNs         *obs.Histogram
+	registerNs   *obs.Histogram
+	invalidateNs *obs.Histogram
+	spillNs      *obs.Histogram
 }
 
 const metaSlabSize = 1 << 12
@@ -179,23 +176,20 @@ func NewLogger(cfg Config) *Logger {
 	lg := &Logger{cfg: cfg.validated()}
 	if lg.cfg.Audit {
 		lg.auditLive = make(map[uint64]struct{})
-		lg.auditQuar = make(map[uint64]struct{})
 	}
 	return lg
 }
 
 // AttachMetrics registers the logger's instruments with reg: Register and
-// Invalidate latency histograms, the epoch-drain batch-size histogram, and
-// gauges over the counters Stats already tracks. Call before the logger
-// sees concurrent traffic.
+// Invalidate latency histograms and gauges over the counters Stats already
+// tracks. Call before the logger sees concurrent traffic.
 func (lg *Logger) AttachMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	lg.met = &loggerMetrics{
-		registerNs:      reg.Histogram("pointerlog.register_ns"),
-		invalidateNs:    reg.Histogram("pointerlog.invalidate_ns"),
-		invalidateBatch: reg.Histogram("pointerlog.invalidate_batch_objects"),
+		registerNs:   reg.Histogram("pointerlog.register_ns"),
+		invalidateNs: reg.Histogram("pointerlog.invalidate_ns"),
 		// The spill histogram lives in the dangsan namespace: tiering is
 		// part of the detector's store/free plane, and the dashboards
 		// group it with dangsan.free_ns rather than the logger internals.
@@ -405,31 +399,12 @@ func (lg *Logger) ReleaseMeta(handle uint64) {
 	lg.mu.Lock()
 	if lg.auditLive != nil {
 		delete(lg.auditLive, handle-1)
-		delete(lg.auditQuar, handle-1)
 	}
 	lg.free = append(lg.free, handle-1)
 	lg.mu.Unlock()
 	if lg.cfg.Audit {
 		lg.auditNow("free")
 	}
-}
-
-// QuarantineMeta moves handle's meta from the live to the quarantined
-// audit set: the object has been freed (its shadow entry cleared), but its
-// invalidation and metadata release are deferred to an epoch drain, so the
-// log structures remain charged to the accounting. No-op outside audit
-// mode — the quarantine engine itself tracks its entries independently.
-func (lg *Logger) QuarantineMeta(handle uint64) {
-	if handle == 0 || !lg.cfg.Audit {
-		return
-	}
-	lg.mu.Lock()
-	idx := handle - 1
-	if _, ok := lg.auditLive[idx]; ok {
-		delete(lg.auditLive, idx)
-		lg.auditQuar[idx] = struct{}{}
-	}
-	lg.mu.Unlock()
 }
 
 // logFootprint measures the memory currently held by meta's log

@@ -73,8 +73,7 @@ type Snapshot struct {
 	// LogBytesSpilled is the cumulative resident footprint of hash tables
 	// flushed to the cold tier: bytes that were charged to LogBytes, left
 	// RAM at a spill, and now live on disk in compressed segment form. The
-	// cross-tier identity is LogBytes == live + quarantined + released +
-	// spilled.
+	// cross-tier identity is LogBytes == live + released + spilled.
 	LogBytesSpilled uint64
 	// Spills counts cold-tier flushes; SpillFailures counts flushes that
 	// could not reach disk and fell open (table stayed resident);
@@ -138,8 +137,7 @@ func (s *Stats) LogBytesTotal() uint64 {
 }
 
 // ReleasedLogBytesTotal aggregates the released-log-memory counter alone,
-// for the audit identity LogBytesTotal == live + quarantined + released +
-// spilled.
+// for the audit identity LogBytesTotal == live + released + spilled.
 func (s *Stats) ReleasedLogBytesTotal() uint64 {
 	var n uint64
 	for i := range s.shards {

@@ -78,31 +78,15 @@ type Process struct {
 	// the metrics-off hot path pays one predicted branch.
 	met *procMetrics
 
-	// deferred, when non-nil, is the detector's epoch-quarantine interface:
-	// Free hands tracked objects to it instead of invalidating inline, and
-	// their memory comes back through the release callback bound at
-	// construction. Distinct from EnableQuarantine below, which is the
-	// secure-allocator *defense* being modelled (and defeated) — this one
-	// is a detector performance mechanism.
+	// deferred, when non-nil, is det's withholding interface (the §9
+	// secure allocator, detectors.SecureAllocator): Free hands objects to
+	// it instead of the allocator, and their memory comes back through the
+	// release callback bound at construction.
 	deferred detectors.DeferredFree
-	// releaseMu serializes the release thread cache, which epoch drains
-	// (possibly on a background goroutine) use to return quarantined
-	// memory.
+	// releaseMu serializes the release thread cache, which returns
+	// withheld memory for whichever thread's free or drain evicted it.
 	releaseMu sync.Mutex
 	releaseTC *tcmalloc.ThreadCache
-
-	// Quarantine state (see EnableQuarantine).
-	quarantineLimit uint64
-	quarantineMu    sync.Mutex
-	quarantine      []quarantined
-	quarantineSet   map[uint64]bool
-	quarantineBytes uint64
-}
-
-// quarantined is one object parked in the free quarantine.
-type quarantined struct {
-	base uint64
-	size uint64
 }
 
 // procMetrics bundles the process's per-operation counters, each sharded
@@ -190,38 +174,38 @@ func NewWithOptions(det detectors.Detector, opts Options) *Process {
 		tagger:      tg,
 		globalsBump: vmem.GlobalsBase,
 	}
-	if df, ok := det.(detectors.DeferredFree); ok {
+	if df, ok := det.(detectors.DeferredFree); ok && df.BindRelease(p.release) {
+		p.deferred = df
 		p.releaseTC = alloc.NewThreadCache()
-		release := func(bases []uint64) (int, error) {
-			p.releaseMu.Lock()
-			defer p.releaseMu.Unlock()
-			n, err := p.releaseTC.FreeBatch(bases)
-			// Flush per batch so the returned memory reaches the central
-			// lists — reusable by every thread, not parked in a cache no
-			// thread owns.
-			p.releaseTC.Flush()
-			return n, err
-		}
-		if df.BindRelease(release) {
-			p.deferred = df
-		}
 	}
 	return p
 }
 
-// Quiesce drains the detector's deferred-free quarantine, if armed: every
-// pending epoch retires, so invalidation and allocator accounting reach
-// the state an inline-free run would be in. Call at end-of-run checkpoints
-// before comparing LiveObjects or dangling-pointer state.
+// release is the memory-return callback bound into a DeferredFree
+// detector: it frees withheld objects through the release thread cache.
+func (p *Process) release(bases []uint64) (int, error) {
+	p.releaseMu.Lock()
+	defer p.releaseMu.Unlock()
+	n, err := p.releaseTC.FreeBatch(bases)
+	// Flush per batch so the returned memory reaches the central lists —
+	// reusable by every thread, not parked in a cache no thread owns.
+	p.releaseTC.Flush()
+	return n, err
+}
+
+// Quiesce releases every object the detector withholds, if it defers
+// frees, so allocator accounting reaches the state an inline-free run
+// would be in. Call at end-of-run checkpoints before comparing
+// LiveObjects.
 func (p *Process) Quiesce() {
 	if p.deferred != nil {
 		p.deferred.DrainQuarantine()
 	}
 }
 
-// ReclaimMemory is the memory-pressure relief valve: drain the quarantine
-// (quarantined spans are unusable until their epoch retires) and then
-// return idle pages to the OS.
+// ReclaimMemory is the memory-pressure relief valve: release withheld
+// objects (their spans are unusable until then) and then return idle
+// pages to the OS.
 func (p *Process) ReclaimMemory() {
 	p.Quiesce()
 	p.alloc.ReleaseFreeMemory()
@@ -241,67 +225,6 @@ func (p *Process) EnableMemcpyHook() bool {
 // EnableZeroOnFree turns on secure deallocation: freed objects are wiped
 // before their memory is released.
 func (p *Process) EnableZeroOnFree() { p.zeroOnFree = true }
-
-// EnableQuarantine turns the process into a secure-allocator configuration
-// (the defense class of the paper's §9: DieHard(er), Cling, ASan): freed
-// objects are parked in a FIFO quarantine and only really released once the
-// quarantine exceeds the byte limit, delaying memory reuse. The paper's §1
-// point — and the HeapSpray exploit workload — is that an attacker defeats
-// this by spraying allocations until the victim chunk is flushed out and
-// reused.
-func (p *Process) EnableQuarantine(limitBytes uint64) {
-	p.quarantineLimit = limitBytes
-	p.quarantineSet = make(map[uint64]bool)
-}
-
-// QuarantinedBytes reports the bytes currently parked in quarantine.
-func (p *Process) QuarantinedBytes() uint64 {
-	p.quarantineMu.Lock()
-	defer p.quarantineMu.Unlock()
-	return p.quarantineBytes
-}
-
-// enqueueQuarantine parks an object and returns any objects that must now
-// really be freed to respect the limit.
-func (p *Process) enqueueQuarantine(base, size uint64) ([]quarantined, error) {
-	p.quarantineMu.Lock()
-	defer p.quarantineMu.Unlock()
-	if p.quarantineSet[base] {
-		// Double free caught while the object sits in quarantine — the
-		// immediate detection ASan's quarantine provides.
-		return nil, &tcmalloc.DoubleFreeError{Addr: base}
-	}
-	p.quarantineSet[base] = true
-	p.quarantine = append(p.quarantine, quarantined{base: base, size: size})
-	p.quarantineBytes += size
-	var evict []quarantined
-	for p.quarantineBytes > p.quarantineLimit && len(p.quarantine) > 0 {
-		q := p.quarantine[0]
-		p.quarantine = p.quarantine[1:]
-		p.quarantineBytes -= q.size
-		delete(p.quarantineSet, q.base)
-		evict = append(evict, q)
-	}
-	return evict, nil
-}
-
-// FlushQuarantine releases every quarantined object immediately (process
-// teardown, tests).
-func (th *Thread) FlushQuarantine() error {
-	p := th.proc
-	p.quarantineMu.Lock()
-	pending := p.quarantine
-	p.quarantine = nil
-	p.quarantineSet = make(map[uint64]bool)
-	p.quarantineBytes = 0
-	p.quarantineMu.Unlock()
-	for _, q := range pending {
-		if err := th.tc.Free(q.base); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // AddressSpace exposes the process's simulated memory.
 func (p *Process) AddressSpace() *vmem.AddressSpace { return p.as }
@@ -543,51 +466,22 @@ func (th *Thread) Free(ptr uint64) error {
 		return th.tc.Free(ptr)
 	}
 	align, _ := p.alloc.PageAlignOf(ptr)
-	// Deferred-free mode: offer the detector custody. Mutually exclusive
-	// with zero-on-free (which wants the wipe before release, while the
-	// object here outlives the free) and with the secure-allocator
-	// quarantine (which owns release ordering itself).
-	if p.deferred != nil && !p.zeroOnFree && p.quarantineLimit == 0 {
-		taken, err := p.deferred.OnFreeDeferred(ptr, usable, align)
-		if taken {
-			if err != nil {
-				return err
-			}
-			if p.met != nil {
-				p.met.frees.Inc(th.id)
-			}
-			th.emit(TraceFree, ptr, 0, 0)
-			return nil
-		}
-		// Untracked (degraded) object: fall through to the inline path,
-		// where OnFree is a cheap no-op lookup and tc.Free reclaims it.
-	}
 	p.det.OnFree(ptr, usable, align)
 	if p.zeroOnFree {
 		if f := p.as.Memset(ptr, 0, usable); f != nil {
 			panic(f) // the object is live and mapped; cannot happen
 		}
 	}
-	if p.quarantineLimit > 0 {
-		// Secure-allocator mode: park the object; release evicted ones.
-		// The logical free already happened (detector notified, optional
-		// zeroing done); only memory reuse is delayed.
-		evict, err := p.enqueueQuarantine(ptr, usable)
-		if err != nil {
-			return err
-		}
-		for _, q := range evict {
-			if err := th.tc.Free(q.base); err != nil {
-				return err
-			}
-		}
-		if p.met != nil {
-			p.met.frees.Inc(th.id)
-		}
-		th.emit(TraceFree, ptr, 0, 0)
-		return nil
+	// The logical free happened above; a detector that defers frees only
+	// delays the memory's reuse.
+	taken := false
+	var err error
+	if p.deferred != nil {
+		taken, err = p.deferred.OnFreeDeferred(ptr, usable, align)
 	}
-	err := th.tc.Free(ptr)
+	if !taken && err == nil {
+		err = th.tc.Free(ptr)
+	}
 	if err == nil {
 		if p.met != nil {
 			p.met.frees.Inc(th.id)
@@ -660,9 +554,9 @@ func (th *Thread) Realloc(ptr, size uint64) (uint64, error) {
 	if !ok {
 		return 0, th.tc.Free(ptr) // surfaces the allocator's error
 	}
-	// A quarantined object is freed-but-withheld: the allocator still
-	// reports it live (its memory has not been returned), so without this
-	// check a realloc of a freed pointer would quietly resize dead memory.
+	// A withheld object is freed: the allocator still reports it live (its
+	// memory has not been returned), so without this check a realloc of a
+	// freed pointer would resize dead memory, or move it and leak the copy.
 	if p.deferred != nil && p.deferred.Quarantined(ptr) {
 		return 0, &tcmalloc.DoubleFreeError{Addr: ptr}
 	}

@@ -5,57 +5,52 @@ import (
 	"sync"
 	"testing"
 
-	"dangsan/internal/detectors/dangsan"
-	"dangsan/internal/pointerlog"
+	"dangsan/internal/detectors"
 	"dangsan/internal/proc"
 	"dangsan/internal/tcmalloc"
 )
 
-func quarProc(budget uint64, epoch int, syncMode bool) (*proc.Process, *proc.Thread) {
-	cfg := pointerlog.DefaultConfig()
-	cfg.QuarantineBytes = budget
-	cfg.QuarantineEpoch = epoch
-	cfg.QuarantineSync = syncMode
-	p := proc.New(dangsan.NewWithConfig(cfg))
-	return p, p.NewThread()
+// secureProc builds a process under the §9 secure allocator, the one
+// detector that defers frees.
+func secureProc(limit uint64) (*proc.Process, *detectors.SecureAllocator, *proc.Thread) {
+	sa := detectors.NewSecureAllocator(limit)
+	p := proc.New(sa)
+	return p, sa, p.NewThread()
 }
 
-// In deferred-free mode a free returns immediately, the dangling pointer is
-// invalidated only at the epoch boundary, and the memory reaches the
-// allocator only when the epoch retires — Quiesce forces both.
+// A deferred free returns at once, but the memory reaches the allocator
+// only when the object is released — Quiesce forces that.
 func TestDeferredFreeQuiesce(t *testing.T) {
-	p, th := quarProc(1<<20, 8, true)
-	slot := p.AllocGlobal(8)
+	p, sa, th := secureProc(1 << 20)
 	obj, err := th.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	th.StorePtr(slot, obj)
 	live0 := p.Allocator().Stats().LiveObjects
 	if err := th.Free(obj); err != nil {
 		t.Fatal(err)
 	}
-	// Withheld: allocator accounting unchanged, pointer still raw.
+	// Withheld: allocator accounting unchanged.
 	if live := p.Allocator().Stats().LiveObjects; live != live0 {
-		t.Fatalf("live objects %d, want %d while quarantined", live, live0)
+		t.Fatalf("live objects %d, want %d while withheld", live, live0)
 	}
-	if v, f := th.Load(slot); f != nil || v != obj {
-		t.Fatalf("pointer before drain: 0x%x, %v", v, f)
+	if !sa.Quarantined(obj) {
+		t.Fatal("freed object not withheld")
 	}
 	p.Quiesce()
-	if v, _ := th.Load(slot); v != obj|pointerlog.InvalidBit {
-		t.Fatalf("pointer after drain: 0x%x", v)
-	}
 	if live := p.Allocator().Stats().LiveObjects; live != live0-1 {
-		t.Fatalf("live objects %d after drain, want %d", live, live0-1)
+		t.Fatalf("live objects %d after Quiesce, want %d", live, live0-1)
+	}
+	if sa.Quarantined(obj) {
+		t.Fatal("object still withheld after Quiesce")
 	}
 }
 
-// A double free of a quarantined object surfaces DoubleFreeError to the
+// A double free of a withheld object surfaces DoubleFreeError to the
 // program instead of reaching the allocator while it still considers the
 // span live.
 func TestDeferredDoubleFree(t *testing.T) {
-	p, th := quarProc(1<<20, 64, true)
+	p, _, th := secureProc(1 << 20)
 	obj, err := th.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +65,10 @@ func TestDeferredDoubleFree(t *testing.T) {
 	p.Quiesce()
 }
 
-// Realloc of a quarantined pointer must fail rather than resize dead
-// memory (the allocator still reports the span usable).
+// Realloc of a withheld pointer must fail rather than resize dead memory
+// (the allocator still reports the span usable).
 func TestReallocQuarantinedFails(t *testing.T) {
-	p, th := quarProc(1<<20, 64, true)
+	p, _, th := secureProc(1 << 20)
 	obj, err := th.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
@@ -83,15 +78,38 @@ func TestReallocQuarantinedFails(t *testing.T) {
 	}
 	var dfe *tcmalloc.DoubleFreeError
 	if _, err := th.Realloc(obj, 128); !errors.As(err, &dfe) {
-		t.Fatalf("realloc of quarantined ptr: %v, want DoubleFreeError", err)
+		t.Fatalf("realloc of withheld ptr: %v, want DoubleFreeError", err)
 	}
 	p.Quiesce()
 }
 
-// Overflowing the byte budget must return memory promptly without any
-// Quiesce: the fail-open path drains synchronously on the freeing thread.
+// A realloc that would move a withheld object is refused before it
+// allocates: no fresh object is left behind that nothing can free.
+func TestReallocWithheldDoesNotLeak(t *testing.T) {
+	p, _, th := secureProc(1 << 20)
+	obj, err := th.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := th.Free(obj); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := th.Realloc(obj, 4096); err == nil {
+		t.Fatal("realloc of a withheld object succeeded")
+	}
+	if live := p.Allocator().Stats().LiveObjects; live != 1 {
+		t.Fatalf("live objects %d after the refused realloc, want 1 (the withheld object)", live)
+	}
+	p.Quiesce()
+	if live := p.Allocator().Stats().LiveObjects; live != 0 {
+		t.Fatalf("live objects %d after Quiesce, want 0", live)
+	}
+}
+
+// Overflowing the byte limit releases the oldest objects on the freeing
+// thread, without any Quiesce.
 func TestQuarantineOverflowReleasesEagerly(t *testing.T) {
-	p, th := quarProc(256, 8, false)
+	p, _, th := secureProc(256)
 	live0 := p.Allocator().Stats().LiveObjects
 	for i := 0; i < 20; i++ {
 		obj, err := th.Malloc(64)
@@ -102,8 +120,8 @@ func TestQuarantineOverflowReleasesEagerly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// At most a few entries may legitimately still be pending (under
-	// budget); everything else must already be back with the allocator.
+	// At most limit/64 objects may still be withheld; everything else
+	// must already be back with the allocator.
 	if live := p.Allocator().Stats().LiveObjects; live > live0+4 {
 		t.Fatalf("live objects %d, want <= %d without Quiesce", live, live0+4)
 	}
@@ -113,26 +131,16 @@ func TestQuarantineOverflowReleasesEagerly(t *testing.T) {
 	}
 }
 
-// Background-worker mode under concurrent malloc/free traffic: after
-// Quiesce, every freed span is back with the allocator and every dangling
-// pointer is dead. Run with -race.
+// Frees from many threads evict and release concurrently: after Quiesce
+// every freed span is back with the allocator. Run with -race.
 func TestDeferredFreeConcurrent(t *testing.T) {
-	p, _ := quarProc(1<<20, 4, false)
+	p := proc.New(detectors.NewSecureAllocator(4 << 10))
 	const goroutines, each = 8, 50
-	slots := make([][]uint64, goroutines)
-	objs := make([][]uint64, goroutines)
-	for g := range slots {
-		slots[g] = make([]uint64, each)
-		for i := range slots[g] {
-			slots[g][i] = p.AllocGlobal(8)
-		}
-		objs[g] = make([]uint64, each)
-	}
-	var wg sync.WaitGroup
 	live0 := p.Allocator().Stats().LiveObjects
+	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			th := p.NewThread()
 			for i := 0; i < each; i++ {
@@ -141,26 +149,16 @@ func TestDeferredFreeConcurrent(t *testing.T) {
 					t.Errorf("malloc: %v", err)
 					return
 				}
-				objs[g][i] = obj
-				th.StorePtr(slots[g][i], obj)
 				if err := th.Free(obj); err != nil {
 					t.Errorf("free: %v", err)
 					return
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	p.Quiesce()
 	if live := p.Allocator().Stats().LiveObjects; live != live0 {
 		t.Fatalf("live objects %d after Quiesce, want %d", live, live0)
-	}
-	th := p.NewThread()
-	for g := range slots {
-		for i, slot := range slots[g] {
-			if v, _ := th.Load(slot); v != objs[g][i]|pointerlog.InvalidBit {
-				t.Fatalf("slot [%d][%d]: 0x%x, want invalidated 0x%x", g, i, v, objs[g][i])
-			}
-		}
 	}
 }

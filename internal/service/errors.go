@@ -12,7 +12,7 @@
 // failover restarts a dead worker and rebuilds its state — replaying the
 // coordinator's journal and recovering cold spill segments through
 // pointerlog.ReadSegments so the audit identity
-// (LogBytes == live + quarantined + released + spilled) holds across the
+// (LogBytes == live + released + spilled) holds across the
 // restart.
 //
 // Workers live behind a Transport: the default keeps them as goroutines in

@@ -17,7 +17,7 @@ type journalRec struct {
 // timeout is absent from the journal AND from the client's view (the
 // client saw the same degraded/timeout outcome), so replaying the journal
 // never contradicts a client. Freed keys are kept in a bounded FIFO window
-// so a rebuilt worker re-establishes quarantine custody for recent frees;
+// so a rebuilt worker re-invalidates the anchors of recent frees;
 // older frees age out (their UAF probes report unknown, a coverage loss,
 // never a false verdict).
 type journal struct {

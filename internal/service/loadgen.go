@@ -21,28 +21,34 @@ type LoadConfig struct {
 	Requests int
 	// Seed drives every client's deterministic op stream.
 	Seed uint64
-	// Tenants is the tenant-id space; tenant choice is power-law skewed
-	// toward low ids (0: 8).
-	Tenants int
-	// HotFrac is the probability an op targets the client's hot-key set
-	// instead of a fresh key (0: 0.3). HotKeys sizes that set (0: 8).
-	HotFrac float64
-	HotKeys int
-	// ChurnEvery drops the client's session (all key tracking forgotten,
-	// keys leak server-side like an abandoned connection) every N ops
-	// (0: 400; negative disables churn).
-	ChurnEvery int
 	// HeavyFrac is the fraction of keys allocated with HeavyStores
 	// scattered pointer stores — enough to push their location sets into
 	// hash mode and across the cold spill threshold (0: 0.05).
 	HeavyFrac   float64
 	HeavyStores int // 0: 600
-	LightStores int // 0: 6
-	// SizeMin/SizeMax bound object sizes (0: 64/4096).
-	SizeMin, SizeMax uint64
 	// Stop, when non-nil, overrides Requests: clients run until it closes.
 	Stop <-chan struct{}
 }
+
+// The fixed shape of every client's stream.
+const (
+	// loadTenants is the tenant-id space; tenant choice is power-law
+	// skewed toward low ids.
+	loadTenants = 8
+	// loadHotFrac is the probability an op targets the client's hot-key
+	// set (loadHotKeys keys) instead of a fresh key.
+	loadHotFrac = 0.3
+	loadHotKeys = 8
+	// loadChurnEvery drops the client's session (all key tracking
+	// forgotten, keys leak server-side like an abandoned connection)
+	// every that many ops.
+	loadChurnEvery = 400
+	// loadLightStores is the pointer-store count of a key that is not
+	// heavy; object sizes are uniform in [loadSizeMin, loadSizeMax].
+	loadLightStores = 6
+	loadSizeMin     = 64
+	loadSizeMax     = 4096
+)
 
 func (c LoadConfig) normalized() LoadConfig {
 	if c.Clients <= 0 {
@@ -51,32 +57,11 @@ func (c LoadConfig) normalized() LoadConfig {
 	if c.Requests <= 0 {
 		c.Requests = 1000
 	}
-	if c.Tenants <= 0 {
-		c.Tenants = 8
-	}
-	if c.HotFrac == 0 {
-		c.HotFrac = 0.3
-	}
-	if c.HotKeys <= 0 {
-		c.HotKeys = 8
-	}
-	if c.ChurnEvery == 0 {
-		c.ChurnEvery = 400
-	}
 	if c.HeavyFrac == 0 {
 		c.HeavyFrac = 0.05
 	}
 	if c.HeavyStores <= 0 {
 		c.HeavyStores = 600
-	}
-	if c.LightStores <= 0 {
-		c.LightStores = 6
-	}
-	if c.SizeMin == 0 {
-		c.SizeMin = 64
-	}
-	if c.SizeMax < c.SizeMin {
-		c.SizeMax = c.SizeMin + 4032
 	}
 	return c
 }
@@ -84,8 +69,8 @@ func (c LoadConfig) normalized() LoadConfig {
 // LoadResult aggregates what the client population observed. FalseUAF and
 // Errors are the invariant-critical fields: both must be zero in every
 // run, disrupted or not. MissedUAF and UnknownLive are coverage-loss
-// indicators — legitimate under disruption (quarantine not yet drained,
-// freed window aged out, journal replay raced a lost reply) and asserted
+// indicators — legitimate under disruption (freed window aged out,
+// journal replay raced a lost reply) and asserted
 // zero only by clean-run tests.
 type LoadResult struct {
 	Issued    uint64 // operations attempted
@@ -169,9 +154,9 @@ func runClient(s *Service, cfg LoadConfig, id int) LoadResult {
 	tenantFor := func() string {
 		// Power-law skew: squaring the uniform draw concentrates mass on
 		// low tenant ids, so a few tenants (and thus shards) run hot.
-		t := int(float64(cfg.Tenants) * rand01() * rand01())
-		if t >= cfg.Tenants {
-			t = cfg.Tenants - 1
+		t := int(float64(loadTenants) * rand01() * rand01())
+		if t >= loadTenants {
+			t = loadTenants - 1
 		}
 		return fmt.Sprintf("tenant-%d", t)
 	}
@@ -217,7 +202,7 @@ func runClient(s *Service, cfg LoadConfig, id int) LoadResult {
 		} else if stopRequested() {
 			break
 		}
-		if cfg.ChurnEvery > 0 && op > 0 && op%cfg.ChurnEvery == 0 {
+		if op > 0 && op%loadChurnEvery == 0 {
 			churn()
 		}
 		res.Issued++
@@ -227,13 +212,13 @@ func runClient(s *Service, cfg LoadConfig, id int) LoadResult {
 			// Alloc — also hot-key reuse: with HotFrac, re-touch an
 			// existing live key (idempotent alloc) instead of minting one.
 			var k clientKey
-			if len(live) > 0 && rand01() < cfg.HotFrac {
-				k = live[int(rng.next()%uint64(min(cfg.HotKeys, len(live))))]
+			if len(live) > 0 && rand01() < loadHotFrac {
+				k = live[int(rng.next()%uint64(min(loadHotKeys, len(live))))]
 			} else {
 				k = newKey()
 			}
-			size := cfg.SizeMin + rng.next()%(cfg.SizeMax-cfg.SizeMin+1)
-			stores := cfg.LightStores
+			size := loadSizeMin + rng.next()%(loadSizeMax-loadSizeMin+1)
+			stores := loadLightStores
 			if rand01() < cfg.HeavyFrac {
 				stores = cfg.HeavyStores
 			}
@@ -251,7 +236,7 @@ func runClient(s *Service, cfg LoadConfig, id int) LoadResult {
 			}
 		case r < 0.60:
 			// Check a live key: must not fault.
-			k := pickKey(live, &rng, cfg)
+			k := pickKey(live, &rng)
 			v, err := s.Check(k.tenant, k.key)
 			switch {
 			case err != nil:
@@ -271,7 +256,7 @@ func runClient(s *Service, cfg LoadConfig, id int) LoadResult {
 			}
 		case r < 0.80:
 			// Free a live key.
-			k := pickKey(live, &rng, cfg)
+			k := pickKey(live, &rng)
 			v, err := s.Free(k.tenant, k.key)
 			switch {
 			case err != nil:
@@ -307,9 +292,9 @@ func runClient(s *Service, cfg LoadConfig, id int) LoadResult {
 				res.Confirmed++
 				res.Detected++
 			default:
-				// Not yet invalidated (quarantine pending), aged out of
-				// the freed window, or lost to a failover outside the
-				// journal's window: coverage loss, not a violation.
+				// Aged out of the freed window, or lost to a failover
+				// outside the journal's window: coverage loss, not a
+				// violation.
 				res.Confirmed++
 				res.MissedUAF++
 			}
@@ -331,13 +316,13 @@ func classifyClientErr(err error, res *LoadResult) error {
 	return err
 }
 
-func pickKey(keys []clientKey, rng *jitterRNG, cfg LoadConfig) clientKey {
+func pickKey(keys []clientKey, rng *jitterRNG) clientKey {
 	if len(keys) == 0 {
 		return clientKey{tenant: "tenant-0", key: 0}
 	}
 	// Hot-key skew: most picks come from the head of the live list.
-	if float64(rng.next()>>11)/float64(1<<53) < cfg.HotFrac {
-		return keys[int(rng.next()%uint64(min(cfg.HotKeys, len(keys))))]
+	if float64(rng.next()>>11)/float64(1<<53) < loadHotFrac {
+		return keys[int(rng.next()%uint64(min(loadHotKeys, len(keys))))]
 	}
 	return keys[int(rng.next()%uint64(len(keys)))]
 }

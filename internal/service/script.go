@@ -12,7 +12,7 @@ package service
 // snapshots. The transport-parity conformance suite is built on this.
 
 // ScriptOp is one deterministic operation. Kind is one of "alloc",
-// "free", "check", "quiesce".
+// "free", "check".
 type ScriptOp struct {
 	Kind   string `json:"kind"`
 	Tenant string `json:"tenant,omitempty"`
@@ -28,11 +28,10 @@ type ScriptOutcome struct {
 	Err     string  `json:"err,omitempty"`
 }
 
-// BuildScript generates a deterministic alloc/free/check/quiesce mix from
-// seed: a private xorshift stream (never the global RNG) so the same seed
-// always yields the same ops. The mix includes heavy keys (hash-mode
-// fan-out past the cold spill threshold), frees with later UAF probes,
-// and periodic quiesces so quarantine invalidation runs mid-script.
+// BuildScript generates a deterministic alloc/free/check mix from seed: a
+// private xorshift stream (never the global RNG) so the same seed always
+// yields the same ops. The mix includes heavy keys (hash-mode fan-out past
+// the cold spill threshold) and frees with later UAF probes.
 func BuildScript(seed uint64, n int) []ScriptOp {
 	rng := seed | 1
 	next := func() uint64 {
@@ -65,11 +64,9 @@ func BuildScript(seed uint64, n int) []ScriptOp {
 		case r < 85:
 			i := int(next() % uint64(len(live)))
 			ops = append(ops, ScriptOp{Kind: "check", Tenant: "parity", Key: live[i]})
-		case r < 97 && len(freed) > 0:
+		case len(freed) > 0:
 			i := int(next() % uint64(len(freed)))
 			ops = append(ops, ScriptOp{Kind: "check", Tenant: "parity", Key: freed[i]})
-		default:
-			ops = append(ops, ScriptOp{Kind: "quiesce"})
 		}
 	}
 	return ops
@@ -89,8 +86,6 @@ func (s *Service) RunScript(ops []ScriptOp) []ScriptOutcome {
 			v, err = s.Free(op.Tenant, op.Key)
 		case "check":
 			v, err = s.Check(op.Tenant, op.Key)
-		case "quiesce":
-			err = s.Quiesce()
 		}
 		o := ScriptOutcome{Verdict: v}
 		if err != nil {

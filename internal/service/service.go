@@ -27,12 +27,10 @@ type Config struct {
 	// Per-worker detector stack — see the same-named pointerlog/proc
 	// options. Audit arms the exact cross-tier accounting identity
 	// (workers are single-threaded, so it holds to the byte).
-	HeapBytes       uint64
-	Audit           bool
-	QuarantineBytes uint64
-	QuarantineEpoch int
-	ColdSpillBytes  uint64
-	ColdDir         string
+	HeapBytes      uint64
+	Audit          bool
+	ColdSpillBytes uint64
+	ColdDir        string
 
 	// Seed drives retry jitter and any other coordinator-side randomness.
 	Seed uint64
@@ -111,9 +109,6 @@ func (c Config) normalized() Config {
 	}
 	if c.FreedWindow <= 0 {
 		c.FreedWindow = 512
-	}
-	if c.QuarantineBytes > 0 && c.QuarantineEpoch <= 0 {
-		c.QuarantineEpoch = 16
 	}
 	if c.Transport == "" {
 		c.Transport = TransportChan
@@ -398,21 +393,6 @@ func (s *Service) journalConfirmed(sh *shardState, req transport.Request) {
 	case transport.OpFree:
 		sh.journal.recordFree(req.Key)
 	}
-}
-
-// Quiesce drains every shard's quarantine (epoch invalidation runs), so
-// freed-key probes observe invalidated anchors deterministically. Uses a
-// generous deadline: a drain walks every pending log.
-func (s *Service) Quiesce() error {
-	var firstErr error
-	for _, sh := range s.shards {
-		ep := sh.ep.Load().ep
-		resp := ep.send(transport.Request{Op: transport.OpQuiesce}, 10*s.cfg.RequestTimeout)
-		if resp.Err != nil && firstErr == nil {
-			firstErr = resp.Err
-		}
-	}
-	return firstErr
 }
 
 // ShardStatus is one shard's supervision snapshot.

@@ -20,8 +20,6 @@ func testConfig(t *testing.T, shards int) Config {
 		Shards:            shards,
 		HeapBytes:         32 << 20,
 		Audit:             true,
-		QuarantineBytes:   256 << 10,
-		QuarantineEpoch:   8,
 		ColdSpillBytes:    pointerlog.MinColdSpillBytes,
 		ColdDir:           t.TempDir(),
 		Seed:              42,
@@ -61,8 +59,8 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 }
 
 // TestServiceLifecycle: the basic contract — allocs are visible, live-key
-// checks never fault, frees quarantine, a post-Quiesce probe detects the
-// UAF, and the audit identity holds on every shard.
+// checks never fault, a probe after the free detects the UAF, and the
+// audit identity holds on every shard.
 func TestServiceLifecycle(t *testing.T) {
 	s := mustNew(t, testConfig(t, 2))
 	for k := uint64(1); k <= 40; k++ {
@@ -84,9 +82,6 @@ func TestServiceLifecycle(t *testing.T) {
 			t.Fatalf("free %d: v=%+v err=%v", k, v, err)
 		}
 	}
-	if err := s.Quiesce(); err != nil {
-		t.Fatalf("quiesce: %v", err)
-	}
 	detected := 0
 	for k := uint64(1); k <= 20; k++ {
 		v, err := s.Check("acme", k)
@@ -101,12 +96,12 @@ func TestServiceLifecycle(t *testing.T) {
 		}
 	}
 	if detected != 20 {
-		t.Fatalf("post-quiesce probes detected %d/20 UAFs", detected)
+		t.Fatalf("post-free probes detected %d/20 UAFs", detected)
 	}
-	// Live keys still clean after the drain.
+	// Live keys still clean after the frees.
 	for k := uint64(21); k <= 40; k++ {
 		if _, err := s.Check("acme", k); err != nil {
-			t.Fatalf("live check %d after drain faulted: %v", k, err)
+			t.Fatalf("live check %d after the frees faulted: %v", k, err)
 		}
 	}
 	for i := 0; i < s.Shards(); i++ {

@@ -124,10 +124,10 @@ func spillFile(dir string) string {
 //  4. spawn a fresh endpoint (next incarnation — a new in-process worker,
 //     or a new worker process with its own socket) and replay the journal
 //     synchronously — live keys as allocations, the freed window as
-//     allocation+free so quarantine custody is re-established — before
+//     allocation+free so their anchors are invalidated again — before
 //     the endpoint is published to client traffic;
 //  5. with audit armed, cross-check the rebuilt worker's accounting
-//     identity (LogBytes == live + quarantined + released + spilled); a
+//     identity (LogBytes == live + released + spilled); a
 //     violation here is a service-level invariant failure;
 //  6. swap the endpoint in, reset the breaker, and reopen the shard.
 //

@@ -23,7 +23,6 @@ const (
 	OpCheck
 	OpPing
 	OpStats
-	OpQuiesce
 	// OpDisrupt injects a failure mode into the worker (slow/hang/kill/
 	// killafter) — the chaos stages drive it; a real deployment would not
 	// carry it.
@@ -42,8 +41,6 @@ func (o Op) String() string {
 		return "ping"
 	case OpStats:
 		return "stats"
-	case OpQuiesce:
-		return "quiesce"
 	case OpDisrupt:
 		return "disrupt"
 	}

@@ -1,6 +1,6 @@
 // Package transport is the service's wire layer: a length-prefixed,
 // checksummed binary frame codec carrying the coordinator/worker request
-// vocabulary (alloc/free/check/ping/stats/quiesce/disrupt) and the typed
+// vocabulary (alloc/free/check/ping/stats/disrupt) and the typed
 // error contract losslessly, plus a unix-socket / loopback-TCP client and
 // server pair. The framing discipline mirrors pointerlog's cold segments
 // ("DSg1"): a fixed 16-byte header with magic, declared payload length,

@@ -64,9 +64,6 @@ func runParityScript(t *testing.T, transport string, script []ScriptOp) paritySt
 			t.Fatalf("%s: op %d (%+v) took %v, RequestTimeout is %v", transport, i, script[i], d, cfg.RequestTimeout)
 		}
 	}
-	if err := s.Quiesce(); err != nil {
-		t.Fatalf("quiesce(%s): %v", transport, err)
-	}
 	for i := 0; i < s.Shards(); i++ {
 		snap, cold, audit, err := s.DetectorStats(i)
 		if err != nil {
@@ -218,7 +215,7 @@ func fillNonZero(t *testing.T, v reflect.Value) {
 }
 
 // TestWireLifecycleBothNetworks is the wire smoke test: spawn real worker
-// processes, run the basic alloc/check/free/quiesce/UAF cycle, verify the
+// processes, run the basic alloc/check/free/UAF cycle, verify the
 // audit identity, and shut down cleanly (graceful SIGTERM path). Its one
 // subtest is the one wire network, unix.
 func TestWireLifecycleBothNetworks(t *testing.T) {
@@ -233,9 +230,6 @@ func TestWireLifecycleBothNetworks(t *testing.T) {
 			if v, err := s.Free("acme", k); err != nil || v.Degraded {
 				t.Fatalf("free %d: v=%+v err=%v", k, v, err)
 			}
-		}
-		if err := s.Quiesce(); err != nil {
-			t.Fatal(err)
 		}
 		for k := uint64(1); k <= 10; k++ {
 			v, err := s.Check("acme", k)
@@ -273,8 +267,8 @@ func TestWireFailoverOnDeath(t *testing.T) {
 }
 
 // TestWireFailoverProcessSigkill is the tentpole's process-death
-// invariant: SIGKILL a real worker process mid-state (live keys,
-// quarantined frees, cold segments on disk), and require the supervisor
+// invariant: SIGKILL a real worker process mid-state (live keys, freed
+// keys, cold segments on disk), and require the supervisor
 // to respawn a fresh process, recover the dead process's cold spill
 // through ReadSegments, replay the confirmed-ops journal over the wire,
 // and re-establish the audit identity on the rebuilt process.
@@ -339,9 +333,6 @@ func TestWireFailoverProcessSigkill(t *testing.T) {
 		if v.Degraded || !v.Known {
 			t.Fatalf("live key %d after respawn: %+v", k, v)
 		}
-	}
-	if err := s.Quiesce(); err != nil {
-		t.Fatal(err)
 	}
 	for k := uint64(30); k <= 40; k++ {
 		v, err := s.Check("t", k)

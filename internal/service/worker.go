@@ -47,8 +47,7 @@ type keyRec struct {
 // table, pointer log, and detector. There is no worker goroutine: send
 // takes the turn lock and runs the op on its caller's goroutine, so whoever
 // holds the turn IS the worker and the audit identity stays exact (all
-// detector work, synchronous quarantine drains included, happens under the
-// turn). The supervisor owns stop; done closes once the worker is dead —
+// detector work happens under the turn). The supervisor owns stop; done closes once the worker is dead —
 // stopped, killed or panicked — and the turn is retired with it.
 type worker struct {
 	shard int
@@ -117,14 +116,6 @@ type turnCounters struct{ contended, parked atomic.Uint64 }
 func newWorker(shard int, cfg Config, counts *turnCounters) (*worker, error) {
 	plCfg := pointerlog.DefaultConfig()
 	plCfg.Audit = cfg.Audit
-	if cfg.QuarantineBytes > 0 {
-		plCfg.QuarantineBytes = cfg.QuarantineBytes
-		plCfg.QuarantineEpoch = cfg.QuarantineEpoch
-		// Synchronous drains keep the worker single-threaded end to end:
-		// the audit identity stays exact and failover never races a
-		// background drain goroutine.
-		plCfg.QuarantineSync = true
-	}
 	if cfg.ColdSpillBytes > 0 {
 		plCfg.ColdSpillBytes = cfg.ColdSpillBytes
 		plCfg.ColdDir = cfg.ColdDir
@@ -348,9 +339,6 @@ func (w *worker) handle(req transport.Request) transport.Response {
 		return transport.Response{}
 	case transport.OpStats:
 		return w.handleStats()
-	case transport.OpQuiesce:
-		w.proc.Quiesce()
-		return transport.Response{}
 	}
 	return transport.Response{Err: &transport.OpaqueError{Msg: fmt.Sprintf("unserviceable op %d", req.Op)}}
 }
@@ -385,8 +373,7 @@ func (w *worker) handleAlloc(key, size uint64, stores uint32) error {
 		if !errors.As(err, &oom) {
 			return err
 		}
-		// One local relief attempt: drain the quarantine and return idle
-		// pages, then retry. Further retries are the coordinator's call.
+		// One local relief attempt: return idle pages, then retry. Further retries are the coordinator's call.
 		w.proc.ReclaimMemory()
 		base, err = w.th.Malloc(size)
 		if err != nil {
@@ -429,10 +416,9 @@ func (w *worker) handleAlloc(key, size uint64, stores uint32) error {
 	return nil
 }
 
-// handleFree frees the key's object. With quarantine armed the detector
-// takes custody and invalidation happens at the epoch drain — until then a
-// probe through the anchor legitimately still succeeds (the memory has not
-// been reused; there is no hazard yet). Idempotent on absent/freed keys.
+// handleFree frees the key's object; the detector invalidates its anchor
+// and every other logged pointer before the free returns. Idempotent on
+// absent/freed keys.
 func (w *worker) handleFree(key uint64) error {
 	rec, ok := w.recs[key]
 	if !ok || rec.freed {

@@ -144,9 +144,6 @@ func exerciseTurnExclusion(t *testing.T, procs int) {
 	if probe.events.Load() == 0 {
 		t.Fatal("probe never ran: the test observed nothing")
 	}
-	if resp := w.send(transport.Request{Op: transport.OpQuiesce}, 10*time.Second); resp.Err != nil {
-		t.Fatalf("quiesce: %v", resp.Err)
-	}
 	ws, err := statsOf(w.send(transport.Request{Op: transport.OpStats}, 10*time.Second))
 	if err != nil || len(ws.Audit) != 0 {
 		t.Fatalf("audit identity after %d concurrent callers: err %v, violations %v", callers, err, ws.Audit)
@@ -584,9 +581,7 @@ func TestResponseStaysSmall(t *testing.T) {
 // its malloc and give its anchor slot back — there is no keyRec to free
 // them by later.
 func TestAllocFaultLeaksNothing(t *testing.T) {
-	cfg := testConfig(t, 1)
-	cfg.QuarantineBytes, cfg.QuarantineEpoch = 0, 0 // frees return memory at once
-	w := newTestWorker(t, cfg)
+	w := newTestWorker(t, testConfig(t, 1))
 	page := (w.scratch + vmem.PageSize - 1) / vmem.PageSize * vmem.PageSize
 	w.proc.AddressSpace().Globals().UnmapPages(page, 1)
 	failingAlloc := func(key uint64) {

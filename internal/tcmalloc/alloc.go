@@ -267,9 +267,9 @@ func (tc *ThreadCache) Free(addr uint64) error {
 }
 
 // FreeBatch releases every object in bases, continuing past per-object
-// errors so one bad address cannot strand the rest of an epoch batch. It
-// returns the number of objects actually freed and the first error
-// encountered. Built for the quarantine drain's memory-return path; like
+// errors so one bad address cannot strand the rest of a batch. It returns
+// the number of objects actually freed and the first error encountered.
+// Built for the release path of withheld frees (proc's DeferredFree); like
 // all ThreadCache methods it must run on the cache's owning goroutine (or
 // under the caller's external lock).
 func (tc *ThreadCache) FreeBatch(bases []uint64) (int, error) {

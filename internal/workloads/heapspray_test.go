@@ -12,9 +12,8 @@ import (
 // The paper's §9 comparison of defense classes, as executable claims.
 
 func TestQuarantineStopsNaiveUAF(t *testing.T) {
-	p := proc.New(detectors.None{})
-	p.EnableQuarantine(1 << 20) // 1 MiB quarantine
-	out, err := HeapSpray(p, 4) // too few allocations to flush it
+	p := proc.New(detectors.NewSecureAllocator(1 << 20)) // 1 MiB quarantine
+	out, err := HeapSpray(p, 4)                          // too few allocations to flush it
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +23,7 @@ func TestQuarantineStopsNaiveUAF(t *testing.T) {
 }
 
 func TestHeapSprayDefeatsQuarantine(t *testing.T) {
-	p := proc.New(detectors.None{})
-	p.EnableQuarantine(1 << 20)
+	p := proc.New(detectors.NewSecureAllocator(1 << 20))
 	out, err := HeapSpray(p, 2000) // ~8 MiB of spray flushes 1 MiB quarantine
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +53,8 @@ func TestDangSanStopsHeapSprayToo(t *testing.T) {
 }
 
 func TestQuarantineDoubleFreeDetection(t *testing.T) {
-	p := proc.New(detectors.None{})
-	p.EnableQuarantine(1 << 20)
+	sa := detectors.NewSecureAllocator(1 << 20)
+	p := proc.New(sa)
 	th := p.NewThread()
 	obj, _ := th.Malloc(64)
 	if err := th.Free(obj); err != nil {
@@ -65,11 +63,9 @@ func TestQuarantineDoubleFreeDetection(t *testing.T) {
 	if err := th.Free(obj); err == nil {
 		t.Fatal("double free while quarantined not detected")
 	}
-	if err := th.FlushQuarantine(); err != nil {
-		t.Fatal(err)
-	}
-	if p.QuarantinedBytes() != 0 {
-		t.Fatal("quarantine not empty after flush")
+	p.Quiesce()
+	if sa.Quarantined(obj) {
+		t.Fatal("object still quarantined after Quiesce")
 	}
 	// The object is genuinely free now: reallocatable.
 	if _, err := th.Malloc(64); err != nil {

@@ -115,15 +115,15 @@ const mallocRetries = 4
 
 // mallocRetryDeadline caps the TOTAL wall-time one allocation may spend
 // retrying. The attempt count alone is not a time bound: ReclaimMemory
-// walks the quarantine and every idle span, so under persistent OOM the
+// walks every withheld object and idle span, so under persistent OOM the
 // loop's cost is dominated by work the counter does not see. Past the
 // deadline the worker gives up with the typed OutOfMemoryError instead of
 // grinding through the remaining attempts.
 const mallocRetryDeadline = 5 * time.Millisecond
 
 // mallocRobust is Malloc with bounded retry: on OutOfMemoryError it
-// reclaims memory (draining any deferred-free quarantine, then returning
-// idle pages to the OS), backs off briefly, and tries again — a server
+// reclaims memory (releasing any withheld objects, then returning idle
+// pages to the OS), backs off briefly, and tries again — a server
 // sheds load under transient pressure instead of dying. The loop is
 // bounded on both axes: attempt count AND total wall-time. Non-OOM errors
 // and persistent exhaustion are returned.
