@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"dangsan/internal/bench"
+	"dangsan/internal/detectors/backends"
 	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/proc"
@@ -33,7 +34,7 @@ const benchScale = 0.1
 func BenchmarkFig9SPEC(b *testing.B) {
 	for _, prof := range workloads.SPECProfiles() {
 		prof := bench.ScaleSPEC(prof, benchScale)
-		for _, kind := range bench.AllKinds() {
+		for _, kind := range backends.Paper() {
 			b.Run(fmt.Sprintf("%s/%s", prof.Name, kind), func(b *testing.B) {
 				var footprint uint64
 				for i := 0; i < b.N; i++ {
@@ -63,7 +64,7 @@ func BenchmarkFig10Scalability(b *testing.B) {
 		}
 		prof = bench.ScaleParallel(prof, benchScale)
 		for _, threads := range []int{1, 4, 16} {
-			for _, kind := range []bench.Kind{bench.Baseline, bench.DangSan} {
+			for _, kind := range []backends.Kind{backends.Baseline, backends.DangSan} {
 				b.Run(fmt.Sprintf("%s/t%d/%s", prof.Name, threads, kind), func(b *testing.B) {
 					var footprint uint64
 					for i := 0; i < b.N; i++ {
@@ -89,7 +90,7 @@ func BenchmarkFig10Scalability(b *testing.B) {
 func BenchmarkServers(b *testing.B) {
 	const requests = 2000
 	for _, prof := range workloads.ServerProfiles() {
-		for _, kind := range []bench.Kind{bench.Baseline, bench.DangSan, bench.DangNULL} {
+		for _, kind := range []backends.Kind{backends.Baseline, backends.DangSan, backends.DangNULL} {
 			b.Run(fmt.Sprintf("%s/%s", prof.Name, kind), func(b *testing.B) {
 				var footprint uint64
 				for i := 0; i < b.N; i++ {

@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"dangsan/internal/bench"
+	"dangsan/internal/detectors/backends"
 	"dangsan/internal/faultinject"
 	"dangsan/internal/instrument"
 	"dangsan/internal/interp"
@@ -33,7 +34,7 @@ import (
 )
 
 func main() {
-	detector := flag.String("detector", "dangsan", "detector: dangsan, baseline, dangnull, freesentry, xtag, camp")
+	detector := flag.String("detector", "dangsan", fmt.Sprintf("detector, one of %v", backends.All()))
 	noInstrument := flag.Bool("no-instrument", false, "skip the pointer-tracker pass")
 	noOpt := flag.Bool("no-opt", false, "run the pass without the static optimizations")
 	optimize := flag.Bool("O", false, "run the optimizer (constant folding, DCE, CFG simplification) before instrumenting")

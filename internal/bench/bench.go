@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"dangsan/internal/detectors"
+	"dangsan/internal/detectors/backends"
 	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/faultinject"
 	"dangsan/internal/obs"
@@ -24,31 +25,9 @@ import (
 	"dangsan/internal/proc"
 )
 
-// Kind names a detector configuration.
-type Kind string
-
-// The four systems the paper compares, plus the two checked-dereference
-// backends of the five-way ablation.
-const (
-	Baseline   Kind = "baseline"
-	DangSan    Kind = "dangsan"
-	DangNULL   Kind = "dangnull"
-	FreeSentry Kind = "freesentry"
-	XTag       Kind = "xtag"
-	CAMP       Kind = "camp"
-)
-
-// AllKinds returns the paper's four systems in presentation order. The
-// figure experiments keep comparing exactly these so their numbers stay
-// stable; the checked-dereference backends join in FiveWayKinds.
-func AllKinds() []Kind { return []Kind{Baseline, DangSan, DangNULL, FreeSentry} }
-
-// FiveWayKinds returns the full detector matrix of the five-way ablation:
-// the baseline, the three pointer-invalidation backends, and the two
-// checked-dereference backends (xtag pointer tagging, camp range checks).
-func FiveWayKinds() []Kind {
-	return []Kind{Baseline, DangSan, DangNULL, FreeSentry, XTag, CAMP}
-}
+// Kind names a detector backend; the table of backends is
+// internal/detectors/backends.
+type Kind = backends.Kind
 
 // Measurement is one timed run.
 type Measurement struct {

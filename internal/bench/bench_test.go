@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"dangsan/internal/detectors"
-	"dangsan/internal/detectors/dangsan"
+	"dangsan/internal/detectors/backends"
 	"dangsan/internal/faultinject"
 	"dangsan/internal/obs"
 	"dangsan/internal/proc"
@@ -41,59 +41,7 @@ func smokeResult(t *testing.T, name string) *Result {
 	return r
 }
 
-func TestNewDetectorKinds(t *testing.T) {
-	for _, k := range FiveWayKinds() {
-		d, err := Options{}.NewDetector(k, nil)
-		if err != nil || d == nil {
-			t.Fatalf("%s: %v", k, err)
-		}
-		if k != Baseline && d.Name() != string(k) {
-			t.Errorf("detector name %q != kind %q", d.Name(), k)
-		}
-	}
-	if _, err := (Options{}).NewDetector("bogus", nil); err == nil {
-		t.Fatal("bogus kind accepted")
-	}
-	// The figure experiments stay pinned to the paper's four systems; the
-	// five-way list extends, never reorders, that set.
-	for i, k := range AllKinds() {
-		if FiveWayKinds()[i] != k {
-			t.Fatalf("FiveWayKinds()[%d] = %s, want %s", i, FiveWayKinds()[i], k)
-		}
-	}
-}
-
-// Every backend the factory builds is held to the options' metadata budget:
-// with a cap a handful of objects exceeds, a few mallocs leave some of them
-// untracked (degraded) instead of growing metadata past it.
-func TestNewDetectorHonorsBudget(t *testing.T) {
-	for _, k := range FiveWayKinds()[1:] {
-		t.Run(string(k), func(t *testing.T) {
-			det, err := Options{MaxMetadataBytes: 1}.NewDetector(k, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			th := proc.New(det).NewThread()
-			for i := 0; i < 8; i++ {
-				if _, err := th.Malloc(64); err != nil {
-					t.Fatalf("malloc %d: %v", i, err)
-				}
-			}
-			var degraded uint64
-			switch d := det.(type) {
-			case *dangsan.Detector:
-				degraded = d.Stats().DegradedObjects
-			case interface{ Degraded() (uint64, uint64) }:
-				degraded, _ = d.Degraded()
-			}
-			if degraded == 0 {
-				t.Fatalf("%s ran 8 mallocs under a 1-byte metadata cap with nothing degraded", k)
-			}
-		})
-	}
-}
-
-// The metrics/audit path through the harness: an Options-built DangSan
+// The metrics/audit path through the harness: an Options-built backends.DangSan
 // detector with a registry attached must accumulate counters across
 // measured runs and pass the accounting audit.
 func TestMeasureWithMetricsAndAudit(t *testing.T) {
@@ -106,7 +54,7 @@ func TestMeasureWithMetricsAndAudit(t *testing.T) {
 	prof = ScaleSPEC(prof, 0.02)
 	var mallocs uint64
 	for run := 0; run < 2; run++ {
-		det, err := opts.NewDetector(DangSan, nil)
+		det, err := opts.NewDetector(backends.DangSan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +91,7 @@ func TestMeasureNWithFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := MeasureN(opts,
-		func(pl *faultinject.Plane) (detectors.Detector, error) { return opts.NewDetector(DangSan, pl) },
+		func(pl *faultinject.Plane) (detectors.Detector, error) { return opts.NewDetector(backends.DangSan, pl) },
 		func(p *proc.Process) error { return workloads.RunServer(p, prof, 2, 150, opts.Seed) })
 	if err != nil {
 		t.Fatalf("pressured measurement failed: %v", err)
@@ -158,7 +106,7 @@ func TestMeasureNWithFaults(t *testing.T) {
 	// Injection off: the same measurement reports zero injections.
 	opts.FaultRate = 0
 	m, err = MeasureN(opts,
-		func(pl *faultinject.Plane) (detectors.Detector, error) { return opts.NewDetector(DangSan, pl) },
+		func(pl *faultinject.Plane) (detectors.Detector, error) { return opts.NewDetector(backends.DangSan, pl) },
 		func(p *proc.Process) error { return workloads.RunServer(p, prof, 2, 50, opts.Seed) })
 	if err != nil {
 		t.Fatal(err)
@@ -309,13 +257,13 @@ func TestRunSPECSmoke(t *testing.T) {
 			t.Fatalf("%s: %d rows measured, %d printed", name, len(rows), len(res.Tables[0].Rows))
 		}
 		for _, r := range rows {
-			for _, k := range AllKinds() {
+			for _, k := range backends.Paper() {
 				m, ok := r.ByKind[k]
 				if !ok || m.Seconds <= 0 {
 					t.Fatalf("%s/%s: measurement %+v, %v", r.Benchmark, k, m, ok)
 				}
 			}
-			if r.ByKind[DangSan].PeakFootprint == 0 {
+			if r.ByKind[backends.DangSan].PeakFootprint == 0 {
 				t.Fatalf("%s: zero footprint", r.Benchmark)
 			}
 		}
@@ -332,7 +280,7 @@ func TestRunScalabilitySmoke(t *testing.T) {
 	}
 	// FreeSentry only at one thread.
 	for _, r := range rows {
-		if _, ok := r.ByKind[FreeSentry]; ok != (r.Threads == 1) {
+		if _, ok := r.ByKind[backends.FreeSentry]; ok != (r.Threads == 1) {
 			t.Fatalf("%s at %d threads: freesentry ran = %v", r.Benchmark, r.Threads, ok)
 		}
 	}
@@ -347,7 +295,7 @@ func TestRunServersSmoke(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if _, ok := r.ByKind[FreeSentry]; ok {
+		if _, ok := r.ByKind[backends.FreeSentry]; ok {
 			t.Fatalf("%s: freesentry ran a multithreaded server", r.Benchmark)
 		}
 	}
@@ -429,7 +377,7 @@ func TestRunFiveWaySmoke(t *testing.T) {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
 	for _, r := range rep.Rows {
-		for _, k := range FiveWayKinds() {
+		for _, k := range backends.All() {
 			if r.Seconds[k] <= 0 {
 				t.Fatalf("%s/%s: no measurement", r.Benchmark, k)
 			}

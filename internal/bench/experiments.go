@@ -2,14 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dangsan/internal/detectors"
-	"dangsan/internal/detectors/camp"
+	"dangsan/internal/detectors/backends"
 	"dangsan/internal/detectors/dangnull"
 	"dangsan/internal/detectors/dangsan"
-	"dangsan/internal/detectors/freesentry"
-	"dangsan/internal/detectors/xtag"
 	"dangsan/internal/faultinject"
 	"dangsan/internal/obs"
 	"dangsan/internal/pointerlog"
@@ -78,24 +77,10 @@ func (o Options) NewPlane() *faultinject.Plane {
 // no injection); DangSan additionally gets audit mode and the metrics
 // registry.
 func (o Options) NewDetector(kind Kind, plane *faultinject.Plane) (detectors.Detector, error) {
-	budget := detectors.BudgetOptions{MaxMetadataBytes: o.MaxMetadataBytes, Faults: plane}
-	switch kind {
-	case Baseline:
-		return detectors.None{}, nil
-	case DangSan:
-		cfg := pointerlog.DefaultConfig()
-		cfg.MaxMetadataBytes = o.MaxMetadataBytes
-		return dangsan.NewWithOptions(dangsan.Options{Config: cfg, Audit: o.Audit, Metrics: o.Metrics, Faults: plane}), nil
-	case DangNULL:
-		return dangnull.NewWithOptions(budget), nil
-	case FreeSentry:
-		return freesentry.NewWithOptions(budget), nil
-	case XTag:
-		return xtag.NewWithOptions(budget), nil
-	case CAMP:
-		return camp.NewWithOptions(budget), nil
-	}
-	return nil, fmt.Errorf("bench: unknown detector %q", kind)
+	cfg := pointerlog.DefaultConfig()
+	cfg.MaxMetadataBytes = o.MaxMetadataBytes
+	cfg.Audit = o.Audit
+	return backends.New(kind, dangsan.Options{Config: cfg, Metrics: o.Metrics, Faults: plane})
 }
 
 // ScaleSPEC shrinks or grows a SPEC analog by s, keeping every dimension
@@ -272,7 +257,7 @@ func (s *Session) specGrid() ([]GridRow, error) {
 	if s.spec != nil {
 		return s.spec, nil
 	}
-	rows, err := s.runGrid("", s.specJobs(AllKinds()), nil)
+	rows, err := s.runGrid("", s.specJobs(backends.Paper()), nil)
 	s.spec = rows
 	return rows, err
 }
@@ -288,9 +273,9 @@ func (s *Session) parallelGrid() ([]GridRow, error) {
 	for _, prof := range workloads.ParallelProfiles() {
 		prof := ScaleParallel(prof, s.Scale)
 		for _, threads := range s.Threads {
-			kinds := AllKinds()
+			kinds := backends.Paper()
 			if threads > 1 {
-				kinds = withoutFreeSentry()
+				kinds = threadSafe()
 			}
 			jobs = append(jobs, gridJob{GridRow{Benchmark: prof.Name, Threads: threads}, kinds,
 				func(p *proc.Process) error { return workloads.RunParallel(p, prof, threads, s.Seed) }})
@@ -301,12 +286,16 @@ func (s *Session) parallelGrid() ([]GridRow, error) {
 	return rows, err
 }
 
-func withoutFreeSentry() []Kind { return []Kind{Baseline, DangSan, DangNULL} }
+// threadSafe returns the paper's systems that can run a multi-threaded
+// program: all but FreeSentry.
+func threadSafe() []Kind {
+	return slices.DeleteFunc(backends.Paper(), func(k Kind) bool { return !k.ThreadSafe() })
+}
 
 // slowdowns renders one row's run times as its baseline seconds followed by
 // each kind's factor of it, and collects the factors for the geomeans.
 func slowdowns(r GridRow, kinds []Kind, factors map[Kind][]float64) []string {
-	base := r.ByKind[Baseline].Seconds
+	base := r.ByKind[backends.Baseline].Seconds
 	cells := []string{r.Benchmark, fmt.Sprintf("%.3f", base)}
 	for _, k := range kinds {
 		cells = append(cells, ratio(r.ByKind[k].Seconds, base))
@@ -330,13 +319,13 @@ func runFig9(s *Session) (*Result, error) {
 	}
 	gm := map[Kind][]float64{}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, slowdowns(r, AllKinds()[1:], gm))
+		t.Rows = append(t.Rows, slowdowns(r, backends.Paper()[1:], gm))
 	}
-	ds := Geomean(gm[DangSan])
+	ds := Geomean(gm[backends.DangSan])
 	t.Notes = []string{
 		fmt.Sprintf("geomean dangsan    %.2fx  (paper: 1.41x)", ds),
-		fmt.Sprintf("geomean dangnull   %.2fx  vs dangsan %.2fx on same set (paper: 1.55x vs 1.22x)", Geomean(gm[DangNULL]), ds),
-		fmt.Sprintf("geomean freesentry %.2fx  vs dangsan %.2fx on same set (paper: 1.30x vs 1.23x)", Geomean(gm[FreeSentry]), ds),
+		fmt.Sprintf("geomean dangnull   %.2fx  vs dangsan %.2fx on same set (paper: 1.55x vs 1.22x)", Geomean(gm[backends.DangNULL]), ds),
+		fmt.Sprintf("geomean freesentry %.2fx  vs dangsan %.2fx on same set (paper: 1.30x vs 1.23x)", Geomean(gm[backends.FreeSentry]), ds),
 	}
 	return &Result{Tables: []Table{t}, Key: "spec", Data: rows}, nil
 }
@@ -353,10 +342,10 @@ func runFig11(s *Session) (*Result, error) {
 	}
 	var gm []float64
 	for _, r := range rows {
-		base, ds := r.ByKind[Baseline].PeakFootprint, r.ByKind[DangSan].PeakFootprint
+		base, ds := r.ByKind[backends.Baseline].PeakFootprint, r.ByKind[backends.DangSan].PeakFootprint
 		t.Rows = append(t.Rows, []string{r.Benchmark, mib(base), mib(ds),
 			ratio(float64(ds), float64(base)),
-			ratio(float64(r.ByKind[DangNULL].PeakFootprint), float64(base))})
+			ratio(float64(r.ByKind[backends.DangNULL].PeakFootprint), float64(base))})
 		gm = append(gm, float64(ds)/float64(base))
 	}
 	t.Notes = []string{fmt.Sprintf("geomean dangsan %.2fx  (paper: 2.4x)", Geomean(gm))}
@@ -398,9 +387,9 @@ func runFig10(s *Session) (*Result, error) {
 		"Figure 10: scalability on PARSEC and SPLASH-2X analogs (seconds; overhead vs baseline)",
 		[]string{"baseline(s)", "dangsan(s)", "overhead", "dangnull(s)"},
 		func(r GridRow) ([]string, float64) {
-			base, ds := r.ByKind[Baseline].Seconds, r.ByKind[DangSan].Seconds
+			base, ds := r.ByKind[backends.Baseline].Seconds, r.ByKind[backends.DangSan].Seconds
 			return []string{fmt.Sprintf("%.3f", base), fmt.Sprintf("%.3f", ds), ratio(ds, base),
-				fmt.Sprintf("%.3f", r.ByKind[DangNULL].Seconds)}, ds / base
+				fmt.Sprintf("%.3f", r.ByKind[backends.DangNULL].Seconds)}, ds / base
 		},
 		"summary (paper: 1.12x @1T, 1.17-1.21x @2-16T, 1.30x @32T, 1.34x @64T):",
 		"geomean dangsan overhead")
@@ -412,7 +401,7 @@ func runFig12(s *Session) (*Result, error) {
 		"Figure 12: memory usage on PARSEC and SPLASH-2X analogs (peak RSS + metadata)",
 		[]string{"baseline", "dangsan", "overhead"},
 		func(r GridRow) ([]string, float64) {
-			base, ds := float64(r.ByKind[Baseline].PeakFootprint), float64(r.ByKind[DangSan].PeakFootprint)
+			base, ds := float64(r.ByKind[backends.Baseline].PeakFootprint), float64(r.ByKind[backends.DangSan].PeakFootprint)
 			return []string{mib(uint64(base)), mib(uint64(ds)), ratio(ds, base)}, ds / base
 		},
 		"summary (paper: 1.56x @1T growing to 1.67x @16T, then level):",
@@ -427,7 +416,7 @@ func runServers(s *Session) (*Result, error) {
 	const workers = 32
 	var jobs []gridJob
 	for _, prof := range workloads.ServerProfiles() {
-		jobs = append(jobs, gridJob{GridRow{Benchmark: prof.Name, Requests: requests}, withoutFreeSentry(),
+		jobs = append(jobs, gridJob{GridRow{Benchmark: prof.Name, Requests: requests}, threadSafe(),
 			func(p *proc.Process) error { return workloads.RunServer(p, prof, workers, requests, s.Seed) }})
 	}
 	rows, err := s.runGrid("server ", jobs, nil)
@@ -439,7 +428,7 @@ func runServers(s *Session) (*Result, error) {
 		Head:  []string{"server", "baseline req/s", "dangsan req/s", "slowdown", "mem baseline", "mem dangsan", "mem overhead"},
 	}
 	for _, r := range rows {
-		base, ds := r.ByKind[Baseline], r.ByKind[DangSan]
+		base, ds := r.ByKind[backends.Baseline], r.ByKind[backends.DangSan]
 		baseRPS := float64(r.Requests) / base.Seconds
 		dsRPS := float64(r.Requests) / ds.Seconds
 		t.Rows = append(t.Rows, []string{r.Benchmark,
@@ -475,7 +464,7 @@ func runTable1(s *Session) (*Result, error) {
 		run := func(p *proc.Process) error { return workloads.RunSPEC(p, prof, s.Seed) }
 		// Table 1 is the statistics table; it always runs injection-free so
 		// the counters describe the design, not the chaos configuration.
-		ds, err := s.NewDetector(DangSan, nil)
+		ds, err := s.NewDetector(backends.DangSan, nil)
 		if err != nil {
 			return nil, err
 		}

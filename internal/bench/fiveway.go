@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dangsan/internal/detectors"
+	"dangsan/internal/detectors/backends"
 	"dangsan/internal/detectors/camp"
 	"dangsan/internal/detectors/xtag"
 	"dangsan/internal/instrument"
@@ -66,7 +67,7 @@ type FiveWayReport struct {
 // instrumentation elision proves away. Benign workloads must not trap:
 // any xtag mismatch or camp fault fails the run.
 func runFiveWay(s *Session) (*Result, error) {
-	jobs := s.specJobs(FiveWayKinds())
+	jobs := s.specJobs(backends.All())
 	rep := &FiveWayReport{Rows: make([]FiveWayRow, len(jobs))}
 	grid, err := s.runGrid("fiveway ", jobs, func(i int, det detectors.Detector) error {
 		row := &rep.Rows[i]
@@ -95,7 +96,7 @@ func runFiveWay(s *Session) (*Result, error) {
 		return nil, err
 	}
 
-	kinds := FiveWayKinds()[1:]
+	kinds := backends.All()[1:]
 	t := Table{
 		Title: "Five-way ablation: run-time overhead on SPEC analogs (normalized to baseline)",
 		Head:  []string{"benchmark", "baseline(s)", "dangsan", "dangnull", "freesentry", "xtag", "camp"},

@@ -23,9 +23,8 @@ import (
 	"time"
 
 	"dangsan/internal/detectors"
-	"dangsan/internal/detectors/camp"
+	"dangsan/internal/detectors/backends"
 	"dangsan/internal/detectors/dangsan"
-	"dangsan/internal/detectors/xtag"
 	"dangsan/internal/faultinject"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/proc"
@@ -45,7 +44,7 @@ type Config struct {
 	// HeapBytes shrinks the simulated heap so allocator pressure is
 	// reachable (0: 8 MiB).
 	HeapBytes uint64
-	// MaxMetadataBytes caps the pointer logger's metadata footprint
+	// MaxMetadataBytes caps every stage detector's metadata footprint
 	// (0: unlimited). See pointerlog.Config.MaxMetadataBytes.
 	MaxMetadataBytes uint64
 	// Budget bounds per-site injections so pressure is transient and the
@@ -124,22 +123,24 @@ type Result struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// detector builds a DangSan detector wired to the plane, with the audit
-// cross-check and the cold tier on request.
-func (c Config) detector(plane *faultinject.Plane, audit, tiered bool) *dangsan.Detector {
+// detector builds a backend of the table wired to the plane and the
+// metadata budget; DangSan also gets the audit cross-check and the cold
+// tier on request.
+func (c Config) detector(kind backends.Kind, plane *faultinject.Plane, audit, tiered bool) detectors.Detector {
 	cfg := pointerlog.DefaultConfig()
 	cfg.MaxMetadataBytes = c.MaxMetadataBytes
+	cfg.Audit = audit
 	if tiered {
 		cfg.ColdSpillBytes = c.ColdSpillBytes
 		if cfg.ColdSpillBytes == 0 {
 			cfg.ColdSpillBytes = pointerlog.MinColdSpillBytes
 		}
 	}
-	return dangsan.NewWithOptions(dangsan.Options{
-		Config: cfg,
-		Audit:  audit,
-		Faults: plane,
-	})
+	det, err := backends.New(kind, dangsan.Options{Config: cfg, Faults: plane})
+	if err != nil {
+		panic(err) // the kinds are this package's constants
+	}
+	return det
 }
 
 // classify sorts a server-run error into the result: nil and typed OOM are
@@ -167,11 +168,10 @@ func classify(r *Result, stage string, err error) {
 	r.Violations = append(r.Violations, fmt.Sprintf("%s: unexpected error: %v", stage, err))
 }
 
-// runServer executes one watched server run and classifies the outcome.
-// It returns false on watchdog expiry (the goroutine is abandoned; the
-// cell already failed).
-func (c Config) runServer(r *Result, stage string, plane *faultinject.Plane, workers int, audit, tiered bool) (*dangsan.Detector, bool) {
-	det := c.detector(plane, audit, tiered)
+// runServer executes one watched server run under det and classifies the
+// outcome. It returns false on watchdog expiry (the goroutine is abandoned;
+// the cell already failed).
+func (c Config) runServer(r *Result, stage string, plane *faultinject.Plane, workers int, det detectors.Detector) bool {
 	p := proc.NewWithOptions(det, proc.Options{HeapBytes: c.HeapBytes, Faults: plane})
 	done := make(chan error, 1)
 	start := time.Now()
@@ -188,139 +188,87 @@ func (c Config) runServer(r *Result, stage string, plane *faultinject.Plane, wor
 	case <-time.After(c.Timeout):
 		r.Violations = append(r.Violations,
 			fmt.Sprintf("%s: server run exceeded %v watchdog (deadlock?)", stage, c.Timeout))
-		return det, false
-	}
-	snap := det.Stats()
-	r.Degraded += snap.DegradedObjects
-	r.Dropped += snap.DroppedRegistrations
-	return det, true
-}
-
-// coverageLoser is the Degraded() counter pair every non-dangsan backend
-// exposes; chaos uses it to aggregate fail-open coverage loss.
-type coverageLoser interface {
-	Degraded() (objects, dropped uint64)
-}
-
-// runCheckedServer executes one watched server run under a
-// checked-dereference backend (xtag, camp) and classifies the outcome. The
-// invariant is the same fail-open promise the dangsan stages check: correct
-// code must never observe a tag-mismatch or freed-range fault, no matter
-// which metadata allocations were denied — a denied charge leaves the
-// object untagged/untracked, and untracked passes every check.
-func (c Config) runCheckedServer(r *Result, stage string, plane *faultinject.Plane, workers int, det detectors.Detector) bool {
-	p := proc.NewWithOptions(det, proc.Options{HeapBytes: c.HeapBytes, Faults: plane})
-	done := make(chan error, 1)
-	go func() {
-		done <- workloads.RunServer(p, c.Profile, workers, c.Requests, r.Seed)
-	}()
-	select {
-	case err := <-done:
-		classify(r, stage, err)
-	case <-time.After(c.Timeout):
-		r.Violations = append(r.Violations,
-			fmt.Sprintf("%s: server run exceeded %v watchdog (deadlock?)", stage, c.Timeout))
 		return false
 	}
-	if cl, ok := det.(coverageLoser); ok {
-		objs, drops := cl.Degraded()
-		r.Degraded += objs
-		r.Dropped += drops
-	}
+	objs, drops := det.(detectors.CoverageLoss).Degraded()
+	r.Degraded += objs
+	r.Dropped += drops
 	return true
 }
 
-// Run executes one chaos cell: a concurrent server run, a single-worker
-// audited run, and the exploit suite, all against a plane armed at the
-// given rate with the cell's seed.
+// Run executes one chaos cell: the server stages and the exploit suite,
+// each against a fresh plane armed at the given rate with the cell's seed.
 func Run(cfg Config, rate float64, seed int64) Result {
 	cfg = cfg.normalized()
 	r := Result{Rate: rate, Seed: seed}
-
-	// Concurrent run: survival under pressure. Audit stays off — the
-	// audit identity is exact only without racing frees (see
-	// pointerlog/audit.go) — correctness is checked via fault/panic/hang
-	// classification instead.
-	plane := faultinject.New(seed)
-	plane.EnableAll(rate, cfg.Budget)
-	if _, ok := cfg.runServer(&r, "concurrent", plane, cfg.Workers, false, false); ok {
-		r.Sites = plane.Snapshot()
-	}
-	r.Injected += plane.TotalInjected()
-
-	// Audited run: same seed, fresh plane, one worker, audit on. The
-	// accounting identity must hold exactly even with injected metadata
-	// failures.
-	auditPlane := faultinject.New(seed)
-	auditPlane.EnableAll(rate, cfg.Budget)
-	if det, ok := cfg.runServer(&r, "audited", auditPlane, 1, true, false); ok {
-		for _, v := range det.AuditViolations() {
-			r.Violations = append(r.Violations, "audited: "+v)
-		}
-	}
-	r.Injected += auditPlane.TotalInjected()
-
-	// Tiered run: concurrent, cold tier armed at the minimum threshold so
-	// hash-mode objects spill, with the ColdIO site denying segment writes
-	// and reads. Both directions must fail open — a denied write keeps the
-	// table resident, a denied read skips only that segment's coverage.
-	tPlane := faultinject.New(seed)
-	tPlane.EnableAll(rate, cfg.Budget)
-	if det, ok := cfg.runServer(&r, "tiered", tPlane, cfg.Workers, false, true); ok {
-		det.Close()
-	}
-	r.Injected += tPlane.TotalInjected()
-
-	// Tiered audited run: one worker, audit on — the cross-tier identity
-	// (live + released + spilled) must hold exactly through every spill,
-	// free and compaction, even with ColdIO injecting.
-	taPlane := faultinject.New(seed)
-	taPlane.EnableAll(rate, cfg.Budget)
-	if det, ok := cfg.runServer(&r, "tiered-audited", taPlane, 1, true, true); ok {
-		for _, v := range det.AuditViolations() {
-			r.Violations = append(r.Violations, "tiered-audited: "+v)
-		}
-		det.Close()
-	}
-	r.Injected += taPlane.TotalInjected()
-
-	// Checked-dereference stages: the same concurrent server run under the
-	// xtag and camp backends with their metadata paths injected. Their
-	// fail-open contract is check-side: a denied metadata charge leaves the
-	// object untagged (xtag) or untracked (camp), and every dereference of
-	// it passes — so a correct run must still never fault.
-	for _, cb := range []struct {
-		name string
-		mk   func(*faultinject.Plane) detectors.Detector
+	stages := []struct {
+		name    string
+		kind    backends.Kind
+		workers int
+		audit   bool
+		tiered  bool
 	}{
-		{"xtag", func(pl *faultinject.Plane) detectors.Detector {
-			return xtag.NewWithOptions(xtag.Options{Faults: pl})
-		}},
-		{"camp", func(pl *faultinject.Plane) detectors.Detector {
-			return camp.NewWithOptions(camp.Options{Faults: pl})
-		}},
-	} {
-		pl := faultinject.New(seed)
-		pl.EnableAll(rate, cfg.Budget)
-		cfg.runCheckedServer(&r, cb.name, pl, cfg.Workers, cb.mk(pl))
-		r.Injected += pl.TotalInjected()
+		// Concurrent run: survival under pressure. Audit stays off — the
+		// audit identity is exact only without racing frees (see
+		// pointerlog/audit.go) — correctness is checked via
+		// fault/panic/hang classification instead.
+		{"concurrent", backends.DangSan, cfg.Workers, false, false},
+		// Audited run: one worker, audit on. The accounting identity must
+		// hold exactly even with injected metadata failures.
+		{"audited", backends.DangSan, 1, true, false},
+		// Tiered run: concurrent, cold tier armed at the minimum threshold
+		// so hash-mode objects spill, with the ColdIO site denying segment
+		// writes and reads. Both directions must fail open — a denied write
+		// keeps the table resident, a denied read skips only that segment's
+		// coverage.
+		{"tiered", backends.DangSan, cfg.Workers, false, true},
+		// Tiered audited run: one worker, audit on — the cross-tier
+		// identity (live + released + spilled) must hold exactly through
+		// every spill, free and compaction, even with ColdIO injecting.
+		{"tiered-audited", backends.DangSan, 1, true, true},
+		// Checked-dereference stages: their fail-open contract is
+		// check-side. A denied metadata charge leaves the object untagged
+		// (xtag) or untracked (camp), and every dereference of it passes —
+		// so a correct run must still never fault.
+		{"xtag", backends.XTag, cfg.Workers, false, false},
+		{"camp", backends.CAMP, cfg.Workers, false, false},
+	}
+	for _, st := range stages {
+		plane := faultinject.New(seed)
+		plane.EnableAll(rate, cfg.Budget)
+		det := cfg.detector(st.kind, plane, st.audit, st.tiered)
+		if cfg.runServer(&r, st.name, plane, st.workers, det) {
+			if st.name == "concurrent" {
+				r.Sites = plane.Snapshot()
+			}
+			if ds, ok := det.(*dangsan.Detector); ok {
+				for _, v := range ds.AuditViolations() {
+					r.Violations = append(r.Violations, st.name+": "+v)
+				}
+				ds.Close()
+			}
+		}
+		r.Injected += plane.TotalInjected()
 	}
 
 	if !cfg.SkipExploits {
-		r.Exploits = cfg.runExploits(&r, rate, seed)
-		r.Exploits = append(r.Exploits, cfg.runXTagExploits(&r, rate, seed)...)
+		// xtag's tag checks catch all three scenarios too: the reuse that
+		// arms each exploit gives the recycled memory a fresh generation,
+		// so the stale tagged pointer mismatches. camp is deliberately
+		// absent: its freed-range registry is cleared by reuse, and all
+		// three scenarios reuse the victim's memory before the stale access
+		// — the documented false-negative window of pure range checking.
+		r.Exploits = cfg.runExploits(&r, backends.DangSan, "", rate, seed)
+		r.Exploits = append(r.Exploits, cfg.runExploits(&r, backends.XTag, "xtag:", rate, seed)...)
 	}
 	return r
 }
 
-// runXTagExploits drives the UAF scenarios under xtag with injection: tag
-// checks catch all three (the reuse that arms each exploit gives the
-// recycled memory a fresh generation, so the stale tagged pointer
-// mismatches). Detection is required exactly when no object degraded. camp
-// is deliberately absent: its freed-range registry is cleared by reuse, and
-// all three scenarios reuse the victim's memory before the stale access —
-// the documented false-negative window of pure range checking.
-func (c Config) runXTagExploits(r *Result, rate float64, seed int64) []ExploitResult {
+// runExploits drives the three UAF scenarios under injection against kind,
+// naming each result prefix+scenario. Detection is required exactly when
+// the detector lost no coverage during the scenario (nothing degraded,
+// nothing dropped); OOM-aborted scenarios are skipped.
+func (c Config) runExploits(r *Result, kind backends.Kind, prefix string, rate float64, seed int64) []ExploitResult {
 	scenarios := []struct {
 		name string
 		run  func(*proc.Process) (workloads.ExploitOutcome, error)
@@ -333,11 +281,11 @@ func (c Config) runXTagExploits(r *Result, rate float64, seed int64) []ExploitRe
 	for i, sc := range scenarios {
 		plane := faultinject.New(seed + int64(i)*7919)
 		plane.EnableAll(rate, c.Budget)
-		det := xtag.NewWithOptions(xtag.Options{Faults: plane})
+		det := c.detector(kind, plane, false, false)
 		p := proc.NewWithOptions(det, proc.Options{HeapBytes: c.HeapBytes, Faults: plane})
 		outcome, err := sc.run(p)
-		res := ExploitResult{Name: "xtag:" + sc.name}
-		degraded, _ := det.Degraded()
+		res := ExploitResult{Name: prefix + sc.name}
+		degraded, dropped := det.(detectors.CoverageLoss).Degraded()
 		switch {
 		case err != nil:
 			var oom *tcmalloc.OutOfMemoryError
@@ -346,71 +294,21 @@ func (c Config) runXTagExploits(r *Result, rate float64, seed int64) []ExploitRe
 				res.Detail = "oom-aborted: " + err.Error()
 			} else {
 				r.Violations = append(r.Violations,
-					fmt.Sprintf("exploit xtag:%s: unexpected error: %v", sc.name, err))
+					fmt.Sprintf("exploit %s: unexpected error: %v", res.Name, err))
 				res.Detail = err.Error()
 			}
-		case degraded > 0:
-			res.Skipped = true
-			res.Prevented = outcome.Prevented
-			res.Detail = fmt.Sprintf("degraded=%d: %s", degraded, outcome.Detail)
-		default:
-			res.Prevented = outcome.Prevented
-			res.Detail = outcome.Detail
-			if !outcome.Prevented {
-				r.Violations = append(r.Violations,
-					fmt.Sprintf("exploit xtag:%s: not prevented with full coverage: %s", sc.name, outcome.Detail))
-			}
-		}
-		out = append(out, res)
-	}
-	return out
-}
-
-// runExploits drives the three UAF scenarios under injection. Detection is
-// required exactly when the detector lost no coverage during the scenario
-// (nothing degraded, nothing dropped); OOM-aborted scenarios are skipped.
-func (c Config) runExploits(r *Result, rate float64, seed int64) []ExploitResult {
-	scenarios := []struct {
-		name string
-		run  func(*proc.Process) (workloads.ExploitOutcome, error)
-	}{
-		{"double-free-openssl", workloads.DoubleFreeOpenSSL},
-		{"uaf-wireshark", workloads.UAFWireshark},
-		{"uaf-litespeed", workloads.UAFLitespeed},
-	}
-	out := make([]ExploitResult, 0, len(scenarios))
-	for i, sc := range scenarios {
-		plane := faultinject.New(seed + int64(i)*7919)
-		plane.EnableAll(rate, c.Budget)
-		det := c.detector(plane, false, false)
-		p := proc.NewWithOptions(det, proc.Options{HeapBytes: c.HeapBytes, Faults: plane})
-		outcome, err := sc.run(p)
-		res := ExploitResult{Name: sc.name}
-		snap := det.Stats()
-		switch {
-		case err != nil:
-			var oom *tcmalloc.OutOfMemoryError
-			if errors.As(err, &oom) {
-				res.Skipped = true
-				res.Detail = "oom-aborted: " + err.Error()
-			} else {
-				r.Violations = append(r.Violations,
-					fmt.Sprintf("exploit %s: unexpected error: %v", sc.name, err))
-				res.Detail = err.Error()
-			}
-		case snap.DegradedObjects > 0 || snap.DroppedRegistrations > 0:
+		case degraded > 0 || dropped > 0:
 			// Coverage was lost; detection is not required. Record what
 			// happened but don't judge it.
 			res.Skipped = true
 			res.Prevented = outcome.Prevented
-			res.Detail = fmt.Sprintf("degraded=%d dropped=%d: %s",
-				snap.DegradedObjects, snap.DroppedRegistrations, outcome.Detail)
+			res.Detail = fmt.Sprintf("degraded=%d dropped=%d: %s", degraded, dropped, outcome.Detail)
 		default:
 			res.Prevented = outcome.Prevented
 			res.Detail = outcome.Detail
 			if !outcome.Prevented {
 				r.Violations = append(r.Violations,
-					fmt.Sprintf("exploit %s: not prevented with full coverage: %s", sc.name, outcome.Detail))
+					fmt.Sprintf("exploit %s: not prevented with full coverage: %s", res.Name, outcome.Detail))
 			}
 		}
 		out = append(out, res)

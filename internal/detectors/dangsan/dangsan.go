@@ -60,15 +60,12 @@ func NewWithConfig(cfg pointerlog.Config) *Detector {
 	}
 }
 
-// Options configures a detector beyond the pointer-log tunables:
-// accounting audit mode and an observability registry to attach.
+// Options configures a detector: the pointer-log tunables (audit mode
+// included), an observability registry to attach and a fault plane.
 type Options struct {
 	// Config carries the pointer-log tunables; the zero value means
 	// pointerlog.DefaultConfig().
 	Config pointerlog.Config
-	// Audit turns on the log-byte accounting cross-check
-	// (pointerlog.Config.Audit).
-	Audit bool
 	// Metrics, when non-nil, receives the detector's instruments.
 	Metrics *obs.Registry
 	// Faults, when non-nil, injects failures into the detector's own
@@ -77,14 +74,13 @@ type Options struct {
 	Faults *faultinject.Plane
 }
 
-// NewWithOptions creates a DangSan detector with audit mode and metrics
-// wired through.
+// NewWithOptions creates a DangSan detector with metrics and faults wired
+// through.
 func NewWithOptions(opts Options) *Detector {
 	cfg := opts.Config
 	if cfg == (pointerlog.Config{}) {
 		cfg = pointerlog.DefaultConfig()
 	}
-	cfg.Audit = cfg.Audit || opts.Audit
 	d := NewWithConfig(cfg)
 	d.InjectFaults(opts.Faults)
 	d.AttachMetrics(opts.Metrics)
@@ -307,8 +303,15 @@ func (d *Detector) Stats() pointerlog.Snapshot {
 	return d.logger.Stats().Snapshot()
 }
 
+// Degraded implements detectors.CoverageLoss: the snapshot's
+// DegradedObjects and DroppedRegistrations.
+func (d *Detector) Degraded() (objects, dropped uint64) {
+	s := d.Stats()
+	return s.DegradedObjects, s.DroppedRegistrations
+}
+
 // AuditViolations reports accumulated audit-mode accounting failures
-// (empty unless Options.Audit was set and the accounting drifted).
+// (empty unless Config.Audit was set and the accounting drifted).
 func (d *Detector) AuditViolations() []string {
 	return d.logger.AuditViolations()
 }

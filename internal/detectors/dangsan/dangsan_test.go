@@ -3,6 +3,7 @@ package dangsan
 import (
 	"testing"
 
+	"dangsan/internal/faultinject"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/vmem"
 )
@@ -266,5 +267,33 @@ func TestDecodeFault(t *testing.T) {
 	// A canonical address is not a fault we can decode.
 	if _, ok := pointerlog.DecodeFault(orig); ok {
 		t.Fatal("canonical address misdecoded")
+	}
+}
+
+// Degraded reports the same coverage loss as the snapshot: objects whose
+// metadata allocation failed and stores whose log block allocation failed.
+func TestDegradedMatchesStats(t *testing.T) {
+	d, as := newBound(t)
+	plane := faultinject.New(1)
+	plane.Enable(faultinject.MetaAlloc, 1, 2)
+	plane.Enable(faultinject.LogBlockAlloc, 1, -1)
+	d.InjectFaults(plane)
+	base := uint64(vmem.HeapBase)
+	for i := uint64(0); i < 4; i++ {
+		d.OnAlloc(base+i*64, 64, 8)
+	}
+	for i := uint64(0); i < 64; i++ {
+		loc := uint64(vmem.GlobalsBase) + i*8
+		as.StoreWord(loc, base+3*64)
+		d.OnPtrStore(loc, base+3*64, 0)
+	}
+	objs, dropped := d.Degraded()
+	s := d.Stats()
+	if objs != s.DegradedObjects || dropped != s.DroppedRegistrations {
+		t.Fatalf("Degraded() = %d, %d; Stats() degraded=%d dropped=%d",
+			objs, dropped, s.DegradedObjects, s.DroppedRegistrations)
+	}
+	if objs != 2 || dropped == 0 {
+		t.Fatalf("Degraded() = %d, %d; want 2 objects and some dropped stores", objs, dropped)
 	}
 }

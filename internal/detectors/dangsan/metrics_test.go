@@ -6,6 +6,7 @@ import (
 
 	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/obs"
+	"dangsan/internal/pointerlog"
 	"dangsan/internal/proc"
 )
 
@@ -14,7 +15,9 @@ import (
 // registry saw traffic from every wired subsystem.
 func TestMetricsAndAuditIntegration(t *testing.T) {
 	reg := obs.NewRegistry()
-	det := dangsan.NewWithOptions(dangsan.Options{Audit: true, Metrics: reg})
+	cfg := pointerlog.DefaultConfig()
+	cfg.Audit = true
+	det := dangsan.NewWithOptions(dangsan.Options{Config: cfg, Metrics: reg})
 	p := proc.New(det)
 	p.AttachMetrics(reg)
 	th := p.NewThread()

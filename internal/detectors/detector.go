@@ -3,7 +3,9 @@
 // uninstrumented baseline and the §9 secure allocator (SecureAllocator).
 // Concrete systems live in subpackages:
 // detectors/dangsan (the paper's contribution), detectors/dangnull and
-// detectors/freesentry (the baselines it is evaluated against).
+// detectors/freesentry (the baselines it is evaluated against), plus the
+// checked-dereference backends detectors/xtag and detectors/camp;
+// detectors/backends is the one table that names and builds them all.
 package detectors
 
 import "dangsan/internal/vmem"
@@ -156,6 +158,15 @@ type TagChecker interface {
 // (proc.Process.EnableMemcpyHook).
 type MemcpyHooker interface {
 	OnMemcpy(dst, src, n uint64, tid int32)
+}
+
+// CoverageLoss is implemented by every backend that can lose coverage
+// fail-open: when metadata cannot be had, it leaves objects untracked and
+// drops pointer registrations instead of failing the program.
+type CoverageLoss interface {
+	// Degraded reports the objects left untracked and the registrations
+	// dropped so far.
+	Degraded() (objects, dropped uint64)
 }
 
 // None is the uninstrumented baseline: every hook is a no-op. Benchmarks

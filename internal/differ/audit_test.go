@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"dangsan/internal/detectors/backends"
+	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/irgen"
 )
 
@@ -23,14 +25,15 @@ func (a withMidRunDrift) AuditViolations() []string {
 // single-threaded program must, and an imbalance that is still there at
 // the quiescent end must fail a threaded cell too.
 func TestAuditClauseThreadedVsSingle(t *testing.T) {
-	sp := Spec{Mode: ModeInstr, Det: DetDangSan, Cfg: DangSanConfigs()[0]}
+	sp := Spec{Mode: ModeInstr, Det: backends.DangSan, Cfg: DangSanConfigs()[0]}
 	for _, threads := range []int{0, 2} {
 		prog := irgen.Generate(11, irgen.Config{Threads: threads})
 		ex, err := run(prog, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer ex.ds.Close()
+		ds := ex.det.(*dangsan.Detector)
+		defer ds.Close()
 		check := func() []string { return checkCounters(&prog.Oracle, sp, ex, prog.Multithreaded) }
 
 		ex.audit = withMidRunDrift{ex.audit}
@@ -44,7 +47,7 @@ func TestAuditClauseThreadedVsSingle(t *testing.T) {
 
 		// A real imbalance that outlives the run: bytes charged through a
 		// released meta are in LogBytes but in no set the walk measures.
-		lg := ex.ds.Logger()
+		lg := ds.Logger()
 		m, h, err := lg.CreateMeta(0x1000, 64)
 		if err != nil {
 			t.Fatal(err)

@@ -45,6 +45,7 @@ import (
 	"strings"
 
 	"dangsan/internal/detectors"
+	"dangsan/internal/detectors/backends"
 	"dangsan/internal/detectors/camp"
 	"dangsan/internal/detectors/dangnull"
 	"dangsan/internal/detectors/dangsan"
@@ -84,39 +85,10 @@ func (m Mode) String() string {
 	}
 }
 
-// DetKind names a detector in the matrix.
-type DetKind int
-
-const (
-	DetNone DetKind = iota
-	DetDangSan
-	DetDangNull
-	DetFreeSentry
-	DetXTag
-	DetCAMP
-)
-
-func (d DetKind) String() string {
-	switch d {
-	case DetNone:
-		return "baseline"
-	case DetDangSan:
-		return "dangsan"
-	case DetDangNull:
-		return "dangnull"
-	case DetXTag:
-		return "xtag"
-	case DetCAMP:
-		return "camp"
-	default:
-		return "freesentry"
-	}
-}
-
 // Spec is one cell of the run matrix.
 type Spec struct {
 	Mode Mode
-	Det  DetKind
+	Det  backends.Kind
 	Cfg  pointerlog.Config // dangsan only
 	ext  procExt           // dangsan only
 }
@@ -133,7 +105,7 @@ const (
 
 // Name renders a stable human-readable cell label for divergence reports.
 func (s Spec) Name() string {
-	if s.Det != DetDangSan {
+	if s.Det != backends.DangSan {
 		return fmt.Sprintf("%s/%s", s.Mode, s.Det)
 	}
 	hash := "off"
@@ -191,39 +163,27 @@ func DangSanConfigs() []pointerlog.Config {
 	return out
 }
 
-// Specs builds the full matrix for one program. FreeSentry cells are
-// omitted for multi-threaded programs (its tracking structures are
-// deliberately unsynchronized; see the freesentry package comment).
+// Specs builds the full matrix for one program, one backend of the table
+// at a time. Backends that are not thread-safe (FreeSentry) are omitted for
+// multi-threaded programs. The checked-dereference pair's optimized cells
+// additionally elide statically-safe checks (ElideDerefChecks), so instr vs
+// instr+opt differentially tests the elision proof.
 func Specs(multithreaded bool) []Spec {
-	specs := []Spec{
-		{Mode: ModeRef, Det: DetNone},
-		{Mode: ModeInstr, Det: DetNone},
-		{Mode: ModeInstrOpt, Det: DetNone},
-	}
-	for _, cfg := range DangSanConfigs() {
-		specs = append(specs,
-			Spec{Mode: ModeInstr, Det: DetDangSan, Cfg: cfg},
-			Spec{Mode: ModeInstrOpt, Det: DetDangSan, Cfg: cfg})
-	}
-	specs = append(specs,
-		Spec{Mode: ModeInstr, Det: DetDangSan, Cfg: pointerlog.DefaultConfig(), ext: extZeroOnFree},
-		Spec{Mode: ModeInstr, Det: DetDangSan, Cfg: pointerlog.DefaultConfig(), ext: extMemcpyHook})
-	specs = append(specs,
-		Spec{Mode: ModeInstr, Det: DetDangNull},
-		Spec{Mode: ModeInstrOpt, Det: DetDangNull})
-	// The checked-dereference pair is lock-free on the check path and safe
-	// for multi-threaded programs. The optimized cells additionally elide
-	// statically-safe checks (ElideDerefChecks), so instr vs instr+opt
-	// differentially tests the elision proof.
-	specs = append(specs,
-		Spec{Mode: ModeInstr, Det: DetXTag},
-		Spec{Mode: ModeInstrOpt, Det: DetXTag},
-		Spec{Mode: ModeInstr, Det: DetCAMP},
-		Spec{Mode: ModeInstrOpt, Det: DetCAMP})
-	if !multithreaded {
-		specs = append(specs,
-			Spec{Mode: ModeInstr, Det: DetFreeSentry},
-			Spec{Mode: ModeInstrOpt, Det: DetFreeSentry})
+	var specs []Spec
+	for _, k := range backends.All() {
+		switch {
+		case k == backends.Baseline:
+			specs = append(specs, Spec{Mode: ModeRef, Det: k}, Spec{Mode: ModeInstr, Det: k}, Spec{Mode: ModeInstrOpt, Det: k})
+		case k == backends.DangSan:
+			for _, cfg := range DangSanConfigs() {
+				specs = append(specs, Spec{Mode: ModeInstr, Det: k, Cfg: cfg}, Spec{Mode: ModeInstrOpt, Det: k, Cfg: cfg})
+			}
+			specs = append(specs,
+				Spec{Mode: ModeInstr, Det: k, Cfg: pointerlog.DefaultConfig(), ext: extZeroOnFree},
+				Spec{Mode: ModeInstr, Det: k, Cfg: pointerlog.DefaultConfig(), ext: extMemcpyHook})
+		case k.ThreadSafe() || !multithreaded:
+			specs = append(specs, Spec{Mode: ModeInstr, Det: k}, Spec{Mode: ModeInstrOpt, Det: k})
+		}
 	}
 	return specs
 }
@@ -245,13 +205,10 @@ type execution struct {
 	ret  uint64
 	trap *interp.Trap
 	rt   *interp.Runtime
-	ds   *dangsan.Detector
-	// audit is ds's audit-mode view; the regression test scripts its own.
+	det  detectors.Detector
+	// audit is dangsan's audit-mode view (nil under the other backends); the
+	// regression test scripts its own.
 	audit auditSource
-	dn    *dangnull.Detector
-	fs    *freesentry.Detector
-	xt    *xtag.Detector
-	cp    *camp.Detector
 }
 
 // run parses the program source fresh (instrumentation mutates the module,
@@ -271,25 +228,15 @@ func run(prog *irgen.Program, sp Spec) (*execution, error) {
 		}
 		iopts = instrument.DefaultOptions()
 	}
-	ex := &execution{}
-	var det detectors.Detector = detectors.None{}
-	switch sp.Det {
-	case DetDangSan:
-		ex.ds = dangsan.NewWithOptions(dangsan.Options{Config: sp.Cfg, Audit: true})
-		ex.audit = ex.ds.Logger()
-		det = ex.ds
-	case DetDangNull:
-		ex.dn = dangnull.New()
-		det = ex.dn
-	case DetFreeSentry:
-		ex.fs = freesentry.New()
-		det = ex.fs
-	case DetXTag:
-		ex.xt = xtag.New()
-		det = ex.xt
-	case DetCAMP:
-		ex.cp = camp.New()
-		det = ex.cp
+	cfg := sp.Cfg
+	cfg.Audit = true
+	det, err := backends.New(sp.Det, dangsan.Options{Config: cfg})
+	if err != nil {
+		return nil, err
+	}
+	ex := &execution{det: det}
+	if ds, ok := det.(*dangsan.Detector); ok {
+		ex.audit = ds.Logger()
 	}
 	if sp.Mode != ModeRef {
 		if _, err := instrument.Pass(m, iopts); err != nil {
@@ -356,10 +303,10 @@ func checkCell(prog *irgen.Program, sp Spec) []string {
 	if err != nil {
 		return []string{err.Error()}
 	}
-	if ex.ds != nil {
+	if ds, ok := ex.det.(*dangsan.Detector); ok {
 		// Tiered cells leave a spill file behind; the run is quiescent
 		// (interp.Run drains before returning) and stats stay readable.
-		defer ex.ds.Close()
+		defer ds.Close()
 	}
 	var msgs []string
 	fail := func(format string, a ...any) {
@@ -418,7 +365,7 @@ func checkCells(prog *irgen.Program, sp Spec, ex *execution) []string {
 			fail("anchor slot %d of object %d: 0x%x not a heap address", lo.AnchorSlot, lo.ID, v)
 			continue
 		}
-		if sp.Det == DetXTag && vmem.PointerTag(v) == 0 {
+		if sp.Det == backends.XTag && vmem.PointerTag(v) == 0 {
 			fail("anchor slot %d of object %d: 0x%x untagged under xtag", lo.AnchorSlot, lo.ID, v)
 			continue
 		}
@@ -490,7 +437,7 @@ func checkCells(prog *irgen.Program, sp Spec, ex *execution) []string {
 func checkDangling(sp Spec, ex *execution, cell irgen.Cell, v uint64, fail func(string, ...any), i int, where string) (orig uint64, comparable bool) {
 	heapPtr := heapRange
 	switch {
-	case sp.Det == DetXTag:
+	case sp.Det == backends.XTag:
 		// xTag never rewrites memory: the cell keeps the tagged pointer it
 		// always held. Detection is latent — probe that dereferencing the
 		// stale pointer now would trap on a tag mismatch. Tags cannot wrap at
@@ -505,15 +452,16 @@ func checkDangling(sp Spec, ex *execution, cell irgen.Cell, v uint64, fail func(
 			fail("cell %d (%s): dangling cell 0x%x not a tagged heap pointer under xtag", i, where, v)
 			return 0, false
 		}
-		if _, f := ex.xt.CheckDeref(v); f == nil {
+		xt := ex.det.(*xtag.Detector)
+		if _, f := xt.CheckDeref(v); f == nil {
 			alt := tag%vmem.MaxTag + 1
-			if _, f2 := ex.xt.CheckDeref(vmem.WithTag(addr, alt)); f2 != nil {
+			if _, f2 := xt.CheckDeref(vmem.WithTag(addr, alt)); f2 != nil {
 				fail("cell %d (%s): stale tagged pointer 0x%x passes the deref check against a live mapping", i, where, v)
 				return 0, false
 			}
 		}
 		return addr, true
-	case sp.Det == DetCAMP:
+	case sp.Det == backends.CAMP:
 		// CAMP keeps memory untouched too, so the cell holds the raw dangling
 		// address, exactly like the baseline. A CheckDeref probe here would be
 		// unsound — the freed range may have been reused by a later live
@@ -524,14 +472,14 @@ func checkDangling(sp Spec, ex *execution, cell irgen.Cell, v uint64, fail func(
 			return 0, false
 		}
 		return v, true
-	case sp.Det == DetNone:
+	case sp.Det == backends.Baseline:
 		// Baseline: raw dangling address, untouched.
 		if !heapPtr(v) {
 			fail("cell %d (%s): dangling raw value 0x%x not a heap address", i, where, v)
 			return 0, false
 		}
 		return v, true
-	case sp.Det == DetDangNull && cell.Global:
+	case sp.Det == backends.DangNULL && cell.Global:
 		// DangNull tracks heap locations only: global dangling cells keep
 		// their raw value — the coverage gap the paper's Table 1 quantifies.
 		if !heapPtr(v) {
@@ -539,7 +487,7 @@ func checkDangling(sp Spec, ex *execution, cell irgen.Cell, v uint64, fail func(
 			return 0, false
 		}
 		return v, true
-	case sp.Det == DetDangNull:
+	case sp.Det == backends.DangNULL:
 		if v != dangnull.InvalidValue {
 			fail("cell %d (%s): dangling heap cell 0x%x, want nullified 0x%x",
 				i, where, v, uint64(dangnull.InvalidValue))
@@ -595,61 +543,54 @@ func checkCounters(o *irgen.Oracle, sp Spec, ex *execution, threaded bool) []str
 	fail := func(format string, a ...any) {
 		msgs = append(msgs, fmt.Sprintf(format, a...))
 	}
-	switch sp.Det {
-	case DetDangSan:
-		snap := ex.ds.Stats()
+	lo, hi := uint64(o.Mallocs), uint64(o.Mallocs+o.Reallocs)
+	switch d := ex.det.(type) {
+	case *dangsan.Detector:
+		snap := d.Stats()
 		if snap.Invalidated != o.InvalidatedAll {
 			fail("dangsan invalidated %d, want %d", snap.Invalidated, o.InvalidatedAll)
 		}
 		// Whether a realloc moves (and allocates) depends on size classes
 		// and AllocPad, so tracked objects are only bounded.
-		lo, hi := uint64(o.Mallocs), uint64(o.Mallocs+o.Reallocs)
 		if snap.ObjectsTracked < lo || snap.ObjectsTracked > hi {
 			fail("dangsan tracked %d objects, want %d..%d", snap.ObjectsTracked, lo, hi)
-		}
-		if snap.DegradedObjects != 0 || snap.DroppedRegistrations != 0 {
-			fail("dangsan degraded=%d dropped=%d without fault injection",
-				snap.DegradedObjects, snap.DroppedRegistrations)
 		}
 		if msg := auditClause(ex.audit, threaded); msg != "" {
 			fail("%s", msg)
 		}
-	case DetDangNull:
-		_, inv := ex.dn.Stats()
+	case *dangnull.Detector:
+		_, inv := d.Stats()
 		if inv != o.InvalidatedHeap {
 			fail("dangnull invalidated %d, want %d (heap-resident only)", inv, o.InvalidatedHeap)
 		}
-		if live := ex.dn.LiveObjects(); live != o.LiveAtExit {
+		if live := d.LiveObjects(); live != o.LiveAtExit {
 			fail("dangnull tracks %d live objects, want %d", live, o.LiveAtExit)
 		}
-	case DetFreeSentry:
-		_, inv := ex.fs.Stats()
+	case *freesentry.Detector:
+		_, inv := d.Stats()
 		if inv != o.InvalidatedAll {
 			fail("freesentry invalidated %d, want %d", inv, o.InvalidatedAll)
 		}
-	case DetXTag:
-		tagged, _, mismatches := ex.xt.Stats()
+	case *xtag.Detector:
+		tagged, _, mismatches := d.Stats()
 		if mismatches != 0 {
 			fail("xtag saw %d tag mismatches in a benign program", mismatches)
 		}
-		lo, hi := uint64(o.Mallocs), uint64(o.Mallocs+o.Reallocs)
 		if tagged < lo || tagged > hi {
 			fail("xtag tagged %d objects, want %d..%d", tagged, lo, hi)
 		}
-		if objs, regs := ex.xt.Degraded(); objs != 0 || regs != 0 {
-			fail("xtag degraded=%d/%d without fault injection", objs, regs)
-		}
-	case DetCAMP:
-		tracked, _, faults, _ := ex.cp.Stats()
+	case *camp.Detector:
+		tracked, _, faults, _ := d.Stats()
 		if faults != 0 {
 			fail("camp saw %d freed-range faults in a benign program", faults)
 		}
-		lo, hi := uint64(o.Mallocs), uint64(o.Mallocs+o.Reallocs)
 		if tracked < lo || tracked > hi {
 			fail("camp tracked %d objects, want %d..%d", tracked, lo, hi)
 		}
-		if objs, regs := ex.cp.Degraded(); objs != 0 || regs != 0 {
-			fail("camp degraded=%d/%d without fault injection", objs, regs)
+	}
+	if cl, ok := ex.det.(detectors.CoverageLoss); ok {
+		if objs, regs := cl.Degraded(); objs != 0 || regs != 0 {
+			fail("%s degraded=%d dropped=%d without fault injection", sp.Det, objs, regs)
 		}
 	}
 	return msgs

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dangsan/internal/detectors/backends"
 	"dangsan/internal/irgen"
 	"dangsan/internal/pointerlog"
 )
@@ -64,10 +65,10 @@ func TestMatrixShape(t *testing.T) {
 	}
 	exts := map[procExt]int{}
 	for _, sp := range Specs(true) {
-		if sp.Det == DetFreeSentry {
+		if sp.Det == backends.FreeSentry {
 			t.Fatalf("freesentry cell %s in a multi-threaded matrix", sp.Name())
 		}
-		if sp.Mode == ModeRef && sp.Det != DetNone {
+		if sp.Mode == ModeRef && sp.Det != backends.Baseline {
 			t.Fatalf("uninstrumented cell %s with a detector", sp.Name())
 		}
 		exts[sp.ext]++
@@ -91,7 +92,7 @@ func TestMemcpyHookConforms(t *testing.T) { checkExtension(t, extMemcpyHook) }
 // cover zero, one and two extra threads (a zero-on-free that wipes 16 bytes
 // past the object first shows at seed 11).
 func checkExtension(t *testing.T, ext procExt) {
-	sp := Spec{Mode: ModeInstr, Det: DetDangSan, Cfg: pointerlog.DefaultConfig(), ext: ext}
+	sp := Spec{Mode: ModeInstr, Det: backends.DangSan, Cfg: pointerlog.DefaultConfig(), ext: ext}
 	threaded := false
 	for seed := int64(0); seed < 30; seed++ {
 		prog := irgen.Generate(seed, seedConfig(seed))
@@ -132,7 +133,7 @@ func TestCheckerCatchesTampering(t *testing.T) {
 	if prog == nil {
 		t.Fatal("no seed with a rich enough oracle in 0..499")
 	}
-	sp := Spec{Mode: ModeInstr, Det: DetDangSan, Cfg: pointerlog.DefaultConfig()}
+	sp := Spec{Mode: ModeInstr, Det: backends.DangSan, Cfg: pointerlog.DefaultConfig()}
 	if msgs := checkCell(prog, sp); len(msgs) != 0 {
 		t.Fatalf("untampered program diverges: %v", msgs)
 	}
@@ -164,11 +165,11 @@ func TestCheckerCatchesTampering(t *testing.T) {
 			}
 		}, sp},
 		{"invalidated-heap", func(o *irgen.Oracle) { o.InvalidatedHeap++ },
-			Spec{Mode: ModeInstr, Det: DetDangNull}},
+			Spec{Mode: ModeInstr, Det: backends.DangNULL}},
 		{"xtag-tagged-objects", func(o *irgen.Oracle) { o.Mallocs += 5 },
-			Spec{Mode: ModeInstr, Det: DetXTag}},
+			Spec{Mode: ModeInstr, Det: backends.XTag}},
 		{"camp-tracked-objects", func(o *irgen.Oracle) { o.Mallocs += 5 },
-			Spec{Mode: ModeInstr, Det: DetCAMP}},
+			Spec{Mode: ModeInstr, Det: backends.CAMP}},
 		{"xtag-cell-kind", func(o *irgen.Oracle) {
 			for i := range o.Cells {
 				if o.Cells[i].Kind == irgen.CellDangling {
@@ -176,7 +177,7 @@ func TestCheckerCatchesTampering(t *testing.T) {
 					return
 				}
 			}
-		}, Spec{Mode: ModeInstr, Det: DetXTag}},
+		}, Spec{Mode: ModeInstr, Det: backends.XTag}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package differ
 import (
 	"fmt"
 
+	"dangsan/internal/detectors/backends"
 	"dangsan/internal/detectors/dangnull"
 	"dangsan/internal/irgen"
 	"dangsan/internal/pointerlog"
@@ -37,7 +38,7 @@ func CheckMutation(seed int64, cfg irgen.Config) MutationResult {
 	var res MutationResult
 	for _, sp := range MutationSpecs(prog.Multithreaded) {
 		trapped, msgs := checkMutationCell(prog, sp)
-		if sp.Det != DetNone {
+		if sp.Det != backends.Baseline {
 			res.Detectors++
 			if trapped {
 				res.Detected++
@@ -58,7 +59,7 @@ func MutationSpecs(multithreaded bool) []Spec {
 	for _, sp := range Specs(multithreaded) {
 		// One dangsan cell per mode: the injected bug is caught by the
 		// invalidation every config and extension shares.
-		if sp.Det == DetDangSan && (sp.Cfg != pointerlog.DefaultConfig() || sp.ext != extNone) {
+		if sp.Det == backends.DangSan && (sp.Cfg != pointerlog.DefaultConfig() || sp.ext != extNone) {
 			continue
 		}
 		out = append(out, sp)
@@ -83,7 +84,7 @@ func checkMutationCell(prog *irgen.Program, sp Spec) (trapped bool, msgs []strin
 		fail("output %v, want %v", ex.out, prog.Oracle.Output)
 	}
 
-	if sp.Det == DetNone {
+	if sp.Det == backends.Baseline {
 		// No detector: the dangling load reads recycled memory silently.
 		if ex.trap != nil {
 			fail("baseline trapped on the injected bug: %v", ex.trap)
@@ -102,14 +103,14 @@ func checkMutationCell(prog *irgen.Program, sp Spec) (trapped bool, msgs []strin
 		return trapped, msgs
 	}
 	addr := ex.trap.Fault.Addr
-	if sp.Det == DetDangNull {
+	if sp.Det == backends.DangNULL {
 		if addr != dangnull.InvalidValue {
 			fail("dangnull fault at 0x%x, want the nullification value 0x%x",
 				addr, uint64(dangnull.InvalidValue))
 		}
 		return trapped, msgs
 	}
-	if sp.Det == DetXTag {
+	if sp.Det == backends.XTag {
 		// xtag must detect via a tag mismatch: the fault preserves the full
 		// tagged pointer, whose stripped address is the freed object.
 		if ex.trap.Fault.Kind != vmem.FaultTagMismatch {
@@ -124,7 +125,7 @@ func checkMutationCell(prog *irgen.Program, sp Spec) (trapped bool, msgs []strin
 		}
 		return trapped, msgs
 	}
-	if sp.Det == DetCAMP {
+	if sp.Det == backends.CAMP {
 		// camp must detect via its freed-range registry: the fault reports
 		// the raw accessed address inside the freed extent.
 		if ex.trap.Fault.Kind != vmem.FaultFreedRange {

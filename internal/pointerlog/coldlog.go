@@ -55,13 +55,12 @@ const coldStateBytes = 64
 const coldMapBytes = 1 << 20
 
 // coldSeg describes one spilled segment, a link in its coldState's
-// lock-free (prepend-published) list. length/count/next are immutable after
+// lock-free (prepend-published) list. length and next are immutable after
 // publication; off moves only during compaction (under the coldLog write
 // lock); dead flips once, at retirement.
 type coldSeg struct {
 	off    int64
 	length int
-	count  int // locations encoded
 	dead   atomic.Bool
 	next   *coldSeg
 }
@@ -69,7 +68,6 @@ type coldSeg struct {
 // coldState is the per-ThreadLog cold tier: the spilled segments.
 type coldState struct {
 	segs atomic.Pointer[coldSeg]
-	locs atomic.Uint64 // total locations spilled (invalidation sizing)
 }
 
 // publish prepends seg to the segment list. Owner-only (one writer); the
@@ -77,7 +75,6 @@ type coldState struct {
 func (cs *coldState) publish(seg *coldSeg) {
 	seg.next = cs.segs.Load()
 	cs.segs.Store(seg)
-	cs.locs.Add(uint64(seg.count))
 }
 
 // coldLog is the per-logger spill file and segment registry.
@@ -188,7 +185,7 @@ func (c *coldLog) append(locs []uint64, faults *faultinject.Plane) (seg *coldSeg
 	}
 	defer endMapFault(debug.SetPanicOnFault(true), &err)
 	n := len(appendSegment(c.data[off:off], locs))
-	seg = &coldSeg{off: int64(off), length: n, count: len(locs)}
+	seg = &coldSeg{off: int64(off), length: n}
 	c.size.Store(int64(off + n))
 	c.segs = append(c.segs, seg)
 	c.liveSegs.Add(1)
@@ -229,9 +226,10 @@ func (c *coldLog) overGarbage() bool {
 
 // compact moves the live segments into a fresh spill file, updating
 // their offsets in place. Runs under the write lock, so invalidating
-// readers wait rather than read through the move; callers gate on
-// overGarbage (epoch boundaries and metadata release), so the rewrite
-// amortizes the same way the epoch drain amortizes shadow walks.
+// readers wait rather than read through the move. Its one caller,
+// retireCold at metadata release, gates it on overGarbage, so a rewrite
+// happens only once dead bytes are at least half the file and its cost
+// amortizes over the segments retired since the last one.
 func (c *coldLog) compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

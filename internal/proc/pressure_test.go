@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dangsan/internal/detectors/dangsan"
+	"dangsan/internal/pointerlog"
 	"dangsan/internal/tcmalloc"
 )
 
@@ -14,7 +15,9 @@ import (
 // must still be fully consistent — allocations tracked, frees invalidating,
 // the audit identity intact.
 func TestTinyHeapMallocReturnsTypedOOM(t *testing.T) {
-	det := dangsan.NewWithOptions(dangsan.Options{Audit: true})
+	cfg := pointerlog.DefaultConfig()
+	cfg.Audit = true
+	det := dangsan.NewWithConfig(cfg)
 	p := NewWithOptions(det, Options{HeapBytes: 256 << 10})
 	th := p.NewThread()
 	defer th.Exit()

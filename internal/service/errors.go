@@ -9,11 +9,12 @@
 // worker errors are retried with exponential backoff + jitter under a
 // wall-time cap, a per-shard circuit breaker trips to fail-open degraded
 // mode (requests counted, never a false UAF verdict or a hang), and shard
-// failover restarts a dead worker and rebuilds its state — replaying the
-// coordinator's journal and recovering cold spill segments through
-// pointerlog.ReadSegments so the audit identity
-// (LogBytes == live + released + spilled) holds across the
-// restart.
+// failover restarts a dead worker and rebuilds its state by replaying the
+// coordinator's journal. The audit identity
+// (LogBytes == live + released + spilled) holds across the restart because
+// the rebuilt worker starts from an empty logger and the replay charges
+// every byte afresh; the dead worker's cold spill segments are only read
+// back through pointerlog.ReadSegments to count them (recovered_locs).
 //
 // Workers live behind a Transport: the default keeps them as goroutines in
 // this process reached over channels; the "unix" transport runs each

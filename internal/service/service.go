@@ -251,14 +251,19 @@ func (s *Service) Transport() string { return s.cfg.Transport }
 
 // keyFor folds (tenant, key) into the routing key: FNV-1a over the tenant
 // (hash/fnv's New64a, inlined: no hasher and no []byte per op) mixed with
-// the caller key. Routing and worker-side state both use it.
+// the caller key, then splitmix64's finalizer. Without the finalizer the
+// low bits of the result are the key's low bits plus a per-tenant
+// constant, so every key of one tenant that is a multiple of 16 would
+// route to the same shard. Routing and worker-side state both use it.
 func keyFor(tenant string, key uint64) uint64 {
 	g := uint64(14695981039346656037)
 	for i := 0; i < len(tenant); i++ {
 		g = (g ^ uint64(tenant[i])) * 1099511628211
 	}
 	g ^= key + 0x9e3779b97f4a7c15 + (g << 6) + (g >> 2)
-	return g
+	g = (g ^ g>>30) * 0xbf58476d1ce4e5b9
+	g = (g ^ g>>27) * 0x94d049bb133111eb
+	return g ^ g>>31
 }
 
 // ShardOf exposes the routing decision (the load generator uses it to

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -136,6 +137,26 @@ func TestServiceRoutingCoversShards(t *testing.T) {
 	}
 }
 
+// TestRoutingSpreadsStridedKeys: which shard a key reaches must not depend
+// on the key's low bits alone. Keys that are all multiples of 16 — every
+// heavy key of the service workloads — spread over every shard, each
+// shard's share within 10 points of an even share.
+func TestRoutingSpreadsStridedKeys(t *testing.T) {
+	for _, tenant := range []string{"c0", "c1", "tenant-0", "tenant-3", "parity"} {
+		for _, shards := range []uint64{2, 4} {
+			seen := make([]int, shards)
+			for k := uint64(1); k <= 1000; k++ {
+				seen[keyFor(tenant, k*16)%shards]++
+			}
+			for i, n := range seen {
+				if share := float64(n) / 1000; math.Abs(share-1/float64(shards)) > 0.10 {
+					t.Errorf("tenant %q, %d shards: shard %d got %d of 1000 keys k*16 (%v)", tenant, shards, i, n, seen)
+				}
+			}
+		}
+	}
+}
+
 // TestKeyForMatchesHashFNV: keyFor inlines FNV-1a; routing, the committed
 // fingerprints and the parity digests all rest on it staying bit-identical
 // to hash/fnv's New64a over the tenant.
@@ -149,6 +170,9 @@ func TestKeyForMatchesHashFNV(t *testing.T) {
 		h.Write(tenant)
 		want := h.Sum64()
 		want ^= key + 0x9e3779b97f4a7c15 + (want << 6) + (want >> 2)
+		want = (want ^ want>>30) * 0xbf58476d1ce4e5b9
+		want = (want ^ want>>27) * 0x94d049bb133111eb
+		want ^= want >> 31
 		if got := keyFor(string(tenant), key); got != want {
 			t.Fatalf("keyFor(%q, %d) = %#x, hash/fnv gives %#x", tenant, key, got, want)
 		}
