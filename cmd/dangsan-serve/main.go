@@ -22,8 +22,8 @@
 // the run): -kill-rate 0.5 kills a random shard's worker roughly every
 // other tick; -sigkill-rate delivers real SIGKILLs to wire worker
 // processes (the immediate in-process stop for chan). The supervisor
-// restarts dead workers and rebuilds their state from the journal and any
-// cold spill segments; clients ride through on retries or fail-open
+// restarts dead workers and rebuilds their state from the journal;
+// clients ride through on retries or fail-open
 // degraded verdicts. The run exits nonzero if any invariant broke: a
 // false UAF verdict on a live key, an untyped client error, or (with
 // -audit) accounting drift on any worker, including rebuilt ones.
@@ -47,6 +47,13 @@ func main() {
 	// A spawned copy of this binary must become a shard worker, not a
 	// second coordinator.
 	service.RunWorkerIfSpawned()
+	os.Exit(run())
+}
+
+// run is the whole command. It returns the exit code rather than calling
+// os.Exit, so that its deferred Close stops the worker processes and
+// removes the service's work dir on every path out.
+func run() int {
 	shards := flag.Int("shards", 4, "worker shard count")
 	clients := flag.Int("clients", 8, "concurrent load-generator clients")
 	requests := flag.Int("requests", 2000, "operations per client")
@@ -70,14 +77,10 @@ func main() {
 		Transport:      *transport,
 		Metrics:        reg,
 	}
-	if *coldSpill > 0 {
-		dir, err := os.MkdirTemp("", "dangsan-serve")
-		check(err)
-		defer os.RemoveAll(dir)
-		cfg.ColdDir = dir
-	}
 	svc, err := service.New(cfg)
-	check(err)
+	if err != nil {
+		return fail(err)
+	}
 	defer svc.Close()
 
 	// Client load in the background; the disruptor runs against it.
@@ -162,8 +165,8 @@ func main() {
 		fmt.Printf("disruptions: %d kills, %d hangs, %d slows, %d sigkills\n",
 			disrupted["kill"], disrupted["hang"], disrupted["slow"], disrupted["sigkill"])
 	}
-	fmt.Printf("service: %d requests, %d retries, %d timeouts, %d failovers (%d objects replayed, %d spilled locs recovered), %d heartbeat misses, %d breaker trips, %d sends found the turn taken (%d parked), %d wire exchanges direct and %d polled\n",
-		c.Requests, c.Retries, c.Timeouts, c.Failovers, c.ReplayedObjects, c.RecoveredLocs,
+	fmt.Printf("service: %d requests, %d retries, %d timeouts, %d failovers (%d objects replayed), %d heartbeat misses, %d breaker trips, %d sends found the turn taken (%d parked), %d wire exchanges direct and %d polled\n",
+		c.Requests, c.Retries, c.Timeouts, c.Failovers, c.ReplayedObjects,
 		c.HeartbeatMisses, c.BreakerTrips, c.TurnContended, c.TurnParked, c.WireDirect, c.WirePolled)
 	fmt.Printf("%-6s %-9s %-6s %-10s %-10s %-7s %-6s %-6s\n",
 		"shard", "breaker", "trips", "failovers", "hb age", "incarn", "live", "freed")
@@ -175,11 +178,13 @@ func main() {
 
 	if *metricsFile != "" {
 		data, err := reg.Snapshot().MarshalJSONIndent()
-		check(err)
+		if err != nil {
+			return fail(err)
+		}
 		if *metricsFile == "-" {
 			fmt.Printf("%s\n", data)
-		} else {
-			check(os.WriteFile(*metricsFile, append(data, '\n'), 0o644))
+		} else if err := os.WriteFile(*metricsFile, append(data, '\n'), 0o644); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -187,9 +192,10 @@ func main() {
 		for _, v := range violations {
 			fmt.Fprintf(os.Stderr, "dangsan-serve: violation: %s\n", v)
 		}
-		os.Exit(1)
+		return 1
 	}
 	fmt.Println("all invariants held")
+	return 0
 }
 
 // rng is a splitmix64 stream for the disruption draws.
@@ -207,9 +213,7 @@ func (r *rng) float() float64 {
 	return float64(r.next()>>11) / float64(1<<53)
 }
 
-func check(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dangsan-serve: %v\n", err)
-		os.Exit(1)
-	}
+func fail(err error) int {
+	fmt.Fprintf(os.Stderr, "dangsan-serve: %v\n", err)
+	return 1
 }

@@ -125,7 +125,6 @@ func printService(path string) {
 	fmt.Printf("  timeouts:        %d\n", g["service.timeouts"])
 	fmt.Printf("  failovers:       %d\n", g["service.failovers"])
 	fmt.Printf("  replayed objs:   %d\n", g["service.replayed_objects"])
-	fmt.Printf("  recovered locs:  %d\n", g["service.recovered_spilled_locs"])
 	fmt.Printf("  heartbeat miss:  %d\n", g["service.heartbeat_misses"])
 	fmt.Printf("  worker panics:   %d\n", g["service.worker_panics"])
 	fmt.Printf("  abandoned:       %d\n", g["service.abandoned_workers"])

@@ -76,12 +76,10 @@ type ShardResult struct {
 	Partitions int `json:"partitions,omitempty"`
 	Trickles   int `json:"trickles,omitempty"`
 	Garbage    int `json:"garbage,omitempty"`
-	// Failovers is the completed worker rebuild count; RecoveredLocs the
-	// cold-segment locations recovered through ReadSegments across them;
-	// Replayed the journal objects re-established.
-	Failovers     uint64 `json:"failovers"`
-	RecoveredLocs uint64 `json:"recovered_locs"`
-	Replayed      uint64 `json:"replayed"`
+	// Failovers is the completed worker rebuild count; Replayed the
+	// journal objects re-established across them.
+	Failovers uint64 `json:"failovers"`
+	Replayed  uint64 `json:"replayed"`
 	// Issued/Degraded/Detected/Missed summarize the client population's
 	// view. Degraded and Missed are expected under disruption (fail-open
 	// verdicts, probes the freed window or a replay lost); FalseUAF is
@@ -129,7 +127,7 @@ func runShardCell(cfg ShardConfig, rate float64, seed int64) ShardResult {
 	start := time.Now()
 	dir, err := os.MkdirTemp("", "dangsan-shard-chaos")
 	if err != nil {
-		r.Violations = append(r.Violations, fmt.Sprintf("cold dir: %v", err))
+		r.Violations = append(r.Violations, fmt.Sprintf("work dir: %v", err))
 		return r
 	}
 	defer os.RemoveAll(dir)
@@ -138,7 +136,6 @@ func runShardCell(cfg ShardConfig, rate float64, seed int64) ShardResult {
 		HeapBytes:         cfg.HeapBytes,
 		Audit:             true,
 		ColdSpillBytes:    pointerlog.MinColdSpillBytes,
-		ColdDir:           dir,
 		Seed:              uint64(seed),
 		Transport:         cfg.Transport,
 		WorkDir:           dir,
@@ -277,7 +274,7 @@ func runShardCell(cfg ShardConfig, rate float64, seed int64) ShardResult {
 	}
 	r.Violations = append(r.Violations, svc.Violations()...)
 	c := svc.Counters()
-	r.Failovers, r.RecoveredLocs, r.Replayed = c.Failovers, c.RecoveredLocs, c.ReplayedObjects
+	r.Failovers, r.Replayed = c.Failovers, c.ReplayedObjects
 	r.Seconds = time.Since(start).Seconds()
 	return r
 }

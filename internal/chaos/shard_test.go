@@ -34,9 +34,9 @@ func TestShardSweepInvariants(t *testing.T) {
 		t.Error(v)
 	}
 	for _, r := range results {
-		t.Logf("rate=%g seed=%d: %.2fs kills=%d hangs=%d slows=%d failovers=%d replayed=%d recovered=%d issued=%d degraded=%d detected=%d missed=%d",
+		t.Logf("rate=%g seed=%d: %.2fs kills=%d hangs=%d slows=%d failovers=%d replayed=%d issued=%d degraded=%d detected=%d missed=%d",
 			r.Rate, r.Seed, r.Seconds, r.Kills, r.Hangs, r.Slows,
-			r.Failovers, r.Replayed, r.RecoveredLocs, r.Issued, r.Degraded, r.Detected, r.Missed)
+			r.Failovers, r.Replayed, r.Issued, r.Degraded, r.Detected, r.Missed)
 		// Every cell injects at least one disruption of each kind, and the
 		// supervisor must have rebuilt a worker for every one of them.
 		if r.Kills == 0 {
@@ -77,10 +77,10 @@ func TestWireShardSweepInvariants(t *testing.T) {
 		t.Error(v)
 	}
 	for _, r := range results {
-		t.Logf("rate=%g seed=%d: %.2fs kills=%d hangs=%d slows=%d sigkills=%d partitions=%d trickles=%d garbage=%d failovers=%d replayed=%d recovered=%d issued=%d degraded=%d detected=%d missed=%d",
+		t.Logf("rate=%g seed=%d: %.2fs kills=%d hangs=%d slows=%d sigkills=%d partitions=%d trickles=%d garbage=%d failovers=%d replayed=%d issued=%d degraded=%d detected=%d missed=%d",
 			r.Rate, r.Seed, r.Seconds, r.Kills, r.Hangs, r.Slows,
 			r.SigKills, r.Partitions, r.Trickles, r.Garbage,
-			r.Failovers, r.Replayed, r.RecoveredLocs, r.Issued, r.Degraded, r.Detected, r.Missed)
+			r.Failovers, r.Replayed, r.Issued, r.Degraded, r.Detected, r.Missed)
 		if r.SigKills == 0 || r.Partitions == 0 || r.Trickles == 0 || r.Garbage == 0 {
 			t.Errorf("rate=%g seed=%d: wire stages not all injected (sigkill=%d partition=%d trickle=%d garbage=%d)",
 				r.Rate, r.Seed, r.SigKills, r.Partitions, r.Trickles, r.Garbage)
@@ -98,9 +98,10 @@ func TestWireShardSweepInvariants(t *testing.T) {
 }
 
 // TestShardCellRebuildCoversColdTier: the heavy-key fraction of the load
-// pushes location sets across the cold spill threshold, so at least one
-// failover in a multi-kill cell must have recovered spilled locations via
-// ReadSegments and replayed journal objects into the replacement worker.
+// pushes location sets across the cold spill threshold, and a multi-kill
+// cell must have replayed journal objects into the replacement workers —
+// the one source of a rebuilt worker's state, cold tier included (the
+// service tests pin that replay re-spills it).
 func TestShardCellRebuildCoversColdTier(t *testing.T) {
 	r := RunShard(shardTestConfig(), 0.3, 42)
 	if len(r.Violations) != 0 {
@@ -108,8 +109,5 @@ func TestShardCellRebuildCoversColdTier(t *testing.T) {
 	}
 	if r.Replayed == 0 {
 		t.Fatal("no journal objects replayed across any failover")
-	}
-	if r.RecoveredLocs == 0 {
-		t.Fatal("no cold-spill locations recovered across any failover")
 	}
 }

@@ -3,6 +3,7 @@ package pointerlog
 import (
 	"errors"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -43,6 +44,23 @@ func fillTiered(t *testing.T, cfg Config, nLocs int) (*Logger, *vmem.AddressSpac
 	return lg, as, meta, handle, locs
 }
 
+// decodeSegment decodes the segment at the start of b the way free-time
+// invalidation reads it (forEachSegmentLocation), appending its locations
+// to out, and checks them against the header's count. It returns the
+// extended slice and the segment's framed length.
+func decodeSegment(b []byte, out []uint64) ([]uint64, int, error) {
+	count, payload, err := segmentPayload(b)
+	if err != nil {
+		return out, 0, err
+	}
+	start := len(out)
+	forEachSegmentLocation(b, func(loc uint64) { out = append(out, loc) })
+	if len(out)-start != count {
+		return out[:start], 0, errSegCorrupt
+	}
+	return out, segHeaderBytes + len(payload), nil
+}
+
 func sortedU64(s []uint64) []uint64 {
 	out := append([]uint64(nil), s...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -79,93 +97,77 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentTruncatedTail: a crash mid-append leaves a partial final
-// segment; recovery returns every intact segment and drops the tail.
+// TestSegmentTruncatedTail: a segment whose bytes are cut short — torn in
+// its header, in its payload, or one byte from its end — or whose checksum
+// fails reads as truncated, and the segments before it still decode.
 func TestSegmentTruncatedTail(t *testing.T) {
 	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase, vmem.GlobalsBase + 16})
 	seg2 := appendSegment(nil, []uint64{vmem.StacksBase, vmem.StacksBase + 4096})
 	seg3 := appendSegment(nil, []uint64{vmem.HeapBase + 8})
-	for _, cut := range []int{
-		1,                  // torn magic
-		segHeaderBytes - 1, // torn header
-		segHeaderBytes + 3, // torn payload
-		len(seg3) - 1,      // one byte short
+	badSum := slices.Clone(seg3)
+	badSum[len(badSum)-1] ^= 0xff
+	for _, tail := range [][]byte{
+		seg3[:1],                // torn magic
+		seg3[:segHeaderBytes-1], // torn header
+		seg3[:segHeaderBytes+3], // torn payload
+		seg3[:len(seg3)-1],      // one byte short
+		badSum,                  // checksum fails
 	} {
-		path := t.TempDir() + "/cold.seg"
-		blob := append(append(append([]byte(nil), seg1...), seg2...), seg3[:cut]...)
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
+		blob := slices.Concat(seg1, seg2, tail)
+		n := 0
+		for i, want := range []int{2, 2} {
+			locs, m, err := decodeSegment(blob[n:], nil)
+			if err != nil || len(locs) != want {
+				t.Fatalf("tail %x: segment %d: %d locations, err %v; want %d, nil", tail, i, len(locs), err, want)
+			}
+			n += m
 		}
-		locs, err := ReadSegments(path)
-		if err != nil {
-			t.Fatalf("cut=%d: %v", cut, err)
+		if locs, _, err := decodeSegment(blob[n:], nil); !errors.Is(err, errSegTruncated) || len(locs) != 0 {
+			t.Fatalf("tail %x: %d locations, err %v; want none, errSegTruncated", tail, len(locs), err)
 		}
-		if len(locs) != 4 {
-			t.Fatalf("cut=%d: recovered %d locations, want 4 (the two intact segments)", cut, len(locs))
-		}
-	}
-	// A checksum-corrupted tail is indistinguishable from a torn write
-	// and is likewise dropped.
-	path := t.TempDir() + "/cold.seg"
-	blob := append(append([]byte(nil), seg1...), seg3...)
-	blob[len(blob)-1] ^= 0xff
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	locs, err := ReadSegments(path)
-	if err != nil || len(locs) != 2 {
-		t.Fatalf("corrupt tail: locs=%d err=%v, want 2 nil", len(locs), err)
 	}
 }
 
-// TestSegmentMidFileCorruption: a bad frame anywhere but the tail is an
-// error (lost coverage a restart cannot scope), not a silent truncation.
+// TestSegmentMidFileCorruption: a segment with a wrong magic word is
+// corrupt, not truncated, and costs only its own locations: the segment
+// after it still decodes at its offset.
 func TestSegmentMidFileCorruption(t *testing.T) {
 	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase})
 	seg2 := appendSegment(nil, []uint64{vmem.StacksBase})
-	blob := append(append([]byte(nil), seg1...), seg2...)
+	blob := slices.Concat(seg1, seg2)
 	blob[0] ^= 0xff // first segment's magic
-	path := t.TempDir() + "/cold.seg"
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
+	if _, _, err := decodeSegment(blob, nil); !errors.Is(err, errSegCorrupt) {
+		t.Fatalf("corrupt magic: err=%v, want errSegCorrupt", err)
 	}
-	if _, err := ReadSegments(path); err == nil {
-		t.Fatal("mid-file corruption went unreported")
+	if locs, _, err := decodeSegment(blob[len(seg1):], nil); err != nil || len(locs) != 1 || locs[0] != vmem.StacksBase {
+		t.Fatalf("segment after the corrupt one: %#x %v", locs, err)
 	}
 }
 
-// TestSegmentZeroHeaderEndsLog: a spill file is preallocated, so its log
-// ends at the first zero magic word — after an intact prefix, and after a
-// torn segment behind one — and that is the end of the log, not corruption.
+// TestSegmentZeroHeaderEndsLog: a spill file is preallocated, so what was
+// never written reads as a zero magic word. That — the space after the last
+// segment, or a segment whose writer has not put its header in — is
+// truncation, not corruption; anything but zero or the magic there is
+// corruption.
 func TestSegmentZeroHeaderEndsLog(t *testing.T) {
-	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase, vmem.GlobalsBase + 16})
-	seg2 := appendSegment(nil, []uint64{vmem.StacksBase, vmem.StacksBase + 4096, vmem.StacksBase + 8192})
+	seg := appendSegment(nil, []uint64{vmem.StacksBase, vmem.StacksBase + 4096, vmem.StacksBase + 8192})
 	zeros := make([]byte, 4096)
-	prefix := append(append([]byte(nil), seg1...), seg2...)
-	headerless := append([]byte(nil), seg2...) // writer died before the header went in
+	headerless := slices.Clone(seg)
 	copy(headerless, zeros[:segHeaderBytes])
-	for name, blob := range map[string][]byte{
-		"prefix+zeros":            append(append([]byte(nil), prefix...), zeros...),
-		"prefix+torn+zeros":       append(append(append([]byte(nil), prefix...), seg2[:len(seg2)-8]...), zeros...),
-		"prefix+headerless+zeros": append(append(append([]byte(nil), prefix...), headerless...), zeros...),
-		"zeros":                   zeros,
+	for name, b := range map[string][]byte{
+		"zeros":            zeros,
+		"headerless":       headerless,
+		"headerless+zeros": slices.Concat(headerless, zeros),
+		"torn+zeros":       slices.Concat(seg[:len(seg)-8], zeros),
 	} {
-		path := t.TempDir() + "/cold.seg"
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		want := 5
-		if name == "zeros" {
-			want = 0
-		}
-		if locs, err := ReadSegments(path); err != nil || len(locs) != want {
-			t.Errorf("%s: locs=%d err=%v, want %d nil", name, len(locs), err, want)
+		if locs, _, err := decodeSegment(b, nil); !errors.Is(err, errSegTruncated) || len(locs) != 0 {
+			t.Errorf("%s: locs=%d err=%v, want 0 errSegTruncated", name, len(locs), err)
 		}
 	}
-	// Anything but zero or the magic there is still corruption.
-	bad := append(append([]byte(nil), prefix...), 1, 0, 0, 0)
-	bad = append(bad, zeros...)
-	if _, err := readSegments(bad); !errors.Is(err, errSegCorrupt) {
+	if locs, n, err := decodeSegment(slices.Concat(seg, zeros), nil); err != nil || n != len(seg) || len(locs) != 3 {
+		t.Errorf("segment+zeros: locs=%d n=%d err=%v, want 3 %d nil", len(locs), n, err, len(seg))
+	}
+	if _, _, err := decodeSegment(slices.Concat([]byte{1, 0, 0, 0}, zeros), nil); !errors.Is(err, errSegCorrupt) {
 		t.Errorf("nonzero non-magic header: err=%v, want errSegCorrupt", err)
 	}
 }
@@ -182,8 +184,11 @@ func TestColdSpillInvalidateExact(t *testing.T) {
 	if snap.Spills == 0 || snap.LogBytesSpilled == 0 {
 		t.Fatalf("fixture never spilled: %+v", snap)
 	}
-	if cs := lg.ColdLogStats(); cs.Segments == 0 || cs.DiskBytes == 0 || cs.Path == "" {
+	if cs := lg.ColdLogStats(); cs.Segments == 0 || cs.DiskBytes == 0 {
 		t.Fatalf("no cold segments on disk: %+v", cs)
+	}
+	if ents, err := os.ReadDir(cfg.ColdDir); err != nil || len(ents) != 0 {
+		t.Fatalf("spill file visible in ColdDir: %v %v", ents, err)
 	}
 	// The point of the tier: residency is bounded by the spill threshold
 	// (per log) while cumulative charges keep growing.
@@ -234,43 +239,6 @@ func TestColdSpillInvalidateExact(t *testing.T) {
 		t.Fatalf("audit violations: %v", v)
 	}
 	lg.Close()
-	if cs := lg.ColdLogStats(); cs.Path != "" {
-		if _, err := os.Stat(cs.Path); !os.IsNotExist(err) {
-			t.Fatalf("spill file survives Close: %v", err)
-		}
-	}
-}
-
-// TestColdRestartRecovery: the spill file alone (ReadSegments — the
-// process-restart path) plus the resident tiers reconstruct the complete
-// location set.
-func TestColdRestartRecovery(t *testing.T) {
-	const nLocs = 1500
-	cfg := tieredConfig(t)
-	lg, _, meta, _, locs := fillTiered(t, cfg, nLocs)
-	defer lg.Close()
-
-	path := lg.ColdLogStats().Path
-	if path == "" {
-		t.Fatal("fixture never spilled")
-	}
-	coldLocs, err := ReadSegments(path)
-	if err != nil {
-		t.Fatalf("ReadSegments: %v", err)
-	}
-	var hot []uint64
-	meta.ForEachLocation(func(loc uint64) { hot = append(hot, loc) })
-	got := sortedU64(append(coldLocs, hot...))
-	want := sortedU64(locs)
-	if len(got) != len(want) {
-		t.Fatalf("cold(%d) + hot(%d) = %d locations, want %d",
-			len(coldLocs), len(hot), len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("location %d: got 0x%x want 0x%x", i, got[i], want[i])
-		}
-	}
 }
 
 // TestSpillWriteFaultFailOpen: a denied segment write must leave the
@@ -454,7 +422,7 @@ func TestColdMapFaultFailOpen(t *testing.T) {
 	if cs.Segments == 0 {
 		t.Fatal("fixture never spilled")
 	}
-	if err := os.Truncate(cs.Path, 0); err != nil {
+	if err := lg.cold.Load().f.Truncate(0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -22,8 +22,10 @@ import (
 // compaction) when the dead fraction dominates — with the file mapped
 // shared instead of written through a buffer: a spill encodes into the
 // mapping and a cold read decodes out of it, so neither makes a system
-// call, and what a spill has stored is in the page cache, where a killed
-// process leaves it for ReadSegments exactly as a completed write would be.
+// call. The file is unlinked the moment it is created: its descriptor and
+// its mapping keep it alive, only this logger ever reads it (the paper's
+// log is write-intensive, read-rare and private to its process), and no
+// logger leaves one behind — closed, panicked or killed.
 //
 // Concurrency contract, layer by layer:
 //
@@ -82,8 +84,7 @@ type coldLog struct {
 	dir string
 
 	mu   sync.RWMutex
-	f    *os.File
-	path string
+	f    *os.File   // unlinked at creation (createSpill)
 	data []byte     // all of f, mapped shared; nil before the first spill and after close
 	segs []*coldSeg // every published segment, live and dead
 
@@ -123,6 +124,21 @@ func endMapFault(old bool, err *error) {
 	}
 }
 
+// createSpill creates a spill file in dir, unlinked at once: from here on
+// f and any mapping of it are the only way to reach its blocks, and the
+// kernel frees them when both are gone.
+func createSpill(dir string) (*os.File, error) {
+	f, err := os.CreateTemp(dir, "dangsan-coldlog-*.seg")
+	if err != nil {
+		return nil, err
+	}
+	if err := os.Remove(f.Name()); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
 // mapSpill sizes f to the first doubling of coldMapBytes that holds need
 // bytes and maps it. The blocks are allocated, not left sparse, so a full
 // disk fails here and not as a fault on some later store; what was never
@@ -152,7 +168,7 @@ func (c *coldLog) reserve(need int) error {
 	f := c.f
 	if f == nil {
 		var err error
-		if f, err = os.CreateTemp(c.dir, "dangsan-coldlog-*.seg"); err != nil {
+		if f, err = createSpill(c.dir); err != nil {
 			return err
 		}
 	}
@@ -160,14 +176,13 @@ func (c *coldLog) reserve(need int) error {
 	if err != nil {
 		if c.f == nil {
 			f.Close()
-			os.Remove(f.Name())
 		}
 		return err
 	}
 	if c.data != nil {
 		syscall.Munmap(c.data)
 	}
-	c.f, c.path, c.data = f, f.Name(), data
+	c.f, c.data = f, data
 	return nil
 }
 
@@ -244,7 +259,7 @@ func (c *coldLog) compact() error {
 			need += seg.length
 		}
 	}
-	nf, err := os.CreateTemp(c.dir, "dangsan-coldlog-*.seg")
+	nf, err := createSpill(c.dir)
 	if err != nil {
 		return err
 	}
@@ -256,13 +271,11 @@ func (c *coldLog) compact() error {
 	}
 	if err != nil {
 		nf.Close()
-		os.Remove(nf.Name())
 		return err
 	}
 	syscall.Munmap(c.data)
 	c.f.Close()
-	os.Remove(c.path)
-	c.f, c.path, c.data, c.segs = nf, nf.Name(), nd, live
+	c.f, c.data, c.segs = nf, nd, live
 	c.size.Store(int64(need))
 	c.garbage.Store(0)
 	c.compacts.Add(1)
@@ -286,8 +299,8 @@ func (c *coldLog) moveTo(nd []byte, live []*coldSeg) (err error) {
 	return nil
 }
 
-// close releases the spill file. The logger is unusable for cold reads
-// afterwards.
+// close unmaps the spill file and closes its descriptor, which frees its
+// blocks. The logger is unusable for cold reads afterwards.
 func (c *coldLog) close() {
 	if c == nil {
 		return
@@ -297,7 +310,6 @@ func (c *coldLog) close() {
 	if c.data != nil {
 		syscall.Munmap(c.data)
 		c.f.Close()
-		os.Remove(c.path)
 		c.f, c.data = nil, nil
 	}
 }
@@ -412,8 +424,6 @@ type ColdStats struct {
 	GarbageBytes int64
 	// Compactions is the number of file rewrites so far.
 	Compactions uint64
-	// Path is the spill file's location ("" before the first spill).
-	Path string
 }
 
 // ColdLogStats reports the cold tier's file-level state.
@@ -422,15 +432,11 @@ func (lg *Logger) ColdLogStats() ColdStats {
 	if c == nil {
 		return ColdStats{}
 	}
-	c.mu.RLock()
-	path := c.path
-	c.mu.RUnlock()
 	return ColdStats{
 		Segments:     c.liveSegs.Load(),
 		DiskBytes:    c.size.Load(),
 		GarbageBytes: c.garbage.Load(),
 		Compactions:  c.compacts.Load(),
-		Path:         path,
 	}
 }
 

@@ -74,9 +74,10 @@ type Config struct {
 	// Values below MinColdSpillBytes are raised to it. 0 keeps every
 	// location set fully resident (the pre-tiering behaviour).
 	ColdSpillBytes uint64
-	// ColdDir is the directory for the spill file (os.CreateTemp
-	// semantics: "" means the system temp dir). The file is unlinked on
-	// Logger.Close.
+	// ColdDir is the file system the spill file's blocks come from
+	// (os.CreateTemp semantics: "" means the system temp dir). The file is
+	// unlinked as soon as it is created, so nothing is ever visible there;
+	// its blocks are freed when the logger closes or its process dies.
 	ColdDir string
 }
 

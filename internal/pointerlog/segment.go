@@ -3,11 +3,7 @@ package pointerlog
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"os"
-	"runtime/debug"
 	"slices"
-	"syscall"
 )
 
 // Cold-segment on-disk format. A spill file is a sequence of self-framing
@@ -24,14 +20,13 @@ import (
 //	                         path streams straight through decodeEntry.
 //
 // Segments are append-only and independently decodable: a reader needs no
-// index, only the previous segment's end. The file is preallocated and
-// written through a shared mapping (coldlog.go), so the log ends at the
-// first zero magic word, not at the end of the file. A torn final segment —
-// the process died mid-write — has no magic yet, or fails its length or
-// checksum test, and is dropped; every fully written segment before it is
-// still recovered (ReadSegments). This is the same crash-safety contract as a
-// log-structured file system's tail scan, which is fitting given the
-// paper sells the pointer log as "an LSFS in memory" (§4.4).
+// index, only the segment's offset, which the logger keeps in memory. The
+// file is preallocated and written through a shared mapping (coldlog.go),
+// so unwritten space reads as a zero magic word. Only the logger that wrote
+// a file reads it, at free time: a segment whose bytes are gone or damaged
+// — the file truncated under the mapping, a header never written — has no
+// magic, or fails its length or checksum test, and is skipped as a counted
+// read error (ColdReadErrors), never decoded into locations.
 
 // segMagic marks a segment header ("DSg1" little-endian).
 const segMagic = uint32('D') | uint32('S')<<8 | uint32('g')<<16 | uint32('1')<<24
@@ -39,9 +34,8 @@ const segMagic = uint32('D') | uint32('S')<<8 | uint32('g')<<16 | uint32('1')<<2
 // segHeaderBytes is the fixed segment header size.
 const segHeaderBytes = 16
 
-// errSegTruncated reports a segment cut short by a crash mid-append, or the
-// never-written space after the last one; the reader treats it as
-// end-of-log.
+// errSegTruncated reports a segment cut short, its header never written,
+// or its checksum wrong.
 var errSegTruncated = errors.New("pointerlog: truncated cold segment")
 
 // errSegCorrupt reports a segment whose framing or checksum is wrong.
@@ -102,8 +96,8 @@ func appendSegment(dst []byte, locs []uint64) []byte {
 
 // segmentPayload validates the segment at the start of b — header, length,
 // checksum — and returns its declared location count and its payload. A
-// short or checksum-failing segment is errSegTruncated: indistinguishable
-// from a crash mid-append, and handled the same way — stop reading.
+// short or checksum-failing segment is errSegTruncated, a wrong magic word
+// or payload length errSegCorrupt.
 func segmentPayload(b []byte) (count int, payload []byte, err error) {
 	if len(b) < segHeaderBytes {
 		return 0, nil, errSegTruncated
@@ -131,24 +125,6 @@ func segmentPayload(b []byte) (count int, payload []byte, err error) {
 	return int(binary.LittleEndian.Uint32(b[4:])), payload, nil
 }
 
-// decodeSegment parses one segment at the start of b, appending its
-// decoded locations to out. It returns the extended slice and the total
-// framed length consumed.
-func decodeSegment(b []byte, out []uint64) ([]uint64, int, error) {
-	count, payload, err := segmentPayload(b)
-	if err != nil {
-		return out, 0, err
-	}
-	start := len(out)
-	for i := 0; i < len(payload); i += 8 {
-		out = decodeEntry(binary.LittleEndian.Uint64(payload[i:]), out)
-	}
-	if len(out)-start != count {
-		return out[:start], 0, errSegCorrupt
-	}
-	return out, segHeaderBytes + len(payload), nil
-}
-
 // forEachSegmentLocation streams the locations of the framed segment at
 // the start of b to fn without materializing them.
 func forEachSegmentLocation(b []byte, fn func(loc uint64)) error {
@@ -163,49 +139,4 @@ func forEachSegmentLocation(b []byte, fn func(loc uint64)) error {
 		}
 	}
 	return nil
-}
-
-// ReadSegments recovers every intact segment from a spill file: the
-// restart/crash path. It decodes segments front to back and stops at the
-// first truncated one (a crash mid-append leaves at most one, at the
-// tail). The locations of all intact segments are returned in file order.
-// A corrupt segment anywhere but the tail is reported as an error —
-// unlike truncation, mid-file corruption means lost coverage a restart
-// cannot scope. The file is mapped, not read: recovery touches the pages up
-// to the end of the log, not the preallocated remainder.
-func ReadSegments(path string) (locs []uint64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil || st.Size() == 0 {
-		return nil, err
-	}
-	b, err := syscall.Mmap(int(f.Fd()), 0, int(st.Size()), syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, fmt.Errorf("map %s: %w", path, err)
-	}
-	defer syscall.Munmap(b)
-	defer endMapFault(debug.SetPanicOnFault(true), &err)
-	return readSegments(b)
-}
-
-// readSegments is ReadSegments over a spill file's bytes.
-func readSegments(b []byte) ([]uint64, error) {
-	var locs []uint64
-	off := 0
-	for off < len(b) {
-		out, n, err := decodeSegment(b[off:], locs)
-		if errors.Is(err, errSegTruncated) {
-			break
-		}
-		if err != nil {
-			return locs, fmt.Errorf("segment at offset %d: %w", off, err)
-		}
-		locs = out
-		off += n
-	}
-	return locs, nil
 }

@@ -39,8 +39,8 @@ type endpoint interface {
 	// kill forces the worker down (SIGKILL for a process; the in-process
 	// worker has no harder stop than shutdown). Idempotent.
 	kill()
-	// close releases the worker's resources (spill file / cold dir /
-	// sockets). Only safe once doneCh has closed.
+	// close releases the worker's resources (spill file, socket). Only
+	// safe once doneCh has closed.
 	close()
 	// doneCh closes when the worker is dead — turn retired, or
 	// process reaped.

@@ -10,11 +10,11 @@
 // wall-time cap, a per-shard circuit breaker trips to fail-open degraded
 // mode (requests counted, never a false UAF verdict or a hang), and shard
 // failover restarts a dead worker and rebuilds its state by replaying the
-// coordinator's journal. The audit identity
-// (LogBytes == live + released + spilled) holds across the restart because
-// the rebuilt worker starts from an empty logger and the replay charges
-// every byte afresh; the dead worker's cold spill segments are only read
-// back through pointerlog.ReadSegments to count them (recovered_locs).
+// coordinator's journal, the one recovery source: nothing of the dead
+// worker's is read back, and its cold spill segments die with it. The audit
+// identity (LogBytes == live + released + spilled) holds across the restart
+// because the rebuilt worker starts from an empty logger and the replay
+// charges every byte afresh, re-spilling its cold tier on the way.
 //
 // Workers live behind a Transport: the default keeps them as goroutines in
 // this process reached over channels; the "unix" transport runs each

@@ -1,17 +1,20 @@
 package service
 
 import (
+	"fmt"
+	"io/fs"
+	"path/filepath"
 	"testing"
 	"time"
 )
 
-// TestFailoverRebuildsStateAndAuditHolds is the tentpole's core invariant
-// test: kill a worker whose state spans every tier (live keys, freed keys,
-// cold spill segments on disk), let the supervisor fail over, and require
-// that (a) the journal replay restored every confirmed key, (b) the cold
-// segments were recovered through ReadSegments, (c) the audit identity
-// held on the rebuilt worker, and (d) verdicts stay correct: live keys
-// never fault, freed keys are detected.
+// TestFailoverRebuildsStateAndAuditHolds is the failover invariant test:
+// kill a worker whose state spans every tier (live keys, freed keys, cold
+// spill segments), let the supervisor fail over, and require that (a) the
+// journal replay restored every confirmed key, (b) the replay re-spilled
+// the rebuilt worker's cold tier, (c) the audit identity held on the
+// rebuilt worker, and (d) verdicts stay correct: live keys never fault,
+// freed keys are detected.
 func TestFailoverRebuildsStateAndAuditHolds(t *testing.T) {
 	cfg := testConfig(t, 1)
 	s := mustNew(t, cfg)
@@ -53,12 +56,15 @@ func TestFailoverRebuildsStateAndAuditHolds(t *testing.T) {
 		return !st.Rebuilding && st.Breaker == BreakerClosed
 	})
 
+	// Replay is the rebuilt worker's only source of state: before any new
+	// traffic, its stores have re-spilled the cold tier.
+	if snap, cold, _, err := s.DetectorStats(0); err != nil || snap.Spills == 0 || cold.Segments == 0 {
+		t.Fatalf("rebuilt worker: spills=%d segments=%d err=%v, want the cold tier re-spilled by replay", snap.Spills, cold.Segments, err)
+	}
+
 	c := s.Counters()
 	if c.ReplayedObjects == 0 {
 		t.Fatal("failover replayed nothing")
-	}
-	if c.RecoveredLocs == 0 {
-		t.Fatal("failover recovered no cold-segment locations through ReadSegments")
 	}
 	if c.ReplayErrors != 0 {
 		t.Fatalf("replay errors: %d", c.ReplayErrors)
@@ -271,5 +277,55 @@ func TestFailoverUnderLoad(t *testing.T) {
 	}
 	if c := s.Counters(); c.Failovers < 3 {
 		t.Fatalf("failovers = %d, want >= 3", c.Failovers)
+	}
+}
+
+// TestWorkDirShowsNoSpillFile: a worker's spill file is unlinked as soon as
+// it is made, so while workers spill, and after a kill and a sigkill
+// failover, the service's work dir holds nothing but wire sockets — on
+// either transport.
+func TestWorkDirShowsNoSpillFile(t *testing.T) {
+	for _, transport := range []string{TransportChan, TransportUnix} {
+		t.Run(transport, func(t *testing.T) {
+			cfg := testConfig(t, 1)
+			if transport == TransportUnix {
+				cfg = wireConfig(t, 1, transport)
+			}
+			s := mustNew(t, cfg)
+			onlySockets := func(when string) {
+				t.Helper()
+				err := filepath.WalkDir(s.workDir, func(path string, d fs.DirEntry, err error) error {
+					if err == nil && path != s.workDir && filepath.Ext(path) != ".sock" {
+						err = fmt.Errorf("%s is visible", path)
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+			}
+			for k := uint64(1); k <= 8; k++ {
+				if v, err := s.Alloc("t", k, 512, 600); err != nil || v.Degraded {
+					t.Fatalf("heavy alloc %d: %+v %v", k, v, err)
+				}
+			}
+			if snap, cold, _, err := s.DetectorStats(0); err != nil || snap.Spills == 0 || cold.Segments == 0 {
+				t.Fatalf("setup did not reach the cold tier: spills=%d segments=%d err=%v", snap.Spills, cold.Segments, err)
+			}
+			onlySockets("spilling")
+			for i, mode := range []string{"kill", "sigkill"} {
+				if err := s.Disrupt(0, mode); err != nil {
+					t.Fatal(err)
+				}
+				waitUntil(t, 10*time.Second, mode+" failover", func() bool {
+					st := s.ShardStats()[0]
+					return st.Failovers > uint64(i) && !st.Rebuilding && st.Breaker == BreakerClosed
+				})
+				if snap, _, _, err := s.DetectorStats(0); err != nil || snap.Spills == 0 {
+					t.Fatalf("after %s: spills=%d err=%v, want replay to re-spill", mode, snap.Spills, err)
+				}
+				onlySockets("after " + mode)
+			}
+		})
 	}
 }

@@ -26,7 +26,8 @@ type Config struct {
 
 	// Per-worker detector stack — see the same-named pointerlog/proc
 	// options. Audit arms the exact cross-tier accounting identity
-	// (workers are single-threaded, so it holds to the byte).
+	// (workers are single-threaded, so it holds to the byte). ColdDir is
+	// where a service-owned work dir is made (see WorkDir).
 	HeapBytes      uint64
 	Audit          bool
 	ColdSpillBytes uint64
@@ -65,9 +66,10 @@ type Config struct {
 	// heartbeats, breakers, retry, failover with journal replay — is
 	// identical.
 	Transport string
-	// WorkDir hosts wire-transport sockets and per-incarnation cold-spill
-	// dirs. Empty: a service-owned temp dir under ColdDir (the system's, if
-	// that is empty too), removed on Close.
+	// WorkDir hosts wire-transport sockets, and every worker makes its
+	// spill file there (pointerlog.Config.ColdDir: unlinked at creation, so
+	// never visible). Empty: a service-owned temp dir under ColdDir (the
+	// system's, if that is empty too), removed on Close.
 	WorkDir string
 
 	// Metrics, when non-nil, receives the service gauges
@@ -148,8 +150,8 @@ type Service struct {
 	rng    jitterRNG
 
 	// spawn builds shard endpoints for the configured transport; workDir
-	// hosts wire sockets and every incarnation's cold dir (service-owned
-	// when ownWorkDir).
+	// hosts wire sockets and every worker's spill file (service-owned when
+	// ownWorkDir).
 	spawn      func(shard, incarn int) (endpoint, error)
 	workDir    string
 	ownWorkDir bool
@@ -160,7 +162,6 @@ type Service struct {
 	heartbeatMisses atomic.Uint64
 	workerPanics    atomic.Uint64
 	abandoned       atomic.Uint64
-	recoveredLocs   atomic.Uint64
 	replayedObjects atomic.Uint64
 	replayErrors    atomic.Uint64
 
@@ -196,20 +197,14 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.spawn = func(shard, incarn int) (endpoint, error) {
 		cfg := cfg
-		if cfg.ColdDir = s.coldDir(shard, incarn); cfg.ColdDir != "" {
-			if err := os.MkdirAll(cfg.ColdDir, 0o755); err != nil {
-				return nil, fmt.Errorf("service: cold dir: %w", err)
-			}
-		}
+		cfg.ColdDir = s.workDir
 		if wire {
 			return spawnWireWorker(cfg, shard, incarn, s.workDir, &s.shards[shard].wire)
 		}
 		w, err := newWorker(shard, cfg, &s.shards[shard].turn)
 		if err != nil {
-			_ = os.RemoveAll(cfg.ColdDir)
 			return nil, err
 		}
-		w.coldDir = cfg.ColdDir
 		return w, nil
 	}
 	now := time.Now().UnixNano()
@@ -245,9 +240,6 @@ func New(cfg Config) (*Service, error) {
 
 // Shards returns the shard count.
 func (s *Service) Shards() int { return len(s.shards) }
-
-// Transport returns the armed transport name (TransportChan/Unix).
-func (s *Service) Transport() string { return s.cfg.Transport }
 
 // keyFor folds (tenant, key) into the routing key: FNV-1a over the tenant
 // (hash/fnv's New64a, inlined: no hasher and no []byte per op) mixed with
@@ -570,6 +562,10 @@ type Counters struct {
 	HeartbeatMisses uint64 `json:"heartbeat_misses"`
 	WorkerPanics    uint64 `json:"worker_panics"`
 	Abandoned       uint64 `json:"abandoned_workers"`
+	// RecoveredLocs is always 0: failover rebuilds a worker from the
+	// journal alone and reads nothing back from the dead worker's spill
+	// file, which is unlinked at creation. It stays while the benchmark's
+	// service.recovered_locs layer reads it.
 	RecoveredLocs   uint64 `json:"recovered_spilled_locs"`
 	ReplayedObjects uint64 `json:"replayed_objects"`
 	ReplayErrors    uint64 `json:"replay_errors"`
@@ -596,7 +592,6 @@ func (s *Service) Counters() Counters {
 		HeartbeatMisses: s.heartbeatMisses.Load(),
 		WorkerPanics:    s.workerPanics.Load(),
 		Abandoned:       s.abandoned.Load(),
-		RecoveredLocs:   s.recoveredLocs.Load(),
 		ReplayedObjects: s.replayedObjects.Load(),
 		ReplayErrors:    s.replayErrors.Load(),
 	}

@@ -1,13 +1,8 @@
 package service
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
-	"dangsan/internal/pointerlog"
 	"dangsan/internal/service/transport"
 )
 
@@ -75,39 +70,6 @@ func (s *Service) supervise(sh *shardState) {
 	}
 }
 
-// coldDir names the directory the given incarnation of a shard's worker
-// keeps its spill file in ("" with the cold tier off). The coordinator makes
-// it before the spawn and reads it back at failover; the endpoint's close
-// removes it.
-func (s *Service) coldDir(shard, incarn int) string {
-	if s.cfg.ColdSpillBytes == 0 {
-		return ""
-	}
-	return filepath.Join(s.workDir, fmt.Sprintf("cold-s%d-i%d", shard, incarn))
-}
-
-// spillFile finds the spill file a dead worker left in dir ("" if it never
-// spilled). Normally at most one exists (compaction unlinks the old file); a
-// process killed mid-compaction can leave two, in which case the newest
-// wins — ReadSegments recovers its intact prefix either way.
-func spillFile(dir string) string {
-	matches, err := filepath.Glob(filepath.Join(dir, "dangsan-coldlog-*.seg"))
-	if err != nil || len(matches) == 0 {
-		return ""
-	}
-	if len(matches) > 1 {
-		sort.Slice(matches, func(i, j int) bool {
-			fi, ierr := os.Stat(matches[i])
-			fj, jerr := os.Stat(matches[j])
-			if ierr != nil || jerr != nil {
-				return matches[i] < matches[j]
-			}
-			return fi.ModTime().Before(fj.ModTime())
-		})
-	}
-	return matches[len(matches)-1]
-}
-
 // failover replaces the worker in seen — the box the trigger (a dead worker,
 // or heartbeat misses) was observed on — and rebuilds the shard's state:
 //
@@ -116,20 +78,17 @@ func spillFile(dir string) string {
 //  2. stop the old worker gracefully and wait (bounded) for it to exit;
 //     if it will not — a truly hung worker process — escalate to kill
 //     (SIGKILL) and wait again, so abandonment is the rare exception;
-//  3. recover the old worker's cold tier through the offline
-//     pointerlog.ReadSegments path (the same fail-closed decoder
-//     invalidation uses), counting the locations that survived on disk —
-//     for process workers this reads the per-incarnation cold dir the
-//     dead process left behind (workers never unlink their spill files);
-//  4. spawn a fresh endpoint (next incarnation — a new in-process worker,
+//  3. spawn a fresh endpoint (next incarnation — a new in-process worker,
 //     or a new worker process with its own socket) and replay the journal
 //     synchronously — live keys as allocations, the freed window as
 //     allocation+free so their anchors are invalidated again — before
-//     the endpoint is published to client traffic;
-//  5. with audit armed, cross-check the rebuilt worker's accounting
+//     the endpoint is published to client traffic. Replay is the only
+//     source of the rebuilt state: its stores re-spill the cold tier, and
+//     nothing of the old worker's is read back;
+//  4. with audit armed, cross-check the rebuilt worker's accounting
 //     identity (LogBytes == live + released + spilled); a
 //     violation here is a service-level invariant failure;
-//  6. swap the endpoint in, reset the breaker, and reopen the shard.
+//  5. swap the endpoint in, reset the breaker, and reopen the shard.
 //
 // Concurrent failovers for one shard serialize on failMu; the rebuilding
 // flag keeps the supervisor and request path out during the rebuild.
@@ -153,21 +112,7 @@ func (s *Service) failover(sh *shardState, seen *epBox) {
 		s.workerPanics.Add(1)
 	}
 
-	// Recover the cold tier from the dead worker's spill file. The frames
-	// already on disk survive the crash — even a SIGKILLed process leaves
-	// them — and ReadSegments streams every intact segment, failing closed
-	// at the first torn one.
-	var recovered int
-	if exited {
-		if path := spillFile(s.coldDir(sh.idx, int(sh.incarn.Load()))); path != "" {
-			// An error here means ReadSegments stopped at a torn or
-			// corrupt frame; the intact prefix still counts. Losing the
-			// tail is coverage loss, not a violation (mirrors
-			// ColdReadErrors semantics).
-			locs, _ := pointerlog.ReadSegments(path)
-			recovered = len(locs)
-		}
-	} else {
+	if !exited {
 		// The worker would not die within two drain budgets: abandon it
 		// (its resources stay untouched; closing would race).
 		s.abandoned.Add(1)
@@ -221,8 +166,6 @@ func (s *Service) failover(sh *shardState, seen *epBox) {
 	}
 
 	if exited {
-		// Release the old worker's resources (spill file / cold dir /
-		// sockets) only after recovery read them.
 		old.close()
 	}
 
@@ -232,7 +175,6 @@ func (s *Service) failover(sh *shardState, seen *epBox) {
 	sh.lastBeat.Store(time.Now().UnixNano())
 	sh.failovers.Add(1)
 	s.failovers.Add(1)
-	s.recoveredLocs.Add(uint64(recovered))
 	s.replayedObjects.Add(uint64(replayed))
 	d := time.Since(start)
 	s.recoveryMu.Lock()

@@ -150,7 +150,7 @@ func TestErrorCodecLossless(t *testing.T) {
 func TestResponseCodecVerdictAndStats(t *testing.T) {
 	blob, err := EncodeStats(WireStats{
 		Stats: pointerlog.Snapshot{Logged: 12, LogBytes: 96},
-		Cold:  pointerlog.ColdStats{Path: "/tmp/x.seg"},
+		Cold:  pointerlog.ColdStats{Segments: 3, DiskBytes: 400},
 		Audit: []string{"drift"},
 	})
 	if err != nil {
@@ -168,7 +168,7 @@ func TestResponseCodecVerdictAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.Stats.Logged != 12 || ws.Cold.Path != "/tmp/x.seg" || len(ws.Audit) != 1 {
+	if ws.Stats.Logged != 12 || ws.Cold != (pointerlog.ColdStats{Segments: 3, DiskBytes: 400}) || len(ws.Audit) != 1 {
 		t.Fatalf("stats mangled: %+v", ws)
 	}
 	// Trailing garbage after a well-formed response must fail closed.

@@ -22,17 +22,13 @@ import (
 const readyTimeout = 10 * time.Second
 
 // wireEndpoint reaches a worker that is its own OS process, over the wire
-// codec in service/transport. It owns the process handle (spawn, SIGTERM,
-// SIGKILL, reap) and the per-incarnation cold directory the worker spills
-// into — the worker never unlinks its spill file, so a SIGKILLed worker's
-// cold tier survives for failover to read back.
+// codec in service/transport. It owns the process handle: spawn, SIGTERM,
+// SIGKILL, reap.
 type wireEndpoint struct {
 	addr string // the worker's socket path
 
 	cmd    *exec.Cmd
 	client *transport.Client
-
-	coldDir string
 
 	done     chan struct{}
 	exitCode atomic.Int64
@@ -75,6 +71,12 @@ func spawnWireWorker(cfg Config, shard, incarn int, workDir string, counts *tran
 	cmd := exec.Command(bin)
 	cmd.Env = append(os.Environ(), WorkerSpecEnv+"="+string(specJSON))
 	cmd.Stderr = os.Stderr
+	// The worker exits at EOF on its stdin. cmd holds the write end, never
+	// written, until Wait, and the kernel closes it if this process dies
+	// first: a worker cannot outlive its coordinator.
+	if _, err := cmd.StdinPipe(); err != nil {
+		return nil, fmt.Errorf("service: worker stdin: %w", err)
+	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, fmt.Errorf("service: worker stdout: %w", err)
@@ -82,7 +84,7 @@ func spawnWireWorker(cfg Config, shard, incarn int, workDir string, counts *tran
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("service: spawn worker: %w", err)
 	}
-	ep := &wireEndpoint{addr: addr, cmd: cmd, coldDir: cfg.ColdDir, done: make(chan struct{})}
+	ep := &wireEndpoint{addr: addr, cmd: cmd, done: make(chan struct{})}
 	ep.exitCode.Store(-1)
 
 	readyCh := make(chan struct{})
@@ -112,11 +114,11 @@ func spawnWireWorker(cfg Config, shard, incarn int, workDir string, counts *tran
 	select {
 	case <-readyCh:
 	case <-ep.done:
-		ep.cleanupFiles()
+		_ = os.Remove(addr)
 		return nil, &ShardDownError{Shard: shard, Reason: fmt.Sprintf("worker exited before READY (code %d)", ep.exitCode.Load())}
 	case <-time.After(readyTimeout):
 		ep.kill()
-		ep.cleanupFiles()
+		_ = os.Remove(addr)
 		return nil, &ShardDownError{Shard: shard, Reason: "worker READY handshake timed out"}
 	}
 	ep.client = transport.NewClient("unix", addr, shard)
@@ -151,9 +153,7 @@ func (ep *wireEndpoint) doneCh() <-chan struct{} { return ep.done }
 func (ep *wireEndpoint) didPanic() bool { return ep.exitCode.Load() == workerExitPanic }
 
 // close tears the endpoint down: the process if it is somehow still
-// alive, the client pool, the socket file, and the per-incarnation cold
-// dir. Failover calls it only after recovery has read the cold tier, so
-// removing the dir cannot lose data the rebuild wanted.
+// alive, the client pool and the socket file.
 func (ep *wireEndpoint) close() {
 	ep.closeOnce.Do(func() {
 		select {
@@ -163,11 +163,6 @@ func (ep *wireEndpoint) close() {
 			waitClosed(ep.done, 2*time.Second)
 		}
 		ep.client.Close()
-		ep.cleanupFiles()
+		_ = os.Remove(ep.addr)
 	})
-}
-
-func (ep *wireEndpoint) cleanupFiles() {
-	_ = os.Remove(ep.addr)
-	_ = os.RemoveAll(ep.coldDir)
 }

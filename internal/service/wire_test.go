@@ -2,8 +2,14 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
 	"reflect"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -69,8 +75,6 @@ func runParityScript(t *testing.T, transport string, script []ScriptOp) paritySt
 		if err != nil {
 			t.Fatalf("stats(%s, shard %d): %v", transport, i, err)
 		}
-		// The spill file's path is host state, not detector state.
-		cold.Path = ""
 		st.Snaps = append(st.Snaps, snap)
 		st.Colds = append(st.Colds, cold)
 		st.Audits = append(st.Audits, audit)
@@ -266,11 +270,10 @@ func TestWireFailoverOnDeath(t *testing.T) {
 	failoverOnDeath(t, s, "sigkill")
 }
 
-// TestWireFailoverProcessSigkill is the tentpole's process-death
-// invariant: SIGKILL a real worker process mid-state (live keys, freed
-// keys, cold segments on disk), and require the supervisor
-// to respawn a fresh process, recover the dead process's cold spill
-// through ReadSegments, replay the confirmed-ops journal over the wire,
+// TestWireFailoverProcessSigkill is the process-death invariant: SIGKILL a
+// real worker process mid-state (live keys, freed keys, cold segments), and
+// require the supervisor to respawn a fresh process, replay the
+// confirmed-ops journal over the wire — which re-spills its cold tier —
 // and re-establish the audit identity on the rebuilt process.
 func TestWireFailoverProcessSigkill(t *testing.T) {
 	s := mustNew(t, wireConfig(t, 1, TransportUnix))
@@ -311,12 +314,15 @@ func TestWireFailoverProcessSigkill(t *testing.T) {
 		return !st.Rebuilding && st.Breaker == BreakerClosed
 	})
 
+	// Replay is the rebuilt worker's only source of state: before any new
+	// traffic, its stores have re-spilled the cold tier.
+	if snap, cold, _, err := s.DetectorStats(0); err != nil || snap.Spills == 0 || cold.Segments == 0 {
+		t.Fatalf("rebuilt worker: spills=%d segments=%d err=%v, want the cold tier re-spilled by replay", snap.Spills, cold.Segments, err)
+	}
+
 	c := s.Counters()
 	if c.ReplayedObjects == 0 {
 		t.Fatal("failover replayed nothing onto the respawned process")
-	}
-	if c.RecoveredLocs == 0 {
-		t.Fatal("failover recovered no cold segments from the killed process's spill file")
 	}
 	if c.ReplayErrors != 0 {
 		t.Fatalf("replay errors: %d", c.ReplayErrors)
@@ -456,4 +462,43 @@ func TestCrashConsistencyKillAfterApply(t *testing.T) {
 		return !st.Rebuilding && st.Breaker == BreakerClosed
 	})
 	verify("double replay")
+}
+
+// TestWireWorkersDieWithCoordinator: a coordinator that exits without
+// Close — a crash, a SIGKILL, an os.Exit past its defers — takes its worker
+// processes with it. A re-exec'd helper starts a 2-shard unix service,
+// prints its workers' PIDs and exits. The workers inherit the helper's
+// stderr, so Wait returns within WaitDelay only once every one has exited.
+func TestWireWorkersDieWithCoordinator(t *testing.T) {
+	const dirEnv = "DANGSAN_COORDINATOR_HELPER_DIR"
+	if dir := os.Getenv(dirEnv); dir != "" {
+		s, err := New(Config{Shards: 2, Transport: TransportUnix, WorkDir: dir})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		for _, sh := range s.shards {
+			fmt.Println(sh.ep.Load().ep.(*wireEndpoint).cmd.Process.Pid)
+		}
+		os.Exit(0)
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestWireWorkersDieWithCoordinator$")
+	cmd.Env = append(os.Environ(), dirEnv+"="+t.TempDir())
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	cmd.WaitDelay = 5 * time.Second
+	err := cmd.Run()
+	pids := strings.Fields(stdout.String())
+	if errors.Is(err, exec.ErrWaitDelay) {
+		for _, p := range pids {
+			if pid, err := strconv.Atoi(p); err == nil {
+				syscall.Kill(pid, syscall.SIGKILL)
+			}
+		}
+		t.Fatalf("worker processes %v outlived their coordinator by %v", pids, cmd.WaitDelay)
+	}
+	if err != nil || len(pids) != 2 {
+		t.Fatalf("helper: %v, worker pids %v\n%s", err, pids, stderr.String())
+	}
 }

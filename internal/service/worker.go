@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -55,9 +54,6 @@ type worker struct {
 	proc *proc.Process
 	det  *dangsan.Detector
 	th   *proc.Thread
-	// coldDir is this incarnation's own cold dir, when a coordinator in this
-	// process made one: close removes it.
-	coldDir string
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -477,15 +473,11 @@ func (w *worker) dropFreed(key uint64) {
 	}
 }
 
-// close releases the worker's detector resources (the cold spill file) and
-// the cold dir the coordinator made for this incarnation.
+// close releases the worker's detector resources (the cold spill file).
 // Only safe after done has closed; an abandoned worker (a turn that never
 // came free) is deliberately never closed.
 func (w *worker) close() {
 	w.det.Close()
-	if w.coldDir != "" {
-		_ = os.RemoveAll(w.coldDir)
-	}
 }
 
 // The remaining endpoint methods: the in-process worker IS the channel

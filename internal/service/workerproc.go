@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -31,9 +32,8 @@ const (
 
 // workerSpec is everything a worker process needs to build its shard: the
 // socket path to listen on, and the coordinator's normalized Config with
-// ColdDir pointing at this incarnation's own directory. Parent and worker
-// are the same binary (a re-exec), so its JSON shape is private to this
-// package.
+// ColdDir set to the service's work dir. Parent and worker are the same
+// binary (a re-exec), so its JSON shape is private to this package.
 type workerSpec struct {
 	Shard       int    `json:"shard"`
 	Incarnation int    `json:"incarnation"`
@@ -54,12 +54,9 @@ func RunWorkerIfSpawned() {
 }
 
 // runWorkerProcess runs this process as one shard worker until the worker
-// dies or the coordinator signals it, returning the process exit code.
-//
-// The worker process NEVER unlinks its spill file — not even on graceful
-// shutdown. Failover's whole point is reading a dead worker's cold tier
-// back from disk; the coordinator owns the per-incarnation cold directory
-// and removes it when it closes the endpoint.
+// dies, the coordinator signals it, or the coordinator is gone — EOF on
+// stdin, whose write end only the coordinator holds — returning the
+// process exit code.
 func runWorkerProcess(specJSON string) int {
 	var spec workerSpec
 	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
@@ -88,6 +85,12 @@ func runWorkerProcess(specJSON string) int {
 	var terming atomic.Bool
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, syscall.SIGTERM, os.Interrupt)
+	go func() {
+		// EOF on stdin is SIGTERM. Nothing is ever written: the read ends
+		// (at EOF, or any error) once no coordinator holds the write end.
+		_, _ = io.Copy(io.Discard, os.Stdin)
+		sigCh <- syscall.SIGTERM
+	}()
 	go func() {
 		<-sigCh
 		terming.Store(true)
