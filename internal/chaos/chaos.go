@@ -50,10 +50,6 @@ type Config struct {
 	// Budget bounds per-site injections so pressure is transient and the
 	// run can recover (<0: unlimited; 0: the default 256).
 	Budget int64
-	// ColdSpillBytes sets the tiered-log spill threshold for the tiered
-	// stages (0: the minimum threshold, so the server workload's hash-mode
-	// objects actually spill and the ColdIO site sees traffic).
-	ColdSpillBytes uint64
 	// Timeout is the per-run watchdog; exceeding it counts as a deadlock
 	// violation (0: 60s).
 	Timeout time.Duration
@@ -131,10 +127,9 @@ func (c Config) detector(kind backends.Kind, plane *faultinject.Plane, audit, ti
 	cfg.MaxMetadataBytes = c.MaxMetadataBytes
 	cfg.Audit = audit
 	if tiered {
-		cfg.ColdSpillBytes = c.ColdSpillBytes
-		if cfg.ColdSpillBytes == 0 {
-			cfg.ColdSpillBytes = pointerlog.MinColdSpillBytes
-		}
+		// The minimum threshold, so the server workload's hash-mode objects
+		// actually spill and the ColdIO site sees traffic.
+		cfg.ColdSpillBytes = pointerlog.MinColdSpillBytes
 	}
 	det, err := backends.New(kind, dangsan.Options{Config: cfg, Faults: plane})
 	if err != nil {

@@ -195,8 +195,8 @@ func runShardCell(cfg ShardConfig, rate float64, seed int64) ShardResult {
 	kinds := []string{"kill", "hang", "slow"}
 	if cfg.wire() {
 		// Process cells add the stages a goroutine can't model: a real
-		// SIGKILL (failover must rebuild from the dead process's spill
-		// file), and the network faults — the worker is healthy, the wire
+		// SIGKILL (failover rebuilds the shard by replaying its journal
+		// into a fresh process), and the network faults — the worker is healthy, the wire
 		// is not, so no failover is owed; the shard just has to come back
 		// clean once the one-shot faults burn off.
 		kinds = append(kinds, "sigkill", "partition", "trickle", "garbage")

@@ -304,8 +304,9 @@ func checkCell(prog *irgen.Program, sp Spec) []string {
 		return []string{err.Error()}
 	}
 	if ds, ok := ex.det.(*dangsan.Detector); ok {
-		// Tiered cells leave a spill file behind; the run is quiescent
-		// (interp.Run drains before returning) and stats stay readable.
+		// Tiered cells hold a spill file's descriptor and mapping; Close
+		// releases them. The run is quiescent (interp.Run drains before
+		// returning) and stats stay readable.
 		defer ds.Close()
 	}
 	var msgs []string

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dangsan/internal/faultinject"
+	"dangsan/internal/frame"
 	"dangsan/internal/vmem"
 )
 
@@ -46,19 +47,10 @@ func fillTiered(t *testing.T, cfg Config, nLocs int) (*Logger, *vmem.AddressSpac
 
 // decodeSegment decodes the segment at the start of b the way free-time
 // invalidation reads it (forEachSegmentLocation), appending its locations
-// to out, and checks them against the header's count. It returns the
-// extended slice and the segment's framed length.
-func decodeSegment(b []byte, out []uint64) ([]uint64, int, error) {
-	count, payload, err := segmentPayload(b)
-	if err != nil {
-		return out, 0, err
-	}
-	start := len(out)
-	forEachSegmentLocation(b, func(loc uint64) { out = append(out, loc) })
-	if len(out)-start != count {
-		return out[:start], 0, errSegCorrupt
-	}
-	return out, segHeaderBytes + len(payload), nil
+// to out.
+func decodeSegment(b []byte, out []uint64) ([]uint64, error) {
+	err := forEachSegmentLocation(b, func(loc uint64) { out = append(out, loc) })
+	return out, err
 }
 
 func sortedU64(s []uint64) []uint64 {
@@ -78,12 +70,12 @@ func TestSegmentRoundTrip(t *testing.T) {
 		locs = append(locs, vmem.StacksBase+uint64(i)*4096) // spread: raw
 	}
 	buf := appendSegment(nil, append([]uint64(nil), locs...))
-	if entries := (len(buf) - segHeaderBytes) / 8; entries >= len(locs) {
+	if entries := (len(buf) - frame.HeaderBytes) / 8; entries >= len(locs) {
 		t.Fatalf("no compression: %d entries for %d locations", entries, len(locs))
 	}
-	got, n, err := decodeSegment(buf, nil)
-	if err != nil || n != len(buf) {
-		t.Fatalf("decode: n=%d err=%v", n, err)
+	got, err := decodeSegment(buf, nil)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	want := sortedU64(locs)
 	got = sortedU64(got)
@@ -99,7 +91,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 // TestSegmentTruncatedTail: a segment whose bytes are cut short — torn in
 // its header, in its payload, or one byte from its end — or whose checksum
-// fails reads as truncated, and the segments before it still decode.
+// fails is a *frame.Error that yields no locations, and the segments before
+// it still decode at their offsets.
 func TestSegmentTruncatedTail(t *testing.T) {
 	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase, vmem.GlobalsBase + 16})
 	seg2 := appendSegment(nil, []uint64{vmem.StacksBase, vmem.StacksBase + 4096})
@@ -107,68 +100,42 @@ func TestSegmentTruncatedTail(t *testing.T) {
 	badSum := slices.Clone(seg3)
 	badSum[len(badSum)-1] ^= 0xff
 	for _, tail := range [][]byte{
-		seg3[:1],                // torn magic
-		seg3[:segHeaderBytes-1], // torn header
-		seg3[:segHeaderBytes+3], // torn payload
-		seg3[:len(seg3)-1],      // one byte short
-		badSum,                  // checksum fails
+		seg3[:1],                   // torn magic
+		seg3[:frame.HeaderBytes-1], // torn header
+		seg3[:frame.HeaderBytes+3], // torn payload
+		seg3[:len(seg3)-1],         // one byte short
+		badSum,                     // checksum fails
 	} {
 		blob := slices.Concat(seg1, seg2, tail)
 		n := 0
-		for i, want := range []int{2, 2} {
-			locs, m, err := decodeSegment(blob[n:], nil)
-			if err != nil || len(locs) != want {
-				t.Fatalf("tail %x: segment %d: %d locations, err %v; want %d, nil", tail, i, len(locs), err, want)
+		for i, seg := range [][]byte{seg1, seg2} {
+			locs, err := decodeSegment(blob[n:], nil)
+			if err != nil || len(locs) != 2 {
+				t.Fatalf("tail %x: segment %d: %d locations, err %v; want 2, nil", tail, i, len(locs), err)
 			}
-			n += m
+			n += len(seg)
 		}
-		if locs, _, err := decodeSegment(blob[n:], nil); !errors.Is(err, errSegTruncated) || len(locs) != 0 {
-			t.Fatalf("tail %x: %d locations, err %v; want none, errSegTruncated", tail, len(locs), err)
+		var fe *frame.Error
+		if locs, err := decodeSegment(blob[n:], nil); !errors.As(err, &fe) || len(locs) != 0 {
+			t.Fatalf("tail %x: %d locations, err %v; want none, *frame.Error", tail, len(locs), err)
 		}
 	}
 }
 
-// TestSegmentMidFileCorruption: a segment with a wrong magic word is
-// corrupt, not truncated, and costs only its own locations: the segment
-// after it still decodes at its offset.
+// TestSegmentMidFileCorruption: a segment with a wrong magic word fails
+// its checks and costs only its own locations: the segment after it still
+// decodes at its offset.
 func TestSegmentMidFileCorruption(t *testing.T) {
 	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase})
 	seg2 := appendSegment(nil, []uint64{vmem.StacksBase})
 	blob := slices.Concat(seg1, seg2)
 	blob[0] ^= 0xff // first segment's magic
-	if _, _, err := decodeSegment(blob, nil); !errors.Is(err, errSegCorrupt) {
-		t.Fatalf("corrupt magic: err=%v, want errSegCorrupt", err)
+	var fe *frame.Error
+	if locs, err := decodeSegment(blob, nil); !errors.As(err, &fe) || len(locs) != 0 {
+		t.Fatalf("corrupt magic: %d locations, err=%v; want none, *frame.Error", len(locs), err)
 	}
-	if locs, _, err := decodeSegment(blob[len(seg1):], nil); err != nil || len(locs) != 1 || locs[0] != vmem.StacksBase {
+	if locs, err := decodeSegment(blob[len(seg1):], nil); err != nil || len(locs) != 1 || locs[0] != vmem.StacksBase {
 		t.Fatalf("segment after the corrupt one: %#x %v", locs, err)
-	}
-}
-
-// TestSegmentZeroHeaderEndsLog: a spill file is preallocated, so what was
-// never written reads as a zero magic word. That — the space after the last
-// segment, or a segment whose writer has not put its header in — is
-// truncation, not corruption; anything but zero or the magic there is
-// corruption.
-func TestSegmentZeroHeaderEndsLog(t *testing.T) {
-	seg := appendSegment(nil, []uint64{vmem.StacksBase, vmem.StacksBase + 4096, vmem.StacksBase + 8192})
-	zeros := make([]byte, 4096)
-	headerless := slices.Clone(seg)
-	copy(headerless, zeros[:segHeaderBytes])
-	for name, b := range map[string][]byte{
-		"zeros":            zeros,
-		"headerless":       headerless,
-		"headerless+zeros": slices.Concat(headerless, zeros),
-		"torn+zeros":       slices.Concat(seg[:len(seg)-8], zeros),
-	} {
-		if locs, _, err := decodeSegment(b, nil); !errors.Is(err, errSegTruncated) || len(locs) != 0 {
-			t.Errorf("%s: locs=%d err=%v, want 0 errSegTruncated", name, len(locs), err)
-		}
-	}
-	if locs, n, err := decodeSegment(slices.Concat(seg, zeros), nil); err != nil || n != len(seg) || len(locs) != 3 {
-		t.Errorf("segment+zeros: locs=%d n=%d err=%v, want 3 %d nil", len(locs), n, err, len(seg))
-	}
-	if _, _, err := decodeSegment(slices.Concat([]byte{1, 0, 0, 0}, zeros), nil); !errors.Is(err, errSegCorrupt) {
-		t.Errorf("nonzero non-magic header: err=%v, want errSegCorrupt", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pointerlog
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime/debug"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"dangsan/internal/faultinject"
+	"dangsan/internal/frame"
 )
 
 // The cold tier. A hash-mode location set that crosses
@@ -55,6 +57,10 @@ const coldStateBytes = 64
 // one doubles. At the minimum spill threshold a segment is under 400
 // bytes, so the service workloads never grow theirs.
 const coldMapBytes = 1 << 20
+
+// errColdIOFault is an injected faultinject.ColdIO failure: a spill or a
+// segment read that the fault plane made fail.
+var errColdIOFault = errors.New("pointerlog: injected cold I/O fault")
 
 // coldSeg describes one spilled segment, a link in its coldState's
 // lock-free (prepend-published) list. length and next are immutable after
@@ -141,8 +147,7 @@ func createSpill(dir string) (*os.File, error) {
 
 // mapSpill sizes f to the first doubling of coldMapBytes that holds need
 // bytes and maps it. The blocks are allocated, not left sparse, so a full
-// disk fails here and not as a fault on some later store; what was never
-// written reads as zeros, which is how a reader finds the end of the log.
+// disk fails here and not as a fault on some later store.
 func mapSpill(f *os.File, need int) ([]byte, error) {
 	size := coldMapBytes
 	for size < need {
@@ -190,12 +195,12 @@ func (c *coldLog) reserve(need int) error {
 // and registers it.
 func (c *coldLog) append(locs []uint64, faults *faultinject.Plane) (seg *coldSeg, err error) {
 	if faults.Fail(faultinject.ColdIO) {
-		return nil, errSegTruncated
+		return nil, errColdIOFault
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	off := int(c.size.Load())
-	if err := c.reserve(off + segHeaderBytes + 8*len(locs)); err != nil {
+	if err := c.reserve(off + frame.HeaderBytes + 8*len(locs)); err != nil {
 		return nil, err
 	}
 	defer endMapFault(debug.SetPanicOnFault(true), &err)
@@ -212,7 +217,7 @@ func (c *coldLog) append(locs []uint64, faults *faultinject.Plane) (seg *coldSeg
 // bytes mid-decode; fn runs under that lock and must not register.
 func (c *coldLog) forEach(seg *coldSeg, faults *faultinject.Plane, fn func(loc uint64)) (err error) {
 	if faults.Fail(faultinject.ColdIO) {
-		return errSegTruncated
+		return errColdIOFault
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"slices"
 	"testing"
+
+	"dangsan/internal/frame"
 )
 
 // fuzzLoc masks an arbitrary 64-bit value into a valid pointer location:
@@ -90,16 +92,15 @@ func FuzzEntryRoundtrip(f *testing.F) {
 }
 
 // FuzzSegmentDecode covers the cold-segment reader the way
-// FuzzFrameRoundtrip covers the wire: the bytes under a spill file's mapping
+// FuzzFrameDecode covers the frame: the bytes under a spill file's mapping
 // can be damaged (the file truncated, a page unreadable), so the reader
 // reads bytes it cannot trust. For arbitrary bytes decodeSegment (the
-// free-time reader, forEachSegmentLocation, plus the count check) never
-// panics and never looks past len(b) (the copy below has no spare
-// capacity, so an over-read is an out-of-range slice), and a segment that
-// does decode consumed exactly its frame and carries its declared count.
-// The same bytes, read as words and masked into valid locations, must
-// survive encodeSegment → decodeSegment as a set, and the encoding with its
-// tail torn or a payload byte flipped must read as truncated.
+// free-time reader, forEachSegmentLocation) never panics and never looks
+// past len(b) (the copy below has no spare capacity, so an over-read is an
+// out-of-range slice), and every rejection is a *frame.Error. The same
+// bytes, read as words and masked into valid locations, must survive
+// appendSegment → decodeSegment as a set, and the encoding with its tail
+// torn or a payload byte flipped must be rejected.
 func FuzzSegmentDecode(f *testing.F) {
 	intact := appendSegment(nil, []uint64{fuzzLoc(0), fuzzLoc(8), fuzzLoc(16), fuzzLoc(1 << 20)})
 	f.Add(intact)
@@ -107,21 +108,18 @@ func FuzzSegmentDecode(f *testing.F) {
 	badSum := slices.Clone(intact)
 	badSum[len(badSum)-1] ^= 0xff
 	f.Add(badSum)
-	// A preallocated spill file: the log ends at a zero header.
-	zeros := make([]byte, 64)
-	f.Add(slices.Concat(intact, zeros))
-	f.Add(slices.Concat(intact, intact[:len(intact)-3], zeros))
+	ragged := slices.Clone(intact[:len(intact)-4]) // whole frame, partial entry
+	frame.Seal(ragged, segMagic, 0)
+	f.Add(ragged)
+	f.Add(slices.Concat(intact, intact[:len(intact)-3]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := slices.Clip(slices.Clone(data))
-		locs, n, err := decodeSegment(b, nil)
-		if err == nil {
-			count, payload, _ := segmentPayload(b)
-			if n != segHeaderBytes+len(payload) || n > len(b) || len(locs) != count {
-				t.Fatalf("decoded %d locations from %d of %d bytes; header declares %d locations, %d payload bytes", len(locs), n, len(b), count, len(payload))
+		if _, err := decodeSegment(b, nil); err != nil {
+			var fe *frame.Error
+			if !errors.As(err, &fe) {
+				t.Fatalf("decodeSegment: untyped error %v", err)
 			}
-		} else if !errors.Is(err, errSegTruncated) && !errors.Is(err, errSegCorrupt) {
-			t.Fatalf("decodeSegment: untyped error %v", err)
 		}
 
 		var want []uint64
@@ -130,18 +128,18 @@ func FuzzSegmentDecode(f *testing.F) {
 		}
 		slices.Sort(want)
 		seg := appendSegment(nil, slices.Clone(want))
-		got, n, err := decodeSegment(seg, nil)
+		got, err := decodeSegment(seg, nil)
 		slices.Sort(got)
-		if err != nil || n != len(seg) || !slices.Equal(got, want) {
-			t.Fatalf("round trip of %#x: got %#x, %d of %d bytes, err %v", want, got, n, len(seg), err)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("round trip of %#x: got %#x, err %v", want, got, err)
 		}
-		if _, _, err := decodeSegment(seg[:len(seg)-1], nil); !errors.Is(err, errSegTruncated) {
-			t.Fatalf("torn tail: %v, want errSegTruncated", err)
+		if _, err := decodeSegment(seg[:len(seg)-1], nil); err == nil {
+			t.Fatal("torn tail accepted")
 		}
 		if len(want) > 0 {
-			seg[segHeaderBytes+int(want[0]%uint64(len(seg)-segHeaderBytes))] ^= 0x5a
-			if _, _, err := decodeSegment(seg, nil); !errors.Is(err, errSegTruncated) {
-				t.Fatalf("flipped payload byte: %v, want errSegTruncated", err)
+			seg[frame.HeaderBytes+int(want[0]%uint64(len(seg)-frame.HeaderBytes))] ^= 0x5a
+			if _, err := decodeSegment(seg, nil); err == nil {
+				t.Fatal("flipped payload byte accepted")
 			}
 		}
 	})

@@ -1,9 +1,9 @@
 package proc
 
 // Trace event kinds. They are defined here — next to the operations that
-// emit them — and consumed by internal/trace, which provides serialization
-// and replay. The (a, b, c) payload meaning per kind is documented on the
-// corresponding constant.
+// emit them — and recorded by the benchmark harness (benchmark/). The
+// (a, b, c) payload meaning per kind is documented on the corresponding
+// constant.
 const (
 	// TraceThreadStart: a thread was created.
 	TraceThreadStart uint8 = iota + 1

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"dangsan/internal/frame"
 )
 
 // NetFault is a one-shot network disruption armed on a client: the next
@@ -312,8 +314,8 @@ func (c *Client) exchange(pc *poolConn, req Request, timeout time.Duration) (Res
 	if err := pc.link.arm(timeout); err != nil {
 		return Response{}, c.classify(err, req.Op.String(), timeout)
 	}
-	pc.wbuf = sealFrame(AppendRequest(append(pc.wbuf[:0], frameHeaderSpace[:]...), req), FrameRequest)
-	frame := pc.wbuf
+	pc.wbuf = sealFrame(AppendRequest(append(pc.wbuf[:0], make([]byte, frame.HeaderBytes)...), req), FrameRequest)
+	msg := pc.wbuf
 
 	switch NetFault(c.fault.Swap(int32(NetNone))) {
 	case NetPartition:
@@ -321,15 +323,15 @@ func (c *Client) exchange(pc *poolConn, req Request, timeout time.Duration) (Res
 		// (or nothing) and drops the connection; this side reports the
 		// shard unreachable. Whether the worker applied the request is
 		// deliberately unknowable — that is the partition contract.
-		_, _ = pc.link.Write(frame[:len(frame)/2])
+		_, _ = pc.link.Write(msg[:len(msg)/2])
 		return Response{}, c.down("connection dropped mid-request (partition)")
 	case NetTrickle:
 		deadline := time.Now().Add(timeout)
-		for i := range frame {
+		for i := range msg {
 			if time.Now().After(deadline) {
 				return Response{}, &DeadlineError{Shard: c.shard, Op: req.Op.String(), Timeout: timeout}
 			}
-			if _, err := pc.link.Write(frame[i : i+1]); err != nil {
+			if _, err := pc.link.Write(msg[i : i+1]); err != nil {
 				return Response{}, c.classify(err, req.Op.String(), timeout)
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -344,7 +346,7 @@ func (c *Client) exchange(pc *poolConn, req Request, timeout time.Duration) (Res
 		_, _ = pc.link.Write([]byte("\x00GARBAGE-NOT-A-FRAME\xff\xfe\xfd\xfc"))
 		fallthrough
 	default:
-		if _, err := pc.link.Write(frame); err != nil {
+		if _, err := pc.link.Write(msg); err != nil {
 			return Response{}, c.classify(err, req.Op.String(), timeout)
 		}
 	}

@@ -1,12 +1,9 @@
-// Package transport is the service's wire layer: a length-prefixed,
-// checksummed binary frame codec carrying the coordinator/worker request
-// vocabulary (alloc/free/check/ping/stats/disrupt) and the typed
-// error contract losslessly, plus a unix-socket / loopback-TCP client and
-// server pair. The framing discipline mirrors pointerlog's cold segments
-// ("DSg1"): a fixed 16-byte header with magic, declared payload length,
-// and an FNV-1a payload checksum, so a truncated, corrupt, or oversized
-// frame fails closed with a typed error — never a panic, never an
-// over-read, never a silent desync.
+// Package transport is the service's wire layer: a binary codec carrying
+// the coordinator/worker request vocabulary (alloc/free/check/ping/stats/
+// disrupt) and the typed error contract losslessly, framed by
+// internal/frame (magic "DSw1"), plus a socket client and server pair.
+// A truncated, corrupt, or oversized frame fails closed with a typed
+// error — never a panic, never an over-read, never a silent desync.
 //
 // The typed errors the in-process service already uses live here (the
 // service package aliases them) so both layers share one vocabulary: a
@@ -18,6 +15,8 @@ package transport
 import (
 	"fmt"
 	"time"
+
+	"dangsan/internal/frame"
 )
 
 // ShardDownError reports a request that could not reach its shard because
@@ -55,15 +54,11 @@ type ClosedError struct{}
 
 func (e *ClosedError) Error() string { return "service: closed" }
 
-// FrameError reports a wire frame that failed validation: bad magic,
-// impossible length, checksum mismatch, or a truncated read. The decoder
-// fails closed — the bytes after a bad frame are unknowable, so the
-// connection carrying it must be dropped.
-type FrameError struct {
-	Reason string
-}
-
-func (e *FrameError) Error() string { return "transport: bad frame: " + e.Reason }
+// FrameError reports a wire frame, or a payload inside one, that failed
+// validation: bad magic, impossible length, checksum mismatch, unknown
+// type or malformed fields. The decoder fails closed — the bytes after a
+// bad frame are unknowable, so the connection carrying it must be dropped.
+type FrameError = frame.Error
 
 // OpaqueError carries an error the wire codec had no dedicated encoding
 // for. The message survives; the dynamic type does not. The service

@@ -9,9 +9,11 @@ import (
 // FuzzFrameRoundtrip drives arbitrary bytes through the full wire decode
 // stack — frame, request, response, stats blob. The contract under fuzz:
 //
-//   - no input panics or over-reads (DecodeFrame never touches bytes past
-//     the declared, capped payload length);
-//   - every rejection is a typed error (the decoders return *FrameError);
+//   - no input panics or over-reads (ReadFrame, the reader both ends of a
+//     connection run, never reads past the declared, capped payload
+//     length);
+//   - every rejection is an error: a *FrameError from the decoders, the
+//     reader's own error for a stream that ends mid-frame;
 //   - anything that decodes re-encodes to bytes that decode to the same
 //     value (the codec is a bijection on its valid range), so a frame that
 //     survives validation cannot silently mutate in flight.
@@ -30,17 +32,14 @@ func FuzzFrameRoundtrip(f *testing.F) {
 	f.Add(truncated[:len(truncated)-3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, n, err := DecodeFrame(data)
+		typ, payload, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return // fail-closed path: typed error, nothing decoded
 		}
-		if n > len(data) {
-			t.Fatalf("DecodeFrame consumed %d of %d bytes", n, len(data))
-		}
 		// Whatever decoded must re-frame byte-identically.
 		reframed := AppendFrame(nil, typ, payload)
-		if !bytes.Equal(reframed, data[:n]) {
-			t.Fatalf("reframe mismatch: %x vs %x", reframed, data[:n])
+		if len(reframed) > len(data) || !bytes.Equal(reframed, data[:len(reframed)]) {
+			t.Fatalf("reframe mismatch: %x vs %x", reframed, data)
 		}
 		switch typ {
 		case FrameRequest:

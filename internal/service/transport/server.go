@@ -5,6 +5,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"dangsan/internal/frame"
 )
 
 // Handler serves one decoded request. A handler that never returns (a
@@ -116,7 +118,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		resp := s.h(req)
 		resp.ID = req.ID
-		wbuf = sealFrame(AppendResponse(append(wbuf[:0], frameHeaderSpace[:]...), resp), FrameResponse)
+		wbuf = sealFrame(AppendResponse(append(wbuf[:0], make([]byte, frame.HeaderBytes)...), resp), FrameResponse)
 		if _, err := conn.Write(wbuf); err != nil {
 			return
 		}

@@ -2,13 +2,14 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"net"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"dangsan/internal/frame"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/proc"
 	"dangsan/internal/tcmalloc"
@@ -18,44 +19,43 @@ import (
 func TestFrameRoundtrip(t *testing.T) {
 	payload := EncodeRequest(Request{ID: 7, Op: OpAlloc, Key: 42, Size: 128, Stores: 6})
 	b := AppendFrame(nil, FrameRequest, payload)
-	typ, got, n, err := DecodeFrame(b)
-	if err != nil {
-		t.Fatalf("DecodeFrame: %v", err)
-	}
-	if typ != FrameRequest || n != len(b) || !bytes.Equal(got, payload) {
-		t.Fatalf("roundtrip mismatch: typ=%d n=%d", typ, n)
-	}
-	// Stream path must agree with the in-memory path.
-	typ2, got2, err := ReadFrame(bytes.NewReader(b))
-	if err != nil || typ2 != typ || !bytes.Equal(got2, payload) {
-		t.Fatalf("ReadFrame disagrees: %v", err)
+	typ, got, err := ReadFrame(bytes.NewReader(b))
+	if err != nil || typ != FrameRequest || !bytes.Equal(got, payload) {
+		t.Fatalf("roundtrip mismatch: typ=%d err=%v", typ, err)
 	}
 }
 
+// TestWireFrameBytes pins the wire format byte for byte: one fixed request
+// and one fixed response frame as both ends of a connection exchange them.
+func TestWireFrameBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"request", AppendFrame(nil, FrameRequest, EncodeRequest(Request{ID: 7, Op: OpAlloc, Key: 42, Size: 128, Stores: 6})),
+			"44537731010000001e000000476096fb070000000000000001002a00000000000000800000000000000006000000"},
+		{"response", AppendFrame(nil, FrameResponse, EncodeResponse(Response{ID: 7, Known: true, Freed: true, UAF: true,
+			Err: &DeadlineError{Shard: 1, Op: "check", Timeout: time.Millisecond}})),
+			"445377310200000021000000e06da9d107000000000000000702010000000500636865636b40420f000000000000000000"},
+	} {
+		if got := hex.EncodeToString(tc.frame); got != tc.want {
+			t.Errorf("%s frame\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFrameFailsClosed covers what the wire adds to internal/frame's
+// checks: the tag is a frame type, 1 or 2, so an unknown type and a
+// nonzero byte where the type's upper bytes sit are both a *FrameError.
 func TestFrameFailsClosed(t *testing.T) {
 	valid := AppendFrame(nil, FrameResponse, EncodeResponse(Response{ID: 1}))
-	cases := map[string][]byte{
-		"empty":            nil,
-		"short header":     valid[:8],
-		"truncated body":   valid[:len(valid)-1],
-		"bad magic":        append([]byte("XXXX"), valid[4:]...),
-		"bad type":         func() []byte { b := append([]byte(nil), valid...); b[4] = 9; return b }(),
-		"reserved nonzero": func() []byte { b := append([]byte(nil), valid...); b[5] = 1; return b }(),
-		"corrupt payload":  func() []byte { b := append([]byte(nil), valid...); b[len(b)-1] ^= 0xff; return b }(),
-		"oversized length": func() []byte {
-			b := append([]byte(nil), valid...)
-			binary.LittleEndian.PutUint32(b[8:], MaxFramePayload+1)
-			return b
-		}(),
-	}
-	for name, b := range cases {
-		if _, _, _, err := DecodeFrame(b); err == nil {
-			t.Errorf("%s: DecodeFrame accepted a bad frame", name)
-		} else {
-			var fe *FrameError
-			if !errors.As(err, &fe) {
-				t.Errorf("%s: error is not a *FrameError: %v", name, err)
-			}
+	for name, at := range map[string]int{"bad type": 4, "reserved nonzero": 5} {
+		b := bytes.Clone(valid)
+		b[at] = 9
+		var fe *FrameError
+		if _, _, err := ReadFrame(bytes.NewReader(b)); !errors.As(err, &fe) {
+			t.Errorf("%s: ReadFrame error %v, want a *FrameError", name, err)
 		}
 	}
 }
@@ -317,7 +317,7 @@ func TestAppendCodecMatchesEncodeAndReusesBuffers(t *testing.T) {
 		t.Fatalf("AppendResponse != prefix + EncodeResponse: %x", got)
 	}
 	inPlace := func(r Response) []byte {
-		return sealFrame(AppendResponse(append([]byte(nil), frameHeaderSpace[:]...), r), FrameResponse)
+		return sealFrame(AppendResponse(make([]byte, frame.HeaderBytes), r), FrameResponse)
 	}
 	if got, want := inPlace(resp), AppendFrame(nil, FrameResponse, EncodeResponse(resp)); !bytes.Equal(got, want) {
 		t.Fatalf("in-place response frame %x, want %x", got, want)
@@ -327,7 +327,7 @@ func TestAppendCodecMatchesEncodeAndReusesBuffers(t *testing.T) {
 	var rd bytes.Reader
 	ok := Response{ID: 9, Known: true}
 	roundTrip := func() {
-		wbuf = sealFrame(AppendResponse(append(wbuf[:0], frameHeaderSpace[:]...), ok), FrameResponse)
+		wbuf = sealFrame(AppendResponse(append(wbuf[:0], make([]byte, frame.HeaderBytes)...), ok), FrameResponse)
 		rd.Reset(wbuf)
 		typ, payload, err := ReadFrameInto(&rd, &rbuf)
 		if err != nil || typ != FrameResponse {

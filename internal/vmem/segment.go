@@ -93,9 +93,6 @@ func (s *Segment) Size() uint64 { return s.size }
 // End returns one past the last reservable address.
 func (s *Segment) End() uint64 { return s.base + s.size }
 
-// Name returns the segment's diagnostic name.
-func (s *Segment) Name() string { return s.name }
-
 // MappedBytes returns the number of currently mapped bytes, the simulation's
 // analog of the resident set size contribution of this segment.
 func (s *Segment) MappedBytes() uint64 { return s.mappedBytes.Load() }

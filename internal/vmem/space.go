@@ -3,8 +3,6 @@ package vmem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -31,15 +29,12 @@ const (
 	MaxStacks = 1 << 13
 )
 
-// AddressSpace is a simulated user-space 64-bit address space composed of a
-// small number of segments. It is safe for concurrent use.
+// AddressSpace is a simulated user-space 64-bit address space composed of
+// three segments: heap, globals and stacks. It is safe for concurrent use.
 type AddressSpace struct {
 	heap    *Segment
 	globals *Segment
 	stacks  *Segment
-
-	mu    sync.Mutex
-	extra []*Segment // rarely used; sorted by base
 }
 
 // New creates an address space with the standard heap/globals/stacks layout.
@@ -91,14 +86,6 @@ func (as *AddressSpace) StackRange(tid int) (base, top uint64) {
 	return base, base + StackSize
 }
 
-// MapStack reserves and fully maps the stack for thread tid, returning its
-// range. Prefer StackRange plus on-demand mapping for realistic residency.
-func (as *AddressSpace) MapStack(tid int) (base, top uint64) {
-	base, top = as.StackRange(tid)
-	as.stacks.MapPages(base, StackSize/PageSize)
-	return base, top
-}
-
 // UnmapStack releases the stack pages of thread tid.
 func (as *AddressSpace) UnmapStack(tid int) {
 	if tid < 0 || tid >= MaxStacks {
@@ -108,45 +95,16 @@ func (as *AddressSpace) UnmapStack(tid int) {
 	as.stacks.UnmapPages(base, StackSize/PageSize)
 }
 
-// AddSegment reserves an additional segment (used by tests and by workloads
-// that model mmap'd regions). The range must not overlap existing segments.
-func (as *AddressSpace) AddSegment(base, size uint64, name string) (*Segment, error) {
-	seg := NewSegment(base, size, name)
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	for _, other := range append([]*Segment{as.heap, as.globals, as.stacks}, as.extra...) {
-		if base < other.End() && other.Base() < seg.End() {
-			return nil, fmt.Errorf("vmem: segment %q overlaps %q", name, other.Name())
-		}
-	}
-	as.extra = append(as.extra, seg)
-	sort.Slice(as.extra, func(i, j int) bool { return as.extra[i].Base() < as.extra[j].Base() })
-	return seg, nil
-}
-
 // segmentFor locates the segment containing addr, or nil. The heap is
-// checked first, and inline, because pointer-tracking traffic is
-// heap-dominated.
+// checked first because pointer-tracking traffic is heap-dominated.
 func (as *AddressSpace) segmentFor(addr uint64) *Segment {
-	if as.heap.contains(addr) {
-		return as.heap
-	}
-	return as.segmentBeyondHeap(addr)
-}
-
-// segmentBeyondHeap is segmentFor for an address outside the heap.
-func (as *AddressSpace) segmentBeyondHeap(addr uint64) *Segment {
 	switch {
+	case as.heap.contains(addr):
+		return as.heap
 	case as.stacks.contains(addr):
 		return as.stacks
 	case as.globals.contains(addr):
 		return as.globals
-	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	i := sort.Search(len(as.extra), func(i int) bool { return as.extra[i].End() > addr })
-	if i < len(as.extra) && as.extra[i].contains(addr) {
-		return as.extra[i]
 	}
 	return nil
 }
@@ -407,11 +365,5 @@ func (as *AddressSpace) Memset(addr uint64, val byte, n uint64) *Fault {
 
 // MappedBytes reports the total mapped (resident) bytes across all segments.
 func (as *AddressSpace) MappedBytes() uint64 {
-	total := as.heap.MappedBytes() + as.globals.MappedBytes() + as.stacks.MappedBytes()
-	as.mu.Lock()
-	for _, seg := range as.extra {
-		total += seg.MappedBytes()
-	}
-	as.mu.Unlock()
-	return total
+	return as.heap.MappedBytes() + as.globals.MappedBytes() + as.stacks.MappedBytes()
 }

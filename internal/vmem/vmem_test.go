@@ -124,7 +124,8 @@ func TestGlobalsPreMapped(t *testing.T) {
 
 func TestStacks(t *testing.T) {
 	as := New()
-	base, top := as.MapStack(3)
+	base, top := as.StackRange(3)
+	as.Stacks().MapPages(base, StackSize/PageSize)
 	if top-base != StackSize {
 		t.Fatalf("stack size = %d, want %d", top-base, StackSize)
 	}
@@ -136,7 +137,8 @@ func TestStacks(t *testing.T) {
 		t.Fatalf("stack access after unmap: %v", f)
 	}
 	// Another thread's stack is independent.
-	b2, _ := as.MapStack(4)
+	b2, _ := as.StackRange(4)
+	as.Stacks().MapPages(b2, 1)
 	if f := as.StoreWord(b2, 5); f != nil {
 		t.Fatal(f)
 	}
@@ -232,26 +234,6 @@ func TestCASWord(t *testing.T) {
 	v, _ := as.LoadWord(addr)
 	if v != 20 {
 		t.Fatalf("value = %d, want 20", v)
-	}
-}
-
-func TestAddSegment(t *testing.T) {
-	as := New()
-	seg, err := as.AddSegment(0x0000_0400_0000_0000, 1<<20, "mmap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg.MapPages(seg.Base(), 1)
-	if f := as.StoreWord(seg.Base(), 1); f != nil {
-		t.Fatal(f)
-	}
-	// Overlap with the heap must be rejected.
-	if _, err := as.AddSegment(HeapBase+PageSize, 1<<20, "bad"); err == nil {
-		t.Fatal("overlapping segment accepted")
-	}
-	// Overlap with another extra segment must be rejected.
-	if _, err := as.AddSegment(0x0000_0400_0000_1000, 1<<20, "bad2"); err == nil {
-		t.Fatal("overlapping extra segment accepted")
 	}
 }
 
