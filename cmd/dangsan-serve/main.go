@@ -23,10 +23,15 @@
 // other tick; -sigkill-rate delivers real SIGKILLs to wire worker
 // processes (the immediate in-process stop for chan). The supervisor
 // restarts dead workers and rebuilds their state from the journal;
-// clients ride through on retries or fail-open
-// degraded verdicts. The run exits nonzero if any invariant broke: a
-// false UAF verdict on a live key, an untyped client error, or (with
-// -audit) accounting drift on any worker, including rebuilt ones.
+// clients ride through on retries or fail-open degraded verdicts, and
+// re-issue a degraded mutation once its shard is back. Every answered
+// verdict is checked against an exact model of the clients' own ops. The
+// run exits nonzero if any invariant broke: a verdict the model does not
+// explain (a false UAF, a missed UAF, a lost key — other than a freed key
+// aged out of the shard's freed window, or a mutation a failover lost
+// between the worker's reply and the journal), an error other than
+// ClosedError, a violation the service recorded during a failover, or
+// (with -audit) accounting drift on any worker, including rebuilt ones.
 //
 // -metrics writes a final obs snapshot to the given file ("-" for
 // stdout); feed it to `dangsan-stats service` for the supervision view or
@@ -91,7 +96,7 @@ func run() int {
 		loadCh <- service.RunLoad(svc, service.LoadConfig{
 			Clients:  *clients,
 			Requests: *requests,
-			Seed:     uint64(*seed),
+			Seed:     *seed,
 		})
 	}()
 
@@ -143,7 +148,7 @@ func run() int {
 	}
 
 	// Settled: collect the full verdict.
-	violations := append(load.Violations(), svc.Violations()...)
+	violations := append(load.Failures, svc.Violations()...)
 	if *audit {
 		for i := 0; i < svc.Shards(); i++ {
 			_, _, av, err := svc.DetectorStats(i)
@@ -158,8 +163,8 @@ func run() int {
 	}
 
 	c := svc.Counters()
-	fmt.Printf("load: %d issued, %d confirmed, %d degraded, %d UAF detected, %d missed, %d unknown in %.2fs\n",
-		load.Issued, load.Confirmed, load.Degraded, load.Detected, load.MissedUAF, load.Unknown,
+	fmt.Printf("load: %d issued, %d degraded, %d UAF detected, %d aged out, %d lost, %d pending, %d failed in %.2fs\n",
+		load.Issued, load.Degraded, load.Detected, load.AgedOut, load.Lost, load.Pending, load.Failed,
 		load.Elapsed.Seconds())
 	if len(disrupted) > 0 {
 		fmt.Printf("disruptions: %d kills, %d hangs, %d slows, %d sigkills\n",

@@ -14,10 +14,14 @@ import (
 // script kills, hangs, and slows shards. The invariants extend the
 // in-process fail-open contract across the shard boundary:
 //
-//   - no false UAF verdicts: a live key never faults, disrupted or not;
+//   - every answered verdict is explained by service.RunLoad's model: a
+//     live key never faults, a freed key is caught unless it aged out of
+//     its shard's freed window, and a key misses a mutation only when a
+//     failover lost it;
 //   - no hangs: the watchdog bounds the whole cell; every request is
 //     bounded by deadline × retry wall-cap;
-//   - typed errors only: anything else a client observes is a violation;
+//   - no errors: any error but ClosedError a client observes is a
+//     violation;
 //   - audit identity holds across every worker failover: the rebuilt
 //     worker's LogBytes == live + released + spilled.
 type ShardConfig struct {
@@ -80,14 +84,15 @@ type ShardResult struct {
 	// journal objects re-established across them.
 	Failovers uint64 `json:"failovers"`
 	Replayed  uint64 `json:"replayed"`
-	// Issued/Degraded/Detected/Missed summarize the client population's
-	// view. Degraded and Missed are expected under disruption (fail-open
-	// verdicts, probes the freed window or a replay lost); FalseUAF is
-	// folded into Violations.
+	// Issued/Degraded/Detected/AgedOut/Lost summarize the client
+	// population's view (service.LoadResult). Degraded, AgedOut and Lost
+	// are expected under disruption; every verdict the load's model does
+	// not explain is folded into Violations.
 	Issued   uint64 `json:"issued"`
 	Degraded uint64 `json:"degraded"`
 	Detected uint64 `json:"detected"`
-	Missed   uint64 `json:"missed"`
+	AgedOut  uint64 `json:"aged_out"`
+	Lost     uint64 `json:"lost"`
 	// Violations must be empty for the cell to pass.
 	Violations []string `json:"violations,omitempty"`
 }
@@ -171,11 +176,9 @@ func runShardCell(cfg ShardConfig, rate float64, seed int64) ShardResult {
 	loadCh := make(chan service.LoadResult, 1)
 	go func() {
 		loadCh <- service.RunLoad(svc, service.LoadConfig{
-			Clients:     cfg.Clients,
-			Seed:        uint64(seed)*2654435761 + 1,
-			HeavyFrac:   0.03,
-			HeavyStores: 200,
-			Stop:        stop,
+			Clients: cfg.Clients,
+			Seed:    seed,
+			Stop:    stop,
 		})
 	}()
 
@@ -248,8 +251,8 @@ func runShardCell(cfg ShardConfig, rate float64, seed int64) ShardResult {
 
 	close(stop)
 	load := <-loadCh
-	r.Issued, r.Degraded, r.Detected, r.Missed = load.Issued, load.Degraded, load.Detected, load.MissedUAF
-	r.Violations = append(r.Violations, load.Violations()...)
+	r.Issued, r.Degraded, r.Detected, r.AgedOut, r.Lost = load.Issued, load.Degraded, load.Detected, load.AgedOut, load.Lost
+	r.Violations = append(r.Violations, load.Failures...)
 
 	// End-of-cell cross-check: require the audit identity on every
 	// (rebuilt) worker and fold in any violations the service recorded

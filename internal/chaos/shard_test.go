@@ -34,9 +34,9 @@ func TestShardSweepInvariants(t *testing.T) {
 		t.Error(v)
 	}
 	for _, r := range results {
-		t.Logf("rate=%g seed=%d: %.2fs kills=%d hangs=%d slows=%d failovers=%d replayed=%d issued=%d degraded=%d detected=%d missed=%d",
+		t.Logf("rate=%g seed=%d: %.2fs kills=%d hangs=%d slows=%d failovers=%d replayed=%d issued=%d degraded=%d detected=%d aged_out=%d lost=%d",
 			r.Rate, r.Seed, r.Seconds, r.Kills, r.Hangs, r.Slows,
-			r.Failovers, r.Replayed, r.Issued, r.Degraded, r.Detected, r.Missed)
+			r.Failovers, r.Replayed, r.Issued, r.Degraded, r.Detected, r.AgedOut, r.Lost)
 		// Every cell injects at least one disruption of each kind, and the
 		// supervisor must have rebuilt a worker for every one of them.
 		if r.Kills == 0 {
@@ -77,10 +77,10 @@ func TestWireShardSweepInvariants(t *testing.T) {
 		t.Error(v)
 	}
 	for _, r := range results {
-		t.Logf("rate=%g seed=%d: %.2fs kills=%d hangs=%d slows=%d sigkills=%d partitions=%d trickles=%d garbage=%d failovers=%d replayed=%d issued=%d degraded=%d detected=%d missed=%d",
+		t.Logf("rate=%g seed=%d: %.2fs kills=%d hangs=%d slows=%d sigkills=%d partitions=%d trickles=%d garbage=%d failovers=%d replayed=%d issued=%d degraded=%d detected=%d aged_out=%d lost=%d",
 			r.Rate, r.Seed, r.Seconds, r.Kills, r.Hangs, r.Slows,
 			r.SigKills, r.Partitions, r.Trickles, r.Garbage,
-			r.Failovers, r.Replayed, r.Issued, r.Degraded, r.Detected, r.Missed)
+			r.Failovers, r.Replayed, r.Issued, r.Degraded, r.Detected, r.AgedOut, r.Lost)
 		if r.SigKills == 0 || r.Partitions == 0 || r.Trickles == 0 || r.Garbage == 0 {
 			t.Errorf("rate=%g seed=%d: wire stages not all injected (sigkill=%d partition=%d trickle=%d garbage=%d)",
 				r.Rate, r.Seed, r.SigKills, r.Partitions, r.Trickles, r.Garbage)

@@ -3,344 +3,300 @@ package service
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"dangsan/internal/tcmalloc"
-	"dangsan/internal/vmem"
 )
 
-// LoadConfig shapes the synthetic client population driving a Service:
-// connection churn (sessions drop their state and reconnect), hot keys (a
-// small reused subset absorbs a fraction of traffic), and skewed tenants
-// (a power-law over the tenant space concentrates load on few shards).
+// LoadConfig shapes RunLoad's client population.
 type LoadConfig struct {
-	// Clients is the concurrent client count (0: 4).
+	// Clients is the concurrent client count (0: 2); client i issues
+	// NewStream(Seed, i).
 	Clients int
-	// Requests is the per-client operation count when Stop is nil (0: 1000).
+	// Requests is the stream ops per client when Stop is nil (0: 1000).
 	Requests int
-	// Seed drives every client's deterministic op stream.
-	Seed uint64
-	// HeavyFrac is the fraction of keys allocated with HeavyStores
-	// scattered pointer stores — enough to push their location sets into
-	// hash mode and across the cold spill threshold (0: 0.05).
-	HeavyFrac   float64
-	HeavyStores int // 0: 600
+	Seed     int64
 	// Stop, when non-nil, overrides Requests: clients run until it closes.
 	Stop <-chan struct{}
 }
 
-// The fixed shape of every client's stream.
-const (
-	// loadTenants is the tenant-id space; tenant choice is power-law
-	// skewed toward low ids.
-	loadTenants = 8
-	// loadHotFrac is the probability an op targets the client's hot-key
-	// set (loadHotKeys keys) instead of a fresh key.
-	loadHotFrac = 0.3
-	loadHotKeys = 8
-	// loadChurnEvery drops the client's session (all key tracking
-	// forgotten, keys leak server-side like an abandoned connection)
-	// every that many ops.
-	loadChurnEvery = 400
-	// loadLightStores is the pointer-store count of a key that is not
-	// heavy; object sizes are uniform in [loadSizeMin, loadSizeMax].
-	loadLightStores = 6
-	loadSizeMin     = 64
-	loadSizeMax     = 4096
-)
-
-func (c LoadConfig) normalized() LoadConfig {
-	if c.Clients <= 0 {
-		c.Clients = 4
-	}
-	if c.Requests <= 0 {
-		c.Requests = 1000
-	}
-	if c.HeavyFrac == 0 {
-		c.HeavyFrac = 0.05
-	}
-	if c.HeavyStores <= 0 {
-		c.HeavyStores = 600
-	}
-	return c
-}
-
-// LoadResult aggregates what the client population observed. FalseUAF and
-// Errors are the invariant-critical fields: both must be zero in every
-// run, disrupted or not. MissedUAF and UnknownLive are coverage-loss
-// indicators — legitimate under disruption (freed window aged out,
-// journal replay raced a lost reply) and asserted
-// zero only by clean-run tests.
+// LoadResult is what the clients observed, every answered verdict judged
+// against the sequential model (see loadClient). Failed must be zero in
+// every run, disrupted or not. AgedOut and Lost are the two losses the
+// service states (DESIGN.md §12): counted, never failed.
 type LoadResult struct {
-	Issued    uint64 // operations attempted
-	Confirmed uint64 // operations the shard answered
-	Degraded  uint64 // fail-open verdicts (breaker open / retries exhausted)
-	Detected  uint64 // freed-key probes the detector caught (UAF verdicts)
-	MissedUAF uint64 // freed-key probes that did not fault
-	FalseUAF  uint64 // live-key checks that faulted — NEVER acceptable
-	Unknown   uint64 // live-key checks the shard had no record for
-	Errors    []string
-	Elapsed   time.Duration
+	Issued   uint64 // ops sent, re-issues included
+	Degraded uint64 // fail-open verdicts
+	Detected uint64 // checks of freed keys the detector caught
+	AgedOut  uint64 // freed keys unknown after at least FreedWindow later frees on their shard
+	Lost     uint64 // verdicts missing a confirmed mutation, its shard failed over since it was sent
+	Pending  uint64 // degraded mutations still queued 5s after the streams ended: never judged
+	Failed   uint64 // verdicts the model does not explain, and errors other than ClosedError
+	Failures []string
+	Elapsed  time.Duration
 }
 
-// Violations returns the load-side invariant failures (false UAF verdicts
-// and unexpected errors), empty when the run was clean.
-func (r *LoadResult) Violations() []string {
-	var out []string
-	if r.FalseUAF > 0 {
-		out = append(out, fmt.Sprintf("load: %d false UAF verdicts on live keys", r.FalseUAF))
-	}
-	out = append(out, r.Errors...)
-	return out
-}
-
-// clientKey is a key the client believes it owns, with its lifecycle side.
-type clientKey struct {
-	tenant string
-	key    uint64
-}
-
-// RunLoad drives the service with cfg.Clients concurrent clients and
-// merges their observations.
+// RunLoad drives s with cfg.Clients concurrent closed-loop clients and
+// merges what they observed.
 func RunLoad(s *Service, cfg LoadConfig) LoadResult {
-	cfg = cfg.normalized()
-	results := make([]LoadResult, cfg.Clients)
+	if cfg.Clients <= 0 {
+		cfg.Clients = 2
+	}
+	if cfg.Requests <= 0 {
+		cfg.Requests = 1000
+	}
+	frees := make([]atomic.Uint64, s.Shards())
+	clients := make([]*loadClient, cfg.Clients)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
+	for i := range clients {
+		c := &loadClient{s: s, frees: frees, slack: 2 * uint64(cfg.Clients)}
+		clients[i] = c
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			results[c] = runClient(s, cfg, c)
-		}(c)
+			c.run(NewStream(cfg.Seed, i), cfg)
+		}()
 	}
 	wg.Wait()
 	var out LoadResult
-	for i := range results {
-		r := &results[i]
+	for _, c := range clients {
+		r := &c.res
 		out.Issued += r.Issued
-		out.Confirmed += r.Confirmed
 		out.Degraded += r.Degraded
 		out.Detected += r.Detected
-		out.MissedUAF += r.MissedUAF
-		out.FalseUAF += r.FalseUAF
-		out.Unknown += r.Unknown
-		if len(out.Errors) < 32 {
-			out.Errors = append(out.Errors, r.Errors...)
-		}
-	}
-	if len(out.Errors) > 32 {
-		out.Errors = out.Errors[:32]
+		out.AgedOut += r.AgedOut
+		out.Lost += r.Lost
+		out.Pending += r.Pending
+		out.Failed += r.Failed
+		out.Failures = append(out.Failures, r.Failures...)
 	}
 	out.Elapsed = time.Since(start)
 	return out
 }
 
-// runClient is one synthetic client: a session-scoped key space, an op mix
-// over alloc/check/free/UAF-probe, hot-key reuse, skewed tenant choice,
-// and periodic connection churn.
-func runClient(s *Service, cfg LoadConfig, id int) LoadResult {
-	var res LoadResult
-	var rng jitterRNG
-	rng.seed(cfg.Seed*1000003 + uint64(id)*7919 + 1)
-	rand01 := func() float64 {
-		return float64(rng.next()>>11) / float64(1<<53)
-	}
-	session := 0
-	nextKey := uint64(0)
-	var live []clientKey
-	var freed []clientKey
-	tenantFor := func() string {
-		// Power-law skew: squaring the uniform draw concentrates mass on
-		// low tenant ids, so a few tenants (and thus shards) run hot.
-		t := int(float64(loadTenants) * rand01() * rand01())
-		if t >= loadTenants {
-			t = loadTenants - 1
-		}
-		return fmt.Sprintf("tenant-%d", t)
-	}
-	newKey := func() clientKey {
-		nextKey++
-		// Client and session namespaces keep key spaces disjoint across
-		// clients (shared keys would make one client's free look like
-		// another's lost object).
-		return clientKey{tenant: tenantFor(), key: uint64(id)<<40 | uint64(session)<<24 | nextKey}
-	}
-	churn := func() {
-		// Connection drop: forget everything without freeing — the
-		// server-side records leak exactly like an abandoned connection's.
-		session++
-		live = live[:0]
-		freed = freed[:0]
-	}
-	record := func(err error) {
-		if err == nil {
-			return
-		}
-		if len(res.Errors) < 8 {
-			res.Errors = append(res.Errors, fmt.Sprintf("client %d: unexpected error: %v", id, err))
-		}
-	}
-	stopRequested := func() bool {
-		if cfg.Stop == nil {
-			return false
-		}
-		select {
-		case <-cfg.Stop:
-			return true
-		default:
-			return false
-		}
-	}
+// The sequential verdict model: key → absent | live | freed, the state the
+// key has once every mutation issued on it so far has been answered.
+type keyState uint8
 
-	for op := 0; ; op++ {
-		if cfg.Stop == nil {
-			if op >= cfg.Requests {
-				break
-			}
-		} else if stopRequested() {
-			break
-		}
-		if op > 0 && op%loadChurnEvery == 0 {
-			churn()
-		}
-		res.Issued++
-		r := rand01()
-		switch {
-		case r < 0.40 || len(live) == 0:
-			// Alloc — also hot-key reuse: with HotFrac, re-touch an
-			// existing live key (idempotent alloc) instead of minting one.
-			var k clientKey
-			if len(live) > 0 && rand01() < loadHotFrac {
-				k = live[int(rng.next()%uint64(min(loadHotKeys, len(live))))]
-			} else {
-				k = newKey()
-			}
-			size := loadSizeMin + rng.next()%(loadSizeMax-loadSizeMin+1)
-			stores := loadLightStores
-			if rand01() < cfg.HeavyFrac {
-				stores = cfg.HeavyStores
-			}
-			v, err := s.Alloc(k.tenant, k.key, size, stores)
-			switch {
-			case err != nil:
-				record(classifyClientErr(err, &res))
-			case v.Degraded:
-				res.Degraded++
-			default:
-				res.Confirmed++
-				if !containsKey(live, k) {
-					live = append(live, k)
-				}
-			}
-		case r < 0.60:
-			// Check a live key: must not fault.
-			k := pickKey(live, &rng)
-			v, err := s.Check(k.tenant, k.key)
-			switch {
-			case err != nil:
-				var fault *vmem.Fault
-				if errors.As(err, &fault) {
-					res.FalseUAF++
-				} else {
-					record(classifyClientErr(err, &res))
-				}
-			case v.Degraded:
-				res.Degraded++
-			case !v.Known:
-				res.Confirmed++
-				res.Unknown++
-			default:
-				res.Confirmed++
-			}
-		case r < 0.80:
-			// Free a live key.
-			k := pickKey(live, &rng)
-			v, err := s.Free(k.tenant, k.key)
-			switch {
-			case err != nil:
-				record(classifyClientErr(err, &res))
-			case v.Degraded:
-				res.Degraded++
-				// The free may or may not have landed: stop tracking the
-				// key entirely (probing it could mis-classify either way).
-				removeKey(&live, k)
-			default:
-				res.Confirmed++
-				removeKey(&live, k)
-				freed = append(freed, k)
-				if len(freed) > 64 {
-					freed = freed[1:]
-				}
-			}
-		default:
-			// UAF probe: check a freed key and see whether the detector
-			// catches the dangling dereference.
-			if len(freed) == 0 {
-				res.Issued-- // nothing to probe; the op was not dispatched
-				continue
-			}
-			k := freed[int(rng.next()%uint64(len(freed)))]
-			v, err := s.Check(k.tenant, k.key)
-			switch {
-			case err != nil:
-				record(classifyClientErr(err, &res))
-			case v.Degraded:
-				res.Degraded++
-			case v.Known && v.Freed && v.UAF:
-				res.Confirmed++
-				res.Detected++
-			default:
-				// Aged out of the freed window, or lost to a failover
-				// outside the journal's window: coverage loss, not a
-				// violation.
-				res.Confirmed++
-				res.MissedUAF++
-			}
-		}
-	}
-	return res
+const (
+	keyAbsent keyState = iota
+	keyLive
+	keyFreed
+)
+
+var keyStateNames = [...]string{"absent", "live", "freed"}
+
+// keyModel is the model's record of one key. The stamps are taken when a
+// mutation is sent (again, for a re-issue).
+type keyModel struct {
+	state   keyState
+	pending uint8  // mutations on the key issued but not yet answered
+	freedAt uint64 // the shard's answered-free count when the free was sent
+	allocFO uint64 // the shard's failover count when the alloc was sent
+	freeFO  uint64 // the same, when the free was sent
 }
 
-// classifyClientErr sorts an op error into the acceptable-typed bucket
-// (nil return: memory pressure and post-close are expected outcomes) or
-// returns it for the unexpected-error list.
-func classifyClientErr(err error, res *LoadResult) error {
-	var oom *tcmalloc.OutOfMemoryError
+// loadClient is one closed-loop caller: it issues its stream in order,
+// waits for every reply, and judges every answered check against the
+// model. A mutation that comes back degraded was not applied: it goes on
+// the redo queue, its key is pending (unjudged) until it is answered, and
+// the oldest queued mutation is re-issued before each later stream op —
+// but only while its shard is up, since a re-issue to a down shard only
+// comes back degraded. The API is idempotent for exactly this re-issue.
+type loadClient struct {
+	s      *Service
+	frees  []atomic.Uint64 // answered frees per shard, across clients
+	slack  uint64
+	keys   []keyModel // indexed by key: a stream mints keys in order
+	redo   []ScriptOp
+	res    LoadResult
+	closed bool
+}
+
+func (c *loadClient) run(st *Stream, cfg LoadConfig) {
+	for n := 0; !c.closed && !cfg.stopped(n); n++ {
+		c.step(st.Next())
+	}
+	c.drain()
+}
+
+// stopped reports whether a stream ends before its op n.
+func (cfg LoadConfig) stopped(n int) bool {
+	if cfg.Stop == nil {
+		return n >= cfg.Requests
+	}
+	select {
+	case <-cfg.Stop:
+		return true
+	default:
+		return false
+	}
+}
+
+func (c *loadClient) fail(format string, args ...any) {
+	c.res.Failed++
+	if len(c.res.Failures) < 8 {
+		c.res.Failures = append(c.res.Failures, fmt.Sprintf(format, args...))
+	}
+}
+
+func (c *loadClient) key(k uint64) *keyModel {
+	for uint64(len(c.keys)) <= k {
+		c.keys = append(c.keys, keyModel{})
+	}
+	return &c.keys[k]
+}
+
+// up reports whether o's shard is serving: not rebuilding, and its breaker
+// closed with no failure counted.
+func (c *loadClient) up(o ScriptOp) bool {
+	sh := c.s.shards[c.s.ShardOf(o.Tenant, o.Key)]
+	return !sh.rebuilding.Load() && sh.breaker.healthy.Load()
+}
+
+// issue sends o through the public API and waits for its verdict; ok means
+// answered (no error, not degraded).
+func (c *loadClient) issue(o ScriptOp) (v Verdict, ok bool) {
+	c.res.Issued++
+	var err error
+	switch o.Kind {
+	case "alloc":
+		v, err = c.s.Alloc(o.Tenant, o.Key, o.Size, o.Stores)
+	case "free":
+		v, err = c.s.Free(o.Tenant, o.Key)
+	default:
+		v, err = c.s.Check(o.Tenant, o.Key)
+	}
 	var closed *ClosedError
-	if errors.As(err, &oom) || errors.As(err, &closed) {
-		res.Confirmed++
-		return nil
+	switch {
+	case errors.As(err, &closed):
+		c.closed = true
+	case err != nil:
+		c.fail("%s %s key %d: error %v", o.Kind, o.Tenant, o.Key, err)
 	}
-	return err
+	if v.Degraded {
+		c.res.Degraded++
+		// A fail-open verdict comes back at once; clients spinning on them
+		// would hold every processor and starve the supervisor's rebuild.
+		runtime.Gosched()
+	}
+	return v, err == nil && !v.Degraded
 }
 
-func pickKey(keys []clientKey, rng *jitterRNG) clientKey {
-	if len(keys) == 0 {
-		return clientKey{tenant: "tenant-0", key: 0}
+// send issues mutation o after stamping its key, and counts an answered
+// free on its shard's clock.
+func (c *loadClient) send(o ScriptOp) bool {
+	shard := c.s.ShardOf(o.Tenant, o.Key)
+	k := c.key(o.Key)
+	if fo := c.s.shards[shard].failovers.Load(); o.Kind == "alloc" {
+		k.allocFO = fo
+	} else {
+		// Every free counted so far was applied before this one can be.
+		k.freeFO, k.freedAt = fo, c.frees[shard].Load()
 	}
-	// Hot-key skew: most picks come from the head of the live list.
-	if float64(rng.next()>>11)/float64(1<<53) < loadHotFrac {
-		return keys[int(rng.next()%uint64(min(loadHotKeys, len(keys))))]
+	_, ok := c.issue(o)
+	if ok && o.Kind == "free" {
+		c.frees[shard].Add(1)
 	}
-	return keys[int(rng.next()%uint64(len(keys)))]
+	return ok
 }
 
-func containsKey(keys []clientKey, k clientKey) bool {
-	for _, e := range keys {
-		if e == k {
-			return true
+func (c *loadClient) step(o ScriptOp) {
+	if len(c.redo) > 0 && c.up(c.redo[0]) {
+		c.retryOne()
+	}
+	if o.Kind == "check" {
+		if v, ok := c.issue(o); ok {
+			c.judge(o, v)
+		}
+		return
+	}
+	k := c.key(o.Key)
+	k.state = keyLive
+	if o.Kind == "free" {
+		k.state = keyFreed
+	}
+	// A key with a queued mutation queues the next one behind it: per-key
+	// order holds.
+	if k.pending > 0 || !c.send(o) {
+		k.pending++
+		c.redo = append(c.redo, o)
+	}
+}
+
+// retryOne re-issues the oldest queued mutation, once.
+func (c *loadClient) retryOne() {
+	if o := c.redo[0]; c.send(o) {
+		c.redo = c.redo[1:]
+		c.key(o.Key).pending--
+	}
+}
+
+// drain re-issues what is still queued when the stream ends, for up to 5s;
+// what is left after that is Pending.
+func (c *loadClient) drain() {
+	deadline := time.Now().Add(5 * time.Second)
+	for len(c.redo) > 0 && !c.closed && time.Now().Before(deadline) {
+		if c.up(c.redo[0]) {
+			c.retryOne()
+		} else {
+			time.Sleep(time.Millisecond)
 		}
 	}
-	return false
+	c.res.Pending = uint64(len(c.redo))
 }
 
-func removeKey(keys *[]clientKey, k clientKey) {
-	for i, e := range *keys {
-		if e == k {
-			*keys = append((*keys)[:i], (*keys)[i+1:]...)
+// judge compares an answered check verdict with the model. Two losses are
+// explained, everything else that disagrees is a failure:
+//   - AgedOut: a freed key is unknown after at least FreedWindow later
+//     frees on its shard. The count at check time can miss up to slack of
+//     them: frees other clients have answered but not yet counted, and as
+//     many again because a rebuilt worker forgets in the journal's order,
+//     which can differ from the dead worker's by the mutations that were
+//     in flight together.
+//   - Lost: the verdict misses a mutation that was answered, and the key's
+//     shard failed over after it was sent. The coordinator journals a
+//     mutation only after the worker replied, so a rebuild in between
+//     replays a journal without it. A live key's UAF verdict is never Lost.
+func (c *loadClient) judge(o ScriptOp, v Verdict) {
+	var k keyModel
+	if o.Key < uint64(len(c.keys)) {
+		k = c.keys[o.Key]
+	}
+	if k.pending > 0 {
+		return
+	}
+	shard := c.s.ShardOf(o.Tenant, o.Key)
+	failovers := c.s.shards[shard].failovers.Load()
+	live := v.Known && !v.Freed && !v.UAF
+	switch k.state {
+	case keyAbsent:
+		if !v.Known {
+			return
+		}
+	case keyLive:
+		if live {
+			return
+		}
+		if !v.Known && failovers > k.allocFO {
+			c.res.Lost++
+			return
+		}
+	case keyFreed:
+		switch since := c.frees[shard].Load() - k.freedAt + c.slack; {
+		case v.Known && v.Freed && v.UAF:
+			c.res.Detected++
+			return
+		case !v.Known && since >= uint64(c.s.cfg.FreedWindow):
+			c.res.AgedOut++
+			return
+		case !v.Known && failovers > k.allocFO, live && failovers > k.freeFO:
+			c.res.Lost++
 			return
 		}
 	}
+	c.fail("check %s key %d: verdict %+v contradicts the model (%s key, %d failovers on its shard)",
+		o.Tenant, o.Key, v, keyStateNames[k.state], failovers)
 }

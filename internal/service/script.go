@@ -1,15 +1,11 @@
 package service
 
-// Scripted, deterministic load. RunLoad's concurrent clients are the
-// right tool for stressing the supervision envelope, but their
-// interleaving is nondeterministic — useless for proving two transports
-// behave identically. A script is the complement: one client, a fixed op
-// sequence, every outcome recorded. Because each worker is
-// single-threaded and every mutation arrives in script order, the entire
-// verdict stream and the final per-shard detector state are functions of
-// (script, config) alone — so running the same script over the channel
-// and unix transports must produce byte-identical outcome streams and
-// snapshots. The transport-parity conformance suite is built on this.
+import "strconv"
+
+// The deterministic op stream every service client issues: RunLoad's
+// clients, the transport-parity test and the benchmark's svc-* workloads
+// draw the same ops for the same (seed, client), so a verdict stream is a
+// function of the stream, the service config and the interleaving alone.
 
 // ScriptOp is one deterministic operation. Kind is one of "alloc",
 // "free", "check".
@@ -21,77 +17,70 @@ type ScriptOp struct {
 	Stores int    `json:"stores,omitempty"`
 }
 
-// ScriptOutcome is one op's observed result: the verdict and the typed
-// error's text ("" on success).
-type ScriptOutcome struct {
-	Verdict Verdict `json:"verdict"`
-	Err     string  `json:"err,omitempty"`
+// The fixed shape of every client's stream.
+const (
+	streamLiveCap     = 4096 // live keys per client
+	streamHeavyEvery  = 16   // 1 key in 16 is heavy
+	streamHeavyStores = 300  // enough for hash mode and the cold tier
+	streamProbeWindow = 128  // UAF probes come from the last 128 freed keys
+)
+
+// Stream is one client's op stream. Keys are minted in order from 1 and
+// never reused; the live set is capped; probes of freed keys come from the
+// last streamProbeWindow freed keys only, so the shard's freed window still
+// remembers them. Each op's draws depend only on the ops before it, so a
+// shorter stream is a prefix of a longer one.
+type Stream struct {
+	rng      jitterRNG
+	tenant   string
+	live     []uint64
+	freed    []uint64 // ring of the last streamProbeWindow freed keys
+	freedPos int
+	nextKey  uint64
 }
 
-// BuildScript generates a deterministic alloc/free/check mix from seed: a
-// private xorshift stream (never the global RNG) so the same seed always
-// yields the same ops. The mix includes heavy keys (hash-mode fan-out past
-// the cold spill threshold) and frees with later UAF probes.
-func BuildScript(seed uint64, n int) []ScriptOp {
-	rng := seed | 1
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
-	ops := make([]ScriptOp, 0, n)
-	var nextKey uint64
-	var live []uint64
-	var freed []uint64
-	for len(ops) < n {
-		switch r := next() % 100; {
-		case r < 45 || len(live) == 0:
-			nextKey++
-			size := 64 + next()%1984
-			stores := 4 + int(next()%12)
-			if nextKey%13 == 0 {
-				stores = 300 // heavy: hash fallback + cold spill
-			}
-			live = append(live, nextKey)
-			ops = append(ops, ScriptOp{Kind: "alloc", Tenant: "parity", Key: nextKey, Size: size, Stores: stores})
-		case r < 62:
-			i := int(next() % uint64(len(live)))
-			k := live[i]
-			live = append(live[:i], live[i+1:]...)
-			freed = append(freed, k)
-			ops = append(ops, ScriptOp{Kind: "free", Tenant: "parity", Key: k})
-		case r < 85:
-			i := int(next() % uint64(len(live)))
-			ops = append(ops, ScriptOp{Kind: "check", Tenant: "parity", Key: live[i]})
-		case len(freed) > 0:
-			i := int(next() % uint64(len(freed)))
-			ops = append(ops, ScriptOp{Kind: "check", Tenant: "parity", Key: freed[i]})
-		}
-	}
-	return ops
+// NewStream returns client's stream for seed; its tenant is "c<client>".
+func NewStream(seed int64, client int) *Stream {
+	s := &Stream{tenant: "c" + strconv.Itoa(client)}
+	s.rng.seed(uint64(seed)*0x9e3779b97f4a7c15 + uint64(client+1)*0xbf58476d1ce4e5b9 + 1)
+	return s
 }
 
-// RunScript executes ops sequentially through the public API and returns
-// the outcome stream, one entry per op, in order.
-func (s *Service) RunScript(ops []ScriptOp) []ScriptOutcome {
-	out := make([]ScriptOutcome, 0, len(ops))
-	for _, op := range ops {
-		var v Verdict
-		var err error
-		switch op.Kind {
-		case "alloc":
-			v, err = s.Alloc(op.Tenant, op.Key, op.Size, op.Stores)
-		case "free":
-			v, err = s.Free(op.Tenant, op.Key)
-		case "check":
-			v, err = s.Check(op.Tenant, op.Key)
+func (s *Stream) intn(n int) int { return int(s.rng.next() % uint64(n)) }
+
+// Next returns the stream's next op.
+func (s *Stream) Next() ScriptOp {
+	switch p := s.intn(100); {
+	case p < 45 || len(s.live) == 0:
+		if len(s.live) >= streamLiveCap {
+			return s.freeOne()
 		}
-		o := ScriptOutcome{Verdict: v}
-		if err != nil {
-			o.Err = err.Error()
+		s.nextKey++
+		stores := 4 + s.intn(12)
+		if s.nextKey%streamHeavyEvery == 0 {
+			stores = streamHeavyStores
 		}
-		out = append(out, o)
+		s.live = append(s.live, s.nextKey)
+		return ScriptOp{Kind: "alloc", Tenant: s.tenant, Key: s.nextKey, Size: uint64(64 + s.intn(1984)), Stores: stores}
+	case p < 62:
+		return s.freeOne()
+	case p < 88 || len(s.freed) == 0:
+		return ScriptOp{Kind: "check", Tenant: s.tenant, Key: s.live[s.intn(len(s.live))]}
+	default:
+		return ScriptOp{Kind: "check", Tenant: s.tenant, Key: s.freed[s.intn(len(s.freed))]}
 	}
-	return out
+}
+
+func (s *Stream) freeOne() ScriptOp {
+	i := s.intn(len(s.live))
+	k := s.live[i]
+	s.live[i] = s.live[len(s.live)-1]
+	s.live = s.live[:len(s.live)-1]
+	if len(s.freed) < streamProbeWindow {
+		s.freed = append(s.freed, k)
+	} else {
+		s.freed[s.freedPos] = k
+		s.freedPos = (s.freedPos + 1) % streamProbeWindow
+	}
+	return ScriptOp{Kind: "free", Tenant: s.tenant, Key: k}
 }

@@ -258,8 +258,8 @@ func keyFor(tenant string, key uint64) uint64 {
 	return g ^ g>>31
 }
 
-// ShardOf exposes the routing decision (the load generator uses it to
-// build shard-targeted traffic).
+// ShardOf exposes the routing decision (RunLoad's clients use it to find
+// the shard behind a key).
 func (s *Service) ShardOf(tenant string, key uint64) int {
 	return int(keyFor(tenant, key) % uint64(len(s.shards)))
 }

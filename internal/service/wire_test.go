@@ -38,11 +38,17 @@ func wireConfig(t *testing.T, shards int, transport string) Config {
 // transports: the full outcome stream plus each shard's final detector
 // snapshot and audit verdicts.
 type parityState struct {
-	Outcomes []ScriptOutcome
+	Outcomes []parityOutcome
 	Snaps    []pointerlog.Snapshot
 	Colds    []pointerlog.ColdStats
 	Audits   [][]string
 	Degraded uint64
+}
+
+// parityOutcome is one op's verdict and its error's text ("" on success).
+type parityOutcome struct {
+	Verdict Verdict
+	Err     string
 }
 
 func runParityScript(t *testing.T, transport string, script []ScriptOp) parityState {
@@ -63,9 +69,22 @@ func runParityScript(t *testing.T, transport string, script []ScriptOp) paritySt
 	}
 	defer s.Close()
 	var st parityState
-	for i := range script {
+	for i, op := range script {
 		start := time.Now()
-		st.Outcomes = append(st.Outcomes, s.RunScript(script[i:i+1])...)
+		var o parityOutcome
+		var err error
+		switch op.Kind {
+		case "alloc":
+			o.Verdict, err = s.Alloc(op.Tenant, op.Key, op.Size, op.Stores)
+		case "free":
+			o.Verdict, err = s.Free(op.Tenant, op.Key)
+		default:
+			o.Verdict, err = s.Check(op.Tenant, op.Key)
+		}
+		if err != nil {
+			o.Err = err.Error()
+		}
+		st.Outcomes = append(st.Outcomes, o)
 		if d := time.Since(start); d > cfg.RequestTimeout {
 			t.Fatalf("%s: op %d (%+v) took %v, RequestTimeout is %v", transport, i, script[i], d, cfg.RequestTimeout)
 		}
@@ -95,7 +114,11 @@ func runParityScript(t *testing.T, transport string, script []ScriptOp) paritySt
 // every worker answers OpStats with the JSON blob; the snapshot comparison
 // pins that chan and unix decode it to the same values.
 func TestTransportParityConformance(t *testing.T) {
-	script := append(BuildScript(42, 500),
+	var script []ScriptOp
+	for st := NewStream(42, 0); len(script) < 500; {
+		script = append(script, st.Next())
+	}
+	script = append(script,
 		ScriptOp{Kind: "alloc", Tenant: "parity", Key: 1 << 40, Size: 64, Stores: -1},
 		ScriptOp{Kind: "check", Tenant: "parity", Key: 1 << 40})
 	base := runParityScript(t, TransportChan, script)

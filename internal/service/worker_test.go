@@ -242,8 +242,12 @@ func TestServiceHangCloseAbandonsNobody(t *testing.T) {
 			}
 		}(uint64(i))
 	}
-	waitUntil(t, 5*time.Second, "a hung holder", func() bool {
-		return s.shards[0].ep.Load().ep.(*worker).turn.Load() == turnHeld
+	// Both callers must be inside the shard before Close: one holding the
+	// hung turn, the other contended on it. A caller that has not reached
+	// Check yet would get ClosedError, which is not what this test pins.
+	waitUntil(t, 5*time.Second, "a hung holder and a contended caller", func() bool {
+		w := s.shards[0].ep.Load().ep.(*worker)
+		return w.turn.Load() == turnHeld && w.counts.contended.Load() >= 1
 	})
 	s.Close()
 	wg.Wait()

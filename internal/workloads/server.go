@@ -110,26 +110,19 @@ produce:
 }
 
 // mallocRetries bounds the per-allocation retry loop under transient
-// memory pressure; backoff grows linearly with the attempt number.
+// memory pressure; backoff grows linearly with the attempt number. The
+// bound is a count, not a wall-clock deadline: a deadline made a seeded
+// run's outcome depend on how long the scheduler kept the worker off a
+// CPU. Each round is a quiesce, a page release and a sleep of at most
+// mallocRetries × 50µs, so persistent exhaustion still gives up promptly.
 const mallocRetries = 4
 
-// mallocRetryDeadline caps the TOTAL wall-time one allocation may spend
-// retrying. The attempt count alone is not a time bound: ReclaimMemory
-// walks every withheld object and idle span, so under persistent OOM the
-// loop's cost is dominated by work the counter does not see. Past the
-// deadline the worker gives up with the typed OutOfMemoryError instead of
-// grinding through the remaining attempts.
-const mallocRetryDeadline = 5 * time.Millisecond
-
 // mallocRobust is Malloc with bounded retry: on OutOfMemoryError it
-// reclaims memory (releasing any withheld objects, then returning idle
-// pages to the OS), backs off briefly, and tries again — a server
-// sheds load under transient pressure instead of dying. The loop is
-// bounded on both axes: attempt count AND total wall-time. Non-OOM errors
-// and persistent exhaustion are returned.
+// reclaims memory (returning idle pages to the OS), backs off briefly, and
+// tries again — a server sheds load under transient pressure instead of
+// dying. Non-OOM errors and persistent exhaustion are returned.
 func mallocRobust(th *proc.Thread, size uint64) (uint64, error) {
 	var err error
-	deadline := time.Now().Add(mallocRetryDeadline)
 	for attempt := 0; attempt < mallocRetries; attempt++ {
 		var b uint64
 		if b, err = th.Malloc(size); err == nil {
@@ -139,14 +132,8 @@ func mallocRobust(th *proc.Thread, size uint64) (uint64, error) {
 		if !errors.As(err, &oom) {
 			return 0, err
 		}
-		backoff := time.Duration(attempt+1) * 50 * time.Microsecond
-		// Give up on wall-time before paying for another reclaim+sleep
-		// round that cannot finish inside the deadline.
-		if time.Now().Add(backoff).After(deadline) {
-			return 0, err
-		}
 		th.Process().ReclaimMemory()
-		time.Sleep(backoff)
+		time.Sleep(time.Duration(attempt+1) * 50 * time.Microsecond)
 	}
 	return 0, err
 }

@@ -67,11 +67,9 @@ func TestServerSurvivesTransientPressure(t *testing.T) {
 
 // TestServerPersistentOOMGivesUpWithTypedError: when memory pressure is
 // NOT transient — every allocator path fails, reclaim buys nothing — the
-// retry loop must give up promptly with the typed OutOfMemoryError. This
-// is the regression test for the retry wall-time deadline: the loop is
-// bounded by mallocRetryDeadline, not merely by the attempt counter whose
-// per-attempt cost (quarantine drain + page release + backoff) is
-// unbounded.
+// retry loop must give up promptly with the typed OutOfMemoryError. The
+// loop is bounded by its attempt count alone (mallocRetries), and each
+// attempt costs a quiesce, a page release and a sub-millisecond backoff.
 func TestServerPersistentOOMGivesUpWithTypedError(t *testing.T) {
 	plane := faultinject.New(7)
 	plane.EnableAll(1.0, -1) // every injection site, unlimited budget
@@ -88,8 +86,8 @@ func TestServerPersistentOOMGivesUpWithTypedError(t *testing.T) {
 	if !errors.As(runErr, &oom) {
 		t.Fatalf("persistent OOM surfaced as %v, want typed OutOfMemoryError", runErr)
 	}
-	// Two workers × one failed allocation each, deadline-capped at 5ms of
-	// retrying apiece. Seconds here would mean the loop is spinning.
+	// Two workers × one failed allocation each, mallocRetries attempts
+	// apiece. Seconds here would mean the loop is spinning.
 	if elapsed > 3*time.Second {
 		t.Fatalf("worker spent %v in the retry loop under persistent OOM", elapsed)
 	}
