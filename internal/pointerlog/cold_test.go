@@ -2,6 +2,7 @@ package pointerlog
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"slices"
 	"sort"
@@ -60,7 +61,8 @@ func sortedU64(s []uint64) []uint64 {
 }
 
 // TestSegmentRoundTrip: encode → decode is identity on the location set,
-// and adjacent locations actually compress on disk.
+// adjacent locations actually compress on disk, and log entries passed
+// through as they are decode to their locations.
 func TestSegmentRoundTrip(t *testing.T) {
 	var locs []uint64
 	for i := 0; i < 300; i++ {
@@ -69,15 +71,19 @@ func TestSegmentRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		locs = append(locs, vmem.StacksBase+uint64(i)*4096) // spread: raw
 	}
-	buf := appendSegment(nil, append([]uint64(nil), locs...))
-	if entries := (len(buf) - frame.HeaderBytes) / 8; entries >= len(locs) {
-		t.Fatalf("no compression: %d entries for %d locations", entries, len(locs))
+	// A compressed trio and a raw entry, as a linear log holds them.
+	trio, _ := tryCompressAdd(compressOne(vmem.HeapBase+8), vmem.HeapBase+16)
+	trio, _ = tryCompressAdd(trio, vmem.HeapBase+24)
+	entries := []uint64{trio, vmem.HeapBase + 4096}
+	buf := appendSegment(nil, append([]uint64(nil), locs...), entries)
+	if n := (len(buf) - frame.HeaderBytes) / 8; n >= len(locs) {
+		t.Fatalf("no compression: %d entries for %d locations", n, len(locs))
 	}
 	got, err := decodeSegment(buf, nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	want := sortedU64(locs)
+	want := sortedU64(append(locs, vmem.HeapBase+8, vmem.HeapBase+16, vmem.HeapBase+24, vmem.HeapBase+4096))
 	got = sortedU64(got)
 	if len(got) != len(want) {
 		t.Fatalf("decoded %d locations, want %d", len(got), len(want))
@@ -94,9 +100,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 // fails is a *frame.Error that yields no locations, and the segments before
 // it still decode at their offsets.
 func TestSegmentTruncatedTail(t *testing.T) {
-	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase, vmem.GlobalsBase + 16})
-	seg2 := appendSegment(nil, []uint64{vmem.StacksBase, vmem.StacksBase + 4096})
-	seg3 := appendSegment(nil, []uint64{vmem.HeapBase + 8})
+	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase, vmem.GlobalsBase + 16}, nil)
+	seg2 := appendSegment(nil, []uint64{vmem.StacksBase, vmem.StacksBase + 4096}, nil)
+	seg3 := appendSegment(nil, []uint64{vmem.HeapBase + 8}, nil)
 	badSum := slices.Clone(seg3)
 	badSum[len(badSum)-1] ^= 0xff
 	for _, tail := range [][]byte{
@@ -126,8 +132,8 @@ func TestSegmentTruncatedTail(t *testing.T) {
 // its checks and costs only its own locations: the segment after it still
 // decodes at its offset.
 func TestSegmentMidFileCorruption(t *testing.T) {
-	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase})
-	seg2 := appendSegment(nil, []uint64{vmem.StacksBase})
+	seg1 := appendSegment(nil, []uint64{vmem.GlobalsBase}, nil)
+	seg2 := appendSegment(nil, []uint64{vmem.StacksBase}, nil)
 	blob := slices.Concat(seg1, seg2)
 	blob[0] ^= 0xff // first segment's magic
 	var fe *frame.Error
@@ -377,9 +383,10 @@ func TestColdSpillManyInvalidate(t *testing.T) {
 
 // TestColdMapFaultFailOpen: the spill file truncated under a live logger
 // turns every store to and load from the mapping into a fault. The next
-// spill, the next cold read and a compaction are counted failures — the
-// process lives, the hot tier still invalidates, and no location that was
-// not logged or no longer points into the object is touched.
+// spill, the next cold read and a compaction that has to move a segment
+// are counted failures — the process lives, the hot tier still
+// invalidates, and no location that was not logged or no longer points
+// into the object is touched.
 func TestColdMapFaultFailOpen(t *testing.T) {
 	const nLocs = 1200
 	cfg := tieredConfig(t)
@@ -405,7 +412,10 @@ func TestColdMapFaultFailOpen(t *testing.T) {
 	if snap.SpillFailures == before.SpillFailures || snap.Spills != before.Spills {
 		t.Fatalf("spills onto a truncated file: before %+v after %+v", before, snap)
 	}
-	if err := lg.cold.Load().compact(); err == nil {
+	// With the oldest segment dead, the one after it must slide down.
+	c := lg.cold.Load()
+	c.retire(c.segs[0])
+	if err := c.compact(); err == nil {
 		t.Fatal("compaction out of a truncated file reported success")
 	}
 
@@ -432,10 +442,12 @@ func TestColdMapFaultFailOpen(t *testing.T) {
 	}
 }
 
-// TestColdGrowthAndCompactionUnderReaders: the mapping is replaced twice —
-// by a compaction and by growth past coldMapBytes — while walks on other
-// goroutines decode the keepers' segments out of it. Run under -race; no
-// read may fail and every keeper location must end up invalidated.
+// TestColdGrowthAndCompactionUnderReaders: the keepers' segments slide
+// down over the garbage below them at a compaction, and the mapping is
+// replaced at growth past coldMapBytes, while walks on other goroutines
+// decode the keepers' segments out of it. Run under -race; no read may
+// fail, every keeper location must end up invalidated, and the logger
+// keeps one spill file throughout.
 func TestColdGrowthAndCompactionUnderReaders(t *testing.T) {
 	cfg := tieredConfig(t)
 	cfg.Audit = false // the identity is exact only single-threaded
@@ -454,7 +466,13 @@ func TestColdGrowthAndCompactionUnderReaders(t *testing.T) {
 		}
 		return locs
 	}
-	const nKeepers, perKeeper = 3, 600
+	// Garbage that will dominate the file, first in it.
+	const nKeepers, perKeeper, nGarbage = 3, 600, 30000
+	garbage, gh := lg.MustCreateMeta(vmem.HeapBase+8*4096, 4096)
+	fill(garbage, nKeepers, nGarbage)
+	next += nGarbage
+	f := lg.cold.Load().f
+
 	keepers := make([]*ObjectMeta, nKeepers)
 	keepLocs := make([][]uint64, nKeepers)
 	for k := range keepers {
@@ -480,15 +498,13 @@ func TestColdGrowthAndCompactionUnderReaders(t *testing.T) {
 		}(k)
 	}
 
-	// Garbage that dominates the file, then its release: a compaction.
-	const nGarbage = 30000
-	garbage, gh := lg.MustCreateMeta(vmem.HeapBase+8*4096, 4096)
-	fill(garbage, nKeepers, nGarbage)
-	next += nGarbage
+	// The garbage's release: a compaction that moves every keeper segment.
+	seg := keepers[0].logs.Load().cold.Load().segs.Load()
+	before := seg.off
 	lg.Invalidate(garbage, as)
 	lg.ReleaseMeta(gh)
-	if cs := lg.ColdLogStats(); cs.Compactions == 0 {
-		t.Fatalf("releasing the dominant object did not compact: %+v", cs)
+	if cs := lg.ColdLogStats(); cs.Compactions == 0 || seg.off >= before {
+		t.Fatalf("releasing the dominant object did not compact (a keeper segment at %d, was %d): %+v", seg.off, before, cs)
 	}
 	// More than one mapping's worth of segments: growth and a remap. Spread
 	// slots do not fold, so a segment is 16 + 45×8 bytes.
@@ -502,6 +518,9 @@ func TestColdGrowthAndCompactionUnderReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if lg.cold.Load().f != f {
+		t.Fatal("the spill file was replaced: compaction must move segments in place")
+	}
 
 	lg.Invalidate(writer, as)
 	snap := lg.Stats().Snapshot()
@@ -519,5 +538,141 @@ func TestColdGrowthAndCompactionUnderReaders(t *testing.T) {
 		if w, _ := as.LoadWord(loc); w&InvalidBit == 0 {
 			t.Fatalf("writer slot %d (0x%x) not invalidated across the remap: 0x%x", i, loc, w)
 		}
+	}
+}
+
+// residentConfig is the service's tier setting: the paper's log (lookback,
+// compression, a 128-entry linear log before the hash switch) with the
+// cold tier at its minimum threshold, audited.
+func residentConfig(t *testing.T) Config {
+	cfg := DefaultConfig()
+	cfg.ColdSpillBytes = MinColdSpillBytes
+	cfg.ColdDir = t.TempDir()
+	cfg.Audit = true
+	return cfg
+}
+
+// TestTieredResidentBound: once a log has spilled, its resident bytes are
+// exactly its fixed per-log charge plus its hot table — the frozen linear
+// log's four blocks left RAM with the first spill and are carried by the
+// spilled term — and free-time invalidation still reaches every location.
+func TestTieredResidentBound(t *testing.T) {
+	const nLocs = 1200
+	cfg := residentConfig(t)
+	lg, as, meta, handle, locs := fillTiered(t, cfg, nLocs)
+	defer lg.Close()
+
+	tl := meta.logs.Load()
+	if tl.blocks.Load() != nil || tl.tail != nil || tl.lastSlot != nil {
+		t.Fatal("the linear log's blocks are still reachable after a spill")
+	}
+	snap := lg.Stats().Snapshot()
+	hot := tl.hash.Load().bytes()
+	fixed := uint64(embedEntries*8 + 64 + cfg.Lookback*8)
+	if want := fixed + coldStateBytes + hot; snap.LogBytesLive != want || lg.MeasureLiveLogBytes() != want {
+		t.Fatalf("resident %d (measured %d), want %d + %d + %d = %d",
+			snap.LogBytesLive, lg.MeasureLiveLogBytes(), fixed, coldStateBytes, hot, want)
+	}
+	// Every spill at the minimum threshold flushes one 64-slot table; the
+	// first also carries the four blocks (12 embedded + 116 entries).
+	const blocks = 4 * logBlockBytes
+	if blocks != 1056 || snap.Spills == 0 || snap.LogBytesSpilled != snap.Spills*locSetInitial*8+blocks {
+		t.Fatalf("LogBytesSpilled=%d after %d spills, want %d per spill + %d for the blocks",
+			snap.LogBytesSpilled, snap.Spills, locSetInitial*8, blocks)
+	}
+
+	lg.Invalidate(meta, as)
+	if snap = lg.Stats().Snapshot(); snap.Invalidated != nLocs || snap.ColdReadErrors != 0 {
+		t.Fatalf("Invalidated=%d want %d (stale=%d coldReadErrs=%d)", snap.Invalidated, nLocs, snap.Stale, snap.ColdReadErrors)
+	}
+	for i, loc := range locs {
+		if w, _ := as.LoadWord(loc); w&InvalidBit == 0 {
+			t.Fatalf("slot %d not invalidated: 0x%x", i, w)
+		}
+	}
+	lg.ReleaseMeta(handle)
+	if v := lg.AuditViolations(); len(v) != 0 {
+		t.Fatalf("audit violations: %v", v)
+	}
+}
+
+// visitMemory is an invalidator's view of as that records each location a
+// walk would invalidate instead of writing it.
+type visitMemory struct {
+	as   *vmem.AddressSpace
+	seen []bool // by global slot
+}
+
+func (m *visitMemory) LoadWord(addr uint64) (uint64, *vmem.Fault) { return m.as.LoadWord(addr) }
+
+func (m *visitMemory) CASWord(addr, _, _ uint64) (bool, *vmem.Fault) {
+	m.seen[(addr-vmem.GlobalsBase)/8] = true
+	return true, nil
+}
+
+// TestTieredResidentBoundRacesFirstSpill: walks on another goroutine run
+// while the owner's first spill carries the table and the linear log to
+// the file; every walk finds every location registered before the spill
+// in at least one tier. Run under -race.
+func TestTieredResidentBoundRacesFirstSpill(t *testing.T) {
+	cfg := residentConfig(t)
+	for trial := 0; trial < 20; trial++ {
+		as := vmem.New()
+		as.Heap().MapPages(vmem.HeapBase, 1)
+		lg := NewLogger(cfg)
+		meta, _ := lg.MustCreateMeta(vmem.HeapBase, 4096)
+		register := func(i int) *ThreadLog {
+			loc := vmem.GlobalsBase + uint64(i)*8
+			as.StoreWord(loc, meta.Base()+8)
+			return lg.Register(meta, loc, 0)
+		}
+		// Fill to the edge: the next new location spills.
+		n := 0
+		for {
+			h := register(n).hash.Load()
+			n++
+			if h != nil && h.table.Load().full() {
+				break
+			}
+		}
+
+		walked := make(chan struct{})
+		stop := make(chan struct{})
+		done := make(chan error)
+		go func() {
+			mem := &visitMemory{as: as, seen: make([]bool, n+1)}
+			for pass := 0; ; pass++ {
+				clear(mem.seen)
+				lg.Invalidate(meta, mem)
+				for i := 0; i < n; i++ {
+					if !mem.seen[i] {
+						done <- fmt.Errorf("pass %d missed slot %d of %d", pass, i, n)
+						return
+					}
+				}
+				if pass == 0 {
+					close(walked)
+				}
+				select {
+				case <-stop:
+					done <- nil
+					return
+				default:
+				}
+			}
+		}()
+		<-walked
+		register(n)
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if snap := lg.Stats().Snapshot(); snap.Spills != 1 || meta.logs.Load().blocks.Load() != nil {
+			t.Fatalf("trial %d: want one spill that took the blocks: %+v", trial, snap)
+		}
+		if err := lg.AuditCheck(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		lg.Close()
 	}
 }

@@ -17,26 +17,27 @@ import (
 // The cold tier. A hash-mode location set that crosses
 // Config.ColdSpillBytes has its entries flushed to a per-logger spill
 // file as one framed segment (segment.go) and swaps in a fresh — hot —
-// table, so the resident footprint of a long-lived, store-heavy object
-// stays bounded by the spill threshold while the full location history
-// remains reachable for free-time invalidation. The tiering borrows
-// dkdtree's PointLog shape — an append-only file log, split (here:
-// compaction) when the dead fraction dominates — with the file mapped
-// shared instead of written through a buffer: a spill encodes into the
-// mapping and a cold read decodes out of it, so neither makes a system
-// call. The file is unlinked the moment it is created: its descriptor and
-// its mapping keep it alive, only this logger ever reads it (the paper's
-// log is write-intensive, read-rare and private to its process), and no
-// logger leaves one behind — closed, panicked or killed.
+// table; the first spill also carries the log's frozen indirect blocks.
+// So the resident footprint of a long-lived, store-heavy object is its
+// fixed per-log charge plus a hot table below the spill threshold, while
+// the full location history remains reachable for free-time
+// invalidation. The tiering borrows dkdtree's PointLog shape — an
+// append-only file log, compacted when the dead fraction dominates — with
+// the file mapped shared instead of written through a buffer: a spill
+// encodes into the mapping and a cold read decodes out of it, so neither
+// makes a system call. The file is unlinked the moment it is created: its
+// descriptor and its mapping keep it alive, only this logger ever reads it
+// (the paper's log is write-intensive, read-rare and private to its
+// process), and no logger leaves one behind — closed, panicked or killed.
 //
 // Concurrency contract, layer by layer:
 //
 //   - coldState is owned by the ThreadLog's owning thread for writes
 //     (spill); invalidating threads read the segment list through atomics.
-//     A spill publishes its segment node BEFORE swapping in the fresh
-//     table, so a concurrent invalidator sees every location in at least
-//     one tier (seeing it in both is the usual benign double visit — the
-//     second CAS classifies it stale).
+//     A spill publishes its segment node BEFORE dropping the blocks and
+//     swapping in the fresh table, so a concurrent invalidator sees every
+//     location in at least one tier (seeing it in both is the usual benign
+//     double visit — the second CAS classifies it stale).
 //   - coldLog guards the mapping with an RWMutex: segment reads
 //     (invalidation) share, appends, growth and compaction exclude. The
 //     mapping and the segment offsets move only under the write lock, so
@@ -54,8 +55,8 @@ import (
 const coldStateBytes = 64
 
 // coldMapBytes is the size a spill file is created and mapped at; a full
-// one doubles. At the minimum spill threshold a segment is under 400
-// bytes, so the service workloads never grow theirs.
+// one doubles, and none shrinks. At the minimum spill threshold a segment
+// is under 1.5 KiB, so the service workloads never grow theirs.
 const coldMapBytes = 1 << 20
 
 // errColdIOFault is an injected faultinject.ColdIO failure: a spill or a
@@ -89,10 +90,11 @@ func (cs *coldState) publish(seg *coldSeg) {
 type coldLog struct {
 	dir string
 
-	mu   sync.RWMutex
-	f    *os.File   // unlinked at creation (createSpill)
-	data []byte     // all of f, mapped shared; nil before the first spill and after close
-	segs []*coldSeg // every published segment, live and dead
+	mu    sync.RWMutex
+	f     *os.File   // unlinked at creation (createSpill)
+	data  []byte     // all of f, mapped shared; nil before the first spill and after close
+	segs  []*coldSeg // every published segment, live and dead, in offset order
+	stage []uint64   // a spill's locations and entries, reused under the write lock
 
 	size     atomic.Int64 // append offset
 	garbage  atomic.Int64 // bytes held by dead segments
@@ -191,20 +193,38 @@ func (c *coldLog) reserve(need int) error {
 	return nil
 }
 
-// append encodes locs as one segment at the append offset of the mapping
-// and registers it.
-func (c *coldLog) append(locs []uint64, faults *faultinject.Plane) (seg *coldSeg, err error) {
+// append encodes t's locations, then the entries of blocks and the blocks
+// linked after it, as one segment at the append offset of the mapping and
+// registers it. Both are staged in c.stage, so a spill allocates nothing
+// but its coldSeg. Owner-thread only for t and blocks: every writer of
+// their slots is the calling thread, so plain reads see them all.
+func (c *coldLog) append(t *locTable, blocks *logBlock, faults *faultinject.Plane) (seg *coldSeg, err error) {
 	if faults.Fail(faultinject.ColdIO) {
 		return nil, errColdIOFault
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	stage := c.stage[:0]
+	for _, e := range t.entries {
+		if e != 0 {
+			stage = append(stage, e)
+		}
+	}
+	nlocs := len(stage)
+	for b := blocks; b != nil; b = b.next.Load() {
+		for _, e := range b.entries {
+			if e != 0 {
+				stage = append(stage, e)
+			}
+		}
+	}
+	c.stage = stage
 	off := int(c.size.Load())
-	if err := c.reserve(off + frame.HeaderBytes + 8*len(locs)); err != nil {
+	if err := c.reserve(off + frame.HeaderBytes + 8*len(stage)); err != nil {
 		return nil, err
 	}
 	defer endMapFault(debug.SetPanicOnFault(true), &err)
-	n := len(appendSegment(c.data[off:off], locs))
+	n := len(appendSegment(c.data[off:off], stage[:nlocs], stage[nlocs:]))
 	seg = &coldSeg{off: int64(off), length: n}
 	c.size.Store(int64(off + n))
 	c.segs = append(c.segs, seg)
@@ -244,63 +264,47 @@ func (c *coldLog) overGarbage() bool {
 	return g > 0 && g*2 >= c.size.Load()
 }
 
-// compact moves the live segments into a fresh spill file, updating
-// their offsets in place. Runs under the write lock, so invalidating
+// compact slides the live segments down over the dead ones, in offset
+// order, inside the current mapping; the file keeps its size, and the
+// append offset drops to the end of the live set, so the next spills land
+// on pages already faulted in. Runs under the write lock, so invalidating
 // readers wait rather than read through the move. Its one caller,
-// retireCold at metadata release, gates it on overGarbage, so a rewrite
+// retireCold at metadata release, gates it on overGarbage, so a move
 // happens only once dead bytes are at least half the file and its cost
 // amortizes over the segments retired since the last one.
-func (c *coldLog) compact() error {
+//
+// A segment's offset follows it as soon as its copy is whole. A fault on
+// the mapping part-way returns the error with the segment list and the
+// append offset as they were: the segments already moved read from their
+// new place, the one whose copy broke from its old one — a file truncated
+// under the mapping faults every read there, counted in ColdReadErrors.
+func (c *coldLog) compact() (err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.data == nil {
 		return nil
 	}
-	var live []*coldSeg
-	need := 0
-	for _, seg := range c.segs {
-		if !seg.dead.Load() {
-			live = append(live, seg)
-			need += seg.length
-		}
-	}
-	nf, err := createSpill(c.dir)
-	if err != nil {
-		return err
-	}
-	nd, err := mapSpill(nf, need)
-	if err == nil {
-		if err = c.moveTo(nd, live); err != nil {
-			syscall.Munmap(nd)
-		}
-	}
-	if err != nil {
-		nf.Close()
-		return err
-	}
-	syscall.Munmap(c.data)
-	c.f.Close()
-	c.f, c.data, c.segs = nf, nd, live
-	c.size.Store(int64(need))
-	c.garbage.Store(0)
-	c.compacts.Add(1)
-	return nil
-}
-
-// moveTo copies the live segments to the front of nd and, once all of
-// them are there, points them at the copies; a fault part-way leaves every
-// offset on the old mapping.
-func (c *coldLog) moveTo(nd []byte, live []*coldSeg) (err error) {
 	defer endMapFault(debug.SetPanicOnFault(true), &err)
-	off := 0
-	for _, seg := range live {
-		off += copy(nd[off:], c.data[seg.off:seg.off+int64(seg.length)])
+	live := make([]*coldSeg, 0, c.liveSegs.Load())
+	var off, reclaimed int64
+	for _, seg := range c.segs {
+		if seg.dead.Load() {
+			reclaimed += int64(seg.length)
+			continue
+		}
+		if seg.off != off {
+			copy(c.data[off:], c.data[seg.off:seg.off+int64(seg.length)])
+			seg.off = off
+		}
+		off += int64(seg.length)
+		live = append(live, seg)
 	}
-	off = 0
-	for _, seg := range live {
-		seg.off = int64(off)
-		off += seg.length
-	}
+	c.segs = live
+	c.size.Store(off)
+	// A segment retired during the walk stays listed, and its bytes stay
+	// in garbage, until the next compaction.
+	c.garbage.Add(-reclaimed)
+	c.compacts.Add(1)
 	return nil
 }
 
@@ -319,10 +323,12 @@ func (c *coldLog) close() {
 	}
 }
 
-// spill flushes tl's current hash table to the cold tier and swaps in a
-// fresh hot table, reporting whether it did. Owner-thread only (called
-// from the register path). On any failure the table simply stays resident
-// — fail-open.
+// spill flushes tl's current hash table — and, the first time, the
+// frozen indirect blocks of its linear log — to the cold tier and swaps in
+// a fresh hot table, reporting whether it did. The embedded entries stay:
+// they are part of the log's fixed charge. Owner-thread only (called from
+// the register path). On any failure everything simply stays resident —
+// fail-open.
 func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) bool {
 	var start time.Time
 	met := lg.met
@@ -330,19 +336,8 @@ func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) bool {
 		start = time.Now()
 	}
 
-	t := h.table.Load()
-	locs := make([]uint64, 0, t.used)
-	for _, e := range t.entries {
-		// Owner-thread plain read: all writers of these slots are this
-		// thread (atomic stores happen-before in program order here).
-		if e != 0 {
-			locs = append(locs, e)
-		}
-	}
-	if len(locs) == 0 {
-		return false
-	}
-	seg, err := lg.ensureCold().append(locs, lg.faults.Load())
+	blocks := tl.blocks.Load()
+	seg, err := lg.ensureCold().append(h.table.Load(), blocks, lg.faults.Load())
 	if err != nil {
 		sh.spillFailures.Add(1)
 		return false
@@ -354,16 +349,26 @@ func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) bool {
 		sh.logBytes.Add(coldStateBytes)
 		tl.cold.Store(cs)
 	}
-	// Publish the segment before swapping tables: an invalidator racing
-	// the spill must find every location in at least one tier.
+	// Publish the segment before dropping the blocks and swapping tables:
+	// an invalidator racing the spill must find every location in at least
+	// one tier.
 	cs.publish(seg)
 
+	// The old table's and the blocks' resident bytes leave RAM for the
+	// cold tier: the audit identity tracks them in the spilled term from
+	// here on.
+	spilled := h.bytes()
+	for b := blocks; b != nil; b = b.next.Load() {
+		spilled += logBlockBytes
+	}
+	// Nothing reaches the owner-only tail and lastSlot in hash mode;
+	// clearing them lets the GC free the blocks.
+	tl.blocks.Store(nil)
+	tl.tail, tl.lastSlot = nil, nil
 	fresh := newLocSet()
 	sh.logBytes.Add(fresh.bytes())
 	tl.hash.Store(fresh)
-	// The old table's resident bytes leave RAM for the cold tier: the
-	// audit identity tracks them in the spilled term from here on.
-	sh.logBytesSpilled.Add(h.bytes())
+	sh.logBytesSpilled.Add(spilled)
 	sh.spills.Add(1)
 	if met != nil {
 		met.spillNs.Since(tl.tid, start)
@@ -427,7 +432,7 @@ type ColdStats struct {
 	// GarbageBytes is the portion held by retired segments, reclaimed at
 	// the next compaction.
 	GarbageBytes int64
-	// Compactions is the number of file rewrites so far.
+	// Compactions is the number of in-place compactions so far.
 	Compactions uint64
 }
 

@@ -67,9 +67,9 @@ type Config struct {
 	MaxMetadataBytes uint64
 	// ColdSpillBytes, when nonzero, arms the tiered log: once a hash-mode
 	// location set's table would grow to this many resident bytes, its
-	// entries are flushed as a compressed append-only segment to a
-	// per-logger memory-mapped spill file and a fresh (hot) table takes
-	// over. Free-time invalidation decodes the segments in place; a spill
+	// entries — and, the first time, the linear log's indirect blocks —
+	// are flushed as a compressed append-only segment to a per-logger
+	// memory-mapped spill file and a fresh (hot) table takes over. Free-time invalidation decodes the segments in place; a spill
 	// that cannot reach the file fails open (the table stays resident).
 	// Values below MinColdSpillBytes are raised to it. 0 keeps every
 	// location set fully resident (the pre-tiering behaviour).

@@ -99,10 +99,11 @@ func FuzzEntryRoundtrip(f *testing.F) {
 // past len(b) (the copy below has no spare capacity, so an over-read is an
 // out-of-range slice), and every rejection is a *frame.Error. The same
 // bytes, read as words and masked into valid locations, must survive
-// appendSegment → decodeSegment as a set, and the encoding with its tail
-// torn or a payload byte flipped must be rejected.
+// appendSegment → decodeSegment as a set — half of them folded, half passed
+// through as raw entries — and the encoding with its tail torn or a payload
+// byte flipped must be rejected.
 func FuzzSegmentDecode(f *testing.F) {
-	intact := appendSegment(nil, []uint64{fuzzLoc(0), fuzzLoc(8), fuzzLoc(16), fuzzLoc(1 << 20)})
+	intact := appendSegment(nil, []uint64{fuzzLoc(0), fuzzLoc(8), fuzzLoc(16), fuzzLoc(1 << 20)}, nil)
 	f.Add(intact)
 	f.Add(intact[:len(intact)-3]) // torn tail
 	badSum := slices.Clone(intact)
@@ -126,8 +127,9 @@ func FuzzSegmentDecode(f *testing.F) {
 		for ; len(data) >= 8; data = data[8:] {
 			want = append(want, fuzzLoc(binary.LittleEndian.Uint64(data)))
 		}
+		half := len(want) / 2
+		seg := appendSegment(nil, slices.Clone(want[:half]), want[half:])
 		slices.Sort(want)
-		seg := appendSegment(nil, slices.Clone(want))
 		got, err := decodeSegment(seg, nil)
 		slices.Sort(got)
 		if err != nil || !slices.Equal(got, want) {

@@ -24,6 +24,8 @@ const (
 	embedEntries = 12
 	// blockEntries is the size of each indirect log block.
 	blockEntries = 32
+	// logBlockBytes is the accounting charge for one logBlock.
+	logBlockBytes = blockEntries*8 + 8
 )
 
 // logBlock is one chunk of the indirect log. Blocks form a singly linked
@@ -417,7 +419,7 @@ func (meta *ObjectMeta) logFootprint() uint64 {
 	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
 		n += embedEntries*8 + 64 + uint64(len(tl.lookback))*8
 		for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
-			n += blockEntries*8 + 8
+			n += logBlockBytes
 		}
 		if h := tl.hash.Load(); h != nil {
 			n += h.bytes()
@@ -589,7 +591,7 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 				return
 			}
 			b := new(logBlock)
-			sh.logBytes.Add(blockEntries*8 + 8)
+			sh.logBytes.Add(logBlockBytes)
 			if tl.tail == nil {
 				tl.blocks.Store(b)
 			} else {

@@ -26,13 +26,15 @@ const segMagic = uint32('D') | uint32('S')<<8 | uint32('g')<<16 | uint32('1')<<2
 const segMaxPayload = math.MaxInt32
 
 // appendSegment frames locs (raw pointer locations, sorted here in place)
+// followed by entries (nonzero log entries, already in the entry encoding)
 // as one segment appended to dst, which it returns. The sorted locations
 // are greedily folded through the entry compression — up to three sharing
 // all but their low byte per 8-byte entry — so spatially local location
-// sets shrink up to 3x on disk, exactly as they do in the in-memory log.
-// With frame.HeaderBytes+8*len(locs) bytes of spare capacity in dst nothing
-// is allocated — a spill encodes straight into the mapped file.
-func appendSegment(dst []byte, locs []uint64) []byte {
+// sets shrink up to 3x on disk, exactly as they do in the in-memory log;
+// the entries are copied as they are. With
+// frame.HeaderBytes+8*(len(locs)+len(entries)) bytes of spare capacity in
+// dst nothing is allocated — a spill encodes straight into the mapped file.
+func appendSegment(dst []byte, locs, entries []uint64) []byte {
 	slices.Sort(locs)
 	start := len(dst)
 	dst = append(dst, make([]byte, frame.HeaderBytes)...)
@@ -55,6 +57,9 @@ func appendSegment(dst []byte, locs []uint64) []byte {
 		}
 	}
 	if e != 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, e)
+	}
+	for _, e := range entries {
 		dst = binary.LittleEndian.AppendUint64(dst, e)
 	}
 	frame.Seal(dst[start:], segMagic, 0)

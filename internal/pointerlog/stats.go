@@ -71,8 +71,9 @@ type Snapshot struct {
 	LogBytesReleased uint64
 	LogBytesLive     uint64
 	// LogBytesSpilled is the cumulative resident footprint of hash tables
-	// flushed to the cold tier: bytes that were charged to LogBytes, left
-	// RAM at a spill, and now live on disk in compressed segment form. The
+	// and indirect log blocks flushed to the cold tier: bytes that were
+	// charged to LogBytes, left RAM at a spill, and now live on disk in
+	// segment form. The
 	// cross-tier identity is LogBytes == live + released + spilled.
 	LogBytesSpilled uint64
 	// Spills counts cold-tier flushes; SpillFailures counts flushes that
