@@ -97,33 +97,25 @@ func TestRegisterChargesGrowOnDuplicate(t *testing.T) {
 	}
 }
 
-// Once a thread log is in hash-table mode the lookback ring is dead
-// weight: the table deduplicates the full history, so the ring is neither
-// scanned nor refreshed.
+// Once a thread log is in hash-table mode the lookback is skipped: the
+// table deduplicates the full history, and the frozen linear log's newest
+// entries hold locations the table does not.
 func TestHashModeSkipsLookback(t *testing.T) {
 	lg, meta, tl := hashModeLogger(t, DefaultConfig())
 
-	ringBefore := append([]uint64(nil), tl.lookback...)
-	posBefore := tl.lookPos
-
-	// The most recent pre-overflow location sits in the ring but not in
-	// the hash table (only post-overflow locations are inserted). With the
-	// ring consulted it would be misclassified as a duplicate and never
-	// reach the table; skipping the ring logs it.
+	// The most recent pre-overflow location is the linear log's newest
+	// entry but not in the hash table (only post-overflow locations are
+	// inserted). Were the lookback consulted it would be misclassified as
+	// a duplicate and never reach the table; skipping it logs it.
 	recent := vmem.GlobalsBase + uint64(embedEntries-1)*0x1000
-	for i, v := range ringBefore {
-		if v == recent {
-			break
-		}
-		if i == len(ringBefore)-1 {
-			t.Fatalf("test setup: 0x%x not in lookback ring %x", recent, ringBefore)
-		}
+	if got := *tl.newest(); got != recent {
+		t.Fatalf("test setup: newest linear entry 0x%x, want 0x%x", got, recent)
 	}
 	before := lg.Stats().Snapshot()
 	lg.Register(meta, recent, 1)
 	after := lg.Stats().Snapshot()
 	if after.Logged != before.Logged+1 {
-		t.Fatalf("hash-mode register consulted the lookback ring: %+v -> %+v", before, after)
+		t.Fatalf("hash-mode register consulted the lookback: %+v -> %+v", before, after)
 	}
 	if !tl.hash.Load().contains(recent) {
 		t.Fatal("location missing from hash table")
@@ -133,16 +125,6 @@ func TestHashModeSkipsLookback(t *testing.T) {
 	lg.Register(meta, recent, 1)
 	if s := lg.Stats().Snapshot(); s.Duplicates != after.Duplicates+1 {
 		t.Fatalf("hash-mode duplicate not detected: %+v", s)
-	}
-
-	// And the ring itself was never touched.
-	for i, v := range tl.lookback {
-		if v != ringBefore[i] {
-			t.Fatalf("lookback ring updated in hash mode: %x -> %x", ringBefore, tl.lookback)
-		}
-	}
-	if tl.lookPos != posBefore {
-		t.Fatalf("lookPos moved in hash mode: %d -> %d", posBefore, tl.lookPos)
 	}
 }
 
@@ -190,10 +172,10 @@ func TestStaleHandleRaceRecycle(t *testing.T) {
 }
 
 // BenchmarkRegisterHashMode measures the hash-mode register path — where
-// skipping the dead lookback ring shortens every call.
+// skipping the lookback over the frozen linear log shortens every call.
 func BenchmarkRegisterHashMode(b *testing.B) {
 	lg, meta, tl := hashModeLogger(b, DefaultConfig())
-	// Populate the table past the ring size so hits rotate over it.
+	// Populate the table past the lookback window so hits rotate over it.
 	locs := make([]uint64, 64)
 	for i := range locs {
 		locs[i] = vmem.StacksBase + uint64(i)*8

@@ -563,12 +563,12 @@ func TestTieredResidentBound(t *testing.T) {
 	defer lg.Close()
 
 	tl := meta.logs.Load()
-	if tl.blocks.Load() != nil || tl.tail != nil || tl.lastSlot != nil {
+	if tl.blocks.Load() != nil || tl.tail != nil || tl.prev != nil {
 		t.Fatal("the linear log's blocks are still reachable after a spill")
 	}
 	snap := lg.Stats().Snapshot()
 	hot := tl.hash.Load().bytes()
-	fixed := uint64(embedEntries*8 + 64 + cfg.Lookback*8)
+	const fixed = threadLogBytes
 	if want := fixed + coldStateBytes + hot; snap.LogBytesLive != want || lg.MeasureLiveLogBytes() != want {
 		t.Fatalf("resident %d (measured %d), want %d + %d + %d = %d",
 			snap.LogBytesLive, lg.MeasureLiveLogBytes(), fixed, coldStateBytes, hot, want)

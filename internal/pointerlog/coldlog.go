@@ -361,10 +361,10 @@ func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) bool {
 	for b := blocks; b != nil; b = b.next.Load() {
 		spilled += logBlockBytes
 	}
-	// Nothing reaches the owner-only tail and lastSlot in hash mode;
-	// clearing them lets the GC free the blocks.
+	// Nothing reaches the owner-only tail and prev in hash mode; clearing
+	// them lets the GC free the blocks.
 	tl.blocks.Store(nil)
-	tl.tail, tl.lastSlot = nil, nil
+	tl.tail, tl.prev = nil, nil
 	fresh := newLocSet()
 	sh.logBytes.Add(fresh.bytes())
 	tl.hash.Store(fresh)

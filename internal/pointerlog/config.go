@@ -32,8 +32,10 @@ const DefaultLookback = 4
 // hash-table fallback.
 const DefaultMaxLogEntries = 128
 
-// MaxLookback bounds the configurable lookback window.
-const MaxLookback = 64
+// MaxLookback bounds the configurable lookback window: the window reads
+// the log's own newest entries, at most one full block plus the entries
+// filled after it.
+const MaxLookback = blockEntries
 
 // MinColdSpillBytes floors the configurable spill threshold: below one
 // initial table (locSetInitial slots) the hot tier could never hold even a
@@ -44,8 +46,9 @@ const MinColdSpillBytes = locSetInitial * 8 * 2
 // ablation benchmarks vary. The zero value is not valid; use
 // DefaultConfig().
 type Config struct {
-	// Lookback is the number of recent entries checked for duplicates
-	// before appending (0 disables the lookback).
+	// Lookback is the number of the thread log's newest entries checked
+	// for duplicates before appending (0 disables the lookback; at most
+	// MaxLookback).
 	Lookback int
 	// MaxLogEntries is the per-thread log length that triggers the
 	// hash-table fallback.

@@ -82,12 +82,8 @@ func decodeEntry(e uint64, out []uint64) []uint64 {
 }
 
 // entryContains reports whether entry e (raw or compressed) holds loc.
+// A raw match is tested first: it is the lookback's common hit. One
+// expression, so an inlined call branches instead of building a bool.
 func entryContains(e, loc uint64) bool {
-	if e == 0 {
-		return false
-	}
-	if !isCompressed(e) {
-		return e == loc
-	}
-	return compressedContains(e, loc)
+	return e == loc && e != 0 || isCompressed(e) && compressedContains(e, loc)
 }

@@ -118,9 +118,8 @@ func TestThreadLogBytesExactUnderContention(t *testing.T) {
 		}
 		start.Done()
 		done.Wait()
-		perLog := uint64(embedEntries*8 + 64 + cfg.Lookback*8)
-		if got := lg.Stats().Snapshot().LogBytes; got != nThreads*perLog {
-			t.Fatalf("iter %d: LogBytes = %d, want exactly %d", iter, got, nThreads*perLog)
+		if got := lg.Stats().Snapshot().LogBytes; got != nThreads*threadLogBytes {
+			t.Fatalf("iter %d: LogBytes = %d, want exactly %d", iter, got, nThreads*threadLogBytes)
 		}
 	}
 }

@@ -26,6 +26,9 @@ const (
 	blockEntries = 32
 	// logBlockBytes is the accounting charge for one logBlock.
 	logBlockBytes = blockEntries*8 + 8
+	// threadLogBytes is the accounting charge for one ThreadLog: its
+	// embedded entries plus a fixed header, at least the struct's size.
+	threadLogBytes = embedEntries*8 + 64
 )
 
 // logBlock is one chunk of the indirect log. Blocks form a singly linked
@@ -42,8 +45,9 @@ type logBlock struct {
 // it concurrently without synchronization, relying on atomic word access
 // and free-time verification instead of locks.
 type ThreadLog struct {
-	tid  int32
-	next atomic.Pointer[ThreadLog]
+	tid   int32
+	count int32 // owner-only: entries appended (embed + blocks)
+	next  atomic.Pointer[ThreadLog]
 
 	embed  [embedEntries]uint64 // atomic access
 	blocks atomic.Pointer[logBlock]
@@ -53,13 +57,13 @@ type ThreadLog struct {
 	// (Config.ColdSpillBytes).
 	cold atomic.Pointer[coldState]
 
-	// Owner-only state.
-	count    int       // entries appended (embed + blocks)
-	tail     *logBlock // block being filled
-	tailUsed int
-	lastSlot *uint64 // most recent entry, target for compression
-	lookback []uint64
-	lookPos  int
+	// Owner-only state: tail is the block being filled (nil while the
+	// embedded entries are) and prev the one before it (nil while tail is
+	// the first). count and tail locate the newest entry; the lookback
+	// reads back from it through tail and then prev or the embedded
+	// entries.
+	tail *logBlock
+	prev *logBlock
 }
 
 // ObjectMeta is the per-object metadata the shadow map points at: the
@@ -417,7 +421,7 @@ func (lg *Logger) ReleaseMeta(handle uint64) {
 func (meta *ObjectMeta) logFootprint() uint64 {
 	var n uint64
 	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		n += embedEntries*8 + 64 + uint64(len(tl.lookback))*8
+		n += threadLogBytes
 		for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
 			n += logBlockBytes
 		}
@@ -446,15 +450,12 @@ func (lg *Logger) threadLogFor(meta *ObjectMeta, tid int32, sh *statShard) *Thre
 		}
 	}
 	tl := &ThreadLog{tid: tid}
-	if lg.cfg.Lookback > 0 {
-		tl.lookback = make([]uint64, lg.cfg.Lookback)
-	}
 	for {
 		tl.next.Store(head)
 		if meta.logs.CompareAndSwap(head, tl) {
 			// Account only for the log that actually entered the list, so
 			// memory-overhead figures don't overcount under contention.
-			sh.logBytes.Add(uint64(embedEntries*8 + 64 + lg.cfg.Lookback*8))
+			sh.logBytes.Add(threadLogBytes)
 			return tl
 		}
 		// Lost the race: another thread inserted. Re-scan in case it was us
@@ -508,10 +509,8 @@ func (lg *Logger) RegisterWith(tl *ThreadLog, loc uint64, tid int32) {
 
 func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 	// Hash-table mode: the log overflowed earlier. Checked before the
-	// lookback ring: once every location lands in the hash table, the ring
-	// is pure overhead — scanning it can only reclassify a hash-resident
-	// duplicate (same outcome, more work) and refreshing it buys nothing
-	// because the table already deduplicates the full history.
+	// lookback: the table deduplicates the full history, and once a spill
+	// has taken the linear log's blocks there is no newest entry to read.
 	if h := tl.hash.Load(); h != nil {
 		// Tiering check where a grow is due: a table whose doubling would
 		// reach the threshold is spilled as it stands and the location
@@ -541,32 +540,43 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 		return
 	}
 
-	// Lookback: suppress duplicates within the recent window.
-	if n := len(tl.lookback); n > 0 {
-		for i := 0; i < n; i++ {
-			if tl.lookback[i] == loc {
+	if tl.count > 0 {
+		// Lookback: drop a location one of the newest Lookback entries
+		// already holds. The newest is compared first, then the rest of
+		// the window in the container being filled; older reads what is
+		// left of it from the container before.
+		last := tl.newest()
+		if n := lg.cfg.Lookback; n > 0 {
+			if entryContains(atomic.LoadUint64(last), loc) {
 				sh.duplicates.Add(1)
 				return
 			}
+			if n > 1 {
+				cur := tl.filling()
+				for i := len(cur) - 2; i >= 0 && i >= len(cur)-n; i-- {
+					if entryContains(atomic.LoadUint64(&cur[i]), loc) {
+						sh.duplicates.Add(1)
+						return
+					}
+				}
+				if n > len(cur) && tl.count > embedEntries && tl.older(loc, n-len(cur)) {
+					sh.duplicates.Add(1)
+					return
+				}
+			}
 		}
-		tl.lookback[tl.lookPos] = loc
-		tl.lookPos++
-		if tl.lookPos == n {
-			tl.lookPos = 0
+		// Compression: fold into the newest entry when possible.
+		if lg.cfg.Compression && tryCompress(last, loc) {
+			sh.logged.Add(1)
+			sh.compressed.Add(1)
+			return
 		}
-	}
-
-	// Compression: fold into the most recent entry when possible.
-	if lg.cfg.Compression && tl.tryCompress(loc) {
-		sh.logged.Add(1)
-		sh.compressed.Add(1)
-		return
 	}
 
 	// Switch to the hash table once the log hits the threshold, preventing
 	// unbounded growth when duplicates recur with cycles longer than the
 	// lookback (paper §4.4).
-	if tl.count >= lg.cfg.MaxLogEntries {
+	if int(tl.count) >= lg.cfg.MaxLogEntries {
 		if lg.faults.Load().Fail(faultinject.HashGrowAlloc) {
 			sh.droppedRegs.Add(1)
 			return
@@ -582,10 +592,11 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 
 	// Append a fresh entry.
 	var slot *uint64
-	if tl.count < embedEntries {
-		slot = &tl.embed[tl.count]
+	if n := uint(tl.count); n < embedEntries {
+		slot = &tl.embed[n]
 	} else {
-		if tl.tail == nil || tl.tailUsed == blockEntries {
+		i := (n - embedEntries) % blockEntries
+		if i == 0 {
 			if lg.faults.Load().Fail(faultinject.LogBlockAlloc) {
 				sh.droppedRegs.Add(1)
 				return
@@ -597,30 +608,63 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 			} else {
 				tl.tail.next.Store(b)
 			}
-			tl.tail = b
-			tl.tailUsed = 0
+			tl.prev, tl.tail = tl.tail, b
 		}
-		slot = &tl.tail.entries[tl.tailUsed]
-		tl.tailUsed++
+		slot = &tl.tail.entries[i]
 	}
 	atomic.StoreUint64(slot, loc)
-	tl.lastSlot = slot
 	tl.count++
 	sh.logged.Add(1)
 }
 
-// tryCompress attempts to fold loc into the owner's most recent entry.
-func (tl *ThreadLog) tryCompress(loc uint64) bool {
-	if tl.lastSlot == nil {
-		return false
+// newest returns the owner's most recent entry. The log must hold an
+// entry and be in linear mode.
+func (tl *ThreadLog) newest() *uint64 {
+	i := uint(tl.count) - 1
+	if i < embedEntries {
+		return &tl.embed[i]
 	}
-	e := atomic.LoadUint64(tl.lastSlot)
+	return &tl.tail.entries[(i-embedEntries)%blockEntries]
+}
+
+// filling returns the container being filled — the embedded entries,
+// then the tail block — up to and including the newest entry. The log
+// must hold an entry and be in linear mode. Owner only.
+func (tl *ThreadLog) filling() []uint64 {
+	c := uint(tl.count)
+	if c <= embedEntries {
+		return tl.embed[:c]
+	}
+	return tl.tail.entries[:(c-embedEntries-1)%blockEntries+1]
+}
+
+// older reports whether one of the last n entries of the container
+// before the tail block — the previous block, or the embedded entries —
+// holds loc. n never exceeds a block (MaxLookback), so the window never
+// reaches further back. Owner only, in linear mode past the embedded
+// entries.
+func (tl *ThreadLog) older(loc uint64, n int) bool {
+	es := tl.embed[:]
+	if tl.prev != nil {
+		es = tl.prev.entries[:]
+	}
+	for i := len(es) - 1; i >= 0 && i >= len(es)-n; i-- {
+		if entryContains(atomic.LoadUint64(&es[i]), loc) {
+			return true
+		}
+	}
+	return false
+}
+
+// tryCompress attempts to fold loc into the owner's newest entry, *slot.
+func tryCompress(slot *uint64, loc uint64) bool {
+	e := atomic.LoadUint64(slot)
 	if e == 0 {
 		return false
 	}
 	if isCompressed(e) {
 		if ne, ok := tryCompressAdd(e, loc); ok {
-			atomic.StoreUint64(tl.lastSlot, ne)
+			atomic.StoreUint64(slot, ne)
 			return true
 		}
 		return false
@@ -640,7 +684,7 @@ func (tl *ThreadLog) tryCompress(loc uint64) bool {
 	if !ok {
 		return false
 	}
-	atomic.StoreUint64(tl.lastSlot, ne)
+	atomic.StoreUint64(slot, ne)
 	return true
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dangsan/internal/faultinject"
 	"dangsan/internal/vmem"
 )
 
@@ -106,7 +107,7 @@ func TestCompressLSBZeroFirstSlotQuick(t *testing.T) {
 			meta, _ := lg.MustCreateMeta(vmem.HeapBase, 64)
 			tl := lg.Register(meta, order[0], 0)
 			lg.Register(meta, order[1], 0)
-			e := atomic.LoadUint64(tl.lastSlot)
+			e := atomic.LoadUint64(tl.newest())
 			if !isCompressed(e) || e&0xff != 0 {
 				return false
 			}
@@ -129,7 +130,7 @@ func TestCompressLSBZeroFirstSlotQuick(t *testing.T) {
 		tl := lg.Register(meta, other, 0)
 		lg.Register(meta, third, 0)
 		lg.Register(meta, base, 0)
-		if atomic.LoadUint64(tl.lastSlot) != base {
+		if atomic.LoadUint64(tl.newest()) != base {
 			return false
 		}
 		if got := lg.Stats().Snapshot(); got.Logged != 3 {
@@ -231,6 +232,44 @@ func TestInvalidateContractQuick(t *testing.T) {
 				return false
 			}
 			if !s.overwrite && got != s.val|InvalidBit {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the lookback drops only what the log already holds — every
+// registration classified as a duplicate is found by ForEachLocation,
+// whatever the window, compression and hash threshold, and with a fifth
+// of the log-block and hash allocations denied.
+func TestDuplicateIsLoggedQuick(t *testing.T) {
+	f := func(seed int64, lookback uint8, compress bool, maxLog uint8, ops [200]uint8) bool {
+		plane := faultinject.New(seed)
+		plane.Enable(faultinject.LogBlockAlloc, 0.2, -1)
+		plane.Enable(faultinject.HashGrowAlloc, 0.2, -1)
+		cfg := DefaultConfig()
+		cfg.Lookback = int(lookback) % (MaxLookback + 1)
+		cfg.Compression = compress
+		cfg.MaxLogEntries = embedEntries + int(maxLog)%(3*blockEntries)
+		lg := NewLogger(cfg)
+		lg.InjectFaults(plane)
+		meta, _ := lg.MustCreateMeta(vmem.HeapBase, 64)
+		for _, op := range ops {
+			// 64 locations in 16 groups of four neighbours: duplicates
+			// and compressible runs both recur.
+			loc := vmem.GlobalsBase + uint64(op>>2%16)*0x1000 + uint64(op&3)*8
+			before := lg.Stats().Snapshot().Duplicates
+			lg.Register(meta, loc, 0)
+			if lg.Stats().Snapshot().Duplicates == before {
+				continue
+			}
+			found := false
+			meta.ForEachLocation(func(l uint64) { found = found || l == loc })
+			if !found {
 				return false
 			}
 		}

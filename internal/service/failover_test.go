@@ -288,10 +288,12 @@ func TestFailoverUnderLoad(t *testing.T) {
 	}()
 	for i := 0; i < 3; i++ {
 		shard := i % 2
+		// Read the count before the kill: a failover can complete before
+		// Disrupt returns.
+		before := s.ShardStats()[shard].Failovers
 		if err := s.Disrupt(shard, "kill"); err != nil {
 			t.Fatal(err)
 		}
-		before := s.ShardStats()[shard].Failovers
 		waitUntil(t, 5*time.Second, "failover under load", func() bool {
 			return s.ShardStats()[shard].Failovers > before
 		})
