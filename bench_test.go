@@ -119,7 +119,7 @@ func BenchmarkLookback(b *testing.B) {
 		b.Fatal(err)
 	}
 	prof = bench.ScaleSPEC(prof, benchScale)
-	for _, lb := range []int{0, 1, 2, 4, 8, 16, 32} {
+	for _, lb := range []int{0, 1, 2, 4, 8, 12, pointerlog.MaxLookback} {
 		b.Run(fmt.Sprintf("lookback%d", lb), func(b *testing.B) {
 			var logBytes uint64
 			for i := 0; i < b.N; i++ {

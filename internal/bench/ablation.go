@@ -36,7 +36,7 @@ func lookbackSweep(s *Session) ([]LookbackPoint, Table, error) {
 	}
 	prof = ScaleSPEC(prof, s.Scale)
 	var points []LookbackPoint
-	for _, lb := range []int{0, 1, 2, 4, 8, 16, 32} {
+	for _, lb := range []int{0, 1, 2, 4, 8, 12, pointerlog.MaxLookback} {
 		s.Progress(fmt.Sprintf("lookback %d", lb))
 		cfg := pointerlog.DefaultConfig()
 		cfg.Lookback = lb

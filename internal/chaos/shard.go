@@ -208,7 +208,9 @@ func runShardCell(cfg ShardConfig, rate float64, seed int64) ShardResult {
 		netFault := kind == "partition" || kind == "trickle" || kind == "garbage"
 		for i := 0; i < reps; i++ {
 			shard := int(rng.next() % uint64(cfg.Shards))
-			before := svc.Counters().Failovers
+			// Per shard: another shard's failover must not end the wait
+			// while this one is still rebuilding.
+			before := svc.ShardStats()[shard].Failovers
 			if derr := svc.Disrupt(shard, kind); derr != nil {
 				r.Violations = append(r.Violations, fmt.Sprintf("disrupt %s shard %d: %v", kind, shard, derr))
 				continue
@@ -242,7 +244,10 @@ func runShardCell(cfg ShardConfig, rate float64, seed int64) ShardResult {
 				}
 				continue
 			}
-			if !waitCondition(waitBudget, func() bool { return svc.Counters().Failovers > before }) {
+			if !waitCondition(waitBudget, func() bool {
+				st := svc.ShardStats()[shard]
+				return st.Failovers > before && !st.Rebuilding
+			}) {
 				r.Violations = append(r.Violations,
 					fmt.Sprintf("%s shard %d (rep %d): failover never completed", kind, shard, i))
 			}

@@ -554,7 +554,7 @@ func residentConfig(t *testing.T) Config {
 
 // TestTieredResidentBound: once a log has spilled, its resident bytes are
 // exactly its fixed per-log charge plus its hot table — the frozen linear
-// log's four blocks left RAM with the first spill and are carried by the
+// log's blocks left RAM with the first spill and are carried by the
 // spilled term — and free-time invalidation still reaches every location.
 func TestTieredResidentBound(t *testing.T) {
 	const nLocs = 1200
@@ -574,9 +574,9 @@ func TestTieredResidentBound(t *testing.T) {
 			snap.LogBytesLive, lg.MeasureLiveLogBytes(), fixed, coldStateBytes, hot, want)
 	}
 	// Every spill at the minimum threshold flushes one 64-slot table; the
-	// first also carries the four blocks (12 embedded + 116 entries).
-	const blocks = 4 * logBlockBytes
-	if blocks != 1056 || snap.Spills == 0 || snap.LogBytesSpilled != snap.Spills*locSetInitial*8+blocks {
+	// first also carries the linear log's blocks.
+	blocks := uint64((cfg.MaxLogEntries-embedEntries+blockEntries-1)/blockEntries) * logBlockBytes
+	if blocks != 1024 || snap.Spills == 0 || snap.LogBytesSpilled != snap.Spills*locSetInitial*8+blocks {
 		t.Fatalf("LogBytesSpilled=%d after %d spills, want %d per spill + %d for the blocks",
 			snap.LogBytesSpilled, snap.Spills, locSetInitial*8, blocks)
 	}

@@ -32,9 +32,9 @@ const DefaultLookback = 4
 // hash-table fallback.
 const DefaultMaxLogEntries = 128
 
-// MaxLookback bounds the configurable lookback window: the window reads
-// the log's own newest entries, at most one full block plus the entries
-// filled after it.
+// MaxLookback bounds the configurable lookback window at one block's
+// entries (15): the window reads the log's own newest entries, at most one
+// full block plus the entries filled after it.
 const MaxLookback = blockEntries
 
 // MinColdSpillBytes floors the configurable spill threshold: below one

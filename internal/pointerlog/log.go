@@ -22,8 +22,9 @@ const (
 	// ThreadLog, serving the common case of objects with few pointers
 	// without a second allocation (paper Fig. 7's static log).
 	embedEntries = 12
-	// blockEntries is the size of each indirect log block.
-	blockEntries = 32
+	// blockEntries is the size of each indirect log block: with its link a
+	// logBlock is exactly one 128-B size class, so the charge has no slack.
+	blockEntries = 15
 	// logBlockBytes is the accounting charge for one logBlock.
 	logBlockBytes = blockEntries*8 + 8
 	// threadLogBytes is the accounting charge for one ThreadLog: its

@@ -103,7 +103,7 @@ func TestLookbackWindowEdges(t *testing.T) {
 		{"one", 1, embedEntries + blockEntries + 1, embedEntries + blockEntries},
 		{"max within one block", MaxLookback, embedEntries + blockEntries, embedEntries},
 		{"max across two blocks", MaxLookback, embedEntries + 2*blockEntries - 1, embedEntries + blockEntries - 1},
-		{"max across embedded and block", MaxLookback, embedEntries + 25, 5},
+		{"max across embedded and block", MaxLookback, embedEntries + blockEntries - 7, 5},
 		{"max back to the first entry", MaxLookback, embedEntries + 3, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,5 +161,14 @@ func TestLookbackSeesCompressedEntry(t *testing.T) {
 func TestThreadLogFitsItsCharge(t *testing.T) {
 	if size := unsafe.Sizeof(ThreadLog{}); size > threadLogBytes {
 		t.Fatalf("ThreadLog is %d B, charged %d B", size, threadLogBytes)
+	}
+}
+
+// TestLogBlockFitsItsCharge: an indirect log block is charged exactly its
+// size, and that size is a Go size class (128 B), so no rounding slack is
+// allocated beyond the charge.
+func TestLogBlockFitsItsCharge(t *testing.T) {
+	if size := unsafe.Sizeof(logBlock{}); size != logBlockBytes || logBlockBytes != 128 {
+		t.Fatalf("logBlock is %d B, charged %d B, want both 128 B", size, logBlockBytes)
 	}
 }

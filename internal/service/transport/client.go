@@ -170,10 +170,11 @@ func (d *directLink) call(op func(int, []byte) (int, error), p []byte) (int, err
 			}
 		}
 		switch n, err := op(d.fd, p); {
-		case err == syscall.EINTR:
+		case err == syscall.EINTR, err == syscall.EAGAIN:
+			// The kernel counts a socket timeout in whole jiffies from
+			// inside the current one, so EAGAIN can come up to a jiffy
+			// early: the re-arm above reports the deadline once it passed.
 			d.waited = true
-		case err == syscall.EAGAIN:
-			return 0, os.ErrDeadlineExceeded
 		case err != nil:
 			return 0, err
 		case n == 0 && len(p) > 0:

@@ -539,6 +539,28 @@ func TestDirectCallRetriesEINTRWithTheRemainder(t *testing.T) {
 	if !errors.Is(err, os.ErrDeadlineExceeded) || d.armed <= 0 {
 		t.Fatalf("EINTR past the deadline: %v (armed %v), want a deadline error", err, d.armed)
 	}
+	// EAGAIN before the deadline (the kernel's timeout can end a jiffy
+	// early) is retried the same way; after it, it is the deadline error.
+	for _, tc := range []struct {
+		timeout time.Duration
+		wantN   int
+		wantErr error
+	}{{time.Second, 5, nil}, {5 * time.Millisecond, 0, os.ErrDeadlineExceeded}} {
+		if err := d.arm(tc.timeout); err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		n, err = d.call(func(int, []byte) (int, error) {
+			if calls++; calls == 1 {
+				time.Sleep(10 * time.Millisecond)
+				return -1, syscall.EAGAIN
+			}
+			return 5, nil
+		}, make([]byte, 8))
+		if n != tc.wantN || !errors.Is(err, tc.wantErr) {
+			t.Fatalf("EAGAIN with %v to go: n %d, err %v, want %d, %v", tc.timeout, n, err, tc.wantN, tc.wantErr)
+		}
+	}
 }
 
 // TestDirectTimeoutFollowsTheExchange: the socket timeout is sticky, so it
