@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 
+	"dangsan/internal/bench"
 	"dangsan/internal/detectors/dangnull"
 	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/obs"
@@ -56,10 +57,7 @@ func main() {
 	}
 
 	for _, prof := range profs {
-		prof.Objects = scaleInt(prof.Objects, *scale)
-		prof.TotalStores = scaleInt(prof.TotalStores, *scale)
-		prof.ComputeOps = scaleInt(prof.ComputeOps, *scale)
-		prof.LiveWindow = scaleInt(prof.LiveWindow, *scale)
+		prof = bench.ScaleSPEC(prof, *scale)
 
 		d := dangsan.New()
 		p := proc.New(d)
@@ -153,14 +151,6 @@ func printService(path string) {
 			g[fmt.Sprintf("service.shard%d.wire_direct", i)],
 			g[fmt.Sprintf("service.shard%d.wire_polled", i)])
 	}
-}
-
-func scaleInt(v int, s float64) int {
-	n := int(float64(v) * s)
-	if n < 8 {
-		n = 8
-	}
-	return n
 }
 
 func check(err error) {

@@ -2,7 +2,7 @@ package chaos
 
 import (
 	"fmt"
-	"os"
+	"math"
 	"time"
 
 	"dangsan/internal/pointerlog"
@@ -10,9 +10,9 @@ import (
 )
 
 // ShardConfig shapes the sharded-service chaos cells: a supervised
-// service (audit armed, cold tier at the minimum spill threshold) under continuous client load while a deterministic disruption
-// script kills, hangs, and slows shards. The invariants extend the
-// in-process fail-open contract across the shard boundary:
+// service (audit armed, cold tier at the minimum spill threshold, tight
+// timings) driven by Drive. The invariants extend the in-process
+// fail-open contract across the shard boundary:
 //
 //   - every answered verdict is explained by service.RunLoad's model: a
 //     live key never faults, a freed key is caught unless it aged out of
@@ -41,6 +41,10 @@ type ShardConfig struct {
 	Transport string
 }
 
+// shardRequests is each client's stream length in a chaos cell, at
+// least: Drive holds the clients until the script is done.
+const shardRequests = 1000
+
 func (c ShardConfig) normalized() ShardConfig {
 	if c.Shards <= 0 {
 		c.Shards = 4
@@ -60,41 +64,84 @@ func (c ShardConfig) normalized() ShardConfig {
 	return c
 }
 
-// wire reports whether the cell's workers are separate processes.
-func (c ShardConfig) wire() bool { return c.Transport != service.TransportChan }
+// serviceConfig is a cell's audited service with the cold tier at its
+// minimum threshold and timings tight enough that every disruption turns
+// into a failover within milliseconds.
+func (c ShardConfig) serviceConfig(seed int64) service.Config {
+	scfg := service.Config{
+		Shards:            c.Shards,
+		HeapBytes:         c.HeapBytes,
+		Audit:             true,
+		ColdSpillBytes:    pointerlog.MinColdSpillBytes,
+		Seed:              uint64(seed),
+		Transport:         c.Transport,
+		RequestTimeout:    25 * time.Millisecond,
+		Retry:             service.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, MaxElapsed: 100 * time.Millisecond},
+		HeartbeatInterval: 2 * time.Millisecond,
+		HeartbeatTimeout:  10 * time.Millisecond,
+		HeartbeatMisses:   2,
+		BreakerThreshold:  3,
+		BreakerCooldown:   10 * time.Millisecond,
+		SlowDelay:         60 * time.Millisecond,
+		FreedWindow:       256,
+	}
+	if c.Transport != service.TransportChan {
+		// Process workers pay exec/scheduling noise a goroutine never sees;
+		// padded timings keep the disruptions — not OS jitter — the thing
+		// the cell measures.
+		scfg.RequestTimeout = 100 * time.Millisecond
+		scfg.Retry = service.RetryPolicy{MaxAttempts: 3, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond, MaxElapsed: 500 * time.Millisecond}
+		scfg.HeartbeatInterval = 10 * time.Millisecond
+		scfg.HeartbeatTimeout = 50 * time.Millisecond
+		scfg.SlowDelay = 150 * time.Millisecond
+	}
+	return scfg
+}
 
-// ShardResult is one sharded-service chaos cell's outcome.
+// Disruption is one entry of the shard script: a kind fired at a shard.
+// At is the service's request count when Drive fired it (0 in the
+// script).
+type Disruption struct {
+	Kind  string
+	Shard int
+	At    uint64
+}
+
+// ShardResult is the outcome of one Drive.
 type ShardResult struct {
-	Rate    float64 `json:"rate"`
-	Seed    int64   `json:"seed"`
-	Seconds float64 `json:"seconds"`
-	// Kills/Hangs/Slows count the injected disruptions per kind.
-	Kills int `json:"kills"`
-	Hangs int `json:"hangs"`
-	Slows int `json:"slows"`
-	// Wire-cell disruptions: SigKills are real SIGKILLs of worker
-	// processes; Partitions/Trickles/Garbage are network faults armed on
-	// the coordinator's connections (dropped mid-request, byte-trickled
-	// writes, non-frame bytes ahead of a request).
-	SigKills   int `json:"sigkills,omitempty"`
-	Partitions int `json:"partitions,omitempty"`
-	Trickles   int `json:"trickles,omitempty"`
-	Garbage    int `json:"garbage,omitempty"`
+	Rate    float64
+	Seed    int64
+	Seconds float64
+	// Disruptions are the ones fired, in order: the script of (seed, rate,
+	// shards, transport) less any Disrupt refused (each a violation).
+	Disruptions []Disruption
+	// AfterLoad counts the fired disruptions that found the load already
+	// over: they hit an idle service, not a client. Drive holds the load
+	// until the script is done, so only a closed service makes it nonzero.
+	AfterLoad int
+	// Load is the client population's view. Degraded, AgedOut, Lost and
+	// Pending are expected under disruption; its Failures are in
+	// Violations too.
+	Load service.LoadResult
 	// Failovers is the completed worker rebuild count; Replayed the
 	// journal objects re-established across them.
-	Failovers uint64 `json:"failovers"`
-	Replayed  uint64 `json:"replayed"`
-	// Issued/Degraded/Detected/AgedOut/Lost summarize the client
-	// population's view (service.LoadResult). Degraded, AgedOut and Lost
-	// are expected under disruption; every verdict the load's model does
-	// not explain is folded into Violations.
-	Issued   uint64 `json:"issued"`
-	Degraded uint64 `json:"degraded"`
-	Detected uint64 `json:"detected"`
-	AgedOut  uint64 `json:"aged_out"`
-	Lost     uint64 `json:"lost"`
-	// Violations must be empty for the cell to pass.
-	Violations []string `json:"violations,omitempty"`
+	Failovers uint64
+	Replayed  uint64
+	// Violations must be empty for the run to pass.
+	Violations []string
+}
+
+// Count returns how many fired disruptions are of one of kinds.
+func (r ShardResult) Count(kinds ...string) int {
+	n := 0
+	for _, d := range r.Disruptions {
+		for _, k := range kinds {
+			if d.Kind == k {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // shardRNG is a tiny deterministic splitmix64 stream for the disruption
@@ -109,171 +156,134 @@ func (r *shardRNG) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// RunShard executes one sharded-service chaos cell under the watchdog.
-// rate scales the disruption count (1 + rate×10 per kind); seed drives
-// the load streams and the script's shard choices. Like the other chaos
-// stages, a watchdog expiry abandons the cell's goroutine — the cell has
-// already failed.
-func RunShard(cfg ShardConfig, rate float64, seed int64) ShardResult {
-	cfg = cfg.normalized()
-	resCh := make(chan ShardResult, 1)
-	go func() { resCh <- runShardCell(cfg, rate, seed) }()
-	select {
-	case r := <-resCh:
-		return r
-	case <-time.After(cfg.Timeout):
-		return ShardResult{Rate: rate, Seed: seed, Violations: []string{
-			fmt.Sprintf("shard cell exceeded %v watchdog (deadlock?)", cfg.Timeout)}}
+// script is the seeded disruption list: round(10×rate) of every kind the
+// transport supports, each on a seeded shard. A rate of 0 disrupts
+// nothing.
+func script(rate float64, seed int64, shards int, transport string) []Disruption {
+	kinds := []string{"kill", "hang", "slow"}
+	if transport != service.TransportChan {
+		// Process cells add the stages a goroutine can't model: a real
+		// SIGKILL (failover rebuilds the shard by replaying its journal
+		// into a fresh process), and the network faults — the worker is
+		// healthy, the wire is not, so no failover is owed; the shard just
+		// has to come back clean once the one-shot faults burn off.
+		kinds = append(kinds, "sigkill", "partition", "trickle", "garbage")
 	}
+	rng := shardRNG{state: uint64(seed) ^ 0xc4a5}
+	var out []Disruption
+	for _, kind := range kinds {
+		for i := 0; i < int(math.Round(rate*10)); i++ {
+			out = append(out, Disruption{Kind: kind, Shard: int(rng.next() % uint64(shards))})
+		}
+	}
+	return out
 }
 
-func runShardCell(cfg ShardConfig, rate float64, seed int64) ShardResult {
-	r := ShardResult{Rate: rate, Seed: seed}
-	start := time.Now()
-	dir, err := os.MkdirTemp("", "dangsan-shard-chaos")
-	if err != nil {
-		r.Violations = append(r.Violations, fmt.Sprintf("work dir: %v", err))
-		return r
-	}
-	defer os.RemoveAll(dir)
-	scfg := service.Config{
-		Shards:            cfg.Shards,
-		HeapBytes:         cfg.HeapBytes,
-		Audit:             true,
-		ColdSpillBytes:    pointerlog.MinColdSpillBytes,
-		Seed:              uint64(seed),
-		Transport:         cfg.Transport,
-		WorkDir:           dir,
-		RequestTimeout:    25 * time.Millisecond,
-		Retry:             service.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, MaxElapsed: 100 * time.Millisecond},
-		HeartbeatInterval: 2 * time.Millisecond,
-		HeartbeatTimeout:  10 * time.Millisecond,
-		HeartbeatMisses:   2,
-		BreakerThreshold:  3,
-		BreakerCooldown:   10 * time.Millisecond,
-		SlowDelay:         60 * time.Millisecond,
-		FreedWindow:       256,
-	}
-	if cfg.wire() {
-		// Process workers pay exec/scheduling noise a goroutine never sees;
-		// padded timings keep the disruptions — not OS jitter — the thing
-		// the cell measures.
-		scfg.RequestTimeout = 100 * time.Millisecond
-		scfg.Retry = service.RetryPolicy{MaxAttempts: 3, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond, MaxElapsed: 500 * time.Millisecond}
-		scfg.HeartbeatInterval = 10 * time.Millisecond
-		scfg.HeartbeatTimeout = 50 * time.Millisecond
-		scfg.SlowDelay = 150 * time.Millisecond
-	}
-	svc, err := service.New(scfg)
-	if err != nil {
-		r.Violations = append(r.Violations, fmt.Sprintf("service start: %v", err))
-		return r
-	}
-	defer svc.Close()
-
-	// Continuous client load for the whole disruption script.
+// Drive is the one shard-disruption driver: it runs load against the
+// running svc, fires script(rate, load.Seed, shards, transport) into it,
+// and judges the run. The i-th of n disruptions fires once the service
+// has counted i/(n+1) of the load's ops, so answered ops set the pace,
+// not wall time. Each waits for its shard to fail over, or to answer
+// again after a network fault, before the next, and Drive holds the
+// clients (load.Stop) until the last has, so all land on live traffic;
+// one that finds the load over anyway (a closed service ends it) counts
+// in AfterLoad. After the load, one sweep
+// requires every shard to answer a stats exchange — a shard still down is
+// a violation — and collects each worker's audit findings (empty with
+// audit off) and the service's own violations.
+func Drive(svc *service.Service, load service.LoadConfig, rate float64) ShardResult {
+	load = load.Normalized()
 	stop := make(chan struct{})
-	loadCh := make(chan service.LoadResult, 1)
+	load.Stop = stop
+	r := ShardResult{Rate: rate, Seed: load.Seed}
+	transport := svc.Transport()
+	start := time.Now()
+	done := make(chan struct{})
+	over := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
 	go func() {
-		loadCh <- service.RunLoad(svc, service.LoadConfig{
-			Clients: cfg.Clients,
-			Seed:    seed,
-			Stop:    stop,
-		})
+		defer close(done)
+		r.Load = service.RunLoad(svc, load)
 	}()
-
-	// Deterministic disruption script: every kind runs 1 + rate×10 times
-	// (at least one kill per cell, so failover + audit-across-restart is
-	// always exercised), each against a seeded shard choice, each waiting
-	// for the supervisor to complete the failover before the next hit.
-	rng := shardRNG{state: uint64(seed) ^ 0xc4a5}
-	reps := 1 + int(rate*10)
 	// Wire cells pay process spawn + per-op replay round trips per
 	// failover (slower still under the race detector), so their recovery
 	// waits get a bigger budget than the in-process cells.
 	waitBudget := 10 * time.Second
-	if cfg.wire() {
+	if transport != service.TransportChan {
 		waitBudget = 30 * time.Second
 	}
-	kinds := []string{"kill", "hang", "slow"}
-	if cfg.wire() {
-		// Process cells add the stages a goroutine can't model: a real
-		// SIGKILL (failover rebuilds the shard by replaying its journal
-		// into a fresh process), and the network faults — the worker is healthy, the wire
-		// is not, so no failover is owed; the shard just has to come back
-		// clean once the one-shot faults burn off.
-		kinds = append(kinds, "sigkill", "partition", "trickle", "garbage")
-	}
-	for _, kind := range kinds {
-		netFault := kind == "partition" || kind == "trickle" || kind == "garbage"
-		for i := 0; i < reps; i++ {
-			shard := int(rng.next() % uint64(cfg.Shards))
-			// Per shard: another shard's failover must not end the wait
-			// while this one is still rebuilding.
-			before := svc.ShardStats()[shard].Failovers
-			if derr := svc.Disrupt(shard, kind); derr != nil {
-				r.Violations = append(r.Violations, fmt.Sprintf("disrupt %s shard %d: %v", kind, shard, derr))
-				continue
-			}
-			switch kind {
-			case "kill":
-				r.Kills++
-			case "hang":
-				r.Hangs++
-			case "slow":
-				r.Slows++
-			case "sigkill":
-				r.SigKills++
-			case "partition":
-				r.Partitions++
-			case "trickle":
-				r.Trickles++
-			case "garbage":
-				r.Garbage++
-			}
-			if netFault {
-				// Recovery here means the shard answers a clean stats
-				// exchange again — poisoned connections redialed, any
-				// heartbeat-triggered rebuild finished.
-				if !waitCondition(waitBudget, func() bool {
-					_, _, _, serr := svc.DetectorStats(shard)
-					return serr == nil
-				}) {
-					r.Violations = append(r.Violations,
-						fmt.Sprintf("%s shard %d (rep %d): shard never recovered from network fault", kind, shard, i))
-				}
-				continue
-			}
-			if !waitCondition(waitBudget, func() bool {
-				st := svc.ShardStats()[shard]
-				return st.Failovers > before && !st.Rebuilding
-			}) {
-				r.Violations = append(r.Violations,
-					fmt.Sprintf("%s shard %d (rep %d): failover never completed", kind, shard, i))
+	plan := script(rate, load.Seed, svc.Shards(), transport)
+	ops := uint64(load.Ops())
+	for i, d := range plan {
+		at := ops * uint64(i+1) / uint64(len(plan)+1)
+	pace:
+		for svc.Counters().Requests < at {
+			select {
+			case <-done:
+				break pace
+			case <-time.After(time.Millisecond):
 			}
 		}
+		if over() {
+			r.AfterLoad++
+		}
+		d.At = svc.Counters().Requests
+		// Per shard: another shard's failover must not end the wait
+		// while this one is still rebuilding.
+		before := svc.ShardStats()[d.Shard]
+		if err := svc.Disrupt(d.Shard, d.Kind); err != nil {
+			r.Violations = append(r.Violations, fmt.Sprintf("disrupt %s shard %d: %v", d.Kind, d.Shard, err))
+			continue
+		}
+		r.Disruptions = append(r.Disruptions, d)
+		recovered := func() bool {
+			st := svc.ShardStats()[d.Shard]
+			return st.Failovers > before.Failovers && !st.Rebuilding
+		}
+		if d.Kind == "partition" || d.Kind == "trickle" || d.Kind == "garbage" {
+			// The fault is one-shot on the shard's next exchange, and it is
+			// the clients' to take, not the probe's below. Clients are
+			// closed-loop, so once Clients+1 more ops have reached the
+			// shard, one of them began and finished an exchange after the
+			// fault was armed: it is spent. Recovery then means the shard
+			// answers a clean stats exchange again — poisoned connections
+			// redialed, any heartbeat-triggered rebuild finished.
+			spent := before.Requests + uint64(load.Clients) + 1
+			recovered = func() bool {
+				if svc.ShardStats()[d.Shard].Requests < spent && !over() {
+					return false
+				}
+				_, _, _, err := svc.DetectorStats(d.Shard)
+				return err == nil
+			}
+		}
+		if !waitCondition(waitBudget, recovered) {
+			r.Violations = append(r.Violations,
+				fmt.Sprintf("%s shard %d (disruption %d): shard never recovered", d.Kind, d.Shard, i))
+		}
 	}
-
 	close(stop)
-	load := <-loadCh
-	r.Issued, r.Degraded, r.Detected, r.AgedOut, r.Lost = load.Issued, load.Degraded, load.Detected, load.AgedOut, load.Lost
-	r.Violations = append(r.Violations, load.Failures...)
+	<-done
+	r.Violations = append(r.Violations, r.Load.Failures...)
 
-	// End-of-cell cross-check: require the audit identity on every
-	// (rebuilt) worker and fold in any violations the service recorded
-	// during failovers. A trailing failover (a net fault's heartbeat misses
+	// Settle and audit. A trailing failover (a net fault's heartbeat misses
 	// can trigger a rebuild right as the script ends) surfaces as transient
-	// typed errors here, so the check retries until the service settles;
-	// only never settling is a violation.
+	// typed errors here, so each shard gets the wait budget to answer; only
+	// never answering is a violation.
 	for i := 0; i < svc.Shards(); i++ {
 		var audit []string
-		var serr error
-		ok := waitCondition(waitBudget, func() bool {
-			_, _, audit, serr = svc.DetectorStats(i)
-			return serr == nil
-		})
-		if !ok {
-			r.Violations = append(r.Violations, fmt.Sprintf("shard %d stats: %v", i, serr))
+		var err error
+		if !waitCondition(waitBudget, func() bool {
+			_, _, audit, err = svc.DetectorStats(i)
+			return err == nil
+		}) {
+			r.Violations = append(r.Violations, fmt.Sprintf("shard %d stats: %v", i, err))
 			continue
 		}
 		for _, v := range audit {
@@ -285,6 +295,31 @@ func runShardCell(cfg ShardConfig, rate float64, seed int64) ShardResult {
 	r.Failovers, r.Replayed = c.Failovers, c.ReplayedObjects
 	r.Seconds = time.Since(start).Seconds()
 	return r
+}
+
+// RunShard executes one sharded-service chaos cell under the watchdog:
+// cfg's audited, tight-timing service, its clients each issuing at least
+// shardRequests ops, driven by Drive at rate. Like the other chaos stages, a watchdog expiry
+// abandons the cell's goroutine — the cell has already failed.
+func RunShard(cfg ShardConfig, rate float64, seed int64) ShardResult {
+	cfg = cfg.normalized()
+	resCh := make(chan ShardResult, 1)
+	go func() {
+		svc, err := service.New(cfg.serviceConfig(seed))
+		if err != nil {
+			resCh <- ShardResult{Rate: rate, Seed: seed, Violations: []string{fmt.Sprintf("service start: %v", err)}}
+			return
+		}
+		defer svc.Close()
+		resCh <- Drive(svc, service.LoadConfig{Clients: cfg.Clients, Requests: shardRequests, Seed: seed}, rate)
+	}()
+	select {
+	case r := <-resCh:
+		return r
+	case <-time.After(cfg.Timeout):
+		return ShardResult{Rate: rate, Seed: seed, Violations: []string{
+			fmt.Sprintf("shard cell exceeded %v watchdog (deadlock?)", cfg.Timeout)}}
+	}
 }
 
 // waitCondition polls cond every millisecond up to d.

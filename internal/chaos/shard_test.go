@@ -3,6 +3,8 @@ package chaos
 import (
 	"testing"
 	"time"
+
+	"dangsan/internal/service"
 )
 
 func shardTestConfig() ShardConfig {
@@ -13,6 +15,19 @@ func shardTestConfig() ShardConfig {
 	}
 }
 
+func logShardCell(t *testing.T, r ShardResult) {
+	t.Helper()
+	l := r.Load
+	var last uint64
+	if n := len(r.Disruptions); n > 0 {
+		last = r.Disruptions[n-1].At
+	}
+	t.Logf("rate=%g seed=%d: %.2fs %d disruptions (%d kills, %d hangs, %d slows, %d sigkills, %d net, %d after the load, the last at request %d) failovers=%d replayed=%d issued=%d degraded=%d detected=%d aged_out=%d lost=%d pending=%d",
+		r.Rate, r.Seed, r.Seconds, len(r.Disruptions), r.Count("kill"), r.Count("hang"), r.Count("slow"),
+		r.Count("sigkill"), r.Count("partition", "trickle", "garbage"), r.AfterLoad, last,
+		r.Failovers, r.Replayed, l.Issued, l.Degraded, l.Detected, l.AgedOut, l.Lost, l.Pending)
+}
+
 // TestShardSweepInvariants is the sharded-service acceptance gate: a
 // rate × seed grid of cells, each driving a supervised 4-shard service
 // with concurrent clients while the disruption script kills, hangs, and
@@ -20,7 +35,7 @@ func shardTestConfig() ShardConfig {
 // no untyped client errors, no hangs past the watchdog, and the audit
 // identity holding on every rebuilt worker.
 func TestShardSweepInvariants(t *testing.T) {
-	rates := []float64{0.0, 0.1, 0.3}
+	rates := []float64{0.1, 0.2, 0.4}
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
 		rates = rates[:2]
@@ -34,20 +49,22 @@ func TestShardSweepInvariants(t *testing.T) {
 		t.Error(v)
 	}
 	for _, r := range results {
-		t.Logf("rate=%g seed=%d: %.2fs kills=%d hangs=%d slows=%d failovers=%d replayed=%d issued=%d degraded=%d detected=%d aged_out=%d lost=%d",
-			r.Rate, r.Seed, r.Seconds, r.Kills, r.Hangs, r.Slows,
-			r.Failovers, r.Replayed, r.Issued, r.Degraded, r.Detected, r.AgedOut, r.Lost)
+		logShardCell(t, r)
 		// Every cell injects at least one disruption of each kind, and the
 		// supervisor must have rebuilt a worker for every one of them.
-		if r.Kills == 0 {
+		if r.Count("kill") == 0 {
 			t.Errorf("rate=%g seed=%d: no kill injected; failover was not exercised", r.Rate, r.Seed)
 		}
-		if r.Failovers < uint64(r.Kills+r.Hangs+r.Slows) {
+		if r.Failovers < uint64(len(r.Disruptions)) {
 			t.Errorf("rate=%g seed=%d: %d disruptions but only %d failovers",
-				r.Rate, r.Seed, r.Kills+r.Hangs+r.Slows, r.Failovers)
+				r.Rate, r.Seed, len(r.Disruptions), r.Failovers)
 		}
-		if r.Issued == 0 {
+		if r.Load.Issued == 0 {
 			t.Errorf("rate=%g seed=%d: load generator issued nothing", r.Rate, r.Seed)
+		}
+		if r.AfterLoad != 0 {
+			t.Errorf("rate=%g seed=%d: %d of %d disruptions fired after the load ended",
+				r.Rate, r.Seed, r.AfterLoad, len(r.Disruptions))
 		}
 	}
 }
@@ -66,7 +83,7 @@ func TestWireShardSweepInvariants(t *testing.T) {
 		Timeout:   180 * time.Second,
 		Transport: "unix",
 	}
-	rates := []float64{0.0, 0.1}
+	rates := []float64{0.1, 0.2}
 	seeds := []int64{1, 2}
 	if testing.Short() {
 		rates = rates[:1]
@@ -77,22 +94,24 @@ func TestWireShardSweepInvariants(t *testing.T) {
 		t.Error(v)
 	}
 	for _, r := range results {
-		t.Logf("rate=%g seed=%d: %.2fs kills=%d hangs=%d slows=%d sigkills=%d partitions=%d trickles=%d garbage=%d failovers=%d replayed=%d issued=%d degraded=%d detected=%d aged_out=%d lost=%d",
-			r.Rate, r.Seed, r.Seconds, r.Kills, r.Hangs, r.Slows,
-			r.SigKills, r.Partitions, r.Trickles, r.Garbage,
-			r.Failovers, r.Replayed, r.Issued, r.Degraded, r.Detected, r.AgedOut, r.Lost)
-		if r.SigKills == 0 || r.Partitions == 0 || r.Trickles == 0 || r.Garbage == 0 {
-			t.Errorf("rate=%g seed=%d: wire stages not all injected (sigkill=%d partition=%d trickle=%d garbage=%d)",
-				r.Rate, r.Seed, r.SigKills, r.Partitions, r.Trickles, r.Garbage)
+		logShardCell(t, r)
+		for _, kind := range []string{"sigkill", "partition", "trickle", "garbage"} {
+			if r.Count(kind) == 0 {
+				t.Errorf("rate=%g seed=%d: no %s injected", r.Rate, r.Seed, kind)
+			}
 		}
 		// Every queue-observed disruption and every SIGKILL owes a completed
 		// failover; network faults do not (the worker process never died).
-		if r.Failovers < uint64(r.Kills+r.Hangs+r.Slows+r.SigKills) {
+		if n := r.Count("kill", "hang", "slow", "sigkill"); r.Failovers < uint64(n) {
 			t.Errorf("rate=%g seed=%d: %d process disruptions but only %d failovers",
-				r.Rate, r.Seed, r.Kills+r.Hangs+r.Slows+r.SigKills, r.Failovers)
+				r.Rate, r.Seed, n, r.Failovers)
 		}
-		if r.Issued == 0 {
+		if r.Load.Issued == 0 {
 			t.Errorf("rate=%g seed=%d: load generator issued nothing", r.Rate, r.Seed)
+		}
+		if r.AfterLoad != 0 {
+			t.Errorf("rate=%g seed=%d: %d of %d disruptions fired after the load ended",
+				r.Rate, r.Seed, r.AfterLoad, len(r.Disruptions))
 		}
 	}
 }
@@ -103,11 +122,58 @@ func TestWireShardSweepInvariants(t *testing.T) {
 // the one source of a rebuilt worker's state, cold tier included (the
 // service tests pin that replay re-spills it).
 func TestShardCellRebuildCoversColdTier(t *testing.T) {
-	r := RunShard(shardTestConfig(), 0.3, 42)
+	r := RunShard(shardTestConfig(), 0.4, 42)
 	if len(r.Violations) != 0 {
 		t.Fatalf("violations: %v", r.Violations)
 	}
+	if r.AfterLoad != 0 {
+		t.Fatalf("%d of %d disruptions fired after the load ended", r.AfterLoad, len(r.Disruptions))
+	}
 	if r.Replayed == 0 {
 		t.Fatal("no journal objects replayed across any failover")
+	}
+}
+
+// TestShardScriptIgnoresAudit: the disruption list Drive fires — kind,
+// shard and order — depends only on (seed, rate, shards, transport), not
+// on how fast the service is, and each disruption lands at its share of
+// the load's ops while clients still run. The same small chan cell with
+// audit on and off fires the script's list, the i-th of n once the
+// service has counted i/(n+1) of the ops and before the load ends, and
+// every disruption owes a failover in both.
+func TestShardScriptIgnoresAudit(t *testing.T) {
+	const rate = 0.1
+	cfg := ShardConfig{Shards: 2, Clients: 2}.normalized()
+	load := service.LoadConfig{Clients: cfg.Clients, Requests: shardRequests, Seed: 5}
+	want := script(rate, load.Seed, cfg.Shards, cfg.Transport)
+	for _, audit := range []bool{true, false} {
+		scfg := cfg.serviceConfig(load.Seed)
+		scfg.Audit = audit
+		svc, err := service.New(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := Drive(svc, load, rate)
+		svc.Close()
+		logShardCell(t, r)
+		for _, v := range r.Violations {
+			t.Errorf("audit=%v: %s", audit, v)
+		}
+		if r.Failovers < uint64(len(r.Disruptions)) {
+			t.Errorf("audit=%v: %d disruptions but only %d failovers", audit, len(r.Disruptions), r.Failovers)
+		}
+		if r.AfterLoad != 0 {
+			t.Errorf("audit=%v: %d of %d disruptions fired after the load ended", audit, r.AfterLoad, len(r.Disruptions))
+		}
+		if len(r.Disruptions) != len(want) {
+			t.Fatalf("audit=%v: fired %v, script %v", audit, r.Disruptions, want)
+		}
+		for i, d := range r.Disruptions {
+			at := uint64(load.Ops()) * uint64(i+1) / uint64(len(want)+1)
+			if d.Kind != want[i].Kind || d.Shard != want[i].Shard || d.At < at {
+				t.Errorf("audit=%v: disruption %d is %s on shard %d at request %d, script says %s on shard %d at request >= %d",
+					audit, i, d.Kind, d.Shard, d.At, want[i].Kind, want[i].Shard, at)
+			}
+		}
 	}
 }

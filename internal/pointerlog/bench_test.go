@@ -81,6 +81,36 @@ func BenchmarkRegisterSingleMetricsOn(b *testing.B) {
 	}
 }
 
+// BenchmarkRegisterBlocks times appends to the indirect log blocks, the
+// path RegisterSingle and RegisterUnique (hash mode past 128 locations)
+// and RegisterDuplicate (embedded entries only) never reach. Each object
+// takes the 12 embedded entries and seven 15-entry blocks, short of the
+// 128 that switch it to hash mode, and is then released for a fresh one.
+// Its locations are 256 B apart, so compression never folds two into one
+// entry: every register is a lookback miss and an append, and at three
+// fill positions in each block the default window of 4 reads into the
+// previous block. The thread log and block allocations show in B/op.
+func BenchmarkRegisterBlocks(b *testing.B) {
+	const perObject = embedEntries + 7*blockEntries
+	lg := NewLogger(DefaultConfig())
+	meta, handle := lg.MustCreateMeta(vmem.HeapBase, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := i % perObject
+		if n == 0 && i > 0 {
+			lg.ReleaseMeta(handle)
+			meta, handle = lg.MustCreateMeta(vmem.HeapBase, 64)
+		}
+		lg.Register(meta, vmem.GlobalsBase+uint64(n)<<8, 0)
+	}
+	b.StopTimer()
+	if s := lg.Stats().Snapshot(); s.HashTables != 0 || s.Compressed != 0 || s.Duplicates != 0 {
+		b.Fatalf("left the linear append path: %d hash tables, %d compressed, %d duplicates",
+			s.HashTables, s.Compressed, s.Duplicates)
+	}
+}
+
 // invalidateFixture builds an object with nLocs distinct registered
 // locations (driving the log into the hash-table fallback) all still
 // pointing into the object, so Invalidate takes the CAS path for each.

@@ -281,13 +281,26 @@ func TestFailoverOnSlowShardRecovers(t *testing.T) {
 func TestFailoverUnderLoad(t *testing.T) {
 	cfg := testConfig(t, 2)
 	s := mustNew(t, cfg)
+	// Stop holds the clients until the third kill's failover, so every
+	// kill lands while they run.
 	stop := make(chan struct{})
-	resCh := make(chan LoadResult, 1)
+	load := LoadConfig{Clients: 4, Requests: 1000, Seed: 13, Stop: stop}
+	done := make(chan struct{})
+	var res LoadResult
 	go func() {
-		resCh <- RunLoad(s, LoadConfig{Clients: 4, Seed: 13, Stop: stop})
+		defer close(done)
+		res = RunLoad(s, load)
 	}()
 	for i := 0; i < 3; i++ {
 		shard := i % 2
+		// Kill i fires at (i+1)/4 of the load's ops.
+		at := uint64(load.Ops() * (i + 1) / 4)
+		waitUntil(t, 30*time.Second, "load progress", func() bool { return s.Counters().Requests >= at })
+		select {
+		case <-done:
+			t.Fatalf("load ended before kill %d landed", i)
+		default:
+		}
 		// Read the count before the kill: a failover can complete before
 		// Disrupt returns.
 		before := s.ShardStats()[shard].Failovers
@@ -299,7 +312,7 @@ func TestFailoverUnderLoad(t *testing.T) {
 		})
 	}
 	close(stop)
-	res := <-resCh
+	<-done
 	if res.Failed != 0 {
 		t.Fatalf("%d load failures during failovers: %v", res.Failed, res.Failures)
 	}

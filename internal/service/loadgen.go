@@ -14,11 +14,31 @@ type LoadConfig struct {
 	// Clients is the concurrent client count (0: 2); client i issues
 	// NewStream(Seed, i).
 	Clients int
-	// Requests is the stream ops per client when Stop is nil (0: 1000).
+	// Requests is the stream ops per client (0: 1000).
 	Requests int
 	Seed     int64
-	// Stop, when non-nil, overrides Requests: clients run until it closes.
+	// Stop, when non-nil, holds each client past its Requests ops until
+	// Stop closes: a driver that paces disruptions by ops keeps the load
+	// running until its last disruption has landed.
 	Stop <-chan struct{}
+}
+
+// Normalized fills in the defaults RunLoad applies.
+func (cfg LoadConfig) Normalized() LoadConfig {
+	if cfg.Clients <= 0 {
+		cfg.Clients = 2
+	}
+	if cfg.Requests <= 0 {
+		cfg.Requests = 1000
+	}
+	return cfg
+}
+
+// Ops is the stream ops the load issues across its clients, at least,
+// re-issues not counted.
+func (cfg LoadConfig) Ops() int {
+	cfg = cfg.Normalized()
+	return cfg.Clients * cfg.Requests
 }
 
 // LoadResult is what the clients observed, every answered verdict judged
@@ -40,12 +60,7 @@ type LoadResult struct {
 // RunLoad drives s with cfg.Clients concurrent closed-loop clients and
 // merges what they observed.
 func RunLoad(s *Service, cfg LoadConfig) LoadResult {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 2
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 1000
-	}
+	cfg = cfg.Normalized()
 	frees := make([]atomic.Uint64, s.Shards())
 	clients := make([]*loadClient, cfg.Clients)
 	var wg sync.WaitGroup
@@ -116,22 +131,19 @@ type loadClient struct {
 }
 
 func (c *loadClient) run(st *Stream, cfg LoadConfig) {
-	for n := 0; !c.closed && !cfg.stopped(n); n++ {
+	for n := 0; !c.closed && (n < cfg.Requests || cfg.held()); n++ {
 		c.step(st.Next())
 	}
 	c.drain()
 }
 
-// stopped reports whether a stream ends before its op n.
-func (cfg LoadConfig) stopped(n int) bool {
-	if cfg.Stop == nil {
-		return n >= cfg.Requests
-	}
+// held reports whether Stop still holds the clients past Requests.
+func (cfg LoadConfig) held() bool {
 	select {
 	case <-cfg.Stop:
-		return true
-	default:
 		return false
+	default:
+		return cfg.Stop != nil
 	}
 }
 

@@ -241,6 +241,10 @@ func New(cfg Config) (*Service, error) {
 // Shards returns the shard count.
 func (s *Service) Shards() int { return len(s.shards) }
 
+// Transport returns where the workers live: TransportChan or
+// TransportUnix.
+func (s *Service) Transport() string { return s.cfg.Transport }
+
 // keyFor folds (tenant, key) into the routing key: FNV-1a over the tenant
 // (hash/fnv's New64a, inlined: no hasher and no []byte per op) mixed with
 // the caller key, then splitmix64's finalizer. Without the finalizer the
@@ -403,6 +407,7 @@ type ShardStatus struct {
 	Incarnation  int64
 	LiveKeys     int
 	FreedKeys    int
+	Requests     uint64 // ops routed to the shard
 }
 
 // ShardStats returns the supervision view of every shard.
@@ -421,6 +426,7 @@ func (s *Service) ShardStats() []ShardStatus {
 			Incarnation:  sh.incarn.Load(),
 			LiveKeys:     live,
 			FreedKeys:    freed,
+			Requests:     sh.requests.Load(),
 		})
 	}
 	return out
