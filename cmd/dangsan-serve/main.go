@@ -1,7 +1,7 @@
 // Command dangsan-serve runs the supervised sharded detection service
 // under a configurable client load, optionally disrupting shards while it
-// runs, and reports the supervision outcome: per-shard
-// breaker/heartbeat/failover status, the client population's verdict mix,
+// runs, and reports the supervision outcome: per-shard heartbeat and
+// failover status, the client population's verdict mix,
 // and every invariant violation.
 //
 // Usage:
@@ -14,7 +14,7 @@
 // them as in-process goroutines; "unix" spawns one OS process per shard,
 // reached over the wire codec on a unix socket. Wire workers are spawned
 // by re-execing this binary and are supervised exactly like in-process
-// ones: heartbeats, breakers, and failover with journal replay work
+// ones: heartbeats, retries, and failover with journal replay work
 // unchanged across the process boundary.
 //
 // The run is chaos.Drive, the same driver as the chaos shard cells. -rate
@@ -98,14 +98,14 @@ func run() int {
 			r.Count("kill"), r.Count("hang"), r.Count("slow"), r.Count("sigkill"),
 			r.Count("partition", "trickle", "garbage"), r.AfterLoad)
 	}
-	fmt.Printf("service: %d requests, %d retries, %d timeouts, %d failovers (%d objects replayed), %d heartbeat misses, %d breaker trips, %d sends found the turn taken (%d parked), %d wire exchanges direct and %d polled\n",
+	fmt.Printf("service: %d requests, %d retries, %d timeouts, %d failovers (%d objects replayed), %d heartbeat misses, %d sends found the turn taken (%d parked), %d wire exchanges direct and %d polled\n",
 		c.Requests, c.Retries, c.Timeouts, c.Failovers, c.ReplayedObjects,
-		c.HeartbeatMisses, c.BreakerTrips, c.TurnContended, c.TurnParked, c.WireDirect, c.WirePolled)
-	fmt.Printf("%-6s %-9s %-6s %-10s %-10s %-7s %-6s %-6s\n",
-		"shard", "breaker", "trips", "failovers", "hb age", "incarn", "live", "freed")
+		c.HeartbeatMisses, c.TurnContended, c.TurnParked, c.WireDirect, c.WirePolled)
+	fmt.Printf("%-6s %-10s %-10s %-7s %-6s %-6s\n",
+		"shard", "failovers", "hb age", "incarn", "live", "freed")
 	for _, st := range svc.ShardStats() {
-		fmt.Printf("%-6d %-9s %-6d %-10d %-10s %-7d %-6d %-6d\n",
-			st.Shard, st.Breaker, st.BreakerTrips, st.Failovers,
+		fmt.Printf("%-6d %-10d %-10s %-7d %-6d %-6d\n",
+			st.Shard, st.Failovers,
 			st.HeartbeatAge.Round(time.Millisecond), st.Incarnation, st.LiveKeys, st.FreedKeys)
 	}
 

@@ -12,7 +12,7 @@
 // `dangsan-bench -metrics` ("-" reads stdin); the "service" form renders
 // the supervision gauges of a `dangsan-serve -metrics` snapshot — request
 // and degraded counters, failover and replay totals, and a per-shard
-// table of heartbeat age, breaker state, and failovers.
+// table of heartbeat age and failovers.
 package main
 
 import (
@@ -127,24 +127,17 @@ func printService(path string) {
 	fmt.Printf("  worker panics:   %d\n", g["service.worker_panics"])
 	fmt.Printf("  abandoned:       %d\n", g["service.abandoned_workers"])
 	fmt.Printf("  replay errors:   %d\n", g["service.replay_errors"])
-	fmt.Printf("  breaker trips:   %d\n", g["service.breaker_trips"])
 	// turn contended/parked: sends that found the shard's turn taken, and
 	// those of them that outlasted the poll budget (in-process workers).
 	// wire direct/polled: wire exchanges on a blocking socket, and those
 	// that went through the netpoller because callers outnumbered Ps.
-	fmt.Printf("  %-6s %-10s %-12s %-10s %-15s %-12s %-12s %-12s\n", "shard", "breaker", "hb age", "failovers", "turn contended", "turn parked", "wire direct", "wire polled")
-	breakerNames := []string{"closed", "open", "half-open"}
+	fmt.Printf("  %-6s %-12s %-10s %-15s %-12s %-12s %-12s\n", "shard", "hb age", "failovers", "turn contended", "turn parked", "wire direct", "wire polled")
 	for i := 0; ; i++ {
-		state, ok := g[fmt.Sprintf("service.shard%d.breaker_state", i)]
+		age, ok := g[fmt.Sprintf("service.shard%d.heartbeat_age_ms", i)]
 		if !ok {
 			break
 		}
-		name := "?"
-		if state >= 0 && int(state) < len(breakerNames) {
-			name = breakerNames[state]
-		}
-		fmt.Printf("  %-6d %-10s %-12s %-10d %-15d %-12d %-12d %-12d\n", i, name,
-			fmt.Sprintf("%dms", g[fmt.Sprintf("service.shard%d.heartbeat_age_ms", i)]),
+		fmt.Printf("  %-6d %-12s %-10d %-15d %-12d %-12d %-12d\n", i, fmt.Sprintf("%dms", age),
 			g[fmt.Sprintf("service.shard%d.failovers", i)],
 			g[fmt.Sprintf("service.shard%d.turn_contended", i)],
 			g[fmt.Sprintf("service.shard%d.turn_parked", i)],

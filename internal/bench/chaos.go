@@ -26,7 +26,7 @@ func runChaos(s *Session) (*Result, error) {
 		MaxMetadataBytes: s.MaxMetadataBytes,
 		Budget:           s.FaultBudget,
 	}
-	results := chaos.Sweep(cfg, rates, seeds)
+	results := chaos.Sweep(cfg, rates, seeds, chaos.Run)
 	t := Table{
 		Title: "Chaos sweep: fail-open invariants under injected resource failure",
 		Head:  []string{"rate", "seed", "req/s", "completed", "oom", "injected", "degraded", "dropped", "violations"},

@@ -311,23 +311,36 @@ func (c Config) runExploits(r *Result, kind backends.Kind, prefix string, rate f
 	return out
 }
 
-// Sweep runs the full rate × seed grid and returns one Result per cell.
-func Sweep(cfg Config, rates []float64, seeds []int64) []Result {
-	out := make([]Result, 0, len(rates)*len(seeds))
+// Sweep runs one cell per (rate, seed) of the grid, rates outermost:
+// Sweep(cfg, rates, seeds, Run) for the fault-plane cells,
+// Sweep(cfg, rates, seeds, RunShard) for the sharded-service ones.
+func Sweep[C any, R cell](cfg C, rates []float64, seeds []int64, run func(C, float64, int64) R) []R {
+	out := make([]R, 0, len(rates)*len(seeds))
 	for _, rate := range rates {
 		for _, seed := range seeds {
-			out = append(out, Run(cfg, rate, seed))
+			out = append(out, run(cfg, rate, seed))
 		}
 	}
 	return out
 }
 
-// Failed collects the violations across a sweep, prefixed with their cell.
-func Failed(results []Result) []string {
+// cell is what Failed reads of a cell's result: its grid point and its
+// violations.
+type cell interface {
+	cell() (rate float64, seed int64, violations []string)
+}
+
+func (r Result) cell() (float64, int64, []string)      { return r.Rate, r.Seed, r.Violations }
+func (r ShardResult) cell() (float64, int64, []string) { return r.Rate, r.Seed, r.Violations }
+
+// Failed collects the violations across a sweep, prefixed with their cell
+// (empty: the sweep passed).
+func Failed[R cell](results []R) []string {
 	var out []string
 	for _, r := range results {
-		for _, v := range r.Violations {
-			out = append(out, fmt.Sprintf("rate=%g seed=%d: %s", r.Rate, r.Seed, v))
+		rate, seed, violations := r.cell()
+		for _, v := range violations {
+			out = append(out, fmt.Sprintf("rate=%g seed=%d: %s", rate, seed, v))
 		}
 	}
 	return out

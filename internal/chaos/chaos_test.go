@@ -27,7 +27,7 @@ func TestSweepInvariants(t *testing.T) {
 		rates = rates[:2]
 		seeds = seeds[:2]
 	}
-	results := Sweep(testConfig(), rates, seeds)
+	results := Sweep(testConfig(), rates, seeds, Run)
 	for _, v := range Failed(results) {
 		t.Error(v)
 	}
@@ -89,7 +89,7 @@ func TestSweepGridShape(t *testing.T) {
 	cfg.Requests = 20
 	cfg.Workers = 2
 	cfg.SkipExploits = true
-	results := Sweep(cfg, []float64{0, 0.5}, []int64{7, 8, 9})
+	results := Sweep(cfg, []float64{0, 0.5}, []int64{7, 8, 9}, Run)
 	if len(results) != 6 {
 		t.Fatalf("got %d results, want 6", len(results))
 	}

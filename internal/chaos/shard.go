@@ -80,8 +80,6 @@ func (c ShardConfig) serviceConfig(seed int64) service.Config {
 		HeartbeatInterval: 2 * time.Millisecond,
 		HeartbeatTimeout:  10 * time.Millisecond,
 		HeartbeatMisses:   2,
-		BreakerThreshold:  3,
-		BreakerCooldown:   10 * time.Millisecond,
 		SlowDelay:         60 * time.Millisecond,
 		FreedWindow:       256,
 	}
@@ -332,26 +330,4 @@ func waitCondition(d time.Duration, cond func() bool) bool {
 		time.Sleep(time.Millisecond)
 	}
 	return false
-}
-
-// SweepShards runs the rate × seed grid of sharded-service cells.
-func SweepShards(cfg ShardConfig, rates []float64, seeds []int64) []ShardResult {
-	var out []ShardResult
-	for _, rate := range rates {
-		for _, seed := range seeds {
-			out = append(out, RunShard(cfg, rate, seed))
-		}
-	}
-	return out
-}
-
-// FailedShards summarizes the violating cells (empty: the sweep passed).
-func FailedShards(results []ShardResult) []string {
-	var out []string
-	for _, r := range results {
-		for _, v := range r.Violations {
-			out = append(out, fmt.Sprintf("rate=%g seed=%d: %s", r.Rate, r.Seed, v))
-		}
-	}
-	return out
 }

@@ -41,11 +41,11 @@ func TestShardSweepInvariants(t *testing.T) {
 		rates = rates[:2]
 		seeds = seeds[:2]
 	}
-	results := SweepShards(shardTestConfig(), rates, seeds)
+	results := Sweep(shardTestConfig(), rates, seeds, RunShard)
 	if len(results) != len(rates)*len(seeds) {
 		t.Fatalf("grid has %d cells, want %d", len(results), len(rates)*len(seeds))
 	}
-	for _, v := range FailedShards(results) {
+	for _, v := range Failed(results) {
 		t.Error(v)
 	}
 	for _, r := range results {
@@ -89,8 +89,8 @@ func TestWireShardSweepInvariants(t *testing.T) {
 		rates = rates[:1]
 		seeds = seeds[:1]
 	}
-	results := SweepShards(cfg, rates, seeds)
-	for _, v := range FailedShards(results) {
+	results := Sweep(cfg, rates, seeds, RunShard)
+	for _, v := range Failed(results) {
 		t.Error(v)
 	}
 	for _, r := range results {

@@ -21,7 +21,7 @@ const (
 // over where the worker lives: in this process, run under its turn lock on
 // the caller's goroutine (*worker), or a separate OS process reached over
 // the wire codec (*wireEndpoint). The supervision machinery — heartbeats,
-// breakers, retry, journal replay, failover — is written against this
+// retry, journal replay, failover — is written against this
 // interface only, so it cannot behave differently per transport.
 type endpoint interface {
 	// send runs one request synchronously on the caller's goroutine under a

@@ -7,8 +7,8 @@
 // design axis: every worker runs under a supervisor (heartbeat health
 // checks with miss thresholds), every request carries a deadline, transient
 // worker errors are retried with exponential backoff + jitter under a
-// wall-time cap, a per-shard circuit breaker trips to fail-open degraded
-// mode (requests counted, never a false UAF verdict or a hang), and shard
+// wall-time cap, a shard mid-failover fails open into degraded verdicts
+// (requests counted, never a false UAF verdict or a hang), and shard
 // failover restarts a dead worker and rebuilds its state by replaying the
 // coordinator's journal, the one recovery source: nothing of the dead
 // worker's is read back, and its cold spill segments die with it. The audit
@@ -22,7 +22,7 @@
 // transport subpackage, so a worker can be killed with SIGKILL, respawned,
 // and rebuilt without the coordinator's address space ever being at risk.
 // The supervision machinery is transport-blind — the same heartbeats,
-// breakers, and journal replay drive both.
+// retries, and journal replay drive both.
 package service
 
 import "dangsan/internal/service/transport"

@@ -48,13 +48,7 @@ func TestFailoverRebuildsStateAndAuditHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The next heartbeat crashes the worker; the supervisor rebuilds.
-	waitUntil(t, 5*time.Second, "failover", func() bool {
-		return s.Counters().Failovers >= 1
-	})
-	waitUntil(t, 5*time.Second, "shard reopen", func() bool {
-		st := s.ShardStats()[0]
-		return !st.Rebuilding && st.Breaker == BreakerClosed
-	})
+	waitFailedOver(t, s, 0, 1, 5*time.Second)
 
 	// Replay is the rebuilt worker's only source of state: before any new
 	// traffic, its stores have re-spilled the cold tier.
@@ -132,13 +126,7 @@ func failoverOnDeath(t *testing.T, s *Service, mode string) {
 	if _, err := s.Check("t", 1); err != nil {
 		t.Fatalf("check on the disrupted shard: %v", err)
 	}
-	waitUntil(t, time.Second, "failover on worker death", func() bool {
-		return s.Counters().Failovers >= 1
-	})
-	waitUntil(t, time.Second, "shard reopen", func() bool {
-		st := s.ShardStats()[0]
-		return !st.Rebuilding && st.Breaker == BreakerClosed
-	})
+	waitFailedOver(t, s, 0, 1, time.Second)
 	if v, err := s.Check("t", 1); err != nil || v.Degraded || !v.Known {
 		t.Fatalf("check after failover: %+v %v, want the replayed key served", v, err)
 	}
@@ -220,13 +208,7 @@ func TestFailoverOnHang(t *testing.T) {
 	if err := s.Disrupt(0, "hang"); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, "hang failover", func() bool {
-		return s.Counters().Failovers >= 1
-	})
-	waitUntil(t, 5*time.Second, "shard reopen", func() bool {
-		st := s.ShardStats()[0]
-		return !st.Rebuilding && st.Breaker == BreakerClosed
-	})
+	waitFailedOver(t, s, 0, 1, 5*time.Second)
 	v, err := s.Check("t", 1)
 	if err != nil || v.Degraded || !v.Known {
 		t.Fatalf("post-hang-failover check: %+v %v", v, err)
@@ -240,8 +222,9 @@ func TestFailoverOnHang(t *testing.T) {
 }
 
 // TestFailoverOnSlowShardRecovers: slow mode pushes every request past the
-// deadline; the breaker trips (degraded verdicts, not hangs) and once the
-// supervisor's heartbeats also miss, failover restores a fast worker.
+// deadline; requests fail open under the retry wall cap (degraded verdicts,
+// not hangs) and once the supervisor's heartbeats miss, failover restores
+// a fast worker.
 func TestFailoverOnSlowShardRecovers(t *testing.T) {
 	cfg := testConfig(t, 1)
 	s := mustNew(t, cfg)
@@ -261,13 +244,7 @@ func TestFailoverOnSlowShardRecovers(t *testing.T) {
 		t.Fatal("slow shard held the caller past the retry wall cap")
 	}
 	_ = v // degraded or served-late are both acceptable; hanging is not
-	waitUntil(t, 5*time.Second, "slow failover", func() bool {
-		return s.Counters().Failovers >= 1
-	})
-	waitUntil(t, 5*time.Second, "shard reopen", func() bool {
-		st := s.ShardStats()[0]
-		return !st.Rebuilding && st.Breaker == BreakerClosed
-	})
+	waitFailedOver(t, s, 0, 1, 5*time.Second)
 	v, err = s.Check("t", 1)
 	if err != nil || v.Degraded || !v.Known {
 		t.Fatalf("post-slow-failover check: %+v %v", v, err)
@@ -364,10 +341,7 @@ func TestWorkDirShowsNoSpillFile(t *testing.T) {
 				if err := s.Disrupt(0, mode); err != nil {
 					t.Fatal(err)
 				}
-				waitUntil(t, 10*time.Second, mode+" failover", func() bool {
-					st := s.ShardStats()[0]
-					return st.Failovers > uint64(i) && !st.Rebuilding && st.Breaker == BreakerClosed
-				})
+				waitFailedOver(t, s, 0, uint64(i)+1, 10*time.Second)
 				if snap, _, _, err := s.DetectorStats(0); err != nil || snap.Spills == 0 {
 					t.Fatalf("after %s: spills=%d err=%v, want replay to re-spill", mode, snap.Spills, err)
 				}

@@ -161,11 +161,9 @@ func (c *loadClient) key(k uint64) *keyModel {
 	return &c.keys[k]
 }
 
-// up reports whether o's shard is serving: not rebuilding, and its breaker
-// closed with no failure counted.
+// up reports whether o's shard is serving: not rebuilding.
 func (c *loadClient) up(o ScriptOp) bool {
-	sh := c.s.shards[c.s.ShardOf(o.Tenant, o.Key)]
-	return !sh.rebuilding.Load() && sh.breaker.healthy.Load()
+	return !c.s.shards[c.s.ShardOf(o.Tenant, o.Key)].rebuilding.Load()
 }
 
 // issue sends o through the public API and waits for its verdict; ok means

@@ -47,10 +47,6 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
 	HeartbeatMisses   int
-	// BreakerThreshold / BreakerCooldown configure each shard's circuit
-	// breaker (0: 5 failures / 25ms).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// SlowDelay is the injected per-request latency in shard-slow
 	// disruption mode (0: 25ms — comfortably past RequestTimeout).
 	SlowDelay time.Duration
@@ -63,8 +59,7 @@ type Config struct {
 	// as its own OS process — a re-exec of the current executable, so main
 	// (or TestMain) must call RunWorkerIfSpawned first — reached over the
 	// wire codec in service/transport. The supervision envelope —
-	// heartbeats, breakers, retry, failover with journal replay — is
-	// identical.
+	// heartbeats, retry, failover with journal replay — is identical.
 	Transport string
 	// WorkDir hosts wire-transport sockets, and every worker makes its
 	// spill file there (pointerlog.Config.ColdDir: unlinked at creation, so
@@ -100,12 +95,6 @@ func (c Config) normalized() Config {
 	if c.HeartbeatMisses <= 0 {
 		c.HeartbeatMisses = 3
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 25 * time.Millisecond
-	}
 	if c.SlowDelay <= 0 {
 		c.SlowDelay = 25 * time.Millisecond
 	}
@@ -119,12 +108,13 @@ func (c Config) normalized() Config {
 }
 
 // shardState is the coordinator's per-shard bundle: the current worker
-// endpoint (swapped atomically at failover), its breaker, the replay
-// journal, and supervision bookkeeping.
+// endpoint (swapped atomically at failover), the replay journal, and
+// supervision bookkeeping. rebuilding is the one sick-shard gate: the
+// supervisor sets it for the length of a failover, and the request path
+// fails open while it is set.
 type shardState struct {
 	idx        int
 	ep         atomic.Pointer[epBox]
-	breaker    *Breaker
 	journal    *journal
 	rebuilding atomic.Bool
 	failMu     sync.Mutex // serializes failovers for this shard
@@ -209,11 +199,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	now := time.Now().UnixNano()
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shardState{
-			idx:     i,
-			breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-			journal: newJournal(cfg.FreedWindow),
-		}
+		sh := &shardState{idx: i, journal: newJournal(cfg.FreedWindow)}
 		s.shards = append(s.shards, sh)
 		ep, err := s.spawn(i, 0)
 		if err != nil {
@@ -289,10 +275,12 @@ func (s *Service) Check(tenant string, key uint64) (Verdict, error) {
 	return s.do(transport.Request{Op: transport.OpCheck, Key: keyFor(tenant, key)})
 }
 
-// do is the supervised request path: breaker gate, per-request deadline,
-// bounded retry with jittered backoff under a wall-time cap, and a
+// do is the supervised request path: the rebuild gate, per-request
+// deadline, bounded retry with jittered backoff under a wall-time cap, and a
 // degraded (fail-open) verdict when the shard cannot be reached — never a
-// hang, never a made-up answer.
+// hang, never a made-up answer. Every caller is bounded on its own by
+// RequestTimeout and the retry caps; the supervisor alone decides that a
+// shard is sick, and its failover gates the shard.
 func (s *Service) do(req transport.Request) (Verdict, error) {
 	if s.closed.Load() {
 		return Verdict{Degraded: true}, &ClosedError{}
@@ -310,34 +298,14 @@ func (s *Service) do(req transport.Request) (Verdict, error) {
 		return deadline
 	}
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		if s.closed.Load() {
+		if s.closed.Load() || sh.rebuilding.Load() {
 			break
 		}
-		ok, probe := sh.breaker.Allow()
-		if !ok || sh.rebuilding.Load() {
-			if probe != 0 {
-				// Raced a rebuild between Allow and the load: count the
-				// probe as failed so the breaker stays open.
-				sh.breaker.RecordProbe(probe, false)
-			}
-			break
-		}
-		ep := sh.ep.Load().ep
-		resp := ep.send(req, s.cfg.RequestTimeout)
+		resp := sh.ep.Load().ep.send(req, s.cfg.RequestTimeout)
 		verdict := Verdict{Known: resp.Known, Freed: resp.Freed, UAF: resp.UAF, Degraded: resp.Degraded}
 		if resp.Err == nil {
-			if probe != 0 {
-				sh.breaker.RecordProbe(probe, true)
-			} else {
-				sh.breaker.Record(true)
-			}
 			s.journalConfirmed(sh, req)
 			return verdict, nil
-		}
-		if probe != 0 {
-			sh.breaker.RecordProbe(probe, false)
-		} else {
-			sh.breaker.Record(false)
 		}
 		var dl *DeadlineError
 		if errors.As(resp.Err, &dl) {
@@ -399,8 +367,6 @@ func (s *Service) journalConfirmed(sh *shardState, req transport.Request) {
 // ShardStatus is one shard's supervision snapshot.
 type ShardStatus struct {
 	Shard        int
-	Breaker      BreakerState
-	BreakerTrips uint64
 	Rebuilding   bool
 	HeartbeatAge time.Duration
 	Failovers    uint64
@@ -418,8 +384,6 @@ func (s *Service) ShardStats() []ShardStatus {
 		live, freed := sh.journal.counts()
 		out = append(out, ShardStatus{
 			Shard:        sh.idx,
-			Breaker:      sh.breaker.State(),
-			BreakerTrips: sh.breaker.Trips(),
 			Rebuilding:   sh.rebuilding.Load(),
 			HeartbeatAge: time.Duration(now - sh.lastBeat.Load()),
 			Failovers:    sh.failovers.Load(),
@@ -575,7 +539,10 @@ type Counters struct {
 	RecoveredLocs   uint64 `json:"recovered_spilled_locs"`
 	ReplayedObjects uint64 `json:"replayed_objects"`
 	ReplayErrors    uint64 `json:"replay_errors"`
-	BreakerTrips    uint64 `json:"breaker_trips"`
+	// BreakerTrips is always 0: the service has no circuit breaker (the
+	// supervisor's failover is the one sick-shard detector). It stays while
+	// the benchmark's service.breaker_trips layer reads it.
+	BreakerTrips uint64 `json:"breaker_trips"`
 	// TurnContended counts sends that found the worker's turn taken,
 	// TurnParked those of them that outlasted the poll budget (in-process
 	// workers only; a worker process keeps its own).
@@ -604,7 +571,6 @@ func (s *Service) Counters() Counters {
 	for _, sh := range s.shards {
 		c.Requests += sh.requests.Load()
 		c.Degraded += sh.degraded.Load()
-		c.BreakerTrips += sh.breaker.Trips()
 		c.TurnContended += sh.turn.contended.Load()
 		c.TurnParked += sh.turn.parked.Load()
 		c.WireDirect += sh.wire.Direct.Load()
@@ -644,9 +610,6 @@ func (s *Service) registerMetrics() {
 		sh := sh
 		reg.RegisterFunc(fmt.Sprintf("service.shard%d.heartbeat_age_ms", sh.idx), func() int64 {
 			return (time.Now().UnixNano() - sh.lastBeat.Load()) / int64(time.Millisecond)
-		})
-		reg.RegisterFunc(fmt.Sprintf("service.shard%d.breaker_state", sh.idx), func() int64 {
-			return int64(sh.breaker.State())
 		})
 		reg.RegisterFunc(fmt.Sprintf("service.shard%d.failovers", sh.idx), u(&sh.failovers))
 		reg.RegisterFunc(fmt.Sprintf("service.shard%d.turn_contended", sh.idx), u(&sh.turn.contended))

@@ -6,13 +6,12 @@ import (
 	"dangsan/internal/service/transport"
 )
 
-// supervise is one shard's supervisor loop: it pings the worker every
-// HeartbeatInterval (bypassing the breaker — health checking must keep
-// probing precisely when requests are being rejected), feeds the results
-// into the breaker, and triggers failover after HeartbeatMisses
-// consecutive misses or as soon as the worker is seen dead. It wakes on
-// the tick and on the current worker's death, so a killed shard starts
-// its rebuild at once rather than up to a tick later. The loop is
+// supervise is one shard's supervisor loop, the service's one judge of
+// shard health: it pings the worker every HeartbeatInterval and triggers
+// failover after HeartbeatMisses consecutive misses or as soon as the
+// worker is seen dead. It wakes on the tick and on the current worker's
+// death, so a killed shard starts its rebuild at once rather than up to a
+// tick later. The loop is
 // transport-blind: a dead endpoint is a retired turn or a reaped
 // worker process, and a ping is a turn of the worker or a wire round trip.
 func (s *Service) supervise(sh *shardState) {
@@ -54,15 +53,10 @@ func (s *Service) supervise(sh *shardState) {
 		if resp.Err == nil {
 			misses = 0
 			sh.lastBeat.Store(time.Now().UnixNano())
-			sh.breaker.Record(true)
 			continue
 		}
 		misses++
 		s.heartbeatMisses.Add(1)
-		// A failing heartbeat is evidence against the shard like any
-		// failing request — while half-open it is the concurrent trip
-		// racing the probe (the breaker invalidates the probe's token).
-		sh.breaker.Record(false)
 		if misses >= s.cfg.HeartbeatMisses {
 			s.failover(sh, box)
 			misses = 0
@@ -73,8 +67,8 @@ func (s *Service) supervise(sh *shardState) {
 // failover replaces the worker in seen — the box the trigger (a dead worker,
 // or heartbeat misses) was observed on — and rebuilds the shard's state:
 //
-//  1. mark the shard rebuilding and force the breaker open, so the request
-//     path fails open into degraded verdicts instead of racing the swap;
+//  1. mark the shard rebuilding, so the request path fails open into
+//     degraded verdicts instead of racing the swap;
 //  2. stop the old worker gracefully and wait (bounded) for it to exit;
 //     if it will not — a truly hung worker process — escalate to kill
 //     (SIGKILL) and wait again, so abandonment is the rare exception;
@@ -88,7 +82,7 @@ func (s *Service) supervise(sh *shardState) {
 //  4. with audit armed, cross-check the rebuilt worker's accounting
 //     identity (LogBytes == live + released + spilled); a
 //     violation here is a service-level invariant failure;
-//  5. swap the endpoint in, reset the breaker, and reopen the shard.
+//  5. swap the endpoint in and reopen the shard.
 //
 // Concurrent failovers for one shard serialize on failMu; the rebuilding
 // flag keeps the supervisor and request path out during the rebuild.
@@ -105,7 +99,6 @@ func (s *Service) failover(sh *shardState, seen *epBox) {
 	start := time.Now()
 	sh.rebuilding.Store(true)
 	defer sh.rebuilding.Store(false)
-	sh.breaker.ForceOpen()
 
 	exited := stopEndpoint(old)
 	if old.didPanic() {
@@ -121,8 +114,8 @@ func (s *Service) failover(sh *shardState, seen *epBox) {
 	nep, err := s.spawn(sh.idx, int(sh.incarn.Load())+1)
 	if err != nil {
 		// Cannot rebuild (globals exhausted, spawn failed, etc.): leave
-		// the dead worker in place; the breaker stays open, requests stay
-		// degraded, and the supervisor will retry on its next tick.
+		// the dead worker in place; requests keep failing open on it, and
+		// the supervisor will retry on its next tick.
 		s.replayErrors.Add(1)
 		s.recordViolation("shard %d: rebuild failed: %v", sh.idx, err)
 		return
@@ -171,7 +164,6 @@ func (s *Service) failover(sh *shardState, seen *epBox) {
 
 	sh.ep.Store(&epBox{ep: nep})
 	sh.incarn.Add(1)
-	sh.breaker.Reset()
 	sh.lastBeat.Store(time.Now().UnixNano())
 	sh.failovers.Add(1)
 	s.failovers.Add(1)

@@ -9,7 +9,7 @@
 // service package aliases them) so both layers share one vocabulary: a
 // wire client maps connection failures onto ShardDownError and socket
 // deadline expiries onto DeadlineError, which is exactly what the
-// coordinator's retry/breaker machinery already understands.
+// coordinator's retry machinery already understands.
 package transport
 
 import (

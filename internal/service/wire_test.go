@@ -329,13 +329,7 @@ func TestWireFailoverProcessSigkill(t *testing.T) {
 	if err := s.Disrupt(0, "sigkill"); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 10*time.Second, "process failover", func() bool {
-		return s.Counters().Failovers >= 1
-	})
-	waitUntil(t, 10*time.Second, "shard reopen", func() bool {
-		st := s.ShardStats()[0]
-		return !st.Rebuilding && st.Breaker == BreakerClosed
-	})
+	waitFailedOver(t, s, 0, 1, 10*time.Second)
 
 	// Replay is the rebuilt worker's only source of state: before any new
 	// traffic, its stores have re-spilled the cold tier.
@@ -426,13 +420,7 @@ func TestCrashConsistencyKillAfterApply(t *testing.T) {
 		t.Fatalf("unconfirmed free got a confirmed verdict: %+v", v)
 	}
 
-	waitUntil(t, 10*time.Second, "crash failover", func() bool {
-		return s.Counters().Failovers >= 1
-	})
-	waitUntil(t, 10*time.Second, "shard reopen", func() bool {
-		st := s.ShardStats()[0]
-		return !st.Rebuilding && st.Breaker == BreakerClosed
-	})
+	waitFailedOver(t, s, 0, 1, 10*time.Second)
 
 	verify := func(round string) {
 		t.Helper()
@@ -477,13 +465,7 @@ func TestCrashConsistencyKillAfterApply(t *testing.T) {
 	if err := s.Disrupt(0, "sigkill"); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 10*time.Second, "second failover", func() bool {
-		return s.Counters().Failovers >= 2
-	})
-	waitUntil(t, 10*time.Second, "second reopen", func() bool {
-		st := s.ShardStats()[0]
-		return !st.Rebuilding && st.Breaker == BreakerClosed
-	})
+	waitFailedOver(t, s, 0, 2, 10*time.Second)
 	verify("double replay")
 }
 

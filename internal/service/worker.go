@@ -17,9 +17,9 @@ import (
 )
 
 // Verdict is the service-level answer to a request. Degraded verdicts are
-// the fail-open outcome: the shard could not answer (breaker open, retries
-// exhausted, rebuild in progress) and the coordinator says so instead of
-// guessing — never a false UAF claim, never a hang.
+// the fail-open outcome: the shard could not answer (retries exhausted,
+// rebuild in progress) and the coordinator says so instead of guessing —
+// never a false UAF claim, never a hang.
 type Verdict struct {
 	// Known: the shard has a record for the key.
 	Known bool
