@@ -19,7 +19,7 @@ import (
 //     its shard's freed window, and a key misses a mutation only when a
 //     failover lost it;
 //   - no hangs: the watchdog bounds the whole cell; every request is
-//     bounded by deadline × retry wall-cap;
+//     bounded by its deadline and the retry wall cap;
 //   - no errors: any error but ClosedError a client observes is a
 //     violation;
 //   - audit identity holds across every worker failover: the rebuilt
@@ -29,10 +29,6 @@ type ShardConfig struct {
 	Shards int
 	// Clients is the concurrent load-generator population (0: 4).
 	Clients int
-	// HeapBytes sizes each worker's heap (0: 32 MiB).
-	HeapBytes uint64
-	// Timeout is the per-cell watchdog (0: 120s).
-	Timeout time.Duration
 	// Transport selects where workers live ("" / "chan": in-process
 	// goroutines; "unix": spawned worker processes over the wire
 	// codec). Wire cells extend the disruption script with sigkill (real
@@ -45,18 +41,16 @@ type ShardConfig struct {
 // least: Drive holds the clients until the script is done.
 const shardRequests = 1000
 
+// shardWatchdog bounds a whole cell, wire cells under the race detector
+// included.
+const shardWatchdog = 180 * time.Second
+
 func (c ShardConfig) normalized() ShardConfig {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
 	if c.Clients <= 0 {
 		c.Clients = 4
-	}
-	if c.HeapBytes == 0 {
-		c.HeapBytes = 32 << 20
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 120 * time.Second
 	}
 	if c.Transport == "" {
 		c.Transport = service.TransportChan
@@ -66,21 +60,19 @@ func (c ShardConfig) normalized() ShardConfig {
 
 // serviceConfig is a cell's audited service with the cold tier at its
 // minimum threshold and timings tight enough that every disruption turns
-// into a failover within milliseconds.
+// into a failover within milliseconds. Only the timings differ by
+// transport.
 func (c ShardConfig) serviceConfig(seed int64) service.Config {
 	scfg := service.Config{
 		Shards:            c.Shards,
-		HeapBytes:         c.HeapBytes,
+		HeapBytes:         32 << 20,
 		Audit:             true,
 		ColdSpillBytes:    pointerlog.MinColdSpillBytes,
 		Seed:              uint64(seed),
 		Transport:         c.Transport,
 		RequestTimeout:    25 * time.Millisecond,
-		Retry:             service.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, MaxElapsed: 100 * time.Millisecond},
 		HeartbeatInterval: 2 * time.Millisecond,
 		HeartbeatTimeout:  10 * time.Millisecond,
-		HeartbeatMisses:   2,
-		SlowDelay:         60 * time.Millisecond,
 		FreedWindow:       256,
 	}
 	if c.Transport != service.TransportChan {
@@ -88,10 +80,8 @@ func (c ShardConfig) serviceConfig(seed int64) service.Config {
 		// padded timings keep the disruptions — not OS jitter — the thing
 		// the cell measures.
 		scfg.RequestTimeout = 100 * time.Millisecond
-		scfg.Retry = service.RetryPolicy{MaxAttempts: 3, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond, MaxElapsed: 500 * time.Millisecond}
 		scfg.HeartbeatInterval = 10 * time.Millisecond
 		scfg.HeartbeatTimeout = 50 * time.Millisecond
-		scfg.SlowDelay = 150 * time.Millisecond
 	}
 	return scfg
 }
@@ -314,9 +304,9 @@ func RunShard(cfg ShardConfig, rate float64, seed int64) ShardResult {
 	select {
 	case r := <-resCh:
 		return r
-	case <-time.After(cfg.Timeout):
+	case <-time.After(shardWatchdog):
 		return ShardResult{Rate: rate, Seed: seed, Violations: []string{
-			fmt.Sprintf("shard cell exceeded %v watchdog (deadlock?)", cfg.Timeout)}}
+			fmt.Sprintf("shard cell exceeded %v watchdog (deadlock?)", shardWatchdog)}}
 	}
 }
 

@@ -2,17 +2,12 @@ package chaos
 
 import (
 	"testing"
-	"time"
 
 	"dangsan/internal/service"
 )
 
 func shardTestConfig() ShardConfig {
-	return ShardConfig{
-		Shards:  4,
-		Clients: 4,
-		Timeout: 120 * time.Second,
-	}
+	return ShardConfig{Shards: 4, Clients: 4}
 }
 
 func logShardCell(t *testing.T, r ShardResult) {
@@ -77,12 +72,7 @@ func TestShardSweepInvariants(t *testing.T) {
 // the same invariants: no false UAF, no hang, typed errors only, audit
 // identity on every rebuilt worker process.
 func TestWireShardSweepInvariants(t *testing.T) {
-	cfg := ShardConfig{
-		Shards:    2,
-		Clients:   2,
-		Timeout:   180 * time.Second,
-		Transport: "unix",
-	}
+	cfg := ShardConfig{Shards: 2, Clients: 2, Transport: "unix"}
 	rates := []float64{0.1, 0.2}
 	seeds := []int64{1, 2}
 	if testing.Short() {

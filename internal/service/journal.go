@@ -24,15 +24,43 @@ type journal struct {
 	mu     sync.Mutex
 	live   map[uint64]journalRec
 	freed  map[uint64]journalRec
-	fifo   []uint64 // freed keys, oldest first
-	window int
+	window freedWindow
 }
 
 func newJournal(window int) *journal {
 	return &journal{
 		live:   make(map[uint64]journalRec),
 		freed:  make(map[uint64]journalRec),
-		window: window,
+		window: freedWindow{max: window},
+	}
+}
+
+// freedWindow is the bounded FIFO of recently freed keys that a worker and
+// its journal each keep: the worker to answer UAF probes, the journal to
+// replay them into a rebuilt worker. The owner keeps the records; the
+// window only orders the keys.
+type freedWindow struct {
+	keys []uint64 // oldest first
+	max  int
+}
+
+// push appends key and returns the key it evicted past max, if any.
+func (f *freedWindow) push(key uint64) (old uint64, evicted bool) {
+	f.keys = append(f.keys, key)
+	if len(f.keys) <= f.max {
+		return 0, false
+	}
+	old, f.keys = f.keys[0], f.keys[1:]
+	return old, true
+}
+
+// drop removes key: it was allocated again, so it is no longer freed.
+func (f *freedWindow) drop(key uint64) {
+	for i, k := range f.keys {
+		if k == key {
+			f.keys = append(f.keys[:i], f.keys[i+1:]...)
+			return
+		}
 	}
 }
 
@@ -46,7 +74,7 @@ func (j *journal) recordAlloc(key, size uint64, stores uint32) {
 		// Key reincarnated: the fresh allocation supersedes the freed
 		// record (the worker's own freed window did the same).
 		delete(j.freed, key)
-		j.dropFromFIFO(key)
+		j.window.drop(key)
 	}
 	j.live[key] = journalRec{size: size, stores: stores}
 }
@@ -60,20 +88,8 @@ func (j *journal) recordFree(key uint64) {
 	}
 	delete(j.live, key)
 	j.freed[key] = rec
-	j.fifo = append(j.fifo, key)
-	for len(j.fifo) > j.window {
-		old := j.fifo[0]
-		j.fifo = j.fifo[1:]
+	if old, ok := j.window.push(key); ok {
 		delete(j.freed, old)
-	}
-}
-
-func (j *journal) dropFromFIFO(key uint64) {
-	for i, k := range j.fifo {
-		if k == key {
-			j.fifo = append(j.fifo[:i], j.fifo[i+1:]...)
-			return
-		}
 	}
 }
 
@@ -96,8 +112,8 @@ func (j *journal) snapshot() (live, freed []entry) {
 	for k, r := range j.live {
 		live = append(live, entry{key: k, size: r.size, stores: r.stores})
 	}
-	freed = make([]entry, 0, len(j.fifo))
-	for _, k := range j.fifo {
+	freed = make([]entry, 0, len(j.window.keys))
+	for _, k := range j.window.keys {
 		if r, ok := j.freed[k]; ok {
 			freed = append(freed, entry{key: k, size: r.size, stores: r.stores})
 		}
@@ -109,5 +125,5 @@ func (j *journal) snapshot() (live, freed []entry) {
 func (j *journal) counts() (live, freed int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.live), len(j.fifo)
+	return len(j.live), len(j.window.keys)
 }

@@ -9,6 +9,9 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"dangsan/internal/service/transport"
 )
 
 // TestLoadModelJudges feeds fabricated check verdicts to the client's
@@ -54,6 +57,48 @@ func TestLoadModelJudges(t *testing.T) {
 				t.Fatalf("verdict %+v on a %s key: got %+v, want %+v (%v)", tc.v, keyStateNames[tc.state], got, tc.want, c.res.Failures)
 			}
 		})
+	}
+}
+
+// TestReplyBeforeJournalIsLost drives the one loss failover owns: a
+// mutation the worker applied and answered, rebuilt away because the
+// coordinator had not journaled it yet. The alloc goes straight to the
+// worker's send, so it is answered but never journaled; after a failover
+// the rebuilt shard answers the key unknown, and the client model counts
+// that verdict Lost, not Failed. A journaled key beside it survives.
+func TestReplyBeforeJournalIsLost(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.HeartbeatInterval = time.Hour // the one failover is the test's
+	s := mustNew(t, cfg)
+	sh := s.shards[0]
+	if v, err := s.Alloc("t", 2, 64, 2); err != nil || v.Degraded {
+		t.Fatalf("journaled alloc: %+v %v", v, err)
+	}
+	c := &loadClient{s: s, frees: make([]atomic.Uint64, 1), slack: 2}
+	k := c.key(1)
+	k.state, k.allocFO = keyLive, sh.failovers.Load()
+	box := sh.ep.Load()
+	if resp := box.ep.send(transport.Request{Op: transport.OpAlloc, Key: keyFor("t", 1), Size: 64, Stores: 2}, time.Second); resp.Err != nil {
+		t.Fatalf("unjournaled alloc: %v", resp.Err)
+	}
+	if v, err := s.Check("t", 1); err != nil || !v.Known {
+		t.Fatalf("before the failover the worker must know the key: %+v %v", v, err)
+	}
+
+	s.failover(sh, box)
+	if st := s.ShardStats()[0]; st.Failovers != 1 || st.Rebuilding {
+		t.Fatalf("shard after the forced failover: %+v", st)
+	}
+	if v, err := s.Check("t", 2); err != nil || v.Degraded || !v.Known {
+		t.Fatalf("journaled key after the failover: %+v %v, want live", v, err)
+	}
+	v, err := s.Check("t", 1)
+	if err != nil || v.Degraded || v.Known {
+		t.Fatalf("unjournaled key after the failover: %+v %v, want answered and unknown", v, err)
+	}
+	c.judge(ScriptOp{Kind: "check", Tenant: "t", Key: 1}, v)
+	if c.res.Lost != 1 || c.res.Failed != 0 {
+		t.Fatalf("judge counted %d lost and %d failed (%v), want 1 and 0", c.res.Lost, c.res.Failed, c.res.Failures)
 	}
 }
 

@@ -5,54 +5,35 @@ import (
 	"time"
 )
 
-// RetryPolicy bounds the coordinator's retry loop for transient shard
+// retryPolicy bounds the coordinator's retry loop for transient shard
 // errors along BOTH axes: attempt count and total wall-time. The wall-time
 // cap matters when individual attempts are slow (a hung worker eats the
 // full per-request deadline before failing) — an attempt-count bound alone
-// would let one request occupy a caller for attempts × deadline.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries (first attempt included).
-	// 0 defaults to 4.
-	MaxAttempts int
-	// BaseDelay is the pre-jitter backoff before the second attempt; it
-	// doubles per attempt up to MaxDelay. 0 defaults to 200µs.
-	BaseDelay time.Duration
-	// MaxDelay caps a single backoff sleep. 0 defaults to 5ms.
-	MaxDelay time.Duration
-	// MaxElapsed caps the wall-time spent retrying: attempts and sleeps
-	// from the first failed attempt on (that attempt has its own
-	// RequestTimeout); once exceeded the request fails open into a
-	// degraded verdict. 0 defaults to 250ms.
-	MaxElapsed time.Duration
+// would let one request occupy a caller for attempts × deadline. Every
+// Service runs defaultRetry; in-package tests swap a copy in to tighten or
+// widen one bound.
+type retryPolicy struct {
+	maxAttempts int           // total tries, the first included
+	baseDelay   time.Duration // pre-jitter backoff before the second attempt, doubling per attempt
+	maxDelay    time.Duration // cap on a single backoff sleep
+	maxElapsed  time.Duration // cap on attempts and sleeps from the first failure on
 }
 
-func (p RetryPolicy) normalized() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 200 * time.Microsecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 5 * time.Millisecond
-	}
-	if p.MaxElapsed <= 0 {
-		p.MaxElapsed = 250 * time.Millisecond
-	}
-	return p
-}
+// defaultRetry: 4 attempts, a 200µs backoff doubling up to 5ms, and a
+// 250ms wall cap.
+var defaultRetry = retryPolicy{maxAttempts: 4, baseDelay: 200 * time.Microsecond, maxDelay: 5 * time.Millisecond, maxElapsed: 250 * time.Millisecond}
 
 // delay computes the backoff before attempt+1 (attempt is 0-based):
-// BaseDelay << attempt, capped at MaxDelay, with ±50% jitter so retries
+// baseDelay << attempt, capped at maxDelay, with ±50% jitter so retries
 // from many callers against the same recovering shard spread out instead
 // of stampeding in lockstep.
-func (p RetryPolicy) delay(attempt int, r *jitterRNG) time.Duration {
-	d := p.BaseDelay
-	for i := 0; i < attempt && d < p.MaxDelay; i++ {
+func (p retryPolicy) delay(attempt int, r *jitterRNG) time.Duration {
+	d := p.baseDelay
+	for i := 0; i < attempt && d < p.maxDelay; i++ {
 		d *= 2
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
+	if d > p.maxDelay {
+		d = p.maxDelay
 	}
 	// Jitter in [d/2, 3d/2): keep the expectation at d.
 	half := uint64(d / 2)

@@ -37,19 +37,14 @@ type Config struct {
 	Seed uint64
 
 	// RequestTimeout is the per-request deadline (see endpoint.send for
-	// what it covers). 0 defaults to 20ms.
+	// what it covers; 0: 20ms). A shard in slow disruption mode delays each
+	// request by twice it, past every caller's deadline.
 	RequestTimeout time.Duration
-	// Retry bounds the transient-error retry loop (attempts AND wall-time).
-	Retry RetryPolicy
 	// HeartbeatInterval is the supervisor's probe period (0: 5ms);
-	// HeartbeatTimeout the per-probe deadline (0: 10ms); HeartbeatMisses
-	// the consecutive-miss threshold that triggers failover (0: 3).
+	// HeartbeatTimeout the per-probe deadline (0: 10ms). Three consecutive
+	// misses fail the shard over.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
-	HeartbeatMisses   int
-	// SlowDelay is the injected per-request latency in shard-slow
-	// disruption mode (0: 25ms — comfortably past RequestTimeout).
-	SlowDelay time.Duration
 	// FreedWindow is how many recently-freed keys each shard (and the
 	// journal) remembers for UAF probes and failover replay (0: 512).
 	FreedWindow int
@@ -85,18 +80,11 @@ func (c Config) normalized() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 20 * time.Millisecond
 	}
-	c.Retry = c.Retry.normalized()
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 5 * time.Millisecond
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 10 * time.Millisecond
-	}
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = 3
-	}
-	if c.SlowDelay <= 0 {
-		c.SlowDelay = 25 * time.Millisecond
 	}
 	if c.FreedWindow <= 0 {
 		c.FreedWindow = 512
@@ -137,6 +125,7 @@ type shardState struct {
 type Service struct {
 	cfg    Config
 	shards []*shardState
+	retry  retryPolicy
 	rng    jitterRNG
 
 	// spawn builds shard endpoints for the configured transport; workDir
@@ -174,7 +163,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Transport != TransportChan && cfg.Transport != TransportUnix {
 		return nil, fmt.Errorf("service: unknown transport %q (valid: %s, %s)", cfg.Transport, TransportChan, TransportUnix)
 	}
-	s := &Service{cfg: cfg, supStop: make(chan struct{})}
+	s := &Service{cfg: cfg, retry: defaultRetry, supStop: make(chan struct{})}
 	s.rng.seed(cfg.Seed ^ 0x5eed5eed5eed5eed)
 	wire := cfg.Transport == TransportUnix
 	if s.workDir = cfg.WorkDir; s.workDir == "" && (wire || cfg.ColdSpillBytes > 0) {
@@ -287,17 +276,17 @@ func (s *Service) do(req transport.Request) (Verdict, error) {
 	}
 	sh := s.shards[req.Key%uint64(len(s.shards))]
 	sh.requests.Add(1)
-	pol := s.cfg.Retry
+	pol := s.retry
 	// The wall-time cap runs from the first failure: a healthy op never
 	// reads the clock for it.
 	var deadline time.Time
 	retryUntil := func() time.Time {
 		if deadline.IsZero() {
-			deadline = time.Now().Add(pol.MaxElapsed)
+			deadline = time.Now().Add(pol.maxElapsed)
 		}
 		return deadline
 	}
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < pol.maxAttempts; attempt++ {
 		if s.closed.Load() || sh.rebuilding.Load() {
 			break
 		}
@@ -320,6 +309,9 @@ func (s *Service) do(req transport.Request) (Verdict, error) {
 				return verdict, resp.Err
 			}
 			break
+		}
+		if attempt == pol.maxAttempts-1 {
+			break // no attempt left to back off for: fail open now
 		}
 		s.retries.Add(1)
 		d := pol.delay(attempt, &s.rng)

@@ -28,11 +28,8 @@ func testConfig(t *testing.T, shards int) Config {
 		ColdDir:           t.TempDir(),
 		Seed:              42,
 		RequestTimeout:    25 * time.Millisecond,
-		Retry:             RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, MaxElapsed: 100 * time.Millisecond},
 		HeartbeatInterval: 2 * time.Millisecond,
 		HeartbeatTimeout:  10 * time.Millisecond,
-		HeartbeatMisses:   2,
-		SlowDelay:         60 * time.Millisecond,
 		FreedWindow:       128,
 	}
 }
@@ -205,8 +202,8 @@ func stopSupervisors(s *Service) {
 // false answer — while other shards keep answering.
 func TestServiceDegradedFailOpen(t *testing.T) {
 	cfg := testConfig(t, 2)
-	cfg.Retry.MaxElapsed = 20 * time.Millisecond
 	s := mustNew(t, cfg)
+	s.retry.maxElapsed = 20 * time.Millisecond
 	stopSupervisors(s)
 
 	// Find keys for both shards.
@@ -258,22 +255,22 @@ func TestServiceDegradedFailOpen(t *testing.T) {
 
 // TestServiceRetryWallTimeCap: a hung shard makes every attempt eat the
 // full request deadline; the retry loop must give up on wall-time, not
-// grind through MaxAttempts × deadline. Eight callers pile onto the hung
+// grind through maxAttempts × deadline. Eight callers pile onto the hung
 // shard at once and nothing sheds them early: each one's own deadline and
 // wall cap must return it.
 func TestServiceRetryWallTimeCap(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.HeartbeatInterval = time.Hour // keep failover out of the timing
 	cfg.RequestTimeout = 30 * time.Millisecond
-	cfg.Retry = RetryPolicy{MaxAttempts: 100, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, MaxElapsed: 80 * time.Millisecond}
 	s := mustNew(t, cfg)
+	s.retry = retryPolicy{maxAttempts: 100, baseDelay: time.Millisecond, maxDelay: 2 * time.Millisecond, maxElapsed: 80 * time.Millisecond}
 	if err := s.Disrupt(0, "hang"); err != nil {
 		t.Fatal(err)
 	}
 	// The first failed attempt (≤30ms) starts the 80ms cap, and the
 	// attempt in flight when it runs out takes up to 30ms more; the rest is
 	// slack. Without the cap each call would take ≥ 100 × 30ms = 3s.
-	limit := cfg.RequestTimeout + cfg.Retry.MaxElapsed + cfg.RequestTimeout + 300*time.Millisecond
+	limit := cfg.RequestTimeout + s.retry.maxElapsed + cfg.RequestTimeout + 300*time.Millisecond
 	var wg sync.WaitGroup
 	for i := uint64(1); i <= 8; i++ {
 		wg.Add(1)
@@ -292,6 +289,34 @@ func TestServiceRetryWallTimeCap(t *testing.T) {
 	wg.Wait()
 	if c := s.Counters(); c.Timeouts == 0 {
 		t.Fatal("deadline errors not counted")
+	}
+}
+
+// TestLastAttemptFailsOpenAtOnce: a transient failure on the last attempt
+// has nothing left to back off for, so the request fails open at once and
+// counts no retry. One attempt on a hung shard, with a backoff far longer
+// than the deadline: the degraded verdict comes within RequestTimeout plus
+// slack, not a backoff later.
+func TestLastAttemptFailsOpenAtOnce(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.HeartbeatInterval = time.Hour // keep failover out of the timing
+	cfg.RequestTimeout = 5 * time.Millisecond
+	s := mustNew(t, cfg)
+	s.retry = retryPolicy{maxAttempts: 1, baseDelay: 100 * time.Millisecond, maxDelay: 100 * time.Millisecond, maxElapsed: time.Second}
+	if err := s.Disrupt(0, "hang"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	v, err := s.Alloc("t", 1, 64, 1)
+	elapsed := time.Since(start)
+	if err != nil || !v.Degraded {
+		t.Fatalf("alloc on the hung shard: %+v %v, want degraded fail-open", v, err)
+	}
+	if limit := cfg.RequestTimeout + 40*time.Millisecond; elapsed > limit {
+		t.Fatalf("fail-open took %v, past %v: the last attempt backed off", elapsed, limit)
+	}
+	if c := s.Counters(); c.Retries != 0 || c.Timeouts != 1 {
+		t.Fatalf("%d retries and %d timeouts, want 0 and 1: the one attempt is no retry", c.Retries, c.Timeouts)
 	}
 }
 
@@ -322,7 +347,6 @@ func TestServiceLoadGenClean(t *testing.T) {
 	cfg.RequestTimeout = 250 * time.Millisecond
 	cfg.HeartbeatInterval = 10 * time.Millisecond
 	cfg.HeartbeatTimeout = 50 * time.Millisecond
-	cfg.HeartbeatMisses = 3
 	s := mustNew(t, cfg)
 	res := RunLoad(s, LoadConfig{Clients: 4, Requests: 500, Seed: 7})
 	if c := s.Counters(); c.Failovers != 0 {
@@ -383,8 +407,8 @@ func TestServiceMetricsGauges(t *testing.T) {
 func TestDegradedDuringRebuildBacksOffOnce(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.HeartbeatInterval = time.Hour
-	cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: 40 * time.Millisecond, MaxDelay: 40 * time.Millisecond, MaxElapsed: time.Second}
 	s := mustNew(t, cfg)
+	s.retry = retryPolicy{maxAttempts: 3, baseDelay: 40 * time.Millisecond, maxDelay: 40 * time.Millisecond, maxElapsed: time.Second}
 	sh := s.shards[0]
 	timeDo := func(op transport.Op) time.Duration {
 		start := time.Now()
@@ -402,7 +426,7 @@ func TestDegradedDuringRebuildBacksOffOnce(t *testing.T) {
 	if d := timeCheck(); d < 20*time.Millisecond || d > 2*time.Second {
 		t.Fatalf("mid-rebuild: fail-open took %v, want one backoff of 20..60ms", d)
 	}
-	s.cfg.Retry.MaxElapsed = 10 * time.Millisecond // no room for a 20ms+ sleep
+	s.retry.maxElapsed = 10 * time.Millisecond // no room for a 20ms+ sleep
 	if d := timeCheck(); d >= 20*time.Millisecond {
 		t.Fatalf("mid-rebuild with the wall-time cap exhausted: fail-open took %v, want immediate", d)
 	}

@@ -6,9 +6,12 @@ import (
 	"dangsan/internal/service/transport"
 )
 
+// heartbeatMisses is the consecutive-miss count that fails a shard over.
+const heartbeatMisses = 3
+
 // supervise is one shard's supervisor loop, the service's one judge of
 // shard health: it pings the worker every HeartbeatInterval and triggers
-// failover after HeartbeatMisses consecutive misses or as soon as the
+// failover after heartbeatMisses consecutive misses or as soon as the
 // worker is seen dead. It wakes on the tick and on the current worker's
 // death, so a killed shard starts its rebuild at once rather than up to a
 // tick later. The loop is
@@ -57,7 +60,7 @@ func (s *Service) supervise(sh *shardState) {
 		}
 		misses++
 		s.heartbeatMisses.Add(1)
-		if misses >= s.cfg.HeartbeatMisses {
+		if misses >= heartbeatMisses {
 			s.failover(sh, box)
 			misses = 0
 		}

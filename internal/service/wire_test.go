@@ -30,7 +30,6 @@ func wireConfig(t *testing.T, shards int, transport string) Config {
 	cfg.HeartbeatInterval = 10 * time.Millisecond
 	cfg.HeartbeatTimeout = 50 * time.Millisecond
 	cfg.RequestTimeout = 100 * time.Millisecond
-	cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond, MaxElapsed: 500 * time.Millisecond}
 	return cfg
 }
 
@@ -385,12 +384,12 @@ func TestWireFailoverProcessSigkill(t *testing.T) {
 // (double replay) must be idempotent.
 func TestCrashConsistencyKillAfterApply(t *testing.T) {
 	cfg := wireConfig(t, 1, TransportUnix)
-	// One attempt: a retry after the crash would re-apply the mutation and
-	// confirm it, which is legitimate but would hide the window under test.
-	cfg.Retry = RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, MaxElapsed: 50 * time.Millisecond}
 	// A long heartbeat gap so our own request, not a ping, trips killafter.
 	cfg.HeartbeatInterval = 50 * time.Millisecond
 	s := mustNew(t, cfg)
+	// One attempt: a retry after the crash would re-apply the mutation and
+	// confirm it, which is legitimate but would hide the window under test.
+	s.retry.maxAttempts = 1
 
 	for k := uint64(1); k <= 20; k++ {
 		if v, err := s.Alloc("t", k, 128, 4); err != nil || v.Degraded {

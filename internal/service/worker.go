@@ -61,11 +61,10 @@ type worker struct {
 	mode     atomic.Uint32 // the transport.Disrupt* failure being simulated
 	panicked atomic.Bool
 
-	slowDelay   time.Duration
-	freedWindow int
+	slowDelay time.Duration // 2 × RequestTimeout: past every caller's deadline
 
 	recs       map[uint64]*keyRec
-	freedFIFO  []uint64
+	freed      freedWindow
 	anchorFree []uint64
 	scratch    uint64
 
@@ -119,19 +118,19 @@ func newWorker(shard int, cfg Config, counts *turnCounters) (*worker, error) {
 	det := dangsan.NewWithOptions(dangsan.Options{Config: plCfg})
 	p := proc.NewWithOptions(det, proc.Options{HeapBytes: cfg.HeapBytes})
 	w := &worker{
-		shard:       shard,
-		proc:        p,
-		det:         det,
-		th:          p.NewThread(),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-		born:        time.Now(),
-		wake:        make(chan struct{}, 1),
-		handoff:     make(chan struct{}),
-		counts:      counts,
-		slowDelay:   cfg.SlowDelay,
-		freedWindow: cfg.FreedWindow,
-		recs:        make(map[uint64]*keyRec),
+		shard:     shard,
+		proc:      p,
+		det:       det,
+		th:        p.NewThread(),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
+		born:      time.Now(),
+		wake:      make(chan struct{}, 1),
+		handoff:   make(chan struct{}),
+		counts:    counts,
+		slowDelay: 2 * cfg.RequestTimeout,
+		freed:     freedWindow{max: cfg.FreedWindow},
+		recs:      make(map[uint64]*keyRec),
 	}
 	if runtime.GOMAXPROCS(0) > 1 { // on one P nobody can free the turn while this goroutine polls it
 		w.polls = turnPolls
@@ -208,7 +207,7 @@ func (w *worker) send(req transport.Request, timeout time.Duration) (resp transp
 
 	mode := uint8(w.mode.Load())
 	if mode == transport.DisruptSlow || mode == transport.DisruptHang {
-		// Wait out SlowDelay (forever in hang mode), what the wait for the
+		// Wait out slowDelay (forever in hang mode), what the wait for the
 		// turn left of the deadline, or stop.
 		wait, gaveUp := timeout, true
 		if !start.IsZero() {
@@ -406,7 +405,7 @@ func (w *worker) handleAlloc(key, size uint64, stores uint32) error {
 		// Reincarnation of a freed key: the new object replaces the old
 		// record; the old anchor goes back to the pool.
 		w.anchorFree = append(w.anchorFree, rec.anchor)
-		w.dropFreed(key)
+		w.freed.drop(key)
 	}
 	w.recs[key] = &keyRec{anchor: anchor, base: base, size: size, stores: stores}
 	return nil
@@ -424,10 +423,7 @@ func (w *worker) handleFree(key uint64) error {
 		return err
 	}
 	rec.freed = true
-	w.freedFIFO = append(w.freedFIFO, key)
-	for len(w.freedFIFO) > w.freedWindow {
-		old := w.freedFIFO[0]
-		w.freedFIFO = w.freedFIFO[1:]
+	if old, ok := w.freed.push(key); ok {
 		if orec, ok := w.recs[old]; ok && orec.freed {
 			w.anchorFree = append(w.anchorFree, orec.anchor)
 			delete(w.recs, old)
@@ -462,15 +458,6 @@ func (w *worker) takeAnchor() (uint64, error) {
 		return a, nil
 	}
 	return w.proc.TryAllocGlobal(8)
-}
-
-func (w *worker) dropFreed(key uint64) {
-	for i, k := range w.freedFIFO {
-		if k == key {
-			w.freedFIFO = append(w.freedFIFO[:i], w.freedFIFO[i+1:]...)
-			return
-		}
-	}
 }
 
 // close releases the worker's detector resources (the cold spill file).

@@ -227,8 +227,8 @@ func TestServiceHangCloseAbandonsNobody(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.HeartbeatInterval = time.Hour // no failover: Close must do the releasing
 	cfg.RequestTimeout = 10 * time.Second
-	cfg.Retry.MaxElapsed = 10 * time.Second
 	s := mustNew(t, cfg)
+	s.retry.maxElapsed = 10 * time.Second
 	if err := s.Disrupt(0, "hang"); err != nil {
 		t.Fatal(err)
 	}
@@ -257,21 +257,22 @@ func TestServiceHangCloseAbandonsNobody(t *testing.T) {
 }
 
 // TestSlowModeGiveUpMeansNotApplied pins the behaviour change of the
-// synchronous model: a caller whose deadline is shorter than SlowDelay
-// gives up WITHOUT the op being applied (the old worker goroutine applied
-// it late). The API is idempotent, so the re-issue applies it.
+// synchronous model: a caller whose deadline is shorter than the slow
+// delay (2 × RequestTimeout, so every caller's) gives up WITHOUT the op
+// being applied (the old worker goroutine applied it late). The API is
+// idempotent, so the re-issue applies it.
 func TestSlowModeGiveUpMeansNotApplied(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.HeartbeatInterval = time.Hour // keep failover out: the shard must stay this worker
-	cfg.SlowDelay = 60 * time.Millisecond
-	cfg.RequestTimeout = 5 * time.Millisecond
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, MaxElapsed: 50 * time.Millisecond}
+	cfg.RequestTimeout = 30 * time.Millisecond
+	slowDelay := 2 * cfg.RequestTimeout
 	s := mustNew(t, cfg)
+	s.retry = retryPolicy{maxAttempts: 2, baseDelay: 100 * time.Microsecond, maxDelay: time.Millisecond, maxElapsed: 50 * time.Millisecond}
 	if err := s.Disrupt(0, "slow"); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := s.Alloc("t", 1, 64, 2); err != nil || !v.Degraded {
-		t.Fatalf("alloc with a deadline shorter than SlowDelay: %+v %v, want degraded", v, err)
+		t.Fatalf("alloc with a deadline shorter than the slow delay: %+v %v, want degraded", v, err)
 	}
 	if c := s.Counters(); c.Timeouts == 0 {
 		t.Fatal("the give-up was not a deadline")
@@ -279,16 +280,16 @@ func TestSlowModeGiveUpMeansNotApplied(t *testing.T) {
 	if err := s.Disrupt(0, "none"); err != nil {
 		t.Fatal(err)
 	}
-	// Well past SlowDelay: a late apply would have landed by now.
-	time.Sleep(2 * cfg.SlowDelay)
+	// Well past the slow delay: a late apply would have landed by now.
+	time.Sleep(2 * slowDelay)
 	if st := s.ShardStats()[0]; st.Rebuilding || st.Failovers != 0 {
 		t.Fatalf("shard status %+v, want the same worker, serving", st)
 	}
 	if v, err := s.Check("t", 1); err != nil || v.Degraded || v.Known {
 		t.Fatalf("check after the give-up: %+v %v, want served and the key unknown (not applied)", v, err)
 	}
-	// The retry applies it — and with a deadline longer than SlowDelay a
-	// slow worker does too, just late.
+	// The retry applies it — and with a deadline longer than the slow delay
+	// a slow worker does too, just late.
 	if err := s.Disrupt(0, "slow"); err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +298,8 @@ func TestSlowModeGiveUpMeansNotApplied(t *testing.T) {
 	if resp := w.send(transport.Request{Op: transport.OpAlloc, Key: keyFor("t", 1), Size: 64, Stores: 2}, 10*time.Second); resp.Err != nil {
 		t.Fatalf("patient alloc on a slow worker: %v", resp.Err)
 	}
-	if elapsed := time.Since(start); elapsed < cfg.SlowDelay {
-		t.Fatalf("slow worker answered in %v, SlowDelay is %v", elapsed, cfg.SlowDelay)
+	if elapsed := time.Since(start); elapsed < slowDelay {
+		t.Fatalf("slow worker answered in %v, the slow delay is %v", elapsed, slowDelay)
 	}
 	if err := s.Disrupt(0, "none"); err != nil {
 		t.Fatal(err)
