@@ -3,43 +3,29 @@
 //
 // Usage:
 //
-//	dangsan-bench -experiment all|fig9|fig11|fig10|fig12|table1|servers|fiveway|exploits|ablation|chaos|fuzz
+//	dangsan-bench -experiment all|fig9|fig11|fig10|fig12|table1|servers|fiveway|exploits|ablation
 //	              [-scale 1.0] [-seed 1] [-repeat 1] [-threads 1,2,4,8,16,32,64] [-v]
 //	              [-metrics out.json] [-audit]
-//	              [-faultrate 0] [-faultseed 0] [-faultbudget 256]
-//	              [-max-metadata-bytes 0] [-heap-bytes 0]
 //	              [-bench-json out.json] [-cpuprofile prof.out] [-memprofile mem.out]
 //
 // The experiments are the rows of one table in internal/bench; "all" runs
-// every row but the two pass/fail sweeps, chaos and fuzz, which run only
-// when named. Results go to stdout; progress (with -v) to stderr. -metrics
-// writes a final JSON snapshot of every instrument to the given file ("-"
-// for stdout); feed it to `dangsan-stats metrics` for a human-readable
-// rendering. -audit turns on DangSan's log-byte accounting cross-check; any
-// drift fails the run. -bench-json writes the typed rows of every
-// experiment that ran as one JSON document to the path it is given.
-//
-// Fault injection: -faultrate arms every injection site (vmem mapping,
-// tcmalloc spans, pointer-log blocks, shadow pages, ...) at the given
-// probability on every measured run; -faultseed/-faultbudget make the
-// failure pattern deterministic and bounded. -max-metadata-bytes caps
-// DangSan's metadata, putting objects past the cap into degraded
-// (untracked) mode; -heap-bytes shrinks the simulated heap. The chaos
-// experiment sweeps a rate × seed grid asserting the fail-open invariants
-// (no false UAF, no hangs, exact accounting, exploits still detected at
-// full coverage) and exits nonzero on any violation. The chaos grid is
-// overridden by -faultrate/-faultseed when set.
+// every row. Results go to stdout; progress (with -v) to stderr. Every
+// timed data point is measured the same way: -repeat runs, the fastest
+// kept. -metrics writes a final JSON snapshot of every instrument to the
+// given file ("-" for stdout); feed it to `dangsan-stats metrics` for a
+// human-readable rendering. -audit turns on DangSan's log-byte accounting
+// cross-check; any drift fails the run. -bench-json writes the typed rows
+// of every experiment that ran as one JSON document to the path it is
+// given.
 //
 // The fiveway experiment runs the SPEC analogs under the full five-way
 // detector matrix — baseline, the three pointer-invalidation backends, and
 // the checked-dereference xtag and camp backends — and quantifies camp's
 // static dereference-check elision on a sweep of generated programs.
 //
-// The fuzz experiment runs the differential-fuzzing oracle: -scale sizes
-// the seed sweep (500 at 1.0), each seed's generated program runs through
-// the full mode x detector x config matrix plus a mutated variant with a
-// known dangling use; any divergence or missed detection exits nonzero.
-//
+// The fail-open invariants under injected faults are checked by
+// `go test ./internal/chaos`, the differential oracle by
+// `go test ./internal/differ`.
 // The service and the cold tier are measured by `go run ./benchmark`, the
 // free path by `go test ./internal/detectors/dangsan -bench BenchmarkFree`.
 package main
@@ -66,11 +52,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print progress to stderr")
 	metricsFile := flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit (\"-\" for stdout)")
 	audit := flag.Bool("audit", false, "enable DangSan's log-byte accounting cross-check (fails on drift)")
-	faultRate := flag.Float64("faultrate", 0, "arm every fault-injection site at this probability per measured run (0 = off)")
-	faultSeed := flag.Int64("faultseed", 0, "fault-plane seed (0 = reuse -seed)")
-	faultBudget := flag.Int64("faultbudget", 0, "max injections per site per run (0 = 256, negative = unlimited)")
-	maxMetadataBytes := flag.Uint64("max-metadata-bytes", 0, "cap DangSan's metadata footprint; objects past the cap go untracked (0 = unlimited)")
-	heapBytes := flag.Uint64("heap-bytes", 0, "shrink the simulated heap to this many bytes (0 = full layout)")
 	benchJSONFile := flag.String("bench-json", "", "write the machine-readable results of every experiment run to this JSON file (\"-\" for stdout)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -102,11 +83,7 @@ func main() {
 	if *verbose {
 		progress = func(s string) { fmt.Fprintf(os.Stderr, "... %s\n", s) }
 	}
-	opts := bench.Options{
-		Scale: *scale, Seed: *seed, Repeat: *repeat, Audit: *audit,
-		FaultRate: *faultRate, FaultSeed: *faultSeed, FaultBudget: *faultBudget,
-		MaxMetadataBytes: *maxMetadataBytes, HeapBytes: *heapBytes,
-	}
+	opts := bench.Options{Scale: *scale, Seed: *seed, Repeat: *repeat, Audit: *audit}
 
 	var benchJSON *bench.BenchJSON
 	if *benchJSONFile != "" {
@@ -141,16 +118,12 @@ func main() {
 		}
 	}
 
-	// A failing sweep (chaos, fuzz) still returns the table that shows what
-	// failed; print it before exiting nonzero.
 	session := bench.NewSession(opts, threads, progress)
 	for _, e := range selected {
 		res, err := e.Run(session)
-		if res != nil {
-			fmt.Println(res)
-			benchJSON.Add(res.Key, res.Data)
-		}
 		check(err)
+		fmt.Println(res)
+		benchJSON.Add(res.Key, res.Data)
 	}
 }
 

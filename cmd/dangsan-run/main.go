@@ -5,17 +5,10 @@
 // Usage:
 //
 //	dangsan-run [-detector dangsan|baseline|dangnull|freesentry|xtag|camp]
-//	            [-no-instrument] [-no-opt] [-dump]
-//	            [-faultrate 0] [-faultseed 1] [-faultbudget -1]
-//	            [-max-metadata-bytes 0] [-heap-bytes 0] program.ir
+//	            [-no-instrument] [-no-opt] [-O] [-dump] [-entry main] program.ir
 //
 // The process's exit status reflects the program's fate: 0 on clean exit,
 // 2 on a trap (e.g. a use-after-free caught by DangSan).
-//
-// -faultrate arms the deterministic fault-injection plane on both the
-// allocator and the detector's metadata paths; metadata failures put
-// objects into degraded (untracked) mode rather than aborting the run.
-// -max-metadata-bytes caps the detector's metadata footprint the same way.
 package main
 
 import (
@@ -23,14 +16,12 @@ import (
 	"fmt"
 	"os"
 
-	"dangsan/internal/bench"
 	"dangsan/internal/detectors/backends"
-	"dangsan/internal/faultinject"
+	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/instrument"
 	"dangsan/internal/interp"
 	"dangsan/internal/ir/opt"
 	"dangsan/internal/irparse"
-	"dangsan/internal/proc"
 )
 
 func main() {
@@ -40,11 +31,6 @@ func main() {
 	optimize := flag.Bool("O", false, "run the optimizer (constant folding, DCE, CFG simplification) before instrumenting")
 	dump := flag.Bool("dump", false, "print the (instrumented) IR before running")
 	entry := flag.String("entry", "main", "entry function")
-	faultRate := flag.Float64("faultrate", 0, "arm every fault-injection site at this probability (0 = off)")
-	faultSeed := flag.Int64("faultseed", 1, "fault-plane seed")
-	faultBudget := flag.Int64("faultbudget", -1, "max injections per site (negative = unlimited)")
-	maxMetadataBytes := flag.Uint64("max-metadata-bytes", 0, "cap the detector's metadata footprint; objects past the cap go untracked (0 = unlimited)")
-	heapBytes := flag.Uint64("heap-bytes", 0, "shrink the simulated heap to this many bytes (0 = full layout)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -77,21 +63,9 @@ func main() {
 		fmt.Print(mod.String())
 	}
 
-	var plane *faultinject.Plane
-	if *faultRate > 0 {
-		plane = faultinject.New(*faultSeed)
-		plane.EnableAll(*faultRate, *faultBudget)
-	}
-	// bench.Options wires the budget and plane into every backend but the
-	// baseline.
-	det, err := bench.Options{MaxMetadataBytes: *maxMetadataBytes}.
-		NewDetector(bench.Kind(*detector), plane)
+	det, err := backends.New(backends.Kind(*detector), dangsan.Options{})
 	check(err)
-	rt := interp.New(mod, det, interp.Options{
-		Entry:  *entry,
-		Output: os.Stdout,
-		Proc:   proc.Options{HeapBytes: *heapBytes, Faults: plane},
-	})
+	rt := interp.New(mod, det, interp.Options{Entry: *entry, Output: os.Stdout})
 	res, err := rt.Run()
 	check(err)
 	if res.Trap != nil {

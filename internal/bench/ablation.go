@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"dangsan/internal/detectors/dangsan"
+	"dangsan/internal/detectors/backends"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/proc"
 	"dangsan/internal/rbtree"
@@ -38,9 +38,7 @@ func lookbackSweep(s *Session) ([]LookbackPoint, Table, error) {
 	var points []LookbackPoint
 	for _, lb := range []int{0, 1, 2, 4, 8, 12, pointerlog.MaxLookback} {
 		s.Progress(fmt.Sprintf("lookback %d", lb))
-		cfg := pointerlog.DefaultConfig()
-		cfg.Lookback = lb
-		m, err := Measure(dangsan.NewWithConfig(cfg), func(p *proc.Process) error {
+		m, _, err := s.measure(backends.DangSan, func(c *pointerlog.Config) { c.Lookback = lb }, func(p *proc.Process) error {
 			return workloads.RunSPEC(p, prof, s.Seed)
 		})
 		if err != nil {
@@ -84,9 +82,7 @@ func compressionAblation(s *Session) ([]CompressionPoint, Table, error) {
 	var points []CompressionPoint
 	for _, comp := range []bool{false, true} {
 		s.Progress(fmt.Sprintf("compression=%v", comp))
-		cfg := pointerlog.DefaultConfig()
-		cfg.Compression = comp
-		m, err := Measure(dangsan.NewWithConfig(cfg), func(p *proc.Process) error {
+		m, _, err := s.measure(backends.DangSan, func(c *pointerlog.Config) { c.Compression = comp }, func(p *proc.Process) error {
 			return workloads.RunSPEC(p, prof, s.Seed)
 		})
 		if err != nil {

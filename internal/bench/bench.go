@@ -19,8 +19,6 @@ import (
 	"dangsan/internal/detectors"
 	"dangsan/internal/detectors/backends"
 	"dangsan/internal/detectors/dangsan"
-	"dangsan/internal/faultinject"
-	"dangsan/internal/obs"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/proc"
 )
@@ -39,30 +37,51 @@ type Measurement struct {
 	// Stats carries DangSan's pointer-log counters when the detector was
 	// DangSan, zero otherwise.
 	Stats pointerlog.Snapshot
-	// Injected counts fault-plane injections during the run (0 when
-	// injection was off).
-	Injected uint64
 }
 
-// Measure times run against a fresh process using the given detector,
-// sampling the memory footprint concurrently.
-func Measure(det detectors.Detector, run func(p *proc.Process) error) (Measurement, error) {
-	return MeasureWith(det, run, nil)
+// measure is the one way an experiment times a workload: s.Repeat runs,
+// each against a fresh process under a fresh detector of the given kind,
+// keeping the fastest run (the standard way to suppress scheduler noise)
+// with the largest footprint any run reached. tune, when non-nil, adjusts
+// DangSan's pointer-log configuration; the session's audit mode and metrics
+// registry apply on top, so every timed row honours -repeat, -audit and
+// -metrics alike. It also returns the last run's detector, for counters a
+// Measurement does not carry (the workloads are deterministic, so they
+// equal the fastest run's).
+func (s *Session) measure(kind Kind, tune func(*pointerlog.Config), run func(*proc.Process) error) (Measurement, detectors.Detector, error) {
+	var best Measurement
+	var det detectors.Detector
+	for i := 0; i < max(s.Repeat, 1); i++ {
+		cfg := pointerlog.DefaultConfig()
+		if tune != nil {
+			tune(&cfg)
+		}
+		cfg.Audit = s.Audit
+		var err error
+		if det, err = backends.New(kind, dangsan.Options{Config: cfg, Metrics: s.Metrics}); err != nil {
+			return Measurement{}, nil, err
+		}
+		m, err := s.measureOnce(det, run)
+		if err != nil {
+			return Measurement{}, nil, err
+		}
+		if i == 0 || m.Seconds < best.Seconds {
+			m.PeakFootprint = max(m.PeakFootprint, best.PeakFootprint)
+			best = m
+		} else {
+			best.PeakFootprint = max(best.PeakFootprint, m.PeakFootprint)
+		}
+	}
+	return best, det, nil
 }
 
-// MeasureWith is Measure with an observability registry attached to the
-// process (and through it the allocator and detector). Successive
-// measurements sharing one registry accumulate counters across runs —
-// snapshot between runs to separate them.
-func MeasureWith(det detectors.Detector, run func(p *proc.Process) error, reg *obs.Registry) (Measurement, error) {
-	return measureProc(det, run, reg, proc.Options{})
-}
-
-// measureProc is the common measurement core; popts configures the
-// process (heap size, allocator-side fault plane).
-func measureProc(det detectors.Detector, run func(p *proc.Process) error, reg *obs.Registry, popts proc.Options) (Measurement, error) {
-	p := proc.NewWithOptions(det, popts)
-	p.AttachMetrics(reg)
+// measureOnce times run against a fresh process under det, sampling the
+// memory footprint concurrently. The session's registry, if any, is
+// attached to the process (and through it the allocator and detector);
+// successive runs sharing one registry accumulate counters.
+func (s *Session) measureOnce(det detectors.Detector, run func(p *proc.Process) error) (Measurement, error) {
+	p := proc.New(det)
+	p.AttachMetrics(s.Metrics)
 	var peak atomic.Uint64
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -107,44 +126,6 @@ func measureProc(det detectors.Detector, run func(p *proc.Process) error, reg *o
 		}
 	}
 	return m, nil
-}
-
-// MeasureN runs the measurement opts.Repeat times with a fresh detector
-// and process each time, returning the fastest run (the standard way to
-// suppress scheduler noise) with the largest observed footprint. The
-// options' registry, if any, is attached to every run. When the options
-// arm fault injection, each repeat gets its own plane — passed to the
-// factory so the detector and the allocator share it — making the failure
-// pattern identical across repeats.
-func MeasureN(opts Options, factory func(*faultinject.Plane) (detectors.Detector, error), run func(p *proc.Process) error) (Measurement, error) {
-	n := opts.Repeat
-	if n < 1 {
-		n = 1
-	}
-	var best Measurement
-	for i := 0; i < n; i++ {
-		plane := opts.NewPlane()
-		det, err := factory(plane)
-		if err != nil {
-			return Measurement{}, err
-		}
-		m, err := measureProc(det, run, opts.Metrics,
-			proc.Options{HeapBytes: opts.HeapBytes, Faults: plane})
-		if err != nil {
-			return Measurement{}, err
-		}
-		m.Injected = plane.TotalInjected()
-		if i == 0 || m.Seconds < best.Seconds {
-			peak := best.PeakFootprint
-			best = m
-			if peak > best.PeakFootprint {
-				best.PeakFootprint = peak
-			}
-		} else if m.PeakFootprint > best.PeakFootprint {
-			best.PeakFootprint = m.PeakFootprint
-		}
-	}
-	return best, nil
 }
 
 // Geomean returns the geometric mean of xs (which must be positive);

@@ -8,9 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"dangsan/internal/detectors"
 	"dangsan/internal/detectors/backends"
-	"dangsan/internal/faultinject"
 	"dangsan/internal/obs"
 	"dangsan/internal/proc"
 	"dangsan/internal/workloads"
@@ -41,12 +39,12 @@ func smokeResult(t *testing.T, name string) *Result {
 	return r
 }
 
-// The metrics/audit path through the harness: an Options-built backends.DangSan
-// detector with a registry attached must accumulate counters across
-// measured runs and pass the accounting audit.
+// The metrics/audit path through the harness: a session with a registry
+// and audit mode must accumulate counters across its DangSan runs and pass
+// the accounting audit.
 func TestMeasureWithMetricsAndAudit(t *testing.T) {
 	reg := obs.NewRegistry()
-	opts := Options{Metrics: reg, Audit: true}
+	s := NewSession(Options{Metrics: reg, Audit: true}, nil, nil)
 	prof, err := workloads.SPECProfileByName("403.gcc")
 	if err != nil {
 		t.Fatal(err)
@@ -54,65 +52,20 @@ func TestMeasureWithMetricsAndAudit(t *testing.T) {
 	prof = ScaleSPEC(prof, 0.02)
 	var mallocs uint64
 	for run := 0; run < 2; run++ {
-		det, err := opts.NewDetector(backends.DangSan, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := MeasureWith(det, func(p *proc.Process) error {
+		if _, _, err := s.measure(backends.DangSan, nil, func(p *proc.Process) error {
 			return workloads.RunSPEC(p, prof, 1)
-		}, reg); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
-		s := reg.Snapshot()
-		if got := s.Counters["proc.mallocs"]; got <= mallocs {
+		snap := reg.Snapshot()
+		if got := snap.Counters["proc.mallocs"]; got <= mallocs {
 			t.Fatalf("run %d: proc.mallocs = %d, want > %d (accumulating)", run, got, mallocs)
 		} else {
 			mallocs = got
 		}
-		if s.Histograms["pointerlog.register_ns"].Count == 0 {
+		if snap.Histograms["pointerlog.register_ns"].Count == 0 {
 			t.Fatalf("run %d: register_ns histogram empty", run)
 		}
-	}
-}
-
-// The fault options flow through MeasureN: a fresh plane per repeat shared
-// by detector and allocator, injections reported on the measurement, and a
-// degraded-but-successful run when the rate is survivable.
-func TestMeasureNWithFaults(t *testing.T) {
-	opts := Options{
-		Seed:        3,
-		Repeat:      2,
-		FaultRate:   0.05,
-		FaultBudget: 16,
-		HeapBytes:   8 << 20,
-	}
-	prof, err := workloads.ServerProfileByName("apache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := MeasureN(opts,
-		func(pl *faultinject.Plane) (detectors.Detector, error) { return opts.NewDetector(backends.DangSan, pl) },
-		func(p *proc.Process) error { return workloads.RunServer(p, prof, 2, 150, opts.Seed) })
-	if err != nil {
-		t.Fatalf("pressured measurement failed: %v", err)
-	}
-	if m.Injected == 0 {
-		t.Fatal("no injections reported despite FaultRate > 0")
-	}
-	if m.Stats.DegradedObjects == 0 {
-		t.Fatal("metadata-site injections produced no degraded objects")
-	}
-
-	// Injection off: the same measurement reports zero injections.
-	opts.FaultRate = 0
-	m, err = MeasureN(opts,
-		func(pl *faultinject.Plane) (detectors.Detector, error) { return opts.NewDetector(backends.DangSan, pl) },
-		func(p *proc.Process) error { return workloads.RunServer(p, prof, 2, 50, opts.Seed) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Injected != 0 || m.Stats.DegradedObjects != 0 {
-		t.Fatalf("injection-off run touched: injected=%d degraded=%d", m.Injected, m.Stats.DegradedObjects)
 	}
 }
 
@@ -132,34 +85,22 @@ func TestGeomean(t *testing.T) {
 // labels and summary wording stay, every measured value becomes N, and
 // column padding collapses (widths follow the digits). A sign belongs to the
 // number only at the start of a token, so "CVE-2010-2939" keeps its dashes.
-// volatile, when non-nil, also masks whole cells whose text — not just
-// value — changes from run to run.
 var (
 	hexRE    = regexp.MustCompile(`0x[0-9a-f]+`)
 	signedRE = regexp.MustCompile(`(?m)(^|[\s(])-(\d)`)
 	numRE    = regexp.MustCompile(`\d+(\.\d+)?`)
 )
 
-func mask(out string, volatile *regexp.Regexp) string {
+func mask(out string) string {
 	out = hexRE.ReplaceAllString(out, "N")
 	out = signedRE.ReplaceAllString(out, "$1$2")
 	out = numRE.ReplaceAllString(out, "N")
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	for i, l := range lines {
-		cells := strings.Fields(l)
-		for j, c := range cells {
-			if volatile != nil && volatile.MatchString(c) {
-				cells[j] = "N"
-			}
-		}
-		lines[i] = strings.Join(cells, " ")
+		lines[i] = strings.Join(strings.Fields(l), " ")
 	}
 	return strings.Join(lines, "\n") + "\n"
 }
-
-// Whether a chaos cell completes, aborts on OOM, or has a req/s at all
-// depends on goroutine interleaving under injected faults.
-var chaosVolatile = regexp.MustCompile(`^(true|false|-)$`)
 
 // TestExperiments is the one smoke test over the experiment table: every
 // experiment runs at the smoke scale, every row has as many cells as its
@@ -171,9 +112,6 @@ var chaosVolatile = regexp.MustCompile(`^(true|false|-)$`)
 func TestExperiments(t *testing.T) {
 	for _, e := range experiments {
 		t.Run(e.Name, func(t *testing.T) {
-			if testing.Short() && !e.InAll {
-				t.Skip("pass/fail sweep; covered by its own package in -short runs")
-			}
 			res := smokeResult(t, e.Name)
 			for _, tb := range res.Tables {
 				for i, row := range tb.Rows {
@@ -182,15 +120,11 @@ func TestExperiments(t *testing.T) {
 					}
 				}
 			}
-			var volatile *regexp.Regexp
-			if e.Name == "chaos" {
-				volatile = chaosVolatile
-			}
 			want, err := os.ReadFile(filepath.Join("testdata", e.Name+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := mask(res.String(), volatile); got != string(want) {
+			if got := mask(res.String()); got != string(want) {
 				t.Errorf("shape differs from testdata/%s.golden\n--- got ---\n%s--- want ---\n%s", e.Name, got, want)
 			}
 		})
@@ -198,7 +132,7 @@ func TestExperiments(t *testing.T) {
 }
 
 // An unknown name is refused before anything runs, naming every valid one;
-// "all" is the table minus the pass/fail sweeps.
+// "all" is the whole table, in order.
 func TestSelect(t *testing.T) {
 	sel, err := Select("wire")
 	if err == nil || sel != nil {
@@ -213,13 +147,13 @@ func TestSelect(t *testing.T) {
 		}
 	}
 	all, _ := Select("all")
-	for _, e := range all {
-		if e.Name == "chaos" || e.Name == "fuzz" {
-			t.Errorf("all includes %s", e.Name)
-		}
-	}
-	if len(all) != len(experiments)-2 {
+	if len(all) != len(experiments) {
 		t.Errorf("all runs %d of %d experiments", len(all), len(experiments))
+	}
+	for i, e := range all {
+		if e.Name != experiments[i].Name {
+			t.Errorf("all[%d] = %s, want %s", i, e.Name, experiments[i].Name)
+		}
 	}
 }
 

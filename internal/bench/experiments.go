@@ -8,8 +8,6 @@ import (
 	"dangsan/internal/detectors"
 	"dangsan/internal/detectors/backends"
 	"dangsan/internal/detectors/dangnull"
-	"dangsan/internal/detectors/dangsan"
-	"dangsan/internal/faultinject"
 	"dangsan/internal/obs"
 	"dangsan/internal/pointerlog"
 	"dangsan/internal/proc"
@@ -32,55 +30,6 @@ type Options struct {
 	// Audit enables DangSan's log-byte accounting cross-check on every
 	// DangSan detector the run builds.
 	Audit bool
-	// FaultRate arms every fault-injection site at this probability for
-	// each measured run (0 disables injection entirely). Each run gets a
-	// fresh plane so draws are deterministic per run, shared between the
-	// allocator and the detector.
-	FaultRate float64
-	// FaultSeed seeds the fault plane (0: reuse Seed).
-	FaultSeed int64
-	// FaultBudget bounds injections per site per run so pressure stays
-	// transient (0: the default 256; negative: unlimited).
-	FaultBudget int64
-	// MaxMetadataBytes caps every detector's metadata footprint (DangSan's
-	// pointer log; the other backends' object tracking); objects allocated
-	// past the cap go untracked (degraded mode) instead of growing metadata
-	// without bound. 0 means unlimited.
-	MaxMetadataBytes uint64
-	// HeapBytes shrinks each measured process's simulated heap (0: the
-	// full 64 GiB layout) so allocator pressure is reachable.
-	HeapBytes uint64
-}
-
-// NewPlane builds one run's fault-injection plane; nil when injection is
-// off. Every measured run gets its own plane so the draw sequence — and
-// therefore the failure pattern — is identical across repeats.
-func (o Options) NewPlane() *faultinject.Plane {
-	if o.FaultRate <= 0 {
-		return nil
-	}
-	seed := o.FaultSeed
-	if seed == 0 {
-		seed = o.Seed
-	}
-	budget := o.FaultBudget
-	if budget == 0 {
-		budget = 256
-	}
-	p := faultinject.New(seed)
-	p.EnableAll(o.FaultRate, budget)
-	return p
-}
-
-// NewDetector builds a fresh detector of the given kind honoring the
-// options: every backend gets the metadata budget and the fault plane (nil:
-// no injection); DangSan additionally gets audit mode and the metrics
-// registry.
-func (o Options) NewDetector(kind Kind, plane *faultinject.Plane) (detectors.Detector, error) {
-	cfg := pointerlog.DefaultConfig()
-	cfg.MaxMetadataBytes = o.MaxMetadataBytes
-	cfg.Audit = o.Audit
-	return backends.New(kind, dangsan.Options{Config: cfg, Metrics: o.Metrics, Faults: plane})
 }
 
 // ScaleSPEC shrinks or grows a SPEC analog by s, keeping every dimension
@@ -112,27 +61,22 @@ func ScaleParallel(p workloads.ParallelProfile, s float64) workloads.ParallelPro
 // Experiment is one row of the experiment table.
 type Experiment struct {
 	Name string
-	// InAll marks the experiments "-experiment all" runs; the pass/fail
-	// sweeps (chaos, fuzz) run only when named.
-	InAll bool
-	Run   func(*Session) (*Result, error)
+	Run  func(*Session) (*Result, error)
 }
 
 // experiments is the one list of what dangsan-bench can run, in the order
 // "all" prints them. Usage strings, the unknown-name error and the
 // documentation check are all derived from it.
 var experiments = []Experiment{
-	{"fig9", true, runFig9},
-	{"fig11", true, runFig11},
-	{"fig10", true, runFig10},
-	{"fig12", true, runFig12},
-	{"table1", true, runTable1},
-	{"servers", true, runServers},
-	{"fiveway", true, runFiveWay},
-	{"exploits", true, runExploits},
-	{"ablation", true, runAblation},
-	{"chaos", false, runChaos},
-	{"fuzz", false, runFuzz},
+	{"fig9", runFig9},
+	{"fig11", runFig11},
+	{"fig10", runFig10},
+	{"fig12", runFig12},
+	{"table1", runTable1},
+	{"servers", runServers},
+	{"fiveway", runFiveWay},
+	{"exploits", runExploits},
+	{"ablation", runAblation},
 }
 
 // Names lists every accepted -experiment value: "all", then the table in
@@ -146,12 +90,12 @@ func Names() []string {
 }
 
 // Select resolves an -experiment value: one experiment by name, or for
-// "all" every experiment marked InAll. An unknown name is an error that
-// lists the valid ones, returned before anything has run.
+// "all" every experiment. An unknown name is an error that lists the valid
+// ones, returned before anything has run.
 func Select(name string) ([]Experiment, error) {
 	var sel []Experiment
 	for _, e := range experiments {
-		if e.Name == name || (name == "all" && e.InAll) {
+		if e.Name == name || name == "all" {
 			sel = append(sel, e)
 		}
 	}
@@ -206,9 +150,8 @@ type gridJob struct {
 
 // runGrid measures every job under each of its detectors — the loop the
 // SPEC, scalability, server and five-way experiments share. prefix labels
-// progress and errors; inspect, when non-nil, sees each cell's last-built
-// detector after its run (the workloads are deterministic, so its counters
-// equal those of the fastest repeat MeasureN reports).
+// progress and errors; inspect, when non-nil, sees each cell's detector
+// after its run.
 func (s *Session) runGrid(prefix string, jobs []gridJob, inspect func(row int, det detectors.Detector) error) ([]GridRow, error) {
 	rows := make([]GridRow, len(jobs))
 	for i, job := range jobs {
@@ -220,15 +163,9 @@ func (s *Session) runGrid(prefix string, jobs []gridJob, inspect func(row int, d
 		rows[i].ByKind = make(map[Kind]Measurement)
 		for _, kind := range job.kinds {
 			s.Progress(label + " / " + string(kind))
-			var last detectors.Detector
-			m, err := MeasureN(s.Options,
-				func(pl *faultinject.Plane) (detectors.Detector, error) {
-					d, err := s.NewDetector(kind, pl)
-					last = d
-					return d, err
-				}, job.run)
+			m, det, err := s.measure(kind, nil, job.run)
 			if err == nil && inspect != nil {
-				err = inspect(i, last)
+				err = inspect(i, det)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("%s / %s: %w", label, kind, err)
@@ -462,22 +399,16 @@ func runTable1(s *Session) (*Result, error) {
 		prof := ScaleSPEC(prof, s.Scale)
 		s.Progress(prof.Name)
 		run := func(p *proc.Process) error { return workloads.RunSPEC(p, prof, s.Seed) }
-		// Table 1 is the statistics table; it always runs injection-free so
-		// the counters describe the design, not the chaos configuration.
-		ds, err := s.NewDetector(backends.DangSan, nil)
-		if err != nil {
-			return nil, err
-		}
-		m, err := MeasureWith(ds, run, s.Metrics)
+		m, _, err := s.measure(backends.DangSan, nil, run)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", prof.Name, err)
 		}
-		dn := dangnull.New()
-		if _, err := Measure(dn, run); err != nil {
+		_, dn, err := s.measure(backends.DangNULL, nil, run)
+		if err != nil {
 			return nil, fmt.Errorf("%s dangnull: %w", prof.Name, err)
 		}
 		r := Table1Row{Benchmark: prof.Name, DangSan: m.Stats}
-		r.DangNULLPtrs, r.DangNULLInval = dn.Stats()
+		r.DangNULLPtrs, r.DangNULLInval = dn.(*dangnull.Detector).Stats()
 		rows = append(rows, r)
 		c := r.DangSan
 		t.Rows = append(t.Rows, []string{r.Benchmark,

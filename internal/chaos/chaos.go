@@ -41,21 +41,22 @@ type Config struct {
 	// Workers and Requests size the concurrent server run.
 	Workers  int
 	Requests int
-	// HeapBytes shrinks the simulated heap so allocator pressure is
-	// reachable (0: 8 MiB).
-	HeapBytes uint64
 	// MaxMetadataBytes caps every stage detector's metadata footprint
 	// (0: unlimited). See pointerlog.Config.MaxMetadataBytes.
 	MaxMetadataBytes uint64
-	// Budget bounds per-site injections so pressure is transient and the
-	// run can recover (<0: unlimited; 0: the default 256).
-	Budget int64
-	// Timeout is the per-run watchdog; exceeding it counts as a deadlock
-	// violation (0: 60s).
-	Timeout time.Duration
 	// SkipExploits disables the exploit-detection sub-check.
 	SkipExploits bool
 }
+
+// Every cell runs on a simulated heap small enough that allocator pressure
+// is reachable, injects at most faultBudget failures per site so pressure
+// stays transient and the run can recover, and counts a server run that
+// outlives the watchdog as a deadlock violation.
+const (
+	heapBytes   = 8 << 20
+	faultBudget = 256
+	watchdog    = 90 * time.Second
+)
 
 func (c Config) normalized() Config {
 	if c.Profile.Name == "" {
@@ -66,15 +67,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Requests <= 0 {
 		c.Requests = 300
-	}
-	if c.HeapBytes == 0 {
-		c.HeapBytes = 8 << 20
-	}
-	if c.Budget == 0 {
-		c.Budget = 256
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 60 * time.Second
 	}
 	return c
 }
@@ -167,7 +159,7 @@ func classify(r *Result, stage string, err error) {
 // outcome. It returns false on watchdog expiry (the goroutine is abandoned;
 // the cell already failed).
 func (c Config) runServer(r *Result, stage string, plane *faultinject.Plane, workers int, det detectors.Detector) bool {
-	p := proc.NewWithOptions(det, proc.Options{HeapBytes: c.HeapBytes, Faults: plane})
+	p := proc.NewWithOptions(det, proc.Options{HeapBytes: heapBytes, Faults: plane})
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
@@ -180,9 +172,9 @@ func (c Config) runServer(r *Result, stage string, plane *faultinject.Plane, wor
 			r.Completed = err == nil
 		}
 		classify(r, stage, err)
-	case <-time.After(c.Timeout):
+	case <-time.After(watchdog):
 		r.Violations = append(r.Violations,
-			fmt.Sprintf("%s: server run exceeded %v watchdog (deadlock?)", stage, c.Timeout))
+			fmt.Sprintf("%s: server run exceeded %v watchdog (deadlock?)", stage, watchdog))
 		return false
 	}
 	objs, drops := det.(detectors.CoverageLoss).Degraded()
@@ -230,7 +222,7 @@ func Run(cfg Config, rate float64, seed int64) Result {
 	}
 	for _, st := range stages {
 		plane := faultinject.New(seed)
-		plane.EnableAll(rate, cfg.Budget)
+		plane.EnableAll(rate, faultBudget)
 		det := cfg.detector(st.kind, plane, st.audit, st.tiered)
 		if cfg.runServer(&r, st.name, plane, st.workers, det) {
 			if st.name == "concurrent" {
@@ -275,9 +267,9 @@ func (c Config) runExploits(r *Result, kind backends.Kind, prefix string, rate f
 	out := make([]ExploitResult, 0, len(scenarios))
 	for i, sc := range scenarios {
 		plane := faultinject.New(seed + int64(i)*7919)
-		plane.EnableAll(rate, c.Budget)
+		plane.EnableAll(rate, faultBudget)
 		det := c.detector(kind, plane, false, false)
-		p := proc.NewWithOptions(det, proc.Options{HeapBytes: c.HeapBytes, Faults: plane})
+		p := proc.NewWithOptions(det, proc.Options{HeapBytes: heapBytes, Faults: plane})
 		outcome, err := sc.run(p)
 		res := ExploitResult{Name: prefix + sc.name}
 		degraded, dropped := det.(detectors.CoverageLoss).Degraded()

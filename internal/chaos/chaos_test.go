@@ -2,18 +2,13 @@ package chaos
 
 import (
 	"testing"
-	"time"
 
 	"dangsan/internal/workloads"
 )
 
 // testConfig keeps chaos cells quick enough for the race detector.
 func testConfig() Config {
-	return Config{
-		Workers:  4,
-		Requests: 120,
-		Timeout:  90 * time.Second,
-	}
+	return Config{Workers: 4, Requests: 120}
 }
 
 // TestSweepInvariants is the chaos acceptance gate: a rate × seed grid of

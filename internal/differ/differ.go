@@ -281,6 +281,13 @@ func parseOutput(s string) ([]int64, error) {
 	return out, nil
 }
 
+// seedConfig is the per-seed program shape policy: thread count cycles
+// through 0/1/2 so a seed sweep covers single-threaded programs (where the
+// freesentry cells run) and racy multi-threaded ones.
+func seedConfig(seed int64) irgen.Config {
+	return irgen.Config{Threads: int(seed % 3)}
+}
+
 // CheckSeed generates the benign program for (seed, cfg), runs the full
 // matrix, and returns every divergence found (nil means the oracle held in
 // all cells).

@@ -190,26 +190,3 @@ func TestCheckerCatchesTampering(t *testing.T) {
 		})
 	}
 }
-
-// TestSweepReportsDivergences exercises the parallel sweep driver on a
-// small window and cross-checks its run accounting.
-func TestSweep(t *testing.T) {
-	rep := Sweep(SweepOptions{Start: 1000, Seeds: 6, Mutate: true})
-	if rep.Seeds != 6 {
-		t.Fatalf("seeds swept = %d, want 6", rep.Seeds)
-	}
-	if len(rep.Divergences) != 0 {
-		t.Fatalf("divergences: %v", rep.Divergences)
-	}
-	if rep.MutationDetected != rep.MutationDetectors || rep.MutationDetectors == 0 {
-		t.Fatalf("mutation detection %d/%d", rep.MutationDetected, rep.MutationDetectors)
-	}
-	var wantRuns int
-	for seed := int64(1000); seed < 1006; seed++ {
-		mt := seedConfig(seed).Threads > 0
-		wantRuns += len(Specs(mt)) + len(MutationSpecs(mt))
-	}
-	if rep.Runs != wantRuns {
-		t.Fatalf("runs = %d, want %d", rep.Runs, wantRuns)
-	}
-}

@@ -44,7 +44,9 @@ func TestServerMidRequestOOMDoesNotLeak(t *testing.T) {
 // TestServerSurvivesTransientPressure: with a bounded injection budget the
 // allocator failures are transient, and mallocRobust's retry (with
 // ReleaseFreeMemory and backoff) must carry every request through — the
-// run completes with no error even though failures were injected.
+// run completes with no error even though failures were injected. The same
+// plane denies some of the detector's metadata allocations, and those
+// objects go untracked (degraded) instead of failing their mallocs.
 func TestServerSurvivesTransientPressure(t *testing.T) {
 	plane := faultinject.New(11)
 	plane.EnableAll(0.05, 24)
@@ -62,6 +64,9 @@ func TestServerSurvivesTransientPressure(t *testing.T) {
 	}
 	if live := p.Allocator().Stats().LiveObjects; live != 0 {
 		t.Fatalf("%d objects leaked across the pressured run", live)
+	}
+	if det.Stats().DegradedObjects == 0 {
+		t.Fatal("metadata-site injections produced no degraded objects")
 	}
 }
 
