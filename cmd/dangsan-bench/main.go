@@ -12,7 +12,7 @@
 // every row. Results go to stdout; progress (with -v) to stderr. Every
 // timed data point is measured the same way: -repeat runs, the fastest
 // kept. -metrics writes a final JSON snapshot of every instrument to the
-// given file ("-" for stdout); feed it to `dangsan-stats metrics` for a
+// given file ("-" for stdout); feed it to `dangsan-stats` for a
 // human-readable rendering. -audit turns on DangSan's log-byte accounting
 // cross-check; any drift fails the run. -bench-json writes the typed rows
 // of every experiment that ran as one JSON document to the path it is

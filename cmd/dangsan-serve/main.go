@@ -37,8 +37,8 @@
 // including rebuilt ones.
 //
 // -metrics writes a final obs snapshot to the given file ("-" for
-// stdout); feed it to `dangsan-stats service` for the supervision view or
-// `dangsan-stats metrics` for everything.
+// stdout); feed it to `dangsan-stats` for a human-readable rendering of
+// every gauge, the per-shard ones included.
 package main
 
 import (

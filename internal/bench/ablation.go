@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dangsan/internal/detectors/backends"
@@ -34,7 +35,7 @@ func lookbackSweep(s *Session) ([]LookbackPoint, Table, error) {
 	if err != nil {
 		return nil, t, err
 	}
-	prof = ScaleSPEC(prof, s.Scale)
+	prof = scaleSPEC(prof, s.Scale)
 	var points []LookbackPoint
 	for _, lb := range []int{0, 1, 2, 4, 8, 12, pointerlog.MaxLookback} {
 		s.Progress(fmt.Sprintf("lookback %d", lb))
@@ -68,7 +69,7 @@ func compressionAblation(s *Session) ([]CompressionPoint, Table, error) {
 		Title: "Ablation: pointer compression on an adjacent-slot fill workload (paper §6: up to 3x log-space saving)",
 		Head:  []string{"compression", "seconds", "log bytes", "entries folded"},
 	}
-	prof := ScaleSPEC(workloads.SPECProfile{
+	prof := scaleSPEC(workloads.SPECProfile{
 		Name:        "compression-ablation",
 		Objects:     4000,
 		TotalStores: 1_200_000,
@@ -170,7 +171,8 @@ func mapperAblation(s *Session) ([]MapperPoint, Table) {
 		Title: "Ablation: pointer-to-object mapper (paper §4.3: trees degrade with object count, shadow stays constant)",
 		Head:  []string{"live objects", "shadow ns/lookup", "rbtree ns/lookup", "tree/shadow"},
 	}
-	const lookups = 2_000_000
+	// The object counts are the x-axis; -scale shrinks only the probes.
+	lookups := max(int(2_000_000*s.Scale), 20_000)
 	var points []MapperPoint
 	for _, n := range []int{1_000, 10_000, 100_000, 1_000_000} {
 		s.Progress(fmt.Sprintf("mapper n=%d", n))
@@ -182,17 +184,23 @@ func mapperAblation(s *Session) ([]MapperPoint, Table) {
 			tbl.CreateObject(base, 64, 8, uint64(i+1))
 			tree.Insert(base, base+64, uint64(i+1))
 		}
+		// The fastest of five rounds: a scheduler or GC pause inside one
+		// short round must not decide the row.
 		probe := func(lookup func(addr uint64) bool) float64 {
-			start := time.Now()
+			best := math.Inf(1)
 			addr := uint64(vmem.HeapBase)
 			stride := uint64(64*2654435761) % (uint64(n) * 64)
-			for i := 0; i < lookups; i++ {
-				if !lookup(vmem.HeapBase + addr%uint64(n*64)) {
-					panic("bench: mapper lookup miss")
+			for range 5 {
+				start := time.Now()
+				for i := 0; i < lookups/5; i++ {
+					if !lookup(vmem.HeapBase + addr%uint64(n*64)) {
+						panic("bench: mapper lookup miss")
+					}
+					addr += stride
 				}
-				addr += stride
+				best = min(best, float64(time.Since(start).Nanoseconds())/float64(lookups/5))
 			}
-			return float64(time.Since(start).Nanoseconds()) / lookups
+			return best
 		}
 		shadowNs := probe(func(a uint64) bool { return tbl.Lookup(a) != 0 })
 		treeNs := probe(func(a uint64) bool {

@@ -58,7 +58,7 @@ func (s *Session) measure(kind Kind, tune func(*pointerlog.Config), run func(*pr
 		}
 		cfg.Audit = s.Audit
 		var err error
-		if det, err = backends.New(kind, dangsan.Options{Config: cfg, Metrics: s.Metrics}); err != nil {
+		if det, err = backends.New(kind, dangsan.Options{Config: cfg}); err != nil {
 			return Measurement{}, nil, err
 		}
 		m, err := s.measureOnce(det, run)

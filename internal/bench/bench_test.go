@@ -49,7 +49,7 @@ func TestMeasureWithMetricsAndAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof = ScaleSPEC(prof, 0.02)
+	prof = scaleSPEC(prof, 0.02)
 	var mallocs uint64
 	for run := 0; run < 2; run++ {
 		if _, _, err := s.measure(backends.DangSan, nil, func(p *proc.Process) error {

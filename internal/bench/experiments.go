@@ -32,9 +32,9 @@ type Options struct {
 	Audit bool
 }
 
-// ScaleSPEC shrinks or grows a SPEC analog by s, keeping every dimension
+// scaleSPEC shrinks or grows a SPEC analog by s, keeping every dimension
 // large enough to run.
-func ScaleSPEC(p workloads.SPECProfile, s float64) workloads.SPECProfile {
+func scaleSPEC(p workloads.SPECProfile, s float64) workloads.SPECProfile {
 	if s == 1 {
 		return p
 	}
@@ -45,8 +45,8 @@ func ScaleSPEC(p workloads.SPECProfile, s float64) workloads.SPECProfile {
 	return p
 }
 
-// ScaleParallel is ScaleSPEC for a PARSEC/SPLASH-2X analog.
-func ScaleParallel(p workloads.ParallelProfile, s float64) workloads.ParallelProfile {
+// scaleParallel is scaleSPEC for a PARSEC/SPLASH-2X analog.
+func scaleParallel(p workloads.ParallelProfile, s float64) workloads.ParallelProfile {
 	if s == 1 {
 		return p
 	}
@@ -182,7 +182,7 @@ func (s *Session) runGrid(prefix string, jobs []gridJob, inspect func(row int, d
 func (s *Session) specJobs(kinds []Kind) []gridJob {
 	var jobs []gridJob
 	for _, prof := range workloads.SPECProfiles() {
-		prof := ScaleSPEC(prof, s.Scale)
+		prof := scaleSPEC(prof, s.Scale)
 		jobs = append(jobs, gridJob{GridRow{Benchmark: prof.Name}, kinds,
 			func(p *proc.Process) error { return workloads.RunSPEC(p, prof, s.Seed) }})
 	}
@@ -208,7 +208,7 @@ func (s *Session) parallelGrid() ([]GridRow, error) {
 	}
 	var jobs []gridJob
 	for _, prof := range workloads.ParallelProfiles() {
-		prof := ScaleParallel(prof, s.Scale)
+		prof := scaleParallel(prof, s.Scale)
 		for _, threads := range s.Threads {
 			kinds := backends.Paper()
 			if threads > 1 {
@@ -396,7 +396,7 @@ func runTable1(s *Session) (*Result, error) {
 	}
 	var rows []Table1Row
 	for _, prof := range workloads.SPECProfiles() {
-		prof := ScaleSPEC(prof, s.Scale)
+		prof := scaleSPEC(prof, s.Scale)
 		s.Progress(prof.Name)
 		run := func(p *proc.Process) error { return workloads.RunSPEC(p, prof, s.Seed) }
 		m, _, err := s.measure(backends.DangSan, nil, run)

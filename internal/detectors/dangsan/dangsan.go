@@ -48,42 +48,34 @@ var _ detectors.DeferredFree = (*Detector)(nil)
 
 // New creates a DangSan detector with the paper's default configuration.
 func New() *Detector {
-	return NewWithConfig(pointerlog.DefaultConfig())
-}
-
-// NewWithConfig creates a DangSan detector with explicit pointer-log
-// tunables (used by the ablation benchmarks).
-func NewWithConfig(cfg pointerlog.Config) *Detector {
-	return &Detector{
-		table:  shadow.NewTable(),
-		logger: pointerlog.NewLogger(cfg),
-	}
+	return NewWithOptions(Options{})
 }
 
 // Options configures a detector: the pointer-log tunables (audit mode
-// included), an observability registry to attach and a fault plane.
+// included) and a fault plane. Metrics attach through the process
+// (proc.Process.AttachMetrics reaches the detector's AttachMetrics).
 type Options struct {
 	// Config carries the pointer-log tunables; the zero value means
 	// pointerlog.DefaultConfig().
 	Config pointerlog.Config
-	// Metrics, when non-nil, receives the detector's instruments.
-	Metrics *obs.Registry
 	// Faults, when non-nil, injects failures into the detector's own
 	// metadata paths (registry, log blocks, hash tables, shadow pages);
 	// failed allocations fall into degraded (untracked) mode.
 	Faults *faultinject.Plane
 }
 
-// NewWithOptions creates a DangSan detector with metrics and faults wired
-// through.
+// NewWithOptions creates a DangSan detector with explicit pointer-log
+// tunables and faults wired through.
 func NewWithOptions(opts Options) *Detector {
 	cfg := opts.Config
 	if cfg == (pointerlog.Config{}) {
 		cfg = pointerlog.DefaultConfig()
 	}
-	d := NewWithConfig(cfg)
+	d := &Detector{
+		table:  shadow.NewTable(),
+		logger: pointerlog.NewLogger(cfg),
+	}
 	d.InjectFaults(opts.Faults)
-	d.AttachMetrics(opts.Metrics)
 	return d
 }
 

@@ -3,14 +3,13 @@ package dangsan
 import (
 	"testing"
 
-	"dangsan/internal/pointerlog"
 	"dangsan/internal/vmem"
 )
 
 // BenchmarkFreeSerial times the malloc → register×8 → free cycle, whose
 // free is one inline invalidation walk over the object's eight locations.
 func BenchmarkFreeSerial(b *testing.B) {
-	d := NewWithConfig(pointerlog.DefaultConfig())
+	d := New()
 	as := vmem.New()
 	d.Bind(as)
 	as.Heap().MapPages(vmem.HeapBase, 512)

@@ -17,7 +17,7 @@ func TestMetricsAndAuditIntegration(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := pointerlog.DefaultConfig()
 	cfg.Audit = true
-	det := dangsan.NewWithOptions(dangsan.Options{Config: cfg, Metrics: reg})
+	det := dangsan.NewWithOptions(dangsan.Options{Config: cfg})
 	p := proc.New(det)
 	p.AttachMetrics(reg)
 	th := p.NewThread()

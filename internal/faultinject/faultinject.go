@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-
-	"dangsan/internal/obs"
 )
 
 // Site names one injection point.
@@ -99,9 +97,6 @@ type Plane struct {
 func New(seed int64) *Plane {
 	return &Plane{seed: uint64(seed)}
 }
-
-// Seed returns the plane's seed.
-func (p *Plane) Seed() int64 { return int64(p.seed) }
 
 // Enable arms one site with the given injection probability (clamped to
 // [0,1]) and budget (maximum number of injections; <0 means unlimited).
@@ -212,22 +207,4 @@ func (p *Plane) Snapshot() []SiteStats {
 		}
 	}
 	return out
-}
-
-// AttachMetrics registers the plane's counters with reg: total injections,
-// total draws, and the per-site breakdown as a structured object. Safe to
-// call with nil receiver or registry.
-func (p *Plane) AttachMetrics(reg *obs.Registry) {
-	if p == nil || reg == nil {
-		return
-	}
-	reg.RegisterFunc("faultinject.injected", func() int64 { return int64(p.TotalInjected()) })
-	reg.RegisterFunc("faultinject.draws", func() int64 {
-		var n uint64
-		for i := range p.sites {
-			n += p.sites[i].draws.Load()
-		}
-		return int64(n)
-	})
-	reg.RegisterObject("faultinject.sites", func() any { return p.Snapshot() })
 }

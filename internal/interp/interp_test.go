@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -549,5 +550,33 @@ func TestInstrumentedModulePrintsAndReruns(t *testing.T) {
 	}
 	if res.Trap == nil {
 		t.Fatal("reparsed instrumented program not protected")
+	}
+}
+
+// examples/programs/hoist.ir is the §6 static optimizations on one program:
+// the pass hoists the build loop's invariant registration and elides the
+// cursor's pointer-arithmetic one, and the teardown's use-after-free reads
+// the freed head node (value 15) unprotected but traps under DangSan.
+func TestHoistExampleProgram(t *testing.T) {
+	src, err := os.ReadFile("../../examples/programs/hoist.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := irparse.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass, err := instrument.Pass(m, instrument.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pass.Hoisted < 1 || pass.ElidedArithmetic < 1 {
+		t.Fatalf("pass hoisted %d and elided %d registrations, want at least one each", pass.Hoisted, pass.ElidedArithmetic)
+	}
+	if res := run(t, string(src), detectors.None{}, true); res.Trap != nil || res.Ret != 15 {
+		t.Fatalf("unprotected run: trap %v, ret %d; want the freed node's value 15", res.Trap, res.Ret)
+	}
+	if res := run(t, string(src), dangsan.New(), true); res.Trap == nil || res.Trap.Fault == nil {
+		t.Fatalf("dangsan run: trap %v, want a fault", res.Trap)
 	}
 }

@@ -1,7 +1,7 @@
 // Package irparse parses the textual form of the internal/ir intermediate
 // representation, so that example programs and the dangsan-run tool can
 // compile and execute standalone .ir files. The syntax mirrors a simplified
-// LLVM assembly; see the package tests and examples/compiler for grammar
+// LLVM assembly; see the package tests and examples/programs for grammar
 // examples.
 package irparse
 

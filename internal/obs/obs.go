@@ -1,6 +1,6 @@
 // Package obs is the runtime observability layer: allocation-free sharded
-// counters, gauges, and power-of-two-bucket histograms behind a named
-// registry that snapshots to JSON.
+// counters, power-of-two-bucket histograms and snapshot-time gauge
+// functions behind a named registry that snapshots to JSON.
 //
 // The design constraints come from where these metrics sit — inside the
 // pointer-store hot path that the rest of the system spent two PRs making
@@ -60,47 +60,4 @@ func (c *Counter) Value() uint64 {
 		n += c.shards[i].v.Load()
 	}
 	return n
-}
-
-// PerShard calls fn for every shard with a nonzero total, in shard order.
-// Shard index is tid&63, so for the dense small thread ids the simulated
-// process hands out, a shard is a thread.
-func (c *Counter) PerShard(fn func(shard int, v uint64)) {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		if v := c.shards[i].v.Load(); v != 0 {
-			fn(i, v)
-		}
-	}
-}
-
-// Gauge is a settable instantaneous value. A nil *Gauge is a no-op.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the gauge by d (which may be negative).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }

@@ -10,18 +10,15 @@ import (
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var r *Registry
 	c.Add(0, 5)
 	c.Inc(1)
-	g.Set(7)
-	g.Add(-1)
 	h.Observe(0, 100)
-	if c.Value() != 0 || g.Value() != 0 {
+	if c.Value() != 0 {
 		t.Fatal("nil instrument returned nonzero")
 	}
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
+	if r.Counter("x") != nil || r.Histogram("x") != nil {
 		t.Fatal("nil registry returned instruments")
 	}
 	r.RegisterFunc("x", func() int64 { return 1 })
@@ -48,24 +45,15 @@ func TestCounterShardingAggregates(t *testing.T) {
 	if got := c.Value(); got != threads*per {
 		t.Fatalf("Value = %d, want %d", got, threads*per)
 	}
-	var shards int
-	c.PerShard(func(shard int, v uint64) {
-		shards++
-		if v != per {
-			t.Errorf("shard %d = %d, want %d", shard, v, per)
+	// Each of the small dense tids has a shard of its own.
+	for i := range c.shards {
+		want := uint64(0)
+		if i < threads {
+			want = per
 		}
-	})
-	if shards != threads {
-		t.Fatalf("PerShard visited %d shards, want %d", shards, threads)
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(100)
-	g.Add(-30)
-	if got := g.Value(); got != 70 {
-		t.Fatalf("gauge = %d", got)
+		if v := c.shards[i].v.Load(); v != want {
+			t.Errorf("shard %d = %d, want %d", i, v, want)
+		}
 	}
 }
 
@@ -110,7 +98,6 @@ func TestHistogramEmptyQuantile(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pointerlog.registers").Add(3, 42)
-	r.Gauge("proc.threads").Set(4)
 	r.RegisterFunc("tcmalloc.live_bytes", func() int64 { return 1 << 20 })
 	r.Histogram("pointerlog.register_ns").Observe(0, 900)
 	r.Histogram("pointerlog.register_ns").Observe(1, 90)
@@ -163,7 +150,7 @@ func TestRegistryIdempotentAttach(t *testing.T) {
 func TestFormatSections(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.count").Add(0, 5)
-	r.Gauge("b.gauge").Set(-2)
+	r.RegisterFunc("b.gauge", func() int64 { return -2 })
 	r.Histogram("c.hist").Observe(0, 8)
 	r.RegisterObject("d.obj", func() any { return map[string]int{"k": 1} })
 	out := r.Snapshot().Format()

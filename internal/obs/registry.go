@@ -16,7 +16,6 @@ import (
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string]func() int64
 	objects  map[string]func() any
@@ -26,7 +25,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		funcs:    make(map[string]func() int64),
 		objects:  make(map[string]func() any),
@@ -48,21 +46,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the histogram registered under name, creating it if
@@ -105,8 +88,8 @@ func (r *Registry) RegisterObject(name string, fn func() any) {
 	r.objects[name] = fn
 }
 
-// Snapshot is the JSON-exportable aggregate view of a Registry. Gauges and
-// func gauges share the gauges section: both are instantaneous values.
+// Snapshot is the JSON-exportable aggregate view of a Registry. Gauges holds
+// the func gauges' instantaneous values.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
@@ -131,11 +114,8 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters[name] = c.Value()
 		}
 	}
-	if len(r.gauges)+len(r.funcs) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges)+len(r.funcs))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.Value()
-		}
+	if len(r.funcs) > 0 {
+		s.Gauges = make(map[string]int64, len(r.funcs))
 		for name, fn := range r.funcs {
 			s.Gauges[name] = fn()
 		}

@@ -17,7 +17,7 @@ import (
 func TestTinyHeapMallocReturnsTypedOOM(t *testing.T) {
 	cfg := pointerlog.DefaultConfig()
 	cfg.Audit = true
-	det := dangsan.NewWithConfig(cfg)
+	det := dangsan.NewWithOptions(dangsan.Options{Config: cfg})
 	p := NewWithOptions(det, Options{HeapBytes: 256 << 10})
 	th := p.NewThread()
 	defer th.Exit()

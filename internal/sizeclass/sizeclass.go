@@ -164,12 +164,3 @@ func SizeToClass(size uint64) int {
 		panic("sizeclass: size exceeds MaxSmallSize")
 	}
 }
-
-// RoundUp returns the allocated size for a request of the given size: the
-// class size for small requests, whole pages for large ones.
-func RoundUp(size uint64) uint64 {
-	if size <= MaxSmallSize {
-		return classes[SizeToClass(size)].Size
-	}
-	return (size + PageSize - 1) &^ (PageSize - 1)
-}

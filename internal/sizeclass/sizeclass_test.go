@@ -80,21 +80,10 @@ func TestSizeToClassPanics(t *testing.T) {
 	}
 }
 
-func TestRoundUp(t *testing.T) {
-	if got := RoundUp(1); got != MinAlign {
-		t.Errorf("RoundUp(1) = %d, want %d", got, MinAlign)
-	}
-	if got := RoundUp(MaxSmallSize + 1); got != MaxSmallSize+PageSize {
-		// MaxSmallSize is page aligned, so +1 rounds to one more page.
-		t.Errorf("RoundUp(MaxSmallSize+1) = %d", got)
-	}
-	if got := RoundUp(1 << 20); got != 1<<20 {
-		t.Errorf("RoundUp(1MiB) = %d, want exact", got)
-	}
-}
-
-// Property: SizeToClass returns the tightest class for every size, and
-// RoundUp never shrinks a request and wastes at most 12.5% + alignment.
+// Property: SizeToClass returns the tightest class for every size, and the
+// class size never shrinks a request and wastes at most 25% + alignment. The
+// alignment ladder steps by 12.5%, but merging classes whose spans hold the
+// same number of objects can double a step (8193 bytes get a 10240-byte class).
 func TestSizeToClassProperty(t *testing.T) {
 	f := func(raw uint32) bool {
 		size := uint64(raw)%MaxSmallSize + 1
@@ -106,7 +95,7 @@ func TestSizeToClassProperty(t *testing.T) {
 		if c > 0 && ForClass(c-1).Size >= size {
 			return false
 		}
-		return RoundUp(size) == cl.Size
+		return cl.Size-size <= size/4+MinAlign
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)

@@ -40,8 +40,9 @@ func (e *OutOfMemoryError) Error() string {
 	return fmt.Sprintf("tcmalloc: out of memory allocating %d bytes", e.Size)
 }
 
-// ReallocKind describes how a Realloc request was satisfied; the DangSan
-// heap tracker must distinguish these cases (paper §4.2).
+// ReallocKind describes how TryResizeInPlace satisfied a realloc without
+// moving the object; the DangSan heap tracker must distinguish these cases
+// (paper §4.2).
 type ReallocKind int
 
 const (
@@ -50,8 +51,6 @@ const (
 	// ReallocInPlace: the object was grown or shrunk in place; pointers to
 	// it remain valid but the object's extent changed.
 	ReallocInPlace
-	// ReallocMoved: a new object was allocated, bytes copied, old freed.
-	ReallocMoved
 )
 
 // Stats is a snapshot of allocator-wide accounting.
@@ -60,8 +59,7 @@ type Stats struct {
 	LiveObjects uint64
 	// LiveBytes is the usable bytes of currently allocated objects.
 	LiveBytes uint64
-	// TotalAllocs counts Malloc calls that succeeded (including the moves
-	// performed by Realloc).
+	// TotalAllocs counts Malloc calls that succeeded.
 	TotalAllocs uint64
 	// TotalFrees counts successful Free calls.
 	TotalFrees uint64
@@ -330,79 +328,6 @@ func (tc *ThreadCache) TryResizeInPlace(addr, newSize uint64) (ReallocKind, erro
 	return ReallocSame, nil, false
 }
 
-// Realloc resizes the object at addr to newSize. It returns the (possibly
-// new) address and how the request was satisfied. Realloc(0, n) behaves as
-// Malloc(n); Realloc(addr, 0) behaves as Free + Malloc(minimum).
-func (tc *ThreadCache) Realloc(addr, newSize uint64) (uint64, ReallocKind, error) {
-	if addr == 0 {
-		na, err := tc.Malloc(newSize)
-		return na, ReallocMoved, err
-	}
-	a := tc.alloc
-	kind, err, ok := tc.TryResizeInPlace(addr, newSize)
-	if err != nil {
-		return 0, ReallocSame, err
-	}
-	if ok {
-		return addr, kind, nil
-	}
-	if newSize == 0 {
-		newSize = 1
-	}
-	oldSize, usableOK := a.UsableSize(addr)
-	if !usableOK {
-		return 0, ReallocSame, &InvalidFreeError{Addr: addr}
-	}
-	// Case 3: move.
-	newAddr, err := tc.Malloc(newSize)
-	if err != nil {
-		return 0, ReallocSame, err
-	}
-	n := oldSize
-	if newSize < n {
-		n = newSize
-	}
-	if f := reallocCopy(a.seg, newAddr, addr, n); f != nil {
-		// Copy inside mapped, live objects cannot fault; treat as corruption.
-		panic(f)
-	}
-	if err := tc.Free(addr); err != nil {
-		return 0, ReallocSame, err
-	}
-	return newAddr, ReallocMoved, nil
-}
-
-// reallocCopy copies n bytes between two live heap objects word-wise.
-func reallocCopy(seg *vmem.Segment, dst, src, n uint64) *vmem.Fault {
-	i := uint64(0)
-	for ; i+vmem.WordSize <= n; i += vmem.WordSize {
-		w, f := seg.LoadWord(src + i)
-		if f != nil {
-			return f
-		}
-		if f := seg.StoreWord(dst+i, w); f != nil {
-			return f
-		}
-	}
-	for ; i < n; i++ {
-		// Tail bytes: read-modify-write the destination word.
-		w, f := seg.LoadWord((src + i) &^ 7)
-		if f != nil {
-			return f
-		}
-		b := byte(w >> (8 * ((src + i) & 7)))
-		dw, f := seg.LoadWord((dst + i) &^ 7)
-		if f != nil {
-			return f
-		}
-		shift := 8 * ((dst + i) & 7)
-		if f := seg.StoreWord((dst+i)&^7, dw&^(0xff<<shift)|uint64(b)<<shift); f != nil {
-			return f
-		}
-	}
-	return nil
-}
-
 // UsableSize returns the usable size of the live object whose base is addr.
 func (a *Allocator) UsableSize(addr uint64) (uint64, bool) {
 	s := a.heap.spanOf(addr)
@@ -423,29 +348,6 @@ func (a *Allocator) UsableSize(addr uint64) (uint64, bool) {
 		return uint64(s.npages) * vmem.PageSize, true
 	}
 	return 0, false
-}
-
-// ObjectRange maps any interior pointer to the base and size of the object
-// containing it. It reports false for addresses in free or unreserved
-// memory. This is the allocator-level range query that tree-based systems
-// like DangNULL implement with a lookup structure; tcmalloc's page map makes
-// it O(1).
-func (a *Allocator) ObjectRange(addr uint64) (base, size uint64, ok bool) {
-	s := a.heap.spanOf(addr)
-	if s == nil {
-		return 0, 0, false
-	}
-	switch s.state {
-	case spanSmall:
-		idx, _ := s.objectIndex(addr)
-		if !s.isLive(idx) {
-			return 0, 0, false
-		}
-		return s.objectBase(idx), sizeclass.ForClass(s.class).Size, true
-	case spanLarge:
-		return s.base, uint64(s.npages) * vmem.PageSize, true
-	}
-	return 0, 0, false
 }
 
 // ReleaseFreeMemory returns idle pages to the simulated OS, making stale

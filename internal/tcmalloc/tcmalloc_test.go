@@ -157,65 +157,24 @@ func TestLargeAlloc(t *testing.T) {
 	}
 }
 
-func TestObjectRangeInterior(t *testing.T) {
-	a, tc := newTestAlloc()
-	addr, err := tc.Malloc(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	usable, _ := a.UsableSize(addr)
-	for _, off := range []uint64{0, 1, usable / 2, usable - 1} {
-		base, size, ok := a.ObjectRange(addr + off)
-		if !ok || base != addr || size != usable {
-			t.Fatalf("ObjectRange(+%d) = 0x%x, %d, %v; want 0x%x, %d",
-				off, base, size, ok, addr, usable)
-		}
-	}
-	tc.Free(addr)
-	if _, _, ok := a.ObjectRange(addr); ok {
-		t.Fatal("ObjectRange found a freed object")
-	}
-}
-
 func TestReallocSame(t *testing.T) {
-	_, tc := newTestAlloc()
+	a, tc := newTestAlloc()
 	addr, _ := tc.Malloc(100)
-	na, kind, err := tc.Realloc(addr, 101)
-	if err != nil || kind != ReallocSame || na != addr {
-		t.Fatalf("Realloc(100->101) = 0x%x, %v, %v", na, kind, err)
+	usable, _ := a.UsableSize(addr)
+	kind, err, ok := tc.TryResizeInPlace(addr, 101)
+	if err != nil || kind != ReallocSame || !ok {
+		t.Fatalf("TryResizeInPlace(100->101) = %v, %v, %v", kind, err, ok)
 	}
-}
-
-func TestReallocMovePreservesData(t *testing.T) {
-	as := vmem.New()
-	a := New(as.Heap())
-	tc := a.NewThreadCache()
-	addr, _ := tc.Malloc(64)
-	if f := as.StoreWord(addr, 0xDEADBEEF); f != nil {
-		t.Fatal(f)
+	if got, _ := a.UsableSize(addr); got != usable {
+		t.Fatalf("usable = %d, want %d", got, usable)
 	}
-	if f := as.StoreWord(addr+56, 42); f != nil {
-		t.Fatal(f)
+	// A size the class cannot hold is left to the caller's move, and the
+	// object stays as it was.
+	if kind, err, ok := tc.TryResizeInPlace(addr, 4096); err != nil || ok {
+		t.Fatalf("TryResizeInPlace(100->4096) = %v, %v, %v; want a move", kind, err, ok)
 	}
-	na, kind, err := tc.Realloc(addr, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != ReallocMoved || na == addr {
-		t.Fatalf("expected move, got kind=%v addr 0x%x -> 0x%x", kind, addr, na)
-	}
-	if v, _ := as.LoadWord(na); v != 0xDEADBEEF {
-		t.Fatalf("word 0 = 0x%x", v)
-	}
-	if v, _ := as.LoadWord(na + 56); v != 42 {
-		t.Fatalf("word 56 = %d", v)
-	}
-	// Old object must be gone.
-	if _, ok := a.UsableSize(addr); ok {
-		t.Fatal("old object still live after realloc move")
-	}
-	if err := tc.Free(na); err != nil {
-		t.Fatal(err)
+	if got, live := a.UsableSize(addr); !live || got != usable {
+		t.Fatalf("object after a declined resize: usable %d, live %v", got, live)
 	}
 }
 
@@ -228,32 +187,29 @@ func TestReallocLargeInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shrink in place.
-	na, kind, err := tc.Realloc(addr, vmem.PageSize*150)
-	if err != nil || na != addr || kind != ReallocInPlace {
-		t.Fatalf("shrink: 0x%x, %v, %v", na, kind, err)
+	kind, err, ok := tc.TryResizeInPlace(addr, vmem.PageSize*150)
+	if err != nil || !ok || kind != ReallocInPlace {
+		t.Fatalf("shrink: %v, %v, %v", kind, err, ok)
 	}
 	if usable, _ := a.UsableSize(addr); usable != vmem.PageSize*150 {
 		t.Fatalf("usable after shrink = %d", usable)
 	}
 	// Grow back in place (the tail we just freed is adjacent).
-	na, kind, err = tc.Realloc(addr, vmem.PageSize*200)
-	if err != nil || na != addr || kind != ReallocInPlace {
-		t.Fatalf("grow: 0x%x, %v, %v", na, kind, err)
+	kind, err, ok = tc.TryResizeInPlace(addr, vmem.PageSize*200)
+	if err != nil || !ok || kind != ReallocInPlace {
+		t.Fatalf("grow: %v, %v, %v", kind, err, ok)
 	}
 	if err := tc.Free(addr); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestReallocNilAndInvalid(t *testing.T) {
+func TestReallocInvalid(t *testing.T) {
 	_, tc := newTestAlloc()
-	addr, kind, err := tc.Realloc(0, 64)
-	if err != nil || kind != ReallocMoved || addr == 0 {
-		t.Fatalf("Realloc(0, 64) = 0x%x, %v, %v", addr, kind, err)
-	}
+	addr, _ := tc.Malloc(64)
 	var invErr *InvalidFreeError
-	if _, _, err := tc.Realloc(addr|1<<63, 128); !errors.As(err, &invErr) {
-		t.Fatalf("realloc of invalidated pointer: %v", err)
+	if _, err, _ := tc.TryResizeInPlace(addr|1<<63, 128); !errors.As(err, &invErr) {
+		t.Fatalf("resize of invalidated pointer: %v", err)
 	}
 }
 
@@ -453,20 +409,6 @@ func BenchmarkMallocFreeSmall(b *testing.B) {
 		}
 		if err := tc.Free(addr); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkObjectRange(b *testing.B) {
-	a, tc := newTestAlloc()
-	addrs := make([]uint64, 1024)
-	for i := range addrs {
-		addrs[i], _ = tc.Malloc(64)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := a.ObjectRange(addrs[i%len(addrs)] + 8); !ok {
-			b.Fatal("lookup failed")
 		}
 	}
 }

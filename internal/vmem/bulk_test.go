@@ -1,17 +1,17 @@
 package vmem
 
 import (
-	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// The byte-at-a-time loops that LoadBytes, StoreBytes and Memmove were before
-// they learned to move whole words. They are the reference: the word paths
-// must return the same fault after moving the same bytes.
+// Byte-at-a-time loops. loadBytes and storeBytes move test data in and out
+// of a space; refMemmove and refMemset are the reference for Memmove's and
+// Memset's word paths, which must return the same fault after moving the
+// same bytes.
 
-func refLoadBytes(as *AddressSpace, addr uint64, dst []byte) *Fault {
+func loadBytes(as *AddressSpace, addr uint64, dst []byte) *Fault {
 	for i := range dst {
 		b, f := as.LoadByte(addr + uint64(i))
 		if f != nil {
@@ -22,7 +22,7 @@ func refLoadBytes(as *AddressSpace, addr uint64, dst []byte) *Fault {
 	return nil
 }
 
-func refStoreBytes(as *AddressSpace, addr uint64, src []byte) *Fault {
+func storeBytes(as *AddressSpace, addr uint64, src []byte) *Fault {
 	for i, b := range src {
 		if f := as.StoreByte(addr+uint64(i), b); f != nil {
 			return f
@@ -59,6 +59,15 @@ func refMemmove(as *AddressSpace, dst, src, n uint64) *Fault {
 	return nil
 }
 
+func refMemset(as *AddressSpace, addr uint64, val byte, n uint64) *Fault {
+	for i := uint64(0); i < n; i++ {
+		if f := as.StoreByte(addr+i, val); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 // bulkPages is the heap of the spaces the property test runs on: five pages,
 // the middle one unmapped, so ranges straddle an unmapped page from either
 // side and run off the end of the segment.
@@ -67,7 +76,7 @@ const bulkPages = 5
 func newBulkSpace(t *testing.T, fill []byte) *AddressSpace {
 	as := NewSized(bulkPages * PageSize)
 	as.Heap().MapPages(HeapBase, bulkPages)
-	if f := refStoreBytes(as, HeapBase, fill); f != nil {
+	if f := storeBytes(as, HeapBase, fill); f != nil {
 		t.Fatal(f)
 	}
 	as.Heap().UnmapPages(HeapBase+2*PageSize, 1)
@@ -127,20 +136,11 @@ func TestBulkOpsMatchByteLoops(t *testing.T) {
 		}
 		var gf, wf *Fault
 		var op string
-		switch rng.Intn(4) {
-		case 0:
-			op = "LoadBytes"
-			gb, wb := make([]byte, n), make([]byte, n)
-			gf, wf = got.LoadBytes(a, gb), refLoadBytes(want, a, wb)
-			if !bytes.Equal(gb, wb) {
-				t.Fatalf("iter %d: LoadBytes(%#x, %d) read different bytes", iter, a, n)
-			}
-		case 1:
-			op = "StoreBytes"
-			src := make([]byte, n)
-			rng.Read(src)
-			gf, wf = got.StoreBytes(a, src), refStoreBytes(want, a, src)
-		default:
+		if rng.Intn(4) == 0 {
+			op = "Memset"
+			v := byte(rng.Intn(256))
+			gf, wf = got.Memset(a, v, n), refMemset(want, a, v, n)
+		} else {
 			op = "Memmove"
 			gf, wf = got.Memmove(a, b, n), refMemmove(want, a, b, n)
 		}

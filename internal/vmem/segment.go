@@ -219,19 +219,6 @@ func wordIndex(addr uint64) uint64 { return addr / WordSize % pageWords }
 // unmapped builds the fault for an access to an unmapped page of a segment.
 func unmapped(addr uint64) *Fault { return &Fault{Addr: addr, Kind: FaultUnmapped} }
 
-// LoadWord reads the aligned word at addr, which must lie in the segment.
-// It skips the canonical-form and segment-lookup checks that
-// AddressSpace.LoadWord performs, so it is the fast path for subsystems that
-// already know the segment (e.g. the allocator's realloc copy).
-func (s *Segment) LoadWord(addr uint64) (uint64, *Fault) { return s.loadWord(addr) }
-
-// StoreWord writes the aligned word at addr; see LoadWord for the contract.
-func (s *Segment) StoreWord(addr, val uint64) *Fault { return s.storeWord(addr, val) }
-
-// CASWord compare-and-swaps the aligned word at addr; see LoadWord for the
-// contract.
-func (s *Segment) CASWord(addr, old, new uint64) (bool, *Fault) { return s.casWord(addr, old, new) }
-
 // loadWord reads the aligned word at addr.
 func (s *Segment) loadWord(addr uint64) (uint64, *Fault) {
 	p := s.pageOf(addr)

@@ -1,7 +1,6 @@
 package vmem
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 )
@@ -235,48 +234,6 @@ func (as *AddressSpace) StoreByte(addr uint64, val byte) *Fault {
 // single bytes at the ragged ends. An aligned word lies within one page, so
 // the fault is the one a byte-at-a-time loop would return at that point,
 // with the same bytes moved before it.
-
-// LoadBytes reads len(dst) bytes starting at addr.
-func (as *AddressSpace) LoadBytes(addr uint64, dst []byte) *Fault {
-	n := uint64(len(dst))
-	for i := uint64(0); i < n; {
-		if (addr+i)%WordSize == 0 && n-i >= WordSize {
-			w, f := as.LoadWord(addr + i)
-			if f != nil {
-				return f
-			}
-			binary.LittleEndian.PutUint64(dst[i:], w)
-			i += WordSize
-			continue
-		}
-		b, f := as.LoadByte(addr + i)
-		if f != nil {
-			return f
-		}
-		dst[i] = b
-		i++
-	}
-	return nil
-}
-
-// StoreBytes writes src starting at addr.
-func (as *AddressSpace) StoreBytes(addr uint64, src []byte) *Fault {
-	n := uint64(len(src))
-	for i := uint64(0); i < n; {
-		if (addr+i)%WordSize == 0 && n-i >= WordSize {
-			if f := as.StoreWord(addr+i, binary.LittleEndian.Uint64(src[i:])); f != nil {
-				return f
-			}
-			i += WordSize
-			continue
-		}
-		if f := as.StoreByte(addr+i, src[i]); f != nil {
-			return f
-		}
-		i++
-	}
-	return nil
-}
 
 // moveWord copies the aligned word at src to dst.
 func (as *AddressSpace) moveWord(dst, src uint64) *Fault {

@@ -171,7 +171,7 @@ func TestMemmove(t *testing.T) {
 	as := New()
 	a := uint64(GlobalsBase + 4096)
 	src := []byte("the quick brown fox jumps over the lazy dog")
-	if f := as.StoreBytes(a, src); f != nil {
+	if f := storeBytes(as, a, src); f != nil {
 		t.Fatal(f)
 	}
 	// Non-overlapping copy.
@@ -179,7 +179,7 @@ func TestMemmove(t *testing.T) {
 		t.Fatal(f)
 	}
 	got := make([]byte, len(src))
-	if f := as.LoadBytes(a+100, got); f != nil {
+	if f := loadBytes(as, a+100, got); f != nil {
 		t.Fatal(f)
 	}
 	if string(got) != string(src) {
@@ -189,7 +189,7 @@ func TestMemmove(t *testing.T) {
 	if f := as.Memmove(a+4, a, uint64(len(src))); f != nil {
 		t.Fatal(f)
 	}
-	if f := as.LoadBytes(a+4, got); f != nil {
+	if f := loadBytes(as, a+4, got); f != nil {
 		t.Fatal(f)
 	}
 	if string(got) != string(src) {
@@ -204,7 +204,7 @@ func TestMemset(t *testing.T) {
 		t.Fatal(f)
 	}
 	buf := make([]byte, 31)
-	if f := as.LoadBytes(a-1, buf); f != nil {
+	if f := loadBytes(as, a-1, buf); f != nil {
 		t.Fatal(f)
 	}
 	if buf[0] != 0 || buf[30] != 0 {
@@ -310,7 +310,7 @@ func TestMemmoveProperty(t *testing.T) {
 		dstOff := uint64(rng.Intn(256))
 		buf := make([]byte, 512)
 		rng.Read(buf)
-		if f := as.StoreBytes(region, buf); f != nil {
+		if f := storeBytes(as, region, buf); f != nil {
 			t.Fatal(f)
 		}
 		want := make([]byte, 512)
@@ -320,7 +320,7 @@ func TestMemmoveProperty(t *testing.T) {
 			t.Fatal(f)
 		}
 		got := make([]byte, 512)
-		if f := as.LoadBytes(region, got); f != nil {
+		if f := loadBytes(as, region, got); f != nil {
 			t.Fatal(f)
 		}
 		if string(got) != string(want) {
