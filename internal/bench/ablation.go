@@ -184,20 +184,25 @@ func mapperAblation(s *Session) ([]MapperPoint, Table) {
 			tbl.CreateObject(base, 64, 8, uint64(i+1))
 			tree.Insert(base, base+64, uint64(i+1))
 		}
-		// The fastest of five rounds: a scheduler or GC pause inside one
-		// short round must not decide the row.
+		// One untimed pass over all n objects in the probes' order, then the
+		// fastest of five rounds: a round shorter than n probes times no first
+		// touches, and a pause inside one short round does not decide the row.
 		probe := func(lookup func(addr uint64) bool) float64 {
 			best := math.Inf(1)
 			addr := uint64(vmem.HeapBase)
 			stride := uint64(64*2654435761) % (uint64(n) * 64)
-			for range 5 {
-				start := time.Now()
-				for i := 0; i < lookups/5; i++ {
+			pass := func(k int) {
+				for range k {
 					if !lookup(vmem.HeapBase + addr%uint64(n*64)) {
 						panic("bench: mapper lookup miss")
 					}
 					addr += stride
 				}
+			}
+			pass(n)
+			for range 5 {
+				start := time.Now()
+				pass(lookups / 5)
 				best = min(best, float64(time.Since(start).Nanoseconds())/float64(lookups/5))
 			}
 			return best

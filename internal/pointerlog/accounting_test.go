@@ -27,13 +27,23 @@ func hashModeLogger(t testing.TB, cfg Config) (*Logger, *ObjectMeta, *ThreadLog)
 	return lg, meta, tl
 }
 
+// growAt is the number of distinct entries at which a table of the given
+// size reports full, so the tests follow the load bound, whatever it is.
+func growAt(slots int) int {
+	t := &locTable{entries: make([]uint64, slots)}
+	for !t.full() {
+		t.used++
+	}
+	return t.used
+}
+
 // A duplicate insert at the load threshold still grows the table (the
 // load check runs before probing), and the growth must be reported so the
 // caller can charge it.
 func TestLocSetGrowOnDuplicateInsert(t *testing.T) {
 	s := newLocSet()
-	// 64 slots grow once used*10 >= 64*7; 45 distinct entries cross it.
-	for i := 0; i < 45; i++ {
+	n := growAt(locSetInitial)
+	for i := 0; i < n; i++ {
 		if added, _, _ := s.insert(vmem.GlobalsBase+uint64(i)*8, nil); !added {
 			t.Fatalf("insert %d reported duplicate", i)
 		}
@@ -51,7 +61,7 @@ func TestLocSetGrowOnDuplicateInsert(t *testing.T) {
 	if got := s.bytes(); got != 2*locSetInitial*8 {
 		t.Fatalf("table = %d bytes after grow", got)
 	}
-	if s.len() != 45 {
+	if s.len() != n {
 		t.Fatalf("len = %d after duplicate", s.len())
 	}
 }
@@ -69,7 +79,7 @@ func TestRegisterChargesGrowOnDuplicate(t *testing.T) {
 
 	// Fill the table to the load threshold with distinct locations.
 	i := uint64(0)
-	for h.len() < 45 {
+	for h.len() < growAt(locSetInitial) {
 		lg.Register(meta, vmem.StacksBase+i*8, 1)
 		i++
 	}
@@ -98,8 +108,8 @@ func TestRegisterChargesGrowOnDuplicate(t *testing.T) {
 }
 
 // Once a thread log is in hash-table mode the lookback is skipped: the
-// table deduplicates the full history, and the frozen linear log's newest
-// entries hold locations the table does not.
+// table deduplicates only what was logged since the switch, and the frozen
+// linear log's newest entries hold locations the table does not.
 func TestHashModeSkipsLookback(t *testing.T) {
 	lg, meta, tl := hashModeLogger(t, DefaultConfig())
 

@@ -21,9 +21,9 @@ type locTable struct {
 
 const locSetInitial = 64 // slots; must be a power of two
 
-// full reports whether the next insert wants the table doubled first (load
-// factor 0.7). Owner-only.
-func (t *locTable) full() bool { return t.used*10 >= len(t.entries)*7 }
+// full reports whether the next insert wants the table doubled first: at 7/8
+// load, the maximum of Go's runtime maps and of SwissTable. Owner-only.
+func (t *locTable) full() bool { return t.used*8 >= len(t.entries)*7 }
 
 func newLocSet() *locSet {
 	s := &locSet{}

@@ -510,8 +510,10 @@ func (lg *Logger) RegisterWith(tl *ThreadLog, loc uint64, tid int32) {
 
 func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 	// Hash-table mode: the log overflowed earlier. Checked before the
-	// lookback: the table deduplicates the full history, and once a spill
-	// has taken the linear log's blocks there is no newest entry to read.
+	// lookback, whose window holds frozen entries the table lacks: the
+	// table deduplicates only what came after the switch, so a location
+	// logged before it is logged again (and a free walks it twice). Once a
+	// spill has taken the linear log's blocks there is no newest entry.
 	if h := tl.hash.Load(); h != nil {
 		// Tiering check where a grow is due: a table whose doubling would
 		// reach the threshold is spilled as it stands and the location

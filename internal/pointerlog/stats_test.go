@@ -37,7 +37,7 @@ func goldenWorkload(lg *Logger, as *vmem.AddressSpace) Snapshot {
 // goldenLogBytes is goldenWorkload's log footprint: the eight objects'
 // thread logs at their fixed charge, plus the indirect blocks and hash
 // tables behind them.
-const goldenLogBytes = 8*threadLogBytes + 532480
+const goldenLogBytes = 8*threadLogBytes + 270336
 
 // goldenSnapshot holds the counter values for goldenWorkload. The
 // classification counters (Registered through Faulted) reproduce the seed

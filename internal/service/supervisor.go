@@ -85,7 +85,9 @@ func (s *Service) supervise(sh *shardState) {
 //  4. with audit armed, cross-check the rebuilt worker's accounting
 //     identity (LogBytes == live + released + spilled); a
 //     violation here is a service-level invariant failure;
-//  5. swap the endpoint in and reopen the shard.
+//  5. swap the endpoint in and reopen the shard;
+//  6. close the dead worker (its spill file's unmap and close): nothing
+//     reaches it now, so neither the gate nor the recovery time waits.
 //
 // Concurrent failovers for one shard serialize on failMu; the rebuilding
 // flag keeps the supervisor and request path out during the rebuild.
@@ -101,7 +103,6 @@ func (s *Service) failover(sh *shardState, seen *epBox) {
 	old := seen.ep
 	start := time.Now()
 	sh.rebuilding.Store(true)
-	defer sh.rebuilding.Store(false)
 
 	exited := stopEndpoint(old)
 	if old.didPanic() {
@@ -121,6 +122,7 @@ func (s *Service) failover(sh *shardState, seen *epBox) {
 		// the supervisor will retry on its next tick.
 		s.replayErrors.Add(1)
 		s.recordViolation("shard %d: rebuild failed: %v", sh.idx, err)
+		sh.rebuilding.Store(false)
 		return
 	}
 
@@ -161,18 +163,18 @@ func (s *Service) failover(sh *shardState, seen *epBox) {
 		}
 	}
 
-	if exited {
-		old.close()
-	}
-
 	sh.ep.Store(&epBox{ep: nep})
 	sh.incarn.Add(1)
 	sh.lastBeat.Store(time.Now().UnixNano())
 	sh.failovers.Add(1)
 	s.failovers.Add(1)
 	s.replayedObjects.Add(uint64(replayed))
+	sh.rebuilding.Store(false)
 	d := time.Since(start)
 	s.recoveryMu.Lock()
 	s.recoveries = append(s.recoveries, d)
 	s.recoveryMu.Unlock()
+	if exited {
+		old.close()
+	}
 }
