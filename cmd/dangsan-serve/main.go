@@ -8,7 +8,7 @@
 //
 //	dangsan-serve [-shards 4] [-clients 8] [-requests 2000] [-seed 1]
 //	              [-transport chan|unix] [-rate R]
-//	              [-audit] [-cold-spill-bytes N] [-metrics out.json]
+//	              [-audit] [-cold] [-metrics out.json]
 //
 // -transport selects where the workers live: "chan" (the default) keeps
 // them as in-process goroutines; "unix" spawns one OS process per shard,
@@ -36,6 +36,10 @@
 // during a failover, or (with -audit) accounting drift on any worker,
 // including rebuilt ones.
 //
+// -cold arms every worker's tiered log at its minimum spill threshold,
+// pointerlog.MinColdSpillBytes: hash tables spill to the worker's spill
+// file instead of growing past one initial table.
+//
 // -metrics writes a final obs snapshot to the given file ("-" for
 // stdout); feed it to `dangsan-stats` for a human-readable rendering of
 // every gauge, the per-shard ones included.
@@ -49,6 +53,7 @@ import (
 
 	"dangsan/internal/chaos"
 	"dangsan/internal/obs"
+	"dangsan/internal/pointerlog"
 	"dangsan/internal/service"
 )
 
@@ -70,15 +75,19 @@ func run() int {
 	transport := flag.String("transport", service.TransportChan, "worker transport: chan|unix (in-process goroutines | worker processes)")
 	rate := flag.Float64("rate", 0, "disruption script rate: round(10×rate) of each kind the transport supports, paced by ops (0: no disruption)")
 	audit := flag.Bool("audit", false, "enable log-byte accounting cross-checks on every worker")
-	coldSpill := flag.Uint64("cold-spill-bytes", 0, "tiered-log spill threshold per worker (0: off)")
+	cold := flag.Bool("cold", false, "arm each worker's tiered log at its minimum spill threshold")
 	metricsFile := flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit (\"-\" for stdout)")
 	flag.Parse()
 
+	var coldSpillBytes uint64
+	if *cold {
+		coldSpillBytes = pointerlog.MinColdSpillBytes
+	}
 	reg := obs.NewRegistry()
 	svc, err := service.New(service.Config{
 		Shards:         *shards,
 		Audit:          *audit,
-		ColdSpillBytes: *coldSpill,
+		ColdSpillBytes: coldSpillBytes,
 		Seed:           uint64(*seed),
 		Transport:      *transport,
 		Metrics:        reg,

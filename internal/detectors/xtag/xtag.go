@@ -205,7 +205,3 @@ func (d *Detector) MetadataBytes() uint64 {
 func (d *Detector) Stats() (tagged, checks, mismatches uint64) {
 	return d.statTagged.Load(), d.statChecks.Load(), d.statMismatch.Load()
 }
-
-// Generations reports how many generation tags have been drawn, for the
-// tag-reuse window tests.
-func (d *Detector) Generations() uint64 { return d.gen.Load() }

@@ -104,7 +104,7 @@ func TestTagReuseWindow(t *testing.T) {
 	// negative. If this starts faulting, the tag width or wrap rule changed
 	// and the docs (and differ oracle) must follow.
 	checkOK(t, d, stale)
-	if g := d.Generations(); g != vmem.MaxTag+1 {
+	if g := d.gen.Load(); g != vmem.MaxTag+1 {
 		t.Fatalf("generations = %d, want %d", g, vmem.MaxTag+1)
 	}
 }

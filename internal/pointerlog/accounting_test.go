@@ -21,7 +21,7 @@ func hashModeLogger(t testing.TB, cfg Config) (*Logger, *ObjectMeta, *ThreadLog)
 		lg.Register(meta, vmem.GlobalsBase+uint64(i)*0x1000, 1)
 	}
 	tl := meta.logs.Load()
-	if tl.hash.Load() == nil {
+	if tl.hash.table.Load() == nil {
 		t.Fatal("log did not switch to hash mode")
 	}
 	return lg, meta, tl
@@ -41,7 +41,8 @@ func growAt(slots int) int {
 // load check runs before probing), and the growth must be reported so the
 // caller can charge it.
 func TestLocSetGrowOnDuplicateInsert(t *testing.T) {
-	s := newLocSet()
+	var s locSet
+	s.reset()
 	n := growAt(locSetInitial)
 	for i := 0; i < n; i++ {
 		if added, _, _ := s.insert(vmem.GlobalsBase+uint64(i)*8, nil); !added {
@@ -75,7 +76,7 @@ func TestRegisterChargesGrowOnDuplicate(t *testing.T) {
 	cfg.Lookback = 0
 	cfg.Audit = true
 	lg, meta, tl := hashModeLogger(t, cfg)
-	h := tl.hash.Load()
+	h := &tl.hash
 
 	// Fill the table to the load threshold with distinct locations.
 	i := uint64(0)
@@ -127,7 +128,7 @@ func TestHashModeSkipsLookback(t *testing.T) {
 	if after.Logged != before.Logged+1 {
 		t.Fatalf("hash-mode register consulted the lookback: %+v -> %+v", before, after)
 	}
-	if !tl.hash.Load().contains(recent) {
+	if !tl.hash.contains(recent) {
 		t.Fatal("location missing from hash table")
 	}
 
@@ -191,7 +192,7 @@ func BenchmarkRegisterHashMode(b *testing.B) {
 		locs[i] = vmem.StacksBase + uint64(i)*8
 		lg.Register(meta, locs[i], 1)
 	}
-	if tl.hash.Load() == nil {
+	if tl.hash.table.Load() == nil {
 		b.Fatal("not in hash mode")
 	}
 	b.ResetTimer()

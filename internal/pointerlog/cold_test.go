@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dangsan/internal/faultinject"
@@ -396,7 +398,7 @@ func TestColdMapFaultFailOpen(t *testing.T) {
 	if cs.Segments == 0 {
 		t.Fatal("fixture never spilled")
 	}
-	if err := lg.cold.Load().f.Truncate(0); err != nil {
+	if err := lg.cold.f.Truncate(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -413,7 +415,7 @@ func TestColdMapFaultFailOpen(t *testing.T) {
 		t.Fatalf("spills onto a truncated file: before %+v after %+v", before, snap)
 	}
 	// With the oldest segment dead, the one after it must slide down.
-	c := lg.cold.Load()
+	c := lg.cold
 	c.retire(c.segs[0])
 	if err := c.compact(); err == nil {
 		t.Fatal("compaction out of a truncated file reported success")
@@ -471,7 +473,7 @@ func TestColdGrowthAndCompactionUnderReaders(t *testing.T) {
 	garbage, gh := lg.MustCreateMeta(vmem.HeapBase+8*4096, 4096)
 	fill(garbage, nKeepers, nGarbage)
 	next += nGarbage
-	f := lg.cold.Load().f
+	f := lg.cold.f
 
 	keepers := make([]*ObjectMeta, nKeepers)
 	keepLocs := make([][]uint64, nKeepers)
@@ -499,7 +501,7 @@ func TestColdGrowthAndCompactionUnderReaders(t *testing.T) {
 	}
 
 	// The garbage's release: a compaction that moves every keeper segment.
-	seg := keepers[0].logs.Load().cold.Load().segs.Load()
+	seg := keepers[0].logs.Load().segs.Load()
 	before := seg.off
 	lg.Invalidate(garbage, as)
 	lg.ReleaseMeta(gh)
@@ -518,7 +520,7 @@ func TestColdGrowthAndCompactionUnderReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if lg.cold.Load().f != f {
+	if lg.cold.f != f {
 		t.Fatal("the spill file was replaced: compaction must move segments in place")
 	}
 
@@ -553,9 +555,11 @@ func residentConfig(t *testing.T) Config {
 }
 
 // TestTieredResidentBound: once a log has spilled, its resident bytes are
-// exactly its fixed per-log charge plus its hot table — the frozen linear
-// log's blocks left RAM with the first spill and are carried by the
-// spilled term — and free-time invalidation still reaches every location.
+// exactly its fixed per-log charge plus one 64-slot table, 160 + 512 =
+// 672 B — the frozen linear log's blocks left RAM with the first spill and
+// are carried by the spilled term, and the segment list costs nothing
+// beyond the ThreadLog — and free-time invalidation still reaches every
+// location.
 func TestTieredResidentBound(t *testing.T) {
 	const nLocs = 1200
 	cfg := residentConfig(t)
@@ -567,11 +571,10 @@ func TestTieredResidentBound(t *testing.T) {
 		t.Fatal("the linear log's blocks are still reachable after a spill")
 	}
 	snap := lg.Stats().Snapshot()
-	hot := tl.hash.Load().bytes()
-	const fixed = threadLogBytes
-	if want := fixed + coldStateBytes + hot; snap.LogBytesLive != want || lg.MeasureLiveLogBytes() != want {
-		t.Fatalf("resident %d (measured %d), want %d + %d + %d = %d",
-			snap.LogBytesLive, lg.MeasureLiveLogBytes(), fixed, coldStateBytes, hot, want)
+	const want = 672
+	if hot := tl.hash.bytes(); threadLogBytes+hot != want || snap.LogBytesLive != want || lg.MeasureLiveLogBytes() != want {
+		t.Fatalf("resident %d (measured %d), want %d + %d = %d",
+			snap.LogBytesLive, lg.MeasureLiveLogBytes(), threadLogBytes, hot, want)
 	}
 	// Every spill at the minimum threshold flushes one 64-slot table; the
 	// first also carries the linear log's blocks.
@@ -612,63 +615,81 @@ func (m *visitMemory) CASWord(addr, _, _ uint64) (bool, *vmem.Fault) {
 
 // TestTieredResidentBoundRacesFirstSpill: walks on another goroutine run
 // while the owner's first spill carries the table and the linear log to
-// the file; every walk finds every location registered before the spill
-// in at least one tier. Run under -race.
+// the file, and on through a second spill that resets the table in place;
+// every walk finds every location registered before it began in at least
+// one tier. Run under -race.
 func TestTieredResidentBoundRacesFirstSpill(t *testing.T) {
 	cfg := residentConfig(t)
+	const slots = 1024 // far more than two spills' worth
 	for trial := 0; trial < 20; trial++ {
 		as := vmem.New()
 		as.Heap().MapPages(vmem.HeapBase, 1)
 		lg := NewLogger(cfg)
 		meta, _ := lg.MustCreateMeta(vmem.HeapBase, 4096)
-		register := func(i int) *ThreadLog {
+		var registered, passes atomic.Int64
+		register := func() *ThreadLog {
+			i := registered.Load()
 			loc := vmem.GlobalsBase + uint64(i)*8
 			as.StoreWord(loc, meta.Base()+8)
-			return lg.Register(meta, loc, 0)
+			tl := lg.Register(meta, loc, 0)
+			registered.Store(i + 1)
+			return tl
 		}
-		// Fill to the edge: the next new location spills.
-		n := 0
-		for {
-			h := register(n).hash.Load()
-			n++
-			if h != nil && h.table.Load().full() {
-				break
+		// fillToEdge registers until the table is full: the next new
+		// location spills.
+		fillToEdge := func() {
+			for {
+				if tb := register().hash.table.Load(); tb != nil && tb.full() {
+					return
+				}
 			}
 		}
+		// spillRaced lets a walk finish, then spills while the next ones run.
+		spillRaced := func() {
+			for p := passes.Load(); passes.Load() == p; {
+				runtime.Gosched()
+			}
+			register()
+		}
 
-		walked := make(chan struct{})
+		fillToEdge()
 		stop := make(chan struct{})
 		done := make(chan error)
 		go func() {
-			mem := &visitMemory{as: as, seen: make([]bool, n+1)}
+			// A miss is reported at the stop: the walks go on until then, so
+			// the owner's waits for them always end.
+			var missed error
+			mem := &visitMemory{as: as, seen: make([]bool, slots)}
 			for pass := 0; ; pass++ {
+				n := int(registered.Load())
 				clear(mem.seen)
 				lg.Invalidate(meta, mem)
-				for i := 0; i < n; i++ {
+				for i := 0; i < n && missed == nil; i++ {
 					if !mem.seen[i] {
-						done <- fmt.Errorf("pass %d missed slot %d of %d", pass, i, n)
-						return
+						missed = fmt.Errorf("pass %d missed slot %d of %d", pass, i, n)
 					}
 				}
-				if pass == 0 {
-					close(walked)
-				}
+				passes.Add(1)
 				select {
 				case <-stop:
-					done <- nil
+					done <- missed
 					return
 				default:
 				}
 			}
 		}()
-		<-walked
-		register(n)
+		spillRaced()
+		fillToEdge()
+		spillRaced()
+		for p := passes.Load(); passes.Load() == p; {
+			runtime.Gosched()
+		}
 		close(stop)
 		if err := <-done; err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if snap := lg.Stats().Snapshot(); snap.Spills != 1 || meta.logs.Load().blocks.Load() != nil {
-			t.Fatalf("trial %d: want one spill that took the blocks: %+v", trial, snap)
+		if snap := lg.Stats().Snapshot(); snap.Spills != 2 || meta.logs.Load().blocks.Load() != nil {
+			t.Fatalf("trial %d: want two spills, the first taking the blocks: %+v", trial, snap)
 		}
 		if err := lg.AuditCheck(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

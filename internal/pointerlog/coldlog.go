@@ -14,12 +14,12 @@ import (
 	"dangsan/internal/frame"
 )
 
-// The cold tier. A hash-mode location set that crosses
-// Config.ColdSpillBytes has its entries flushed to a per-logger spill
-// file as one framed segment (segment.go) and swaps in a fresh — hot —
-// table; the first spill also carries the log's frozen indirect blocks.
-// So the resident footprint of a long-lived, store-heavy object is its
-// fixed per-log charge plus a hot table below the spill threshold, while
+// The cold tier. A hash-mode thread log whose table crosses
+// Config.ColdSpillBytes has its entries flushed to the logger's spill
+// file as one framed segment (segment.go) and its table reset; the first
+// spill also carries the log's frozen indirect blocks. So the resident
+// footprint of a long-lived, store-heavy object is its fixed per-log
+// charge plus one table below the spill threshold, while
 // the full location history remains reachable for free-time
 // invalidation. The tiering borrows dkdtree's PointLog shape — an
 // append-only file log, compacted when the dead fraction dominates — with
@@ -32,12 +32,13 @@ import (
 //
 // Concurrency contract, layer by layer:
 //
-//   - coldState is owned by the ThreadLog's owning thread for writes
-//     (spill); invalidating threads read the segment list through atomics.
-//     A spill publishes its segment node BEFORE dropping the blocks and
-//     swapping in the fresh table, so a concurrent invalidator sees every
-//     location in at least one tier (seeing it in both is the usual benign
-//     double visit — the second CAS classifies it stale).
+//   - A ThreadLog's segment list is written by its owning thread (spill);
+//     invalidating threads read it through atomics. A spill publishes its
+//     segment node BEFORE dropping the blocks and resetting the table, and
+//     every walk reads a log's resident tiers before its segments, so a
+//     concurrent invalidator sees every location in at least one tier
+//     (seeing it in both is the usual benign double visit — the second CAS
+//     classifies it stale).
 //   - coldLog guards the mapping with an RWMutex: segment reads
 //     (invalidation) share, appends, growth and compaction exclude. The
 //     mapping and the segment offsets move only under the write lock, so
@@ -49,11 +50,6 @@ import (
 //     the mapping — the file truncated under it, an I/O error paging it
 //     in — is such a failure, not a crash (endMapFault).
 
-// coldStateBytes is the accounting charge for one coldState. Charged to
-// LogBytes when the state is created and released with the rest of the
-// log footprint.
-const coldStateBytes = 64
-
 // coldMapBytes is the size a spill file is created and mapped at; a full
 // one doubles, and none shrinks. At the minimum spill threshold a segment
 // is under 1.5 KiB, so the service workloads never grow theirs.
@@ -63,7 +59,7 @@ const coldMapBytes = 1 << 20
 // segment read that the fault plane made fail.
 var errColdIOFault = errors.New("pointerlog: injected cold I/O fault")
 
-// coldSeg describes one spilled segment, a link in its coldState's
+// coldSeg describes one spilled segment, a link in its ThreadLog's
 // lock-free (prepend-published) list. length and next are immutable after
 // publication; off moves only during compaction (under the coldLog write
 // lock); dead flips once, at retirement.
@@ -72,18 +68,6 @@ type coldSeg struct {
 	length int
 	dead   atomic.Bool
 	next   *coldSeg
-}
-
-// coldState is the per-ThreadLog cold tier: the spilled segments.
-type coldState struct {
-	segs atomic.Pointer[coldSeg]
-}
-
-// publish prepends seg to the segment list. Owner-only (one writer); the
-// store publishes the segment to concurrent invalidators.
-func (cs *coldState) publish(seg *coldSeg) {
-	seg.next = cs.segs.Load()
-	cs.segs.Store(seg)
 }
 
 // coldLog is the per-logger spill file and segment registry.
@@ -100,21 +84,6 @@ type coldLog struct {
 	garbage  atomic.Int64 // bytes held by dead segments
 	liveSegs atomic.Int64
 	compacts atomic.Uint64
-}
-
-// ensureCold returns the logger's cold log, creating it on first use.
-func (lg *Logger) ensureCold() *coldLog {
-	if c := lg.cold.Load(); c != nil {
-		return c
-	}
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	if c := lg.cold.Load(); c != nil {
-		return c
-	}
-	c := &coldLog{dir: lg.cfg.ColdDir}
-	lg.cold.Store(c)
-	return c
 }
 
 // endMapFault ends an access to a mapped spill file. Deferred with
@@ -323,13 +292,12 @@ func (c *coldLog) close() {
 	}
 }
 
-// spill flushes tl's current hash table — and, the first time, the
-// frozen indirect blocks of its linear log — to the cold tier and swaps in
-// a fresh hot table, reporting whether it did. The embedded entries stay:
-// they are part of the log's fixed charge. Owner-thread only (called from
-// the register path). On any failure everything simply stays resident —
-// fail-open.
-func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) bool {
+// spill flushes tl's hash table t — and, the first time, the frozen
+// indirect blocks of its linear log — to the cold tier and resets the
+// table. The embedded entries stay: they are part of the log's fixed
+// charge. Owner-thread only (called from the register path). On any
+// failure everything simply stays resident — fail-open.
+func (lg *Logger) spill(tl *ThreadLog, t *locTable, sh *statShard) {
 	var start time.Time
 	met := lg.met
 	if met != nil {
@@ -337,27 +305,21 @@ func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) bool {
 	}
 
 	blocks := tl.blocks.Load()
-	seg, err := lg.ensureCold().append(h.table.Load(), blocks, lg.faults.Load())
+	seg, err := lg.cold.append(t, blocks, lg.faults.Load())
 	if err != nil {
 		sh.spillFailures.Add(1)
-		return false
+		return
 	}
-
-	cs := tl.cold.Load()
-	if cs == nil {
-		cs = new(coldState)
-		sh.logBytes.Add(coldStateBytes)
-		tl.cold.Store(cs)
-	}
-	// Publish the segment before dropping the blocks and swapping tables:
-	// an invalidator racing the spill must find every location in at least
-	// one tier.
-	cs.publish(seg)
+	// Publish the segment before dropping the blocks and resetting the
+	// table: an invalidator racing the spill must find every location in
+	// at least one tier.
+	seg.next = tl.segs.Load()
+	tl.segs.Store(seg)
 
 	// The old table's and the blocks' resident bytes leave RAM for the
 	// cold tier: the audit identity tracks them in the spilled term from
 	// here on.
-	spilled := h.bytes()
+	spilled := t.bytes()
 	for b := blocks; b != nil; b = b.next.Load() {
 		spilled += logBlockBytes
 	}
@@ -365,15 +327,12 @@ func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) bool {
 	// them lets the GC free the blocks.
 	tl.blocks.Store(nil)
 	tl.tail, tl.prev = nil, nil
-	fresh := newLocSet()
-	sh.logBytes.Add(fresh.bytes())
-	tl.hash.Store(fresh)
+	sh.logBytes.Add(tl.hash.reset())
 	sh.logBytesSpilled.Add(spilled)
 	sh.spills.Add(1)
 	if met != nil {
 		met.spillNs.Since(tl.tid, start)
 	}
-	return true
 }
 
 // retireCold marks every cold segment reachable from meta's logs dead, so
@@ -382,44 +341,19 @@ func (lg *Logger) spill(tl *ThreadLog, h *locSet, sh *statShard) bool {
 // segment as permanently live — the same benign-race leak the in-memory
 // accounting documents for late appends.
 func (lg *Logger) retireCold(meta *ObjectMeta) {
-	c := lg.cold.Load()
+	c := lg.cold
 	if c == nil {
 		return
 	}
 	retired := false
 	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		cs := tl.cold.Load()
-		if cs == nil {
-			continue
-		}
-		for seg := cs.segs.Load(); seg != nil; seg = seg.next {
+		for seg := tl.segs.Load(); seg != nil; seg = seg.next {
 			c.retire(seg)
 			retired = true
 		}
 	}
 	if retired && c.overGarbage() {
 		c.compact()
-	}
-}
-
-// forEachColdLocation streams every location spilled for meta through fn.
-// Unreadable segments are skipped and counted (coverage loss, fail-open).
-func (lg *Logger) forEachColdLocation(meta *ObjectMeta, sh *statShard, fn func(loc uint64)) {
-	c := lg.cold.Load()
-	if c == nil {
-		return
-	}
-	faults := lg.faults.Load()
-	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		cs := tl.cold.Load()
-		if cs == nil {
-			continue
-		}
-		for seg := cs.segs.Load(); seg != nil; seg = seg.next {
-			if c.forEach(seg, faults, fn) != nil {
-				sh.coldReadErrs.Add(1)
-			}
-		}
 	}
 }
 
@@ -438,7 +372,7 @@ type ColdStats struct {
 
 // ColdLogStats reports the cold tier's file-level state.
 func (lg *Logger) ColdLogStats() ColdStats {
-	c := lg.cold.Load()
+	c := lg.cold
 	if c == nil {
 		return ColdStats{}
 	}
@@ -453,5 +387,5 @@ func (lg *Logger) ColdLogStats() ColdStats {
 // Close releases the logger's cold-tier file, if any. The logger must be
 // quiescent (no in-flight registers or invalidations).
 func (lg *Logger) Close() {
-	lg.cold.Load().close()
+	lg.cold.close()
 }

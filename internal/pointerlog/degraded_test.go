@@ -172,7 +172,8 @@ func TestRegisteredCountsDrops(t *testing.T) {
 // until it is one slot from full, then drops — it must never fill the last
 // slot (which would make every miss probe spin forever).
 func TestLocSetFullTableDrop(t *testing.T) {
-	s := newLocSet()
+	var s locSet
+	s.reset()
 	deny := func() bool { return false }
 	var added, dropped int
 	for i := 1; i <= 4*locSetInitial; i++ {

@@ -3,12 +3,13 @@ package pointerlog
 import "sync/atomic"
 
 // locSet is the hash-table fallback: an open-addressing set of pointer
-// locations. It has exactly one writer (the thread that owns the enclosing
+// locations, held by value in its ThreadLog. Its table is nil while the log
+// is linear. It has exactly one writer (the thread that owns the enclosing
 // ThreadLog) and potentially concurrent readers (the thread running free).
-// Writers publish entries and grown tables with atomic stores; readers that
-// race with a grow may miss entries added concurrently, which the design
-// tolerates — a missed location is the same benign race as a pointer
-// propagated during free (paper §7).
+// Writers publish entries and fresh or grown tables with atomic stores;
+// readers that race with a grow may miss entries added concurrently, which
+// the design tolerates — a missed location is the same benign race as a
+// pointer propagated during free (paper §7).
 type locSet struct {
 	table atomic.Pointer[locTable]
 }
@@ -25,13 +26,16 @@ const locSetInitial = 64 // slots; must be a power of two
 // load, the maximum of Go's runtime maps and of SwissTable. Owner-only.
 func (t *locTable) full() bool { return t.used*8 >= len(t.entries)*7 }
 
-func newLocSet() *locSet {
-	s := &locSet{}
-	s.table.Store(&locTable{
-		mask:    locSetInitial - 1,
-		entries: make([]uint64, locSetInitial),
-	})
-	return s
+// bytes reports the table's memory footprint.
+func (t *locTable) bytes() uint64 { return uint64(len(t.entries)) * 8 }
+
+// reset publishes a fresh, empty table of locSetInitial slots — at the
+// switch to hash mode and at every spill — and returns its bytes.
+// Owner-only.
+func (s *locSet) reset() uint64 {
+	t := &locTable{mask: locSetInitial - 1, entries: make([]uint64, locSetInitial)}
+	s.table.Store(t)
+	return t.bytes()
 }
 
 // hashLoc mixes a pointer location; Fibonacci hashing on the aligned bits.
@@ -41,8 +45,8 @@ func hashLoc(loc uint64) uint64 {
 
 // insert adds loc to the set, reporting whether it was newly added and
 // by how many bytes the table grew (so the caller charges LogBytes
-// without re-measuring the table on every call). Owner-only. loc must
-// be nonzero.
+// without re-measuring the table on every call). Owner-only, in hash
+// mode. loc must be nonzero.
 //
 // growOK, when non-nil, is consulted before the table is doubled; a false
 // return denies the grow (fault injection simulating allocation failure).
@@ -54,9 +58,9 @@ func (s *locSet) insert(loc uint64, growOK func() bool) (added bool, grown uint6
 	t := s.table.Load()
 	if t.full() {
 		if growOK == nil || growOK() {
-			old := uint64(len(t.entries)) * 8
+			old := t.bytes()
 			t = s.grow(t)
-			grown = uint64(len(t.entries))*8 - old
+			grown = t.bytes() - old
 		} else if t.used >= len(t.entries)-1 {
 			if s.contains(loc) {
 				return false, 0, false
@@ -79,7 +83,8 @@ func (s *locSet) insert(loc uint64, growOK func() bool) (added bool, grown uint6
 	}
 }
 
-// contains reports whether loc is in the set. Safe for any thread.
+// contains reports whether loc is in the set. Safe for any thread, in hash
+// mode.
 func (s *locSet) contains(loc uint64) bool {
 	t := s.table.Load()
 	i := hashLoc(loc) & t.mask
@@ -116,10 +121,14 @@ func (s *locSet) grow(old *locTable) *locTable {
 	return t
 }
 
-// forEach calls fn for every location in the set. Safe for any thread;
-// entries inserted concurrently may or may not be visited.
+// forEach calls fn for every location in the set; none while the log is
+// linear. Safe for any thread; entries inserted concurrently may or may not
+// be visited.
 func (s *locSet) forEach(fn func(loc uint64)) {
 	t := s.table.Load()
+	if t == nil {
+		return
+	}
 	for i := range t.entries {
 		if e := atomic.LoadUint64(&t.entries[i]); e != 0 {
 			fn(e)
@@ -127,12 +136,16 @@ func (s *locSet) forEach(fn func(loc uint64)) {
 	}
 }
 
-// len returns the number of entries (owner's view).
+// len returns the number of entries (owner's view), in hash mode.
 func (s *locSet) len() int {
 	return s.table.Load().used
 }
 
-// bytes reports the memory footprint of the current table.
+// bytes reports the memory footprint of the current table: 0 while the log
+// is linear.
 func (s *locSet) bytes() uint64 {
-	return uint64(len(s.table.Load().entries)) * 8
+	if t := s.table.Load(); t != nil {
+		return t.bytes()
+	}
+	return 0
 }

@@ -29,7 +29,8 @@ func TestLocSetQuick(t *testing.T) {
 		case 2:
 			growOK = func() bool { return rng.Intn(2) == 0 }
 		}
-		s := newLocSet()
+		var s locSet
+		s.reset()
 		accepted := map[uint64]bool{}
 		var grownTotal uint64
 		for i := 0; i < int(n)%600; i++ {
@@ -100,7 +101,8 @@ func TestLocSetWalkDuringGrowth(t *testing.T) {
 		locs[i] = uint64(i+1)*0x1008 + 8
 		index[locs[i]] = i
 	}
-	s := newLocSet()
+	var s locSet
+	s.reset()
 	var inserted, walks atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup

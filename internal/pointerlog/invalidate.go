@@ -77,8 +77,9 @@ func (lg *Logger) Invalidate(meta *ObjectMeta, mem Memory) {
 	sh := lg.stats.shard(tid)
 	var c invalCounts
 	visit := func(loc uint64) { invalidateLocation(loc, lo, hi, mem, &c) }
-	meta.ForEachLocation(visit)
-	lg.forEachColdLocation(meta, sh, visit)
+	if unread := lg.forEachLocation(meta, visit); unread > 0 {
+		sh.coldReadErrs.Add(unread)
+	}
 	c.flush(sh)
 	if met != nil {
 		met.invalidateNs.Since(tid, start)

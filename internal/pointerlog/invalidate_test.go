@@ -85,7 +85,7 @@ func TestInvalidateLargeLogAllocatesNothing(t *testing.T) {
 	lg := NewLogger(DefaultConfig())
 	meta, _ := lg.MustCreateMeta(vmem.HeapBase, 4096)
 	fillObject(lg, as, meta, 8192, 1)
-	if h := meta.logs.Load().hash.Load(); h == nil || len(h.table.Load().entries) < 8192 {
+	if tb := meta.logs.Load().hash.table.Load(); tb == nil || len(tb.entries) < 8192 {
 		t.Fatal("fixture did not reach a hash table of 8,192 slots")
 	}
 	if n := testing.AllocsPerRun(10, func() { lg.Invalidate(meta, as) }); n != 0 {

@@ -41,10 +41,13 @@ type logBlock struct {
 }
 
 // ThreadLog holds the pointer locations recorded by one thread for one
-// object. Only the owning thread writes it (append-only, except for
-// in-place compression of the most recent entry); the freeing thread reads
-// it concurrently without synchronization, relying on atomic word access
-// and free-time verification instead of locks.
+// object, in up to three tiers it owns directly: the linear log (embedded
+// entries, then indirect blocks), the hash table that replaces it at
+// MaxLogEntries, and the segments spilled to the logger's file
+// (Config.ColdSpillBytes). Only the owning thread writes it (append-only,
+// except for in-place compression of the most recent entry); the freeing
+// thread reads it concurrently without synchronization, relying on atomic
+// word access and free-time verification instead of locks.
 type ThreadLog struct {
 	tid   int32
 	count int32 // owner-only: entries appended (embed + blocks)
@@ -52,11 +55,10 @@ type ThreadLog struct {
 
 	embed  [embedEntries]uint64 // atomic access
 	blocks atomic.Pointer[logBlock]
-	hash   atomic.Pointer[locSet]
-	// cold is the spilled tier for this log: the segments already flushed
-	// to the logger's spill file. Nil until the first spill
-	// (Config.ColdSpillBytes).
-	cold atomic.Pointer[coldState]
+	hash   locSet // nil table while the log is linear
+	// segs is the list of this log's spilled segments, newest first; nil
+	// until the first spill.
+	segs atomic.Pointer[coldSeg]
 
 	// Owner-only state: tail is the block being filled (nil while the
 	// embedded entries are) and prev the one before it (nil while tail is
@@ -127,9 +129,10 @@ type Logger struct {
 	// so the metrics-off hot path pays one predicted branch.
 	met *loggerMetrics
 
-	// cold is the spill file shared by every thread log that tiers out;
-	// created lazily at the first spill.
-	cold atomic.Pointer[coldLog]
+	// cold is the spill file shared by every thread log that tiers out:
+	// set whenever cfg.ColdSpillBytes is, nil otherwise. Its file is
+	// created at the first spill.
+	cold *coldLog
 
 	_ [cacheLine]byte
 	// gen is the cache-invalidation generation for per-thread store fast
@@ -181,6 +184,9 @@ type (
 // NewLogger creates a Logger with the given configuration.
 func NewLogger(cfg Config) *Logger {
 	lg := &Logger{cfg: cfg.validated()}
+	if lg.cfg.ColdSpillBytes > 0 {
+		lg.cold = &coldLog{dir: lg.cfg.ColdDir}
+	}
 	if lg.cfg.Audit {
 		lg.auditLive = make(map[uint64]struct{})
 	}
@@ -417,22 +423,14 @@ func (lg *Logger) ReleaseMeta(handle uint64) {
 // logFootprint measures the memory currently held by meta's log
 // structures, mirroring exactly what the incremental LogBytes charges
 // account for: per thread log its fixed struct cost, indirect blocks, and
-// hash-table fallback. Safe for any thread; a racing owner's appends may
-// or may not be counted.
+// hash table. Spilled segments are on disk, in the spilled term instead.
+// Safe for any thread; a racing owner's appends may or may not be counted.
 func (meta *ObjectMeta) logFootprint() uint64 {
 	var n uint64
 	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		n += threadLogBytes
+		n += threadLogBytes + tl.hash.bytes()
 		for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
 			n += logBlockBytes
-		}
-		if h := tl.hash.Load(); h != nil {
-			n += h.bytes()
-		}
-		// The cold state's header is resident; the segments themselves are
-		// on disk and tracked by the spilled term instead.
-		if tl.cold.Load() != nil {
-			n += coldStateBytes
 		}
 	}
 	return n
@@ -514,15 +512,15 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 	// table deduplicates only what came after the switch, so a location
 	// logged before it is logged again (and a free walks it twice). Once a
 	// spill has taken the linear log's blocks there is no newest entry.
-	if h := tl.hash.Load(); h != nil {
+	if t := tl.hash.table.Load(); t != nil {
 		// Tiering check where a grow is due: a table whose doubling would
 		// reach the threshold is spilled as it stands and the location
 		// goes into the fresh one — nothing is grown and rehashed only to
 		// be thrown away. A failed spill falls through to the grow.
-		if max := lg.cfg.ColdSpillBytes; max > 0 && 2*h.bytes() >= max && h.table.Load().full() && lg.spill(tl, h, sh) {
-			h = tl.hash.Load()
+		if max := lg.cfg.ColdSpillBytes; max > 0 && 2*t.bytes() >= max && t.full() {
+			lg.spill(tl, t, sh)
 		}
-		added, grown, dropped := h.insert(loc, lg.hashGrowOK)
+		added, grown, dropped := tl.hash.insert(loc, lg.hashGrowOK)
 		// A duplicate insert can still grow the table — the load-factor
 		// check runs before probing — so growth must be charged before the
 		// duplicate return or those bytes vanish from the accounting.
@@ -584,11 +582,9 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 			sh.droppedRegs.Add(1)
 			return
 		}
-		h := newLocSet()
 		sh.hashTables.Add(1)
-		sh.logBytes.Add(h.bytes())
-		tl.hash.Store(h)
-		h.insert(loc, nil)
+		sh.logBytes.Add(tl.hash.reset())
+		tl.hash.insert(loc, nil)
 		sh.logged.Add(1)
 		return
 	}
@@ -691,42 +687,36 @@ func tryCompress(slot *uint64, loc uint64) bool {
 	return true
 }
 
-// forEachLocation visits every location recorded in this thread log. Any
-// thread may call it; it tolerates concurrent appends (which may or may not
-// be visited).
-func (tl *ThreadLog) forEachLocation(fn func(loc uint64)) {
+// forEachLocation visits every location recorded for meta across all
+// threads and returns the number of spilled segments it could not read
+// (coverage loss, fail-open). Any thread may call it; it tolerates
+// concurrent appends, which may or may not be visited, and concurrent
+// spills: it reads each log's resident tiers before its segments, and a
+// spill publishes its segment before it drops what the segment carries, so
+// one of the two reads finds every location logged before the walk began.
+func (lg *Logger) forEachLocation(meta *ObjectMeta, fn func(loc uint64)) (unread uint64) {
 	var scratch [3]uint64
 	visit := func(e uint64) {
 		for _, loc := range decodeEntry(e, scratch[:0]) {
 			fn(loc)
 		}
 	}
-	for i := 0; i < embedEntries; i++ {
-		visit(atomic.LoadUint64(&tl.embed[i]))
-	}
-	for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
-		for i := 0; i < blockEntries; i++ {
-			visit(atomic.LoadUint64(&b.entries[i]))
+	faults := lg.faults.Load()
+	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
+		for i := 0; i < embedEntries; i++ {
+			visit(atomic.LoadUint64(&tl.embed[i]))
+		}
+		for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
+			for i := 0; i < blockEntries; i++ {
+				visit(atomic.LoadUint64(&b.entries[i]))
+			}
+		}
+		tl.hash.forEach(fn)
+		for seg := tl.segs.Load(); seg != nil; seg = seg.next {
+			if lg.cold.forEach(seg, faults, fn) != nil {
+				unread++
+			}
 		}
 	}
-	if h := tl.hash.Load(); h != nil {
-		h.forEach(fn)
-	}
-}
-
-// ForEachLocation visits every location recorded for meta across all
-// threads.
-func (meta *ObjectMeta) ForEachLocation(fn func(loc uint64)) {
-	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		tl.forEachLocation(fn)
-	}
-}
-
-// LogThreads returns the number of per-thread logs attached to meta.
-func (meta *ObjectMeta) LogThreads() int {
-	n := 0
-	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		n++
-	}
-	return n
+	return unread
 }

@@ -51,7 +51,7 @@ func TestDroppedRegistrationIsRetried(t *testing.T) {
 				t.Fatalf("want one drop, then X logged: %+v", s)
 			}
 			found := false
-			meta.ForEachLocation(func(loc uint64) { found = found || loc == x })
+			lg.forEachLocation(meta, func(loc uint64) { found = found || loc == x })
 			if !found {
 				t.Fatal("X is not in the log")
 			}

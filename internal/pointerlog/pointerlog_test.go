@@ -11,11 +11,20 @@ import (
 )
 
 // collect gathers all recorded locations for meta, sorted.
-func collect(meta *ObjectMeta) []uint64 {
+func collect(lg *Logger, meta *ObjectMeta) []uint64 {
 	var locs []uint64
-	meta.ForEachLocation(func(loc uint64) { locs = append(locs, loc) })
+	lg.forEachLocation(meta, func(loc uint64) { locs = append(locs, loc) })
 	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
 	return locs
+}
+
+// countLogs returns the number of per-thread logs attached to meta.
+func countLogs(meta *ObjectMeta) int {
+	n := 0
+	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
+		n++
+	}
+	return n
 }
 
 func TestEntryEncoding(t *testing.T) {
@@ -99,7 +108,7 @@ func TestRegisterAndCollect(t *testing.T) {
 	for _, loc := range locs {
 		lg.Register(meta, loc, 1)
 	}
-	got := collect(meta)
+	got := collect(lg, meta)
 	if len(got) != 3 {
 		t.Fatalf("collected %d locations: %x", len(got), got)
 	}
@@ -120,7 +129,7 @@ func TestLookbackSuppressesDuplicates(t *testing.T) {
 	if s.Duplicates != 99 {
 		t.Fatalf("duplicates = %d, want 99", s.Duplicates)
 	}
-	if got := collect(meta); len(got) != 1 {
+	if got := collect(lg, meta); len(got) != 1 {
 		t.Fatalf("log holds %d entries", len(got))
 	}
 }
@@ -175,7 +184,7 @@ func TestCompressionPacksNeighbors(t *testing.T) {
 	if s.Compressed != 2 {
 		t.Fatalf("compressed = %d, want 2", s.Compressed)
 	}
-	got := collect(meta)
+	got := collect(lg, meta)
 	if len(got) != 3 || got[0] != base || got[1] != base+8 || got[2] != base+16 {
 		t.Fatalf("collected %x", got)
 	}
@@ -216,7 +225,7 @@ func TestIndirectBlocksAndHashFallback(t *testing.T) {
 	if s.HashTables != 1 {
 		t.Fatalf("hash tables = %d, want 1", s.HashTables)
 	}
-	if got := collect(meta); len(got) != n {
+	if got := collect(lg, meta); len(got) != n {
 		t.Fatalf("collected %d, want %d", len(got), n)
 	}
 	// Duplicates are caught by the hash table too.
@@ -232,10 +241,10 @@ func TestPerThreadLogs(t *testing.T) {
 	lg.Register(meta, vmem.GlobalsBase+0x100, 1)
 	lg.Register(meta, vmem.GlobalsBase+0x1100, 2)
 	lg.Register(meta, vmem.GlobalsBase+0x2100, 3)
-	if n := meta.LogThreads(); n != 3 {
+	if n := countLogs(meta); n != 3 {
 		t.Fatalf("thread logs = %d, want 3", n)
 	}
-	if got := collect(meta); len(got) != 3 {
+	if got := collect(lg, meta); len(got) != 3 {
 		t.Fatalf("locations = %d", len(got))
 	}
 }
@@ -257,10 +266,10 @@ func TestConcurrentRegister(t *testing.T) {
 		}(tid)
 	}
 	wg.Wait()
-	if n := meta.LogThreads(); n != threads {
+	if n := countLogs(meta); n != threads {
 		t.Fatalf("thread logs = %d, want %d", n, threads)
 	}
-	if got := collect(meta); len(got) != threads*perThread {
+	if got := collect(lg, meta); len(got) != threads*perThread {
 		t.Fatalf("locations = %d, want %d", len(got), threads*perThread)
 	}
 }
@@ -397,7 +406,7 @@ func TestMetaRecycling(t *testing.T) {
 	if m2.Base() != vmem.HeapBase+128 || m2.Size() != 32 {
 		t.Fatalf("recycled meta not reset: %+v", m2)
 	}
-	if got := collect(m2); len(got) != 0 {
+	if got := collect(lg, m2); len(got) != 0 {
 		t.Fatalf("recycled meta kept logs: %x", got)
 	}
 	// MetaAt of an out-of-range handle is nil.
@@ -426,7 +435,7 @@ func TestRegisterCollectProperty(t *testing.T) {
 		for loc := range set {
 			lg.Register(meta, loc, 1)
 		}
-		got := collect(meta)
+		got := collect(lg, meta)
 		seen := make(map[uint64]bool)
 		for _, loc := range got {
 			seen[loc] = true
@@ -443,7 +452,8 @@ func TestRegisterCollectProperty(t *testing.T) {
 }
 
 func TestLocSet(t *testing.T) {
-	s := newLocSet()
+	var s locSet
+	s.reset()
 	locs := make([]uint64, 500)
 	for i := range locs {
 		locs[i] = vmem.GlobalsBase + uint64(i)*8

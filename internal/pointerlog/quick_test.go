@@ -243,7 +243,7 @@ func TestInvalidateContractQuick(t *testing.T) {
 }
 
 // Property: the lookback drops only what the log already holds — every
-// registration classified as a duplicate is found by ForEachLocation,
+// registration classified as a duplicate is found by forEachLocation,
 // whatever the window, compression and hash threshold, and with a fifth
 // of the log-block and hash allocations denied.
 func TestDuplicateIsLoggedQuick(t *testing.T) {
@@ -268,7 +268,7 @@ func TestDuplicateIsLoggedQuick(t *testing.T) {
 				continue
 			}
 			found := false
-			meta.ForEachLocation(func(l uint64) { found = found || l == loc })
+			lg.forEachLocation(meta, func(l uint64) { found = found || l == loc })
 			if !found {
 				return false
 			}

@@ -59,8 +59,8 @@ func TestTornSegmentSkippedAndCounted(t *testing.T) {
 			cfg := tieredConfig(t)
 			lg, as, meta, _, locs := fillTiered(t, cfg, nLocs)
 			defer lg.Close()
-			c := lg.cold.Load()
-			if c == nil {
+			c := lg.cold
+			if lg.ColdLogStats().Segments == 0 {
 				t.Fatal("fixture never spilled")
 			}
 			segs := spillSegs(t, c)

@@ -105,27 +105,3 @@ func TestZeroOnFree(t *testing.T) {
 		}
 	}
 }
-
-func TestCalloc(t *testing.T) {
-	p := proc.New(dangsan.New())
-	th := p.NewThread()
-	// Dirty a chunk, free it, calloc the same size: must read zero.
-	a, _ := th.Malloc(128)
-	for off := uint64(0); off < 128; off += 8 {
-		th.StoreInt(a+off, ^uint64(0))
-	}
-	th.Free(a)
-	b, err := th.Calloc(16, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := uint64(0); off < 128; off += 8 {
-		if v, _ := th.Load(b + off); v != 0 {
-			t.Fatalf("calloc memory not zeroed at +%d: 0x%x", off, v)
-		}
-	}
-	// Overflow is rejected.
-	if _, err := th.Calloc(1<<33, 1<<33); err == nil {
-		t.Fatal("calloc overflow accepted")
-	}
-}

@@ -491,23 +491,6 @@ func (th *Thread) Free(ptr uint64) error {
 	return err
 }
 
-// Calloc allocates zeroed memory for count objects of the given size,
-// checking for multiplication overflow like the C calloc.
-func (th *Thread) Calloc(count, size uint64) (uint64, error) {
-	if size != 0 && count > ^uint64(0)/size {
-		return 0, fmt.Errorf("proc: calloc(%d, %d) overflows", count, size)
-	}
-	total := count * size
-	base, err := th.Malloc(total)
-	if err != nil {
-		return 0, err
-	}
-	if f := th.proc.as.Memset(th.proc.stripAddr(base), 0, total); f != nil {
-		panic(f)
-	}
-	return base, nil
-}
-
 // Memcpy copies n bytes within the simulated space, modelling the C memcpy
 // the paper's §7 discusses: by default the copy is type-unsafe and copied
 // pointers lose their tracking; with EnableMemcpyHook the detector rescans

@@ -309,11 +309,11 @@ func TestThreadCacheFlush(t *testing.T) {
 	a, tc := newTestAlloc()
 	addr, _ := tc.Malloc(64)
 	tc.Free(addr)
-	if tc.CachedBytes() == 0 {
+	if tc.cachedBytes == 0 {
 		t.Fatal("free did not land in the thread cache")
 	}
 	tc.Flush()
-	if tc.CachedBytes() != 0 {
+	if tc.cachedBytes != 0 {
 		t.Fatal("flush left cached bytes")
 	}
 	_ = a

@@ -79,6 +79,3 @@ func (tc *ThreadCache) Flush() {
 	}
 	tc.cachedBytes = 0
 }
-
-// CachedBytes reports the bytes currently parked in this thread cache.
-func (tc *ThreadCache) CachedBytes() uint64 { return tc.cachedBytes }
