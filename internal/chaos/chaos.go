@@ -195,9 +195,9 @@ func Run(cfg Config, rate float64, seed int64) Result {
 		audit   bool
 		tiered  bool
 	}{
-		// Concurrent run: survival under pressure. Audit stays off — the
-		// audit identity is exact only without racing frees (see
-		// pointerlog/audit.go) — correctness is checked via
+		// Concurrent run: survival under pressure. Audit stays off — its
+		// global identity is exact only where no Register races the check
+		// (see pointerlog/audit.go) — correctness is checked via
 		// fault/panic/hang classification instead.
 		{"concurrent", backends.DangSan, cfg.Workers, false, false},
 		// Audited run: one worker, audit on. The accounting identity must

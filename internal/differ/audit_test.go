@@ -9,21 +9,22 @@ import (
 	"dangsan/internal/irgen"
 )
 
-// withMidRunDrift is a run's real audit view plus the entry a Register
-// racing one of the every-free checks would have left behind (the race
-// itself cannot be forced: the window is a few instructions wide).
-type withMidRunDrift struct{ auditSource }
+// perObjectEntry is the violation a free records when the walked footprint
+// of the freed object's logs differs from what they were charged.
+const perObjectEntry = "pointerlog audit: free of object 0x100000: walked 288 B, its logs were charged 160 B"
 
-func (a withMidRunDrift) AuditViolations() []string {
-	return append([]string{"pointerlog audit (free): LogBytes=8192 but measured live=8128 + released=0 + spilled=0 = 8128 (drift +64)"},
-		a.auditSource.AuditViolations()...)
+// withFreeViolation is a run's real audit view plus one per-object entry
+// recorded at a free.
+type withFreeViolation struct{ auditSource }
+
+func (a withFreeViolation) AuditViolations() []string {
+	return append([]string{perObjectEntry}, a.auditSource.AuditViolations()...)
 }
 
-// TestAuditClauseThreadedVsSingle is the regression test for the "audit
-// drift" flake of TestDifferMatrix: a drift entry recorded while a threaded
-// program's threads ran must not fail the cell, the same entry on a
-// single-threaded program must, and an imbalance that is still there at
-// the quiescent end must fail a threaded cell too.
+// TestAuditClauseThreadedVsSingle: threaded and single-threaded cells are
+// held to the same audit. A violation recorded at a free fails both kinds
+// of cell, and so does an imbalance of the global identity that is still
+// there at the quiescent end.
 func TestAuditClauseThreadedVsSingle(t *testing.T) {
 	sp := Spec{Mode: ModeInstr, Det: backends.DangSan, Cfg: DangSanConfigs()[0]}
 	for _, threads := range []int{0, 2} {
@@ -34,19 +35,20 @@ func TestAuditClauseThreadedVsSingle(t *testing.T) {
 		}
 		ds := ex.det.(*dangsan.Detector)
 		defer ds.Close()
-		check := func() []string { return checkCounters(&prog.Oracle, sp, ex, prog.Multithreaded) }
+		check := func() []string { return checkCounters(&prog.Oracle, sp, ex) }
+		if msgs := check(); len(msgs) != 0 {
+			t.Fatalf("threads=%d: clean run failed the cell: %v", threads, msgs)
+		}
 
-		ex.audit = withMidRunDrift{ex.audit}
-		msgs := check()
-		if threads > 0 && len(msgs) != 0 {
-			t.Errorf("threads=%d: mid-run drift entry failed the cell: %v", threads, msgs)
+		view := ex.audit
+		ex.audit = withFreeViolation{view}
+		if msgs := check(); len(msgs) != 1 || !strings.Contains(msgs[0], perObjectEntry) {
+			t.Errorf("threads=%d: per-object violation not reported: %v", threads, msgs)
 		}
-		if threads == 0 && (len(msgs) != 1 || !strings.Contains(msgs[0], "drift +64")) {
-			t.Errorf("threads=0: mid-run drift entry not reported: %v", msgs)
-		}
+		ex.audit = view
 
 		// A real imbalance that outlives the run: bytes charged through a
-		// released meta are in LogBytes but in no set the walk measures.
+		// released meta are dropped uncounted when the meta is recycled.
 		lg := ds.Logger()
 		m, h, err := lg.CreateMeta(0x1000, 64)
 		if err != nil {
@@ -54,6 +56,9 @@ func TestAuditClauseThreadedVsSingle(t *testing.T) {
 		}
 		lg.ReleaseMeta(h)
 		lg.Register(m, 0x2000, 0)
+		if _, _, err := lg.CreateMeta(0x1000, 64); err != nil {
+			t.Fatal(err)
+		}
 		if msgs := check(); len(msgs) == 0 {
 			t.Errorf("threads=%d: end-state imbalance passed the cell", threads)
 		}

@@ -26,8 +26,8 @@
 //     hash fallback {forced, effectively off}, plus two tiered cells. The
 //     invalidation count must be identical across all of them — dedup,
 //     representation and tiering may never change what gets invalidated.
-//     Audit mode is always on, so the log-byte accounting identity is
-//     cross-checked at every free. Two more cells run the paper's
+//     Audit mode is always on, so every free checks the freed object's
+//     log bytes against their charges. Two more cells run the paper's
 //     default config with one of the process's extensions on — secure
 //     deallocation (zero-on-free) or the §7 memcpy hook — under the same
 //     exact oracle: irgen zeroes pointer fields before a realloc, so the
@@ -341,7 +341,7 @@ func checkCell(prog *irgen.Program, sp Spec) []string {
 	// Counters first: checkCells' latent-detection probes (xtag's CheckDeref
 	// on dangling cells) bump the detector's check/mismatch stats, so the
 	// benign-run accounting must be read before probing.
-	msgs = append(msgs, checkCounters(o, sp, ex, prog.Multithreaded)...)
+	msgs = append(msgs, checkCounters(o, sp, ex)...)
 	msgs = append(msgs, checkCells(prog, sp, ex)...)
 	return msgs
 }
@@ -523,20 +523,14 @@ type auditSource interface {
 	AuditViolations() []string
 }
 
-// auditClause asserts dangsan's log-byte identity for one finished run. The
-// logger re-checks it at every ReleaseMeta and accumulates the failures, but
-// the identity is exact only while no Register races the walk (see
-// pointerlog/audit.go) — so while a program's threads run, a drift entry is
-// expected noise, on a different seed each time. A threaded run is therefore
-// held to the identity once, here, at the quiescent end (threads joined);
-// a single-threaded run to every check it ever made.
-func auditClause(a auditSource, threaded bool) string {
-	if threaded {
-		if err := a.AuditCheck(); err != nil {
-			return fmt.Sprintf("audit violation at the quiescent end: %v", err)
-		}
-		return ""
-	}
+// auditClause asserts dangsan's log-byte accounting for one finished run:
+// every per-object check the logger made at a free, and the global identity
+// once more here, at the quiescent end (threads joined). Threaded runs are
+// held to both: a free's check walks only the freed object's logs, so only
+// a store into that object while it is freed could race it (see
+// pointerlog/audit.go).
+func auditClause(a auditSource) string {
+	a.AuditCheck()
 	if aud := a.AuditViolations(); len(aud) > 0 {
 		return fmt.Sprintf("audit violations: %v", aud)
 	}
@@ -546,7 +540,7 @@ func auditClause(a auditSource, threaded bool) string {
 // checkCounters verifies the detector-side accounting against the oracle:
 // exact invalidation counts per detector class, object tracking bounds, and
 // dangsan's audit-mode log-byte identity.
-func checkCounters(o *irgen.Oracle, sp Spec, ex *execution, threaded bool) []string {
+func checkCounters(o *irgen.Oracle, sp Spec, ex *execution) []string {
 	var msgs []string
 	fail := func(format string, a ...any) {
 		msgs = append(msgs, fmt.Sprintf(format, a...))
@@ -563,7 +557,7 @@ func checkCounters(o *irgen.Oracle, sp Spec, ex *execution, threaded bool) []str
 		if snap.ObjectsTracked < lo || snap.ObjectsTracked > hi {
 			fail("dangsan tracked %d objects, want %d..%d", snap.ObjectsTracked, lo, hi)
 		}
-		if msg := auditClause(ex.audit, threaded); msg != "" {
+		if msg := auditClause(ex.audit); msg != "" {
 			fail("%s", msg)
 		}
 	case *dangnull.Detector:

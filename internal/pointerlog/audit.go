@@ -2,28 +2,32 @@ package pointerlog
 
 import "fmt"
 
-// Audit mode (Config.Audit) cross-checks the incremental LogBytes
-// accounting against ground truth: it re-measures every live object's log
-// structures by walking them and requires
+// Audit mode (Config.Audit) holds the incremental LogBytes accounting to
+// the structures it charges for, at two grains.
+//
+// Per object, at every ReleaseMeta: each ThreadLog carries the resident
+// bytes charged to it — its struct, its blocks, its hash tables, less what
+// a spill moved to the cold tier — and the walk the release makes anyway
+// (logFootprint) must equal their sum. That costs no more than the free
+// itself, and a violation names the object.
+//
+// Globally, at AuditCheck (so at every detector Stats snapshot with
+// auditing on):
 //
 //	LogBytes (cumulative charges) ==
 //	    measured live + LogBytesReleased + LogBytesSpilled
 //
-// to hold exactly. The spilled term extends the identity
-// across tiers: bytes that were charged while a hash table was resident
-// and then left RAM at a cold-tier spill are no longer measurable by the
-// walk, so they are carried by a cumulative counter exactly like released
-// bytes.
+// where measured live walks every meta in the registry; a released meta
+// holds no logs and adds 0. The spilled term extends the identity across
+// tiers: bytes charged while a table or block was resident and then moved
+// to the cold tier are no longer measurable by the walk, so a cumulative
+// counter carries them exactly like released bytes.
 //
-// The check runs automatically at every ReleaseMeta and
-// whenever a Snapshot is taken with auditing on; violations accumulate and
-// are reported by AuditViolations.
-//
-// The identity is exact only while no Register races the measurement: a
-// concurrent append can charge bytes between the walk and the counter
-// read. Audit mode is a debugging tool for (effectively) single-threaded
-// workloads — the seed-golden workload and the deterministic interpreter
-// traces — not a production invariant checker.
+// Both checks are exact only while no Register races them: an append can
+// charge bytes between the walk and the read of the charges. A free's
+// check races only a store into the object being freed (a use after free
+// in the program); the global check races every store, so it belongs at
+// quiescent points — the end of a run, a stats op.
 
 // AuditCheck re-measures the live log footprint and verifies the
 // accounting identity, returning the violation (and recording it for
@@ -33,24 +37,7 @@ func (lg *Logger) AuditCheck() error {
 	if !lg.cfg.Audit {
 		return nil
 	}
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	return lg.auditLocked("check")
-}
-
-// auditNow runs the identity check, recording any violation. Callers must
-// not hold mu.
-func (lg *Logger) auditNow(context string) {
-	lg.mu.Lock()
-	lg.auditLocked(context)
-	lg.mu.Unlock()
-}
-
-// auditLocked does the walk and comparison. Caller holds mu, which
-// freezes the live-handle set (CreateMeta/ReleaseMeta) but not the logs
-// themselves — see the package comment above for why that is acceptable.
-func (lg *Logger) auditLocked(context string) error {
-	live := lg.measureLiveLocked()
+	live := lg.MeasureLiveLogBytes()
 	total := lg.stats.LogBytesTotal()
 	released := lg.stats.ReleasedLogBytesTotal()
 	spilled := lg.stats.SpilledLogBytesTotal()
@@ -58,21 +45,18 @@ func (lg *Logger) auditLocked(context string) error {
 		return nil
 	}
 	err := fmt.Errorf(
-		"pointerlog audit (%s): LogBytes=%d but measured live=%d + released=%d + spilled=%d = %d (drift %+d)",
-		context, total, live, released, spilled, live+released+spilled,
+		"pointerlog audit: LogBytes=%d but measured live=%d + released=%d + spilled=%d = %d (drift %+d)",
+		total, live, released, spilled, live+released+spilled,
 		int64(total)-int64(live+released+spilled))
-	lg.auditErrs = append(lg.auditErrs, err.Error())
+	lg.auditFail(err)
 	return err
 }
 
-// measureLiveLocked sums the log footprint of every live meta. Caller
-// holds mu.
-func (lg *Logger) measureLiveLocked() uint64 {
-	var n uint64
-	for idx := range lg.auditLive {
-		n += lg.MetaAt(idx + 1).logFootprint()
-	}
-	return n
+// auditFail records a violation for AuditViolations.
+func (lg *Logger) auditFail(err error) {
+	lg.mu.Lock()
+	lg.auditErrs = append(lg.auditErrs, err.Error())
+	lg.mu.Unlock()
 }
 
 // AuditViolations returns a copy of every audit failure recorded so far.
@@ -83,13 +67,17 @@ func (lg *Logger) AuditViolations() []string {
 	return append([]string(nil), lg.auditErrs...)
 }
 
-// MeasureLiveLogBytes walks every live object's log structures and returns
-// their summed footprint — the independent re-measurement audit mode
-// compares against. Exported for tests and the stats tool; requires
-// auditing (the live-handle set is only maintained then) and returns 0
-// otherwise.
+// MeasureLiveLogBytes walks the log structures of every meta in the
+// registry and returns their summed footprint: the independent
+// re-measurement AuditCheck compares against. It holds mu, so no meta is
+// created or released during the walk.
 func (lg *Logger) MeasureLiveLogBytes() uint64 {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	return lg.measureLiveLocked()
+	var n uint64
+	for h := uint64(1); h <= lg.next.Load(); h++ {
+		fp, _ := lg.MetaAt(h).logFootprint()
+		n += fp
+	}
+	return n
 }

@@ -327,7 +327,8 @@ func (lg *Logger) spill(tl *ThreadLog, t *locTable, sh *statShard) {
 	// them lets the GC free the blocks.
 	tl.blocks.Store(nil)
 	tl.tail, tl.prev = nil, nil
-	sh.logBytes.Add(tl.hash.reset())
+	tl.charge(sh, tl.hash.reset())
+	tl.charged.Add(-uint32(spilled))
 	sh.logBytesSpilled.Add(spilled)
 	sh.spills.Add(1)
 	if met != nil {

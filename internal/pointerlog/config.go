@@ -56,11 +56,11 @@ type Config struct {
 	// Compression enables packing up to three nearby locations into one
 	// log entry.
 	Compression bool
-	// Audit enables the accounting cross-check: at every release (and on
-	// demand via AuditCheck) the logger re-measures the live log footprint
-	// by walking the structures and requires it to match the incremental
-	// LogBytes charges exactly. Debugging aid for deterministic workloads;
-	// see audit.go for the precise identity and its caveats.
+	// Audit enables the accounting cross-check: at every release the
+	// object's walked log footprint must equal what its thread logs were
+	// charged, and on demand (AuditCheck) a walk of every live object must
+	// close the LogBytes identity exactly. See audit.go for both checks
+	// and their caveats.
 	Audit bool
 	// MaxMetadataBytes caps the logger's metadata footprint (live log
 	// structures plus registry slabs). Once MetadataBytes() reaches the

@@ -2,6 +2,7 @@ package pointerlog
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,6 +68,11 @@ type ThreadLog struct {
 	// entries.
 	tail *logBlock
 	prev *logBlock
+
+	// charged is the resident bytes charged to LogBytes for this log (see
+	// charge), which audit mode holds against a walk of it at its free. It
+	// fills half of the 8 B the other fields leave of the 160-B charge.
+	charged atomic.Uint32
 }
 
 // ObjectMeta is the per-object metadata the shadow map points at: the
@@ -152,11 +158,8 @@ type Logger struct {
 	// stats is sharded by tid, one padded shard per writer.
 	stats Stats
 
-	// Audit-mode state (cfg.Audit; guarded by mu): the set of live meta
-	// indices, so the auditor can re-measure every log structure still
-	// charged to the accounting, and the violations it found. A meta
-	// leaves the set at ReleaseMeta.
-	auditLive map[uint64]struct{}
+	// auditErrs holds the violations audit mode found (cfg.Audit; guarded
+	// by mu).
 	auditErrs []string
 }
 
@@ -186,9 +189,6 @@ func NewLogger(cfg Config) *Logger {
 	lg := &Logger{cfg: cfg.validated()}
 	if lg.cfg.ColdSpillBytes > 0 {
 		lg.cold = &coldLog{dir: lg.cfg.ColdDir}
-	}
-	if lg.cfg.Audit {
-		lg.auditLive = make(map[uint64]struct{})
 	}
 	return lg
 }
@@ -350,9 +350,6 @@ func (lg *Logger) CreateMeta(base, size uint64) (*ObjectMeta, uint64, error) {
 		}
 		lg.next.Store(idx + 1)
 	}
-	if lg.auditLive != nil {
-		lg.auditLive[idx] = struct{}{}
-	}
 	m := lg.MetaAt(idx + 1)
 	lg.mu.Unlock()
 	m.base.Store(base)
@@ -395,7 +392,8 @@ func (lg *Logger) MetaAt(handle uint64) *ObjectMeta {
 // from the live accounting into LogBytesReleased, and the log list is
 // dropped so the memory is actually reclaimable. Bytes a racing Register
 // charges after the measurement leak from the live gauge until process
-// teardown — the same benign race as the append itself.
+// teardown — the same benign race as the append itself. With auditing on,
+// the measured footprint must equal what the object's logs were charged.
 func (lg *Logger) ReleaseMeta(handle uint64) {
 	if handle == 0 {
 		return
@@ -404,36 +402,44 @@ func (lg *Logger) ReleaseMeta(handle uint64) {
 		// Cold segments die with the object: mark them garbage so the
 		// next compaction reclaims their file bytes.
 		lg.retireCold(meta)
-		if fp := meta.logFootprint(); fp != 0 {
+		fp, charged := meta.logFootprint()
+		if fp != 0 {
 			lg.stats.shard(int32(handle - 1)).logBytesReleased.Add(fp)
+		}
+		if lg.cfg.Audit && fp != charged {
+			lg.auditFail(fmt.Errorf("pointerlog audit: free of object %#x: walked %d B, its logs were charged %d B",
+				meta.Base(), fp, charged))
 		}
 		meta.logs.Store(nil)
 	}
 	lg.mu.Lock()
-	if lg.auditLive != nil {
-		delete(lg.auditLive, handle-1)
-	}
 	lg.free = append(lg.free, handle-1)
 	lg.mu.Unlock()
-	if lg.cfg.Audit {
-		lg.auditNow("free")
-	}
 }
 
 // logFootprint measures the memory currently held by meta's log
 // structures, mirroring exactly what the incremental LogBytes charges
 // account for: per thread log its fixed struct cost, indirect blocks, and
 // hash table. Spilled segments are on disk, in the spilled term instead.
-// Safe for any thread; a racing owner's appends may or may not be counted.
-func (meta *ObjectMeta) logFootprint() uint64 {
-	var n uint64
+// It also sums what the logs were charged, which audit mode requires to
+// equal the measurement. Safe for any thread; a racing owner's appends may
+// or may not be counted.
+func (meta *ObjectMeta) logFootprint() (walked, charged uint64) {
 	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		n += threadLogBytes + tl.hash.bytes()
+		charged += uint64(tl.charged.Load())
+		walked += threadLogBytes + tl.hash.bytes()
 		for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
-			n += logBlockBytes
+			walked += logBlockBytes
 		}
 	}
-	return n
+	return walked, charged
+}
+
+// charge adds n resident bytes to tl's own charge and to LogBytes in sh.
+// Every structure a thread log allocates is charged through here.
+func (tl *ThreadLog) charge(sh *statShard, n uint64) {
+	tl.charged.Add(uint32(n))
+	sh.logBytes.Add(n)
 }
 
 // threadLogFor finds or creates the calling thread's log for meta. New logs
@@ -454,7 +460,7 @@ func (lg *Logger) threadLogFor(meta *ObjectMeta, tid int32, sh *statShard) *Thre
 		if meta.logs.CompareAndSwap(head, tl) {
 			// Account only for the log that actually entered the list, so
 			// memory-overhead figures don't overcount under contention.
-			sh.logBytes.Add(threadLogBytes)
+			tl.charge(sh, threadLogBytes)
 			return tl
 		}
 		// Lost the race: another thread inserted. Re-scan in case it was us
@@ -525,7 +531,7 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 		// check runs before probing — so growth must be charged before the
 		// duplicate return or those bytes vanish from the accounting.
 		if grown > 0 {
-			sh.logBytes.Add(grown)
+			tl.charge(sh, grown)
 		}
 		if dropped {
 			// Denied grow on a full table: the location goes unlogged.
@@ -583,7 +589,7 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 			return
 		}
 		sh.hashTables.Add(1)
-		sh.logBytes.Add(tl.hash.reset())
+		tl.charge(sh, tl.hash.reset())
 		tl.hash.insert(loc, nil)
 		sh.logged.Add(1)
 		return
@@ -601,7 +607,7 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 				return
 			}
 			b := new(logBlock)
-			sh.logBytes.Add(logBlockBytes)
+			tl.charge(sh, logBlockBytes)
 			if tl.tail == nil {
 				tl.blocks.Store(b)
 			} else {
