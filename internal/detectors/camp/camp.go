@@ -136,6 +136,7 @@ func (d *Detector) OnReallocInPlace(base, oldSize, newSize, align uint64) {
 		if newSize > old {
 			old = newSize
 		}
+		d.Refund(perObjectMeta)
 		d.degrade(base, old, align)
 		return
 	}

@@ -34,6 +34,13 @@ type object struct {
 	locs map[uint64]struct{}
 }
 
+// Budget charges: a tree node with its object, and one location binding
+// (its entries in object.locs and byLoc). Each is refunded when it goes.
+const (
+	nodeMeta    = 96
+	bindingMeta = 32
+)
+
 // Detector is the DangNULL-style baseline.
 type Detector struct {
 	detectors.Budget
@@ -83,7 +90,7 @@ func (d *Detector) AllocPad() uint64 { return 0 }
 func (d *Detector) OnAlloc(base, size, align uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.Charge(faultinject.MetaAlloc, 96); err != nil {
+	if err := d.Charge(faultinject.MetaAlloc, nodeMeta); err != nil {
 		d.NoteDegraded()
 		return
 	}
@@ -123,6 +130,7 @@ func (d *Detector) OnFree(base, size, align uint64) {
 		}
 		delete(d.byLoc, loc)
 	}
+	d.Refund(nodeMeta + uint64(len(obj.locs))*bindingMeta)
 	d.objects.Delete(base)
 }
 
@@ -138,6 +146,7 @@ func (d *Detector) OnPtrStore(loc, val uint64, tid int32) {
 	if old, ok := d.byLoc[loc]; ok {
 		delete(old.locs, loc)
 		delete(d.byLoc, loc)
+		d.Refund(bindingMeta)
 	}
 	v, ok := d.objects.LookupContaining(val)
 	if !ok {
@@ -146,7 +155,7 @@ func (d *Detector) OnPtrStore(loc, val uint64, tid int32) {
 	// The two map entries must fit the budget; a dropped registration
 	// loses this location's coverage but keeps the structures consistent
 	// (the old binding above is already gone either way).
-	if err := d.Charge(faultinject.LogBlockAlloc, 32); err != nil {
+	if err := d.Charge(faultinject.LogBlockAlloc, bindingMeta); err != nil {
 		d.NoteDropped(1)
 		return
 	}

@@ -262,25 +262,6 @@ func (d *Detector) OnPtrStoreCtx(ctx detectors.ThreadContext, loc, val uint64) {
 	c.tl, c.base, c.end, c.gen = tl, meta.Base(), meta.Base()+meta.Size(), gen
 }
 
-// OnMemcpy implements detectors.MemcpyHooker (the §7 extension): scan every
-// aligned word of the copied destination; values that land in tracked
-// objects get their new location registered, so pointers copied
-// type-unsafely (memcpy, realloc moves) are invalidated at free time like
-// any other copy. False registrations of integers that happen to look like
-// object addresses are harmless: free-time verification treats a location
-// whose value moved on as stale, and invalidating a true look-alike only
-// flips a bit the paper argues is vanishingly unlikely to matter (§4.4).
-func (d *Detector) OnMemcpy(dst, src, n uint64, tid int32) {
-	start := (dst + 7) &^ 7
-	for loc := start; loc+8 <= dst+n; loc += 8 {
-		val, fault := d.mem.LoadWord(loc)
-		if fault != nil {
-			return
-		}
-		d.OnPtrStore(loc, val, tid)
-	}
-}
-
 // MetadataBytes implements detectors.Detector.
 func (d *Detector) MetadataBytes() uint64 {
 	return d.table.Bytes() + d.logger.Stats().LogBytesTotal()

@@ -92,24 +92,6 @@ func TestReallocGrowExtendsMapping(t *testing.T) {
 	}
 }
 
-func TestOnMemcpyUnalignedEdges(t *testing.T) {
-	d, as := newBound(t)
-	base := uint64(vmem.HeapBase)
-	d.OnAlloc(base, 64, 8)
-
-	src := uint64(vmem.GlobalsBase + 0x100)
-	dst := uint64(vmem.GlobalsBase + 0x200)
-	as.StoreWord(src+8, base)
-	as.Memmove(dst+3, src, 24) // unaligned destination
-	// OnMemcpy must only consider aligned words inside [dst+3, dst+27).
-	d.OnMemcpy(dst+3, src, 24, 0)
-	// The aligned word dst+8 holds a misaligned fragment, not base; the
-	// aligned word dst+16 holds bytes of base shifted — neither should
-	// match the object unless bytes happen to align. The call must simply
-	// not panic and not corrupt stats badly.
-	_ = d.Stats()
-}
-
 func TestMetadataBytesGrows(t *testing.T) {
 	d, as := newBound(t)
 	before := d.MetadataBytes()

@@ -149,17 +149,6 @@ type TagChecker interface {
 	TagPointer(base uint64) uint64
 }
 
-// MemcpyHooker is implemented by detectors that support the paper's §7
-// extension for type-unsafe pointer copies: after a memcpy (including the
-// copy inside a moving realloc), OnMemcpy scans the destination for values
-// that point into tracked objects and re-registers them, closing the
-// coverage gap at the cost of a slower memcpy. The paper's authors chose
-// not to enable this in their prototype; it is optional here too
-// (proc.Process.EnableMemcpyHook).
-type MemcpyHooker interface {
-	OnMemcpy(dst, src, n uint64, tid int32)
-}
-
 // CoverageLoss is implemented by every backend that can lose coverage
 // fail-open: when metadata cannot be had, it leaves objects untracked and
 // drops pointer registrations instead of failing the program.

@@ -9,6 +9,7 @@ import (
 	"dangsan/internal/detectors/dangsan"
 	"dangsan/internal/detectors/freesentry"
 	"dangsan/internal/detectors/xtag"
+	"dangsan/internal/faultinject"
 	"dangsan/internal/proc"
 	"dangsan/internal/vmem"
 )
@@ -235,7 +236,8 @@ func TestCheckedDerefDetectsUAF(t *testing.T) {
 
 // TestXTagPointerRoundTrip: a tagged pointer is plain data at rest — it
 // survives store/load cycles through heap and global memory bit-for-bit and
-// still checks correctly afterwards, including via memcpy.
+// still checks correctly afterwards, including after the buffer holding it
+// is moved by realloc (a type-unsafe copy).
 func TestXTagPointerRoundTrip(t *testing.T) {
 	p := proc.New(xtag.New())
 	th := p.NewThread()
@@ -244,13 +246,17 @@ func TestXTagPointerRoundTrip(t *testing.T) {
 		t.Fatalf("malloc returned untagged pointer 0x%x", obj)
 	}
 	a := p.AllocGlobal(8)
-	b, _ := th.Malloc(8)
 	th.StorePtr(a, obj)
-	if f := th.Memcpy(b, a, 8); f != nil {
+	v, _ := th.Load(a)
+	b, _ := th.Malloc(8)
+	th.StorePtr(b, v)
+	b, err := th.Realloc(b, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, f := th.Deref(b); f != nil { // load ptr from b, deref it: still live, still tagged
 		t.Fatal(f)
 	}
-	v, _ := th.Deref(b) // load ptr from b, deref it: still live, still tagged
-	_ = v
 	got, _ := th.Load(b)
 	if got != obj {
 		t.Fatalf("round-tripped pointer = 0x%x, want 0x%x", got, obj)
@@ -349,4 +355,133 @@ func TestReallocShrinkDropsTail(t *testing.T) {
 			t.Fatalf("head access after shrink: %v", f)
 		}
 	})
+}
+
+// budgeted is a baseline seen through its metadata budget.
+type budgeted interface {
+	detectors.Detector
+	detectors.CoverageLoss
+	Charged() uint64
+}
+
+// baselines builds each non-dangsan backend with the given budget options.
+var baselines = []struct {
+	name string
+	mk   func(detectors.BudgetOptions) budgeted
+	// shadow backends consult the fault plane's ShadowPopulate site.
+	shadow bool
+}{
+	{"dangnull", func(o detectors.BudgetOptions) budgeted { return dangnull.NewWithOptions(o) }, false},
+	{"freesentry", func(o detectors.BudgetOptions) budgeted { return freesentry.NewWithOptions(o) }, true},
+	{"xtag", func(o detectors.BudgetOptions) budgeted { return xtag.NewWithOptions(o) }, true},
+	{"camp", func(o detectors.BudgetOptions) budgeted { return camp.NewWithOptions(o) }, true},
+}
+
+// TestBaselinesRefundWhatTheyCharge: every byte a baseline charges is
+// refunded when the metadata it paid for goes — at free, when a location is
+// re-bound, and on each fail-open path (a failed alloc, a grow the fault
+// plane denies) — so once everything is freed Charged() reads 0.
+func TestBaselinesRefundWhatTheyCharge(t *testing.T) {
+	for _, c := range baselines {
+		t.Run(c.name, func(t *testing.T) {
+			plane := faultinject.New(1)
+			d := c.mk(detectors.BudgetOptions{Faults: plane})
+			p := proc.New(d)
+			th := p.NewThread()
+			malloc := func(n uint64) uint64 {
+				ptr, err := th.Malloc(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ptr
+			}
+			realloc := func(ptr, n uint64, inPlace bool) uint64 {
+				moved, err := th.Realloc(ptr, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A degraded xtag object comes back untagged.
+				if same := vmem.StripTag(moved) == vmem.StripTag(ptr); same != inPlace {
+					t.Fatalf("realloc to %d: in place = %v, want %v", n, same, inPlace)
+				}
+				return moved
+			}
+			g := p.AllocGlobal(8)
+			a, b := malloc(64), malloc(64)
+			plane.Enable(faultinject.MetaAlloc, 1, 1)
+			lost := malloc(64) // the charge fails
+			big := malloc(512 << 10)
+
+			th.StorePtr(b, a)
+			th.StorePtr(b, big) // re-binds b
+			th.StorePtr(a, b)
+			th.StorePtr(a+8, lost)
+			th.StorePtr(big+8, a)
+			th.StorePtr(g, big)
+			b = realloc(b, 128, false) // moves: alloc, copy, free
+			th.StorePtr(a, b)
+			big = realloc(big, 320<<10, true) // shrink
+			big = realloc(big, 448<<10, true) // grow over pages it had
+
+			// From here no fresh shadow page can be populated: the span
+			// allocated past big fails its population (the shadow backends'
+			// failed alloc) and, once freed, is where big's next grow lands,
+			// which is denied.
+			plane.Enable(faultinject.ShadowPopulate, 1, -1)
+			lostBig := malloc(1 << 20)
+			if err := th.Free(lostBig); err != nil {
+				t.Fatal(err)
+			}
+			big = realloc(big, 1<<20, true)
+			plane.Enable(faultinject.ShadowPopulate, 0, 0)
+
+			for _, ptr := range []uint64{a, b, lost, big} {
+				if err := th.Free(ptr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantDegraded := uint64(1)
+			if c.shadow {
+				wantDegraded = 3
+			}
+			if deg, _ := d.Degraded(); deg != wantDegraded {
+				t.Fatalf("degraded objects = %d, want %d (a fault path was not reached)", deg, wantDegraded)
+			}
+			if n := d.Charged(); n != 0 {
+				t.Fatalf("Charged() = %d after every object is freed, want 0", n)
+			}
+		})
+	}
+}
+
+// TestBaselineChurnStaysInBudget: an alloc/free churn whose charges over its
+// lifetime far exceed MaxMetadataBytes, but whose live set fits, never
+// degrades an object or drops a registration.
+func TestBaselineChurnStaysInBudget(t *testing.T) {
+	for _, c := range baselines {
+		t.Run(c.name, func(t *testing.T) {
+			d := c.mk(detectors.BudgetOptions{MaxMetadataBytes: 1 << 10})
+			p := proc.New(d)
+			th := p.NewThread()
+			g := p.AllocGlobal(8)
+			for i := 0; i < 200; i++ {
+				x, _ := th.Malloc(64)
+				y, _ := th.Malloc(64)
+				th.StorePtr(y, x)
+				th.StorePtr(g, y)
+				if err := th.Free(x); err != nil {
+					t.Fatal(err)
+				}
+				if err := th.Free(y); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if deg, dropped := d.Degraded(); deg != 0 || dropped != 0 {
+				t.Fatalf("Degraded() = (%d, %d) with a live set inside the budget, want (0, 0)", deg, dropped)
+			}
+			if n := d.Charged(); n != 0 {
+				t.Fatalf("Charged() = %d after every object is freed, want 0", n)
+			}
+		})
+	}
 }

@@ -29,6 +29,10 @@ type object struct {
 	locs      []uint64
 }
 
+// objectMeta is the budget charge for one object record; each location in
+// its list is charged 8 bytes more. Both are refunded when the record goes.
+const objectMeta = 48
+
 // Detector is the FreeSentry-style baseline.
 type Detector struct {
 	detectors.Budget
@@ -77,7 +81,7 @@ func (d *Detector) AllocPad() uint64 { return 0 }
 // the label lookup and its free finds no handle. Coverage loss, never a
 // crash or a false report (dangsan's OnAlloc contract).
 func (d *Detector) OnAlloc(base, size, align uint64) {
-	if err := d.Charge(faultinject.MetaAlloc, 48); err != nil {
+	if err := d.Charge(faultinject.MetaAlloc, objectMeta); err != nil {
 		d.NoteDegraded()
 		return
 	}
@@ -94,10 +98,17 @@ func (d *Detector) OnAlloc(base, size, align uint64) {
 	if err := d.table.CreateObject(base, size, align, handle); err != nil {
 		// Shadow population failed (rolled back internally): release the
 		// handle so it can never surface half-mapped.
-		d.objs[handle-1] = nil
-		d.free = append(d.free, handle)
+		d.release(handle)
 		d.NoteDegraded()
 	}
+}
+
+// release drops the record behind handle, refunding its charges, and
+// recycles the handle.
+func (d *Detector) release(handle uint64) {
+	d.Refund(objectMeta + uint64(len(d.objs[handle-1].locs))*8)
+	d.objs[handle-1] = nil
+	d.free = append(d.free, handle)
 }
 
 // OnReallocInPlace implements detectors.Detector. Growth remaps the larger
@@ -121,10 +132,8 @@ func (d *Detector) OnReallocInPlace(base, oldSize, newSize, align uint64) {
 			old = newSize
 		}
 		d.table.ClearObject(base, old, align)
-		d.Refund(uint64(len(obj.locs)) * 8)
 		d.NoteDropped(uint64(len(obj.locs)))
-		d.objs[handle-1] = nil
-		d.free = append(d.free, handle)
+		d.release(handle)
 		d.NoteDegraded()
 		return
 	}
@@ -152,10 +161,8 @@ func (d *Detector) OnFree(base, size, align uint64) {
 		d.mem.StoreWord(loc, w|InvalidBit)
 		d.statInvalidated.Add(1)
 	}
-	d.Refund(uint64(len(obj.locs)) * 8)
 	d.table.ClearObject(base, size, align)
-	d.objs[handle-1] = nil
-	d.free = append(d.free, handle)
+	d.release(handle)
 }
 
 // OnPtrStore implements detectors.Detector: an unsynchronized append to the

@@ -133,6 +133,7 @@ func (d *Detector) OnReallocInPlace(base, oldSize, newSize, align uint64) {
 			old = newSize
 		}
 		d.table.ClearObject(base, old, align)
+		d.Refund(perObjectMeta)
 		d.NoteDegraded()
 		return
 	}

@@ -27,11 +27,7 @@
 //     invalidation count must be identical across all of them — dedup,
 //     representation and tiering may never change what gets invalidated.
 //     Audit mode is always on, so every free checks the freed object's
-//     log bytes against their charges. Two more cells run the paper's
-//     default config with one of the process's extensions on — secure
-//     deallocation (zero-on-free) or the §7 memcpy hook — under the same
-//     exact oracle: irgen zeroes pointer fields before a realloc, so the
-//     hook may not add a single invalidation.
+//     log bytes against their charges.
 //
 // Mutation mode (CheckMutation) generates the same program with one injected
 // dangling dereference and asserts every detector traps on it (no false
@@ -90,18 +86,7 @@ type Spec struct {
 	Mode Mode
 	Det  backends.Kind
 	Cfg  pointerlog.Config // dangsan only
-	ext  procExt           // dangsan only
 }
-
-// procExt names a process extension a cell turns on before the program
-// runs.
-type procExt int
-
-const (
-	extNone procExt = iota
-	extZeroOnFree
-	extMemcpyHook
-)
 
 // Name renders a stable human-readable cell label for divergence reports.
 func (s Spec) Name() string {
@@ -120,9 +105,8 @@ func (s Spec) Name() string {
 	if s.Cfg.ColdSpillBytes > 0 {
 		spill = fmt.Sprintf(",spill=%dB", s.Cfg.ColdSpillBytes)
 	}
-	ext := [...]string{extZeroOnFree: ",zero-on-free", extMemcpyHook: ",memcpy-hook"}[s.ext]
-	return fmt.Sprintf("%s/dangsan[lb=%d,comp=%s,hash=%s%s%s]",
-		s.Mode, s.Cfg.Lookback, comp, hash, spill, ext)
+	return fmt.Sprintf("%s/dangsan[lb=%d,comp=%s,hash=%s%s]",
+		s.Mode, s.Cfg.Lookback, comp, hash, spill)
 }
 
 // DangSanConfigs enumerates the pointer-log configurations the sweep
@@ -178,9 +162,6 @@ func Specs(multithreaded bool) []Spec {
 			for _, cfg := range DangSanConfigs() {
 				specs = append(specs, Spec{Mode: ModeInstr, Det: k, Cfg: cfg}, Spec{Mode: ModeInstrOpt, Det: k, Cfg: cfg})
 			}
-			specs = append(specs,
-				Spec{Mode: ModeInstr, Det: k, Cfg: pointerlog.DefaultConfig(), ext: extZeroOnFree},
-				Spec{Mode: ModeInstr, Det: k, Cfg: pointerlog.DefaultConfig(), ext: extMemcpyHook})
 		case k.ThreadSafe() || !multithreaded:
 			specs = append(specs, Spec{Mode: ModeInstr, Det: k}, Spec{Mode: ModeInstrOpt, Det: k})
 		}
@@ -245,14 +226,6 @@ func run(prog *irgen.Program, sp Spec) (*execution, error) {
 	}
 	var buf bytes.Buffer
 	ex.rt = interp.New(m, det, interp.Options{Output: &buf})
-	switch sp.ext {
-	case extZeroOnFree:
-		ex.rt.Process().EnableZeroOnFree()
-	case extMemcpyHook:
-		if !ex.rt.Process().EnableMemcpyHook() {
-			return nil, fmt.Errorf("memcpy hook unavailable under %s", sp.Det)
-		}
-	}
 	res, err := ex.rt.Run()
 	if err != nil {
 		return nil, fmt.Errorf("run: %w", err)

@@ -45,15 +45,10 @@ func (t *Trap) Error() string {
 type Options struct {
 	// Entry is the function to run; defaults to "main".
 	Entry string
-	// Args are the entry function's arguments.
-	Args []uint64
 	// Output receives OpPrint output; nil discards it.
 	Output io.Writer
 	// MaxSteps bounds instructions per thread (0 = default 100M).
 	MaxSteps uint64
-	// Proc configures the underlying process (heap size, allocator-level
-	// fault injection). The zero value is the standard layout.
-	Proc proc.Options
 }
 
 // Result reports a completed run.
@@ -95,7 +90,7 @@ func New(mod *ir.Module, det detectors.Detector, opts Options) *Runtime {
 	}
 	rt := &Runtime{
 		mod:     mod,
-		p:       proc.NewWithOptions(det, opts.Proc),
+		p:       proc.New(det),
 		opts:    opts,
 		globals: make(map[string]uint64),
 		threads: make(map[uint64]*threadState),
@@ -117,13 +112,13 @@ func (rt *Runtime) Run() (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("interp: no function %q", rt.opts.Entry)
 	}
-	if len(rt.opts.Args) != len(entry.Params) {
-		return nil, fmt.Errorf("interp: %s takes %d args, got %d",
-			entry.Name, len(entry.Params), len(rt.opts.Args))
+	if len(entry.Params) != 0 {
+		return nil, fmt.Errorf("interp: entry function %s takes %d args, want none",
+			entry.Name, len(entry.Params))
 	}
 	th := rt.p.NewThread()
 	ex := &executor{rt: rt, th: th}
-	ret, trap := ex.callFunc(entry, rt.opts.Args)
+	ret, trap := ex.callFunc(entry, nil)
 	// Release anything a deferred-free detector withholds before
 	// reporting: post-run checks (LiveObjects) must see the state an
 	// inline-free run would have reached.

@@ -518,6 +518,13 @@ func TestMissingEntry(t *testing.T) {
 	}
 }
 
+func TestEntryWithParamsRejected(t *testing.T) {
+	m, _ := irparse.Parse("func main(n i64) {\nentry:\n  ret\n}")
+	if _, err := interp.New(m, detectors.None{}, interp.Options{}).Run(); err == nil {
+		t.Fatal("entry function with a parameter accepted")
+	}
+}
+
 func mustOp(t *testing.T, f *ir.Func, op ir.Op) {
 	t.Helper()
 	for _, b := range f.Blocks {

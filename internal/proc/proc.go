@@ -50,15 +50,12 @@ type Process struct {
 	nextTID     int32
 	globalsBump uint64
 
-	// memcpyHook, when non-nil, receives every Memcpy (and realloc move)
-	// so the detector can re-register copied pointers (§7 extension).
-	memcpyHook detectors.MemcpyHooker
 	// threadAware, when non-nil, is det's per-thread fast-path interface:
 	// pointer stores are routed through it with the storing thread's
 	// context instead of the plain OnPtrStore hook.
 	threadAware detectors.ThreadAware
 	// derefChk, when non-nil, is det's checked-dereference interface: every
-	// address-consuming operation (load, store, free, realloc, memcpy)
+	// address-consuming operation (load, store, free, realloc)
 	// validates its address first and the operation traps instead of
 	// touching freed memory. Nil for the invalidation-based backends, which
 	// keep their zero-cost access path.
@@ -67,10 +64,6 @@ type Process struct {
 	// derefChk): malloc returns tagged pointers and checked operations
 	// strip the tag before touching simulated memory.
 	tagger detectors.TagChecker
-	// zeroOnFree wipes object contents before release (secure
-	// deallocation, the mitigation the paper cites for partial
-	// type-unsafe reuse).
-	zeroOnFree bool
 	// tracer, when set, receives every traced operation (see trace.go).
 	tracer TraceSink
 
@@ -98,7 +91,6 @@ type procMetrics struct {
 	ptrStores *obs.Counter
 	intStores *obs.Counter
 	loads     *obs.Counter
-	memcpys   *obs.Counter
 }
 
 // AttachMetrics registers the process's instruments with reg — operation
@@ -115,7 +107,6 @@ func (p *Process) AttachMetrics(reg *obs.Registry) {
 		ptrStores: reg.Counter("proc.ptr_stores"),
 		intStores: reg.Counter("proc.int_stores"),
 		loads:     reg.Counter("proc.loads"),
-		memcpys:   reg.Counter("proc.memcpys"),
 	}
 	reg.RegisterFunc("proc.threads", func() int64 {
 		p.mu.Lock()
@@ -210,21 +201,6 @@ func (p *Process) ReclaimMemory() {
 	p.Quiesce()
 	p.alloc.ReleaseFreeMemory()
 }
-
-// EnableMemcpyHook turns on pointer re-registration on Memcpy and realloc
-// moves, if the detector supports it (detectors.MemcpyHooker). It reports
-// whether the hook is active.
-func (p *Process) EnableMemcpyHook() bool {
-	if h, ok := p.det.(detectors.MemcpyHooker); ok {
-		p.memcpyHook = h
-		return true
-	}
-	return false
-}
-
-// EnableZeroOnFree turns on secure deallocation: freed objects are wiped
-// before their memory is released.
-func (p *Process) EnableZeroOnFree() { p.zeroOnFree = true }
 
 // AddressSpace exposes the process's simulated memory.
 func (p *Process) AddressSpace() *vmem.AddressSpace { return p.as }
@@ -467,11 +443,6 @@ func (th *Thread) Free(ptr uint64) error {
 	}
 	align, _ := p.alloc.PageAlignOf(ptr)
 	p.det.OnFree(ptr, usable, align)
-	if p.zeroOnFree {
-		if f := p.as.Memset(ptr, 0, usable); f != nil {
-			panic(f) // the object is live and mapped; cannot happen
-		}
-	}
 	// The logical free happened above; a detector that defers frees only
 	// delays the memory's reuse.
 	taken := false
@@ -489,32 +460,6 @@ func (th *Thread) Free(ptr uint64) error {
 		th.emit(TraceFree, ptr, 0, 0)
 	}
 	return err
-}
-
-// Memcpy copies n bytes within the simulated space, modelling the C memcpy
-// the paper's §7 discusses: by default the copy is type-unsafe and copied
-// pointers lose their tracking; with EnableMemcpyHook the detector rescans
-// the destination and re-registers them.
-func (th *Thread) Memcpy(dst, src, n uint64) *vmem.Fault {
-	dst, f := th.proc.checkAddr(dst)
-	if f != nil {
-		return f
-	}
-	src, f = th.proc.checkAddr(src)
-	if f != nil {
-		return f
-	}
-	if f := th.proc.as.Memmove(dst, src, n); f != nil {
-		return f
-	}
-	if th.proc.memcpyHook != nil {
-		th.proc.memcpyHook.OnMemcpy(dst, src, n, th.id)
-	}
-	if th.proc.met != nil {
-		th.proc.met.memcpys.Inc(th.id)
-	}
-	th.emit(TraceMemcpy, dst, src, n)
-	return nil
 }
 
 // Realloc resizes the object at ptr, dispatching the three cases of the
@@ -587,9 +532,6 @@ func (th *Thread) Realloc(ptr, size uint64) (uint64, error) {
 	}
 	if f := p.as.Memmove(rawNew, ptr, n); f != nil {
 		panic(f) // both objects are live and mapped; cannot happen
-	}
-	if p.memcpyHook != nil {
-		p.memcpyHook.OnMemcpy(rawNew, ptr, n, th.id)
 	}
 	if err := th.Free(ptr); err != nil {
 		return 0, err

@@ -184,6 +184,30 @@ func TestDangSanReallocCases(t *testing.T) {
 	}
 }
 
+// A realloc move copies the buffer type-unsafely: a pointer stored inside
+// it is copied without being registered at its new location, so freeing
+// its target leaves the copy dangling and untouched — the §7 limitation
+// shared with FreeSentry and DangNULL.
+func TestMemcpyUntrackedByDefault(t *testing.T) {
+	p := proc.New(dangsan.New())
+	th := p.NewThread()
+	target, _ := th.Malloc(64)
+	buf, _ := th.Malloc(64)
+	th.StorePtr(buf, target) // pointer stored inside the buffer
+	moved, err := th.Realloc(buf, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved == buf {
+		t.Fatal("realloc did not move")
+	}
+	th.Free(target)
+	if v, _ := th.Load(moved); v != target {
+		t.Fatalf("pointer inside moved buffer = 0x%x, want untouched dangling 0x%x", v, target)
+	}
+	th.Free(moved)
+}
+
 func TestDangSanStoreOfUntrackedValues(t *testing.T) {
 	d := dangsan.New()
 	p := proc.New(d)

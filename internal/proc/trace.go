@@ -27,7 +27,9 @@ const (
 	TraceStorePtr
 	// TraceStoreInt: a = location, b = value.
 	TraceStoreInt
-	// TraceMemcpy: a = dst, b = src, c = length.
+	// TraceMemcpy: nothing emits it any more (a realloc move is one
+	// TraceRealloc); it stays only because the benchmark's event-name
+	// table (benchmark/gen.go) still names it.
 	TraceMemcpy
 	// TraceKindMax bounds the kind space.
 	TraceKindMax

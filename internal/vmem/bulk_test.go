@@ -7,9 +7,8 @@ import (
 )
 
 // Byte-at-a-time loops. loadBytes and storeBytes move test data in and out
-// of a space; refMemmove and refMemset are the reference for Memmove's and
-// Memset's word paths, which must return the same fault after moving the
-// same bytes.
+// of a space; refMemmove is the reference for Memmove's word path, which
+// must return the same fault after moving the same bytes.
 
 func loadBytes(as *AddressSpace, addr uint64, dst []byte) *Fault {
 	for i := range dst {
@@ -53,15 +52,6 @@ func refMemmove(as *AddressSpace, dst, src, n uint64) *Fault {
 			return f
 		}
 		if f := as.StoreByte(dst+i-1, b); f != nil {
-			return f
-		}
-	}
-	return nil
-}
-
-func refMemset(as *AddressSpace, addr uint64, val byte, n uint64) *Fault {
-	for i := uint64(0); i < n; i++ {
-		if f := as.StoreByte(addr+i, val); f != nil {
 			return f
 		}
 	}
@@ -134,21 +124,12 @@ func TestBulkOpsMatchByteLoops(t *testing.T) {
 		if rng.Intn(8) == 0 {
 			n &^= 7
 		}
-		var gf, wf *Fault
-		var op string
-		if rng.Intn(4) == 0 {
-			op = "Memset"
-			v := byte(rng.Intn(256))
-			gf, wf = got.Memset(a, v, n), refMemset(want, a, v, n)
-		} else {
-			op = "Memmove"
-			gf, wf = got.Memmove(a, b, n), refMemmove(want, a, b, n)
-		}
+		gf, wf := got.Memmove(a, b, n), refMemmove(want, a, b, n)
 		if !sameFault(gf, wf) {
-			t.Fatalf("iter %d: %s(%#x, %#x, %d) fault = %v, byte loop's = %v", iter, op, a, b, n, gf, wf)
+			t.Fatalf("iter %d: Memmove(%#x, %#x, %d) fault = %v, byte loop's = %v", iter, a, b, n, gf, wf)
 		}
 		if !slices.Equal(snapshot(t, got), snapshot(t, want)) {
-			t.Fatalf("iter %d: %s(%#x, %#x, %d) left different memory than the byte loop (fault %v)", iter, op, a, b, n, gf)
+			t.Fatalf("iter %d: Memmove(%#x, %#x, %d) left different memory than the byte loop (fault %v)", iter, a, b, n, gf)
 		}
 	}
 }

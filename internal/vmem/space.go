@@ -295,31 +295,6 @@ func (as *AddressSpace) Memmove(dst, src, n uint64) *Fault {
 	return nil
 }
 
-// Memset fills n bytes at addr with val.
-func (as *AddressSpace) Memset(addr uint64, val byte, n uint64) *Fault {
-	// Fast path for aligned word runs.
-	w := uint64(val)
-	w |= w<<8 | w<<16 | w<<24
-	w |= w << 32
-	i := uint64(0)
-	for ; i < n && (addr+i)%WordSize != 0; i++ {
-		if f := as.StoreByte(addr+i, val); f != nil {
-			return f
-		}
-	}
-	for ; i+WordSize <= n; i += WordSize {
-		if f := as.StoreWord(addr+i, w); f != nil {
-			return f
-		}
-	}
-	for ; i < n; i++ {
-		if f := as.StoreByte(addr+i, val); f != nil {
-			return f
-		}
-	}
-	return nil
-}
-
 // MappedBytes reports the total mapped (resident) bytes across all segments.
 func (as *AddressSpace) MappedBytes() uint64 {
 	return as.heap.MappedBytes() + as.globals.MappedBytes() + as.stacks.MappedBytes()

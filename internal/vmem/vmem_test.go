@@ -197,26 +197,6 @@ func TestMemmove(t *testing.T) {
 	}
 }
 
-func TestMemset(t *testing.T) {
-	as := New()
-	a := uint64(GlobalsBase + 8192 + 3) // deliberately unaligned
-	if f := as.Memset(a, 0xCD, 29); f != nil {
-		t.Fatal(f)
-	}
-	buf := make([]byte, 31)
-	if f := loadBytes(as, a-1, buf); f != nil {
-		t.Fatal(f)
-	}
-	if buf[0] != 0 || buf[30] != 0 {
-		t.Fatal("Memset wrote outside its range")
-	}
-	for i := 1; i <= 29; i++ {
-		if buf[i] != 0xCD {
-			t.Fatalf("byte %d = 0x%x, want 0xCD", i, buf[i])
-		}
-	}
-}
-
 func TestCASWord(t *testing.T) {
 	as := New()
 	addr := uint64(GlobalsBase + 16384)
