@@ -94,8 +94,11 @@ func (s Spec) Name() string {
 		return fmt.Sprintf("%s/%s", s.Mode, s.Det)
 	}
 	hash := "off"
-	if s.Cfg.MaxLogEntries < pointerlog.DefaultMaxLogEntries {
+	switch {
+	case s.Cfg.MaxLogEntries < pointerlog.DefaultMaxLogEntries:
 		hash = "on"
+	case s.Cfg.MaxLogEntries == pointerlog.DefaultMaxLogEntries:
+		hash = fmt.Sprint(s.Cfg.MaxLogEntries)
 	}
 	comp := "off"
 	if s.Cfg.Compression {

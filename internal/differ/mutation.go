@@ -56,12 +56,17 @@ func CheckMutation(seed int64, cfg irgen.Config) MutationResult {
 // opportunities.
 func MutationSpecs(multithreaded bool) []Spec {
 	var out []Spec
+	seen := map[Mode]bool{}
 	for _, sp := range Specs(multithreaded) {
-		// At most one dangsan cell per mode, the paper's default config: the
-		// injected bug is caught by the invalidation every config shares.
-		// No cell of DangSanConfigs has the default config, so none runs.
-		if sp.Det == backends.DangSan && sp.Cfg != pointerlog.DefaultConfig() {
-			continue
+		// One dangsan cell per instrumented mode, on the paper's default
+		// config, which no sweep config is: the injected bug is caught by
+		// the invalidation every config shares.
+		if sp.Det == backends.DangSan {
+			if seen[sp.Mode] {
+				continue
+			}
+			seen[sp.Mode] = true
+			sp.Cfg = pointerlog.DefaultConfig()
 		}
 		out = append(out, sp)
 	}

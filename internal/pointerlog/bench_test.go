@@ -111,6 +111,25 @@ func BenchmarkRegisterBlocks(b *testing.B) {
 	}
 }
 
+// BenchmarkRegisterCycle is omnetpp's hot-object shape, one object per op:
+// a cycle of 192 distinct locations stored twice — longer than the
+// lookback, so the log switches to its table part-way through the first
+// pass, and the table's second grow folds the linear log in — then the
+// free's walk and the release. stale/op is the walk's visits that found no
+// pointer to invalidate: each location the table holds a second time.
+func BenchmarkRegisterCycle(b *testing.B) {
+	as := foldSpace()
+	lg := NewLogger(DefaultConfig())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		meta, handle := lg.MustCreateMeta(vmem.HeapBase, 64)
+		foldCycle(lg, meta, as, 0, 2*cycleLocs)
+		lg.Invalidate(meta, as)
+		lg.ReleaseMeta(handle)
+	}
+	b.ReportMetric(float64(lg.Stats().Snapshot().Stale)/float64(b.N), "stale/op")
+}
+
 // invalidateFixture builds an object with nLocs distinct registered
 // locations (driving the log into the hash-table fallback) all still
 // pointing into the object, so Invalidate takes the CAS path for each.

@@ -319,14 +319,7 @@ func (lg *Logger) spill(tl *ThreadLog, t *locTable, sh *statShard) {
 	// The old table's and the blocks' resident bytes leave RAM for the
 	// cold tier: the audit identity tracks them in the spilled term from
 	// here on.
-	spilled := t.bytes()
-	for b := blocks; b != nil; b = b.next.Load() {
-		spilled += logBlockBytes
-	}
-	// Nothing reaches the owner-only tail and prev in hash mode; clearing
-	// them lets the GC free the blocks.
-	tl.blocks.Store(nil)
-	tl.tail, tl.prev = nil, nil
+	spilled := t.bytes() + tl.dropBlocks()
 	tl.charge(sh, tl.hash.reset())
 	tl.charged.Add(-uint32(spilled))
 	sh.logBytesSpilled.Add(spilled)

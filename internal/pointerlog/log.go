@@ -51,7 +51,7 @@ type logBlock struct {
 // word access and free-time verification instead of locks.
 type ThreadLog struct {
 	tid   int32
-	count int32 // owner-only: entries appended (embed + blocks)
+	count int32 // owner-only: entries in the linear log (embed + blocks); 0 once folded
 	next  atomic.Pointer[ThreadLog]
 
 	embed  [embedEntries]uint64 // atomic access
@@ -389,11 +389,12 @@ func (lg *Logger) MetaAt(handle uint64) *ObjectMeta {
 // the meta gets recycled for.
 //
 // The object's log structures die with it: their measured footprint moves
-// from the live accounting into LogBytesReleased, and the log list is
-// dropped so the memory is actually reclaimable. Bytes a racing Register
-// charges after the measurement leak from the live gauge until process
-// teardown — the same benign race as the append itself. With auditing on,
-// the measured footprint must equal what the object's logs were charged.
+// from the live accounting into LogBytesReleased, which already holds the
+// blocks a fold dropped, and the log list is dropped so the memory is
+// actually reclaimable. Bytes a racing Register charges after the
+// measurement leak from the live gauge until process teardown — the same
+// benign race as the append itself. With auditing on, the measured
+// footprint must equal what the object's logs were charged.
 func (lg *Logger) ReleaseMeta(handle uint64) {
 	if handle == 0 {
 		return
@@ -420,7 +421,8 @@ func (lg *Logger) ReleaseMeta(handle uint64) {
 // logFootprint measures the memory currently held by meta's log
 // structures, mirroring exactly what the incremental LogBytes charges
 // account for: per thread log its fixed struct cost, indirect blocks, and
-// hash table. Spilled segments are on disk, in the spilled term instead.
+// hash table. Spilled segments are on disk, in the spilled term instead,
+// and blocks a fold dropped are already in the released term.
 // It also sums what the logs were charged, which audit mode requires to
 // equal the measurement. Safe for any thread; a racing owner's appends may
 // or may not be counted.
@@ -514,10 +516,10 @@ func (lg *Logger) RegisterWith(tl *ThreadLog, loc uint64, tid int32) {
 
 func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 	// Hash-table mode: the log overflowed earlier. Checked before the
-	// lookback, whose window holds frozen entries the table lacks: the
-	// table deduplicates only what came after the switch, so a location
-	// logged before it is logged again (and a free walks it twice). Once a
-	// spill has taken the linear log's blocks there is no newest entry.
+	// lookback, whose window holds frozen entries the table may lack: until
+	// a grow folds the linear log in, a location logged before the switch is
+	// logged again in the table. Once a spill or a fold has taken the
+	// linear log's blocks there is no newest entry.
 	if t := tl.hash.table.Load(); t != nil {
 		// Tiering check where a grow is due: a table whose doubling would
 		// reach the threshold is spilled as it stands and the location
@@ -532,6 +534,9 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 		// duplicate return or those bytes vanish from the accounting.
 		if grown > 0 {
 			tl.charge(sh, grown)
+			if tl.count > 0 {
+				tl.fold(sh)
+			}
 		}
 		if dropped {
 			// Denied grow on a full table: the location goes unlogged.
@@ -622,6 +627,47 @@ func (lg *Logger) registerIn(tl *ThreadLog, loc uint64, sh *statShard) {
 	sh.logged.Add(1)
 }
 
+// fold moves the frozen linear log into tl's just-doubled hash table if
+// the table stays under its 7/8 load with it: the linear locations go into
+// the table, and only then are the blocks and embedded entries dropped (the
+// order spill keeps), so a walk that misses them in the linear log finds
+// them in the table. The blocks' bytes leave the log's charge for
+// LogBytesReleased; LogBytes does not move. Owner-only, in hash mode.
+func (tl *ThreadLog) fold(sh *statShard) {
+	t := tl.hash.table.Load()
+	// A location the linear log holds twice counts twice: the check errs
+	// towards keeping the blocks.
+	lacking := 0
+	tl.forEachLinear(func(loc uint64) {
+		if !tl.hash.contains(loc) {
+			lacking++
+		}
+	})
+	if (t.used+lacking)*8 >= len(t.entries)*7 {
+		return
+	}
+	tl.forEachLinear(func(loc uint64) { tl.hash.insert(loc, nil) })
+	dropped := tl.dropBlocks()
+	for i := range tl.embed {
+		atomic.StoreUint64(&tl.embed[i], 0)
+	}
+	tl.count = 0
+	tl.charged.Add(-uint32(dropped))
+	sh.logBytesReleased.Add(dropped)
+}
+
+// dropBlocks unlinks tl's indirect blocks and returns their bytes. Nothing
+// reaches the owner-only tail and prev in hash mode; clearing them lets the
+// GC free the blocks. Owner-only.
+func (tl *ThreadLog) dropBlocks() (n uint64) {
+	for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
+		n += logBlockBytes
+	}
+	tl.blocks.Store(nil)
+	tl.tail, tl.prev = nil, nil
+	return n
+}
+
 // newest returns the owner's most recent entry. The log must hold an
 // entry and be in linear mode.
 func (tl *ThreadLog) newest() *uint64 {
@@ -697,26 +743,14 @@ func tryCompress(slot *uint64, loc uint64) bool {
 // threads and returns the number of spilled segments it could not read
 // (coverage loss, fail-open). Any thread may call it; it tolerates
 // concurrent appends, which may or may not be visited, and concurrent
-// spills: it reads each log's resident tiers before its segments, and a
-// spill publishes its segment before it drops what the segment carries, so
-// one of the two reads finds every location logged before the walk began.
+// folds and spills: it reads each log's linear log, then its table, then
+// its segments, and a fold fills the grown table before it drops the
+// linear log, as a spill publishes its segment before it drops what the
+// segment carries, so a later read finds what an earlier one missed.
 func (lg *Logger) forEachLocation(meta *ObjectMeta, fn func(loc uint64)) (unread uint64) {
-	var scratch [3]uint64
-	visit := func(e uint64) {
-		for _, loc := range decodeEntry(e, scratch[:0]) {
-			fn(loc)
-		}
-	}
 	faults := lg.faults.Load()
 	for tl := meta.logs.Load(); tl != nil; tl = tl.next.Load() {
-		for i := 0; i < embedEntries; i++ {
-			visit(atomic.LoadUint64(&tl.embed[i]))
-		}
-		for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
-			for i := 0; i < blockEntries; i++ {
-				visit(atomic.LoadUint64(&b.entries[i]))
-			}
-		}
+		tl.forEachLinear(fn)
 		tl.hash.forEach(fn)
 		for seg := tl.segs.Load(); seg != nil; seg = seg.next {
 			if lg.cold.forEach(seg, faults, fn) != nil {
@@ -725,4 +759,23 @@ func (lg *Logger) forEachLocation(meta *ObjectMeta, fn func(loc uint64)) (unread
 		}
 	}
 	return unread
+}
+
+// forEachLinear calls fn for every location in tl's linear log: the
+// embedded entries, then the indirect blocks. Safe for any thread.
+func (tl *ThreadLog) forEachLinear(fn func(loc uint64)) {
+	var scratch [3]uint64
+	visit := func(e uint64) {
+		for _, loc := range decodeEntry(e, scratch[:0]) {
+			fn(loc)
+		}
+	}
+	for i := range tl.embed {
+		visit(atomic.LoadUint64(&tl.embed[i]))
+	}
+	for b := tl.blocks.Load(); b != nil; b = b.next.Load() {
+		for i := range b.entries {
+			visit(atomic.LoadUint64(&b.entries[i]))
+		}
+	}
 }

@@ -279,3 +279,41 @@ func TestDuplicateIsLoggedQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: folding the linear log into a grown table loses no location.
+// Whatever the universe, the mix of compressible neighbours and the
+// lookback, every registered location is walked at the free — exactly once
+// if the log folded — and the freed object's walk equals its charge.
+func TestFoldKeepsEveryLocationQuick(t *testing.T) {
+	f := func(universe uint8, lookback uint8, compress bool, ops [600]uint16) bool {
+		cfg := DefaultConfig()
+		cfg.Audit = true
+		cfg.Lookback = int(lookback) % (MaxLookback + 1)
+		cfg.Compression = compress
+		lg := NewLogger(cfg)
+		meta, handle := lg.MustCreateMeta(vmem.HeapBase, 64)
+		n := uint16(DefaultMaxLogEntries + int(universe))
+		registered := map[uint64]bool{}
+		var tl *ThreadLog
+		for _, op := range ops {
+			// Pairs of neighbours 8 B apart, 256 B between pairs.
+			i := uint64(op % n)
+			loc := vmem.GlobalsBase + i/2<<8 + i%2*8
+			registered[loc] = true
+			tl = lg.Register(meta, loc, 0)
+		}
+		visits := map[uint64]int{}
+		lg.forEachLocation(meta, func(loc uint64) { visits[loc]++ })
+		folded := tl.hash.table.Load() != nil && !linearHeld(tl)
+		for loc := range registered {
+			if visits[loc] == 0 || folded && visits[loc] != 1 {
+				return false
+			}
+		}
+		lg.ReleaseMeta(handle)
+		return len(visits) == len(registered) && len(lg.AuditViolations()) == 0 && lg.AuditCheck() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -55,7 +55,8 @@ func (s *Stats) shard(tid int32) *statShard {
 // LogBytes is cumulative — every byte ever charged to log structures —
 // matching the paper's Table 1 memory-overhead accounting. LogBytesReleased
 // is the measured footprint of log structures whose object has been
-// released, LogBytesSpilled the footprint flushed to the cold tier, and
+// released, plus the indirect blocks a fold dropped while their object
+// lived; LogBytesSpilled is the footprint flushed to the cold tier, and
 // LogBytesLive what remains: the log memory actually resident right now.
 type Snapshot struct {
 	ObjectsTracked   uint64
